@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..technology.node import TechnologyNode
 from .gates import CELL_TYPES, Cell, make_cell
 from ..robust.errors import ModelDomainError
@@ -63,12 +61,10 @@ class Netlist:
         # instead of a scan over every instance).
         self._net_loads: Dict[str, List[str]] = {}
         self._counter = 0
-        self._graph_cache: Optional[nx.DiGraph] = None
-        self._topo_cache: Optional[List[str]] = None
+        self._topo_cache: Optional[List[Instance]] = None
 
     def _invalidate_caches(self) -> None:
         """Drop derived structure after a mutation."""
-        self._graph_cache = None
         self._topo_cache = None
 
     # --- construction -----------------------------------------------------
@@ -169,43 +165,62 @@ class Netlist:
         """Number of gate instances."""
         return len(self.instances)
 
-    def to_graph(self) -> nx.DiGraph:
-        """Directed graph: instance -> instance edges through nets.
-
-        The graph is rebuilt only after a mutation; callers receive a
-        fresh copy each time so they may edit it freely.
-        """
-        if self._graph_cache is None:
-            graph = nx.DiGraph()
-            graph.add_nodes_from(self.instances)
-            for instance in self.instances.values():
-                for net in instance.inputs:
-                    driver = self._net_driver.get(net)
-                    if driver is not None:
-                        graph.add_edge(driver, instance.name, net=net)
-            self._graph_cache = graph
-        return nx.DiGraph(self._graph_cache)
-
     def topological_order(self) -> List[Instance]:
         """Instances in topological order (cached until mutation).
 
         Sequential cells break cycles: edges *out of* flip-flops are
         treated as new timing startpoints, so feedback through DFFs is
         legal.
+
+        The order comes from a generational Kahn pass over the
+        driver -> load graph (in-edges of sequential cells cut, a net
+        on several pins of one load counted once).  The first
+        generation is every instance without a driver in insertion
+        order; each later one collects the loads whose last unvisited
+        driver sits in the previous generation, in the order those
+        drivers are visited and then in net-load insertion order.  The
+        timing analyzers break equal-arrival ties by this order, so it
+        must not change.
         """
         if self._topo_cache is None:
-            cut = self.to_graph()
-            # Remove incoming edges of sequential cells to cut
-            # registered loops.
-            for name, instance in self.instances.items():
-                if instance.is_sequential:
-                    cut.remove_edges_from(list(cut.in_edges(name)))
-            try:
-                self._topo_cache = list(nx.topological_sort(cut))
-            except nx.NetworkXUnfeasible:
-                raise ModelDomainError(
-                    "netlist contains a combinational loop") from None
-        return [self.instances[name] for name in self._topo_cache]
+            self._topo_cache = self._kahn_order()
+        return list(self._topo_cache)
+
+    def _kahn_order(self) -> List[Instance]:
+        instances = self.instances
+        net_driver = self._net_driver
+        net_loads = self._net_loads
+        # Unvisited driver count of each combinational instance with
+        # any; each instance drives exactly one net, so distinct driven
+        # input nets are distinct drivers.
+        pending: Dict[str, int] = {}
+        generation: List[str] = []
+        for name, inst in instances.items():
+            count = 0 if inst.is_sequential else len(
+                {net for net in inst.inputs if net in net_driver})
+            if count:
+                pending[name] = count
+            else:
+                generation.append(name)
+        order: List[Instance] = []
+        while generation:
+            following: List[str] = []
+            for name in generation:
+                inst = instances[name]
+                order.append(inst)
+                for load in net_loads.get(inst.output, ()):
+                    count = pending.get(load)
+                    if count is None:       # sequential: in-edges cut
+                        continue
+                    if count == 1:
+                        del pending[load]
+                        following.append(load)
+                    else:
+                        pending[load] = count - 1
+            generation = following
+        if pending:
+            raise ModelDomainError("netlist contains a combinational loop")
+        return order
 
     # --- evaluation -----------------------------------------------------------
 

@@ -54,6 +54,7 @@ import numpy as np
 from ..robust.errors import ModelDomainError, SimulationBudgetError
 from ..robust.guards import SimulationBudget
 from ..robust.validate import check_count, check_positive
+from ..perf.profile import timed
 from .gates import CELL_TYPES
 from .netlist import Netlist
 from .simulator import SimulationResult, SwitchingEvent
@@ -297,20 +298,24 @@ class CompiledEventEngine:
 
     # --- lowering --------------------------------------------------------
 
+    @timed("digital.compile")
     def _compile(self) -> None:
+        """Lower the netlist in one O(gates + pins) pass.
+
+        Nets are numbered in :attr:`Netlist.nets` order and gates in
+        insertion order; the per-gate and per-pin columns are gathered
+        as flat lists and become arrays in one call each.
+        """
         netlist = self.netlist
-        net_names = list(netlist.nets)
-        self._net_names: Tuple[str, ...] = tuple(net_names)
+        net_names = tuple(netlist.nets)
+        self._net_names: Tuple[str, ...] = net_names
         net_of = {name: k for k, name in enumerate(net_names)}
         self._net_of = net_of
         n_nets = len(net_names)
         instances = list(netlist.instances.values())
-        self._instance_names: Tuple[str, ...] = tuple(
-            inst.name for inst in instances)
-        gate_of = {name: g for g, name in
-                   enumerate(netlist.instances)}
         n_gates = len(instances)
         self.n_gates = n_gates
+        self._instance_names: Tuple[str, ...] = tuple(netlist.instances)
 
         # 8-entry truth table per cell type: 3 inputs max in the
         # library, padded pins read the always-False dummy net.
@@ -327,67 +332,87 @@ class CompiledEventEngine:
                 truth[code, packed] = cell_type.function(bits)
         self._truth_flat = truth.ravel()
 
+        fanin_flat: List[int] = []      # 3 slots per gate, -1 pads
+        out_list: List[int] = []
+        code_list: List[int] = []
+        seq_list: List[bool] = []
+        # Distinct (gate, net) input pins in gate-then-pin order, with
+        # the load-cap term each one adds to its net.
+        pin_gate: List[int] = []
+        pin_net: List[int] = []
+        pin_term: List[float] = []
+        pin_caps: Dict[Tuple[str, float], float] = {}
+        for g, inst in enumerate(instances):
+            cell = inst.cell
+            cell_type = cell.cell_type
+            key = (cell_type.name, cell.drive)
+            cap = pin_caps.get(key)
+            if cap is None:
+                cap = pin_caps[key] = cell.input_capacitance
+            inputs = inst.inputs
+            row = [net_of[net] for net in inputs]
+            fanin_flat.extend(row)
+            fanin_flat.extend([-1] * (3 - len(row)))
+            for pin, net in enumerate(inputs):
+                if net in inputs[:pin]:
+                    continue
+                pin_gate.append(g)
+                pin_net.append(row[pin])
+                # The same term Netlist.fanout_capacitance sums.
+                pin_term.append(cap * inputs.count(net))
+            out_list.append(net_of[inst.output])
+            code_list.append(type_code[cell_type.name] * 8)
+            seq_list.append(cell_type.is_sequential)
+
         dummy = n_nets            # always-False padding slot
         self._dummy = dummy
-        fanin = np.full((n_gates, 3), dummy, dtype=np.int64)
-        out_net = np.zeros(n_gates, dtype=np.int64)
-        tcode8 = np.zeros(n_gates, dtype=np.int64)
-        is_seq = np.zeros(n_gates, dtype=bool)
-        delays = np.zeros(n_gates, dtype=float)
+        fanin = np.array(fanin_flat, dtype=np.int64).reshape(n_gates, 3)
+        fanin[fanin < 0] = dummy
+        out_net = np.array(out_list, dtype=np.int64)
+        is_seq = np.array(seq_list, dtype=bool)
+        # Pins grouped by net; a stable sort keeps each net's loads in
+        # insertion order, the order Netlist.loads_of lists them.
+        pin_gate_arr = np.array(pin_gate, dtype=np.int64)
+        pin_net_arr = np.array(pin_net, dtype=np.int64)
+        by_net = np.argsort(pin_net_arr, kind="stable")
+        n_loads = np.bincount(pin_net_arr, minlength=n_nets)
+        first_load = np.cumsum(n_loads) - n_loads
 
-        # Delay / pin-cap memoization: identical (cell, drive, load)
-        # triples produce identical floats through the shared
-        # Cell.delay path, so repetitive SoCs compile in O(unique).
-        cap_cache: Dict[Tuple[str, float], float] = {}
-        delay_cache: Dict[Tuple[str, float, float], float] = {}
-
-        def pin_cap(inst) -> float:
-            key = (inst.cell.cell_type.name, inst.cell.drive)
-            cap = cap_cache.get(key)
-            if cap is None:
-                cap = inst.cell.input_capacitance
-                cap_cache[key] = cap
-            return cap
-
+        # Per-gate loaded delays.  The load cap is the same Python sum,
+        # over the same terms in the same order, as
+        # Netlist.fanout_capacitance, so it is bit-identical; identical
+        # (cell, drive, load) triples share one Cell.delay call, so
+        # repetitive SoCs compile in O(unique).
         wire_cap = self.wire_cap_per_fanout
-        for g, inst in enumerate(instances):
-            out_net[g] = net_of[inst.output]
-            tcode8[g] = type_code[inst.cell.cell_type.name] * 8
-            is_seq[g] = inst.is_sequential
-            for pin, net in enumerate(inst.inputs):
-                fanin[g, pin] = net_of[net]
-            # Same accumulation order and start value as
-            # Netlist.fanout_capacitance, so the sum is bit-identical.
-            loads = netlist.loads_of(inst.output)
-            load_cap = sum(pin_cap(load) * load.inputs.count(inst.output)
-                           for load in loads) \
-                + wire_cap * max(len(loads), 1)
-            key = (inst.cell.cell_type.name, inst.cell.drive, load_cap)
-            delay = delay_cache.get(key)
+        terms = np.array(pin_term, dtype=float)[by_net].tolist()
+        delay_memo: Dict[Tuple[str, float, float], float] = {}
+        delay_list: List[float] = []
+        for inst, start, count in zip(instances,
+                                      first_load[out_net].tolist(),
+                                      n_loads[out_net].tolist()):
+            load_cap = sum(terms[start:start + count]) \
+                + wire_cap * max(count, 1)
+            cell = inst.cell
+            key = (cell.cell_type.name, cell.drive, load_cap)
+            delay = delay_memo.get(key)
             if delay is None:
-                delay = inst.cell.delay(load_cap)
-                delay_cache[key] = delay
-            delays[g] = delay
+                delay = delay_memo[key] = cell.delay(load_cap)
+            delay_list.append(delay)
+        delays = np.array(delay_list, dtype=float)
 
         self._fanin = fanin
         self._out_net = out_net
-        self._tcode8 = tcode8
+        self._tcode8 = np.array(code_list, dtype=np.int64)
         self._delays = delays
 
         # Combinational net -> loads CSR (sequential cells sample only
         # at the clock edge, exactly as the scalar loop skips them).
-        counts = np.zeros(n_nets, dtype=np.int64)
-        flat: List[int] = []
-        for k, net in enumerate(net_names):
-            comb = [gate_of[load.name] for load in netlist.loads_of(net)
-                    if not load.is_sequential]
-            counts[k] = len(comb)
-            flat.extend(comb)
+        loads = pin_gate_arr[by_net]
+        self._csr_gates = loads[~is_seq[loads]]
+        counts = np.bincount(pin_net_arr[~is_seq[pin_gate_arr]],
+                             minlength=n_nets)
         self._csr_count = counts
-        self._csr_start = np.concatenate(
-            [[0], np.cumsum(counts)[:-1]]).astype(np.int64) \
-            if n_nets else np.zeros(0, dtype=np.int64)
-        self._csr_gates = np.array(flat, dtype=np.int64)
+        self._csr_start = np.cumsum(counts) - counts
 
         # Sequential cells in netlist insertion order (the scalar
         # simulator's sampling order).
@@ -399,34 +424,41 @@ class CompiledEventEngine:
         self._seq_out = out_net[seq_idx]
         self._seq_delay = delays[seq_idx]
 
-        # Levelized combinational schedule for the initial settle
-        # (validates acyclicity exactly like the scalar settle does).
-        order = netlist.topological_order()
-        level_of: Dict[str, int] = {}
-        max_level = -1
-        for inst in order:
-            if inst.is_sequential:
-                continue
-            level = 0
-            for net in inst.inputs:
-                driver = netlist.driver_of(net)
-                if driver is not None and not driver.is_sequential:
-                    level = max(level, level_of[driver.name] + 1)
-            level_of[inst.name] = level
-            max_level = max(max_level, level)
-        self._levels: List[np.ndarray] = [
-            np.array([gate_of[name] for name, lv in level_of.items()
-                      if lv == level], dtype=np.int64)
-            for level in range(max_level + 1)]
+        # Levelized combinational schedule for the initial settle: a
+        # gate's level is one past its deepest combinational driver,
+        # and each level lists its gates in topological order.  The
+        # topological sort validates acyclicity exactly like the
+        # scalar settle does.
+        gate_of = {name: g for g, name in enumerate(self._instance_names)}
+        topo = np.array([gate_of[inst.name]
+                         for inst in netlist.topological_order()],
+                        dtype=np.int64)
+        comb_topo = topo[~is_seq[topo]]
+        driver = np.full(n_nets + 1, -1, dtype=np.int64)
+        driver[out_net[~is_seq]] = np.flatnonzero(~is_seq)
+        pin_drivers = driver[fanin].T.tolist()
+        level = [0] * n_gates
+        for g in comb_topo.tolist():
+            depth = 0
+            for drivers in pin_drivers:
+                d = drivers[g]
+                if d >= 0 and level[d] >= depth:
+                    depth = level[d] + 1
+            level[g] = depth
+        self._levels: List[np.ndarray] = []
+        if comb_topo.size:
+            comb_level = np.array(level, dtype=np.int64)[comb_topo]
+            self._levels = np.split(
+                comb_topo[np.argsort(comb_level, kind="stable")],
+                np.cumsum(np.bincount(comb_level))[:-1])
 
         # Nets that are neither driven nor primary inputs read as
         # False during the settle even if an initial state set them.
         self._primary_inputs = list(netlist.primary_inputs)
-        pi_set = set(self._primary_inputs)
-        self._floating = np.array(
-            [net_of[name] for name in net_names
-             if name not in pi_set and netlist.driver_of(name) is None],
-            dtype=np.int64)
+        known = np.zeros(n_nets, dtype=bool)
+        known[[net_of[net] for net in self._primary_inputs]] = True
+        known[out_net] = True
+        self._floating = np.flatnonzero(~known)
 
         # Wavefront conflict-signature cache: partition boundaries are
         # a pure function of the event net-index sequence (the loads

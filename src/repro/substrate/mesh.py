@@ -114,6 +114,14 @@ class SubstrateMesh:
         j = min(max(int(y / self.dy), 0), self.ny - 1)
         return self.node_index(i, j)
 
+    def nodes_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Array twin of :meth:`node_at`: the node of each (x, y) pair."""
+        i = np.clip((np.asarray(x) / self.dx).astype(np.int64),
+                    0, self.nx - 1)
+        j = np.clip((np.asarray(y) / self.dy).astype(np.int64),
+                    0, self.ny - 1)
+        return j * self.nx + i
+
     def position_of(self, index: int) -> Tuple[float, float]:
         """Chip coordinates of a node centre."""
         j, i = divmod(index, self.nx)

@@ -63,21 +63,21 @@ class Floorplan:
         if not (0 <= sx <= self.die_width and 0 <= sy <= self.die_height):
             raise ModelDomainError("sensor must lie inside the die")
 
+    def grid_positions(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(x, y) arrays of the first ``n`` row-major grid slots."""
+        x1, y1, x2, y2 = self.digital_region
+        n_cols = max(int(math.ceil(math.sqrt(n))), 1)
+        n_rows = int(math.ceil(n / n_cols))
+        index = np.arange(n)
+        x = x1 + (x2 - x1) * (index % n_cols + 0.5) / n_cols
+        y = y1 + (y2 - y1) * (index // n_cols + 0.5) / max(n_rows, 1)
+        return x, y
+
     def instance_positions(self, names: List[str]
                            ) -> Dict[str, Tuple[float, float]]:
         """Grid positions for every instance name."""
-        x1, y1, x2, y2 = self.digital_region
-        n = len(names)
-        n_cols = max(int(math.ceil(math.sqrt(n))), 1)
-        n_rows = int(math.ceil(n / n_cols))
-        positions = {}
-        for index, name in enumerate(names):
-            col = index % n_cols
-            row = index // n_cols
-            positions[name] = (
-                x1 + (x2 - x1) * (col + 0.5) / n_cols,
-                y1 + (y2 - y1) * (row + 0.5) / max(n_rows, 1))
-        return positions
+        x, y = self.grid_positions(len(names))
+        return dict(zip(names, zip(x.tolist(), y.tolist())))
 
     @classmethod
     def default(cls, die_width: float = 3e-3, die_height: float = 3e-3
@@ -159,30 +159,26 @@ class SwanSimulator:
                                      sx + ring, sy + ring)
         self.sensor_node = self.mesh.node_at(sx, sy)
         self.macromodels = characterize_library(netlist.node)
-        positions = self.floorplan.instance_positions(
-            list(netlist.instances))
-        self._instance_node = {
-            name: self.mesh.node_at(*xy)
-            for name, xy in positions.items()}
-        self._cell_names = sorted({inst.cell.cell_type.name
-                                   for inst in netlist.instances.values()})
+        self._place()
+
+    @timed("swan.init")
+    def _place(self) -> None:
+        """Gate-indexed placement arrays and the sensor coupling row.
+
+        ``_code_by_gate`` / ``_node_by_gate`` hold each gate's cell-type
+        code and mesh node in netlist insertion order, so an
+        EventTrace's source indices gather against them directly; the
+        scalar paths reach the same arrays through ``_gate_of``.
+        """
+        insts = list(self.netlist.instances.values())
+        self._gate_of = {inst.name: g for g, inst in enumerate(insts)}
+        self._node_by_gate = self.mesh.nodes_at(
+            *self.floorplan.grid_positions(len(insts)))
+        type_names = [inst.cell.cell_type.name for inst in insts]
+        self._cell_names = sorted(set(type_names))
         codes = {cell: k for k, cell in enumerate(self._cell_names)}
-        # instance -> (cell-type code, mesh node): one lookup per event
-        # in the vectorized superposition.
-        self._instance_inject = {
-            name: (codes[inst.cell.cell_type.name],
-                   self._instance_node[name])
-            for name, inst in netlist.instances.items()}
-        # Gate-indexed twins of _instance_inject, in netlist insertion
-        # order: an EventTrace's source_indices gather against these
-        # without touching per-instance Python objects.
-        insts = list(netlist.instances.values())
-        self._code_by_gate = np.array(
-            [codes[inst.cell.cell_type.name] for inst in insts],
-            dtype=np.int64)
-        self._node_by_gate = np.array(
-            [self._instance_node[inst.name] for inst in insts],
-            dtype=np.int64)
+        self._code_by_gate = np.array([codes[name] for name in type_names],
+                                      dtype=np.int64)
         self._impedance = self.mesh.transfer_impedance_to(
             self.sensor_node)
 
@@ -283,11 +279,11 @@ class SwanSimulator:
             if not keep.any():
                 return time, {}
             start_arr = all_starts[keep]
-            pairs = np.array([self._instance_inject[event.instance]
+            gates = np.array([self._gate_of[event.instance]
                               for event, kept in zip(placed, keep)
-                              if kept])
-            code_arr = pairs[:, 0]
-            node_arr = pairs[:, 1]
+                              if kept], dtype=np.int64)
+            code_arr = self._code_by_gate[gates]
+            node_arr = self._node_by_gate[gates]
         jitter = None
         if detailed:
             # One draw per kept event, in event order -- the same
@@ -406,7 +402,8 @@ class SwanSimulator:
                 if pulse is None:
                     pulse = model.macromodel_waveform(local_t)
                     pulse_cache[cell_name] = pulse
-            mesh_node = self._instance_node[event.instance]
+            mesh_node = int(
+                self._node_by_gate[self._gate_of[event.instance]])
             series = node_currents.get(mesh_node)
             if series is None:
                 series = np.zeros(time.size)

@@ -390,3 +390,48 @@ class TestPartitionCache:
         for signature in engine._partition_cache:
             assert len(signature) > np.dtype(np.int64).itemsize \
                 or engine._partition_cache[signature] != (1,)
+
+
+class TestLowering:
+    """The one-pass compile agrees exactly with the netlist's views."""
+
+    @pytest.fixture(scope="class")
+    def soc(self, node):
+        return soc_netlist(node, target_gates=1500, n_blocks=3, seed=4)
+
+    def test_delays_match_fanout_capacitance(self, soc):
+        engine = CompiledEventEngine(soc)
+        for g, inst in enumerate(soc.instances.values()):
+            assert engine._delays[g] == inst.cell.delay(
+                soc.fanout_capacitance(inst.output))
+
+    def test_nets_and_combinational_loads(self, soc):
+        engine = CompiledEventEngine(soc)
+        assert engine._net_names == tuple(soc.nets)
+        gate_of = {name: g for g, name in enumerate(soc.instances)}
+        for k, net in enumerate(engine._net_names):
+            start = engine._csr_start[k]
+            loads = engine._csr_gates[start:start + engine._csr_count[k]]
+            assert loads.tolist() == [gate_of[inst.name]
+                                      for inst in soc.loads_of(net)
+                                      if not inst.is_sequential]
+
+    def test_levels_follow_topological_order(self, soc):
+        engine = CompiledEventEngine(soc)
+        gate_of = {name: g for g, name in enumerate(soc.instances)}
+        topo = {gate_of[inst.name]: k
+                for k, inst in enumerate(soc.topological_order())
+                if not inst.is_sequential}
+        level_of = {}
+        for depth, gates in enumerate(engine._levels):
+            level_of.update(dict.fromkeys(gates.tolist(), depth))
+            position = [topo[g] for g in gates.tolist()]
+            assert position == sorted(position)
+        assert sorted(level_of) == sorted(topo)
+        for inst in soc.instances.values():
+            if inst.is_sequential:
+                continue
+            drivers = [soc.driver_of(net) for net in inst.inputs]
+            depths = [level_of[gate_of[d.name]] + 1 for d in drivers
+                      if d is not None and not d.is_sequential]
+            assert level_of[gate_of[inst.name]] == max(depths, default=0)

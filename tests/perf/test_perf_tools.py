@@ -147,6 +147,22 @@ class TestTimed:
         assert record.mean_seconds == pytest.approx(
             record.total_seconds / 2)
 
+    def test_lowering_layers_are_timed(self):
+        from repro.digital import CompiledEventEngine, ripple_adder
+        from repro.substrate.swan import SwanSimulator
+        from repro.technology import get_node
+
+        def calls(name):
+            record = profile_registry().get(name)
+            return record.calls if record else 0
+
+        netlist = ripple_adder(get_node("65nm"), width=2)
+        before = calls("digital.compile"), calls("swan.init")
+        CompiledEventEngine(netlist)
+        SwanSimulator(netlist, mesh_resolution=4, seed=0)
+        assert (calls("digital.compile"), calls("swan.init")) \
+            == (before[0] + 1, before[1] + 1)
+
     def test_report_lists_sections_sorted(self):
         reset_profile()
         with timed("test.slow"):

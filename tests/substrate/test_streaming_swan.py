@@ -11,10 +11,10 @@ match per-column solves exactly.
 import numpy as np
 import pytest
 
-from repro.digital import ripple_adder
+from repro.digital import random_logic, ripple_adder
 from repro.robust.errors import ModelDomainError
 from repro.substrate import SubstrateMesh, SubstrateProcess
-from repro.substrate.swan import EventTrace, SwanSimulator
+from repro.substrate.swan import EventTrace, Floorplan, SwanSimulator
 from repro.technology import get_node
 
 
@@ -102,6 +102,43 @@ class TestTraceInjection:
         wave_c = compiled.run(n_cycles=3, stimulus_seed=2,
                               engine="compiled")
         assert np.array_equal(wave_c.voltage, wave_s.voltage)
+
+
+class TestGatePlacement:
+    """Gate-indexed placement arrays equal the per-name scalar lookups."""
+
+    @pytest.fixture(scope="class")
+    def sim(self, node):
+        # 23 gates: not a square, so the last grid row is partial.
+        netlist = random_logic(node, n_gates=23, seed=9,
+                               sequential_fraction=0.2)
+        plan = Floorplan(die_width=2e-3, die_height=1.5e-3,
+                         digital_region=(0.13e-3, 0.21e-3,
+                                         1.37e-3, 1.09e-3),
+                         sensor_xy=(1.8e-3, 1.3e-3))
+        return SwanSimulator(netlist, plan, mesh_resolution=7, seed=0)
+
+    def test_positions_match_scalar_grid(self, sim):
+        names = list(sim.netlist.instances)
+        x1, y1, x2, y2 = sim.floorplan.digital_region
+        n_cols, n_rows = 5, 5
+        expected = {
+            name: (x1 + (x2 - x1) * (k % n_cols + 0.5) / n_cols,
+                   y1 + (y2 - y1) * (k // n_cols + 0.5) / n_rows)
+            for k, name in enumerate(names)}
+        assert sim.floorplan.instance_positions(names) == expected
+
+    def test_node_by_gate_matches_node_at(self, sim):
+        names = list(sim.netlist.instances)
+        positions = sim.floorplan.instance_positions(names)
+        assert sim._node_by_gate.dtype == np.int64
+        assert sim._node_by_gate.tolist() == [
+            sim.mesh.node_at(*positions[name]) for name in names]
+
+    def test_code_by_gate_names_each_cell(self, sim):
+        assert [sim._cell_names[code] for code in sim._code_by_gate] \
+            == [inst.cell.cell_type.name
+                for inst in sim.netlist.instances.values()]
 
 
 class TestNodePotentials:
