@@ -1,0 +1,157 @@
+"""Golden pins for the outputs of the batched evaluation paths.
+
+These freeze fixed-seed outputs of the chain sign-off yield, Monte
+Carlo SSTA, SRAM margins and the SWAN substrate-noise flow.  Discrete
+values (names, counts, yields, criticality fractions, key order)
+compare exactly and floats at ``rel=1e-12``.  A change that moves one
+of them changes what the library computes and must be an explicit,
+reviewed decision.
+"""
+
+import pytest
+
+from repro.analog.chain import chain_yield_vs_node
+from repro.digital import clocked_datapath, random_logic
+from repro.digital.ssta import (StatisticalTimingAnalyzer,
+                                corner_vs_statistical_margin)
+from repro.digital.timing import delay_under_mismatch
+from repro.memory.sram import SramCell
+from repro.substrate.swan import SwanSimulator, run_swan_experiment
+from repro.technology import get_node
+
+REL = 1e-12
+
+
+def close(value):
+    return pytest.approx(value, rel=REL, abs=0.0)
+
+
+class TestChainYieldPins:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return chain_yield_vs_node(
+            nodes=[get_node("350nm"), get_node("32nm")], n_dies=16,
+            seed=0)
+
+    def test_row_keys(self, rows):
+        for row in rows:
+            assert list(row) == ["node", "n_dies", "yield_fraction",
+                                 "enob_mean", "enob_min",
+                                 "dnl_worst_lsb", "inl_worst_lsb"]
+
+    @pytest.mark.parametrize("index, expected", [
+        (0, {"node": "350nm", "n_dies": 16.0, "yield_fraction": 1.0,
+             "enob_mean": 7.340076146274523,
+             "enob_min": 7.222424222618561,
+             "dnl_worst_lsb": 0.07306938094433246,
+             "inl_worst_lsb": 0.0625}),
+        (1, {"node": "32nm", "n_dies": 16.0, "yield_fraction": 0.5,
+             "enob_mean": 7.098637493050392,
+             "enob_min": 6.92251160274284,
+             "dnl_worst_lsb": 1.0,
+             "inl_worst_lsb": 1.491462509279881}),
+    ])
+    def test_row_values(self, rows, index, expected):
+        row = rows[index]
+        for key in ("node", "n_dies", "yield_fraction"):
+            assert row[key] == expected[key]
+        for key in ("enob_mean", "enob_min", "dnl_worst_lsb",
+                    "inl_worst_lsb"):
+            assert row[key] == close(expected[key])
+
+
+@pytest.fixture(scope="module")
+def logic():
+    return random_logic(get_node("65nm"), 60, seed=1)
+
+
+class TestSstaPins:
+    @pytest.fixture(scope="class")
+    def result(self, logic):
+        return StatisticalTimingAnalyzer(logic, seed=3).run(40)
+
+    def test_statistics(self, result):
+        assert result.samples.shape == (40,)
+        assert result.mean == close(1.356638323774371e-10)
+        assert result.sigma == close(4.5849868180575806e-12)
+        assert float(result.samples.min()) == close(
+            1.2395964787033753e-10)
+        assert float(result.samples.max()) == close(
+            1.4384481052637376e-10)
+        assert result.quantile(0.9) == close(1.4186348511927679e-10)
+        assert result.nominal_delay == close(1.3512963044988517e-10)
+
+    def test_criticality_map(self, result):
+        expected = {"u7": 1.0, "u12": 1.0, "u16": 1.0, "u17": 1.0,
+                    "u21": 1.0, "u25": 1.0, "u30": 1.0, "u39": 1.0}
+        assert list(result.criticality) == list(expected)
+        assert result.criticality == expected
+
+    def test_corner_vs_statistical_margin(self, logic):
+        margins = corner_vs_statistical_margin(logic, n_samples=40,
+                                               seed=3)
+        expected = {"nominal_ps": 135.12963044988516,
+                    "corner_ps": 171.94635791230007,
+                    "statistical_ps": 143.83261627083,
+                    "corner_margin_pct": 27.24548815817931,
+                    "statistical_margin_pct": 6.440471858000429,
+                    "pessimism_ratio": 1.1954615188847935}
+        assert list(margins) == list(expected)
+        for key, value in expected.items():
+            assert margins[key] == close(value)
+
+    def test_delay_under_mismatch(self, logic):
+        delays = delay_under_mismatch(logic, 0.02, n_samples=6, seed=4)
+        assert delays == [close(value) for value in (
+            1.3443695124764889e-10, 1.356980468117603e-10,
+            1.344383915924178e-10, 1.3671848436670542e-10,
+            1.359433703232853e-10, 1.3448591733766152e-10)]
+
+
+class TestSramPins:
+    OFFSETS = {"pd_l": -0.004, "pd_r": -0.002, "pu_l": 0.002,
+               "pu_r": -0.003, "ax_l": 0.003, "ax_r": 0.005}
+
+    @pytest.mark.parametrize("node_name, hold, read, write", [
+        ("65nm", 0.3140469389795726, 0.13966100446441487,
+         0.36437786788314674),
+        ("32nm", 0.18834043291462876, 0.002779910692333943,
+         0.28109689281310785),
+    ])
+    def test_margins(self, node_name, hold, read, write):
+        cell = SramCell(get_node(node_name), vth_offsets=self.OFFSETS)
+        assert cell.hold_snm() == close(hold)
+        assert cell.read_snm() == close(read)
+        assert cell.write_margin() == close(write)
+
+
+class TestSwanPins:
+    @pytest.fixture(scope="class")
+    def datapath(self):
+        return clocked_datapath(get_node("350nm"), 8, n_slices=2,
+                                seed=2)
+
+    def test_swan_experiment(self, datapath):
+        comparison = run_swan_experiment(datapath)
+        assert comparison.swan.time.size == 4000
+        assert comparison.swan.rms == close(0.0001807975133158815)
+        assert comparison.swan.peak_to_peak == close(
+            0.0025157408157125663)
+        assert comparison.reference.rms == close(0.0001642061391465397)
+        assert comparison.reference.peak_to_peak == close(
+            0.002033045454290838)
+        assert comparison.rms_error == close(0.1010399139494746)
+        assert comparison.peak_to_peak_error == close(
+            0.23742477592076325)
+
+    def test_run(self, datapath):
+        wave = SwanSimulator(datapath, seed=0).run(n_cycles=3)
+        assert wave.time.size == 2401
+        assert wave.rms == close(0.00013302089459766743)
+        assert wave.peak_to_peak == close(0.001451315558137478)
+
+    def test_activity(self, datapath):
+        activity = SwanSimulator(datapath, seed=0).simulate_activity(
+            n_cycles=3)
+        assert activity.toggle_count() == 23
+        assert activity.duration == close(6.000000000000001e-08)
