@@ -3,7 +3,8 @@
 Acceptance gate: on a ~200-gate netlist at 200 Monte Carlo samples,
 ``StatisticalTimingAnalyzer.run`` over the compiled timing graph is
 >= 10x faster than the retained per-sample scalar loop
-(``vectorized=False``), with identical fixed-seed variates.  As in
+(``StatisticalTimingAnalyzer._run_reference``), with identical
+fixed-seed variates.  As in
 ``test_perf_sampling.py`` the speedup is asserted with our own
 ``perf_counter`` measurement so the gate also holds under
 ``--benchmark-disable`` (the CI mode); numerical equivalence lives in
@@ -47,8 +48,8 @@ def test_batched_ssta_speedup(benchmark, netlist):
             N_SAMPLES)
 
     def scalar():
-        return StatisticalTimingAnalyzer(netlist, seed=1).run(
-            N_SAMPLES, vectorized=False)
+        return StatisticalTimingAnalyzer(netlist, seed=1)._run_reference(
+            N_SAMPLES)
 
     result = benchmark(batched)
     oracle = scalar()

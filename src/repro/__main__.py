@@ -202,8 +202,7 @@ def cmd_chain_yield(args) -> int:
     spec = ChainSpec(dnl_limit=args.dnl_limit, inl_limit=args.inl_limit,
                      enob_min=args.enob_min)
     rows = chain_yield_vs_node(nodes=nodes, spec=spec,
-                               n_dies=args.dies, seed=args.seed,
-                               vectorized=not args.scalar)
+                               n_dies=args.dies, seed=args.seed)
     _print_table(rows, columns=columns)
     return 0
 
@@ -406,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="max |INL| [LSB]")
     chain_parser.add_argument("--enob-min", type=float, default=None,
                               help="ENOB floor (default n_bits - 1.5)")
-    chain_parser.add_argument("--scalar", action="store_true",
-                              help="use the per-die scalar oracle "
-                                   "instead of the batched path")
     _add_exec_args(chain_parser)
     chain_parser.set_defaults(func=cmd_chain_yield)
 

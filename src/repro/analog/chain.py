@@ -32,9 +32,10 @@ Two evaluation paths share every arithmetic core:
   elementwise cores with a leading die axis.
 
 Both draw identical variates under a fixed seed (the sampler's
-spawn-per-die contract), so :func:`chain_yield_vs_node` is fixed-seed
-bit-equivalent between ``vectorized=True`` and ``False`` to float64
-round-off.
+spawn-per-die contract), so die ``d`` of a batch matches the ``d``-th
+:func:`chain_signoff` of a :meth:`MonteCarloSampler.sample_die` loop
+to float64 round-off.  :func:`chain_yield_vs_node` runs the batched
+path.
 """
 
 from __future__ import annotations
@@ -597,6 +598,26 @@ def chain_signoff_batch(sampler: MonteCarloSampler,
                          amplitude_fraction=amplitude_fraction)
 
 
+def _yield_row(node_name: str, passed: np.ndarray, enob: np.ndarray,
+               dnl_max: np.ndarray, inl_max: np.ndarray
+               ) -> Dict[str, float]:
+    """One :func:`chain_yield_vs_node` row from per-die sign-offs.
+
+    ``dnl_max`` / ``inl_max`` hold each die's worst |DNL| / |INL| over
+    the DAC and the ADC [LSB].
+    """
+    n_dies = int(passed.size)
+    return {
+        "node": node_name,
+        "n_dies": float(n_dies),
+        "yield_fraction": int(np.count_nonzero(passed)) / n_dies,
+        "enob_mean": float(enob.mean()),
+        "enob_min": float(enob.min()),
+        "dnl_worst_lsb": float(np.max(dnl_max)),
+        "inl_worst_lsb": float(np.max(inl_max)),
+    }
+
+
 @validated(_result_finite=True, n_dies="count", n_ramp_per_code="count",
            n_fft="count", cycles="count", amplitude_fraction="fraction")
 def chain_yield_vs_node(nodes: Optional[Sequence[TechnologyNode]] = None,
@@ -604,7 +625,6 @@ def chain_yield_vs_node(nodes: Optional[Sequence[TechnologyNode]] = None,
                         spec: Optional[ChainSpec] = None,
                         n_dies: int = 64, seed: int = 0,
                         variation: Optional[VariationSpec] = None,
-                        vectorized: bool = True,
                         n_ramp_per_code: int = 16, n_fft: int = 1024,
                         cycles: int = 67,
                         amplitude_fraction: float = 0.9
@@ -612,15 +632,12 @@ def chain_yield_vs_node(nodes: Optional[Sequence[TechnologyNode]] = None,
     """Chain sign-off yield across the roadmap: the paper's answer.
 
     For each node, ``n_dies`` Monte Carlo chains are drawn with the
-    same seed and signed off; the yield is
+    same seed and signed off in one :func:`chain_signoff_batch` pass;
+    the yield is
     P(DNL < limit ∧ INL < limit ∧ monotonic ∧ ENOB >= floor).  The
     per-node sampler is re-seeded identically, so the trend isolates
     the technology: the same design passes comfortably at 350 nm and
     collapses towards 32 nm as Pelgrom sigmas outgrow the LSB.
-
-    ``vectorized=False`` runs the retained scalar per-die oracle;
-    both paths consume identical variates and agree to float64
-    round-off.
     """
     seed = check_count("seed", seed, minimum=0)
     nodes = list(nodes) if nodes is not None else all_nodes()
@@ -632,38 +649,13 @@ def chain_yield_vs_node(nodes: Optional[Sequence[TechnologyNode]] = None,
     rows: List[Dict[str, float]] = []
     for node in nodes:
         sampler = MonteCarloSampler(node, spec=variation, seed=seed)
-        if vectorized:
-            result = chain_signoff_batch(
-                sampler, design=design, spec=spec, n_dies=n_dies,
-                n_ramp_per_code=n_ramp_per_code, n_fft=n_fft,
-                cycles=cycles, amplitude_fraction=amplitude_fraction)
-            passed = np.asarray(result.passed)
-            enob = np.asarray(result.spectral.enob, dtype=float)
-            dnl_worst = float(max(np.max(result.dac.dnl_max),
-                                  np.max(result.adc.dnl_max)))
-            inl_worst = float(max(np.max(result.dac.inl_max),
-                                  np.max(result.adc.inl_max)))
-            n_pass = int(np.count_nonzero(passed))
-        else:
-            dies = [chain_signoff(
-                node, design=design, spec=spec,
-                die=sampler.sample_die(),
-                n_ramp_per_code=n_ramp_per_code, n_fft=n_fft,
-                cycles=cycles, amplitude_fraction=amplitude_fraction)
-                for _ in range(n_dies)]
-            enob = np.array([d.spectral.enob for d in dies])
-            dnl_worst = max(max(d.dac.dnl_max, d.adc.dnl_max)
-                            for d in dies)
-            inl_worst = max(max(d.dac.inl_max, d.adc.inl_max)
-                            for d in dies)
-            n_pass = sum(1 for d in dies if d.passed)
-        rows.append({
-            "node": node.name,
-            "n_dies": float(n_dies),
-            "yield_fraction": n_pass / n_dies,
-            "enob_mean": float(enob.mean()),
-            "enob_min": float(enob.min()),
-            "dnl_worst_lsb": float(dnl_worst),
-            "inl_worst_lsb": float(inl_worst),
-        })
+        result = chain_signoff_batch(
+            sampler, design=design, spec=spec, n_dies=n_dies,
+            n_ramp_per_code=n_ramp_per_code, n_fft=n_fft,
+            cycles=cycles, amplitude_fraction=amplitude_fraction)
+        rows.append(_yield_row(
+            node.name, np.asarray(result.passed),
+            np.asarray(result.spectral.enob, dtype=float),
+            np.maximum(result.dac.dnl_max, result.adc.dnl_max),
+            np.maximum(result.dac.inl_max, result.adc.inl_max)))
     return rows

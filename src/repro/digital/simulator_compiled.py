@@ -154,25 +154,29 @@ class EventTrace:
                                 final_values=dict(self.final_values),
                                 duration=self.duration)
 
-    def chunks(self, chunk_events: int) -> Iterator["EventTrace"]:
-        """Yield consecutive slices of at most ``chunk_events`` events.
+    def event_range(self, start: int, stop: int) -> "EventTrace":
+        """Events ``start`` to ``stop - 1`` as a trace of their own.
 
-        Slices share the name tables, final values and duration of the
-        full trace (they are metadata of the run, not of a chunk) and
-        view the underlying arrays without copying.
+        The slice shares the name tables, final values and duration of
+        the full trace (they are metadata of the run, not of a slice)
+        and views the underlying arrays without copying.
         """
+        return EventTrace(
+            times=self.times[start:stop],
+            net_indices=self.net_indices[start:stop],
+            values=self.values[start:stop],
+            source_indices=self.source_indices[start:stop],
+            net_names=self.net_names,
+            instance_names=self.instance_names,
+            final_values=self.final_values,
+            duration=self.duration)
+
+    def chunks(self, chunk_events: int) -> Iterator["EventTrace"]:
+        """Yield consecutive :meth:`event_range` slices of at most
+        ``chunk_events`` events."""
         chunk_events = check_count("chunk_events", chunk_events)
         for start in range(0, max(self.n_events, 1), chunk_events):
-            stop = start + chunk_events
-            yield EventTrace(
-                times=self.times[start:stop],
-                net_indices=self.net_indices[start:stop],
-                values=self.values[start:stop],
-                source_indices=self.source_indices[start:stop],
-                net_names=self.net_names,
-                instance_names=self.instance_names,
-                final_values=self.final_values,
-                duration=self.duration)
+            yield self.event_range(start, start + chunk_events)
 
 
 def _first_conflict(nets: np.ndarray, load_gates: np.ndarray,

@@ -119,13 +119,13 @@ class StatisticalTimingAnalyzer:
 
     Each sample draws one shared inter-die V_T shift plus independent
     per-gate intra-die offsets (Pelgrom-sized from each gate's device
-    area).  The default path compiles the netlist once
+    area).  :meth:`run` compiles the netlist once
     (:class:`~repro.digital.timing_compiled.CompiledTimingGraph`) and
     evaluates all samples as one ``(n_samples, n_gates)`` array; the
-    per-sample scalar loop stays available (``vectorized=False``) as
-    the equivalence oracle.  Both paths draw per sample one inter-die
-    variate followed by ``n_gates`` intra-die variates, so fixed-seed
-    samples, critical paths and criticality counts agree.
+    per-sample scalar loop stays as :meth:`_run_reference`, the
+    equivalence oracle.  Both draw per sample one inter-die variate
+    followed by ``n_gates`` intra-die variates, so fixed-seed samples,
+    critical paths and criticality counts agree.
     """
 
     def __init__(self, netlist: Netlist,
@@ -146,13 +146,15 @@ class StatisticalTimingAnalyzer:
                 node, width, node.feature_size)
         return sigmas
 
-    def run(self, n_samples: int = 200,
-            vectorized: bool = True) -> SstaResult:
-        """Draw ``n_samples`` dies and collect delay statistics.
+    def run(self, n_samples: int = 200) -> SstaResult:
+        """Draw ``n_samples`` dies and collect delay statistics."""
+        return merge_ssta_shards([self.run_shard(n_samples)])
 
-        ``vectorized=False`` selects the retained per-sample scalar
-        loop (one full dict-based STA per die) -- the oracle the
-        batched path is tested against.
+    def _run_reference(self, n_samples: int = 200) -> SstaResult:
+        """Per-sample scalar loop (one full dict-based STA per die).
+
+        The oracle :meth:`run` is tested against: same variates, same
+        delay formula, one :class:`StaticTimingAnalyzer` per sample.
         """
         n_samples = check_count("n_samples", n_samples, minimum=2)
         nominal = StaticTimingAnalyzer(
@@ -160,22 +162,6 @@ class StatisticalTimingAnalyzer:
             wire_cap_per_fanout=self.wire_cap_per_fanout).analyze()
         sigmas = self._intra_sigmas()
         names = list(sigmas)
-        if vectorized:
-            compiled = CompiledTimingGraph(
-                self.netlist,
-                wire_cap_per_fanout=self.wire_cap_per_fanout)
-            # Same stream as the scalar loop: per sample, one
-            # inter-die draw then n_gates intra-die draws.
-            draws = self.rng.standard_normal(
-                (n_samples, 1 + len(names)))
-            global_shift = self.variation.vth_inter * draws[:, 0]
-            offsets = np.array([sigmas[name] for name in names]) \
-                * draws[:, 1:]
-            batch = compiled.evaluate(
-                offsets, global_vth_offset=global_shift)
-            return SstaResult(samples=batch.critical_delays,
-                              nominal_delay=nominal.critical_delay,
-                              criticality=batch.criticality())
         samples = np.empty(n_samples)
         on_path: Dict[str, int] = {name: 0 for name in names}
         for i in range(n_samples):
@@ -220,6 +206,8 @@ class StatisticalTimingAnalyzer:
         names = list(sigmas)
         compiled = CompiledTimingGraph(
             self.netlist, wire_cap_per_fanout=self.wire_cap_per_fanout)
+        # Same stream as the scalar loop: per sample, one inter-die
+        # draw then n_gates intra-die draws.
         draws = self.rng.standard_normal(
             (n_samples, 1 + len(names)))[start:stop]
         global_shift = self.variation.vth_inter * draws[:, 0]

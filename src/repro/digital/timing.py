@@ -120,37 +120,25 @@ def critical_delay(netlist: Netlist, global_vth_offset: float = 0.0,
 
 def delay_under_mismatch(netlist: Netlist, sigma_vth: float,
                          n_samples: int = 100,
-                         seed: Optional[int] = None,
-                         vectorized: bool = True) -> List[float]:
+                         seed: Optional[int] = None) -> List[float]:
     """MC critical delays with independent per-gate V_T mismatch [s].
 
     The intra-die face of the Fig. 4 analysis: per-gate randomness
     makes the *max over paths* systematically slower than nominal.
 
-    The default path compiles the netlist once
+    Compiles the netlist once
     (:class:`~repro.digital.timing_compiled.CompiledTimingGraph`) and
-    evaluates every sample in one batched call; ``vectorized=False``
-    keeps the per-sample scalar loop as the equivalence oracle.  Both
-    consume identical variates under a fixed seed (one
-    ``(n_samples, n_gates)`` normal block vs. per-sample rows of the
-    same stream).
+    evaluates every sample in one batched call.  Sample ``i`` consumes
+    row ``i`` of one ``(n_samples, n_gates)`` normal block and matches
+    :func:`critical_delay` at that row's per-gate offsets to float64
+    round-off.
     """
-    import numpy as np
-
     from ..robust.validate import check_count, check_non_negative
+    from .timing_compiled import CompiledTimingGraph
     check_non_negative("sigma_vth", sigma_vth)
     n_samples = check_count("n_samples", n_samples)
     rng = resolve_rng(seed=seed)
-    names = list(netlist.instances)
-    if vectorized:
-        from .timing_compiled import CompiledTimingGraph
-        draws = rng.normal(0.0, sigma_vth,
-                           size=(n_samples, len(names)))
-        batch = CompiledTimingGraph(netlist).evaluate(draws)
-        return [float(value) for value in batch.critical_delays]
-    delays = []
-    for _ in range(n_samples):
-        offsets = dict(zip(names, rng.normal(0.0, sigma_vth,
-                                             size=len(names))))
-        delays.append(critical_delay(netlist, vth_offsets=offsets))
-    return delays
+    draws = rng.normal(0.0, sigma_vth,
+                       size=(n_samples, len(netlist.instances)))
+    batch = CompiledTimingGraph(netlist).evaluate(draws)
+    return [float(value) for value in batch.critical_delays]

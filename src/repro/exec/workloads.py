@@ -284,28 +284,15 @@ class ChainSignoffWorkload(ShardWorkload):
 
     def merge(self, payloads: List[Dict[str, Any]]
               ) -> Dict[str, float]:
-        passed = np.concatenate(
-            [np.asarray(p["passed"], dtype=bool) for p in payloads])
-        enob = np.concatenate(
-            [np.asarray(p["enob"], dtype=float) for p in payloads])
-        dnl = np.concatenate(
-            [np.asarray(p["dnl_max"], dtype=float)
-             for p in payloads])
-        inl = np.concatenate(
-            [np.asarray(p["inl_max"], dtype=float)
-             for p in payloads])
-        n_dies = int(passed.size)
-        # Field-for-field the chain_yield_vs_node row: same
-        # concatenated arrays, same reductions, same bits.
-        return {
-            "node": self.node_name,
-            "n_dies": float(n_dies),
-            "yield_fraction": int(np.count_nonzero(passed)) / n_dies,
-            "enob_mean": float(enob.mean()),
-            "enob_min": float(enob.min()),
-            "dnl_worst_lsb": float(np.max(dnl)),
-            "inl_worst_lsb": float(np.max(inl)),
-        }
+        from ..analog.chain import _yield_row
+
+        def column(key: str, dtype: type) -> np.ndarray:
+            return np.concatenate(
+                [np.asarray(p[key], dtype=dtype) for p in payloads])
+
+        return _yield_row(self.node_name, column("passed", bool),
+                          column("enob", float), column("dnl_max", float),
+                          column("inl_max", float))
 
     def pass_counts(self, payload: Dict[str, Any]
                     ) -> Tuple[int, int]:
@@ -468,19 +455,10 @@ class SocNoiseWorkload(ShardWorkload):
         return trace.n_events
 
     def run_shard(self, start: int, stop: int) -> Dict[str, Any]:
-        from ..digital.simulator_compiled import EventTrace
         trace, swan = self._trace_and_swan()
-        sub_trace = EventTrace(
-            times=trace.times[start:stop],
-            net_indices=trace.net_indices[start:stop],
-            values=trace.values[start:stop],
-            source_indices=trace.source_indices[start:stop],
-            net_names=trace.net_names,
-            instance_names=trace.instance_names,
-            final_values=trace.final_values,
-            duration=trace.duration)
         time, currents = swan.injected_currents(
-            sub_trace, dt=self.dt, duration=trace.duration)
+            trace.event_range(start, stop), dt=self.dt,
+            duration=trace.duration)
         voltage = swan.propagate(time, currents).voltage
         return {
             "start": start, "stop": stop,

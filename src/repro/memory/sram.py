@@ -106,11 +106,12 @@ class SramCell:
     def _inverter_vout(self, vin: float, pull_down: Mosfet,
                        pull_up: Mosfet, access: Optional[Mosfet] = None
                        ) -> float:
-        """Output of one cell inverter at input ``vin``.
+        """Output of one cell inverter at input ``vin`` (``brentq``).
 
         With ``access`` given, the pass gate pulls the output toward
         the (precharged-high) bitline -- the read-disturb condition
-        that erodes read SNM.
+        that erodes read SNM.  This per-point solve is the numerical
+        oracle for :meth:`_inverter_vout_many`.
         """
         vdd = self.node.vdd
 
@@ -163,30 +164,17 @@ class SramCell:
         return np.where(pinned_high, vdd, out)
 
     def butterfly_curves(self, n_points: int = 101,
-                         read_condition: bool = False,
-                         vectorized: bool = True
+                         read_condition: bool = False
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vin, vtc_left, vtc_right): the two cross-coupled VTCs.
-
-        ``vectorized=False`` falls back to the per-point ``brentq``
-        solve -- kept as the numerical oracle for the fast path.
-        """
+        """(vin, vtc_left, vtc_right): the two cross-coupled VTCs."""
         vdd = self.node.vdd
         vin = np.linspace(0.0, vdd, n_points)
-        if vectorized:
-            left = self._inverter_vout_many(
-                vin, self.pd_l, self.pu_l,
-                self.ax_l if read_condition else None)
-            right = self._inverter_vout_many(
-                vin, self.pd_r, self.pu_r,
-                self.ax_r if read_condition else None)
-            return vin, left, right
-        left = np.array([self._inverter_vout(
-            v, self.pd_l, self.pu_l,
-            self.ax_l if read_condition else None) for v in vin])
-        right = np.array([self._inverter_vout(
-            v, self.pd_r, self.pu_r,
-            self.ax_r if read_condition else None) for v in vin])
+        left = self._inverter_vout_many(
+            vin, self.pd_l, self.pu_l,
+            self.ax_l if read_condition else None)
+        right = self._inverter_vout_many(
+            vin, self.pd_r, self.pu_r,
+            self.ax_r if read_condition else None)
         return vin, left, right
 
     def static_noise_margin(self, read_condition: bool = False,

@@ -5,8 +5,8 @@ Pipeline, exactly as section 4.3 describes it:
 1. every standard cell is characterized a priori with an injection
    macromodel (:mod:`repro.substrate.injection`);
 2. a gate-level (event-driven) simulation of the system provides the
-   switching-event stream (:mod:`repro.digital.simulator`), replacing
-   the paper's VHDL simulation;
+   switching-event stream (:mod:`repro.digital.simulator_compiled`),
+   replacing the paper's VHDL simulation;
 3. the total substrate injection is the superposition of all switching
    cells' macromodel pulses at their floorplan positions;
 4. the finite-difference substrate mesh propagates the injected
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..digital.netlist import Netlist
-from ..digital.simulator import (EventDrivenSimulator, SimulationResult,
-                                 random_stimulus)
+from ..digital.simulator import SimulationResult, random_stimulus
 from ..digital.simulator_compiled import CompiledEventEngine, EventTrace
 from ..perf.profile import timed
 from .injection import (InjectionMacromodel, characterize_library)
@@ -168,7 +167,7 @@ class SwanSimulator:
         ``_code_by_gate`` / ``_node_by_gate`` hold each gate's cell-type
         code and mesh node in netlist insertion order, so an
         EventTrace's source indices gather against them directly; the
-        scalar paths reach the same arrays through ``_gate_of``.
+        scalar oracle reaches the same arrays through ``_gate_of``.
         """
         insts = list(self.netlist.instances.values())
         self._gate_of = {inst.name: g for g, inst in enumerate(insts)}
@@ -185,30 +184,20 @@ class SwanSimulator:
     # --- event stream ----------------------------------------------------
 
     def simulate_activity(self, n_cycles: int = 5,
-                          stimulus_seed: int = 0,
-                          engine: str = "scalar"
-                          ) -> Union[SimulationResult, EventTrace]:
+                          stimulus_seed: int = 0) -> EventTrace:
         """Run the gate-level simulation producing switching events.
 
-        ``engine="compiled"`` uses the vectorized
-        :class:`CompiledEventEngine` and returns an
-        :class:`EventTrace` (bit-identical event stream, columnar
-        container) -- the right choice for SoC-scale netlists.
+        The :class:`CompiledEventEngine` returns the event stream as a
+        columnar :class:`EventTrace`; :meth:`EventTrace.to_result`
+        gives the object form the scalar oracle consumes.
         """
-        if engine not in ("scalar", "compiled"):
-            raise ModelDomainError(
-                f"engine must be 'scalar' or 'compiled', got {engine!r}")
         stimulus = random_stimulus(self.netlist, n_cycles,
                                    seed=stimulus_seed,
                                    held_high=("en", "enable"))
-        if engine == "compiled":
-            return CompiledEventEngine(
-                self.netlist,
-                clock_period=1.0 / self.clock_frequency
-            ).run(stimulus, n_cycles)
-        simulator = EventDrivenSimulator(
-            self.netlist, clock_period=1.0 / self.clock_frequency)
-        return simulator.run(stimulus, n_cycles)
+        return CompiledEventEngine(
+            self.netlist,
+            clock_period=1.0 / self.clock_frequency
+        ).run(stimulus, n_cycles)
 
     # --- injection + propagation ---------------------------------------------
 
@@ -216,12 +205,10 @@ class SwanSimulator:
         return np.arange(0.0, duration, dt)
 
     @timed("swan.superposition")
-    def injected_currents(self, result: Union[SimulationResult,
-                                              EventTrace],
+    def injected_currents(self, trace: EventTrace,
                           dt: float = 25e-12,
                           detailed: bool = False,
                           duration: Optional[float] = None,
-                          vectorized: bool = True,
                           chunk_events: Optional[int] = None
                           ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         """Per-mesh-node injected current waveforms.
@@ -230,60 +217,33 @@ class SwanSimulator:
         ``detailed`` the per-event detailed waveforms (with jitter and
         ringing) are used instead of the macromodels.
 
-        ``result`` may be a scalar :class:`SimulationResult` or a
-        columnar :class:`EventTrace`; the trace path gathers cell
-        codes and mesh nodes straight from the compiled arrays, so no
-        per-event Python object exists anywhere on it.
-        ``chunk_events`` bounds the size of the per-event index
-        matrices by superposing at most that many events at a time
-        (identical jitter stream; the accumulated waveform matches the
-        unchunked one to floating-point rounding).
-
-        The default path superposes all events of a cell type in one
-        scatter per type; ``vectorized=False`` runs the original
-        per-event accumulation loop (kept as the oracle -- both paths
-        consume identical RNG variates, so they agree to
+        Cell codes and mesh nodes are gathered straight from the
+        trace's source indices, and all events of a cell type are
+        superposed in one scatter per type, so no per-event Python
+        object exists anywhere on this path.  ``chunk_events`` bounds
+        the size of the per-event index matrices by superposing at
+        most that many events at a time (identical jitter stream; the
+        accumulated waveform matches the unchunked one to
         floating-point rounding).
+
+        :meth:`_injected_currents_scalar` is the per-event reference
+        loop: both consume identical RNG variates, so they agree to
+        floating-point rounding.
         """
-        if not vectorized:
-            if isinstance(result, EventTrace):
-                result = result.to_result()
-            return self._injected_currents_scalar(
-                result, dt=dt, detailed=detailed, duration=duration)
-        duration = duration if duration is not None else result.duration
+        duration = duration if duration is not None else trace.duration
         time = self._time_axis(duration, dt)
         n_times = time.size
-        if isinstance(result, EventTrace):
-            placed_idx = np.flatnonzero(result.source_indices >= 0)
-            if placed_idx.size == 0:
-                return time, {}
-            all_starts = (result.times[placed_idx] / dt).astype(int)
-            keep = all_starts < n_times
-            if not keep.any():
-                return time, {}
-            start_arr = all_starts[keep]
-            sources = result.source_indices[placed_idx[keep]]
-            code_arr = self._code_by_gate[sources]
-            node_arr = self._node_by_gate[sources]
-        else:
-            # Filter events exactly as the scalar loop does, preserving
-            # event order (the detailed path's jitter stream depends on
-            # it).
-            placed = [event for event in result.events
-                      if event.instance is not None]
-            if not placed:
-                return time, {}
-            all_starts = (np.array([event.time for event in placed])
-                          / dt).astype(int)
-            keep = all_starts < n_times
-            if not keep.any():
-                return time, {}
-            start_arr = all_starts[keep]
-            gates = np.array([self._gate_of[event.instance]
-                              for event, kept in zip(placed, keep)
-                              if kept], dtype=np.int64)
-            code_arr = self._code_by_gate[gates]
-            node_arr = self._node_by_gate[gates]
+        placed_idx = np.flatnonzero(trace.source_indices >= 0)
+        if placed_idx.size == 0:
+            return time, {}
+        all_starts = (trace.times[placed_idx] / dt).astype(int)
+        keep = all_starts < n_times
+        if not keep.any():
+            return time, {}
+        start_arr = all_starts[keep]
+        sources = trace.source_indices[placed_idx[keep]]
+        code_arr = self._code_by_gate[sources]
+        node_arr = self._node_by_gate[sources]
         jitter = None
         if detailed:
             # One draw per kept event, in event order -- the same
@@ -475,19 +435,15 @@ class SwanSimulator:
     def run(self, n_cycles: int = 5, dt: float = 25e-12,
             detailed: bool = False,
             stimulus_seed: int = 0,
-            activity: Optional[Union[SimulationResult,
-                                     EventTrace]] = None,
-            duration: Optional[float] = None,
-            engine: str = "scalar") -> NoiseWaveform:
+            activity: Optional[EventTrace] = None,
+            duration: Optional[float] = None) -> NoiseWaveform:
         """Full flow: activity -> injection -> propagation.
 
         ``duration`` truncates/extends the output time axis (defaults
-        to the simulated activity's span).  ``engine="compiled"``
-        extracts activity with the vectorized event engine.
+        to the simulated activity's span).
         """
         if activity is None:
-            activity = self.simulate_activity(n_cycles, stimulus_seed,
-                                              engine=engine)
+            activity = self.simulate_activity(n_cycles, stimulus_seed)
         time, currents = self.injected_currents(
             activity, dt=dt, detailed=detailed, duration=duration)
         return self.propagate(time, currents)

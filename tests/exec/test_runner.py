@@ -10,6 +10,7 @@ checkpoint, and runs served from the shard cache.
 import numpy as np
 import pytest
 
+from repro.analog.chain import chain_yield_vs_node
 from repro.digital.generators import ripple_adder
 from repro.digital.ssta import StatisticalTimingAnalyzer
 from repro.exec import (ChainSignoffWorkload, ChaosPlan, ChaosSpec,
@@ -98,6 +99,15 @@ class TestShardEquivalence:
         oracle = run(workload, n_shards=1).value
         sharded = run(workload, n_shards=4).value
         assert sharded == oracle  # dict equality: every field, == bits
+
+    @pytest.mark.parametrize("node_name", ["350nm", "65nm", "32nm"])
+    def test_chain_signoff_matches_chain_yield_vs_node(self, node_name):
+        workload = ChainSignoffWorkload(node_name=node_name, n_dies=8,
+                                        seed=3)
+        (row,) = chain_yield_vs_node(nodes=[get_node(node_name)],
+                                     n_dies=8, seed=3)
+        for n_shards in (1, 3):
+            assert run(workload, n_shards=n_shards).value == row
 
 
 class TestChaosHarness:

@@ -48,6 +48,25 @@ class TestButterfly:
         _, left, right = cell.butterfly_curves(n_points=21)
         assert np.allclose(left, right)
 
+    @pytest.mark.parametrize("node_name",
+                             ["350nm", "130nm", "65nm", "32nm"])
+    @pytest.mark.parametrize("read_condition", [False, True])
+    def test_bisection_matches_brentq_oracle(self, node_name,
+                                             read_condition):
+        """The array bisection agrees per point with the ``brentq``
+        oracle (``xtol=1e-9``) on a mismatched cell."""
+        cell = SramCell(get_node(node_name), vth_offsets={
+            "pd_l": 0.012, "pd_r": -0.018, "pu_l": 0.009,
+            "pu_r": -0.006, "ax_l": -0.011, "ax_r": 0.015})
+        vin, left, right = cell.butterfly_curves(41, read_condition)
+        for curve, pull_down, pull_up, access in (
+                (left, cell.pd_l, cell.pu_l, cell.ax_l),
+                (right, cell.pd_r, cell.pu_r, cell.ax_r)):
+            access = access if read_condition else None
+            oracle = [cell._inverter_vout(v, pull_down, pull_up, access)
+                      for v in vin]
+            np.testing.assert_allclose(curve, oracle, rtol=0, atol=2e-9)
+
 
 class TestSnm:
     def test_hold_snm_below_half_vdd(self, cell, node):

@@ -14,7 +14,7 @@ import pytest
 from repro.digital import (CompiledTimingGraph, Netlist,
                            StaticTimingAnalyzer,
                            StatisticalTimingAnalyzer, clocked_datapath,
-                           decoder, delay_under_mismatch,
+                           critical_delay, decoder, delay_under_mismatch,
                            kogge_stone_adder, random_logic)
 from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
@@ -103,8 +103,8 @@ class TestSstaEquivalence:
                                                          key):
         netlist = topologies(node)[key]
         fast = StatisticalTimingAnalyzer(netlist, seed=9).run(40)
-        oracle = StatisticalTimingAnalyzer(netlist, seed=9).run(
-            40, vectorized=False)
+        oracle = StatisticalTimingAnalyzer(netlist,
+                                           seed=9)._run_reference(40)
         # Identical variates, one shared delay formula: the samples
         # agree to float64 round-off and the per-sample critical
         # paths (hence criticality counts) agree exactly.
@@ -117,15 +117,20 @@ class TestSstaEquivalence:
         netlist = topologies(node)["tree"]
         fast = delay_under_mismatch(netlist, 0.02, n_samples=25,
                                     seed=4)
-        oracle = delay_under_mismatch(netlist, 0.02, n_samples=25,
-                                      seed=4, vectorized=False)
+        # Per-sample scalar STA over the same stream: one row of
+        # n_gates draws per sample.
+        rng = np.random.default_rng(4)
+        names = list(netlist.instances)
+        oracle = [critical_delay(netlist, vth_offsets=dict(zip(
+            names, rng.normal(0.0, 0.02, size=len(names)))))
+            for _ in range(25)]
         np.testing.assert_allclose(fast, oracle, rtol=1e-10)
 
     def test_quantiles_match_scalar_loop(self, node):
         netlist = random_logic(node, n_gates=60, seed=1)
         fast = StatisticalTimingAnalyzer(netlist, seed=3).run(60)
-        oracle = StatisticalTimingAnalyzer(netlist, seed=3).run(
-            60, vectorized=False)
+        oracle = StatisticalTimingAnalyzer(netlist,
+                                           seed=3)._run_reference(60)
         for q in (0.1, 0.5, 0.9, 0.99):
             assert fast.quantile(q) == pytest.approx(
                 oracle.quantile(q), rel=1e-10)

@@ -94,7 +94,7 @@ class TestSwanSimulator:
     def test_activity_produces_events(self, node, netlist):
         sim = SwanSimulator(netlist, mesh_resolution=12, seed=0)
         activity = sim.simulate_activity(n_cycles=3)
-        assert len(activity.events) > 10
+        assert activity.n_events > 10
 
     def test_noise_waveform_nonzero(self, node, netlist):
         sim = SwanSimulator(netlist, mesh_resolution=12, seed=0)

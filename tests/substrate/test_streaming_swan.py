@@ -1,9 +1,9 @@
 """EventTrace streaming through SWAN and the batched mesh solve.
 
-The compiled trace path must inject *exactly* the same currents as
-the scalar ``SimulationResult`` path (both gather the same cell codes
-and mesh nodes, and the jitter stream is drawn in identical event
-order), and the chunked/streamed paths must match the one-shot paths
+The compiled activity trace must carry *exactly* the event stream of
+the scalar :class:`EventDrivenSimulator` (so the per-event injection
+oracle sees the same events, attribution and jitter order from
+either), and the chunked/streamed paths must match the one-shot paths
 to floating-point rounding.  The batched multi-RHS mesh solve must
 match per-column solves exactly.
 """
@@ -11,7 +11,8 @@ match per-column solves exactly.
 import numpy as np
 import pytest
 
-from repro.digital import random_logic, ripple_adder
+from repro.digital import (EventDrivenSimulator, random_logic,
+                           random_stimulus, ripple_adder)
 from repro.robust.errors import ModelDomainError
 from repro.substrate import SubstrateMesh, SubstrateProcess
 from repro.substrate.swan import EventTrace, Floorplan, SwanSimulator
@@ -30,11 +31,13 @@ def netlist(node):
 
 @pytest.fixture(scope="module")
 def streams(netlist):
-    """(scalar result, compiled trace) for identical stimulus."""
+    """(scalar engine result, compiled trace) for identical stimulus."""
     sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-    result = sim.simulate_activity(n_cycles=4, stimulus_seed=1)
-    trace = sim.simulate_activity(n_cycles=4, stimulus_seed=1,
-                                  engine="compiled")
+    trace = sim.simulate_activity(n_cycles=4, stimulus_seed=1)
+    stimulus = random_stimulus(netlist, 4, seed=1,
+                               held_high=("en", "enable"))
+    result = EventDrivenSimulator(
+        netlist, clock_period=1.0 / sim.clock_frequency).run(stimulus, 4)
     return result, trace
 
 
@@ -45,11 +48,6 @@ class TestSimulateActivityEngines:
         assert len(result.events) == trace.n_events
         assert result.final_values == trace.final_values
 
-    def test_bad_engine_rejected(self, netlist):
-        sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        with pytest.raises(ModelDomainError, match="engine"):
-            sim.simulate_activity(engine="spice")
-
 
 class TestTraceInjection:
     @pytest.mark.parametrize("detailed", [False, True])
@@ -58,8 +56,10 @@ class TestTraceInjection:
         result, trace = streams
         sim_r = SwanSimulator(netlist, mesh_resolution=10, seed=0)
         sim_t = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        t_r, cur_r = sim_r.injected_currents(result, detailed=detailed)
-        t_t, cur_t = sim_t.injected_currents(trace, detailed=detailed)
+        t_r, cur_r = sim_r._injected_currents_scalar(
+            result, detailed=detailed)
+        t_t, cur_t = sim_t._injected_currents_scalar(
+            trace.to_result(), detailed=detailed)
         assert np.array_equal(t_r, t_t)
         assert set(cur_r) == set(cur_t)
         for mesh_node, wave in cur_r.items():
@@ -94,14 +94,6 @@ class TestTraceInjection:
         sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
         with pytest.raises(ValueError):
             sim.stream_noise(trace, chunk_events=0)
-
-    def test_run_with_compiled_engine(self, netlist):
-        scalar = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        compiled = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        wave_s = scalar.run(n_cycles=3, stimulus_seed=2)
-        wave_c = compiled.run(n_cycles=3, stimulus_seed=2,
-                              engine="compiled")
-        assert np.array_equal(wave_c.voltage, wave_s.voltage)
 
 
 class TestGatePlacement:

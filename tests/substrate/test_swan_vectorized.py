@@ -1,8 +1,9 @@
 """Equivalence of the vectorized SWAN/mesh paths with their oracles.
 
 The vectorized superposition consumes the same RNG variates as the
-per-event loop (``vectorized=False``), so the two must agree to
-floating-point rounding -- including the jittered detailed waveforms.
+per-event loop (``SwanSimulator._injected_currents_scalar``), so the
+two must agree to floating-point rounding -- including the jittered
+detailed waveforms.
 The mesh assemblies are compared against a straightforward stamp-loop
 reference.
 """
@@ -36,8 +37,8 @@ class TestSuperpositionEquivalence:
         netlist = ripple_adder(node, width=6)
         scalar_sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
         vector_sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        t_s, cur_s = scalar_sim.injected_currents(
-            activity, detailed=detailed, vectorized=False)
+        t_s, cur_s = scalar_sim._injected_currents_scalar(
+            activity.to_result(), detailed=detailed)
         t_v, cur_v = vector_sim.injected_currents(
             activity, detailed=detailed)
         assert np.array_equal(t_s, t_v)
@@ -49,8 +50,8 @@ class TestSuperpositionEquivalence:
         netlist = ripple_adder(node, width=6)
         scalar_sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
         vector_sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        t_s, cur_s = scalar_sim.injected_currents(activity,
-                                                  vectorized=False)
+        t_s, cur_s = scalar_sim._injected_currents_scalar(
+            activity.to_result())
         t_v, cur_v = vector_sim.injected_currents(activity)
         wave_s = scalar_sim.propagate(t_s, cur_s)
         wave_v = vector_sim.propagate(t_v, cur_v)

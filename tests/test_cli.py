@@ -73,15 +73,6 @@ class TestChainYieldCommand:
         assert "350nm" in out
         assert "65nm" in out
 
-    def test_scalar_path_agrees(self, capsys):
-        assert main(["chain-yield", "--dies", "4",
-                     "--nodes", "65nm"]) == 0
-        fast = capsys.readouterr().out
-        assert main(["chain-yield", "--dies", "4",
-                     "--nodes", "65nm", "--scalar"]) == 0
-        slow = capsys.readouterr().out
-        assert fast == slow
-
     def test_spec_knobs_parsed(self, capsys):
         assert main(["chain-yield", "--dies", "4", "--nodes", "350nm",
                      "--enob-min", "12"]) == 0

@@ -19,10 +19,10 @@ FAST_SCRIPTS = [
     "end_of_road_study.py",
     "adc_design_space.py",
     "chain_signoff.py",
+    "mixed_signal_soc.py",
 ]
 
 HEAVY_SCRIPTS = [
-    "mixed_signal_soc.py",
     "analog_synthesis_flow.py",
     "sram_variability.py",
     "thermal_runaway.py",
