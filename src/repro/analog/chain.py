@@ -23,7 +23,7 @@ domain, where ideal levels and SAR thresholds are dyadic rationals
 reports *exactly* zero DNL/INL and an exactly monotonic transfer at
 every node, and mismatch is the only thing the sign-off measures.
 
-Two evaluation paths share every arithmetic core:
+Two evaluation paths share the chain model and the metric cores:
 
 * the **scalar per-die oracle** -- :meth:`SignalChain.from_die` on one
   :class:`~repro.variability.statistical.SampledDie` at a time;
@@ -31,11 +31,15 @@ Two evaluation paths share every arithmetic core:
   :class:`~repro.variability.statistical.DieBatch` through the same
   elementwise cores with a leading die axis.
 
-Both draw identical variates under a fixed seed (the sampler's
-spawn-per-die contract), so die ``d`` of a batch matches the ``d``-th
+They differ in how the ADC's ramp histogram is counted: the oracle
+converts every ramp sample, while the batched path binary-searches the
+ramp against each die's sorted SAR decision thresholds (the ADC's
+transition table), which gives the same counts exactly.  Both draw
+identical variates under a fixed seed (the sampler's spawn-per-die
+contract), so die ``d`` of a batch matches the ``d``-th
 :func:`chain_signoff` of a :meth:`MonteCarloSampler.sample_die` loop
-to float64 round-off.  :func:`chain_yield_vs_node` runs the batched
-path.
+bit for bit on linearity and to float64 round-off on the spectrum.
+:func:`chain_yield_vs_node` runs the batched path.
 """
 
 from __future__ import annotations
@@ -57,10 +61,12 @@ from ..variability.pelgrom import (offset_sigma_diff_pair,
 from ..variability.statistical import (MonteCarloSampler, SampledDie,
                                        VariationSpec, check_shard)
 from .circuits import OtaDesign
-from .metrics import (LinearityReport, SpectralReport, histogram_linearity,
-                      histogram_linearity_batch, spectral_metrics,
-                      spectral_metrics_batch, transfer_linearity,
-                      transfer_linearity_batch)
+# ``histogram_linearity_batch`` is not called here any more, but stays a
+# module attribute: perfbench's tracer wraps it under this name.
+from .metrics import (LinearityReport, SpectralReport, _histogram_linearity,
+                      histogram_linearity, histogram_linearity_batch,
+                      spectral_metrics, spectral_metrics_batch,
+                      transfer_linearity, transfer_linearity_batch)
 from .switched_capacitor import ScAmplifier, design_sc_stage
 
 __all__ = [
@@ -252,17 +258,24 @@ class SarAdc:
         Out-of-range inputs saturate at code 0 / full scale, as the
         comparator chain would.
         """
-        weights = np.asarray(self.weights, dtype=float)
-        batched = weights.ndim > 1
-        total = weights.sum(axis=-1) + np.asarray(
-            self.termination, dtype=float)
         offset = np.asarray(self.offset, dtype=float)
         values = np.asarray(values, dtype=float)
+        if np.asarray(self.weights).ndim > 1:
+            return self._approximate(values + offset[..., None])
+        return self._approximate(values + offset)
+
+    def _cap_total(self) -> np.ndarray:
+        """Total cap-DAC weight (bits + dummy LSB), ``(...)``."""
+        return np.asarray(self.weights, dtype=float).sum(axis=-1) \
+            + np.asarray(self.termination, dtype=float)
+
+    def _approximate(self, held: np.ndarray) -> np.ndarray:
+        """MSB-first successive approximation of offset-held inputs."""
+        weights = np.asarray(self.weights, dtype=float)
+        batched = weights.ndim > 1
+        total = self._cap_total()
         if batched:
-            held = values + offset[..., None]
             total = total[..., None]
-        else:
-            held = values + offset
         settled = np.zeros_like(held)
         codes = np.zeros(held.shape, dtype=np.int64)
         for j in range(self.n_bits - 1, -1, -1):
@@ -272,6 +285,62 @@ class SarAdc:
             settled = np.where(keep, trial, settled)
             codes += keep.astype(np.int64) * (1 << j)
         return codes
+
+    def _transition_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted decision thresholds and the code held at each.
+
+        The ``2**n_bits - 1`` trial thresholds ``(settled + w_j) /
+        total`` of every node of the descent, built level by level with
+        :meth:`_approximate`'s own float operations (set-bit weights
+        added MSB-first from 0.0), so each is bit for bit a value the
+        descent compares against.  Every decision is ``held >= t`` for
+        one of them, so a held input's code depends only on how many
+        thresholds lie at or below it: the code stored next to sorted
+        threshold ``i`` holds on ``[t_i, t_{i+1})``, and code 0 holds
+        below ``t_0``.  Both arrays are ``(..., 2**n_bits - 1)``.
+        """
+        weights = np.asarray(self.weights, dtype=float)
+        total = self._cap_total()[..., None]
+        settled = np.zeros(weights.shape[:-1] + (1,))
+        levels = []
+        for j in range(self.n_bits - 1, -1, -1):
+            trial = settled + weights[..., j:j + 1]
+            levels.append(trial / total)
+            settled = np.concatenate([settled, trial], axis=-1)
+        thresholds = np.sort(np.concatenate(levels, axis=-1), axis=-1)
+        return thresholds, self._approximate(thresholds)
+
+    def _ramp_histogram(self, ramp: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-die code counts and monotonic flags of an ascending ramp.
+
+        Equal to ``np.bincount`` of each die's ``convert(ramp)`` row
+        and to ``_ramp_monotonic`` of it, without converting a sample:
+        a binary search counts the held samples below each sorted
+        threshold (``side="left"``, since a sample equal to a threshold
+        passes it), the differences are the hits of each table row, and
+        one ``bincount`` puts them on the rows' codes.  For a batched
+        ADC; ``ramp`` is a 1-D ascending input shared by all dies.
+        """
+        thresholds, codes = self._transition_table()
+        offset = np.asarray(self.offset, dtype=float)
+        n_dies = thresholds.shape[0]
+        below = np.stack([np.searchsorted(ramp + offset[d], thresholds[d],
+                                          side="left")
+                          for d in range(n_dies)])
+        hits = np.diff(below, axis=-1, prepend=0, append=ramp.size)
+        # Row 0 is the region below every threshold, where no decision
+        # keeps a bit.
+        row_codes = np.insert(codes, 0, 0, axis=-1)
+        n_codes = 2 ** self.n_bits
+        flat = row_codes + n_codes * np.arange(n_dies)[:, None]
+        counts = np.bincount(flat.ravel(), weights=hits.ravel(),
+                             minlength=n_dies * n_codes)
+        hit = hits > 0
+        seen = np.where(hit, row_codes, -1)
+        monotonic = np.all(~hit | (seen >= np.maximum.accumulate(
+            seen, axis=-1)), axis=-1)
+        return counts.astype(np.int64).reshape(n_dies, n_codes), monotonic
 
 
 def _bit_matrix(n_bits: int) -> np.ndarray:
@@ -473,11 +542,15 @@ class SignalChain:
           (:func:`~repro.analog.metrics.transfer_linearity`);
         * ADC static linearity: dense mid-step ramp histogram
           (:func:`~repro.analog.metrics.histogram_linearity`) --
-          applied to the ADC directly, as a bench ramp would be;
+          applied to the ADC directly, as a bench ramp would be; a
+          batched chain counts it from each die's transition table
+          instead of converting the ramp, with identical counts;
         * end-to-end monotonicity: every code through
           DAC -> filter -> ADC;
         * dynamic ENOB/SNDR/SFDR: coherent sine through the full
           chain (:func:`~repro.analog.metrics.spectral_metrics`).
+          The sine samples are DAC levels, so their codes are gathered
+          from the sweep's rather than converted again.
         """
         spec = spec if spec is not None else ChainSpec()
         n_ramp_per_code = check_count("n_ramp_per_code",
@@ -489,24 +562,29 @@ class SignalChain:
         batched = np.asarray(self.dac.weights).ndim > 1
 
         dac_levels = self.dac.levels()
-        ramp_codes = self.adc.convert(_midstep_ramp(n_bits,
-                                                    n_ramp_per_code))
+        ramp = _midstep_ramp(n_bits, n_ramp_per_code)
         sweep_codes = self.adc.convert(self.through_filter(dac_levels))
         monotonic = np.all(np.diff(sweep_codes, axis=-1) >= 0, axis=-1)
-        sine_in = dac_levels[..., _sine_codes(n_bits, n_fft, cycles,
-                                              amplitude_fraction)]
-        sine_out = self.adc.convert(
-            self.through_filter(sine_in)).astype(float)
+        # The sine samples are DAC levels, and the filter and the SAR act
+        # elementwise, so the sine's codes are a gather of the sweep's.
+        # C order keeps the FFT reductions those of a converted record.
+        sine_out = np.ascontiguousarray(
+            sweep_codes[..., _sine_codes(n_bits, n_fft, cycles,
+                                         amplitude_fraction)],
+            dtype=float)
 
         full_scale = float(2 ** n_bits - 1)
         if batched:
             dac_report = transfer_linearity_batch(dac_levels)
-            adc_report = histogram_linearity_batch(ramp_codes, n_bits)
+            counts, ramp_monotonic = self.adc._ramp_histogram(ramp)
+            adc_report = replace(_histogram_linearity(counts),
+                                 monotonic=ramp_monotonic)
             spectral = spectral_metrics_batch(sine_out, cycles,
                                               full_scale=full_scale)
         else:
             dac_report = transfer_linearity(dac_levels)
-            adc_report = histogram_linearity(ramp_codes, n_bits)
+            adc_report = histogram_linearity(self.adc.convert(ramp),
+                                             n_bits)
             spectral = spectral_metrics(sine_out, cycles,
                                         full_scale=full_scale)
         passed = _meets_spec(spec, n_bits, dac_report, adc_report,

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analog import (ChainDesign, ChainSpec, R2rDac, SarAdc,
                           SignalChain, chain_signoff)
+from repro.analog.chain import _midstep_ramp
+from repro.analog.metrics import _ramp_monotonic
 from repro.robust import ReproError
 from repro.technology import get_node
 from repro.variability import MonteCarloSampler
@@ -13,6 +16,37 @@ from repro.variability import MonteCarloSampler
 @pytest.fixture(scope="module")
 def node():
     return get_node("65nm")
+
+
+@st.composite
+def mismatched_sars(draw):
+    """A batched SAR ADC with gross mismatch and a mid-step ramp.
+
+    Cap weights and terminations carry relative Gaussian errors of up
+    to sigma 2, one cap weight may be zeroed, and offsets reach half
+    full scale, so the ramp saturates at both ends.  Offsets may be
+    snapped to the ramp's half step, which puts samples exactly on the
+    thresholds of an unmismatched cap DAC.
+    """
+    n_bits = draw(st.integers(2, 10))
+    n_dies = draw(st.integers(1, 30))
+    sigma = draw(st.floats(0.0, 2.0))
+    n_per_code = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = np.maximum(2.0 ** np.arange(n_bits) * (
+        1.0 + sigma * rng.standard_normal((n_dies, n_bits))), 0.0)
+    zeroed = draw(st.none() | st.integers(0, n_bits - 1))
+    if zeroed is not None:
+        weights[:, zeroed] = 0.0
+    termination = np.maximum(
+        1.0 + sigma * rng.standard_normal(n_dies), 0.05)
+    offset = rng.uniform(-0.5, 0.5, n_dies)
+    if draw(st.booleans()):
+        half_step = 0.5 / (2 ** n_bits * n_per_code)
+        offset = np.round(offset / half_step) * half_step
+    adc = SarAdc(n_bits=n_bits, weights=weights,
+                 termination=termination, offset=offset)
+    return adc, _midstep_ramp(n_bits, n_per_code)
 
 
 class TestR2rDac:
@@ -80,6 +114,47 @@ class TestSarAdc:
         assert codes.shape == (3, 512)
         np.testing.assert_array_equal(codes[0], codes[1])
         assert np.any(codes[2] != codes[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mismatched_sars())
+    def test_ramp_histogram_counts_converted_codes(self, case):
+        """The transition-table histogram is the converted ramp's."""
+        adc, ramp = case
+        codes = adc.convert(ramp)
+        counts, monotonic = adc._ramp_histogram(ramp)
+        np.testing.assert_array_equal(
+            counts, [np.bincount(row, minlength=2 ** adc.n_bits)
+                     for row in codes])
+        np.testing.assert_array_equal(monotonic, _ramp_monotonic(codes))
+
+    @pytest.mark.parametrize("n_bits,sigma,zeroed",
+                             [(2, 0.0, None), (8, 0.0, None),
+                              (8, 0.3, None), (8, 0.3, 6), (10, 1.5, 0)])
+    def test_table_codes_at_thresholds(self, n_bits, sigma, zeroed):
+        """Each threshold and its float neighbours convert to the
+        table's code, and a ramp of them histograms exactly."""
+        rng = np.random.default_rng(n_bits)
+        for _ in range(3):
+            weights = np.maximum(2.0 ** np.arange(n_bits) * (
+                1.0 + sigma * rng.standard_normal((1, n_bits))), 0.0)
+            if zeroed is not None:
+                weights[:, zeroed] = 0.0
+            adc = SarAdc(n_bits=n_bits, weights=weights,
+                         termination=1.0 + sigma * rng.uniform(0, 1, 1),
+                         offset=np.zeros(1))
+            (t,), (table_codes,) = adc._transition_table()
+            assert t.size == 2 ** n_bits - 1
+            probes = np.sort(np.concatenate(
+                [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]))
+            converted = adc.convert(probes)[0]
+            # Code 0 below every threshold, table code i on [t_i, t_i+1).
+            row_codes = np.concatenate([[0], table_codes])
+            np.testing.assert_array_equal(
+                converted, row_codes[np.searchsorted(t, probes,
+                                                     side="right")])
+            counts, _ = adc._ramp_histogram(probes)
+            np.testing.assert_array_equal(
+                counts[0], np.bincount(converted, minlength=2 ** n_bits))
 
 
 class TestSignalChain:

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.analog import (ChainDesign, SignalChain, chain_signoff,
-                          chain_signoff_batch, chain_yield_vs_node)
+                          chain_signoff_batch, chain_yield_vs_node,
+                          spectral_metrics_batch)
+from repro.analog.chain import _draws_per_die, _sine_codes
 from repro.technology import get_node
 from repro.variability import MonteCarloSampler
 
@@ -43,7 +45,9 @@ class TestScalarBatchEquivalence:
             assert batch.adc.dnl_max[d] == one.adc.dnl_max
             assert batch.adc.inl_max[d] == one.adc.inl_max
             np.testing.assert_array_equal(batch.dac.dnl[d], one.dac.dnl)
+            np.testing.assert_array_equal(batch.adc.dnl[d], one.adc.dnl)
             np.testing.assert_array_equal(batch.adc.inl[d], one.adc.inl)
+            assert bool(batch.adc.monotonic[d]) == one.adc.monotonic
 
     def test_flags_identical(self, reports):
         batch, scalar = reports
@@ -58,6 +62,24 @@ class TestScalarBatchEquivalence:
                 one.spectral.enob, abs=1e-9)
             assert batch.spectral.sndr_db[d] == pytest.approx(
                 one.spectral.sndr_db, abs=1e-9)
+
+    def test_spectral_matches_converted_sine(self, node):
+        """Sine codes gathered from the sweep give exactly the spectral
+        report of the converted sine record; a gather left out of C
+        order moves per-die ENOB by up to ~1e-11 relative.
+        """
+        rng = np.random.default_rng(self.SEED)
+        n_bits = ChainDesign().n_bits
+        chain = SignalChain._from_draws(
+            node, ChainDesign(), 0.01 * rng.standard_normal(self.N_DIES),
+            rng.standard_normal((self.N_DIES, _draws_per_die(n_bits))))
+        sine_in = chain.dac.levels()[:, _sine_codes(n_bits, 1024, 67, 0.9)]
+        want = spectral_metrics_batch(
+            chain.adc.convert(chain.through_filter(sine_in)).astype(float),
+            67, full_scale=2.0 ** n_bits - 1)
+        got = chain.signoff().spectral
+        for field in ("sndr_db", "sfdr_db", "enob", "enob_full_scale"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_rng_stream_unshared(self, node):
         """Batch draws come from spawned children, not the parent.
