@@ -1,13 +1,17 @@
 """Golden pins for the outputs of the batched evaluation paths.
 
 These freeze fixed-seed outputs of the chain sign-off yield, Monte
-Carlo SSTA, SRAM margins and the SWAN substrate-noise flow.  Discrete
+Carlo SSTA, SRAM margins, the SWAN substrate-noise flow and the
+sharded yield and chain sign-off runs of :mod:`repro.exec`.  Discrete
 values (names, counts, yields, criticality fractions, key order)
 compare exactly and floats at ``rel=1e-12``.  A change that moves one
 of them changes what the library computes and must be an explicit,
 reviewed decision.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.analog.chain import chain_yield_vs_node
@@ -15,6 +19,8 @@ from repro.digital import clocked_datapath, random_logic
 from repro.digital.ssta import (StatisticalTimingAnalyzer,
                                 corner_vs_statistical_margin)
 from repro.digital.timing import delay_under_mismatch
+from repro.exec import run_sharded
+from repro.exec.workloads import ChainSignoffWorkload, YieldWorkload
 from repro.memory.sram import SramCell
 from repro.substrate.swan import SwanSimulator, run_swan_experiment
 from repro.technology import get_node
@@ -155,3 +161,62 @@ class TestSwanPins:
             n_cycles=3)
         assert activity.toggle_count() == 23
         assert activity.duration == close(6.000000000000001e-08)
+
+
+def pass_digest(passed):
+    """SHA-256 of a pass vector's ``np.packbits`` bytes."""
+    return hashlib.sha256(np.packbits(passed).tobytes()).hexdigest()
+
+
+class TestShardedYieldPins:
+    """The ``yield`` CLI's sharded population and a sharded chain row.
+
+    The 400k-die runs are perfbench's sharded-yield warm-up requests;
+    their ``n_pass`` equals the counts pinned in ``perfbench/pins.json``.
+    """
+
+    @staticmethod
+    def run(workload, n_shards, backend="serial"):
+        return run_sharded(workload, n_shards=n_shards, backend=backend,
+                           env_chaos=False, use_cache=False).value
+
+    @pytest.mark.parametrize("seed, n_pass, digest", [
+        (0, 381653, "1fb0b1273ad2aba9f2fd5670a71afd3c"
+                    "7321d347a0ac806db479e7d48ebc08a2"),
+        (1, 381984, "d6d1374414a8ff92521a5e5a8ff03bef"
+                    "fadb386afb01cd088447485660f26e93"),
+    ])
+    def test_yield_population(self, seed, n_pass, digest):
+        workload = YieldWorkload("65nm", "vth-shift", 0.03,
+                                 n_dies=400_000, seed=seed)
+        for n_shards in (8, 1, 3):
+            result = self.run(workload, n_shards)
+            assert result.n_samples == 400_000
+            assert result.n_pass == n_pass
+            assert pass_digest(result.passed) == digest
+
+    def test_chain_signoff_row(self):
+        row = self.run(ChainSignoffWorkload("65nm", n_dies=64, seed=0),
+                       3)
+        expected = {"node": "65nm", "n_dies": 64.0,
+                    "yield_fraction": 0.96875,
+                    "enob_mean": 7.266812342362598,
+                    "enob_min": 7.166332136573717,
+                    "dnl_worst_lsb": 0.5626076260762607,
+                    "inl_worst_lsb": 0.4033013057403214}
+        assert list(row) == list(expected)
+        for key in ("node", "n_dies", "yield_fraction"):
+            assert row[key] == expected[key]
+        for key in ("enob_mean", "enob_min", "dnl_worst_lsb",
+                    "inl_worst_lsb"):
+            assert row[key] == close(expected[key])
+
+    def test_process_backend_matches_serial_digest(self):
+        workload = YieldWorkload("65nm", "vth-shift", 0.03,
+                                 n_dies=4_000, seed=0)
+        digest = ("a89c0d4c2df0b336c88b1e35f7aa5641"
+                  "5f3c152c869ecc0fb8c6821a1db4166a")
+        for backend in ("serial", "process"):
+            result = self.run(workload, 3, backend=backend)
+            assert result.n_pass == 3790
+            assert pass_digest(result.passed) == digest
