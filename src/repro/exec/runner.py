@@ -60,7 +60,9 @@ __all__ = ["run_sharded", "SHARD_CACHE"]
 
 #: Shard-level payload cache: (workload, params, shard plan, slice)
 #: -> validated payload.  Payloads are deterministic, so cache hits
-#: are exact replays; ``repro.perf.clear_caches()`` drops it.
+#: are exact replays; ``repro.perf.clear_caches()`` drops it.  Pass
+#: vectors are ``np.packbits`` byte lists, so a full cache of yield
+#: shards holds one int per eight dies, not one bool per die.
 SHARD_CACHE = KeyedCache("exec.shards", maxsize=4096)
 
 #: How long an injected hang sleeps in a worker process before the

@@ -5,7 +5,9 @@ three things the runner needs:
 
 * ``run_shard(start, stop)`` -- evaluate one contiguous slice of the
   population and return a *JSON payload* (plain lists and scalars:
-  picklable for worker processes, checkpointable, and cacheable);
+  picklable for worker processes, checkpointable, and cacheable).
+  Pass vectors travel bit-packed: ``passed`` is
+  ``np.packbits(passed).tolist()``, ``ceil(n / 8)`` ints in 0-255;
 * ``validate_payload`` -- reject corrupted worker output (wrong
   length, non-finite values, impossible counts) with a typed
   :class:`~repro.robust.errors.PoisonedResultError` so the runner
@@ -94,16 +96,33 @@ def _check_floats(name: str, values: Any,
                 f"non-numeric entry {value!r}")
 
 
-def _check_bools(name: str, values: Any, length: int) -> None:
-    if not isinstance(values, list) or len(values) != length:
+_BYTE_VALUES = frozenset(range(256))
+
+
+def _check_packed(name: str, values: Any, length: int) -> None:
+    """Check a ``np.packbits`` byte list of ``length`` pass flags."""
+    n_bytes = -(-length // 8)
+    if not isinstance(values, list) or len(values) != n_bytes:
         raise PoisonedResultError(
-            f"payload field {name!r} must be a list of {length} "
-            f"booleans")
-    for value in values:
-        if not isinstance(value, bool):
-            raise PoisonedResultError(
-                f"payload field {name!r} contains non-boolean "
-                f"{value!r}")
+            f"payload field {name!r} must be a list of {n_bytes} "
+            f"packed bytes for {length} flags")
+    # Exact types, not isinstance(): a bool is not a byte.
+    if set(map(type, values)) != {int}:
+        raise PoisonedResultError(
+            f"payload field {name!r} contains a non-integer byte")
+    if not _BYTE_VALUES.issuperset(values):
+        raise PoisonedResultError(
+            f"payload field {name!r} contains a byte outside 0-255")
+    if values[-1] & ((1 << (8 * n_bytes - length)) - 1):
+        raise PoisonedResultError(
+            f"payload field {name!r} has padding bits set")
+
+
+def _unpack(payload: Dict[str, Any]) -> np.ndarray:
+    """The validated payload's pass vector as a bool array."""
+    return np.unpackbits(
+        np.frombuffer(bytes(payload["passed"]), dtype=np.uint8),
+        count=payload["stop"] - payload["start"]).astype(bool)
 
 
 class ShardWorkload:
@@ -189,26 +208,25 @@ class YieldWorkload(ShardWorkload):
             n_dies=self.n_dies, upper_is_fail=self.upper_is_fail,
             shard=(start, stop))
         return {"start": start, "stop": stop,
-                "passed": [bool(ok) for ok in result.passed]}
+                "passed": np.packbits(result.passed).tolist()}
 
     def validate_payload(self, payload: Any, start: int,
                          stop: int) -> None:
         _require(payload, ("start", "stop", "passed"))
         _check_span(payload, start, stop)
-        _check_bools("passed", payload["passed"], stop - start)
+        _check_packed("passed", payload["passed"], stop - start)
 
     def merge(self, payloads: List[Dict[str, Any]]) -> Any:
         from ..variability.statistical import YieldResult
-        passed = np.concatenate(
-            [np.asarray(p["passed"], dtype=bool) for p in payloads])
+        passed = np.concatenate([_unpack(p) for p in payloads])
         return YieldResult(n_samples=int(passed.size),
                            n_pass=int(np.count_nonzero(passed)),
                            passed=passed)
 
     def pass_counts(self, payload: Dict[str, Any]
                     ) -> Tuple[int, int]:
-        passed = payload["passed"]
-        return (sum(1 for ok in passed if ok), len(passed))
+        passed = _unpack(payload)
+        return (int(np.count_nonzero(passed)), int(passed.size))
 
     def partial_statistics(self, payloads: List[Dict[str, Any]]
                            ) -> Dict[str, float]:
@@ -263,7 +281,7 @@ class ChainSignoffWorkload(ShardWorkload):
                          np.asarray(result.adc.inl_max, dtype=float))
         return {
             "start": start, "stop": stop,
-            "passed": [bool(ok) for ok in np.asarray(result.passed)],
+            "passed": np.packbits(result.passed).tolist(),
             "enob": [float(v) for v in np.asarray(
                 result.spectral.enob, dtype=float)],
             "dnl_max": [float(v) for v in dnl],
@@ -277,7 +295,7 @@ class ChainSignoffWorkload(ShardWorkload):
                   "inl_max"))
         _check_span(payload, start, stop)
         size = stop - start
-        _check_bools("passed", payload["passed"], size)
+        _check_packed("passed", payload["passed"], size)
         _check_floats("enob", payload["enob"], size)
         _check_floats("dnl_max", payload["dnl_max"], size)
         _check_floats("inl_max", payload["inl_max"], size)
@@ -286,18 +304,18 @@ class ChainSignoffWorkload(ShardWorkload):
               ) -> Dict[str, float]:
         from ..analog.chain import _yield_row
 
-        def column(key: str, dtype: type) -> np.ndarray:
+        def column(key: str) -> np.ndarray:
             return np.concatenate(
-                [np.asarray(p[key], dtype=dtype) for p in payloads])
+                [np.asarray(p[key], dtype=float) for p in payloads])
 
-        return _yield_row(self.node_name, column("passed", bool),
-                          column("enob", float), column("dnl_max", float),
-                          column("inl_max", float))
+        passed = np.concatenate([_unpack(p) for p in payloads])
+        return _yield_row(self.node_name, passed, column("enob"),
+                          column("dnl_max"), column("inl_max"))
 
     def pass_counts(self, payload: Dict[str, Any]
                     ) -> Tuple[int, int]:
-        passed = payload["passed"]
-        return (sum(1 for ok in passed if ok), len(passed))
+        passed = _unpack(payload)
+        return (int(np.count_nonzero(passed)), int(passed.size))
 
     def partial_statistics(self, payloads: List[Dict[str, Any]]
                            ) -> Dict[str, float]:

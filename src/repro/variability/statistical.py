@@ -21,16 +21,24 @@ shifts come from the sampler's own generator in (vth, length, tox)
 order per die, and each die's device draws come from a generator
 spawned off the sampler (one child per die, in die order), so the
 batched arrays are bit-for-bit equal to the scalar objects.
+
+A sharded batch (``shard=(start, stop)``) is a slice of the full
+population's inter-die draw.  The shards of one population replay a
+single memoized draw (:data:`_INTER_DIE_DRAWS`, keyed on the exact
+generator state), so in one process the population is drawn once,
+however many shards slice it.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..perf.cache import KeyedCache
 from ..perf.profile import timed
 from ..robust.errors import ModelDomainError
 from ..robust.validate import (check_count, check_finite,
@@ -42,6 +50,12 @@ from ..robust.validate import validated
 ArrayLike = Union[float, np.ndarray]
 
 ShardRange = Tuple[int, int]
+
+#: The last sharded population's inter-die draw: (exact generator state
+#: at entry, n_dies) -> (read-only (n_dies, 3) normals, generator state
+#: after the draw).  Every shard of one population rebuilds its sampler
+#: from the same seed, so all but the first replay this entry.
+_INTER_DIE_DRAWS = KeyedCache("variability.inter_die_draws", maxsize=1)
 
 
 def check_shard(shard: Optional[ShardRange],
@@ -274,12 +288,15 @@ class MonteCarloSampler:
 
         A ``shard=(start, stop)`` range returns only dies
         ``start..stop-1`` of the *same* ``n_dies`` population: the
-        full inter-die stream is drawn (so the sampler's generator
-        advances identically to the unsharded call) and then sliced,
-        and only the sharded dies' spawned children are consumed for
-        device draws.  Die ``start + k`` of a sharded batch is
-        bit-for-bit die ``start + k`` of the full batch, which is
-        what makes :mod:`repro.exec` shard merges exact.
+        full inter-die stream is drawn and then sliced, and only the
+        sharded dies' spawned children are consumed for device draws.
+        Die ``start + k`` of a sharded batch is bit-for-bit die
+        ``start + k`` of the full batch, which is what makes
+        :mod:`repro.exec` shard merges exact.  The full draw is
+        memoized on the generator's exact state and ``n_dies``: a
+        later shard of the same population replays it and sets the
+        generator to the state the draw left.  Either way the
+        generator ends where the unsharded call leaves it.
         """
         n_dies = check_count("n_dies", n_dies)
         n_devices = check_count("n_devices", n_devices, minimum=0)
@@ -294,7 +311,10 @@ class MonteCarloSampler:
         # skipped entirely (it is by far the dominant per-die cost)
         # without changing any inter-die draw.
         children = self.rng.spawn(n_dies) if n_devices > 0 else ()
-        draws = self.rng.standard_normal((n_dies, 3))[start:stop]
+        if shard is None:
+            draws = self.rng.standard_normal((n_dies, 3))
+        else:
+            draws = self._inter_die_draws(n_dies)[start:stop]
         batch = DieBatch(
             node=self.node,
             spec=self.spec,
@@ -321,6 +341,25 @@ class MonteCarloSampler:
         batch.device_vth_offset = vth_offset
         batch.device_length_factor = length_factor
         return batch
+
+    def _inter_die_draws(self, n_dies: int) -> np.ndarray:
+        """The ``(n_dies, 3)`` inter-die normals, drawn or replayed.
+
+        The key pickles the whole bit-generator state, so it is exact
+        for any bit generator; the value is read-only because every
+        shard of the population shares it.
+        """
+        bit_generator = self.rng.bit_generator
+        key = (pickle.dumps(bit_generator.state), n_dies)
+
+        def draw() -> Tuple[np.ndarray, dict]:
+            draws = self.rng.standard_normal((n_dies, 3))
+            draws.flags.writeable = False
+            return draws, bit_generator.state
+
+        draws, end_state = _INTER_DIE_DRAWS.get_or_compute(key, draw)
+        bit_generator.state = end_state
+        return draws
 
 
 @dataclass(frozen=True)
