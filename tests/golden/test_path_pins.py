@@ -1,8 +1,9 @@
 """Golden pins for the outputs of the batched evaluation paths.
 
 These freeze fixed-seed outputs of the chain sign-off yield, Monte
-Carlo SSTA, SRAM margins, the SWAN substrate-noise flow and the
-sharded yield and chain sign-off runs of :mod:`repro.exec`.  Discrete
+Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
+yield and chain sign-off runs of :mod:`repro.exec` and the SoC-scale
+event stream behind the ``soc-noise`` CLI.  Discrete
 values (names, counts, yields, criticality fractions, key order)
 compare exactly and floats at ``rel=1e-12``.  A change that moves one
 of them changes what the library computes and must be an explicit,
@@ -14,8 +15,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.analog.chain import chain_yield_vs_node
-from repro.digital import clocked_datapath, random_logic
+from repro.digital import (CompiledEventEngine, clocked_datapath,
+                           random_logic, random_stimulus, soc_netlist)
 from repro.digital.ssta import (StatisticalTimingAnalyzer,
                                 corner_vs_statistical_margin)
 from repro.digital.timing import delay_under_mismatch
@@ -220,3 +223,91 @@ class TestShardedYieldPins:
             result = self.run(workload, 3, backend=backend)
             assert result.n_pass == 3790
             assert pass_digest(result.passed) == digest
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestSocEventStreamPins:
+    """The ``soc-noise`` CLI default flow: 20k gates, 8 blocks, 10
+    cycles at 50 MHz.
+
+    Each ``EventTrace`` column is pinned by the SHA-256 of its raw
+    bytes, so any moved event time, reordered tie or changed
+    attribution fails.  ``n_events`` at seed 0 equals the count pinned
+    in ``perfbench/pins.json``.
+    """
+
+    N_BLOCKS = 8
+
+    @pytest.fixture(scope="class", params=[0, 1])
+    def flow(self, request):
+        seed = request.param
+        netlist = soc_netlist(get_node("65nm"), target_gates=20_000,
+                              n_blocks=self.N_BLOCKS, seed=seed)
+        engine = CompiledEventEngine(netlist, clock_period=1 / 50e6,
+                                     event_budget=10_000_000)
+        stimulus = random_stimulus(
+            netlist, 10, seed=seed,
+            held_high=["en"] + [f"blk{b}_en"
+                                for b in range(self.N_BLOCKS)])
+        trace = engine.run(stimulus, 10)
+        wave = SwanSimulator(netlist, clock_frequency=50e6,
+                             seed=seed).stream_noise(
+            trace, chunk_events=100_000)
+        return seed, trace, wave
+
+    EXPECTED = {
+        0: {"n_events": 19951,
+            "times": "0359c2af044632bbdd48152f14adcece"
+                     "b1eb2e211c236efc2d2178e1c52dea5f",
+            "net_indices": "f845d92fae3e4a78cc8fd5d246b38c59"
+                           "232426ff7ba6d909fc5783a9f7fc05ff",
+            "values": "b6dfdd4ecff5bb6564893d2c4cc3212b"
+                      "2b68287bfde3a0e19911f2150c4ceb39",
+            "source_indices": "a28da84d6cb7737e20e23cc3dc15c204"
+                              "35bdcc2e18e3f9c884ec664da391fe37",
+            "rms": 0.0024580489084090502,
+            "peak_to_peak": 0.04922217166513262},
+        1: {"n_events": 19967,
+            "times": "24256b6c75390fab1c686af641bb0804"
+                     "12e5b7e5b65319fc6ab9b72c8b04af1b",
+            "net_indices": "49efbe372e3aa70253f795969886fc0a"
+                           "e4803aaca751da8b8e67255e9c58323e",
+            "values": "62ca95beadff6b7b52dd5e321592ce71"
+                      "e62b858626610567ef7adb1933d7efe5",
+            "source_indices": "3c94f8054fa5a29c1457d84c3ce846ed"
+                              "2f96b035f58d71391f91e2ecc0d09227",
+            "rms": 0.0024599960395383282,
+            "peak_to_peak": 0.04731372738606874},
+    }
+    NET_NAMES = ("f1c090e0fa105d94e60e112283ca2a6c"
+                 "e0f8413bbd78c4622aa048b1ad85e31a")
+
+    def test_event_columns(self, flow):
+        seed, trace, _ = flow
+        expected = self.EXPECTED[seed]
+        assert trace.n_events == expected["n_events"]
+        for column in ("times", "net_indices", "values",
+                       "source_indices"):
+            assert sha256(getattr(trace, column).tobytes()) \
+                == expected[column], column
+        assert sha256("\n".join(trace.net_names).encode()) \
+            == self.NET_NAMES
+
+    def test_stream_noise(self, flow):
+        seed, _, wave = flow
+        expected = self.EXPECTED[seed]
+        assert wave.rms == close(expected["rms"])
+        assert wave.peak_to_peak == close(expected["peak_to_peak"])
+
+    def test_cli_stdout(self, capsys):
+        assert main(["soc-noise", "--gates", "2000", "--blocks", "2",
+                     "--cycles", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "             gates |             events |           "
+            "activity |             rms_uV |             p2p_uV\n"
+            + "-" * 102 + "\n"
+            "              2000 |                471 |            "
+            "0.27448 |             187.42 |             4030.5\n")
