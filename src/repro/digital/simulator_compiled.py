@@ -18,9 +18,11 @@ Equivalence contract with the scalar oracle
 -------------------------------------------
 The scalar simulator stays as the reference; for identical stimulus
 the compiled engine reproduces its event stream **bit for bit** --
-same event times (the per-gate delays are computed through the exact
-same :meth:`Cell.delay` calls), same ordering on ties, same recorded
-values and instance attribution, and the same final net values:
+same event times (the per-gate delays come from the same
+:meth:`Cell.delay` model and load caps, evaluated once per cell kind
+over an array of loads with the scalar call's rounding), same ordering
+on ties, same recorded values and instance attribution, and the same
+final net values:
 
 * the scalar heap pops in ``(time, push counter)`` order; the
   compiled pending buffer is append-ordered, so selecting the
@@ -55,7 +57,7 @@ from ..robust.errors import ModelDomainError, SimulationBudgetError
 from ..robust.guards import SimulationBudget
 from ..robust.validate import check_count, check_positive
 from ..perf.profile import timed
-from .gates import CELL_TYPES
+from .gates import CELL_TYPES, Cell
 from .netlist import Netlist
 from .simulator import SimulationResult, SwitchingEvent
 
@@ -63,6 +65,10 @@ __all__ = ["CompiledEventEngine", "EventTrace"]
 
 #: Source index marking a primary-input (driverless) event.
 _SRC_INPUT = -1
+
+#: Shared, read-only empty result of :func:`_csr_rows`.
+_NO_GATES = np.zeros(0, dtype=np.int64)
+_NO_GATES.flags.writeable = False
 
 
 @dataclass
@@ -179,6 +185,23 @@ class EventTrace:
             yield self.event_range(start, start + chunk_events)
 
 
+def _csr_rows(rows: np.ndarray, csr_start: np.ndarray,
+              csr_count: np.ndarray, csr_gates: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The loads of each net in ``rows``, concatenated in row order.
+
+    Returns the load gates and, for each, its position in ``rows``.
+    """
+    counts = csr_count[rows]
+    total = int(counts.sum())
+    if not total:
+        return _NO_GATES, _NO_GATES
+    offsets = np.cumsum(counts) - counts
+    ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    return (csr_gates[np.repeat(csr_start[rows], counts) + ramp],
+            np.repeat(np.arange(rows.size, dtype=np.int64), counts))
+
+
 def _first_conflict(nets: np.ndarray, load_gates: np.ndarray,
                     load_event: np.ndarray,
                     load_outputs: np.ndarray) -> int:
@@ -267,11 +290,12 @@ class CompiledEventEngine:
     guards -- but :meth:`run` returns an :class:`EventTrace` and the
     hot loop is pure array work per wavefront instead of per event.
 
-    Compilation is one pass over the netlist (gate delays are computed
-    through the very same :meth:`Cell.delay` calls the scalar
-    simulator makes, memoized by ``(cell, drive, load)``, so event
-    times agree bit for bit).  Mutating the netlist afterwards does
-    not update the compiled arrays -- recompile.
+    Compilation takes array passes and one array-valued
+    :meth:`Cell.delay` call per (cell type, drive) kind.  Each gate's
+    load is the scalar simulator's own fanout capacitance, and the
+    array call rounds exactly like the scalar one, so event times
+    agree bit for bit.  Mutating the netlist afterwards does not
+    update the compiled arrays -- recompile.
     """
 
     DEFAULT_EVENT_BUDGET = 1_000_000
@@ -304,11 +328,17 @@ class CompiledEventEngine:
 
     @timed("digital.compile")
     def _compile(self) -> None:
-        """Lower the netlist in one O(gates + pins) pass.
+        """Lower the netlist with array passes and O(cell kinds) model
+        calls.
 
         Nets are numbered in :attr:`Netlist.nets` order and gates in
-        insertion order; the per-gate and per-pin columns are gathered
-        as flat lists and become arrays in one call each.
+        insertion order.  Python passes gather each gate's output net,
+        fanin nets and kind -- a (cell type, drive) pair, whose gates
+        share one truth table, pin capacitance and delay model -- and
+        sum each driven net's load caps.  Everything else is array
+        work: the distinct input pins, the net->loads CSR, one
+        array-valued :meth:`Cell.delay` call per kind, and a
+        generational Kahn pass that orders the settle levels.
         """
         netlist = self.netlist
         net_names = tuple(netlist.nets)
@@ -336,122 +366,130 @@ class CompiledEventEngine:
                 truth[code, packed] = cell_type.function(bits)
         self._truth_flat = truth.ravel()
 
-        fanin_flat: List[int] = []      # 3 slots per gate, -1 pads
-        out_list: List[int] = []
-        code_list: List[int] = []
-        seq_list: List[bool] = []
-        # Distinct (gate, net) input pins in gate-then-pin order, with
-        # the load-cap term each one adds to its net.
-        pin_gate: List[int] = []
-        pin_net: List[int] = []
-        pin_term: List[float] = []
-        pin_caps: Dict[Tuple[str, float], float] = {}
-        for g, inst in enumerate(instances):
+        kinds: Dict[Tuple[str, float], int] = {}
+        kind_cells: List[Cell] = []
+        kind_list: List[int] = []
+        for inst in instances:
             cell = inst.cell
-            cell_type = cell.cell_type
-            key = (cell_type.name, cell.drive)
-            cap = pin_caps.get(key)
-            if cap is None:
-                cap = pin_caps[key] = cell.input_capacitance
-            inputs = inst.inputs
-            row = [net_of[net] for net in inputs]
-            fanin_flat.extend(row)
-            fanin_flat.extend([-1] * (3 - len(row)))
-            for pin, net in enumerate(inputs):
-                if net in inputs[:pin]:
-                    continue
-                pin_gate.append(g)
-                pin_net.append(row[pin])
-                # The same term Netlist.fanout_capacitance sums.
-                pin_term.append(cap * inputs.count(net))
-            out_list.append(net_of[inst.output])
-            code_list.append(type_code[cell_type.name] * 8)
-            seq_list.append(cell_type.is_sequential)
+            key = (cell.cell_type.name, cell.drive)
+            if key not in kinds:
+                kinds[key] = len(kind_cells)
+                kind_cells.append(cell)
+            kind_list.append(kinds[key])
+        kind = np.array(kind_list, dtype=np.int64)
+        is_seq = np.array([cell.cell_type.is_sequential
+                           for cell in kind_cells], dtype=bool)[kind]
+        self._tcode8 = np.array(
+            [type_code[cell.cell_type.name] * 8 for cell in kind_cells],
+            dtype=np.int64)[kind]
 
         dummy = n_nets            # always-False padding slot
         self._dummy = dummy
-        fanin = np.array(fanin_flat, dtype=np.int64).reshape(n_gates, 3)
-        fanin[fanin < 0] = dummy
-        out_net = np.array(out_list, dtype=np.int64)
-        is_seq = np.array(seq_list, dtype=bool)
+        out_net = np.array([net_of[inst.output] for inst in instances],
+                           dtype=np.int64)
+        n_inputs = np.array([len(inst.inputs) for inst in instances],
+                            dtype=np.int64)
+        fanin = np.full((n_gates, 3), dummy, dtype=np.int64)
+        fanin[np.arange(3) < n_inputs[:, None]] = [
+            net_of[net] for inst in instances for net in inst.inputs]
+
+        # Distinct (gate, net) input pins in gate-then-pin order: a net
+        # on several pins of one gate is one load of that net, with its
+        # pin count as the weight Netlist.fanout_capacitance gives it.
+        same = fanin[:, :, None] == fanin[:, None, :]
+        distinct = (fanin != dummy) & ~np.tril(same, -1).any(axis=2)
+        pin_gate = np.nonzero(distinct)[0]
+        pin_net = fanin[distinct]
+        pin_mult = same.sum(axis=2)[distinct]
         # Pins grouped by net; a stable sort keeps each net's loads in
         # insertion order, the order Netlist.loads_of lists them.
-        pin_gate_arr = np.array(pin_gate, dtype=np.int64)
-        pin_net_arr = np.array(pin_net, dtype=np.int64)
-        by_net = np.argsort(pin_net_arr, kind="stable")
-        n_loads = np.bincount(pin_net_arr, minlength=n_nets)
+        by_net = np.argsort(pin_net, kind="stable")
+        n_loads = np.bincount(pin_net, minlength=n_nets)
         first_load = np.cumsum(n_loads) - n_loads
 
         # Per-gate loaded delays.  The load cap is the same Python sum,
         # over the same terms in the same order, as
-        # Netlist.fanout_capacitance, so it is bit-identical; identical
-        # (cell, drive, load) triples share one Cell.delay call, so
-        # repetitive SoCs compile in O(unique).
-        wire_cap = self.wire_cap_per_fanout
-        terms = np.array(pin_term, dtype=float)[by_net].tolist()
-        delay_memo: Dict[Tuple[str, float, float], float] = {}
-        delay_list: List[float] = []
-        for inst, start, count in zip(instances,
-                                      first_load[out_net].tolist(),
-                                      n_loads[out_net].tolist()):
-            load_cap = sum(terms[start:start + count]) \
-                + wire_cap * max(count, 1)
-            cell = inst.cell
-            key = (cell.cell_type.name, cell.drive, load_cap)
-            delay = delay_memo.get(key)
-            if delay is None:
-                delay = delay_memo[key] = cell.delay(load_cap)
-            delay_list.append(delay)
-        delays = np.array(delay_list, dtype=float)
+        # Netlist.fanout_capacitance (from CPython 3.12 ``sum`` over
+        # floats is compensated, so no array reduction matches it).
+        # Each kind then takes one Cell.delay call with an array load:
+        # V_T and V_DD stay scalar, so every power in the delay model
+        # is still a Python-float ``**``, and the load enters only
+        # through +, * and /, which numpy rounds exactly like Python.
+        kind_cap = np.array([cell.input_capacitance
+                             for cell in kind_cells], dtype=float)
+        terms = (kind_cap[kind[pin_gate]] * pin_mult)[by_net].tolist()
+        load_count = n_loads[out_net]
+        pin_cap = np.array(
+            [sum(terms[start:start + count]) for start, count
+             in zip(first_load[out_net].tolist(), load_count.tolist())],
+            dtype=float)
+        load_cap = pin_cap + self.wire_cap_per_fanout * np.maximum(
+            load_count, 1)
+        delays = np.empty(n_gates)
+        for k, cell in enumerate(kind_cells):
+            members = np.flatnonzero(kind == k)
+            delays[members] = cell.delay(load_cap[members])
 
         self._fanin = fanin
         self._out_net = out_net
-        self._tcode8 = np.array(code_list, dtype=np.int64)
         self._delays = delays
 
         # Combinational net -> loads CSR (sequential cells sample only
         # at the clock edge, exactly as the scalar loop skips them).
-        loads = pin_gate_arr[by_net]
-        self._csr_gates = loads[~is_seq[loads]]
-        counts = np.bincount(pin_net_arr[~is_seq[pin_gate_arr]],
-                             minlength=n_nets)
-        self._csr_count = counts
-        self._csr_start = np.cumsum(counts) - counts
+        loads = pin_gate[by_net]
+        csr_gates = loads[~is_seq[loads]]
+        csr_count = np.bincount(pin_net[~is_seq[pin_gate]],
+                                minlength=n_nets)
+        csr_start = np.cumsum(csr_count) - csr_count
+        self._csr_gates = csr_gates
+        self._csr_count = csr_count
+        self._csr_start = csr_start
 
         # Sequential cells in netlist insertion order (the scalar
         # simulator's sampling order).
         seq_idx = np.flatnonzero(is_seq)
         self._seq_gates = seq_idx
-        self._seq_data = np.array(
-            [net_of[instances[g].inputs[-1]] for g in seq_idx],
-            dtype=np.int64)
+        self._seq_data = fanin[seq_idx, n_inputs[seq_idx] - 1]
         self._seq_out = out_net[seq_idx]
         self._seq_delay = delays[seq_idx]
 
         # Levelized combinational schedule for the initial settle: a
         # gate's level is one past its deepest combinational driver,
-        # and each level lists its gates in topological order.  The
-        # topological sort validates acyclicity exactly like the
-        # scalar settle does.
-        gate_of = {name: g for g, name in enumerate(self._instance_names)}
-        topo = np.array([gate_of[inst.name]
-                         for inst in netlist.topological_order()],
-                        dtype=np.int64)
-        comb_topo = topo[~is_seq[topo]]
+        # and each level lists its gates in topological order -- the
+        # order of Netlist.topological_order, rebuilt here by the same
+        # generational Kahn pass on the pin table.  A combinational
+        # gate waits for its distinct driven input nets; generation 0
+        # is every gate without one, sequential gates included, and
+        # each later generation is the loads the previous one
+        # released, in the order of their last visit.
         driver = np.full(n_nets + 1, -1, dtype=np.int64)
-        driver[out_net[~is_seq]] = np.flatnonzero(~is_seq)
-        pin_drivers = driver[fanin].T.tolist()
-        level = [0] * n_gates
-        for g in comb_topo.tolist():
-            depth = 0
-            for drivers in pin_drivers:
-                d = drivers[g]
-                if d >= 0 and level[d] >= depth:
-                    depth = level[d] + 1
-            level[g] = depth
+        driver[out_net] = np.arange(n_gates, dtype=np.int64)
+        waits = (driver[pin_net] >= 0) & ~is_seq[pin_gate]
+        pending = np.bincount(pin_gate[waits], minlength=n_gates)
+        comb_driver = driver.copy()
+        comb_driver[out_net[is_seq]] = -1
+        pin_drivers = comb_driver[fanin]
+        # Slot n_gates (index -1) is "no combinational driver".
+        level = np.full(n_gates + 1, -1, dtype=np.int64)
+        generations: List[np.ndarray] = []
+        frontier = np.flatnonzero(pending == 0)
+        while frontier.size:
+            generations.append(frontier)
+            comb = frontier[~is_seq[frontier]]
+            level[comb] = level[pin_drivers[comb]].max(axis=1) + 1
+            visits, _ = _csr_rows(out_net[frontier], csr_start,
+                                  csr_count, csr_gates)
+            pending -= np.bincount(visits, minlength=n_gates)
+            gates, last = np.unique(visits[::-1], return_index=True)
+            ready = pending[gates] == 0
+            frontier = visits[np.sort(visits.size - 1 - last[ready])]
+        if pending.any():
+            raise ModelDomainError("netlist contains a combinational loop")
         self._levels: List[np.ndarray] = []
-        if comb_topo.size:
-            comb_level = np.array(level, dtype=np.int64)[comb_topo]
+        if generations:
+            topo = np.concatenate(generations)
+            comb_topo = topo[~is_seq[topo]]
+            comb_level = level[comb_topo]
             self._levels = np.split(
                 comb_topo[np.argsort(comb_level, kind="stable")],
                 np.cumsum(np.bincount(comb_level))[:-1])
@@ -520,23 +558,10 @@ class CompiledEventEngine:
                 start += 1
                 ends.append(start)
                 continue
-            counts = csr_count[nets_s]
-            total = int(counts.sum())
-            if total:
-                offsets = np.cumsum(counts) - counts
-                ramp = (np.arange(total, dtype=np.int64)
-                        - np.repeat(offsets, counts))
-                load_gates = csr_gates[
-                    np.repeat(csr_start[nets_s], counts) + ramp]
-                load_event = np.repeat(
-                    np.arange(nets_s.size, dtype=np.int64), counts)
-                load_outputs = out_net[load_gates]
-            else:
-                load_gates = np.zeros(0, dtype=np.int64)
-                load_event = load_gates
-                load_outputs = load_gates
+            load_gates, load_event = _csr_rows(nets_s, csr_start,
+                                               csr_count, csr_gates)
             start += _first_conflict(nets_s, load_gates, load_event,
-                                     load_outputs)
+                                     out_net[load_gates])
             ends.append(start)
         if len(self._partition_cache) >= self.PARTITION_CACHE_MAX:
             self._partition_cache.clear()
@@ -755,30 +780,19 @@ class CompiledEventEngine:
                     if track_extras:
                         written[group_net] = True
                     if n_applied:
-                        counts = csr_count[group_net]
-                        total = int(counts.sum())
-                        if total:
-                            offsets = np.cumsum(counts) - counts
-                            ramp = (np.arange(total, dtype=np.int64)
-                                    - np.repeat(offsets, counts))
-                            grp_gates = csr_gates[
-                                np.repeat(csr_start[group_net], counts)
-                                + ramp]
-                            grp_event = np.repeat(
-                                np.arange(group_net.size,
-                                          dtype=np.int64), counts)
-                            eval_gates = grp_gates[applied[grp_event]]
-                            if eval_gates.size:
-                                new_out = self._evaluate(eval_gates,
-                                                         values)
-                                out_nets = out_net[eval_gates]
-                                sched = new_out != values[out_nets]
-                                if sched.any():
-                                    sched_gates = eval_gates[sched]
-                                    buffer.append(
-                                        t + delays[sched_gates],
-                                        out_nets[sched], new_out[sched],
-                                        sched_gates)
+                        grp_gates, grp_event = _csr_rows(
+                            group_net, csr_start, csr_count, csr_gates)
+                        eval_gates = grp_gates[applied[grp_event]]
+                        if eval_gates.size:
+                            new_out = self._evaluate(eval_gates, values)
+                            out_nets = out_net[eval_gates]
+                            sched = new_out != values[out_nets]
+                            if sched.any():
+                                sched_gates = eval_gates[sched]
+                                buffer.append(
+                                    t + delays[sched_gates],
+                                    out_nets[sched], new_out[sched],
+                                    sched_gates)
                     start = stop
 
         if time_parts:

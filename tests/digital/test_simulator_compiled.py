@@ -9,16 +9,18 @@ storm that trips the budget/oscillation guards, and on random
 hypothesis netlists.
 """
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.digital import (CompiledEventEngine, EventDrivenSimulator,
-                           EventTrace, Netlist, clocked_datapath,
-                           fir_filter, lfsr, random_logic,
-                           random_stimulus, ripple_adder, soc_netlist)
+from repro.digital import (CELL_TYPES, Cell, CompiledEventEngine,
+                           EventDrivenSimulator, EventTrace, Netlist,
+                           clocked_datapath, fir_filter, lfsr,
+                           random_logic, random_stimulus, ripple_adder,
+                           soc_netlist)
 from repro.robust.errors import ModelDomainError, SimulationBudgetError
 from repro.technology import get_node
 
@@ -60,6 +62,19 @@ def inverter_chain(node, length=6):
     for i in range(length):
         net = netlist.add_gate("INV", [net], f"n{i}").output
     return netlist
+
+
+def with_drives(netlist, drives):
+    """A copy of ``netlist`` whose ``i``-th gate has drive
+    ``drives[i % len(drives)]``."""
+    sized = Netlist(netlist.node, netlist.name)
+    sized.add_inputs(netlist.primary_inputs)
+    for inst, drive in zip(netlist.instances.values(),
+                           itertools.cycle(drives)):
+        sized.add_gate(inst.cell.cell_type.name, inst.inputs,
+                       inst.output, drive=drive,
+                       instance_name=inst.name)
+    return sized
 
 
 def glitch_storm(node, n_taps=16, spacing=40):
@@ -293,13 +308,15 @@ class TestHypothesisEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000),
            n_gates=st.integers(min_value=5, max_value=40),
            sequential_fraction=st.floats(min_value=0.0, max_value=0.4),
-           n_cycles=st.integers(min_value=1, max_value=6))
+           n_cycles=st.integers(min_value=1, max_value=6),
+           drives=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+                           min_size=1, max_size=8))
     def test_random_netlists(self, seed, n_gates,
-                             sequential_fraction, n_cycles):
+                             sequential_fraction, n_cycles, drives):
         node = get_node("65nm")
-        netlist = random_logic(
+        netlist = with_drives(random_logic(
             node, n_gates=n_gates, n_inputs=4, seed=seed,
-            sequential_fraction=sequential_fraction)
+            sequential_fraction=sequential_fraction), drives)
         stimulus = random_stimulus(netlist, n_cycles, seed=seed + 1)
         result, trace = run_both(netlist, stimulus, n_cycles,
                                  clock_period=1e-9)
@@ -393,7 +410,7 @@ class TestPartitionCache:
 
 
 class TestLowering:
-    """The one-pass compile agrees exactly with the netlist's views."""
+    """The compile agrees exactly with the netlist's views."""
 
     @pytest.fixture(scope="class")
     def soc(self, node):
@@ -435,3 +452,59 @@ class TestLowering:
             depths = [level_of[gate_of[d.name]] + 1 for d in drivers
                       if d is not None and not d.is_sequential]
             assert level_of[gate_of[inst.name]] == max(depths, default=0)
+
+    WIRE_CAP = 1.3e-15
+
+    @pytest.fixture(scope="class")
+    def mixed(self, node):
+        """Every cell type at four drives, nets repeated on the pins of
+        one gate, and fanouts that mix cell types and drives."""
+        netlist = Netlist(node)
+        nets = netlist.add_inputs(["x", "b", "c", "s"])
+        nets.append(netlist.add_gate("INV", ["x"], "a", drive=2).output)
+        nets.append(netlist.add_gate("NAND2", ["a", "a"], drive=2).output)
+        nets.append(netlist.add_gate("MUX2", ["s", "a", "a"],
+                                     drive=0.5).output)
+        for k, (name, drive) in enumerate(
+                itertools.product(CELL_TYPES, (0.5, 1, 2, 4))):
+            pins = [nets[(5 * k + 3 * pin) % len(nets)]
+                    for pin in range(CELL_TYPES[name].n_inputs)]
+            nets.append(netlist.add_gate(name, pins, drive=drive).output)
+        return netlist
+
+    def test_delays_at_mixed_drives(self, mixed):
+        engine = CompiledEventEngine(mixed,
+                                     wire_cap_per_fanout=self.WIRE_CAP)
+        for g, inst in enumerate(mixed.instances.values()):
+            assert engine._delays[g] == inst.cell.delay(
+                mixed.fanout_capacitance(inst.output, self.WIRE_CAP))
+
+    def test_one_delay_call_per_kind(self, mixed, monkeypatch):
+        calls = []
+        delay = Cell.delay
+
+        def counted(cell, *args, **kwargs):
+            calls.append((cell.cell_type.name, cell.drive))
+            return delay(cell, *args, **kwargs)
+
+        def forbidden(netlist):
+            raise AssertionError("compile called topological_order")
+
+        monkeypatch.setattr(Cell, "delay", counted)
+        monkeypatch.setattr(Netlist, "topological_order", forbidden)
+        CompiledEventEngine(mixed)
+        kinds = {(inst.cell.cell_type.name, inst.cell.drive)
+                 for inst in mixed.instances.values()}
+        assert len(kinds) == 4 * len(CELL_TYPES)
+        assert sorted(calls) == sorted(kinds)
+
+    def test_combinational_loop_rejected(self, node):
+        netlist = Netlist(node)
+        netlist.add_inputs(["a", "en"])
+        netlist.add_gate("DFF", ["en", "d"], "q")
+        netlist.add_gate("INV", ["a"], "b")
+        netlist.add_gate("NAND2", ["b", "d"], "c")
+        netlist.add_gate("XOR2", ["c", "q"], "d")
+        with pytest.raises(ModelDomainError,
+                           match=r"^netlist contains a combinational loop$"):
+            CompiledEventEngine(netlist)

@@ -8,13 +8,16 @@ cells cut).  The oracle builds that graph with networkx and is
 compared on hypothesis netlists with flip-flop feedback, self-fed
 flip-flops, a net on several pins of one gate, undriven nets and
 loads added before their driver, and on every library generator.
+The compiled event engine's settle levels, which come from its own
+array Kahn pass, are checked against the same order.
 """
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.digital import (CELL_TYPES, CompiledTimingGraph, Netlist,
+from repro.digital import (CELL_TYPES, CompiledEventEngine,
+                           CompiledTimingGraph, Netlist,
                            StaticTimingAnalyzer, generators)
 from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
@@ -128,6 +131,43 @@ class TestNetworkxOracle:
     def test_generators_match_networkx(self, build):
         netlist = build()
         assert order_names(netlist) == networkx_order(netlist)
+
+
+class TestCompiledSettleLevels:
+    """The event engine's own Kahn pass against this order.
+
+    ``CompiledEventEngine`` rebuilds the order with array passes over
+    its pin table to levelize its initial settle.  Each settle level
+    must list its gates in this order, a gate's level must be one past
+    its deepest combinational driver, and a loop must raise the same
+    error.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(netlist=netlists(forward_comb_refs=True))
+    def test_levels_follow_order(self, netlist):
+        try:
+            order = order_names(netlist)
+        except ModelDomainError:
+            with pytest.raises(ModelDomainError, match=LOOP):
+                CompiledEventEngine(netlist)
+            return
+        engine = CompiledEventEngine(netlist)
+        levels = [[engine._instance_names[g] for g in gates.tolist()]
+                  for gates in engine._levels]
+        level_of = {name: depth for depth, names in enumerate(levels)
+                    for name in names}
+        instances = netlist.instances
+        comb = [name for name in order
+                if not instances[name].is_sequential]
+        assert [name for names in levels for name in names] \
+            == sorted(comb, key=level_of.__getitem__)
+        for name in comb:
+            drivers = [netlist.driver_of(net)
+                       for net in instances[name].inputs]
+            assert level_of[name] == max(
+                (level_of[d.name] + 1 for d in drivers
+                 if d is not None and not d.is_sequential), default=0)
 
 
 class TestCombinationalLoops:
