@@ -2,8 +2,10 @@
 
 These freeze fixed-seed outputs of the chain sign-off yield, Monte
 Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
-yield and chain sign-off runs of :mod:`repro.exec` and the SoC-scale
-event stream behind the ``soc-noise`` CLI.  Discrete
+yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
+event stream behind the ``soc-noise`` CLI, the electrothermal sweeps
+and the ``electrothermal`` CLI, the Monte Carlo OTA yield and the
+detector front-end synthesis.  Discrete
 values (names, counts, yields, criticality fractions, key order)
 compare exactly and floats at ``rel=1e-12``.  A change that moves one
 of them changes what the library computes and must be an explicit,
@@ -11,12 +13,15 @@ reviewed decision.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
 from repro.analog.chain import chain_yield_vs_node
+from repro.analog.circuits import OtaDesign
+from repro.analog.yield_analysis import OtaYieldAnalyzer, YieldReport
 from repro.digital import (CompiledEventEngine, clocked_datapath,
                            random_logic, random_stimulus, soc_netlist)
 from repro.digital.ssta import (StatisticalTimingAnalyzer,
@@ -25,8 +30,14 @@ from repro.digital.timing import delay_under_mismatch
 from repro.exec import run_sharded
 from repro.exec.workloads import ChainSignoffWorkload, YieldWorkload
 from repro.memory.sram import SramCell
+from repro.robust.errors import ModelDomainWarning
 from repro.substrate.swan import SwanSimulator, run_swan_experiment
-from repro.technology import get_node
+from repro.synthesis.sizing import (default_frontend_spec,
+                                    frontend_synthesizer)
+from repro.technology import all_nodes, get_node
+from repro.thermal import (electrothermal_rth_sweep, electrothermal_trend,
+                           fixed_die_electrothermal_trend,
+                           runaway_rth_threshold)
 
 REL = 1e-12
 
@@ -311,3 +322,131 @@ class TestSocEventStreamPins:
             + "-" * 102 + "\n"
             "              2000 |                471 |            "
             "0.27448 |             187.42 |             4030.5\n")
+
+
+def repr_digest(value):
+    """SHA-256 of ``repr(value)``."""
+    return sha256(repr(value).encode())
+
+
+@pytest.fixture
+def quiet_domain_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelDomainWarning)
+        yield
+
+
+@pytest.mark.usefixtures("quiet_domain_warnings")
+class TestElectrothermalPins:
+    """The electrothermal sweeps, the runaway thresholds and the
+    ``electrothermal`` CLI table.
+
+    Rows are pinned by the SHA-256 of their ``repr``, so any moved
+    temperature, flag or iteration count fails.
+    """
+
+    def test_rth_sweep(self):
+        rows = electrothermal_rth_sweep(
+            all_nodes(), [1.0, 5.0, 20.0, 80.0], n_gates=2_000_000)
+        assert len(rows) == 36
+        assert sum(row["runaway"] for row in rows) == 6
+        assert repr_digest(rows) == (
+            "72dd0eeec54bfb2a1bc1493a37e8c23d"
+            "d719ce2dbb18fa09f83432edb25577b2")
+
+    def test_trend(self):
+        assert repr_digest(electrothermal_trend(all_nodes())) == (
+            "a76808ff49d53bb40910dc6181b422e1"
+            "fa13c434bae8db89f9afc8bdc1edd5e8")
+
+    def test_fixed_die_trend(self):
+        assert repr_digest(fixed_die_electrothermal_trend(all_nodes())) \
+            == ("4a9a7a6c90c4904cee96b9161dbb539b"
+                "d419d573cbb296048c0eed71d95dc51d")
+
+    @pytest.mark.parametrize("node_name, threshold", [
+        ("350nm", 5.8326814656810795),
+        ("250nm", 14.676590484945589),
+        ("180nm", 39.966656711670076),
+        ("130nm", 95.69036329297164),
+        ("100nm", 142.63939709482528),
+        ("90nm", 167.8726649445633),
+        ("65nm", 138.01555676908265),
+        ("45nm", 84.30097331387385),
+        ("32nm", 56.09344864806361),
+    ])
+    def test_runaway_threshold(self, node_name, threshold):
+        assert runaway_rth_threshold(get_node(node_name),
+                                     n_gates=2_000_000) == threshold
+
+    def test_cli_stdout(self, capsys):
+        assert main(["electrothermal", "--nodes", "65nm,130nm",
+                     "--rth-points", "3", "--gates", "100000"]) == 0
+        assert capsys.readouterr().out == (
+            "              node |        rth_K_per_W |         "
+            "junction_K |          leakage_W | feedback_amplification |"
+            "          converged |            runaway |       "
+            "n_iterations\n"
+            + "-" * 169 + "\n"
+            "              65nm |                  1 |             "
+            "318.03 |          0.0021758 |             1.0004 |      "
+            "         True |              False |                  2\n"
+            "              65nm |                 10 |             "
+            "318.26 |          0.0021831 |             1.0037 |      "
+            "         True |              False |                  2\n"
+            "              65nm |                100 |             "
+            "320.57 |          0.0022591 |             1.0387 |      "
+            "         True |              False |                  2\n"
+            "             130nm |                  1 |             "
+            "318.09 |         3.4911e-06 |             1.0047 |      "
+            "         True |              False |                  2\n"
+            "             130nm |                 10 |             "
+            "318.94 |         3.6401e-06 |             1.0475 |      "
+            "         True |              False |                  2\n"
+            "             130nm |                100 |             "
+            " 327.4 |         5.4634e-06 |             1.5723 |      "
+            "         True |              False |                  2\n")
+
+
+class TestOtaYieldPins:
+    """Monte Carlo OTA yield with a spec that every die population
+    straddles: both per-spec yields lie strictly between 0 and 1."""
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, YieldReport(
+            n_samples=300, overall_yield=0.3,
+            per_spec_yield={"phase_margin_deg": 0.45666666666666667,
+                            "offset_sigma": 0.6766666666666666},
+            mean_offset=0.002568916588861474,
+            sigma_offset=0.0018912569736202532)),
+        (1, YieldReport(
+            n_samples=300, overall_yield=0.25,
+            per_spec_yield={"phase_margin_deg": 0.37333333333333335,
+                            "offset_sigma": 0.7033333333333334},
+            mean_offset=0.0023217984051220972,
+            sigma_offset=0.0017702298783664103)),
+    ])
+    def test_report(self, seed, expected):
+        node = get_node("65nm")
+        f = node.feature_size
+        report = OtaYieldAnalyzer(
+            node, OtaDesign(40 * f, 4 * f, 20 * f, 6 * f, 20e-6),
+            load_capacitance=1e-12, seed=seed,
+        ).run({"phase_margin_deg": 87.37, "offset_sigma": 3e-3},
+              n_samples=300)
+        assert repr(report) == repr(expected)
+
+
+class TestFrontendSynthesisPins:
+    def test_best_design(self):
+        result = frontend_synthesizer(
+            get_node("65nm"), default_frontend_spec()).run(
+            seed=0, maxiter=10, popsize=8)
+        assert result.values == {
+            "input_width": 2.0981015528085085e-05,
+            "input_length": 9.900845933130675e-08,
+            "feedback_capacitance": 2.3819445119218395e-14,
+            "shaper_time_constant": 8.073229093980165e-07,
+            "drain_current": 1.0029610245290244e-05}
+        assert result.cost == 2.0059220490580488e-05
+        assert result.n_evaluations == 704
