@@ -1,8 +1,8 @@
 """Performance benchmark of the batched electrothermal solver.
 
-Acceptance gate: ``electrothermal_rth_sweep(backend="vectorized")``
-over the full node library x a 24-point Rth grid is >= 5x faster than
-the scalar oracle (one fixed point per grid element), with
+Acceptance gate: ``electrothermal_rth_sweep`` over the full node
+library x a 24-point Rth grid is >= 5x faster than the scalar oracle
+``_rth_sweep_reference`` (one fixed point per grid element), with
 oracle-equivalent convergence behavior: identical convergence /
 runaway flags and iteration counts on every grid element (including
 non-convergent ones — the IterationGuard report parity is pinned in
@@ -23,6 +23,7 @@ from conftest import record_bench
 from repro.robust.errors import ModelDomainWarning
 from repro.technology import all_nodes
 from repro.thermal import electrothermal_rth_sweep
+from repro.thermal.electrothermal import _rth_sweep_reference
 
 RTH_GRID = np.geomspace(1.0, 100.0, 24)
 
@@ -42,14 +43,13 @@ def test_batched_electrothermal_speedup(benchmark):
     """Acceptance: batched nodes x Rth sweep >= 5x the scalar oracle."""
     nodes = all_nodes()
 
-    def sweep(backend):
+    def sweep(path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDomainWarning)
-            return electrothermal_rth_sweep(nodes, RTH_GRID,
-                                            backend=backend)
+            return path(nodes, RTH_GRID)
 
-    vector = benchmark(lambda: sweep("vectorized"))
-    oracle = sweep("oracle")
+    vector = benchmark(lambda: sweep(electrothermal_rth_sweep))
+    oracle = sweep(_rth_sweep_reference)
     assert len(oracle) == len(vector) == len(nodes) * len(RTH_GRID)
     for a, b in zip(oracle, vector):
         assert a["node"] == b["node"]
@@ -59,8 +59,8 @@ def test_batched_electrothermal_speedup(benchmark):
         assert b["junction_K"] == pytest.approx(a["junction_K"],
                                                 rel=1e-9)
 
-    t_oracle = best_of(lambda: sweep("oracle"), repeats=2)
-    t_vector = best_of(lambda: sweep("vectorized"), repeats=3)
+    t_oracle = best_of(lambda: sweep(_rth_sweep_reference), repeats=2)
+    t_vector = best_of(lambda: sweep(electrothermal_rth_sweep), repeats=3)
     speedup = t_oracle / t_vector
     print(f"\nelectrothermal sweep {len(nodes)} nodes x "
           f"{len(RTH_GRID)} Rth points: "

@@ -248,26 +248,6 @@ def cmd_soc_noise(args) -> int:
     return 0
 
 
-def cmd_backends(_args) -> int:
-    from .backends import (available_backends, equivalence_contract,
-                           get_backend, registered_engines)
-    from .robust import ReproError
-    print("Evaluation engines (oracle/vectorized protocol):")
-    for engine in registered_engines():
-        names = available_backends(engine)
-        try:
-            contract = equivalence_contract(engine)
-            agreement = "bit-for-bit" if contract.bitwise \
-                else f"rtol<={contract.rtol:g}"
-        except ReproError:
-            agreement = "no contract"
-        print(f"  {engine}  [{', '.join(names)}]  ({agreement})")
-        for name in names:
-            backend = get_backend(engine, name)
-            print(f"    {name:>10}: {backend.description}")
-    return 0
-
-
 def cmd_electrothermal(args) -> int:
     import numpy as np
     from .robust import RoadmapDataError
@@ -286,7 +266,7 @@ def cmd_electrothermal(args) -> int:
                               args.rth_points)
     rows = electrothermal_rth_sweep(
         nodes, rth_values, n_gates=args.gates,
-        frequency=args.frequency, backend=args.backend)
+        frequency=args.frequency)
     _print_table(rows, columns=["node", "rth_K_per_W", "junction_K",
                                 "leakage_W", "feedback_amplification",
                                 "converged", "runaway", "n_iterations"])
@@ -443,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_args(soc_parser)
     soc_parser.set_defaults(func=cmd_soc_noise)
 
-    backends_parser = sub.add_parser(
-        "backends",
-        help="list the registered evaluation engines, their "
-             "oracle/vectorized backends and equivalence contracts")
-    backends_parser.set_defaults(func=cmd_backends)
-
     et_parser = sub.add_parser(
         "electrothermal",
         help="junction temperature / runaway across a nodes x Rth "
@@ -462,10 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     et_parser.add_argument("--rth-points", type=int, default=5)
     et_parser.add_argument("--gates", type=int, default=1_000_000)
     et_parser.add_argument("--frequency", type=float, default=1e9)
-    et_parser.add_argument("--backend",
-                           choices=("oracle", "vectorized"),
-                           default=None,
-                           help="evaluation path (default: vectorized)")
     et_parser.set_defaults(func=cmd_electrothermal)
 
     sub.add_parser("figures", help="index of figure benchmarks"

@@ -43,8 +43,8 @@ def _elementwise(fn: Callable[..., float], *arrays: ArrayLike) -> np.ndarray:
     ``log10`` / ``arctan`` / ``power`` occasionally differ from libm
     by one ulp.  Computing those few operations per element through
     Python's ``math`` keeps the vectorized twin bit-for-bit equal to
-    the scalar oracle, which is what makes fixed-seed synthesis
-    return the identical best design on either backend.  Populations
+    the scalar evaluator, which is what makes fixed-seed synthesis
+    return the identical best design on either path.  Populations
     are a few hundred candidates, so the Python loop is microseconds.
     """
     broadcast = np.broadcast_arrays(
@@ -195,14 +195,14 @@ class SingleStageOta:
                        node_overrides: Optional[
                            Mapping[str, ArrayLike]] = None,
                        invalid: str = "raise") -> OtaPerformance:
-        """Array-valued twin of :meth:`evaluate` (vectorized backend).
+        """Array-valued twin of :meth:`evaluate`.
 
         Evaluates a whole population of sizings in one pass: the five
         design arrays broadcast together and the returned
         :class:`OtaPerformance` holds same-shape ndarrays in every
         field.  Bit-for-bit equal to looping :meth:`evaluate` over
-        the elements -- the equivalence contract of the
-        ``synthesis.ota`` engine (see :mod:`repro.backends`).
+        the elements (the ``synthesis.ota`` tolerance is 0, see
+        :func:`repro.backends.equivalence_contract`).
 
         ``node_overrides`` optionally varies the technology per
         element (keys ``vth`` / ``feature_size`` / ``tox``), the
@@ -490,12 +490,12 @@ class DetectorFrontend:
                        shaper_time_constant: ArrayLike,
                        drain_current: ArrayLike, *,
                        invalid: str = "raise") -> FrontendPerformance:
-        """Array-valued twin of :meth:`evaluate` (vectorized backend).
+        """Array-valued twin of :meth:`evaluate`.
 
         Broadcasts the five design arrays and returns a
         :class:`FrontendPerformance` of same-shape ndarrays,
         bit-for-bit equal to looping :meth:`evaluate` over the
-        elements (the ``synthesis.frontend`` equivalence contract).
+        elements (the ``synthesis.frontend`` tolerance is 0).
         ``invalid="nan"`` NaN-fills elements the scalar path would
         reject instead of raising :class:`ModelDomainError`.
         """

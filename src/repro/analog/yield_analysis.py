@@ -22,8 +22,6 @@ from ..technology.node import TechnologyNode
 from ..variability.pelgrom import sigma_delta_beta, sigma_delta_vth
 from ..variability.statistical import MonteCarloSampler, VariationSpec
 from .circuits import OtaDesign, OtaPerformance, SingleStageOta
-from ..backends.protocol import resolve_backend, register_backend
-from ..backends.contracts import register_contract
 from ..robust.rng import resolve_rng
 from ..robust.errors import ModelDomainError
 
@@ -95,7 +93,8 @@ class OtaYieldAnalyzer:
 
     def _performance_matrix_oracle(self, batch, offsets: np.ndarray,
                                    keys: List[str]) -> np.ndarray:
-        """Scalar oracle: one ``with_overrides`` + evaluate per die."""
+        """Scalar reference of :meth:`_performance_matrix_batch`: one
+        ``with_overrides`` + evaluate per die (only tests call it)."""
         n_samples = len(offsets)
         values = np.empty((n_samples, len(keys)))
         for i in range(n_samples):
@@ -142,23 +141,18 @@ class OtaYieldAnalyzer:
         return values
 
     def run(self, spec: Dict[str, float],
-            n_samples: int = 300,
-            backend: Optional[str] = None) -> YieldReport:
+            n_samples: int = 300) -> YieldReport:
         """MC yield against ``spec``.
 
         ``spec`` keys: ``gain_db``/``gbw_hz``/``phase_margin_deg``/
         ``slew_rate``/``swing`` are minima; ``power``/``offset_sigma``
         maxima (same convention as :meth:`OtaPerformance.meets`).
-
-        ``backend`` selects the ``"analog.ota_yield"`` evaluation path:
-        ``"vectorized"`` (default) evaluates every die in one
+        Every die is evaluated in one
         :meth:`SingleStageOta.evaluate_batch` call with per-die node
-        overrides; ``"oracle"`` is the original per-die scalar loop.
-        Under a fixed seed both return bit-for-bit identical reports.
+        overrides, bit-for-bit the per-die scalar loop.
         """
         if n_samples < 1:
             raise ModelDomainError("n_samples must be positive")
-        resolved = resolve_backend("analog.ota_yield", backend)
         minima = ("gain_db", "gbw_hz", "phase_margin_deg",
                   "slew_rate", "swing")
         batch = self._sampler.sample_dies_batch(n_samples)
@@ -167,10 +161,7 @@ class OtaYieldAnalyzer:
         offsets = np.abs(sigma_in * draws[:, 0]
                          + 0.1 * sigma_beta * draws[:, 1])
         keys = list(spec)
-        if resolved.name == "vectorized":
-            values = self._performance_matrix_batch(batch, offsets, keys)
-        else:
-            values = self._performance_matrix_oracle(batch, offsets, keys)
+        values = self._performance_matrix_batch(batch, offsets, keys)
         bounds = np.array([spec[key] for key in keys])
         is_min = np.array([key in minima for key in keys])
         ok = np.where(is_min, values >= bounds, values <= bounds)
@@ -240,19 +231,3 @@ def area_for_offset_yield(node: TechnologyNode, offset_limit: float,
         raise ModelDomainError("offset_limit and sigma_level must be positive")
     sigma_needed = offset_limit / sigma_level
     return (node.avt / sigma_needed) ** 2
-
-
-register_backend(
-    "analog.ota_yield", "oracle",
-    OtaYieldAnalyzer._performance_matrix_oracle,
-    "per-die scalar loop: with_overrides + SingleStageOta.evaluate")
-register_backend(
-    "analog.ota_yield", "vectorized",
-    OtaYieldAnalyzer._performance_matrix_batch,
-    "all dies in one SingleStageOta.evaluate_batch with node overrides")
-register_contract(
-    "analog.ota_yield", 0.0,
-    "Monte Carlo yield reports are bit-for-bit identical: the batched "
-    "evaluator shares every closed-form float with the scalar oracle",
-    entry_points=(
-        "repro.analog.yield_analysis.OtaYieldAnalyzer.run",))

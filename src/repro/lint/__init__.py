@@ -20,18 +20,16 @@ code      name                      invariant
                                     array-annotated parameters
 ``R006``  shard-seed-discipline     shard entry points derive their
                                     streams from the pinned shard seed
-``R007``  backend-conformance       every registered engine exposes both
-                                    an oracle and a vectorized path
 ``R008``  transitive-determinism    no determinism root *reaches* a
                                     nondeterministic effect through the
                                     project call graph
-``R009``  twin-signature-parity     scalar/batched twin signatures agree
-                                    modulo the batching axis
+``R009``  twin-signature-parity     ``X``/``X_batch`` twin signatures
+                                    agree modulo the batching axis
 ``R010``  dead-public-api           public functions are referenced or
                                     exported somewhere in the project
 ========  ========================  =======================================
 
-R001-R007 are per-file (syntactic); R008-R010 run on the project-wide
+R001-R006 are per-file (syntactic); R008-R010 run on the project-wide
 semantic model (:mod:`repro.lint.semantic`) built from content-hash
 cached per-file summaries (``.replint_cache/``; disable with
 ``--no-cache``).  Run ``python -m repro.lint --list-rules`` for the

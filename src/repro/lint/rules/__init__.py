@@ -7,7 +7,7 @@ A rule is a small stateless object with a ``code`` (``R0xx``), a
 * ``"project"`` -- ``check_project(infos)`` sees every parsed file;
 * ``"semantic"`` -- ``check_semantic(model)`` sees the project-wide
   :class:`~repro.lint.semantic.model.SemanticModel` (call graph,
-  transitive effects, backend/contract registrations) built from
+  transitive effects, determinism roots, liveness) built from
   cached per-file summaries -- these rules never touch raw ASTs, so
   a warm cache runs them without re-parsing anything.
 
@@ -81,5 +81,5 @@ def get_rules(select: Optional[Sequence[str]] = None,
 def _load_builtin_rules() -> None:
     """Import the rule modules exactly once (registration side effect)."""
     from . import (rng, validation, exceptions, registry,  # noqa: F401
-                   vectorization, shard_rng, backends,  # noqa: F401
+                   vectorization, shard_rng,  # noqa: F401
                    determinism, twins, deadapi)  # noqa: F401

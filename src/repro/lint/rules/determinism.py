@@ -3,11 +3,11 @@
 R001 and R006 police individual call sites; R008 upgrades them to a
 *reachability* guarantee.  Every determinism root -- a shard entry
 point (the R006 set: ``run_shard`` or any function with a ``shard``
-parameter), a registered backend target, or a function named in an
-equivalence contract's ``entry_points`` -- must not transitively
-reach a nondeterministic effect (``reads-clock``, ``unseeded-rng``,
-``env-dependent``, ``io``, ``unordered-iteration``) anywhere in its
-call graph.
+parameter) or a fixed-seed engine entry point listed in
+:data:`~repro.lint.semantic.model.DETERMINISM_ROOTS` -- must not
+transitively reach a nondeterministic effect (``reads-clock``,
+``unseeded-rng``, ``env-dependent``, ``io``, ``unordered-iteration``)
+anywhere in its call graph.
 
 Two waiver points exist, both requiring a documented reason:
 
@@ -30,9 +30,9 @@ from . import Rule, register
 class TransitiveDeterminismRule(Rule):
     code = "R008"
     name = "transitive-determinism"
-    description = ("shard entry points, backend targets, and contract "
-                   "entry points must not transitively reach "
-                   "nondeterministic effects")
+    description = ("shard entry points and listed engine entry points "
+                   "must not transitively reach nondeterministic "
+                   "effects")
     scope = "semantic"
 
     def check_semantic(self, model) -> Iterable[Finding]:

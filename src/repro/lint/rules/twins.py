@@ -5,8 +5,7 @@ evaluators agree *numerically* -- but only for the signatures the
 tests happen to exercise.  R009 pins the signatures themselves so
 twins cannot drift between equivalence-test runs:
 
-* every ``X``/``X_batch`` pair in the same module or class, and every
-  registered backend engine's oracle/vectorized pair, is a twin;
+* every ``X``/``X_batch`` pair in the same module or class is a twin;
 * shared parameters must appear in the same relative order with the
   same default expressions;
 * determinism plumbing (``rng``, ``seed``, ``backend``,
@@ -18,15 +17,12 @@ twins cannot drift between equivalence-test runs:
   keyword-only), so scalar call shapes translate mechanically;
 * when the scalar takes a single dataclass argument that the batch
   unpacks into per-field arrays, the batch's positional parameters
-  must be exactly the dataclass fields, in declaration order;
-* a registered vectorized backend must be named after its oracle
-  (``<oracle>_batch``, with an optional ``_oracle`` suffix stripped)
-  so the pairing stays discoverable statically.
+  must be exactly the dataclass fields, in declaration order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..findings import Finding
 from . import Rule, register
@@ -61,41 +57,19 @@ class TwinSignatureParityRule(Rule):
         paths = {fn.qual: summary.path
                  for summary in model.summaries.values()
                  for fn in summary.functions.values()}
-        pairs: Dict[Tuple[str, str], str] = {}
-        for qual in sorted(graph.functions):
-            if not qual.endswith("_batch"):
+        for batch_qual in sorted(graph.functions):
+            if not batch_qual.endswith("_batch"):
                 continue
-            scalar_qual = qual[:-len("_batch")]
-            if scalar_qual in graph.functions:
-                pairs[(scalar_qual, qual)] = "name twin"
-        for engine in sorted(model.engines):
-            pair = model.engines[engine]
-            if pair.oracle and pair.vectorized:
-                base = pair.oracle
-                if base.endswith("_oracle"):
-                    base = base[:-len("_oracle")]
-                expected = f"{base}_batch"
-                if pair.vectorized != expected:
-                    path, line = pair.vectorized_site
-                    yield Finding(
-                        path=path, line=line, col=0, code=self.code,
-                        message=(f"engine '{engine}': vectorized "
-                                 f"backend {pair.vectorized} is not "
-                                 f"named after its oracle (expected "
-                                 f"{expected})"))
-                elif pair.vectorized in graph.functions \
-                        and pair.oracle in graph.functions:
-                    pairs.setdefault((pair.oracle, pair.vectorized),
-                                     f"engine '{engine}'")
-        for (scalar_qual, batch_qual), origin in sorted(pairs.items()):
+            scalar_qual = batch_qual[:-len("_batch")]
+            if scalar_qual not in graph.functions:
+                continue
             scalar = graph.functions[scalar_qual]
             batch = graph.functions[batch_qual]
             for message in self._compare(model, scalar, batch):
                 yield Finding(
                     path=paths[batch_qual], line=batch.line,
                     col=batch.col, code=self.code,
-                    message=(f"{batch.name} vs {scalar.name} "
-                             f"({origin}): {message}"))
+                    message=f"{batch.name} vs {scalar.name}: {message}")
 
     # -- pairwise checks ----------------------------------------------
 

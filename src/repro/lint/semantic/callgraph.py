@@ -120,20 +120,6 @@ class CallGraph:
             candidate = chased
         return []
 
-    def find(self, name: str) -> List[str]:
-        """Resolve a possibly-abbreviated function name.
-
-        Exact qualnames win; otherwise a dotted-suffix match
-        (``statistical.monte_carlo_yield`` or a bare function name)
-        returns every function it unambiguously denotes.
-        """
-        resolved = self.resolve(name)
-        if resolved:
-            return resolved
-        suffix = "." + name
-        return sorted(qual for qual in self.functions
-                      if qual.endswith(suffix))
-
     # -- structure ----------------------------------------------------
 
     def _build_edges(self) -> None:

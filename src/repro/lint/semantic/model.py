@@ -3,10 +3,9 @@
 A :class:`SemanticModel` bundles the per-file summaries (cache-served
 or freshly extracted) with the :class:`~repro.lint.semantic.callgraph.
 CallGraph` built from them, and pre-digests the project-wide facts
-the R008-R010 rules query: determinism roots (shard entry points,
-backend registration targets, contract entry points), backend twin
-pairs per engine, and the merged reference/export tables for liveness
-analysis.
+the R008-R010 rules query: determinism roots (shard entry points plus
+the listed :data:`DETERMINISM_ROOTS`) and the merged reference/export
+tables for liveness analysis.
 """
 
 from __future__ import annotations
@@ -15,22 +14,29 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from .callgraph import CallGraph
-from .summary import (BackendRegistration, ContractRegistration,
-                      FileSummary, FunctionSummary)
+from .summary import FileSummary, FunctionSummary
 
-
-@dataclass
-class EnginePair:
-    """One backend engine's registered oracle/vectorized targets."""
-
-    engine: str
-    oracle: str = ""            # resolved qualname ("" = unregistered)
-    vectorized: str = ""
-    #: (path, line) of the registration sites, for finding anchors.
-    oracle_site: Tuple[str, int] = ("", 0)
-    vectorized_site: Tuple[str, int] = ("", 0)
-    entry_points: List[str] = field(default_factory=list)
-    contract_site: Tuple[str, int] = ("", 0)
+#: Fixed-seed entry points R008 holds to determinism besides the shard
+#: entry points: the batched OTA, front-end, OTA-yield and
+#: electrothermal engines, the scalar references they are tested
+#: against, and the public drivers that run them.
+DETERMINISM_ROOTS: Tuple[str, ...] = (
+    "repro.analog.circuits.DetectorFrontend.evaluate",
+    "repro.analog.circuits.DetectorFrontend.evaluate_batch",
+    "repro.analog.circuits.SingleStageOta.evaluate",
+    "repro.analog.circuits.SingleStageOta.evaluate_batch",
+    "repro.analog.yield_analysis.OtaYieldAnalyzer."
+    "_performance_matrix_batch",
+    "repro.analog.yield_analysis.OtaYieldAnalyzer."
+    "_performance_matrix_oracle",
+    "repro.analog.yield_analysis.OtaYieldAnalyzer.run",
+    "repro.synthesis.sizing.frontend_synthesizer",
+    "repro.synthesis.sizing.ota_synthesizer",
+    "repro.thermal.electrothermal.electrothermal_rth_sweep",
+    "repro.thermal.electrothermal.runaway_rth_threshold",
+    "repro.thermal.electrothermal.solve_operating_point",
+    "repro.thermal.electrothermal.solve_operating_point_batch",
+)
 
 
 @dataclass
@@ -40,7 +46,6 @@ class SemanticModel:
     #: path string -> that file's summary.
     summaries: Dict[str, FileSummary]
     graph: CallGraph
-    engines: Dict[str, EnginePair] = field(default_factory=dict)
     #: bare name -> True when referenced outside the function's own
     #: body somewhere in the project (or exported via ``__all__``).
     _live_names: Set[str] = field(default_factory=set)
@@ -51,27 +56,14 @@ class SemanticModel:
 
     def determinism_roots(self) -> List[Tuple[str, str]]:
         """``(qualname, why-it-is-a-root)`` for every contract-bearing
-        function: R006 shard entry points, registered backend targets,
-        and functions named in an equivalence contract."""
-        roots: Dict[str, str] = {}
-
-        def add(qual: str, why: str) -> None:
-            roots.setdefault(qual, why)
-
-        for qual in sorted(self.graph.functions):
-            if self.graph.functions[qual].is_shard_entry:
-                add(qual, "shard entry point")
-        for engine in sorted(self.engines):
-            pair = self.engines[engine]
-            if pair.oracle:
-                add(pair.oracle, f"oracle backend of '{engine}'")
-            if pair.vectorized:
-                add(pair.vectorized,
-                    f"vectorized backend of '{engine}'")
-            for name in pair.entry_points:
-                for qual in self.graph.find(name):
-                    add(qual,
-                        f"entry point of '{engine}' contract")
+        function: R006 shard entry points and the
+        :data:`DETERMINISM_ROOTS` present in the analysed tree."""
+        roots = {qual: "shard entry point"
+                 for qual, fn in self.graph.functions.items()
+                 if fn.is_shard_entry}
+        for qual in DETERMINISM_ROOTS:
+            if qual in self.graph.functions:
+                roots.setdefault(qual, "listed determinism root")
         return sorted(roots.items())
 
     # -- R010: liveness -----------------------------------------------
@@ -99,10 +91,6 @@ def build_semantic_model(
     model = SemanticModel(summaries=dict(summaries), graph=graph)
 
     for summary in summaries.values():
-        for registration in summary.backend_registrations:
-            _fold_backend(model, summary, registration)
-        for registration in summary.contract_registrations:
-            _fold_contract(model, summary, registration)
         for name, owners in summary.references.items():
             bucket = model._reference_owners.setdefault(name, set())
             for owner in owners:
@@ -114,28 +102,3 @@ def build_semantic_model(
         for exported in summary.exports:
             model._live_names.add(exported)
     return model
-
-
-def _fold_backend(model: SemanticModel, summary: FileSummary,
-                  registration: BackendRegistration) -> None:
-    if not registration.engine:
-        return
-    pair = model.engines.setdefault(
-        registration.engine, EnginePair(engine=registration.engine))
-    site = (summary.path, registration.line)
-    if registration.backend == "oracle":
-        pair.oracle = registration.target
-        pair.oracle_site = site
-    elif registration.backend == "vectorized":
-        pair.vectorized = registration.target
-        pair.vectorized_site = site
-
-
-def _fold_contract(model: SemanticModel, summary: FileSummary,
-                   registration: ContractRegistration) -> None:
-    if not registration.engine:
-        return
-    pair = model.engines.setdefault(
-        registration.engine, EnginePair(engine=registration.engine))
-    pair.entry_points.extend(registration.entry_points)
-    pair.contract_site = (summary.path, registration.line)

@@ -3,12 +3,12 @@
 A :class:`FileSummary` is everything the project-wide passes need to
 know about one source file -- per-function signatures, direct effect
 sets, resolved callee candidates, name references, ``__all__``
-exports, backend/contract registrations, and the waiver tables -- as
-plain JSON-serializable data.  It is a *pure function of the file's
-content and path*, which is what makes the incremental cache
-(:mod:`repro.lint.semantic.cache`) sound: a content hash fully keys
-the summary, and everything derived across files (the call graph,
-transitive effects) is recomputed from summaries on every run.
+exports and the waiver tables -- as plain JSON-serializable data.  It
+is a *pure function of the file's content and path*, which is what
+makes the incremental cache (:mod:`repro.lint.semantic.cache`)
+sound: a content hash fully keys the summary, and everything derived
+across files (the call graph, transitive effects) is recomputed from
+summaries on every run.
 
 Call resolution here is deliberately an under-approximation that
 never guesses: bare names resolve through local symbols and explicit
@@ -34,7 +34,7 @@ from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -111,37 +111,6 @@ class FunctionSummary:
 
 
 @dataclass
-class BackendRegistration:
-    """One ``register_backend(engine, name, target)`` call site."""
-
-    engine: str                 # "" when not a string literal
-    backend: str
-    target: str                 # resolved qualname, "" when opaque
-    line: int
-    col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"engine": self.engine, "backend": self.backend,
-                "target": self.target, "line": self.line,
-                "col": self.col}
-
-
-@dataclass
-class ContractRegistration:
-    """One ``register_contract(engine, ..., entry_points=...)`` site."""
-
-    engine: str
-    entry_points: List[str]
-    line: int
-    col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"engine": self.engine,
-                "entry_points": list(self.entry_points),
-                "line": self.line, "col": self.col}
-
-
-@dataclass
 class FileSummary:
     """Everything the semantic passes need to know about one file."""
 
@@ -153,10 +122,6 @@ class FileSummary:
     classes: Dict[str, Dict[str, List[str]]] = field(default_factory=dict)
     #: bare imported name -> absolute repro target ("repro.x.y.name")
     aliases: Dict[str, str] = field(default_factory=dict)
-    backend_registrations: List[BackendRegistration] = \
-        field(default_factory=list)
-    contract_registrations: List[ContractRegistration] = \
-        field(default_factory=list)
     #: referenced bare name -> sorted owners ("" = module level / class
     #: body / method; otherwise the enclosing top-level function name)
     references: Dict[str, List[str]] = field(default_factory=dict)
@@ -181,10 +146,6 @@ class FileSummary:
                           for qual, fn in self.functions.items()},
             "classes": self.classes,
             "aliases": self.aliases,
-            "backend_registrations": [
-                r.to_dict() for r in self.backend_registrations],
-            "contract_registrations": [
-                r.to_dict() for r in self.contract_registrations],
             "references": self.references,
             "exports": self.exports,
             "line_waiver_codes": {str(line): codes for line, codes
@@ -204,12 +165,6 @@ class FileSummary:
                        for qual, fn in data["functions"].items()},
             classes=data["classes"],
             aliases=data["aliases"],
-            backend_registrations=[
-                BackendRegistration(**r)
-                for r in data["backend_registrations"]],
-            contract_registrations=[
-                ContractRegistration(**r)
-                for r in data["contract_registrations"]],
             references=data["references"],
             exports=data["exports"],
             line_waiver_codes={int(line): codes for line, codes
@@ -442,49 +397,6 @@ def _literal_str(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-def _call_arg(call: ast.Call, position: int,
-              keyword: str) -> Optional[ast.AST]:
-    node: Optional[ast.AST] = call.args[position] \
-        if len(call.args) > position else None
-    for kw in call.keywords:
-        if kw.arg == keyword:
-            node = kw.value
-    return node
-
-
-def _collect_registrations(info: ModuleInfo, resolver: _Resolver,
-                           summary: FileSummary) -> None:
-    for node in ast.walk(info.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = dotted_name(node.func)
-        short = callee.split(".")[-1] if callee else ""
-        if short == "register_backend":
-            engine = _literal_str(_call_arg(node, 0, "engine")) or ""
-            backend = _literal_str(_call_arg(node, 1, "name")) or ""
-            target_node = _call_arg(node, 2, "call")
-            target = ""
-            if target_node is not None:
-                dotted = dotted_name(target_node)
-                if dotted:
-                    target = resolver.resolve(dotted, None, {}) or ""
-            summary.backend_registrations.append(BackendRegistration(
-                engine=engine, backend=backend, target=target,
-                line=node.lineno, col=node.col_offset))
-        elif short == "register_contract":
-            engine = _literal_str(_call_arg(node, 0, "engine")) or ""
-            points_node = _call_arg(node, 3, "entry_points")
-            points: List[str] = []
-            if isinstance(points_node, (ast.Tuple, ast.List)):
-                for element in points_node.elts:
-                    literal = _literal_str(element)
-                    if literal is not None:
-                        points.append(literal)
-            summary.contract_registrations.append(ContractRegistration(
-                engine=engine, entry_points=points,
-                line=node.lineno, col=node.col_offset))
-
-
 def _collect_references(info: ModuleInfo,
                         summary: FileSummary) -> None:
     references: Dict[str, set] = {}
@@ -555,7 +467,6 @@ def summarize(info: ModuleInfo) -> FileSummary:
             summary.classes[node.name] = {"fields": fields,
                                           "methods": methods}
 
-    _collect_registrations(info, resolver, summary)
     _collect_references(info, summary)
 
     summary.line_waiver_codes = {

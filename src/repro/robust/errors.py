@@ -116,16 +116,6 @@ class ExecBudgetError(ExecError):
     """
 
 
-class BackendEquivalenceError(ReproError, AssertionError):
-    """Oracle and vectorized backend results violate their contract.
-
-    Raised by :func:`repro.backends.contracts.assert_backends_agree`
-    when the two paths of a registered engine disagree beyond the
-    engine's declared tolerance.  Inherits ``AssertionError`` so the
-    equivalence test suite gets ordinary assertion semantics.
-    """
-
-
 class ModelIndexError(ReproError, IndexError):
     """An index or position lies outside a model grid or sample set.
 

@@ -414,16 +414,14 @@ def default_registry() -> List[ApiSpec]:
             [node], n_gates=10_000, frequency=frequency,
             activity=activity)
 
-    def synthesis_run_vectorized(gain_bound: float,
-                                 power_bound: float) -> Any:
+    def synthesis_run(gain_bound: float, power_bound: float) -> Any:
         from ..synthesis.sizing import Specification, ota_synthesizer
         spec = Specification(
             objective="power",
             constraints={"gain_db": ("min", gain_bound),
                          "power": ("max", power_bound)})
         synthesizer = ota_synthesizer(node, 1e-12, spec)
-        result = synthesizer.run(seed=5, maxiter=2, popsize=6,
-                                 backend="vectorized")
+        result = synthesizer.run(seed=5, maxiter=2, popsize=6)
         return {"cost": result.cost, "values": result.values}
 
     def specification_penalty(gain_bound: float,
@@ -710,7 +708,7 @@ def default_registry() -> List[ApiSpec]:
                 ("input_width", "feedback_capacitance",
                  "drain_current")),
         ApiSpec("synthesis.sizing.CircuitSynthesizer.run",
-                synthesis_run_vectorized,
+                synthesis_run,
                 {"gain_bound": 40.0, "power_bound": 1e-3},
                 ("gain_bound", "power_bound")),
         ApiSpec("synthesis.sizing.Specification.penalty",

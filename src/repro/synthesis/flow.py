@@ -64,23 +64,19 @@ def synthesize_detector_frontend(node: TechnologyNode,
                                  detector_capacitance: float = 5e-12,
                                  seed: int = 0,
                                  sizing_maxiter: int = 40,
-                                 placement_iterations: int = 2000,
-                                 backend: Optional[str] = None
+                                 placement_iterations: int = 2000
                                  ) -> FrontendFlowReport:
     """Run the full AMGIE/LAYLA flow for the detector front-end.
 
     Returns the sized, placed and routed block.  Deterministic for a
-    given ``seed``; ``backend`` selects the sizing evaluation path
-    (``"oracle"``/``"vectorized"``, see :mod:`repro.backends`) and
-    does not change the resulting design.
+    given ``seed``.
     """
     spec = spec or default_frontend_spec()
 
     # 1. AMGIE: optimization-based sizing.
     synthesizer = frontend_synthesizer(
         node, spec, detector_capacitance=detector_capacitance)
-    sizing = synthesizer.run(seed=seed, maxiter=sizing_maxiter,
-                             backend=backend)
+    sizing = synthesizer.run(seed=seed, maxiter=sizing_maxiter)
     values = sizing.values
 
     # 2. Procedural device generation.

@@ -11,8 +11,8 @@ variables, scoring candidates with the analytic evaluation engines of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import differential_evolution
@@ -24,8 +24,6 @@ from ..technology.node import TechnologyNode
 from ..analog.circuits import (DetectorFrontend, DetectorFrontendDesign,
                                FrontendPerformance, OtaDesign,
                                OtaPerformance, SingleStageOta)
-from ..backends.protocol import BACKEND_NAMES, register_backend
-from ..backends.contracts import register_contract
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class SynthesisResult:
     feasible: bool
     #: Optimizer convergence diagnostics (None for hand-built results).
     report: Optional[ConvergenceReport] = None
-    #: Which evaluation backend scored the population ("oracle" or
+    #: Which evaluation path scored the population ("oracle" or
     #: "vectorized"); hand-built results default to the oracle.
     backend: str = "oracle"
 
@@ -168,13 +166,9 @@ class CircuitSynthesizer:
     evaluate_batch:
         Optional vectorized twin: maps a {name: ndarray} dict of
         per-candidate columns to a performance object with array
-        fields (NaN for infeasible candidates).  When provided, the
-        ``"vectorized"`` backend scores a whole DE generation in one
-        call; when omitted, only the ``"oracle"`` backend is
-        available.
-    engine:
-        Optional engine name in the :mod:`repro.backends` registry,
-        for discoverability (set by the ready-made factories).
+        fields (NaN for infeasible candidates).  When provided,
+        :meth:`run` scores a whole DE generation in one call; when
+        omitted, it scores candidates one by one through ``evaluate``.
     """
 
     PENALTY_WEIGHT = 1e3
@@ -183,15 +177,13 @@ class CircuitSynthesizer:
                  evaluate: Callable[[Dict[str, float]], object],
                  spec: Specification,
                  evaluate_batch: Optional[
-                     Callable[[Dict[str, np.ndarray]], object]] = None,
-                 engine: Optional[str] = None):
+                     Callable[[Dict[str, np.ndarray]], object]] = None):
         if not variables:
             raise ModelDomainError("need at least one design variable")
         self.variables = list(variables)
         self.evaluate = evaluate
         self.evaluate_batch = evaluate_batch
         self.spec = spec
-        self.engine = engine
         self._n_evaluations = 0
 
     def _decode(self, x: np.ndarray) -> Dict[str, float]:
@@ -252,22 +244,23 @@ class CircuitSynthesizer:
             backend: Optional[str] = None) -> SynthesisResult:
         """Run differential evolution; returns the best design.
 
-        ``backend`` selects the evaluation path: ``"oracle"`` scores
-        candidates one by one through the scalar evaluator,
-        ``"vectorized"`` scores each generation in a single batched
-        call, and ``None`` picks vectorized when a batched evaluator
-        is available.  Both paths use deferred updating, so a fixed
-        seed yields the *identical* optimization trajectory -- and
-        best design -- on either backend.
+        Scores each generation in one batched call when the
+        synthesizer has a batched evaluator, and candidates one by one
+        through the scalar evaluator otherwise.  Both paths use
+        deferred updating, so a fixed seed yields the *identical*
+        optimization trajectory -- and best design -- on either.
+        ``backend`` (``"oracle"``/``"vectorized"``) forces one path;
+        it is kept only for the perfbench ota-synthesis workload.
         """
         maxiter = check_count("maxiter", maxiter)
         popsize = check_count("popsize", popsize, minimum=4)
         if backend is None:
             backend = ("vectorized" if self.evaluate_batch is not None
                        else "oracle")
-        if backend not in BACKEND_NAMES:
+        if backend not in ("oracle", "vectorized"):
             raise ModelDomainError(
-                f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
+                "backend must be one of ('oracle', 'vectorized'), "
+                f"got {backend!r}")
         if backend == "vectorized" and self.evaluate_batch is None:
             raise ModelDomainError(
                 "vectorized backend requested but this synthesizer has "
@@ -336,8 +329,7 @@ def ota_synthesizer(node: TechnologyNode, load_capacitance: float,
         Variable("tail_current", 1e-6, 5e-3),
     ]
     return CircuitSynthesizer(variables, evaluate, spec,
-                              evaluate_batch=evaluate_batch,
-                              engine="synthesis.ota")
+                              evaluate_batch=evaluate_batch)
 
 
 def frontend_synthesizer(node: TechnologyNode,
@@ -376,8 +368,7 @@ def frontend_synthesizer(node: TechnologyNode,
         Variable("drain_current", 10e-6, 5e-3),
     ]
     return CircuitSynthesizer(variables, evaluate, spec,
-                              evaluate_batch=evaluate_batch,
-                              engine="synthesis.frontend")
+                              evaluate_batch=evaluate_batch)
 
 
 def default_ota_spec() -> Specification:
@@ -398,26 +389,3 @@ def default_frontend_spec() -> Specification:
         "peaking_time": ("max", 3e-6),
         "charge_gain": ("min", 1e12),     # 1 mV/fC
     }, objective="power")
-
-
-# --- backend registry wiring ----------------------------------------------
-# Literal engine/backend strings: the R007 backend-conformance lint rule
-# verifies statically that every registered engine exposes both paths.
-
-register_backend("synthesis.ota", "oracle", SingleStageOta.evaluate,
-                 "scalar 5T-OTA analytic evaluation, one sizing per call")
-register_backend("synthesis.ota", "vectorized",
-                 SingleStageOta.evaluate_batch,
-                 "population-batched 5T-OTA evaluation (ndarray fields)")
-register_backend("synthesis.frontend", "oracle", DetectorFrontend.evaluate,
-                 "scalar CSA + CR-RC shaper evaluation, one sizing per call")
-register_backend("synthesis.frontend", "vectorized",
-                 DetectorFrontend.evaluate_batch,
-                 "population-batched detector front-end evaluation")
-register_contract("synthesis.ota", 0.0,
-                  "closed-form evaluator: vectorized twin is bit-for-bit",
-                  entry_points=("repro.synthesis.sizing.ota_synthesizer",))
-register_contract("synthesis.frontend", 0.0,
-                  "closed-form evaluator: vectorized twin is bit-for-bit",
-                  entry_points=(
-                      "repro.synthesis.sizing.frontend_synthesizer",))

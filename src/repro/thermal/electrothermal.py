@@ -29,8 +29,6 @@ from ..robust.validate import (check_count, check_positive, check_range,
                                validated)
 from ..technology.node import TechnologyNode
 from ..digital.energy import analytic_power_estimate
-from ..backends.protocol import BACKEND_NAMES, register_backend
-from ..backends.contracts import register_contract
 from .mesh import ThermalStack
 
 ArrayLike = Union[float, np.ndarray]
@@ -392,37 +390,33 @@ def solve_operating_point_batch(nodes, rth: ArrayLike = 20.0,
         float(runaway_temperature))
 
 
-def _resolve_backend_name(backend: Optional[str]) -> str:
-    """Local ``backend=`` kwarg resolution (default: vectorized)."""
-    if backend is None:
-        return "vectorized"
-    if backend not in BACKEND_NAMES:
-        raise ModelDomainError(
-            f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
-    return backend
-
-
 def runaway_rth_threshold(node: TechnologyNode,
                           n_gates: int = 1_000_000,
                           frequency: float = 1e9,
                           activity: float = 0.1,
                           ambient: float = 318.0,
-                          rth_range: Optional[Sequence[float]] = None,
-                          backend: Optional[str] = None) -> float:
+                          rth_range: Optional[Sequence[float]] = None
+                          ) -> float:
     """Package resistance [K/W] above which the design runs away.
 
     Bisects over R_th: the cheapest-possible-package question.  A
     smaller threshold at smaller nodes = cooling budgets must grow
-    just to stand still.  ``backend`` selects the evaluation path of
-    the inner electrothermal solves ("oracle" runs the scalar
-    fixed point per probe, the default "vectorized" runs the batched
-    bisection of :func:`runaway_rth_thresholds`).
+    just to stand still.  Runs the batched bisection of
+    :func:`runaway_rth_thresholds` for the one node.
     """
-    if _resolve_backend_name(backend) == "vectorized":
-        return float(runaway_rth_thresholds(
-            [node], n_gates=n_gates, frequency=frequency,
-            activity=activity, ambient=ambient,
-            rth_range=rth_range)[0])
+    return float(runaway_rth_thresholds(
+        [node], n_gates=n_gates, frequency=frequency,
+        activity=activity, ambient=ambient, rth_range=rth_range)[0])
+
+
+def _runaway_rth_threshold_reference(
+        node: TechnologyNode, n_gates: int = 1_000_000,
+        frequency: float = 1e9, activity: float = 0.1,
+        ambient: float = 318.0,
+        rth_range: Optional[Sequence[float]] = None) -> float:
+    """Scalar reference of :func:`runaway_rth_threshold`: the 40-step
+    geometric bisection with one :func:`solve_operating_point` per
+    probe (only tests call it)."""
     lo, hi = 0.1, 2000.0
     if rth_range is not None:
         lo, hi = rth_range
@@ -458,7 +452,7 @@ def runaway_rth_thresholds(nodes: Sequence[TechnologyNode],
     Same probe sequence as the scalar bisection (geometric midpoints,
     40 steps, bracket checks first) with every node's probe solved in
     a single :func:`solve_operating_point_batch` call per step, so the
-    per-node results match :func:`runaway_rth_threshold` exactly.
+    per-node results match :func:`_runaway_rth_threshold_reference`.
     """
     nodes = list(nodes)
     if not nodes:
@@ -513,46 +507,56 @@ def electrothermal_rth_sweep(nodes: Sequence[TechnologyNode],
                              ambient: float = 318.0,
                              max_iterations: int = 100,
                              tolerance: float = 0.01,
-                             runaway_temperature: float = 500.0,
-                             backend: Optional[str] = None
+                             runaway_temperature: float = 500.0
                              ) -> List[Dict[str, object]]:
     """Junction temperature across a nodes x Rth grid, one row each.
 
     The CLI's ``electrothermal`` table and the electrothermal
-    benchmark both drive this entry point; ``backend`` selects the
-    scalar oracle (one fixed point per grid element) or the batched
-    solver (one masked iteration for the whole grid).
+    benchmark both drive this entry point: one masked batched
+    iteration solves the whole grid.
     """
     nodes = list(nodes)
     rth_values = [float(r) for r in rth_values]
-    name = _resolve_backend_name(backend)
-    rows: List[Dict[str, object]] = []
-    if name == "oracle":
-        for node in nodes:
-            for rth in rth_values:
-                result = solve_operating_point(
-                    node, n_gates=n_gates, frequency=frequency,
-                    activity=activity,
-                    stack=ThermalStack(rth_junction_to_ambient=rth,
-                                       ambient=ambient),
-                    max_iterations=max_iterations, tolerance=tolerance,
-                    runaway_temperature=runaway_temperature)
-                rows.append(_sweep_row(node.name, rth, result))
-        return rows
     batch = solve_operating_point_batch(
         nodes, rth=np.asarray(rth_values, dtype=float),
         n_gates=n_gates, frequency=frequency, activity=activity,
         ambient=ambient, max_iterations=max_iterations,
         tolerance=tolerance, runaway_temperature=runaway_temperature)
-    for i, node in enumerate(nodes):
-        for j, rth in enumerate(rth_values):
-            rows.append(_sweep_row(node.name, rth, batch.result((i, j))))
+    return [_sweep_row(node.name, rth, batch.result((i, j)))
+            for i, node in enumerate(nodes)
+            for j, rth in enumerate(rth_values)]
+
+
+def _rth_sweep_reference(nodes: Sequence[TechnologyNode],
+                         rth_values: Sequence[float],
+                         n_gates: int = 1_000_000,
+                         frequency: float = 1e9,
+                         activity: float = 0.1,
+                         ambient: float = 318.0,
+                         max_iterations: int = 100,
+                         tolerance: float = 0.01,
+                         runaway_temperature: float = 500.0
+                         ) -> List[Dict[str, object]]:
+    """Scalar reference of :func:`electrothermal_rth_sweep`: one
+    :func:`solve_operating_point` per grid element (only tests and
+    the electrothermal benchmark call it)."""
+    rows: List[Dict[str, object]] = []
+    for node in nodes:
+        for rth in map(float, rth_values):
+            result = solve_operating_point(
+                node, n_gates=n_gates, frequency=frequency,
+                activity=activity,
+                stack=ThermalStack(rth_junction_to_ambient=rth,
+                                   ambient=ambient),
+                max_iterations=max_iterations, tolerance=tolerance,
+                runaway_temperature=runaway_temperature)
+            rows.append(_sweep_row(node.name, rth, result))
     return rows
 
 
 def _sweep_row(name: str, rth: float,
                result: ElectrothermalResult) -> Dict[str, object]:
-    """One nodes x Rth sweep row (shared by both backends)."""
+    """One nodes x Rth sweep row."""
     return {
         "node": name,
         "rth_K_per_W": rth,
@@ -568,8 +572,7 @@ def _sweep_row(name: str, rth: float,
 def fixed_die_electrothermal_trend(nodes: Sequence[TechnologyNode],
                                    die_area: float = 50e-6,
                                    stack: ThermalStack = ThermalStack(),
-                                   max_frequency: float = 3e9,
-                                   backend: Optional[str] = None
+                                   max_frequency: float = 3e9
                                    ) -> List[Dict[str, float]]:
     """The broken constant-power-density promise, electrothermally.
 
@@ -580,12 +583,13 @@ def fixed_die_electrothermal_trend(nodes: Sequence[TechnologyNode],
     the self-consistent junction temperature climbs node over node
     until the loop runs away.
 
-    ``die_area`` in m^2 (default 50 mm^2).  ``backend`` selects the
-    scalar oracle or the batched solver (the default).
+    ``die_area`` in m^2 (default 50 mm^2).  All nodes are solved in
+    one batched fixed-point iteration.
     """
     from ..digital.delay import fo4_delay_model
     nodes = list(nodes)
-    name = _resolve_backend_name(backend)
+    if not nodes:
+        return []
     per_node_gates = []
     per_node_f = []
     for node in nodes:
@@ -593,26 +597,20 @@ def fixed_die_electrothermal_trend(nodes: Sequence[TechnologyNode],
         per_node_gates.append(max(int(die_area / gate_area), 1))
         per_node_f.append(min(1.0 / (30.0 * fo4_delay_model(node).delay()),
                               max_frequency))
-    if name == "vectorized" and nodes:
-        ambient = float(stack.ambient)
-        consts = [_engine_constants(node, ambient) for node in nodes]
-        batch = _batch_solve(
-            consts,
-            np.full(len(nodes), float(stack.rth_junction_to_ambient)),
-            np.asarray(per_node_gates, dtype=float),
-            np.asarray(per_node_f, dtype=float),
-            np.full(len(nodes), 0.1), ambient,
-            max_iterations=100, tolerance=0.01,
-            runaway_temperature=500.0)
-        results = [batch.result(i) for i in range(len(nodes))]
-    else:
-        results = [solve_operating_point(node, n_gates, f_clk,
-                                         stack=stack)
-                   for node, n_gates, f_clk in
-                   zip(nodes, per_node_gates, per_node_f)]
+    ambient = float(stack.ambient)
+    consts = [_engine_constants(node, ambient) for node in nodes]
+    batch = _batch_solve(
+        consts,
+        np.full(len(nodes), float(stack.rth_junction_to_ambient)),
+        np.asarray(per_node_gates, dtype=float),
+        np.asarray(per_node_f, dtype=float),
+        np.full(len(nodes), 0.1), ambient,
+        max_iterations=100, tolerance=0.01,
+        runaway_temperature=500.0)
     rows = []
-    for node, n_gates, f_clk, result in zip(nodes, per_node_gates,
-                                            per_node_f, results):
+    for i, (node, n_gates, f_clk) in enumerate(
+            zip(nodes, per_node_gates, per_node_f)):
+        result = batch.result(i)
         rows.append({
             "node": node.name,
             "n_gates_M": n_gates / 1e6,
@@ -630,26 +628,19 @@ def fixed_die_electrothermal_trend(nodes: Sequence[TechnologyNode],
 def electrothermal_trend(nodes: Sequence[TechnologyNode],
                          n_gates: int = 1_000_000,
                          frequency: float = 1e9,
-                         stack: ThermalStack = ThermalStack(),
-                         backend: Optional[str] = None
+                         stack: ThermalStack = ThermalStack()
                          ) -> List[Dict[str, float]]:
-    """Self-consistent junction temperature and feedback per node.
-
-    ``backend`` selects the scalar oracle or the batched solver (the
-    default).
-    """
+    """Self-consistent junction temperature and feedback per node,
+    all nodes solved in one batched fixed-point iteration."""
     nodes = list(nodes)
-    if _resolve_backend_name(backend) == "vectorized" and nodes:
-        batch = solve_operating_point_batch(
-            nodes, rth=stack.rth_junction_to_ambient, n_gates=n_gates,
-            frequency=frequency, ambient=stack.ambient)
-        results = [batch.result(i) for i in range(len(nodes))]
-    else:
-        results = [solve_operating_point(node, n_gates, frequency,
-                                         stack=stack)
-                   for node in nodes]
+    if not nodes:
+        return []
+    batch = solve_operating_point_batch(
+        nodes, rth=stack.rth_junction_to_ambient, n_gates=n_gates,
+        frequency=frequency, ambient=stack.ambient)
     rows = []
-    for node, result in zip(nodes, results):
+    for i, node in enumerate(nodes):
+        result = batch.result(i)
         rows.append({
             "node": node.name,
             "junction_K": result.junction_temperature,
@@ -659,26 +650,3 @@ def electrothermal_trend(nodes: Sequence[TechnologyNode],
             "runaway": float(result.runaway),
         })
     return rows
-
-
-# --- backend registry wiring ----------------------------------------------
-# Literal engine/backend strings: the R007 backend-conformance lint rule
-# verifies statically that every registered engine exposes both paths.
-
-register_backend("thermal.electrothermal", "oracle", solve_operating_point,
-                 "scalar electrothermal fixed point, one operating point "
-                 "per call")
-register_backend("thermal.electrothermal", "vectorized",
-                 solve_operating_point_batch,
-                 "masked fixed-point iteration over a nodes x Rth x "
-                 "power-corner grid")
-register_contract("thermal.electrothermal", 1e-9,
-                  "iterative solver: junction temperatures within 1e-9 "
-                  "relative; convergence flags, iteration counts and "
-                  "report messages agree exactly",
-                  entry_points=(
-                      "repro.thermal.electrothermal"
-                      ".runaway_rth_threshold",
-                      "repro.thermal.electrothermal"
-                      ".electrothermal_rth_sweep",
-                  ))

@@ -132,19 +132,20 @@ class TestYieldBackendParity:
         return OtaYieldAnalyzer(NODE, design, load_capacitance=2e-12,
                                 seed=seed)
 
+    def _matrices(self, seed, n_samples, keys):
+        """Both performance matrices of one sampled die batch."""
+        analyzer = self._analyzer(seed)
+        batch = analyzer._sampler.sample_dies_batch(n_samples)
+        offsets = np.abs(analyzer.rng.standard_normal(n_samples))
+        return (analyzer._performance_matrix_oracle(batch, offsets, keys),
+                analyzer._performance_matrix_batch(batch, offsets, keys))
+
     def test_reports_identical_across_backends(self):
-        oracle = self._analyzer(31).run(self.SPEC, n_samples=150,
-                                        backend="oracle")
-        vector = self._analyzer(31).run(self.SPEC, n_samples=150,
-                                        backend="vectorized")
-        assert oracle == vector
+        oracle, vector = self._matrices(31, 150, list(self.SPEC))
+        assert np.array_equal(oracle, vector)
 
     def test_default_backend_matches_oracle(self):
-        default = self._analyzer(12).run(self.SPEC, n_samples=100)
-        oracle = self._analyzer(12).run(self.SPEC, n_samples=100,
-                                        backend="oracle")
-        assert default == oracle
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ModelDomainError):
-            self._analyzer(0).run(self.SPEC, n_samples=10, backend="gpu")
+        keys = ["gain_db", "gbw_hz", "phase_margin_deg", "slew_rate",
+                "swing", "power", "offset_sigma"]
+        oracle, vector = self._matrices(12, 100, keys)
+        assert np.array_equal(oracle, vector)

@@ -1,10 +1,11 @@
-"""Hypothesis property suite: oracle/vectorized backend equivalence.
+"""Hypothesis property suite: batched engines vs their scalar paths.
 
-Each registered engine declares an :class:`EquivalenceContract`; these
-properties drive randomly drawn inputs through both paths and check
-the contract with :func:`assert_backends_agree` -- bit-for-bit for the
-closed-form synthesis evaluators, a 1e-9 relative tolerance (plus
-exact discrete outcomes) for the iterative electrothermal solver.
+Each engine's tolerance is its :class:`EquivalenceContract` in
+:mod:`repro.backends`; these properties drive randomly drawn inputs
+through both paths and check the contract with
+:func:`assert_backends_agree` -- bit-for-bit for the closed-form
+synthesis evaluators, a 1e-9 relative tolerance (plus exact discrete
+outcomes) for the iterative electrothermal solver.
 """
 
 import dataclasses
@@ -18,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analog.circuits import (DetectorFrontend, DetectorFrontendDesign,
                                    FrontendPerformance, OtaDesign,
                                    OtaPerformance, SingleStageOta)
-from repro.backends import assert_backends_agree, equivalence_contract
-from repro.robust.errors import BackendEquivalenceError, ModelDomainWarning
+from repro.backends import EquivalenceContract, equivalence_contract
+from repro.robust.errors import ModelDomainError, ModelDomainWarning
+from repro.robust.validate import iter_numeric_leaves
 from repro.technology.library import get_node
 from repro.thermal import (ThermalStack, solve_operating_point,
                            solve_operating_point_batch)
@@ -43,6 +45,35 @@ frontend_rows = st.lists(
               st.floats(min_value=1e-8, max_value=1e-5),
               currents),
     min_size=1, max_size=6)
+
+
+def assert_backends_agree(oracle_result: object, vectorized_result: object,
+                          contract: EquivalenceContract) -> None:
+    """Assert two results agree per ``contract``.
+
+    Walks every numeric leaf (dataclasses, mappings, sequences,
+    arrays) of both results in parallel; a bitwise contract uses exact
+    array equality (NaNs must match positionally), a tolerance
+    contract uses ``rtol`` with equal-nan semantics.  Failures name
+    the engine.
+    """
+    oracle_leaves = [np.asarray(leaf, dtype=float).ravel()
+                     for leaf in iter_numeric_leaves(oracle_result)]
+    vector_leaves = [np.asarray(leaf, dtype=float).ravel()
+                     for leaf in iter_numeric_leaves(vectorized_result)]
+    assert len(oracle_leaves) == len(vector_leaves), (
+        f"{contract.engine}: results have different shapes "
+        f"({len(oracle_leaves)} vs {len(vector_leaves)} numeric leaves)")
+    for index, (a, b) in enumerate(zip(oracle_leaves, vector_leaves)):
+        if contract.bitwise:
+            assert np.array_equal(a, b, equal_nan=True), (
+                f"{contract.engine}: bit-for-bit contract violated at "
+                f"numeric leaf {index}: {a!r} != {b!r}")
+        else:
+            assert np.allclose(a, b, rtol=contract.rtol, atol=0.0,
+                               equal_nan=True), (
+                f"{contract.engine}: rtol={contract.rtol:g} contract "
+                f"violated at numeric leaf {index}: {a!r} vs {b!r}")
 
 
 def _stack(cls, scalars):
@@ -140,14 +171,32 @@ class TestElectrothermalContract:
             == strip(str(scalar.report))
 
 
+class TestContracts:
+    """The tolerance table in :mod:`repro.backends`."""
+
+    def test_synthesis_contracts_are_bitwise(self):
+        assert equivalence_contract("synthesis.ota").bitwise
+        assert equivalence_contract("synthesis.frontend").bitwise
+        assert equivalence_contract("analog.ota_yield").bitwise
+
+    def test_electrothermal_contract_is_tolerance(self):
+        contract = equivalence_contract("thermal.electrothermal")
+        assert not contract.bitwise
+        assert 0.0 < contract.rtol <= 1e-9
+
+    def test_missing_contract_is_typed_error(self):
+        with pytest.raises(ModelDomainError, match="no equivalence"):
+            equivalence_contract("no.such.engine")
+
+
 class TestAssertBackendsAgree:
-    """The checker itself: typed, engine-naming failures."""
+    """The checker itself: engine-naming assertion failures."""
 
     def test_bitwise_divergence_raises_typed_error(self):
         contract = equivalence_contract("synthesis.ota")
         a = {"x": np.array([1.0, 2.0])}
         b = {"x": np.array([1.0, 2.0 + 1e-12])}
-        with pytest.raises(BackendEquivalenceError, match="synthesis.ota"):
+        with pytest.raises(AssertionError, match="synthesis.ota"):
             assert_backends_agree(a, b, contract)
 
     def test_tolerance_contract_accepts_one_ulp(self):
@@ -158,7 +207,7 @@ class TestAssertBackendsAgree:
 
     def test_leaf_count_mismatch_raises(self):
         contract = equivalence_contract("synthesis.ota")
-        with pytest.raises(BackendEquivalenceError, match="leaves"):
+        with pytest.raises(AssertionError, match="leaves"):
             assert_backends_agree({"x": 1.0}, {"x": 1.0, "y": 2.0},
                                   contract)
 

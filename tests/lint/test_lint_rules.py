@@ -344,74 +344,3 @@ class TestR006ShardSeedDiscipline:
                     return resolve_rng(self.rng).normal()
         """, select=["R006"])
         assert report.clean
-
-
-class TestR007BackendConformance:
-    def test_flags_engine_missing_vectorized_path(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.backends.protocol import register_backend
-            from repro.backends.contracts import register_contract
-
-            def solve(x):
-                return x
-
-            register_backend("thermal.demo", "oracle", solve)
-            register_contract("thermal.demo", 1e-9)
-        """, select=["R007"])
-        assert codes(report) == ["R007"]
-        assert "'vectorized'" in report.findings[0].message
-        assert "thermal.demo" in report.findings[0].message
-
-    def test_flags_engine_without_contract(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.backends.protocol import register_backend
-
-            def solve(x):
-                return x
-
-            def solve_batch(x):
-                return x
-
-            register_backend("thermal.demo", "oracle", solve)
-            register_backend("thermal.demo", "vectorized", solve_batch)
-        """, select=["R007"])
-        assert codes(report) == ["R007"]
-        assert "register_contract" in report.findings[0].message
-
-    def test_flags_non_literal_registration_names(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.backends.protocol import register_backend
-
-            ENGINE = "thermal.demo"
-
-            def solve(x):
-                return x
-
-            register_backend(ENGINE, "oracle", solve)
-        """, select=["R007"])
-        assert codes(report) == ["R007"]
-        assert "literal" in report.findings[0].message
-
-    def test_allows_conformant_engine(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.backends.protocol import register_backend
-            from repro.backends.contracts import register_contract
-
-            def solve(x):
-                return x
-
-            def solve_batch(x):
-                return x
-
-            register_backend("thermal.demo", "oracle", solve)
-            register_backend("thermal.demo", "vectorized", solve_batch)
-            register_contract("thermal.demo", 0.0, "bit-for-bit")
-        """, select=["R007"])
-        assert report.clean
-
-    def test_source_tree_is_conformant(self):
-        from pathlib import Path
-        from repro.lint import run_lint
-        src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        report = run_lint([src], select=["R007"])
-        assert report.clean

@@ -178,7 +178,7 @@ class TestSarifDocument:
         driver = to_sarif(report)["runs"][0]["tool"]["driver"]
         ids = {rule["id"] for rule in driver["rules"]}
         expected = {"E999", "R000"} | {f"R{n:03d}"
-                                       for n in range(1, 11)}
+                                       for n in range(1, 11) if n != 7}
         assert expected <= ids
 
     def test_syntax_error_is_error_level(self, tmp_path):

@@ -2,10 +2,13 @@
 
 import json
 import textwrap
+from pathlib import Path
 
 from repro.lint.context import load_module
+from repro.lint.engine import discover_files
 from repro.lint.semantic import (CallGraph, build_semantic_model,
                                  summarize)
+from repro.lint.semantic.model import DETERMINISM_ROOTS
 
 
 def summarize_tree(tmp_path, files):
@@ -203,31 +206,40 @@ class TestCallGraph:
 
 
 class TestModel:
-    def test_backend_and_contract_registrations(self, tmp_path):
-        summaries = summarize_tree(tmp_path, {"mod.py": """
-            from repro.backends.protocol import register_backend
-            from repro.backends.contracts import register_contract
+    def test_listed_determinism_roots(self, tmp_path):
+        summaries = summarize_tree(tmp_path, {
+            "src/repro/thermal/electrothermal.py": """
+                def solve_operating_point(x):
+                    return x
 
-            def solve(x):
-                return x
+                def solve_operating_point_batch(xs):
+                    return xs
 
-            def solve_batch(xs):
-                return xs
+                def unlisted_sibling(x):
+                    return x
 
-            register_backend("demo.engine", "oracle", solve, "d")
-            register_backend("demo.engine", "vectorized", solve_batch,
-                             "d")
-            register_contract("demo.engine", 0.0, "bit-for-bit",
-                              entry_points=("mod.solve",))
-        """})
+                def run_shard(spec):
+                    return spec
+            """})
         model = build_semantic_model(summaries)
-        pair = model.engines["demo.engine"]
-        assert pair.oracle == "mod.solve"
-        assert pair.vectorized == "mod.solve_batch"
-        assert pair.entry_points == ["mod.solve"]
-        roots = dict(model.determinism_roots())
-        assert "mod.solve" in roots
-        assert "mod.solve_batch" in roots
+        module = "repro.thermal.electrothermal"
+        assert dict(model.determinism_roots()) == {
+            f"{module}.run_shard": "shard entry point",
+            f"{module}.solve_operating_point": "listed determinism root",
+            f"{module}.solve_operating_point_batch":
+                "listed determinism root",
+        }
+
+    def test_every_listed_root_exists_in_the_source_tree(self):
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        summaries = {}
+        for path in discover_files([src]):
+            info, error = load_module(path)
+            assert error is None, error
+            summaries[str(path)] = summarize(info)
+        functions = build_semantic_model(summaries).graph.functions
+        assert [qual for qual in DETERMINISM_ROOTS
+                if qual not in functions] == []
 
     def test_liveness_tracking(self, tmp_path):
         summaries = summarize_tree(tmp_path, {

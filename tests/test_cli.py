@@ -219,16 +219,6 @@ class TestYieldCommand:
         assert capsys.readouterr().out == first
 
 
-class TestBackendsCommand:
-    def test_lists_engines_and_contracts(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "synthesis.ota" in out
-        assert "thermal.electrothermal" in out
-        assert "oracle" in out and "vectorized" in out
-        assert "bit-for-bit" in out
-
-
 class TestElectrothermalCommand:
     def test_smoke_table(self, capsys):
         assert main(["electrothermal", "--nodes", "65nm",
@@ -237,13 +227,15 @@ class TestElectrothermalCommand:
         assert "junction_K" in out
         assert "65nm" in out
 
-    def test_backends_agree_on_the_table(self, capsys):
-        args = ["electrothermal", "--nodes", "65nm,130nm",
-                "--rth-points", "3", "--gates", "100000"]
-        assert main(args + ["--backend", "oracle"]) == 0
-        oracle = capsys.readouterr().out
-        assert main(args + ["--backend", "vectorized"]) == 0
-        assert capsys.readouterr().out == oracle
+    @pytest.mark.parametrize("argv", [
+        ["backends"],
+        ["electrothermal", "--backend", "oracle"],
+    ])
+    def test_removed_path_switches_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_unknown_node_fails_cleanly(self, capsys):
         assert main(["electrothermal", "--nodes", "7nm"]) == 1

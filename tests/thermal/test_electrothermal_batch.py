@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.digital.delay import fo4_delay_model
 from repro.robust.errors import ModelDomainError, ModelDomainWarning
 from repro.technology import all_nodes
 from repro.technology.library import get_node
@@ -15,6 +16,8 @@ from repro.thermal import (ElectrothermalBatch, ThermalStack,
                            runaway_rth_threshold, runaway_rth_thresholds,
                            solve_operating_point,
                            solve_operating_point_batch)
+from repro.thermal.electrothermal import (_runaway_rth_threshold_reference,
+                                          _rth_sweep_reference)
 
 RTH_GRID = [2.0, 10.0, 30.0, 80.0]
 
@@ -124,8 +127,8 @@ class TestRunawayThresholds:
     def test_thresholds_match_scalar_backend(self, nodes):
         batched = runaway_rth_thresholds(nodes, n_gates=2_000_000)
         for node, threshold in zip(nodes, batched):
-            scalar = runaway_rth_threshold(node, n_gates=2_000_000,
-                                           backend="oracle")
+            scalar = _runaway_rth_threshold_reference(node,
+                                                      n_gates=2_000_000)
             assert threshold == pytest.approx(scalar, rel=1e-6)
 
     def test_scalar_entry_point_delegates_to_batch(self):
@@ -133,21 +136,15 @@ class TestRunawayThresholds:
         assert runaway_rth_threshold(node, n_gates=2_000_000) \
             == runaway_rth_thresholds([node], n_gates=2_000_000)[0]
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ModelDomainError, match="backend"):
-            runaway_rth_threshold(get_node("65nm"), backend="gpu")
-
 
 class TestTrendEquivalence:
-    """The sweep/trend entry points return the same rows per backend."""
+    """The sweep/trend entry points agree with per-node scalar solves."""
 
     def test_rth_sweep_rows_agree(self, nodes):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDomainWarning)
-            oracle = electrothermal_rth_sweep(nodes, RTH_GRID,
-                                              backend="oracle")
-            vector = electrothermal_rth_sweep(nodes, RTH_GRID,
-                                              backend="vectorized")
+            oracle = _rth_sweep_reference(nodes, RTH_GRID)
+            vector = electrothermal_rth_sweep(nodes, RTH_GRID)
         assert len(oracle) == len(vector) == len(nodes) * len(RTH_GRID)
         for a, b in zip(oracle, vector):
             assert a["node"] == b["node"]
@@ -162,27 +159,37 @@ class TestTrendEquivalence:
     def test_trend_rows_agree(self, nodes):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDomainWarning)
-            oracle = electrothermal_trend(nodes, backend="oracle")
-            vector = electrothermal_trend(nodes, backend="vectorized")
-        for a, b in zip(oracle, vector):
-            assert a["node"] == b["node"]
-            assert a["runaway"] == b["runaway"]
-            assert a["junction_K"] == pytest.approx(b["junction_K"],
-                                                    rel=1e-9)
+            oracle = [solve_operating_point(node) for node in nodes]
+            vector = electrothermal_trend(nodes)
+        assert len(vector) == len(nodes)
+        for node, a, b in zip(nodes, oracle, vector):
+            assert b["node"] == node.name
+            assert b["runaway"] == float(a.runaway)
+            assert b["junction_K"] == pytest.approx(
+                a.junction_temperature, rel=1e-9)
+            assert b["leakage_W"] == pytest.approx(a.leakage_power,
+                                                   rel=1e-9)
 
     def test_fixed_die_trend_rows_agree(self, nodes):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDomainWarning)
-            oracle = fixed_die_electrothermal_trend(nodes,
-                                                    backend="oracle")
-            vector = fixed_die_electrothermal_trend(nodes,
-                                                    backend="vectorized")
-        for a, b in zip(oracle, vector):
-            assert a["node"] == b["node"]
-            assert a["n_gates_M"] == b["n_gates_M"]
-            assert a["runaway"] == b["runaway"]
-            assert a["junction_C"] == pytest.approx(b["junction_C"],
-                                                    rel=1e-9, abs=1e-6)
+            vector = fixed_die_electrothermal_trend(nodes)
+            assert len(vector) == len(nodes)
+            for node, row in zip(nodes, vector):
+                # The oracle fills a 50 mm^2 die at the node's density
+                # and clocks it at the node's speed, capped at 3 GHz.
+                gate_area = (8 * node.wire_pitch) * (12 * node.wire_pitch)
+                n_gates = max(int(50e-6 / gate_area), 1)
+                f_clk = min(1.0 / (30.0 * fo4_delay_model(node).delay()),
+                            3e9)
+                scalar = solve_operating_point(node, n_gates, f_clk)
+                assert row["node"] == node.name
+                assert row["n_gates_M"] == n_gates / 1e6
+                assert row["f_clk_GHz"] == f_clk / 1e9
+                assert row["runaway"] == float(scalar.runaway)
+                assert row["junction_C"] == pytest.approx(
+                    scalar.junction_temperature - 273.15,
+                    rel=1e-9, abs=1e-6)
 
 
 class TestBatchProperties:
