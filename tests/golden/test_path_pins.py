@@ -4,8 +4,9 @@ These freeze fixed-seed outputs of the chain sign-off yield, Monte
 Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
 yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
 event stream behind the ``soc-noise`` CLI, the electrothermal sweeps
-and the ``electrothermal`` CLI, the Monte Carlo OTA yield and the
-detector front-end synthesis.  Discrete
+and the ``electrothermal`` CLI, the Monte Carlo OTA yield, the
+detector front-end synthesis and the stdouts of the ``chain-yield``,
+``node``, ``leakage`` and ``yield`` CLI probes.  Discrete
 values (names, counts, yields, criticality fractions, key order)
 compare exactly and floats at ``rel=1e-12``.  A change that moves one
 of them changes what the library computes and must be an explicit,
@@ -450,3 +451,74 @@ class TestFrontendSynthesisPins:
             "drain_current": 1.0029610245290244e-05}
         assert result.cost == 2.0059220490580488e-05
         assert result.n_evaluations == 704
+
+
+class TestCliStdoutPins:
+    """The stdouts of the fast CLI probes: a chain-yield table, one
+    node's parameters, the leakage table and a sharded yield run."""
+
+    def test_chain_yield(self, capsys):
+        assert main(["chain-yield", "--dies", "8",
+                     "--nodes", "350nm,65nm"]) == 0
+        assert capsys.readouterr().out == (
+            "              node |     yield_fraction |          enob_mean |"
+            "           enob_min |      dnl_worst_lsb |"
+            "      inl_worst_lsb |             n_dies\n"
+            + "-" * 144 + "\n"
+            "             350nm |                  1 |             7.3442 |"
+            "             7.2224 |           0.073069 |"
+            "             0.0625 |                  8\n"
+            "              65nm |                  1 |             7.2847 |"
+            "             7.2008 |            0.39324 |"
+            "               0.25 |                  8\n")
+
+    def test_node(self, capsys):
+        assert main(["node", "65nm"]) == 0
+        assert capsys.readouterr().out == (
+            "TechnologyNode(65nm: L=65nm VDD=1.00V VT=0.22V tox=1.60nm)\n"
+            "         feature_size_nm: 65\n"
+            "                   vdd_V: 1\n"
+            "                   vth_V: 0.22\n"
+            "                  tox_nm: 1.6\n"
+            "           wire_pitch_nm: 180\n"
+            "             overdrive_V: 0.78\n"
+            "          cox_fF_per_um2: 21.582\n"
+            "         sigma_vt_min_mV: 36.923\n"
+            "           dibl_mV_per_V: 80\n"
+            "             body_factor: 0.22\n")
+
+    def test_leakage(self, capsys):
+        assert main(["leakage"]) == 0
+        assert capsys.readouterr().out == (
+            "              node |          f_clk_GHz |         dynamic_mW |"
+            "    subthreshold_mW |       gate_leak_mW |   leakage_fraction\n"
+            + "-" * 123 + "\n"
+            "        350nm@358K |                  1 |              14183 |"
+            "          8.529e-05 |         3.9983e-42 |         5.4667e-09\n"
+            "        250nm@358K |                  1 |             5636.4 |"
+            "          0.0018283 |         7.1869e-36 |         2.9488e-07\n"
+            "        180nm@358K |                  1 |             2068.9 |"
+            "          0.0098819 |         2.0983e-27 |         4.3422e-06\n"
+            "        130nm@358K |                  1 |             854.75 |"
+            "            0.20208 |         2.2884e-14 |         0.00021488\n"
+            "        100nm@358K |                  1 |             528.89 |"
+            "             1.6948 |           0.025055 |          0.0029474\n"
+            "         90nm@358K |                  1 |             395.98 |"
+            "             3.8925 |           0.029799 |          0.0089246\n"
+            "         65nm@358K |                  1 |             213.37 |"
+            "             31.183 |             12.701 |            0.15752\n"
+            "         45nm@358K |                  1 |             110.45 |"
+            "             161.52 |             7.8895 |            0.58236\n"
+            "         32nm@358K |                  1 |             52.955 |"
+            "             558.14 |             6.6524 |            0.90651\n")
+
+    def test_sharded_yield(self, capsys):
+        assert main(["yield", "--dies", "400000", "--shards", "8"]) == 0
+        assert capsys.readouterr().out == (
+            "              node |             metric |             n_dies |"
+            "     yield_fraction |         wilson_low |"
+            "        wilson_high |          exact_low |         exact_high\n"
+            + "-" * 165 + "\n"
+            "              65nm |          vth-shift |              4e+05 |"
+            "            0.95413 |            0.95348 |"
+            "            0.95478 |            0.95348 |            0.95478\n")

@@ -2,6 +2,7 @@
 avoidance case for each of R001-R005."""
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import run_lint
 
@@ -71,6 +72,104 @@ class TestR001RngDiscipline:
                 return random.choice(items)
         """)
         assert report.clean
+
+    CORPUS = {
+        "mod.py": """
+            import random
+            import numpy as np
+            import numpy.random as npr
+            from numpy import random as nr
+            from numpy.random import RandomState, default_rng, normal
+
+            np.random.seed(0)
+            GLOBAL = np.random.default_rng()
+            draw = lambda: npr.normal()
+            SEEDED = default_rng(5)
+            BITS = np.random.Generator(np.random.PCG64(1))
+            ENTROPY = np.random.SeedSequence(3)
+
+
+            class Sampler:
+                jitter = random.random()
+
+                def make(self, seed=None):
+                    return np.random.default_rng(seed)
+
+
+            def closure(seed=None):
+                def inner():
+                    return default_rng(seed)
+                return inner
+
+
+            def legacy(n):
+                state = RandomState(n)
+                return normal(size=n) + nr.uniform() + state.rand()
+
+
+            def explicit_none():
+                return default_rng(None)
+
+
+            def comprehension(n):
+                return [random.gauss(0.0, 1.0) for _ in range(n)]
+
+
+            def local_import(items):
+                import random as rr
+                rr.shuffle(items)
+                return npr.default_rng(7).permutation(items)
+        """,
+        "params.py": """
+            import random as rnd
+
+            def pick(random, items):
+                return random.choice(items) + rnd.choice(items)
+        """,
+        # The sanctioned construction site is exempt.
+        "repro/robust/rng.py": """
+            import random
+            import numpy as np
+
+            np.random.seed(0)
+            ROOT = np.random.default_rng()
+
+            def fresh(seed=None):
+                return np.random.default_rng(seed), random.random()
+        """,
+    }
+
+    def test_corpus_findings_are_pinned(self, tmp_path):
+        """Module-level, class-body, closure and aliased-import forms
+        are flagged at exact positions; each message names the call."""
+        for name, source in self.CORPUS.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        report = run_lint([tmp_path], select=["R001"])
+        found = [(Path(f.path).relative_to(tmp_path).as_posix(),
+                  f.line, f.col, f.message) for f in report.findings]
+        expected = [
+            ("mod.py", 8, 0, "legacy global numpy.random.seed()"),
+            ("mod.py", 9, 9, "unseeded numpy.random.default_rng()"),
+            ("mod.py", 10, 15, "legacy global numpy.random.normal()"),
+            ("mod.py", 17, 13, "stdlib random.random()"),
+            ("mod.py", 20, 15, "unseeded numpy.random.default_rng()"),
+            ("mod.py", 25, 15, "unseeded numpy.random.default_rng()"),
+            ("mod.py", 30, 12,
+             "legacy global numpy.random.RandomState()"),
+            ("mod.py", 31, 11, "legacy global numpy.random.normal()"),
+            ("mod.py", 31, 28, "legacy global numpy.random.uniform()"),
+            ("mod.py", 35, 11, "unseeded numpy.random.default_rng()"),
+            ("mod.py", 39, 12, "stdlib random.gauss()"),
+            ("mod.py", 44, 4, "stdlib random.shuffle()"),
+            ("params.py", 5, 34, "stdlib random.choice()"),
+        ]
+        assert [row[:3] for row in found] \
+            == [row[:3] for row in expected]
+        for (_, _, _, message), (_, _, _, detail) in zip(found,
+                                                          expected):
+            assert detail in message
 
 
 class TestR002ValidationBoundary:
