@@ -14,13 +14,16 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-#: Machine-readable speedup summary emitted by the backend benchmarks
-#: (one file per PR, merged key-by-key so each benchmark owns its entry).
-BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_9.json"
+#: Machine-readable speedup summary emitted by the speedup benchmarks,
+#: merged key-by-key so each benchmark owns its entry.  It lives in the
+#: git-ignored ``.benchmarks/`` directory: every run rewrites it.
+BENCH_FILE = Path(__file__).resolve().parents[1] / ".benchmarks" \
+    / "BENCH_9.json"
 
 
 def record_bench(key: str, payload: Dict) -> None:
-    """Merge one benchmark's speedup summary into ``BENCH_9.json``."""
+    """Merge one benchmark's speedup summary into ``BENCH_FILE``."""
+    BENCH_FILE.parent.mkdir(parents=True, exist_ok=True)
     data = {}
     if BENCH_FILE.exists():
         try:

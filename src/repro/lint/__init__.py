@@ -18,8 +18,6 @@ code      name                      invariant
                                     live API surface in both directions
 ``R005``  vectorization-safety      no scalar ``math.*`` on
                                     array-annotated parameters
-``R006``  shard-seed-discipline     shard entry points derive their
-                                    streams from the pinned shard seed
 ``R008``  transitive-determinism    no determinism root *reaches* a
                                     nondeterministic effect through the
                                     project call graph
@@ -29,12 +27,14 @@ code      name                      invariant
                                     exported somewhere in the project
 ========  ========================  =======================================
 
-R001-R006 are per-file (syntactic); R008-R010 run on the project-wide
-semantic model (:mod:`repro.lint.semantic`) built from content-hash
-cached per-file summaries (``.replint_cache/``; disable with
-``--no-cache``).  Run ``python -m repro.lint --list-rules`` for the
-live catalog, and see ``docs/architecture.md`` for the full rule
-catalog and waiver policy.
+R001-R005 are syntactic: R001, R003 and R005 check one file at a
+time, R002 and R004 cross-reference the whole tree.  R008-R010 run on
+the project-wide semantic model (:mod:`repro.lint.semantic`) built
+from content-hash cached per-file summaries (``.replint_cache/``;
+disable with ``--no-cache``).  R001 and R008's ``unseeded-rng``
+effect share one detector.  Run ``python -m repro.lint --list-rules``
+for the live catalog, and see ``docs/architecture.md`` for the full
+rule catalog and waiver policy.
 """
 
 from .engine import discover_files, run_lint

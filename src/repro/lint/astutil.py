@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -50,13 +51,27 @@ class ImportMap:
         return f"{base}.{rest}" if rest else base
 
 
+def import_heads(tree: ast.AST) -> FrozenSet[str]:
+    """Top-level names bound by import statements anywhere in ``tree``."""
+    heads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            heads.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            heads.update(alias.asname or alias.name
+                         for alias in node.names)
+    return frozenset(heads)
+
+
 def walk_with_function_stack(
-        tree: ast.Module
+        tree: ast.AST, stack: Sequence[ast.AST] = ()
 ) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-    """Yield (node, enclosing_function_stack) over the whole tree.
+    """Yield (node, enclosing_function_stack) for every node below
+    ``tree``.
 
     The stack lists enclosing FunctionDef/AsyncFunctionDef nodes,
-    outermost first.
+    outermost first, after the initial ``stack``.
     """
     def visit(node: ast.AST, stack: List[ast.AST]):
         for child in ast.iter_child_nodes(node):
@@ -65,7 +80,7 @@ def walk_with_function_stack(
                 yield from visit(child, stack + [child])
             else:
                 yield from visit(child, stack)
-    yield from visit(tree, [])
+    yield from visit(tree, list(stack))
 
 
 def param_default_map(fn: ast.AST) -> Dict[str, Optional[ast.AST]]:

@@ -81,5 +81,4 @@ def get_rules(select: Optional[Sequence[str]] = None,
 def _load_builtin_rules() -> None:
     """Import the rule modules exactly once (registration side effect)."""
     from . import (rng, validation, exceptions, registry,  # noqa: F401
-                   vectorization, shard_rng,  # noqa: F401
-                   determinism, twins, deadapi)  # noqa: F401
+                   vectorization, determinism, twins, deadapi)  # noqa: F401

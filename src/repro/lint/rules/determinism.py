@@ -1,13 +1,17 @@
 """R008: transitive determinism of contract-bearing roots.
 
-R001 and R006 police individual call sites; R008 upgrades them to a
-*reachability* guarantee.  Every determinism root -- a shard entry
-point (the R006 set: ``run_shard`` or any function with a ``shard``
-parameter) or a fixed-seed engine entry point listed in
+R001 polices individual call sites; R008 upgrades its RNG check, and
+the other effect detectors, to a *reachability* guarantee.  Every
+determinism root -- a shard entry point (``run_shard``, any function
+with a ``shard`` parameter, or a function with such a def nested in
+it) or a fixed-seed engine entry point listed in
 :data:`~repro.lint.semantic.model.DETERMINISM_ROOTS` -- must not
 transitively reach a nondeterministic effect (``reads-clock``,
 ``unseeded-rng``, ``env-dependent``, ``io``, ``unordered-iteration``)
-anywhere in its call graph.
+anywhere in its call graph.  An unpinned ``resolve_rng()`` or
+``spawn_seed()`` counts as ``unseeded-rng``: its stream depends on
+global call order, so a retried or redistributed shard would not
+replay.
 
 Two waiver points exist, both requiring a documented reason:
 

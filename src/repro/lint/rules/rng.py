@@ -6,39 +6,24 @@ module) and may not construct *unseeded* ``default_rng()`` generators:
 the blessed pattern is ``repro.robust.rng.resolve_rng(rng, seed=seed)``,
 which keeps explicit seeds bit-stable and gives seed-less callers an
 independent child stream of the fixed root ``SeedSequence``.
+
+The detector is :func:`repro.lint.semantic.effects.global_rng_state`,
+the one behind R008's ``unseeded-rng`` effect.  R001 runs it over the
+whole module, so module-level and class-body calls, which no function
+summary covers, are flagged too.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable
 
-from ..astutil import (ImportMap, dotted_name, is_none_constant,
-                       param_default_map, walk_with_function_stack)
+from ..astutil import (ImportMap, dotted_name, import_heads,
+                       walk_with_function_stack)
 from ..context import ModuleInfo
 from ..findings import Finding
+from ..semantic.effects import RNG_MODULE, global_rng_state
 from . import Rule, register
-
-#: numpy.random attributes that are fine to touch directly: generator
-#: construction machinery, not hidden global state.
-_NUMPY_ALLOWED = {
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-}
-
-#: stdlib ``random`` module-level functions that mutate/consume the
-#: hidden global Mersenne-Twister state.
-_STDLIB_RANDOM = {
-    "random", "uniform", "randint", "randrange", "choice", "choices",
-    "sample", "shuffle", "gauss", "normalvariate", "lognormvariate",
-    "expovariate", "betavariate", "gammavariate", "triangular",
-    "vonmisesvariate", "paretovariate", "weibullvariate", "seed",
-    "getrandbits", "getstate", "setstate", "binomialvariate",
-}
-
-#: The one module allowed to construct generators directly -- it *is*
-#: the sanctioned construction site.
-_ALLOWED_MODULES = {"repro.robust.rng"}
 
 
 @register
@@ -51,101 +36,23 @@ class RngDisciplineRule(Rule):
         "route through repro.robust.rng.resolve_rng.")
 
     def check_module(self, info: ModuleInfo) -> Iterable[Finding]:
-        if info.module in _ALLOWED_MODULES:
-            return []
+        if info.module == RNG_MODULE:
+            return
         imports = ImportMap(info.tree)
-        findings: List[Finding] = []
+        heads = import_heads(info.tree)
         for node, stack in walk_with_function_stack(info.tree):
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func)
             if dotted is None:
                 continue
-            canonical = imports.canonical(dotted)
-            findings.extend(self._check_call(info, node, dotted,
-                                             canonical, stack))
-        return findings
-
-    def _check_call(self, info: ModuleInfo, node: ast.Call, dotted: str,
-                    canonical: str, stack) -> Iterable[Finding]:
-        head = dotted.split(".")[0]
-        parts = canonical.split(".")
-
-        # Legacy numpy.random global-state functions / RandomState.
-        if canonical.startswith("numpy.random.") and len(parts) >= 3:
-            attr = parts[2]
-            if attr == "default_rng":
-                if self._is_unseeded(node, stack):
-                    yield self._finding(
-                        info, node,
-                        "unseeded numpy.random.default_rng() -- use "
-                        "repro.robust.rng.resolve_rng(rng, seed=seed) so "
-                        "the stream is injectable and deterministic")
-            elif attr not in _NUMPY_ALLOWED:
-                yield self._finding(
-                    info, node,
-                    f"legacy global numpy.random.{attr}() draws from "
-                    "hidden process state -- use an injected "
-                    "numpy.random.Generator (repro.robust.rng.resolve_rng)")
-            return
-
-        # Bare ``default_rng(...)`` via ``from numpy.random import ...``.
-        if canonical == "numpy.random.default_rng" and \
-                self._is_unseeded(node, stack):
-            yield self._finding(
-                info, node,
-                "unseeded default_rng() -- use "
-                "repro.robust.rng.resolve_rng(rng, seed=seed)")
-            return
-
-        # stdlib random module-level functions (only when ``random`` is
-        # really an import in this file, not a local variable).
-        if len(parts) == 2 and parts[0] == "random" \
-                and head in imports_heads(info) \
-                and parts[1] in _STDLIB_RANDOM:
-            yield self._finding(
-                info, node,
-                f"stdlib random.{parts[1]}() uses hidden global state -- "
-                "use a numpy Generator via repro.robust.rng.resolve_rng")
-
-    @staticmethod
-    def _is_unseeded(node: ast.Call, stack) -> bool:
-        """True when the default_rng call has no real entropy argument.
-
-        Unseeded means: no arguments, a literal ``None``, or a bare
-        name that is a parameter of an enclosing function defaulting to
-        ``None`` (the classic ``seed: Optional[int] = None`` pass-through,
-        which silently goes non-deterministic when the caller omits it).
-        """
-        if node.keywords:
-            return False
-        if not node.args:
-            return True
-        first = node.args[0]
-        if is_none_constant(first):
-            return True
-        if isinstance(first, ast.Name):
-            for fn in reversed(stack):
-                defaults = param_default_map(fn)
-                if first.id in defaults:
-                    return is_none_constant(defaults[first.id])
-        return False
-
-    def _finding(self, info: ModuleInfo, node: ast.AST,
-                 message: str) -> Finding:
-        return Finding(path=str(info.path), line=node.lineno,
-                       col=node.col_offset, code=self.code,
-                       message=message)
-
-
-def imports_heads(info: ModuleInfo) -> set:
-    """Top-level names actually bound by import statements."""
-    heads = set()
-    for node in ast.walk(info.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                heads.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                heads.add(alias.asname or alias.name)
-    return heads
+            detail = global_rng_state(node, imports.canonical(dotted),
+                                      dotted, heads, stack)
+            if detail:
+                yield Finding(
+                    path=str(info.path), line=node.lineno,
+                    col=node.col_offset, code=self.code,
+                    message=(f"{detail}: hidden or unseeded RNG state "
+                             "-- inject a numpy.random.Generator or use "
+                             "repro.robust.rng.resolve_rng(rng, "
+                             "seed=seed)"))

@@ -1,7 +1,7 @@
 """repro.lint.semantic -- project-wide semantic analysis layer.
 
-The per-file rules (R001-R006) are syntactic: they judge what a
-function *does*, line by line.  The headline guarantees of this
+The AST rules (R001-R005) are syntactic: they judge what code
+*does*, line by line.  The headline guarantees of this
 codebase, though, are *reachability* properties -- "no shard entry
 point may **reach** a wall-clock read", "scalar/batched twins may not
 drift apart" -- so this subpackage lowers every parsed module to a

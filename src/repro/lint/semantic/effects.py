@@ -14,9 +14,10 @@ The effect vocabulary:
     whose output must replay bit-for-bit.
 ``unseeded-rng``
     Hidden global RNG state (legacy ``numpy.random.*`` functions,
-    stdlib ``random``), unseeded ``default_rng()`` (including the
-    ``seed=None`` pass-through), and unseeded
-    ``resolve_rng()``/``spawn_seed()`` -- deterministic per process,
+    stdlib ``random``) and unseeded ``default_rng()`` (including the
+    ``seed=None`` pass-through) -- :func:`global_rng_state`, which
+    R001 runs over whole modules -- plus unpinned
+    ``resolve_rng()``/``spawn_seed()``: deterministic per process,
     but dependent on global call order, which the shard replay
     contract forbids.
 ``env-dependent``
@@ -34,7 +35,7 @@ The effect vocabulary:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from ..astutil import ImportMap, dotted_name, is_none_constant, \
     param_default_map
@@ -87,12 +88,14 @@ _IO_METHODS = {
 }
 
 #: numpy.random attributes that are construction machinery, not
-#: hidden global state (mirrors the R001 allow list).
+#: hidden global state.
 _NUMPY_ALLOWED = {
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
 }
 
+#: stdlib ``random`` module-level functions that consume or mutate the
+#: hidden global Mersenne-Twister state.
 _STDLIB_RANDOM = {
     "random", "uniform", "randint", "randrange", "choice", "choices",
     "sample", "shuffle", "gauss", "normalvariate", "lognormvariate",
@@ -101,6 +104,12 @@ _STDLIB_RANDOM = {
     "getrandbits", "getstate", "setstate", "binomialvariate",
 }
 
+#: The sanctioned generator construction site: its internal
+#: ``default_rng``/root-stream handling is what the call-site
+#: detectors (``resolve_rng()``/``spawn_seed()`` unpinned) model, so
+#: detecting it *inside* the module would double-count every caller.
+RNG_MODULE = "repro.robust.rng"
+
 _SET_METHODS = {
     "intersection", "union", "difference", "symmetric_difference",
 }
@@ -108,70 +117,71 @@ _SET_METHODS = {
 
 def _default_rng_unseeded(node: ast.Call,
                           stack: Sequence[ast.AST]) -> bool:
-    """The R001 predicate: no arguments, a literal ``None``, or a
-    bare name that is an enclosing parameter defaulting to ``None``
-    (the ``seed=None`` pass-through)."""
-    if node.keywords:
+    """True when ``default_rng`` gets no entropy: no seed, a literal
+    ``None``, or a bare name that is an enclosing parameter defaulting
+    to ``None`` (the ``seed=None`` pass-through).  ``seed=`` counts as
+    the first positional argument; ``**kwargs`` counts as seeded."""
+    if any(kw.arg is None for kw in node.keywords):
         return False
-    if not node.args:
+    seeds = node.args[:1] + [kw.value for kw in node.keywords
+                             if kw.arg == "seed"]
+    if not seeds:
         return True
-    first = node.args[0]
-    if is_none_constant(first):
+    seed = seeds[0]
+    if is_none_constant(seed):
         return True
-    if isinstance(first, ast.Name):
-        for fn in reversed(list(stack)):
-            if not isinstance(fn, (ast.FunctionDef,
-                                   ast.AsyncFunctionDef)):
-                continue
+    if isinstance(seed, ast.Name):
+        for fn in reversed(stack):
             defaults = param_default_map(fn)
-            if first.id in defaults:
-                return is_none_constant(defaults[first.id])
+            if seed.id in defaults:
+                return is_none_constant(defaults[seed.id])
     return False
 
 
-def _forwarding_unpinned(node: ast.Call) -> bool:
-    """The R006 predicate for ``resolve_rng``/``spawn_seed``: pinned
-    by any argument that is not a literal ``None`` (forwarding a
-    caller's ``rng``/``seed`` variable is the sanctioned idiom)."""
-    pinned = [arg for arg in node.args if not is_none_constant(arg)]
-    pinned += [kw for kw in node.keywords
-               if not is_none_constant(kw.value)]
-    return not pinned
+def global_rng_state(node: ast.Call, canonical: str, dotted: str,
+                     import_heads: FrozenSet[str],
+                     stack: Sequence[ast.AST]) -> str:
+    """What unseeded stream the call draws from ('' if none): legacy
+    ``numpy.random.*`` global state, an unseeded ``default_rng()`` or
+    the stdlib ``random`` module (only when ``random`` really is an
+    import in this file, not a local name).
 
-
-def _rng_effects(node: ast.Call, canonical: str, dotted: str,
-                 import_heads: frozenset,
-                 stack: Sequence[ast.AST]) -> Iterator[Tuple[str, str]]:
+    ``stack`` lists the enclosing function definitions, outermost
+    first.  This is R001's whole check, and it is the first half of
+    the ``unseeded-rng`` effect.
+    """
     parts = canonical.split(".")
-    if canonical.startswith("numpy.random.") and len(parts) >= 3:
+    if canonical.startswith("numpy.random."):
         attr = parts[2]
         if attr == "default_rng":
             if _default_rng_unseeded(node, stack):
-                yield "unseeded-rng", "unseeded numpy.random.default_rng()"
+                return "unseeded numpy.random.default_rng()"
         elif attr not in _NUMPY_ALLOWED:
-            yield "unseeded-rng", f"legacy global numpy.random.{attr}()"
-        return
-    if canonical == "numpy.random.default_rng" \
-            and _default_rng_unseeded(node, stack):
-        yield "unseeded-rng", "unseeded default_rng()"
-        return
-    bare = dotted.split(".")[-1]
+            return f"legacy global numpy.random.{attr}()"
+        return ""
     if len(parts) == 2 and parts[0] == "random" \
             and dotted.split(".")[0] in import_heads \
             and parts[1] in _STDLIB_RANDOM:
-        yield "unseeded-rng", f"stdlib random.{parts[1]}()"
-        return
-    if (canonical == "repro.robust.rng.resolve_rng"
-            or (bare == "resolve_rng" and "." not in dotted)):
-        if _forwarding_unpinned(node):
-            yield "unseeded-rng", \
-                "resolve_rng() without rng or seed (global child stream)"
-        return
-    if (canonical == "repro.robust.rng.spawn_seed"
-            or (bare == "spawn_seed" and "." not in dotted)):
-        if _forwarding_unpinned(node):
-            yield "unseeded-rng", \
-                "spawn_seed() without a parent seed (global child stream)"
+        return f"stdlib random.{parts[1]}()"
+    return ""
+
+
+def _child_stream(node: ast.Call, canonical: str, dotted: str) -> str:
+    """The detail of a ``resolve_rng()``/``spawn_seed()`` call whose
+    every argument is a literal ``None`` ('' otherwise): it hands out
+    the next child of the process-global root stream.  Forwarding a
+    caller's ``rng``/``seed`` variable is the sanctioned idiom."""
+    if canonical == f"{RNG_MODULE}.resolve_rng" \
+            or dotted == "resolve_rng":
+        detail = "resolve_rng() without rng or seed"
+    elif canonical == f"{RNG_MODULE}.spawn_seed" or dotted == "spawn_seed":
+        detail = "spawn_seed() without a parent seed"
+    else:
+        return ""
+    arguments = node.args + [kw.value for kw in node.keywords]
+    if all(is_none_constant(arg) for arg in arguments):
+        return f"{detail} (global child stream)"
+    return ""
 
 
 def _unordered_source(expr: ast.AST) -> str:
@@ -191,15 +201,8 @@ def _unordered_source(expr: ast.AST) -> str:
     return ""
 
 
-#: The sanctioned generator construction site: its internal
-#: ``default_rng``/root-stream handling is what the call-site
-#: detectors (``resolve_rng()``/``spawn_seed()`` unpinned) model, so
-#: detecting it *inside* the module would double-count every caller.
-_RNG_MODULE = "repro.robust.rng"
-
-
 def detect_effects(node: ast.AST, imports: ImportMap,
-                   import_heads: frozenset,
+                   import_heads: FrozenSet[str],
                    stack: Sequence[ast.AST],
                    module: str = "") -> List[Tuple[str, str]]:
     """All ``(kind, detail)`` effects this single AST node performs."""
@@ -217,9 +220,12 @@ def detect_effects(node: ast.AST, imports: ImportMap,
             elif isinstance(node.func, ast.Attribute) \
                     and node.func.attr in _IO_METHODS:
                 found.append(("io", f".{node.func.attr}()"))
-            if module != _RNG_MODULE:
-                found.extend(_rng_effects(node, canonical, dotted,
-                                          import_heads, stack))
+            if module != RNG_MODULE:
+                detail = global_rng_state(node, canonical, dotted,
+                                          import_heads, stack) \
+                    or _child_stream(node, canonical, dotted)
+                if detail:
+                    found.append(("unseeded-rng", detail))
     elif isinstance(node, ast.Attribute):
         dotted = dotted_name(node)
         if dotted is not None and imports.canonical(dotted) in _ENV_ATTRS:

@@ -56,7 +56,7 @@ class SemanticModel:
 
     def determinism_roots(self) -> List[Tuple[str, str]]:
         """``(qualname, why-it-is-a-root)`` for every contract-bearing
-        function: R006 shard entry points and the
+        function: the shard entry points and the
         :data:`DETERMINISM_ROOTS` present in the analysed tree."""
         roots = {qual: "shard entry point"
                  for qual, fn in self.graph.functions.items()

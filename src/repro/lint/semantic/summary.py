@@ -26,15 +26,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from ..astutil import ImportMap, dotted_name
+from ..astutil import (ImportMap, annotation_source, dotted_name,
+                       import_heads, param_default_map,
+                       walk_with_function_stack)
 from ..context import ModuleInfo
 from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -219,40 +221,25 @@ def _repro_aliases(info: ModuleInfo) -> Dict[str, str]:
 
 def _params(fn: ast.AST) -> List[ParamSummary]:
     args = fn.args
-    params: List[ParamSummary] = []
-
-    def annotation(arg: ast.arg) -> str:
-        try:
-            return ast.unparse(arg.annotation) if arg.annotation else ""
-        except Exception:           # pragma: no cover - defensive
-            return ""
-
-    positional = args.posonlyargs + args.args
-    pos_defaults: List[Optional[ast.AST]] = \
-        [None] * (len(positional) - len(args.defaults)) \
-        + list(args.defaults)
-    for arg, default in zip(positional, pos_defaults):
-        params.append(ParamSummary(
-            name=arg.arg, kind="pos",
-            default=ast.unparse(default) if default is not None else None,
-            annotation=annotation(arg)))
+    defaults = param_default_map(fn)
+    kinds = [(arg, "pos") for arg in args.posonlyargs + args.args]
     if args.vararg is not None:
-        params.append(ParamSummary(name=args.vararg.arg, kind="vararg",
-                                   default=None,
-                                   annotation=annotation(args.vararg)))
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        params.append(ParamSummary(
-            name=arg.arg, kind="kwonly",
-            default=ast.unparse(default) if default is not None else None,
-            annotation=annotation(arg)))
+        kinds.append((args.vararg, "vararg"))
+    kinds += [(arg, "kwonly") for arg in args.kwonlyargs]
     if args.kwarg is not None:
-        params.append(ParamSummary(name=args.kwarg.arg, kind="kwarg",
-                                   default=None,
-                                   annotation=annotation(args.kwarg)))
+        kinds.append((args.kwarg, "kwarg"))
+    params = []
+    for arg, kind in kinds:
+        default = defaults.get(arg.arg)
+        params.append(ParamSummary(
+            name=arg.arg, kind=kind,
+            default=None if default is None else ast.unparse(default),
+            annotation=annotation_source(arg)))
     return params
 
 
 def _is_shard_entry(fn: ast.AST) -> bool:
+    """A shard entry point: named ``run_shard`` or taking ``shard``."""
     if fn.name == "run_shard":
         return True
     args = fn.args
@@ -321,30 +308,18 @@ def _local_var_types(fn: ast.AST, resolver: _Resolver,
     return types
 
 
-def _walk_function(fn: ast.AST):
-    """Yield (node, stack-of-enclosing-defs) under one function body,
-    folding nested defs into it."""
-    def visit(node: ast.AST, stack: List[ast.AST]):
-        for child in ast.iter_child_nodes(node):
-            yield child, stack
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                yield from visit(child, stack + [child])
-            else:
-                yield from visit(child, stack)
-    yield from visit(fn, [fn])
-
-
 def _summarize_function(info: ModuleInfo, fn: ast.AST,
                         class_name: Optional[str],
                         resolver: _Resolver, imports: ImportMap,
-                        import_heads: frozenset) -> FunctionSummary:
+                        heads: FrozenSet[str]) -> FunctionSummary:
     qual = f"{info.module}.{class_name}.{fn.name}" if class_name \
         else f"{info.module}.{fn.name}"
     var_types = _local_var_types(fn, resolver, class_name)
     callees: set = set()
     decorators: List[str] = []
     effects: List[EffectSummary] = []
+    # A def nested in ``fn`` folds into it, shard entry points too.
+    is_shard_entry = _is_shard_entry(fn)
 
     for decorator in fn.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) \
@@ -356,9 +331,11 @@ def _summarize_function(info: ModuleInfo, fn: ast.AST,
             if resolved:
                 callees.add(resolved)
 
-    for node, stack in _walk_function(fn):
-        for kind, detail in detect_effects(node, imports, import_heads,
-                                           stack, module=info.module):
+    for node, stack in walk_with_function_stack(fn, [fn]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            is_shard_entry = is_shard_entry or _is_shard_entry(node)
+        for kind, detail in detect_effects(node, imports, heads, stack,
+                                           module=info.module):
             line = getattr(node, "lineno", fn.lineno)
             col = getattr(node, "col_offset", 0)
             effects.append(EffectSummary(
@@ -387,7 +364,7 @@ def _summarize_function(info: ModuleInfo, fn: ast.AST,
         callees=sorted(callees),
         is_public=not fn.name.startswith("_")
         and not (class_name or "").startswith("_"),
-        is_shard_entry=_is_shard_entry(fn),
+        is_shard_entry=is_shard_entry,
     )
 
 
@@ -440,7 +417,7 @@ def summarize(info: ModuleInfo) -> FileSummary:
     aliases = _repro_aliases(info)
     resolver = _Resolver(info, aliases)
     imports = ImportMap(info.tree)
-    import_heads = frozenset(_import_heads(info))
+    heads = import_heads(info.tree)
 
     summary = FileSummary(path=str(info.path), module=info.module,
                           aliases=aliases)
@@ -448,7 +425,7 @@ def summarize(info: ModuleInfo) -> FileSummary:
     for node in info.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = _summarize_function(info, node, None, resolver,
-                                     imports, import_heads)
+                                     imports, heads)
             summary.functions[fn.qual] = fn
         elif isinstance(node, ast.ClassDef):
             fields: List[str] = []
@@ -458,8 +435,7 @@ def summarize(info: ModuleInfo) -> FileSummary:
                                      ast.AsyncFunctionDef)):
                     methods.append(item.name)
                     fn = _summarize_function(info, item, node.name,
-                                             resolver, imports,
-                                             import_heads)
+                                             resolver, imports, heads)
                     summary.functions[fn.qual] = fn
                 elif isinstance(item, ast.AnnAssign) \
                         and isinstance(item.target, ast.Name):
@@ -480,15 +456,3 @@ def summarize(info: ModuleInfo) -> FileSummary:
         (waiver.line, list(waiver.codes))
         for waiver in info.undocumented]
     return summary
-
-
-def _import_heads(info: ModuleInfo):
-    heads = set()
-    for node in ast.walk(info.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                heads.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                heads.add(alias.asname or alias.name)
-    return heads

@@ -26,8 +26,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert run_cli(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R001", "R002", "R003", "R004", "R005"):
-            assert code in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("R")]
+        assert listed == ["R001", "R002", "R003", "R004", "R005",
+                          "R008", "R009", "R010"]
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert run_cli([tmp_path / "nope"]) == 2

@@ -1,5 +1,6 @@
-"""Per-rule fixtures: one true positive and one false-positive
-avoidance case for each of R001-R005."""
+"""Per-rule fixtures for the AST rules R001-R005: true positives and
+false-positive avoidance cases, plus a corpus that pins the position
+of every R001 finding."""
 
 import textwrap
 from pathlib import Path
@@ -40,6 +41,25 @@ class TestR001RngDiscipline:
         """)
         assert codes(report) == ["R001"]
         assert "unseeded" in report.findings[0].message
+
+    def test_seed_keyword_counts_like_the_positional_seed(self, tmp_path):
+        report = lint_file(tmp_path, """
+            import numpy as np
+
+            def literal_none():
+                return np.random.default_rng(seed=None)
+
+            def passthrough(seed=None):
+                return np.random.default_rng(seed=seed)
+
+            def seeded(seed=3):
+                return (np.random.default_rng(seed=seed),
+                        np.random.default_rng(seed=7))
+        """)
+        assert [(f.code, f.line) for f in report.findings] \
+            == [("R001", 5), ("R001", 8)]
+        assert all("unseeded numpy.random.default_rng()" in f.message
+                   for f in report.findings)
 
     def test_flags_stdlib_random(self, tmp_path):
         report = lint_file(tmp_path, """
@@ -384,62 +404,4 @@ class TestR005VectorizationSafety:
             def decay(vth: np.ndarray, tau: float) -> np.ndarray:
                 return np.exp(vth / tau)
         """)
-        assert report.clean
-
-
-class TestR006ShardSeedDiscipline:
-    def test_flags_unseeded_resolve_rng_in_shard_function(
-            self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.robust.rng import resolve_rng
-
-            def sample_batch(n, shard=None):
-                rng = resolve_rng()
-                return rng.standard_normal(n)
-        """, select=["R006"])
-        assert codes(report) == ["R006"]
-        assert "sample_batch" in report.findings[0].message
-        assert "resolve_rng" in report.findings[0].message
-
-    def test_flags_spawn_seed_in_run_shard(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.robust.rng import spawn_seed
-
-            def run_shard(start, stop):
-                return spawn_seed()
-        """, select=["R006"])
-        assert codes(report) == ["R006"]
-        assert "spawn_seed" in report.findings[0].message
-
-    def test_allows_seeded_and_injected_rng(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.robust.rng import resolve_rng
-
-            def sample_batch(n, seed, rng=None, shard=None):
-                generator = resolve_rng(rng, seed=seed)
-                return generator.standard_normal(n)
-        """, select=["R006"])
-        assert report.clean
-
-    def test_allows_unseeded_rng_outside_shard_functions(
-            self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.robust.rng import resolve_rng, spawn_seed
-
-            def sample(n):
-                return resolve_rng().standard_normal(n)
-
-            def reseed():
-                return spawn_seed()
-        """, select=["R006"])
-        assert report.clean
-
-    def test_forwarded_seed_variable_is_sanctioned(self, tmp_path):
-        report = lint_file(tmp_path, """
-            from repro.robust.rng import resolve_rng
-
-            class Sampler:
-                def run_shard(self, start, stop):
-                    return resolve_rng(self.rng).normal()
-        """, select=["R006"])
         assert report.clean

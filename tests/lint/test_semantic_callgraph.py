@@ -104,11 +104,18 @@ class TestSummaries:
 
             def plain(n):
                 return n
+
+            def outer(spec):
+                def run_shard(start, stop):
+                    return spec
+                return run_shard
         """})
         fns = next(iter(summaries.values())).functions
         assert fns["mod.run_shard"].is_shard_entry
         assert fns["mod.sample"].is_shard_entry
         assert not fns["mod.plain"].is_shard_entry
+        # A nested shard def folds into its enclosing function.
+        assert fns["mod.outer"].is_shard_entry
 
 
 class TestCallGraph:

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.lint import run_lint
 
 
@@ -67,18 +69,96 @@ class TestR008TransitiveDeterminism:
             """}, select=["R008"])
         assert codes(report) == ["R008"]
 
-    def test_clean_shard_entry_stays_quiet(self, tmp_path):
-        report = lint_tree(tmp_path, {"mod.py": """
+    @pytest.mark.parametrize("source", [
+        pytest.param("""
+            from repro.robust.rng import resolve_rng
+
+            def sample_batch(n, shard=None):
+                rng = resolve_rng()
+                return rng.standard_normal(n)
+        """, id="resolve_rng"),
+        pytest.param("""
+            from repro.robust.rng import spawn_seed
+
+            def run_shard(start, stop):
+                return spawn_seed()
+        """, id="spawn_seed"),
+        pytest.param("""
+            from repro.robust import rng as r
+
+            def run_shard(start, stop):
+                return r.resolve_rng(None).normal()
+        """, id="attr_resolve_rng"),
+        pytest.param("""
+            from repro.robust.rng import resolve_rng
+
+            def run_shard(start, stop):
+                return resolve_rng(seed=None).normal()
+        """, id="resolve_rng_kw"),
+        pytest.param("""
+            from repro.robust.rng import resolve_rng
+
+            def make_runner(n):
+                def run_shard(start, stop):
+                    return resolve_rng().standard_normal(n)
+                return run_shard
+        """, id="nested_shard_def"),
+        pytest.param("""
             import numpy as np
 
-            def _compute(rng):
-                return rng.normal()
+            def run_shard(spec, seed=None):
+                return np.random.default_rng(seed=seed).normal()
+        """, id="default_rng_kw"),
+    ])
+    def test_shard_entry_rng(self, tmp_path, source):
+        """A shard entry point must not draw from a stream that depends
+        on global call order: unpinned ``resolve_rng()`` or
+        ``spawn_seed()``, also in a shard def nested in a plain
+        function, or ``default_rng`` given ``seed=None``."""
+        report = lint_tree(tmp_path, {"mod.py": source}, select=["R008"])
+        assert codes(report) == ["R008"]
+        message = report.findings[0].message
+        assert "(shard entry point)" in message
+        assert "unseeded-rng" in message
 
-            def run_shard(spec, shard=None):
-                rng = np.random.default_rng(1234)
-                return _compute(rng)
-        """}, select=["R008"])
-        assert report.clean
+    def test_clean_shard_entry_stays_quiet(self, tmp_path):
+        # Seeded, injected and forwarded streams, and unseeded ones
+        # outside any shard entry point, pass both RNG checks.
+        report = lint_tree(tmp_path, {
+            "mod.py": """
+                import numpy as np
+
+                def _compute(rng):
+                    return rng.normal()
+
+                def run_shard(spec, shard=None):
+                    rng = np.random.default_rng(1234)
+                    return _compute(rng)
+            """,
+            "seeded.py": """
+                from repro.robust.rng import resolve_rng
+
+                def sample_batch(n, seed, rng=None, shard=None):
+                    generator = resolve_rng(rng, seed=seed)
+                    return generator.standard_normal(n)
+            """,
+            "outside.py": """
+                from repro.robust.rng import resolve_rng, spawn_seed
+
+                def sample(n):
+                    return resolve_rng().standard_normal(n)
+
+                def reseed():
+                    return spawn_seed()
+            """,
+            "forwarded.py": """
+                from repro.robust.rng import resolve_rng
+
+                class Sampler:
+                    def run_shard(self, start, stop):
+                        return resolve_rng(self.rng).normal()
+            """}, select=["R001", "R008"])
+        assert report.clean, [f.format() for f in report.findings]
 
     def test_effect_outside_root_reach_is_ignored(self, tmp_path):
         # Nondeterminism in a helper nothing contract-bearing calls
