@@ -1,6 +1,7 @@
 """Per-rule fixtures for the AST rules R001-R005: true positives and
 false-positive avoidance cases, plus a corpus that pins the position
-of every R001 finding."""
+of every R001 finding. The retired R006 keeps its false-positive
+cases, now held against R001 and R008."""
 
 import textwrap
 from pathlib import Path
@@ -12,7 +13,7 @@ def lint_file(tmp_path, source, name="mod.py", select=None):
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
-    return run_lint([tmp_path], select=select)
+    return run_lint([tmp_path], select=select, use_cache=False)
 
 
 def codes(report):
@@ -404,4 +405,43 @@ class TestR005VectorizationSafety:
             def decay(vth: np.ndarray, tau: float) -> np.ndarray:
                 return np.exp(vth / tau)
         """)
+        assert report.clean
+
+
+class TestR006ShardSeedDiscipline:
+    """R006 (shard-seed discipline) folded into R008, which flags its
+    true positives. Its false positives must stay quiet under both RNG
+    checks."""
+
+    def test_allows_seeded_and_injected_rng(self, tmp_path):
+        report = lint_file(tmp_path, """
+            from repro.robust.rng import resolve_rng
+
+            def sample_batch(n, seed, rng=None, shard=None):
+                generator = resolve_rng(rng, seed=seed)
+                return generator.standard_normal(n)
+        """, select=["R001", "R008"])
+        assert report.clean
+
+    def test_allows_unseeded_rng_outside_shard_functions(
+            self, tmp_path):
+        report = lint_file(tmp_path, """
+            from repro.robust.rng import resolve_rng, spawn_seed
+
+            def sample(n):
+                return resolve_rng().standard_normal(n)
+
+            def reseed():
+                return spawn_seed()
+        """, select=["R001", "R008"])
+        assert report.clean
+
+    def test_forwarded_seed_variable_is_sanctioned(self, tmp_path):
+        report = lint_file(tmp_path, """
+            from repro.robust.rng import resolve_rng
+
+            class Sampler:
+                def run_shard(self, start, stop):
+                    return resolve_rng(self.rng).normal()
+        """, select=["R001", "R008"])
         assert report.clean

