@@ -5,8 +5,9 @@ Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
 yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
 event stream behind the ``soc-noise`` CLI, the electrothermal sweeps
 and the ``electrothermal`` CLI, the Monte Carlo OTA yield, the
-detector front-end synthesis and the stdouts of the ``chain-yield``,
-``node``, ``leakage`` and ``yield`` CLI probes.  Discrete
+detector front-end synthesis, the stdouts of the ``chain-yield``,
+``node``, ``leakage`` and ``yield`` CLI probes, and the outcome of
+every perturbed call in the fault-injection sweep.  Discrete
 values (names, counts, yields, criticality fractions, key order)
 compare exactly and floats at ``rel=1e-12``.  A change that moves one
 of them changes what the library computes and must be an explicit,
@@ -32,6 +33,7 @@ from repro.exec import run_sharded
 from repro.exec.workloads import ChainSignoffWorkload, YieldWorkload
 from repro.memory.sram import SramCell
 from repro.robust.errors import ModelDomainWarning
+from repro.robust.faults import run_fault_sweep
 from repro.substrate.swan import SwanSimulator, run_swan_experiment
 from repro.synthesis.sizing import (default_frontend_spec,
                                     frontend_synthesizer)
@@ -522,3 +524,28 @@ class TestCliStdoutPins:
             "              65nm |          vth-shift |              4e+05 |"
             "            0.95413 |            0.95348 |"
             "            0.95478 |            0.95348 |            0.95478\n")
+
+
+class TestFaultSweepPins:
+    """The fault-injection sweep over the default registry: how many
+    APIs and perturbed calls it makes, how each call ends, and the
+    SHA-256 of every ``(param, value, status)`` outcome in registry
+    order.  A registry refactor that keeps this pin probes the same
+    inputs and sees the same results."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_fault_sweep()
+
+    def test_counts(self, report):
+        assert report.n_apis == 72
+        assert len(report.outcomes) == 1197
+        assert report.failures == []
+        statuses = [o.status for o in report.outcomes]
+        assert statuses.count("finite") == 332
+        assert statuses.count("typed-error") == 865
+
+    def test_outcome_digest(self, report):
+        assert repr_digest([(o.param, o.value, o.status)
+                            for o in report.outcomes]) == (
+            "6796bfafa883138641b417beb16c3ff3d77a1c7a3fc2292091c0413b38790ad4")
