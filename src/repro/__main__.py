@@ -250,9 +250,12 @@ def cmd_soc_noise(args) -> int:
 
 def cmd_electrothermal(args) -> int:
     import numpy as np
-    from .robust import RoadmapDataError
+    from .robust import RoadmapDataError, check_count, check_positive
     from .technology import all_nodes, get_node
     from .thermal import electrothermal_rth_sweep
+    rth_points = check_count("rth_points", args.rth_points)
+    check_positive("rth_min", args.rth_min)
+    check_positive("rth_max", args.rth_max)
     if args.nodes:
         try:
             nodes = [get_node(name)
@@ -262,8 +265,7 @@ def cmd_electrothermal(args) -> int:
             return 1
     else:
         nodes = all_nodes()
-    rth_values = np.geomspace(args.rth_min, args.rth_max,
-                              args.rth_points)
+    rth_values = np.geomspace(args.rth_min, args.rth_max, rth_points)
     rows = electrothermal_rth_sweep(
         nodes, rth_values, n_gates=args.gates,
         frequency=args.frequency)

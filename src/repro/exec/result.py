@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
 from ..robust.errors import ModelDomainError
 from ..robust.validate import check_fraction
 
@@ -39,10 +41,16 @@ class ConfidenceBounds:
         return self.lower <= value <= self.upper
 
 
-def _check_counts(n_pass: int, n: int) -> None:
+def _check_counts(n_pass: int, n: int) -> Tuple[int, int]:
+    """Validate a pass count and sample size.
+
+    Python and numpy integers are accepted; bools and floats (even
+    integral ones) are not.  Returns Python ints, so fixed-width numpy
+    counts cannot wrap or overflow in the interval arithmetic.
+    """
     for name, value in (("n_pass", n_pass), ("n", n)):
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value < 0:
+        if isinstance(value, bool) \
+                or not isinstance(value, (int, np.integer)) or value < 0:
             raise ModelDomainError(
                 f"{name} must be a non-negative integer, got "
                 f"{value!r}")
@@ -51,12 +59,13 @@ def _check_counts(n_pass: int, n: int) -> None:
     if n_pass > n:
         raise ModelDomainError(
             f"n_pass={n_pass} exceeds n={n}")
+    return int(n_pass), int(n)
 
 
 def wilson_interval(n_pass: int, n: int,
                     level: float = 0.95) -> ConfidenceBounds:
     """Wilson score interval for ``n_pass`` successes in ``n``."""
-    _check_counts(n_pass, n)
+    n_pass, n = _check_counts(n_pass, n)
     level = check_fraction("level", level)
     if not 0.0 < level < 1.0:
         raise ModelDomainError("level must be in (0, 1)")
@@ -75,7 +84,7 @@ def wilson_interval(n_pass: int, n: int,
 def clopper_pearson_interval(n_pass: int, n: int,
                              level: float = 0.95) -> ConfidenceBounds:
     """Exact (Clopper-Pearson) binomial interval via beta inversion."""
-    _check_counts(n_pass, n)
+    n_pass, n = _check_counts(n_pass, n)
     level = check_fraction("level", level)
     if not 0.0 < level < 1.0:
         raise ModelDomainError("level must be in (0, 1)")

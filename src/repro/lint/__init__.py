@@ -14,8 +14,6 @@ code      name                      invariant
                                     ``repro.robust`` validation
 ``R003``  exception-hygiene         no bare except; raises use the
                                     ``repro.robust.errors`` taxonomy
-``R004``  fault-registry-drift      fault-sweep registrations track the
-                                    live API surface in both directions
 ``R005``  vectorization-safety      no scalar ``math.*`` on
                                     array-annotated parameters
 ``R008``  transitive-determinism    no determinism root *reaches* a
@@ -27,8 +25,8 @@ code      name                      invariant
                                     exported somewhere in the project
 ========  ========================  =======================================
 
-R001-R005 are syntactic: R001, R003 and R005 check one file at a
-time, R002 and R004 cross-reference the whole tree.  R008-R010 run on
+R001-R003 and R005 are syntactic: R001, R003 and R005 check one
+file at a time, R002 cross-references the whole tree.  R008-R010 run on
 the project-wide semantic model (:mod:`repro.lint.semantic`) built
 from content-hash cached per-file summaries (``.replint_cache/``;
 disable with ``--no-cache``).  R001 and R008's ``unseeded-rng``

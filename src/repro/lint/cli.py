@@ -23,9 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=("AST- and call-graph-based model-correctness "
                      "linter for the repro codebase (RNG discipline, "
                      "validation coverage, exception hygiene, "
-                     "fault-registry drift, vectorization safety, "
-                     "transitive determinism, twin-signature parity, "
-                     "dead-API detection)."))
+                     "vectorization safety, transitive determinism, "
+                     "twin-signature parity, dead-API detection)."))
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)")

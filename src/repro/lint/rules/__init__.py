@@ -80,5 +80,5 @@ def get_rules(select: Optional[Sequence[str]] = None,
 
 def _load_builtin_rules() -> None:
     """Import the rule modules exactly once (registration side effect)."""
-    from . import (rng, validation, exceptions, registry,  # noqa: F401
+    from . import (rng, validation, exceptions,  # noqa: F401
                    vectorization, determinism, twins, deadapi)  # noqa: F401

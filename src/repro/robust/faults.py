@@ -16,10 +16,14 @@ stochastic.
 Registering a new API
 ---------------------
 Append an :class:`ApiSpec` in :func:`default_registry` (or pass your
-own registry to :func:`run_fault_sweep`): a name, a keyword-only
-callable, a known-good ``baseline`` kwarg dict, and the tuple of
-numeric parameter names to ``perturb``.  The baseline call itself
-must return finite values -- the sweep checks that first.
+own registry to :func:`run_fault_sweep`): the public function, class
+or method itself, a keyword-only callable that drives it, and a
+known-good ``baseline`` kwarg dict whose every key the sweep
+perturbs.  The baseline call itself must return finite values -- the
+sweep checks that first.  The spec's name comes from the API object,
+so a renamed API fails when the registry is built; the tier-1 tests
+require every ``@validated(_result_finite=True)`` function or method
+to be some spec's ``api``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ __all__ = ["ApiSpec", "FaultOutcome", "FaultReport", "PERTURBATIONS",
            "default_registry", "run_fault_sweep"]
 
 
-#: The perturbation set swept over every registered numeric parameter.
+#: The perturbation set swept over every baseline parameter.
 PERTURBATIONS: Tuple[float, ...] = (
     float("nan"), float("inf"), float("-inf"),
     0.0, -1.0, 1e30, 1e-30,
@@ -48,15 +52,22 @@ PERTURBATIONS: Tuple[float, ...] = (
 class ApiSpec:
     """One public model API registered for fault injection.
 
-    ``call`` must accept keyword arguments only (wrap methods and
-    constructors in a lambda); ``baseline`` is a known-good input set
-    and ``perturb`` names the numeric parameters to sweep.
+    ``api`` is the public function, class or method under test;
+    ``call`` drives it with keyword arguments only (wrap methods and
+    constructors in a function); ``baseline`` is a known-good input
+    set, and the sweep perturbs each of its keys in turn.
     """
 
-    name: str
+    api: Any
     call: Callable[..., Any]
     baseline: Mapping[str, Any]
-    perturb: Tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        """Dotted path of ``api`` below the ``repro`` package, e.g.
+        ``devices.mosfet.Mosfet.ids``."""
+        return (f"{self.api.__module__.removeprefix('repro.')}."
+                f"{self.api.__qualname__}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +147,10 @@ def _call_one(spec: ApiSpec, kwargs: Dict[str, Any]) -> Tuple[str, str]:
     return _classify(result)
 
 
-def run_fault_sweep(registry: Optional[Sequence[ApiSpec]] = None,
-                    perturbations: Sequence[float] = PERTURBATIONS
+def run_fault_sweep(registry: Optional[Sequence[ApiSpec]] = None
                     ) -> FaultReport:
-    """Sweep every registered API with every perturbation.
+    """Sweep every baseline parameter of every registered API with
+    every perturbation.
 
     Returns a :class:`FaultReport`; ``report.passed`` is the tier-1
     assertion.  The baseline (unperturbed) call of each API is checked
@@ -156,8 +167,8 @@ def run_fault_sweep(registry: Optional[Sequence[ApiSpec]] = None,
                 status="crash" if status == "typed-error" else status,
                 detail=f"baseline call must succeed finitely: {detail}"))
             continue
-        for param in spec.perturb:
-            for value in perturbations:
+        for param in spec.baseline:
+            for value in PERTURBATIONS:
                 kwargs = dict(spec.baseline)
                 kwargs[param] = value
                 status, detail = _call_one(spec, kwargs)
@@ -173,22 +184,34 @@ def default_registry() -> List[ApiSpec]:
     Imports lazily so ``repro.robust`` stays import-light and free of
     circular dependencies.
     """
+    from types import SimpleNamespace
+
     from ..analog import chain as achain
     from ..analog import metrics as ametrics
     from ..analog import tradeoff
+    from ..analog.circuits import DetectorFrontend, OtaDesign, SingleStageOta
+    from ..analog.yield_analysis import OtaYieldAnalyzer
     from ..devices import leakage
     from ..devices.mosfet import Mosfet
     from ..digital import delay as ddelay
     from ..digital.generators import ripple_adder, soc_netlist
-    from ..digital.simulator_compiled import CompiledEventEngine
+    from ..digital.simulator_compiled import CompiledEventEngine, EventTrace
     from ..digital.ssta import StatisticalTimingAnalyzer
     from ..digital.timing import delay_under_mismatch
     from ..digital.timing_compiled import CompiledTimingGraph
+    from ..exec import (ChaosSpec, RetryPolicy, YieldWorkload,
+                        clopper_pearson_interval, plan_shards,
+                        run_sharded, wilson_interval)
     from ..interconnect import elmore, wire
     from ..lint.semantic import AnalysisCache
+    from ..substrate.mesh import SubstrateMesh, SubstrateProcess
+    from ..synthesis.sizing import (CircuitSynthesizer, Specification,
+                                    ota_synthesizer)
     from ..technology.library import get_node
     from ..technology.node import TechnologyNode
-    from ..thermal.electrothermal import solve_operating_point
+    from ..thermal.electrothermal import (runaway_rth_thresholds,
+                                          solve_operating_point,
+                                          solve_operating_point_batch)
     from ..thermal.mesh import ThermalStack
     from ..variability import dopants, ler, pelgrom
     from ..variability.statistical import (MonteCarloSampler, VariationSpec,
@@ -260,7 +283,6 @@ def default_registry() -> List[ApiSpec]:
 
     def retry_policy(timeout_s: float, backoff_initial_s: float,
                      backoff_factor: float) -> Any:
-        from ..exec import RetryPolicy
         return RetryPolicy(max_retries=2, timeout_s=timeout_s,
                            backoff_initial_s=backoff_initial_s,
                            backoff_factor=backoff_factor
@@ -268,25 +290,20 @@ def default_registry() -> List[ApiSpec]:
 
     def chaos_spec(crash_rate: float, hang_rate: float,
                    poison_rate: float) -> Any:
-        from ..exec import ChaosSpec
         return ChaosSpec(seed=7, crash_rate=crash_rate,
                          hang_rate=hang_rate,
                          poison_rate=poison_rate).total_rate
 
     def exec_plan_shards(n_total: Any, n_shards: Any) -> Any:
-        from ..exec import plan_shards
         return [s.size for s in plan_shards(n_total, n_shards)]
 
     def exec_wilson(n_pass: Any, level: float) -> Any:
-        from ..exec import wilson_interval
         return wilson_interval(n_pass, 50, level=level)
 
     def exec_clopper_pearson(n_pass: Any, level: float) -> Any:
-        from ..exec import clopper_pearson_interval
         return clopper_pearson_interval(n_pass, 50, level=level)
 
     def exec_run_sharded(limit: float, n_shards: Any) -> Any:
-        from ..exec import YieldWorkload, run_sharded
         result = run_sharded(
             YieldWorkload(node_name="65nm", metric="vth-shift",
                           limit=limit, n_dies=8, seed=11),
@@ -322,9 +339,8 @@ def default_registry() -> List[ApiSpec]:
                 "criticality": result.criticality()}
 
     def batched_ssta(n_samples: Any, vth_inter: float) -> Any:
-        from ..variability.statistical import VariationSpec as _Spec
         analyzer = StatisticalTimingAnalyzer(
-            timing_netlist, _Spec(vth_inter=vth_inter), seed=13)
+            timing_netlist, VariationSpec(vth_inter=vth_inter), seed=13)
         result = analyzer.run(n_samples)
         return {"samples": result.samples,
                 "nominal": result.nominal_delay}
@@ -361,7 +377,6 @@ def default_registry() -> List[ApiSpec]:
     def mesh_batched_solve(die_width: float,
                            backside_resistance: float,
                            current: float) -> Any:
-        from ..substrate.mesh import SubstrateMesh, SubstrateProcess
         mesh = SubstrateMesh(
             die_width, 1e-3, nx=8, ny=8,
             process=SubstrateProcess(
@@ -378,7 +393,6 @@ def default_registry() -> List[ApiSpec]:
 
     def ota_evaluate_batch(input_width: float, tail_current: float,
                            vth_override: float) -> Any:
-        from ..analog.circuits import SingleStageOta
         engine = SingleStageOta(node, load_capacitance=1e-12)
         return engine.evaluate_batch(
             np.array([input_width, 20 * f]),
@@ -390,7 +404,6 @@ def default_registry() -> List[ApiSpec]:
     def frontend_evaluate_batch(input_width: float,
                                 feedback_capacitance: float,
                                 drain_current: float) -> Any:
-        from ..analog.circuits import DetectorFrontend
         engine = DetectorFrontend(node, detector_capacitance=5e-12)
         return engine.evaluate_batch(
             np.array([input_width, 200 * f]),
@@ -401,7 +414,6 @@ def default_registry() -> List[ApiSpec]:
 
     def electrothermal_batch(frequency: float, activity: float,
                              rth: float) -> Any:
-        from ..thermal.electrothermal import solve_operating_point_batch
         return solve_operating_point_batch(
             node, rth=np.array([rth, 2.0 * rth]),
             n_gates=10_000, frequency=frequency,
@@ -409,13 +421,11 @@ def default_registry() -> List[ApiSpec]:
 
     def runaway_thresholds_batch(frequency: float,
                                  activity: float) -> Any:
-        from ..thermal.electrothermal import runaway_rth_thresholds
         return runaway_rth_thresholds(
             [node], n_gates=10_000, frequency=frequency,
             activity=activity)
 
     def synthesis_run(gain_bound: float, power_bound: float) -> Any:
-        from ..synthesis.sizing import Specification, ota_synthesizer
         spec = Specification(
             objective="power",
             constraints={"gain_db": ("min", gain_bound),
@@ -424,20 +434,13 @@ def default_registry() -> List[ApiSpec]:
         result = synthesizer.run(seed=5, maxiter=2, popsize=6)
         return {"cost": result.cost, "values": result.values}
 
-    def specification_penalty(gain_bound: float,
-                              gain_value: float) -> float:
-        from types import SimpleNamespace
-
-        from ..synthesis.sizing import Specification
+    def specification_penalty(gain_bound: float) -> float:
         spec = Specification(
             objective="power",
             constraints={"gain_db": ("min", gain_bound)})
-        return spec.penalty(SimpleNamespace(gain_db=gain_value,
-                                            power=1e-3))
+        return spec.penalty(SimpleNamespace(gain_db=45.0, power=1e-3))
 
     def ota_yield_run(gain_bound: float, offset_bound: float) -> Any:
-        from ..analog.circuits import OtaDesign
-        from ..analog.yield_analysis import OtaYieldAnalyzer
         analyzer = OtaYieldAnalyzer(
             node, OtaDesign(input_width=40 * f, input_length=4 * f,
                             load_width=20 * f, load_length=6 * f,
@@ -450,298 +453,203 @@ def default_registry() -> List[ApiSpec]:
                 "sigma_offset": report.sigma_offset}
 
     return [
-        ApiSpec("devices.leakage.subthreshold_current",
+        ApiSpec(leakage.subthreshold_current,
                 leakage.subthreshold_current,
                 {"i0": 1e-7, "vth": 0.22, "n": 1.45,
-                 "temperature": 300.0, "vgs": 0.0},
-                ("i0", "vth", "n", "temperature", "vgs")),
-        ApiSpec("devices.leakage.dibl_effective_vth",
-                leakage.dibl_effective_vth,
-                {"vth0": 0.22, "dibl": 0.08, "vds": 1.0},
-                ("vth0", "dibl", "vds")),
-        ApiSpec("devices.leakage.gate_leakage_current",
+                 "temperature": 300.0, "vgs": 0.0}),
+        ApiSpec(leakage.dibl_effective_vth, leakage.dibl_effective_vth,
+                {"vth0": 0.22, "dibl": 0.08, "vds": 1.0}),
+        ApiSpec(leakage.gate_leakage_current,
                 leakage.gate_leakage_current,
                 {"width": 2 * f, "vgb": 1.0, "tox": node.tox,
                  "k_fit": node.gate_leak_k,
-                 "alpha_fit": node.gate_leak_alpha},
-                ("width", "vgb", "tox", "k_fit", "alpha_fit")),
-        ApiSpec("devices.leakage.device_leakage",
+                 "alpha_fit": node.gate_leak_alpha}),
+        ApiSpec(leakage.device_leakage,
                 lambda **kw: leakage.device_leakage(node, **kw),
                 {"width": 2 * f, "vds": 1.0, "vbs": 0.0,
-                 "vth_offset": 0.0},
-                ("width", "vds", "vbs", "vth_offset")),
-        ApiSpec("devices.leakage.gate_leakage_per_gate",
+                 "vth_offset": 0.0}),
+        ApiSpec(leakage.gate_leakage_per_gate,
                 lambda **kw: leakage.gate_leakage_per_gate(node, **kw),
-                {"nmos_width": 2 * f, "pmos_width": 4 * f},
-                ("nmos_width", "pmos_width")),
-        ApiSpec("devices.leakage.leakage_power_density",
+                {"nmos_width": 2 * f, "pmos_width": 4 * f}),
+        ApiSpec(leakage.leakage_power_density,
                 lambda **kw: leakage.leakage_power_density(node, **kw),
-                {"gates_per_mm2": 1e5},
-                ("gates_per_mm2",)),
-        ApiSpec("devices.leakage.ioff_vs_vth_sweep",
+                {"gates_per_mm2": 1e5}),
+        ApiSpec(leakage.ioff_vs_vth_sweep,
                 lambda **kw: leakage.ioff_vs_vth_sweep(node, **kw),
-                {"vth_values": 0.3, "width": 2 * f},
-                ("vth_values", "width")),
-        ApiSpec("devices.mosfet.Mosfet.ids", mosfet_ids,
-                {"width": 2 * f, "vgs": 1.0, "vds": 1.0, "vbs": 0.0},
-                ("width", "vgs", "vds", "vbs")),
-        ApiSpec("devices.mosfet.Mosfet.off_current", mosfet_off_current,
-                {"width": 2 * f, "vds": 1.0},
-                ("width", "vds")),
-        ApiSpec("digital.delay.DelayModel.delay", fo4_delay,
-                {"drive_width": 2 * f, "vth": 0.22, "vdd": 1.0},
-                ("drive_width", "vth", "vdd")),
-        ApiSpec("digital.delay.delay_spread", delay_spread,
-                {"sigma_vth": 0.015, "n_sigma": 3.0},
-                ("sigma_vth", "n_sigma")),
-        ApiSpec("digital.delay.energy_delay_product",
+                {"vth_values": 0.3, "width": 2 * f}),
+        ApiSpec(Mosfet.ids, mosfet_ids,
+                {"width": 2 * f, "vgs": 1.0, "vds": 1.0, "vbs": 0.0}),
+        ApiSpec(Mosfet.off_current, mosfet_off_current,
+                {"width": 2 * f, "vds": 1.0}),
+        ApiSpec(ddelay.DelayModel.delay, fo4_delay,
+                {"drive_width": 2 * f, "vth": 0.22, "vdd": 1.0}),
+        ApiSpec(ddelay.DelayModel.delay_spread, delay_spread,
+                {"sigma_vth": 0.015, "n_sigma": 3.0}),
+        ApiSpec(ddelay.energy_delay_product,
                 lambda **kw: ddelay.energy_delay_product(node, **kw),
-                {"vdd": 1.0, "vth": 0.22},
-                ("vdd", "vth")),
-        ApiSpec("digital.timing_compiled.CompiledTimingGraph.evaluate",
-                compiled_evaluate,
+                {"vdd": 1.0, "vth": 0.22}),
+        ApiSpec(CompiledTimingGraph.evaluate, compiled_evaluate,
                 {"global_vth_offset": 0.0,
                  "wire_cap_per_fanout": 0.5e-15,
-                 "vth_offset": 0.01},
-                ("global_vth_offset", "wire_cap_per_fanout",
-                 "vth_offset")),
-        ApiSpec("digital.ssta.StatisticalTimingAnalyzer.run",
-                batched_ssta,
-                {"n_samples": 6, "vth_inter": 0.015},
-                ("n_samples", "vth_inter")),
-        ApiSpec("digital.timing.delay_under_mismatch",
-                mismatch_delays,
-                {"sigma_vth": 0.01, "n_samples": 6},
-                ("sigma_vth", "n_samples")),
-        ApiSpec("digital.simulator_compiled.CompiledEventEngine.run",
-                compiled_sim_run,
+                 "vth_offset": 0.01}),
+        ApiSpec(StatisticalTimingAnalyzer.run, batched_ssta,
+                {"n_samples": 6, "vth_inter": 0.015}),
+        ApiSpec(delay_under_mismatch, mismatch_delays,
+                {"sigma_vth": 0.01, "n_samples": 6}),
+        ApiSpec(CompiledEventEngine.run, compiled_sim_run,
                 {"clock_period": 1e-9,
-                 "wire_cap_per_fanout": 0.5e-15, "n_cycles": 2},
-                ("clock_period", "wire_cap_per_fanout", "n_cycles")),
-        ApiSpec("digital.simulator_compiled.EventTrace.activity_factor",
-                trace_activity_factor,
-                {"n_cycles": 2}, ("n_cycles",)),
-        ApiSpec("digital.generators.soc_netlist", soc_generator,
-                {"target_gates": 200, "glue_fraction": 0.1},
-                ("target_gates", "glue_fraction")),
-        ApiSpec("substrate.mesh.SubstrateMesh.solve",
-                mesh_batched_solve,
+                 "wire_cap_per_fanout": 0.5e-15, "n_cycles": 2}),
+        ApiSpec(EventTrace.activity_factor, trace_activity_factor,
+                {"n_cycles": 2}),
+        ApiSpec(soc_netlist, soc_generator,
+                {"target_gates": 200, "glue_fraction": 0.1}),
+        ApiSpec(SubstrateMesh.solve, mesh_batched_solve,
                 {"die_width": 1e-3, "backside_resistance": 2.0,
-                 "current": 1e-3},
-                ("die_width", "backside_resistance", "current")),
-        ApiSpec("interconnect.wire.WireGeometry", wire_geometry,
+                 "current": 1e-3}),
+        ApiSpec(wire.WireGeometry, wire_geometry,
                 {"pitch": 180e-9, "width_fraction": 0.5,
-                 "aspect_ratio": 2.0},
-                ("pitch", "width_fraction", "aspect_ratio")),
-        ApiSpec("interconnect.wire.capacitance_per_length",
+                 "aspect_ratio": 2.0}),
+        ApiSpec(wire.capacitance_per_length,
                 lambda **kw: wire.capacitance_per_length(geometry, **kw),
-                {"miller_factor": 1.0},
-                ("miller_factor",)),
-        ApiSpec("interconnect.wire.wire_delay",
+                {"miller_factor": 1.0}),
+        ApiSpec(wire.wire_delay,
                 lambda **kw: wire.wire_delay(geometry, **kw),
-                {"length": 1e-3, "miller_factor": 1.0},
-                ("length", "miller_factor")),
-        ApiSpec("interconnect.wire.wire_energy",
+                {"length": 1e-3, "miller_factor": 1.0}),
+        ApiSpec(wire.wire_energy,
                 lambda **kw: wire.wire_energy(geometry, **kw),
-                {"length": 1e-3, "vdd": 1.0, "activity": 0.5},
-                ("length", "vdd", "activity")),
-        ApiSpec("interconnect.elmore.driver_wire_load_delay",
+                {"length": 1e-3, "vdd": 1.0, "activity": 0.5}),
+        ApiSpec(elmore.driver_wire_load_delay,
                 lambda **kw: elmore.driver_wire_load_delay(geometry, **kw),
                 {"length": 1e-3, "driver_resistance": 1e3,
-                 "load_capacitance": 1e-15},
-                ("length", "driver_resistance", "load_capacitance")),
-        ApiSpec("interconnect.elmore.uniform_line", uniform_line_delay,
+                 "load_capacitance": 1e-15}),
+        ApiSpec(elmore.uniform_line, uniform_line_delay,
                 {"length": 1e-3, "driver_resistance": 1e3,
-                 "load_capacitance": 1e-15},
-                ("length", "driver_resistance", "load_capacitance")),
-        ApiSpec("analog.tradeoff.accuracy_from_bits",
-                tradeoff.accuracy_from_bits,
-                {"n_bits": 10.0}, ("n_bits",)),
-        ApiSpec("analog.tradeoff.bits_from_accuracy",
-                tradeoff.bits_from_accuracy,
-                {"accuracy": 1254.0}, ("accuracy",)),
-        ApiSpec("analog.tradeoff.thermal_noise_constant",
+                 "load_capacitance": 1e-15}),
+        ApiSpec(tradeoff.accuracy_from_bits, tradeoff.accuracy_from_bits,
+                {"n_bits": 10.0}),
+        ApiSpec(tradeoff.bits_from_accuracy, tradeoff.bits_from_accuracy,
+                {"accuracy": 1254.0}),
+        ApiSpec(tradeoff.thermal_noise_constant,
                 tradeoff.thermal_noise_constant,
-                {"temperature": 300.0, "efficiency": 0.01},
-                ("temperature", "efficiency")),
-        ApiSpec("analog.tradeoff.mismatch_constant",
+                {"temperature": 300.0, "efficiency": 0.01}),
+        ApiSpec(tradeoff.mismatch_constant,
                 lambda **kw: tradeoff.mismatch_constant(node, **kw),
-                {"swing_fraction": 0.6, "efficiency": 0.01},
-                ("swing_fraction", "efficiency")),
-        ApiSpec("analog.tradeoff.minimum_power",
+                {"swing_fraction": 0.6, "efficiency": 0.01}),
+        ApiSpec(tradeoff.minimum_power,
                 lambda **kw: tradeoff.minimum_power(node=node, **kw),
-                {"speed": 1e8, "accuracy": 1254.0, "temperature": 300.0},
-                ("speed", "accuracy", "temperature")),
-        ApiSpec("variability.pelgrom.sigma_delta_vth",
+                {"speed": 1e8, "accuracy": 1254.0, "temperature": 300.0}),
+        ApiSpec(pelgrom.sigma_delta_vth,
                 lambda **kw: pelgrom.sigma_delta_vth(node, **kw),
-                {"width": 10 * f, "length": 2 * f, "distance": 1e-5},
-                ("width", "length", "distance")),
-        ApiSpec("variability.pelgrom.sigma_delta_beta",
+                {"width": 10 * f, "length": 2 * f, "distance": 1e-5}),
+        ApiSpec(pelgrom.sigma_delta_beta,
                 lambda **kw: pelgrom.sigma_delta_beta(node, **kw),
-                {"width": 10 * f, "length": 2 * f},
-                ("width", "length")),
-        ApiSpec("variability.pelgrom.area_for_matching",
+                {"width": 10 * f, "length": 2 * f}),
+        ApiSpec(pelgrom.area_for_matching,
                 lambda **kw: pelgrom.area_for_matching(node, **kw),
-                {"sigma_vth_target": 1e-3},
-                ("sigma_vth_target",)),
-        ApiSpec("variability.pelgrom.offset_sigma_diff_pair",
+                {"sigma_vth_target": 1e-3}),
+        ApiSpec(pelgrom.offset_sigma_diff_pair,
                 lambda **kw: pelgrom.offset_sigma_diff_pair(node, **kw),
-                {"width": 10 * f, "length": 2 * f, "gm_over_id": 10.0},
-                ("width", "length", "gm_over_id")),
-        ApiSpec("variability.pelgrom.sigma_resistor_mismatch",
+                {"width": 10 * f, "length": 2 * f, "gm_over_id": 10.0}),
+        ApiSpec(pelgrom.sigma_resistor_mismatch,
                 lambda **kw: pelgrom.sigma_resistor_mismatch(node, **kw),
-                {"width": 8 * f, "length": 64 * f},
-                ("width", "length", "matching_coefficient")),
-        ApiSpec("variability.pelgrom.sigma_capacitor_mismatch",
+                {"width": 8 * f, "length": 64 * f,
+                 "matching_coefficient": 2 * node.abeta}),
+        ApiSpec(pelgrom.sigma_capacitor_mismatch,
                 lambda **kw: pelgrom.sigma_capacitor_mismatch(node, **kw),
-                {"width": 12 * f, "length": 12 * f},
-                ("width", "length", "matching_coefficient")),
-        ApiSpec("analog.metrics.transfer_linearity",
-                ametrics.transfer_linearity,
-                {"levels": [0.0, 0.25, 0.5, 0.75, 1.0]},
-                ("levels",)),
-        ApiSpec("analog.metrics.transfer_linearity_batch",
+                {"width": 12 * f, "length": 12 * f,
+                 "matching_coefficient": node.abeta}),
+        ApiSpec(ametrics.transfer_linearity, ametrics.transfer_linearity,
+                {"levels": [0.0, 0.25, 0.5, 0.75, 1.0]}),
+        ApiSpec(ametrics.transfer_linearity_batch,
                 ametrics.transfer_linearity_batch,
                 {"levels": [[0.0, 0.25, 0.5, 0.75, 1.0],
-                            [0.0, 0.3, 0.5, 0.7, 1.0]]},
-                ("levels",)),
-        ApiSpec("analog.metrics.histogram_linearity",
-                ametrics.histogram_linearity,
-                {"codes": ramp_codes_2bit, "n_bits": 2},
-                ("codes", "n_bits")),
-        ApiSpec("analog.metrics.histogram_linearity_batch",
+                            [0.0, 0.3, 0.5, 0.7, 1.0]]}),
+        ApiSpec(ametrics.histogram_linearity, ametrics.histogram_linearity,
+                {"codes": ramp_codes_2bit, "n_bits": 2}),
+        ApiSpec(ametrics.histogram_linearity_batch,
                 ametrics.histogram_linearity_batch,
                 {"codes": np.stack([ramp_codes_2bit, ramp_codes_2bit]),
-                 "n_bits": 2},
-                ("codes", "n_bits")),
-        ApiSpec("analog.metrics.spectral_metrics",
-                ametrics.spectral_metrics,
+                 "n_bits": 2}),
+        ApiSpec(ametrics.spectral_metrics, ametrics.spectral_metrics,
                 {"signal": coherent_record, "cycles": 5,
-                 "full_scale": 2.0},
-                ("signal", "cycles", "full_scale")),
-        ApiSpec("analog.metrics.spectral_metrics_batch",
+                 "full_scale": 2.0}),
+        ApiSpec(ametrics.spectral_metrics_batch,
                 ametrics.spectral_metrics_batch,
                 {"signals": np.stack([coherent_record,
                                       -coherent_record]),
-                 "cycles": 5, "full_scale": 2.0},
-                ("signals", "cycles", "full_scale")),
-        ApiSpec("analog.chain.chain_signoff",
+                 "cycles": 5, "full_scale": 2.0}),
+        ApiSpec(achain.chain_signoff,
                 lambda **kw: achain.chain_signoff(node, **kw),
                 {"n_ramp_per_code": 4, "n_fft": 256, "cycles": 67,
-                 "amplitude_fraction": 0.9},
-                ("n_ramp_per_code", "n_fft", "cycles",
-                 "amplitude_fraction")),
-        ApiSpec("analog.chain.chain_signoff_batch", chain_batch,
+                 "amplitude_fraction": 0.9}),
+        ApiSpec(achain.chain_signoff_batch, chain_batch,
                 {"n_dies": 4, "n_ramp_per_code": 4, "n_fft": 256,
-                 "cycles": 67, "amplitude_fraction": 0.9},
-                ("n_dies", "n_ramp_per_code", "n_fft", "cycles",
-                 "amplitude_fraction")),
-        ApiSpec("analog.chain.chain_yield_vs_node",
+                 "cycles": 67, "amplitude_fraction": 0.9}),
+        ApiSpec(achain.chain_yield_vs_node,
                 lambda **kw: achain.chain_yield_vs_node(
                     nodes=[node], n_ramp_per_code=4, n_fft=256, **kw),
-                {"n_dies": 3, "seed": 1, "amplitude_fraction": 0.9},
-                ("n_dies", "seed", "amplitude_fraction")),
-        ApiSpec("variability.dopants.channel_dopant_count",
+                {"n_dies": 3, "seed": 1, "amplitude_fraction": 0.9}),
+        ApiSpec(dopants.channel_dopant_count,
                 lambda **kw: dopants.channel_dopant_count(node, **kw),
-                {"width": 2 * f, "length": f},
-                ("width", "length")),
-        ApiSpec("variability.dopants.dopant_count_sigma",
-                dopants.dopant_count_sigma,
-                {"mean_count": 100.0},
-                ("mean_count",)),
-        ApiSpec("variability.dopants.vth_sigma_from_rdf",
+                {"width": 2 * f, "length": f}),
+        ApiSpec(dopants.dopant_count_sigma, dopants.dopant_count_sigma,
+                {"mean_count": 100.0}),
+        ApiSpec(dopants.vth_sigma_from_rdf,
                 lambda **kw: dopants.vth_sigma_from_rdf(node, **kw),
-                {"width": 2 * f, "length": f},
-                ("width", "length")),
-        ApiSpec("variability.ler.current_spread_from_ler", ler_spread,
+                {"width": 2 * f, "length": f}),
+        ApiSpec(ler.current_spread_from_ler, ler_spread,
                 {"sigma": 1.5e-9, "correlation_length": 25e-9,
-                 "width": 130e-9},
-                ("sigma", "correlation_length", "width")),
-        ApiSpec("variability.statistical.VariationSpec", variation_spec,
-                {"vth_inter": 0.015, "length_inter_rel": 0.04},
-                ("vth_inter", "length_inter_rel")),
-        ApiSpec("variability.statistical.intra_sigma_vth", intra_sigma,
-                {"width": 2 * f, "length": f},
-                ("width", "length")),
-        ApiSpec("variability.statistical.sample_dies_batch", sample_batch,
-                {"n_dies": 4, "width": 2 * f},
-                ("n_dies", "width")),
-        ApiSpec("variability.statistical.monte_carlo_yield_batch",
-                yield_batch,
-                {"limit": 0.03, "n_dies": 16},
-                ("limit", "n_dies")),
-        ApiSpec("technology.node.with_overrides", node_override,
-                {"vdd": 1.0, "vth": 0.22, "tox": 1.6e-9},
-                ("vdd", "vth", "tox")),
-        ApiSpec("technology.node.at_temperature",
+                 "width": 130e-9}),
+        ApiSpec(VariationSpec, variation_spec,
+                {"vth_inter": 0.015, "length_inter_rel": 0.04}),
+        ApiSpec(VariationSpec.intra_sigma_vth, intra_sigma,
+                {"width": 2 * f, "length": f}),
+        ApiSpec(MonteCarloSampler.sample_dies_batch, sample_batch,
+                {"n_dies": 4, "width": 2 * f}),
+        ApiSpec(monte_carlo_yield_batch, yield_batch,
+                {"limit": 0.03, "n_dies": 16}),
+        ApiSpec(TechnologyNode.with_overrides, node_override,
+                {"vdd": 1.0, "vth": 0.22, "tox": 1.6e-9}),
+        ApiSpec(TechnologyNode.at_temperature,
                 lambda **kw: node.at_temperature(**kw),
-                {"temperature": 358.0}, ("temperature",)),
-        ApiSpec("technology.node.scaled",
-                lambda **kw: node.scaled(**kw),
-                {"s": 1.4}, ("s",)),
-        ApiSpec("technology.node.sigma_vt",
-                lambda **kw: node.sigma_vt(**kw),
-                {"width": 2 * f, "length": f},
-                ("width", "length")),
-        ApiSpec("thermal.electrothermal.solve_operating_point",
-                electrothermal,
-                {"frequency": 1e9, "activity": 0.1, "rth": 1.0},
-                ("frequency", "activity", "rth")),
-        ApiSpec("thermal.electrothermal.solve_operating_point_batch",
-                electrothermal_batch,
-                {"frequency": 1e9, "activity": 0.1, "rth": 1.0},
-                ("frequency", "activity", "rth")),
-        ApiSpec("thermal.electrothermal.runaway_rth_thresholds",
-                runaway_thresholds_batch,
-                {"frequency": 1e9, "activity": 0.1},
-                ("frequency", "activity")),
-        ApiSpec("analog.circuits.SingleStageOta.evaluate_batch",
-                ota_evaluate_batch,
+                {"temperature": 358.0}),
+        ApiSpec(TechnologyNode.scaled, lambda **kw: node.scaled(**kw),
+                {"s": 1.4}),
+        ApiSpec(TechnologyNode.sigma_vt, lambda **kw: node.sigma_vt(**kw),
+                {"width": 2 * f, "length": f}),
+        ApiSpec(solve_operating_point, electrothermal,
+                {"frequency": 1e9, "activity": 0.1, "rth": 1.0}),
+        ApiSpec(solve_operating_point_batch, electrothermal_batch,
+                {"frequency": 1e9, "activity": 0.1, "rth": 1.0}),
+        ApiSpec(runaway_rth_thresholds, runaway_thresholds_batch,
+                {"frequency": 1e9, "activity": 0.1}),
+        ApiSpec(SingleStageOta.evaluate_batch, ota_evaluate_batch,
                 {"input_width": 40 * f, "tail_current": 20e-6,
-                 "vth_override": 0.22},
-                ("input_width", "tail_current", "vth_override")),
-        ApiSpec("analog.circuits.DetectorFrontend.evaluate_batch",
-                frontend_evaluate_batch,
+                 "vth_override": 0.22}),
+        ApiSpec(DetectorFrontend.evaluate_batch, frontend_evaluate_batch,
                 {"input_width": 200 * f,
                  "feedback_capacitance": 0.3e-12,
-                 "drain_current": 300e-6},
-                ("input_width", "feedback_capacitance",
-                 "drain_current")),
-        ApiSpec("synthesis.sizing.CircuitSynthesizer.run",
-                synthesis_run,
-                {"gain_bound": 40.0, "power_bound": 1e-3},
-                ("gain_bound", "power_bound")),
-        ApiSpec("synthesis.sizing.Specification.penalty",
-                specification_penalty,
-                {"gain_bound": 40.0, "gain_value": 45.0},
-                ("gain_bound",)),
-        ApiSpec("analog.yield_analysis.OtaYieldAnalyzer.run",
-                ota_yield_run,
-                {"gain_bound": 30.0, "offset_bound": 5e-3},
-                ("gain_bound", "offset_bound")),
-        ApiSpec("exec.policy.RetryPolicy", retry_policy,
+                 "drain_current": 300e-6}),
+        ApiSpec(CircuitSynthesizer.run, synthesis_run,
+                {"gain_bound": 40.0, "power_bound": 1e-3}),
+        ApiSpec(Specification.penalty, specification_penalty,
+                {"gain_bound": 40.0}),
+        ApiSpec(OtaYieldAnalyzer.run, ota_yield_run,
+                {"gain_bound": 30.0, "offset_bound": 5e-3}),
+        ApiSpec(RetryPolicy, retry_policy,
                 {"timeout_s": 1.0, "backoff_initial_s": 0.05,
-                 "backoff_factor": 2.0},
-                ("timeout_s", "backoff_initial_s",
-                 "backoff_factor")),
-        ApiSpec("exec.chaos.ChaosSpec", chaos_spec,
+                 "backoff_factor": 2.0}),
+        ApiSpec(ChaosSpec, chaos_spec,
                 {"crash_rate": 0.2, "hang_rate": 0.1,
-                 "poison_rate": 0.2},
-                ("crash_rate", "hang_rate", "poison_rate")),
-        ApiSpec("exec.shards.plan_shards", exec_plan_shards,
-                {"n_total": 100, "n_shards": 7},
-                ("n_total", "n_shards")),
-        ApiSpec("exec.result.wilson_interval", exec_wilson,
-                {"n_pass": 45, "level": 0.95},
-                ("n_pass", "level")),
-        ApiSpec("exec.result.clopper_pearson_interval",
-                exec_clopper_pearson,
-                {"n_pass": 45, "level": 0.95},
-                ("n_pass", "level")),
-        ApiSpec("exec.runner.run_sharded", exec_run_sharded,
-                {"limit": 0.03, "n_shards": 2},
-                ("limit", "n_shards")),
-        ApiSpec("lint.semantic.cache.AnalysisCache", lint_cache_capacity,
-                {"max_files": 64},
-                ("max_files",)),
+                 "poison_rate": 0.2}),
+        ApiSpec(plan_shards, exec_plan_shards,
+                {"n_total": 100, "n_shards": 7}),
+        ApiSpec(wilson_interval, exec_wilson,
+                {"n_pass": 45, "level": 0.95}),
+        ApiSpec(clopper_pearson_interval, exec_clopper_pearson,
+                {"n_pass": 45, "level": 0.95}),
+        ApiSpec(run_sharded, exec_run_sharded,
+                {"limit": 0.03, "n_shards": 2}),
+        ApiSpec(AnalysisCache, lint_cache_capacity,
+                {"max_files": 64}),
     ]

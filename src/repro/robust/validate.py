@@ -202,7 +202,10 @@ def validated(_result_finite: bool = False,
     _result_finite:
         When True, the wrapped function's return value is checked with
         :func:`ensure_finite_output` -- the NaN/inf guard on model
-        outputs.
+        outputs.  The wrapper records the flag as
+        ``__result_finite__``; the fault-sweep tests require every
+        such API to be registered in
+        :func:`repro.robust.faults.default_registry`.
     **param_specs:
         Maps parameter names to a spec: one of the shorthand strings
         ``"finite"``, ``"positive"``, ``"non-negative"``,
@@ -248,6 +251,7 @@ def validated(_result_finite: bool = False,
             return result
 
         wrapper.__validated_params__ = dict(param_specs)  # type: ignore
+        wrapper.__result_finite__ = _result_finite  # type: ignore
         return wrapper
 
     return decorate

@@ -54,6 +54,19 @@ class TestBinomialBounds:
         with pytest.raises(ModelDomainError):
             clopper_pearson_interval(5, 10, level=float("nan"))
 
+    @pytest.mark.parametrize("interval", [wilson_interval,
+                                          clopper_pearson_interval])
+    def test_numpy_integer_counts(self, interval):
+        assert interval(np.int64(45), np.int32(50)) == interval(45, 50)
+        assert interval(np.uint8(200), 300) == interval(200, 300)
+
+    @pytest.mark.parametrize("interval", [wilson_interval,
+                                          clopper_pearson_interval])
+    @pytest.mark.parametrize("n_pass", [True, 45.0])
+    def test_bool_and_float_counts_are_rejected(self, interval, n_pass):
+        with pytest.raises(ModelDomainError, match="non-negative integer"):
+            interval(n_pass, 50)
+
 
 class TestPartialResult:
     def _partial(self):

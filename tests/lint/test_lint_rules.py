@@ -1,7 +1,7 @@
-"""Per-rule fixtures for the AST rules R001-R005: true positives and
-false-positive avoidance cases, plus a corpus that pins the position
-of every R001 finding. The retired R006 keeps its false-positive
-cases, now held against R001 and R008."""
+"""Per-rule fixtures for the AST rules R001-R003 and R005: true
+positives and false-positive avoidance cases, plus a corpus that pins
+the position of every R001 finding. The retired R006 keeps its
+false-positive cases, now held against R001 and R008."""
 
 import textwrap
 from pathlib import Path
@@ -281,96 +281,6 @@ class TestR003ExceptionHygiene:
             def hook():
                 raise NotImplementedError
         """)
-        assert report.clean
-
-
-class TestR004FaultRegistryDrift:
-    FAULTS = """
-        class ApiSpec:
-            def __init__(self, name, call, baseline, perturb):
-                self.name = name
-
-        def default_registry():
-            return [
-                ApiSpec("devices.mod.real_fn", None, {}, ()),
-            ]
-    """
-
-    def test_flags_stale_registration(self, tmp_path):
-        (tmp_path / "repro/robust").mkdir(parents=True)
-        (tmp_path / "repro/robust/faults.py").write_text(textwrap.dedent("""
-            class ApiSpec:
-                def __init__(self, name, call, baseline, perturb):
-                    self.name = name
-
-            def default_registry():
-                return [ApiSpec("devices.mod.ghost_fn", None, {}, ())]
-        """))
-        report = lint_file(tmp_path, """
-            def real_fn(x: float) -> float:
-                return x
-        """, name="repro/devices/mod.py", select=["R004"])
-        assert codes(report) == ["R004"]
-        assert "ghost_fn" in report.findings[0].message
-
-    def test_flags_unregistered_finite_validated_function(self, tmp_path):
-        (tmp_path / "repro/robust").mkdir(parents=True)
-        (tmp_path / "repro/robust/faults.py").write_text(
-            textwrap.dedent(self.FAULTS))
-        report = lint_file(tmp_path, """
-            from repro.robust.validate import validated
-
-            @validated(_result_finite=True, x="finite")
-            def real_fn(x: float) -> float:
-                return x
-
-            @validated(_result_finite=True, x="finite")
-            def forgotten_fn(x: float) -> float:
-                return x
-        """, name="repro/devices/mod.py", select=["R004"])
-        assert codes(report) == ["R004"]
-        assert "forgotten_fn" in report.findings[0].message
-
-    def test_registered_surface_is_clean(self, tmp_path):
-        (tmp_path / "repro/robust").mkdir(parents=True)
-        (tmp_path / "repro/robust/faults.py").write_text(
-            textwrap.dedent(self.FAULTS))
-        report = lint_file(tmp_path, """
-            from repro.robust.validate import validated
-
-            @validated(_result_finite=True, x="finite")
-            def real_fn(x: float) -> float:
-                return x
-
-            @validated(x="finite")
-            def param_only(x: float) -> float:
-                return x
-        """, name="repro/devices/mod.py", select=["R004"])
-        assert report.clean
-
-    def test_method_style_names_resolve(self, tmp_path):
-        (tmp_path / "repro/robust").mkdir(parents=True)
-        (tmp_path / "repro/robust/faults.py").write_text(textwrap.dedent("""
-            class ApiSpec:
-                def __init__(self, name, call, baseline, perturb):
-                    self.name = name
-
-            def default_registry():
-                return [
-                    ApiSpec("devices.mod.Model.evaluate", None, {}, ()),
-                    ApiSpec("devices.mod.shortcut", None, {}, ()),
-                ]
-        """))
-        # "shortcut" skips the class name, like technology.node.
-        # with_overrides in the real registry.
-        report = lint_file(tmp_path, """
-            class Model:
-                def evaluate(self, x: float) -> float:
-                    return x
-
-                def shortcut(self, x: float) -> float:
-                    return x
-        """, name="repro/devices/mod.py", select=["R004"])
         assert report.clean
 
 

@@ -179,7 +179,7 @@ class TestSarifDocument:
         ids = {rule["id"] for rule in driver["rules"]}
         expected = {"E999", "R000"} | {f"R{n:03d}"
                                        for n in range(1, 11)
-                                       if n not in (6, 7)}
+                                       if n not in (4, 6, 7)}
         assert ids == expected
 
     def test_syntax_error_is_error_level(self, tmp_path):

@@ -1,26 +1,127 @@
 """The tier-1 fault-injection sweep over the public model APIs."""
 
-from pathlib import Path
+import importlib
+import inspect
+import pkgutil
+import textwrap
+import types
 
 import numpy as np
+import pytest
 
-from repro.lint import run_lint
+import repro
+from repro.analog import tradeoff
 from repro.robust import ModelDomainError
 from repro.robust.faults import (PERTURBATIONS, ApiSpec, FaultOutcome,
                                  default_registry, run_fault_sweep)
 
-_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+def repro_modules():
+    """Every module of the ``repro`` package, imported."""
+    return [importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+
+
+def unregistered_finite_apis(registry, modules):
+    """Qualified names of the functions and methods defined in
+    ``modules`` with ``@validated(_result_finite=True)`` that no spec
+    in ``registry`` names as its ``api``."""
+    registered = {spec.api for spec in registry}
+    missing = []
+    for module in modules:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) \
+                else [obj]
+            for member in members:
+                member = getattr(member, "__func__", member)
+                if getattr(member, "__result_finite__", False) \
+                        and member not in registered:
+                    missing.append(
+                        f"{member.__module__}.{member.__qualname__}")
+    return missing
+
+
+def fixture_module(source):
+    """A throwaway module named ``fixture_mod`` built from ``source``."""
+    module = types.ModuleType("fixture_mod")
+    exec(textwrap.dedent(source), module.__dict__)
+    return module
+
+
+FIXTURE = """
+    from repro.robust.validate import validated
+
+    @validated(_result_finite=True, x="finite")
+    def real_fn(x):
+        return x
+
+    @validated(_result_finite=True, x="finite")
+    def forgotten_fn(x):
+        return x
+
+    @validated(x="finite")
+    def param_only(x):
+        return x
+
+    class Model:
+        @validated(_result_finite=True, x="finite")
+        def evaluate(self, x):
+            return x
+"""
 
 
 class TestRegistry:
     def test_registry_tracks_api_surface(self):
-        """R004 replaces the old hand-bumped ``n_apis >= N`` floor:
-        every registration resolves to a live symbol, and every
-        module-level ``@validated(_result_finite=True)`` model
-        function is registered."""
-        report = run_lint([_SRC], select=["R004"])
-        assert report.clean, "\n".join(
-            f.format() for f in report.findings)
+        """Every function or method that promises finite results
+        (``@validated(_result_finite=True)``) anywhere in ``repro`` is
+        some spec's ``api``, so the sweep perturbs it.  A stale entry
+        cannot exist: each spec holds the API object itself."""
+        assert unregistered_finite_apis(default_registry(),
+                                        repro_modules()) == []
+
+    def test_names_import_back_to_their_api(self):
+        """A spec's name is the dotted path of a public object: a
+        closure or a bound method passed as ``api`` does not import
+        back to itself."""
+        stale = []
+        for spec in default_registry():
+            try:
+                found = pkgutil.resolve_name(f"repro.{spec.name}")
+            except (AttributeError, ImportError, ValueError):
+                found = None
+            if found is not spec.api:
+                stale.append(spec.name)
+        assert stale == []
+
+    def test_renamed_api_fails_when_the_registry_is_built(
+            self, monkeypatch):
+        monkeypatch.delattr(tradeoff, "bits_from_accuracy")
+        with pytest.raises(AttributeError, match="bits_from_accuracy"):
+            default_registry()
+
+    def test_flags_unregistered_finite_validated_function(self):
+        module = fixture_module(FIXTURE)
+        registry = [ApiSpec(api, api, {"x": 1.0})
+                    for api in (module.real_fn, module.Model.evaluate)]
+        assert unregistered_finite_apis(registry, [module]) == [
+            "fixture_mod.forgotten_fn"]
+
+    def test_parameter_checks_alone_are_not_flagged(self):
+        module = fixture_module(FIXTURE)
+        assert "fixture_mod.param_only" not in \
+            unregistered_finite_apis([], [module])
+
+    def test_method_level_api(self):
+        module = fixture_module(FIXTURE)
+        assert "fixture_mod.Model.evaluate" in \
+            unregistered_finite_apis([], [module])
+        spec = ApiSpec(module.Model.evaluate,
+                       lambda x: module.Model().evaluate(x), {"x": 1.0})
+        assert spec.name == "fixture_mod.Model.evaluate"
+        assert "fixture_mod.Model.evaluate" not in \
+            unregistered_finite_apis([spec], [module])
 
     def test_names_are_unique(self):
         names = [spec.name for spec in default_registry()]
@@ -67,8 +168,10 @@ class TestSweep:
 
 class TestHarnessMechanics:
     def test_nan_escape_is_flagged(self):
-        spec = ApiSpec("leaky", lambda x: x * 2.0, {"x": 1.0}, ("x",))
-        report = run_fault_sweep([spec])
+        def leaky(x):
+            return x * 2.0
+
+        report = run_fault_sweep([ApiSpec(leaky, leaky, {"x": 1.0})])
         escapes = [o for o in report.outcomes if o.status == "nan-escape"]
         assert escapes, "NaN passthrough must be caught"
         assert not report.passed
@@ -78,7 +181,7 @@ class TestHarnessMechanics:
             return 1.0 / x
 
         report = run_fault_sweep(
-            [ApiSpec("brittle", brittle, {"x": 1.0}, ("x",))])
+            [ApiSpec(brittle, brittle, {"x": 1.0})])
         crashes = [o for o in report.outcomes if o.status == "crash"]
         assert any("ZeroDivisionError" in o.detail for o in crashes)
 
@@ -89,7 +192,7 @@ class TestHarnessMechanics:
             return x
 
         report = run_fault_sweep(
-            [ApiSpec("guarded", guarded, {"x": 1.0}, ("x",))])
+            [ApiSpec(guarded, guarded, {"x": 1.0})])
         assert report.passed
 
     def test_broken_baseline_is_a_failure(self):
@@ -97,9 +200,18 @@ class TestHarnessMechanics:
             raise ModelDomainError("always")
 
         report = run_fault_sweep(
-            [ApiSpec("broken", needs_two, {"x": 1.0}, ("x",))])
+            [ApiSpec(needs_two, needs_two, {"x": 1.0})])
         assert not report.passed
         assert report.outcomes[0].param == "<baseline>"
+
+    def test_every_baseline_key_is_perturbed(self):
+        def pair(x, y):
+            return x + y
+
+        report = run_fault_sweep([ApiSpec(pair, pair,
+                                          {"x": 1.0, "y": 2.0})])
+        assert [o.param for o in report.outcomes] == \
+            ["x"] * len(PERTURBATIONS) + ["y"] * len(PERTURBATIONS)
 
     def test_outcome_ok_property(self):
         assert FaultOutcome("a", "p", "0", "finite").ok

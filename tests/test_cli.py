@@ -240,3 +240,16 @@ class TestElectrothermalCommand:
     def test_unknown_node_fails_cleanly(self, capsys):
         assert main(["electrothermal", "--nodes", "7nm"]) == 1
         assert "7nm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rth-points", "-3"),
+        ("--rth-points", "0"),
+        ("--rth-min", "0"),
+        ("--rth-max", "inf"),
+    ])
+    def test_bad_rth_grid_is_one_liner_subprocess(self, flag, value):
+        result = run_cli("electrothermal", "--nodes", "65nm", flag, value)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: " + flag[2:].replace("-", "_"))
