@@ -5,7 +5,8 @@ Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
 yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
 event stream behind the ``soc-noise`` CLI, the electrothermal sweeps
 and the ``electrothermal`` CLI, the Monte Carlo OTA yield, the
-detector front-end synthesis, the stdouts of the ``chain-yield``,
+OTA and detector front-end synthesis (including Fig. 8's sizing
+flow), the stdouts of the ``chain-yield``,
 ``node``, ``leakage`` and ``yield`` CLI probes, and the outcome of
 every perturbed call in the fault-injection sweep.  Discrete
 values (names, counts, yields, criticality fractions, key order)
@@ -35,8 +36,10 @@ from repro.memory.sram import SramCell
 from repro.robust.errors import ModelDomainWarning
 from repro.robust.faults import run_fault_sweep
 from repro.substrate.swan import SwanSimulator, run_swan_experiment
+from repro.synthesis import synthesize_detector_frontend
 from repro.synthesis.sizing import (default_frontend_spec,
-                                    frontend_synthesizer)
+                                    default_ota_spec, frontend_synthesizer,
+                                    ota_synthesizer)
 from repro.technology import all_nodes, get_node
 from repro.thermal import (electrothermal_rth_sweep, electrothermal_trend,
                            fixed_die_electrothermal_trend,
@@ -453,6 +456,58 @@ class TestFrontendSynthesisPins:
             "drain_current": 1.0029610245290244e-05}
         assert result.cost == 2.0059220490580488e-05
         assert result.n_evaluations == 704
+
+
+class TestOtaSynthesisPins:
+    """perfbench's ota-synthesis request, best design included.
+
+    perfbench's own pins check the cost and evaluation count but not
+    the decoded best design; a one-ulp change anywhere in the decode
+    or the batched evaluator moves the DE trajectory and shows here.
+    """
+
+    @pytest.mark.parametrize("seed, values, cost", [
+        (0, {"input_width": 9.9566434745375e-05,
+             "input_length": 8.673677337514966e-07,
+             "load_width": 3.126435713621822e-05,
+             "load_length": 6.222560255221544e-07,
+             "tail_current": 4.7105542617436135e-05},
+         5.888192827179517e-05),
+        (1, {"input_width": 1.256528342337771e-05,
+             "input_length": 8.225796850594103e-07,
+             "load_width": 3.6229558084633494e-05,
+             "load_length": 3.4335309831548015e-07,
+             "tail_current": 4.710554572021858e-05},
+         5.8881932150273223e-05),
+    ])
+    def test_best_design(self, seed, values, cost):
+        result = ota_synthesizer(
+            get_node("65nm"), 2e-12, default_ota_spec()).run(
+            seed=seed, maxiter=60, popsize=30)
+        assert result.values == values
+        assert result.cost == cost
+        assert result.n_evaluations == 15616
+        assert result.report.n_iterations == 60
+        assert result.feasible
+
+
+class TestFig8SynthesisPins:
+    """The Fig. 8 flow as ``benchmarks/test_fig08_synthesis.py`` runs
+    it: sizing, device generation, placement and routing."""
+
+    def test_summary(self):
+        report = synthesize_detector_frontend(
+            get_node("350nm"), seed=1, sizing_maxiter=25,
+            placement_iterations=1200)
+        assert report.summary() == {
+            "feasible": 1.0,
+            "enc_electrons": 256.03562286200145,
+            "power_mW": 0.06600054020092568,
+            "peaking_time_us": 0.8827940463102674,
+            "area_mm2": 0.10545793095316378,
+            "n_evaluations": 3328.0,
+            "route_completion": 1.0,
+            "wirelength_mm": 1.3986}
 
 
 class TestCliStdoutPins:
