@@ -4,8 +4,11 @@ Acceptance gate: ``CircuitSynthesizer.run(backend="vectorized")`` on the
 default OTA spec (popsize 30, maxiter 60) is >= 5x faster than the
 retained scalar oracle, returning the *identical* fixed-seed best
 design (values, cost and evaluation count — both paths use deferred
-updating, so the DE trajectory is the same).  Measured ~10x on the
-reference container.  The speedup is asserted with our own
+updating, so the DE trajectory is the same).  Measured 7.7-11.5x
+(median 8.3x over four runs) on a shared 2-core x86-64 host whose
+speed drifts between runs, so the ratio is a floor check; perfbench's
+ota-synthesis workload corrects for the drift and is the record of
+synthesis throughput.  The speedup is asserted with our own
 ``perf_counter`` measurement so it also holds under
 ``--benchmark-disable`` (the CI mode); bit-level equivalence lives in
 the tier-1 suite (``tests/synthesis/test_sizing_backends.py``).

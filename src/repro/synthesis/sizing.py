@@ -48,6 +48,22 @@ class Variable:
             return self.low * (self.high / self.low) ** unit
         return self.low + (self.high - self.low) * unit
 
+    def _decode_column(self, units: np.ndarray) -> np.ndarray:
+        """:meth:`decode` of every element of ``units``, bit for bit.
+
+        One ``np.clip`` replaces the per-element clamp; the mapping
+        stays :meth:`decode`'s Python float expression, because
+        numpy's ``power`` differs from libm's ``pow`` in the last bit
+        on about 5 % of exponents.
+        """
+        units = np.clip(units, 0.0, 1.0).tolist()
+        low = self.low
+        if self.log_scale:
+            ratio = self.high / self.low
+            return np.array([low * ratio ** u for u in units])
+        span = self.high - self.low
+        return np.array([low + span * u for u in units])
+
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -209,10 +225,10 @@ class CircuitSynthesizer:
         return cost
 
     def _decode_batch(self, x: np.ndarray) -> Dict[str, np.ndarray]:
-        """Decode an (n_vars, S) population; per-element ``decode``
-        calls keep the mapping bit-for-bit equal to the oracle."""
-        return {var.name: np.array([var.decode(float(u)) for u in row],
-                                   dtype=float)
+        """Decode an (n_vars, S) population one variable row at a
+        time, bit-for-bit equal to the oracle's per-candidate
+        :meth:`_decode`."""
+        return {var.name: var._decode_column(row)
                 for var, row in zip(self.variables, x)}
 
     def _cost_batch(self, x: np.ndarray) -> np.ndarray:

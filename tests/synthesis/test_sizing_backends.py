@@ -1,10 +1,11 @@
 """Backend behavior of the sizing loop: fixed-seed oracle equivalence,
-array-aware penalties and typed spec validation."""
+the column decode, array-aware penalties and typed spec validation."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.robust.errors import ModelDomainError
 from repro.synthesis.sizing import (CircuitSynthesizer, Specification,
@@ -53,6 +54,50 @@ class TestFixedSeedEquivalence:
         result = ota_synthesizer(node, 2e-12, default_ota_spec()).run(
             seed=2, maxiter=2, popsize=6, backend="oracle")
         assert result.backend == "oracle"
+
+
+# Bounds spanning up to twelve decades, on either scale.
+variable_bounds = st.tuples(st.floats(min_value=-18.0, max_value=6.0),
+                            st.floats(min_value=1e-3, max_value=12.0),
+                            st.booleans())
+# Units DE can send, the clamp's edges and points outside [0, 1].
+edge_units = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53,
+                              -1.0, 2.0, -1e300, 1e300])
+planted_units = st.lists(
+    st.one_of(edge_units,
+              st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)),
+    min_size=1, max_size=16)
+
+
+class TestColumnDecode:
+    """``_decode_batch`` is ``Variable.decode`` applied per element."""
+
+    @given(st.lists(variable_bounds, min_size=1, max_size=4),
+           st.sampled_from([1, 256]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1),
+           planted_units)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_decode_bitwise(self, bounds, size, seed,
+                                           planted):
+        variables = [Variable(f"v{i}", 10.0 ** exponent,
+                              10.0 ** exponent * 10.0 ** decades,
+                              log_scale=log_scale)
+                     for i, (exponent, decades, log_scale)
+                     in enumerate(bounds)]
+        x = np.random.default_rng(seed).uniform(
+            -0.5, 1.5, (len(variables), size))
+        n = min(len(planted), x.size)
+        x.flat[:n] = planted[:n]
+        synthesizer = CircuitSynthesizer(
+            variables, lambda values: None, Specification(constraints={}))
+        decoded = synthesizer._decode_batch(x)
+        assert list(decoded) == [var.name for var in variables]
+        for var, row in zip(variables, x):
+            column = decoded[var.name]
+            assert column.dtype == np.float64 and column.shape == (size,)
+            # float.hex tells -0.0 from 0.0 and shows every bit.
+            assert [value.hex() for value in column.tolist()] == [
+                var.decode(float(u)).hex() for u in row]
 
 
 class TestBackendValidation:
