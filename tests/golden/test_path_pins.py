@@ -3,7 +3,8 @@
 These freeze fixed-seed outputs of the chain sign-off yield, Monte
 Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
 yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
-event stream behind the ``soc-noise`` CLI, the electrothermal sweeps
+netlist, event stream and sharded runs behind the ``soc-noise`` CLI,
+the electrothermal sweeps
 and the ``electrothermal`` CLI, the Monte Carlo OTA yield, the
 OTA and detector front-end synthesis (including Fig. 8's sizing
 flow), the stdouts of the ``chain-yield``,
@@ -31,7 +32,8 @@ from repro.digital.ssta import (StatisticalTimingAnalyzer,
                                 corner_vs_statistical_margin)
 from repro.digital.timing import delay_under_mismatch
 from repro.exec import run_sharded
-from repro.exec.workloads import ChainSignoffWorkload, YieldWorkload
+from repro.exec.workloads import (ChainSignoffWorkload, SocNoiseWorkload,
+                                  YieldWorkload)
 from repro.memory.sram import SramCell
 from repro.robust.errors import ModelDomainWarning
 from repro.robust.faults import run_fault_sweep
@@ -335,6 +337,109 @@ def repr_digest(value):
     return sha256(repr(value).encode())
 
 
+class TestSocNetlistPins:
+    """``soc_netlist`` through its public surface: every instance's
+    name, cell type, drive, inputs and output in insertion order, the
+    load names of every net in ``nets`` order, the primary inputs and
+    the topological order, each pinned by the SHA-256 of its
+    ``repr``."""
+
+    CONFIGS = {
+        "cli-default": ("65nm", dict(target_gates=20_000, n_blocks=8,
+                                     seed=0)),
+        "130nm": ("130nm", dict(seed=1234)),
+        "glue": ("65nm", dict(target_gates=3_000, n_blocks=3,
+                              glue_fraction=0.3, seed=7)),
+        "tiny": ("65nm", dict(target_gates=200, n_blocks=1,
+                              adder_width=4, seed=3)),
+    }
+    EXPECTED = {
+        "cli-default": (
+            20_000, 20_010, 8,
+            "d7faad7e56d0813b4a05cb07b9cd86e6"
+            "f4168998de327853b3a15f439b7fd4fe",
+            "89c138afc3aa7a3426b243b87ad1c69b"
+            "6c7a7578a537503dbdd2cb47cf2de164",
+            "488a82bc1ea52e0c22a6e0c794c7c766"
+            "ee9675482cb80b053c8bed32782c195a"),
+        "130nm": (
+            20_000, 20_010, 8,
+            "83e11ac9335cfebd103cdba24e9d3b37"
+            "0a0f3d6cc28abcef106ef137f60d9092",
+            "0c4a7faab9d501653f60babf12e40bd8"
+            "e3112c16f4319b27484b3cc8ef3b60c1",
+            "84fdb284a692df3ab71f831b2722ac03"
+            "a793c666e7f14b544d4540d397ef036d"),
+        "glue": (
+            3_000, 3_005, 3,
+            "2053380da779b5ee5b64e88a6fcad9b8"
+            "a9de65bcbe8b8c3b593db48404a27b74",
+            "8540ea998992b0ff4faf36ee093ac60c"
+            "e9e0448ad5b4f530155d2b38ff2df3f5",
+            "9d588d4624bc3baf60b667fed71be01e"
+            "076d033b32068fc15ebc93458f3692ab"),
+        "tiny": (
+            200, 203, 1,
+            "e59c7baa54b706854f4563939e2bb3fd"
+            "8a8deeacdf6468af0b3530f05dbb050a",
+            "ddfc179219a0f5f02a7dc876d38914b2"
+            "9e66f828a23d03d210011e8cbdcbbe8c",
+            "6ac81299d24f8aa23364e8088ed8b8b4"
+            "310de35b27b9fec7fc58935e60b64016"),
+    }
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_structure(self, config):
+        node_name, kwargs = self.CONFIGS[config]
+        netlist = soc_netlist(get_node(node_name), **kwargs)
+        (n_gates, n_nets, n_blocks, instances, loads,
+         order) = self.EXPECTED[config]
+        rows = [(inst.name, inst.cell.cell_type.name, inst.cell.drive,
+                 inst.inputs, inst.output)
+                for inst in netlist.instances.values()]
+        assert len(rows) == n_gates
+        assert repr_digest(rows) == instances
+        nets = netlist.nets
+        assert len(nets) == n_nets
+        assert repr_digest([[inst.name for inst in netlist.loads_of(net)]
+                            for net in nets]) == loads
+        assert netlist.primary_inputs == ["en", "zero"] + [
+            f"blk{b}_en" for b in range(n_blocks)]
+        assert repr_digest([inst.name for inst in
+                            netlist.topological_order()]) == order
+
+
+class TestSocNoiseShardPins:
+    """The sharded ``soc-noise`` flow: the merged row of a 2k-gate,
+    10-cycle run for three shard plans, and a sharded CLI stdout.
+    Partial waveforms sum across shards, so each plan has its own
+    round-off and its own pin."""
+
+    @pytest.mark.parametrize("n_shards, p2p_uV", [
+        (1, 5677.751288154703),
+        (3, 5677.751288154702),
+        (8, 5677.751288154702),
+    ])
+    def test_merged_row(self, n_shards, p2p_uV):
+        result = run_sharded(
+            SocNoiseWorkload(target_gates=2000, n_blocks=2, n_cycles=10),
+            n_shards=n_shards, backend="serial", env_chaos=False)
+        assert result.value == {"gates": 2000.0, "events": 2096.0,
+                                "activity": 0.15299270072992702,
+                                "rms_uV": 264.98177324442236,
+                                "p2p_uV": p2p_uV}
+
+    def test_cli_stdout(self, capsys):
+        assert main(["soc-noise", "--gates", "2000", "--blocks", "2",
+                     "--cycles", "4", "--shards", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "             gates |             events |           "
+            "activity |             rms_uV |             p2p_uV\n"
+            + "-" * 102 + "\n"
+            "              2000 |                471 |            "
+            "0.27448 |             187.42 |             4030.5\n")
+
+
 @pytest.fixture
 def quiet_domain_warnings():
     with warnings.catch_warnings():
@@ -603,4 +708,5 @@ class TestFaultSweepPins:
     def test_outcome_digest(self, report):
         assert repr_digest([(o.param, o.value, o.status)
                             for o in report.outcomes]) == (
-            "6796bfafa883138641b417beb16c3ff3d77a1c7a3fc2292091c0413b38790ad4")
+            "6796bfafa883138641b417beb16c3ff3"
+            "d77a1c7a3fc2292091c0413b38790ad4")
