@@ -208,38 +208,23 @@ def cmd_chain_yield(args) -> int:
 
 
 def cmd_soc_noise(args) -> int:
+    from .exec import PartialResult, SocNoiseWorkload
+    workload = SocNoiseWorkload(
+        node_name=args.node, target_gates=args.gates,
+        n_blocks=args.blocks, n_cycles=args.cycles,
+        frequency=args.frequency, seed=args.seed,
+        event_budget=args.event_budget)
     if args.shards is not None:
-        from .exec import PartialResult, SocNoiseWorkload
-        workload = SocNoiseWorkload(
-            node_name=args.node, target_gates=args.gates,
-            n_blocks=args.blocks, n_cycles=args.cycles,
-            frequency=args.frequency, seed=args.seed,
-            event_budget=args.event_budget)
         result = _run_workload(workload, args)
         if isinstance(result, PartialResult):
             _print_partial(result)
             return 0
         _print_table([result.value])
         return 0
-    from .digital import random_stimulus, soc_netlist
-    from .digital.simulator_compiled import CompiledEventEngine
-    from .substrate import SwanSimulator
-    from .technology import get_node
-    node = get_node(args.node)
-    netlist = soc_netlist(node, target_gates=args.gates,
-                          n_blocks=args.blocks, seed=args.seed)
-    engine = CompiledEventEngine(
-        netlist, clock_period=1.0 / args.frequency,
-        event_budget=args.event_budget)
-    stimulus = random_stimulus(
-        netlist, args.cycles, seed=args.seed,
-        held_high=["en"] + [f"blk{b}_en" for b in range(args.blocks)])
-    trace = engine.run(stimulus, args.cycles)
-    swan = SwanSimulator(netlist, clock_frequency=args.frequency,
-                         seed=args.seed)
+    trace, swan = workload._trace_and_swan()
     wave = swan.stream_noise(trace, chunk_events=args.chunk_events)
     _print_table([{
-        "gates": len(netlist.instances),
+        "gates": len(swan.netlist.instances),
         "events": trace.n_events,
         "activity": trace.activity_factor(args.cycles),
         "rms_uV": wave.rms * 1e6,

@@ -10,7 +10,7 @@ control logic.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,14 +22,57 @@ from ..robust.errors import ModelDomainError
 from ..robust.validate import validated
 
 
+class _GateColumns:
+    """Gates collected as cell, input and output columns in insertion
+    order, then added to a netlist in one :meth:`Netlist._add_gates`
+    call with drive 1 and auto-generated instance names."""
+
+    def __init__(self) -> None:
+        self.cells: List[str] = []
+        self.inputs: List[Sequence[str]] = []
+        self.outputs: List[str] = []
+
+    def add(self, cell_name: str, inputs: Sequence[str],
+            output: str) -> str:
+        """Collect one gate; returns its output net."""
+        self.cells.append(cell_name)
+        self.inputs.append(inputs)
+        self.outputs.append(output)
+        return output
+
+    def full_adder(self, a: str, b: str, cin: str,
+                   prefix: str) -> Tuple[str, str]:
+        """Collect a full-adder slice; returns (sum_net, carry_net)."""
+        axb, s = f"{prefix}_axb", f"{prefix}_s"
+        and1, and2, cout = (f"{prefix}_and1", f"{prefix}_and2",
+                            f"{prefix}_cout")
+        self.cells += ("XOR2", "XOR2", "AND2", "AND2", "OR2")
+        self.inputs += ((a, b), (axb, cin), (a, b), (axb, cin),
+                        (and1, and2))
+        self.outputs += (axb, s, and1, and2, cout)
+        return s, cout
+
+    def gated_dff(self, enable_net: str, data: str, q: str) -> None:
+        """Collect a register with MUX2 recirculation clock gating:
+        ``q`` holds while ``enable_net`` is low."""
+        d = f"{q}_d"
+        self.cells += ("MUX2", "DFF")
+        self.inputs += ((enable_net, q, data), ("en", d))
+        self.outputs += (d, q)
+
+    def lower(self, netlist: Netlist) -> None:
+        """Add the collected gates to ``netlist``."""
+        n = len(self.cells)
+        netlist._add_gates(self.cells, self.inputs, self.outputs,
+                           [1.0] * n, [None] * n)
+
+
 def full_adder(netlist: Netlist, a: str, b: str, cin: str,
                prefix: str) -> tuple:
     """Add a full-adder slice; returns (sum_net, carry_net)."""
-    axb = netlist.add_gate("XOR2", [a, b], f"{prefix}_axb").output
-    s = netlist.add_gate("XOR2", [axb, cin], f"{prefix}_s").output
-    and1 = netlist.add_gate("AND2", [a, b], f"{prefix}_and1").output
-    and2 = netlist.add_gate("AND2", [axb, cin], f"{prefix}_and2").output
-    cout = netlist.add_gate("OR2", [and1, and2], f"{prefix}_cout").output
+    gates = _GateColumns()
+    s, cout = gates.full_adder(a, b, cin, prefix)
+    gates.lower(netlist)
     return s, cout
 
 
@@ -203,8 +246,9 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
             f"glue_fraction must be in [0, 1), got {glue_fraction}")
     rng = resolve_rng(rng, seed=seed)
     netlist = Netlist(node, name)
-    netlist.add_input("en")
-    zero = netlist.add_input("zero")
+    zero = "zero"
+    netlist.add_inputs(["en", zero]
+                       + [f"blk{b}_en" for b in range(n_blocks)])
     comb_cells = ["INV", "NAND2", "NOR2", "AND2", "OR2", "XOR2",
                   "NAND3", "AOI21"]
     gates_per_block = max(target_gates // n_blocks, 8 * adder_width)
@@ -216,26 +260,20 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
     slice_cost = 7 * adder_width
     logic_budget = int(gates_per_block * (1.0 - glue_fraction))
     n_slices = max((logic_budget - source_cost) // slice_cost, 1)
-
-    def gated_dff(enable_net: str, data: str, q: str) -> None:
-        """Register with MUX2 recirculation clock gating."""
-        d = netlist.add_gate("MUX2", [enable_net, q, data],
-                             f"{q}_d").output
-        netlist.add_gate("DFF", ["en", d], q)
+    gates = _GateColumns()
 
     def source_bank(prefix: str, enable_net: str) -> List[str]:
         """XNOR-feedback shift register (pseudo-random sources)."""
         src = [f"{prefix}_src{i}" for i in range(n_src)]
-        feedback = netlist.add_gate(
-            "XNOR2", [src[-1], src[n_src // 2]],
-            f"{prefix}_fb").output
-        gated_dff(enable_net, feedback, src[0])
+        feedback = gates.add("XNOR2", (src[-1], src[n_src // 2]),
+                             f"{prefix}_fb")
+        gates.gated_dff(enable_net, feedback, src[0])
         for i in range(1, n_src):
-            gated_dff(enable_net, src[i - 1], src[i])
+            gates.gated_dff(enable_net, src[i - 1], src[i])
         return src
 
     for b in range(n_blocks):
-        blk_en = netlist.add_input(f"blk{b}_en")
+        blk_en = f"blk{b}_en"
         src = source_bank(f"b{b}k0", blk_en)
         used = source_cost
         registered: List[str] = []
@@ -245,14 +283,15 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
                                   blk_en)
                 used += source_cost
             carry = zero
-            perm = rng.permutation(n_src)
+            perm = rng.permutation(n_src).tolist()
             for i in range(adder_width):
-                a = src[int(perm[i])]
-                c = src[int(perm[(i + adder_width) % n_src])]
-                total, carry = full_adder(netlist, a, c, carry,
-                                          f"b{b}_s{s}_fa{i}")
-                gated_dff(blk_en, total, f"b{b}_s{s}_r{i}")
-                registered.append(f"b{b}_s{s}_r{i}")
+                a = src[perm[i]]
+                c = src[perm[(i + adder_width) % n_src]]
+                total, carry = gates.full_adder(a, c, carry,
+                                                f"b{b}_s{s}_fa{i}")
+                q = f"b{b}_s{s}_r{i}"
+                gates.gated_dff(blk_en, total, q)
+                registered.append(q)
             used += slice_cost
         # Random glue logic on the block's registered nets; each
         # glue output is fair game for later glue inputs, so fanout
@@ -264,9 +303,9 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
             n_pins = CELL_TYPES[cell_name].n_inputs
             pins = [block_nets[int(rng.integers(len(block_nets)))]
                     for _ in range(n_pins)]
-            inst = netlist.add_gate(cell_name, pins,
-                                    f"b{b}_glue{g}")
-            block_nets.append(inst.output)
+            block_nets.append(gates.add(cell_name, pins,
+                                        f"b{b}_glue{g}"))
+    gates.lower(netlist)
     return netlist
 
 

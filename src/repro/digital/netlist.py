@@ -95,31 +95,63 @@ class Netlist:
 
         ``output`` defaults to an auto-generated net name.
         """
-        if output is None:
-            output = f"n{self._counter}"
-        if output in self._net_driver or output in self.primary_inputs:
-            raise ModelDomainError(f"net {output!r} is already driven")
-        if instance_name is None:
-            instance_name = f"u{self._counter}"
-        if instance_name in self.instances:
-            raise ModelDomainError(f"instance {instance_name!r} already exists")
-        self._counter += 1
-        cell = make_cell(cell_name, self.node, drive)
-        if len(inputs) != cell.cell_type.n_inputs:
-            raise ModelDomainError(
-                f"{cell_name} takes {cell.cell_type.n_inputs} inputs, "
-                f"got {len(inputs)}")
-        instance = Instance(name=instance_name, cell=cell,
-                            inputs=tuple(inputs), output=output)
-        self.instances[instance_name] = instance
-        self._net_driver[output] = instance_name
-        seen = set()
-        for net in instance.inputs:
-            if net not in seen:
-                self._net_loads.setdefault(net, []).append(instance_name)
-                seen.add(net)
+        return self._add_gates([cell_name], [inputs], [output], [drive],
+                               [instance_name])[0]
+
+    def _add_gates(self, cell_names: Sequence[str],
+                   inputs: Sequence[Sequence[str]],
+                   outputs: Sequence[Optional[str]],
+                   drives: Sequence[float],
+                   instance_names: Sequence[Optional[str]]
+                   ) -> List[Instance]:
+        """Add gates given as columns, row by row, and return them.
+
+        Row ``k`` is ``add_gate(cell_names[k], inputs[k], outputs[k],
+        drives[k], instance_names[k])``: the same checks in the same
+        order, the same errors, auto-generated names and index
+        updates.  A bad row raises with every row before it added.
+        """
+        if len({len(cell_names), len(inputs), len(outputs), len(drives),
+                len(instance_names)}) > 1:
+            raise ModelDomainError("gate columns differ in length")
+        node = self.node
+        instances = self.instances
+        net_driver = self._net_driver
+        net_loads = self._net_loads
+        primary_inputs = set(self.primary_inputs)
+        added: List[Instance] = []
         self._invalidate_caches()
-        return instance
+        for cell_name, pins, output, drive, name in zip(
+                cell_names, inputs, outputs, drives, instance_names):
+            counter = self._counter
+            if output is None:
+                output = f"n{counter}"
+            if output in net_driver or output in primary_inputs:
+                raise ModelDomainError(f"net {output!r} is already driven")
+            if name is None:
+                name = f"u{counter}"
+            if name in instances:
+                raise ModelDomainError(f"instance {name!r} already exists")
+            self._counter = counter + 1
+            cell_type = CELL_TYPES.get(cell_name)
+            if cell_type is None:
+                make_cell(cell_name, node, drive)   # the unknown-cell error
+            cell = Cell(cell_type, node, drive)
+            if len(pins) != cell_type.n_inputs:
+                raise ModelDomainError(
+                    f"{cell_name} takes {cell_type.n_inputs} inputs, "
+                    f"got {len(pins)}")
+            instance = Instance(name, cell, tuple(pins), output)
+            instances[name] = instance
+            net_driver[output] = name
+            for net in instance.inputs:
+                loads = net_loads.get(net)
+                if loads is None:
+                    net_loads[net] = [name]
+                elif loads[-1] != name:     # a net on several pins
+                    loads.append(name)      # loads this gate once
+            added.append(instance)
+        return added
 
     # --- structure queries --------------------------------------------------
 

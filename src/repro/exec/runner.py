@@ -125,6 +125,11 @@ def _run_process(workload: ShardWorkload, shard: Shard,
     at ``timeout_s``.  With no timeout armed an injected hang is
     remapped to a crash -- a test harness must never dead-lock the
     parent.
+
+    The parent reads the pipe before it joins the worker: a payload
+    larger than the pipe buffer blocks the worker in ``send()`` until
+    it is read, so joining first would wait on a worker that cannot
+    exit.
     """
     if fault == "hang" and timeout_s is None:
         fault = "crash"
@@ -137,19 +142,19 @@ def _run_process(workload: ShardWorkload, shard: Shard,
     process.start()
     child_conn.close()
     try:
-        process.join(timeout_s)
-        if process.is_alive():
+        # poll() returns on a message or on EOF (the worker exited);
+        # only a live worker that sent nothing runs out the timeout.
+        if not parent_conn.poll(timeout_s):
             process.terminate()
             process.join(10.0)
             raise ShardTimeoutError(
                 f"shard {shard.index} [{shard.start}:{shard.stop}] "
                 f"exceeded {timeout_s} s; worker terminated")
-        message = None
-        if parent_conn.poll():
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError):
-                message = None  # pipe closed by a dying worker
+        try:
+            message = parent_conn.recv()
+        except (EOFError, OSError):
+            message = None  # pipe closed by a dying worker
+        process.join(timeout_s)
         if message is not None:
             if message[0] == "ok":
                 return message[1]

@@ -15,9 +15,9 @@ from repro.digital.generators import ripple_adder
 from repro.digital.ssta import StatisticalTimingAnalyzer
 from repro.exec import (ChainSignoffWorkload, ChaosPlan, ChaosSpec,
                         ExecResult, PartialResult, RetryPolicy,
-                        SstaWorkload, YIELD_METRICS, YieldWorkload,
-                        run_sharded)
-from repro.perf import clear_caches
+                        SocNoiseWorkload, SstaWorkload, YIELD_METRICS,
+                        YieldWorkload, run_sharded)
+from repro.perf import cache_stats, clear_caches
 from repro.robust import ExecBudgetError, ModelDomainError
 from repro.technology import get_node
 from repro.variability.statistical import (MonteCarloSampler,
@@ -187,6 +187,19 @@ class TestProcessBackend:
         assert by_index[0].attempts == 2
         assert by_index[2].attempts == 2
 
+    def test_payload_larger_than_the_pipe_buffer(self):
+        """Each shard sends ~72 KB (8,000 voltage floats), more than a
+        64 KiB pipe buffer holds: the parent must read the payload
+        before it joins the worker, or the worker never exits."""
+        workload = SocNoiseWorkload(target_gates=2000, n_blocks=2,
+                                    n_cycles=10)
+        serial = run(workload, n_shards=2).value
+        result = run(workload, n_shards=2, backend="process",
+                     policy=RetryPolicy(timeout_s=5.0, max_retries=0))
+        assert isinstance(result, ExecResult)
+        assert result.value == serial
+        assert [o.attempts for o in result.outcomes] == [1, 1]
+
     def test_real_hang_is_terminated_at_timeout(self):
         workload = yield_workload(n_dies=12)
         clean = run(workload, n_shards=2).value
@@ -198,6 +211,55 @@ class TestProcessBackend:
         assert np.array_equal(result.value.passed, clean.passed)
         by_index = {o.index: o for o in result.outcomes}
         assert by_index[1].attempts == 2
+
+
+class TestSocNoiseFlowReplay:
+    """A soc-noise run builds its flow once, in ``n_total()``; every
+    shard and retry replays it from the one-entry memo keyed on
+    ``key()``, and the replayed payloads equal freshly built ones."""
+
+    @staticmethod
+    def soc_workload(seed=0):
+        return SocNoiseWorkload(target_gates=400, n_blocks=2,
+                                n_cycles=4, seed=seed)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = SocNoiseWorkload._trace_and_swan
+
+        def counted(workload):
+            calls.append(workload.seed)
+            return build(workload)
+
+        monkeypatch.setattr(SocNoiseWorkload, "_trace_and_swan", counted)
+        return calls
+
+    def test_shards_and_retries_replay_one_build(self, builds):
+        chaos = ScriptedChaos({(0, 0): "crash", (2, 0): "poison"})
+        result = run(self.soc_workload(), n_shards=4, chaos=chaos,
+                     policy=RetryPolicy(backoff_initial_s=0.0))
+        assert result.total_attempts == 6
+        assert builds == [0]
+
+    def test_memo_holds_the_last_run_only(self, builds):
+        before = cache_stats()["exec.soc_noise_flows"]
+        for seed in (0, 1, 0):
+            run(self.soc_workload(seed), n_shards=3)
+        after = cache_stats()["exec.soc_noise_flows"]
+        assert builds == [0, 1, 0]
+        assert after.misses - before.misses == 3
+        assert after.hits - before.hits == 3 * 3
+        assert after.size == 1
+
+    def test_replayed_payloads_equal_fresh_builds(self):
+        memoized = self.soc_workload()
+        n_total = memoized.n_total()
+        cuts = [0, n_total // 3, n_total]
+        for start, stop in zip(cuts, cuts[1:]):
+            replayed = memoized.run_shard(start, stop)
+            clear_caches()
+            assert self.soc_workload().run_shard(start, stop) == replayed
 
 
 class TestCheckpointResume:

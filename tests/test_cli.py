@@ -137,6 +137,15 @@ class TestSocNoiseCommand:
                      "--cycles", "4", "--chunk-events", "50"]) == 0
         assert "events" in capsys.readouterr().out
 
+    def test_process_shards_print_the_unsharded_table(self, capsys):
+        args = ["soc-noise", "--gates", "2000", "--blocks", "2",
+                "--cycles", "10"]
+        assert main(args) == 0
+        unsharded = capsys.readouterr().out
+        assert main(args + ["--shards", "2", "--backend", "process",
+                            "--timeout", "10"]) == 0
+        assert capsys.readouterr().out == unsharded
+
     def test_exhausted_budget_is_one_liner(self, capsys):
         assert main(["soc-noise", "--gates", "400", "--blocks", "2",
                      "--cycles", "4", "--event-budget", "10"]) == 1
