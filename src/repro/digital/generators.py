@@ -10,6 +10,7 @@ control logic.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +26,11 @@ from ..robust.validate import validated
 class _GateColumns:
     """Gates collected as cell, input and output columns in insertion
     order, then added to a netlist in one :meth:`Netlist._add_gates`
-    call with drive 1 and auto-generated instance names."""
+    call with drive 1 and auto-generated instance names.
+
+    Columns rather than a list of row tuples: ``zip`` hands the rows
+    over without keeping one tuple per gate alive, which for a 20k-gate
+    SoC would cost an extra full garbage-collection pass per build."""
 
     def __init__(self) -> None:
         self.cells: List[str] = []
@@ -62,9 +67,8 @@ class _GateColumns:
 
     def lower(self, netlist: Netlist) -> None:
         """Add the collected gates to ``netlist``."""
-        n = len(self.cells)
-        netlist._add_gates(self.cells, self.inputs, self.outputs,
-                           [1.0] * n, [None] * n)
+        netlist._add_gates(zip(self.cells, self.inputs, self.outputs,
+                               repeat(1.0), repeat(None)))
 
 
 def full_adder(netlist: Netlist, a: str, b: str, cin: str,

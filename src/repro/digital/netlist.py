@@ -16,6 +16,10 @@ from ..technology.node import TechnologyNode
 from .gates import CELL_TYPES, Cell, make_cell
 from ..robust.errors import ModelDomainError
 
+#: One gate for :meth:`Netlist._add_gates`: (cell name, input nets,
+#: output net or None, drive, instance name or None).
+_GateRow = Tuple[str, Sequence[str], Optional[str], float, Optional[str]]
+
 
 @dataclass
 class Instance:
@@ -95,34 +99,25 @@ class Netlist:
 
         ``output`` defaults to an auto-generated net name.
         """
-        return self._add_gates([cell_name], [inputs], [output], [drive],
-                               [instance_name])[0]
+        return self._add_gates(
+            [(cell_name, inputs, output, drive, instance_name)])[0]
 
-    def _add_gates(self, cell_names: Sequence[str],
-                   inputs: Sequence[Sequence[str]],
-                   outputs: Sequence[Optional[str]],
-                   drives: Sequence[float],
-                   instance_names: Sequence[Optional[str]]
-                   ) -> List[Instance]:
-        """Add gates given as columns, row by row, and return them.
+    def _add_gates(self, rows: Iterable[_GateRow]) -> List[Instance]:
+        """Add gates given as ``(cell_name, inputs, output, drive,
+        instance_name)`` rows, in order, and return them.
 
-        Row ``k`` is ``add_gate(cell_names[k], inputs[k], outputs[k],
-        drives[k], instance_names[k])``: the same checks in the same
-        order, the same errors, auto-generated names and index
+        Each row is one :meth:`add_gate` call: the same checks in the
+        same order, the same errors, auto-generated names and index
         updates.  A bad row raises with every row before it added.
         """
-        if len({len(cell_names), len(inputs), len(outputs), len(drives),
-                len(instance_names)}) > 1:
-            raise ModelDomainError("gate columns differ in length")
         node = self.node
         instances = self.instances
         net_driver = self._net_driver
         net_loads = self._net_loads
-        primary_inputs = set(self.primary_inputs)
+        primary_inputs = self.primary_inputs
         added: List[Instance] = []
         self._invalidate_caches()
-        for cell_name, pins, output, drive, name in zip(
-                cell_names, inputs, outputs, drives, instance_names):
+        for cell_name, pins, output, drive, name in rows:
             counter = self._counter
             if output is None:
                 output = f"n{counter}"

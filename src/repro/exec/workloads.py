@@ -80,9 +80,6 @@ def _check_span(payload: Any, start: int, stop: int) -> None:
             f"{payload.get('stop')}), expected [{start}, {stop})")
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _check_floats(name: str, values: Any,
                   length: Optional[int] = None) -> None:
     if not isinstance(values, list):
@@ -92,12 +89,6 @@ def _check_floats(name: str, values: Any,
         raise PoisonedResultError(
             f"payload field {name!r} has {len(values)} entries, "
             f"expected {length}")
-    # Common case in two C-level passes: exact int/float entries, all
-    # finite.  Anything else (bools, numpy scalars, strings, non-finite
-    # values) takes the per-entry loop, which finds the same entry.
-    if set(map(type, values)) <= _NUMBER_TYPES and all(
-            map(math.isfinite, values)):
-        return
     for value in values:
         if isinstance(value, bool) or not isinstance(
                 value, (int, float)) or not math.isfinite(value):

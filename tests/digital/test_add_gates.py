@@ -1,10 +1,10 @@
 """``Netlist._add_gates`` against ``Netlist.add_gate``.
 
-The column routine is what ``soc_netlist`` and ``full_adder`` lower
+The row routine is what ``soc_netlist`` and ``full_adder`` lower
 through, and ``add_gate`` is its one-row call.  Building a random gate
-sequence gate by gate and in one column call must give the same
-netlist, and a bad row must raise what ``add_gate`` raises and leave
-exactly the rows before it.
+sequence gate by gate and in one ``_add_gates`` call must give the
+same netlist, and a bad row must raise what ``add_gate`` raises and
+leave exactly the rows before it.
 """
 
 import pytest
@@ -45,10 +45,6 @@ def fresh():
     return netlist
 
 
-def columns(rows):
-    return [list(column) for column in zip(*rows)] or [[]] * 5
-
-
 def build_per_gate(rows):
     """Rows added by ``add_gate`` up to the first error (returned)."""
     netlist = fresh()
@@ -61,11 +57,11 @@ def build_per_gate(rows):
     return netlist, None
 
 
-def build_columns(rows):
+def build_bulk(rows):
     """Rows added by one ``_add_gates`` call, and what it raised."""
     netlist = fresh()
     try:
-        netlist._add_gates(*columns(rows))
+        netlist._add_gates(rows)
     except Exception as error:          # noqa: BLE001 -- compared below
         return netlist, error
     return netlist, None
@@ -83,28 +79,28 @@ def snapshot(netlist):
     }
 
 
-def assert_same(per_gate, column):
-    assert snapshot(column) == snapshot(per_gate)
+def assert_same(per_gate, bulk):
+    assert snapshot(bulk) == snapshot(per_gate)
     # The load index lists each gate reading a net once, in insertion
     # order, whatever built it.
-    for net in column.nets:
-        assert column.loads_of(net) == [
-            inst for inst in column.instances.values()
+    for net in bulk.nets:
+        assert bulk.loads_of(net) == [
+            inst for inst in bulk.instances.values()
             if net in inst.inputs]
     # The auto-name counter agrees too: the next auto-named gate gets
     # the same instance and net names in both.
-    assert column.add_gate("INV", ["a"]) == per_gate.add_gate("INV", ["a"])
+    assert bulk.add_gate("INV", ["a"]) == per_gate.add_gate("INV", ["a"])
 
 
 @given(rows=gate_rows())
 @settings(max_examples=60, deadline=None)
-def test_column_call_builds_the_per_gate_netlist(rows):
+def test_one_call_builds_the_per_gate_netlist(rows):
     per_gate, error = build_per_gate(rows)
     assert error is None
-    column, error = build_columns(rows)
+    bulk, error = build_bulk(rows)
     assert error is None
-    assert len(column.instances) == len(rows)
-    assert_same(per_gate, column)
+    assert len(bulk.instances) == len(rows)
+    assert_same(per_gate, bulk)
 
 
 def bad_row(kind, rows):
@@ -139,15 +135,15 @@ def test_bad_row_raises_like_add_gate(rows, tail, kind):
     # never be reached.
     sequence = rows + [bad_row(kind, rows)] + tail
     per_gate, expected = build_per_gate(sequence)
-    column, error = build_columns(sequence)
+    bulk, error = build_bulk(sequence)
     assert expected is not None
     assert type(error) is type(expected)
     assert str(error) == str(expected)
-    assert len(column.instances) == len(rows)
+    assert len(bulk.instances) == len(rows)
     counter = len(rows) + (kind in COUNTED_ERRORS)
-    assert column.add_gate("BUF", ["a"]).name == f"u{counter}"
+    assert bulk.add_gate("BUF", ["a"]).name == f"u{counter}"
     per_gate.add_gate("BUF", ["a"])
-    assert_same(per_gate, column)
+    assert_same(per_gate, bulk)
 
 
 @pytest.mark.parametrize("kind, error_type, message", [
@@ -164,12 +160,6 @@ def test_bad_row_raises_like_add_gate(rows, tail, kind):
 def test_each_error_kind_is_the_add_gate_error(kind, error_type,
                                                message):
     rows = [("NAND2", ("a", "b"), "y", 1.0, "g0")]
-    _, error = build_columns(rows + [bad_row(kind, rows)])
+    _, error = build_bulk(rows + [bad_row(kind, rows)])
     assert type(error).__name__ == error_type
     assert message in str(error)
-
-
-def test_columns_of_unequal_length_are_rejected():
-    with pytest.raises(ValueError, match="differ in length"):
-        fresh()._add_gates(["INV", "INV"], [("a",)], ["y", "z"],
-                           [1.0, 1.0], [None, None])

@@ -1,10 +1,9 @@
 """The float-list payload check (``_check_floats``).
 
-Voltage, ENOB and SSTA sample payloads are lists of floats.  The check
-takes two C-level passes in the common case (exact ``int``/``float``
-entries, all finite) and falls back to the per-entry loop otherwise, so
-it must accept and reject exactly what the loop does, naming the same
-entry.
+Voltage, ENOB and SSTA sample payloads are lists of finite numbers.
+The check rejects a non-list, a wrong length and the first bool,
+non-number or non-finite entry, naming it; numpy ``float64`` entries
+pass.
 """
 
 import math

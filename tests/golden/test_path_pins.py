@@ -708,5 +708,4 @@ class TestFaultSweepPins:
     def test_outcome_digest(self, report):
         assert repr_digest([(o.param, o.value, o.status)
                             for o in report.outcomes]) == (
-            "6796bfafa883138641b417beb16c3ff3"
-            "d77a1c7a3fc2292091c0413b38790ad4")
+            "6796bfafa883138641b417beb16c3ff3d77a1c7a3fc2292091c0413b38790ad4")
