@@ -25,14 +25,13 @@ code      name                      invariant
                                     exported somewhere in the project
 ========  ========================  =======================================
 
-R001-R003 and R005 are syntactic: R001, R003 and R005 check one
-file at a time, R002 cross-references the whole tree.  R008-R010 run on
-the project-wide semantic model (:mod:`repro.lint.semantic`) built
-from content-hash cached per-file summaries (``.replint_cache/``;
-disable with ``--no-cache``).  R001 and R008's ``unseeded-rng``
-effect share one detector.  Run ``python -m repro.lint --list-rules``
-for the live catalog, and see ``docs/architecture.md`` for the full
-rule catalog and waiver policy.
+R001, R003 and R005 are syntactic and check one file at a time.
+R002 and R008-R010 run on the project-wide semantic model
+(:mod:`repro.lint.semantic`) built from content-hash cached per-file
+summaries (``.replint_cache/``; disable with ``--no-cache``).  R001
+and R008's ``unseeded-rng`` effect share one detector.  Run
+``python -m repro.lint --list-rules`` for the live catalog, and see
+``docs/architecture.md`` for the full rule catalog and waiver policy.
 """
 
 from .engine import discover_files, run_lint

@@ -108,15 +108,3 @@ def annotation_source(arg: ast.arg) -> str:
         return ast.unparse(arg.annotation)
     except Exception:  # pragma: no cover - defensive
         return ""
-
-
-def decorator_names(fn: ast.AST) -> List[str]:
-    """Bare names of all decorators (``validated`` for ``@validated(...)``)."""
-    names = []
-    for decorator in fn.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        name = dotted_name(target)
-        if name:
-            names.append(name.split(".")[-1])
-    return names

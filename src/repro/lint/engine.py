@@ -6,8 +6,8 @@ documented ``# replint: disable=CODE -- reason`` waiver move to the
 report's ``waived`` list.  Waivers *without* a reason are themselves
 violations (``R000``) and cannot be waived.
 
-Rule dispatch is scope-driven.  ``module``/``project`` rules need the
-parsed AST of every file; ``semantic`` rules need only the per-file
+Rule dispatch is scope-driven.  ``module`` rules need the parsed AST
+of every file; ``semantic`` rules need only the per-file
 :class:`~repro.lint.semantic.summary.FileSummary` objects, which are
 served from the content-hash cache under ``.replint_cache/`` when
 possible.  A run selecting *only* semantic rules therefore skips
@@ -97,7 +97,7 @@ def run_lint(paths: Sequence[Path],
     rules = get_rules(select=select, ignore=ignore)
     files = discover_files([Path(p) for p in paths])
 
-    ast_rules = [r for r in rules if r.scope in ("module", "project")]
+    ast_rules = [r for r in rules if r.scope == "module"]
     semantic_rules = [r for r in rules if r.scope == "semantic"]
     cache = AnalysisCache(cache_dir or DEFAULT_CACHE_DIR) \
         if (use_cache and semantic_rules) else None
@@ -168,11 +168,8 @@ def run_lint(paths: Sequence[Path],
                          f"{','.join(codes)} -- <why>'")))
 
     for rule in ast_rules:
-        if rule.scope == "project":
-            findings.extend(rule.check_project(infos))
-        else:
-            for info in infos:
-                findings.extend(rule.check_module(info))
+        for info in infos:
+            findings.extend(rule.check_module(info))
 
     if semantic_rules:
         model = build_semantic_model(summaries)

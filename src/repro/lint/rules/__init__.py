@@ -1,10 +1,9 @@
 """Rule base class and registry for ``repro.lint``.
 
 A rule is a small stateless object with a ``code`` (``R0xx``), a
-``name`` and one of three hooks, selected by ``scope``:
+``name`` and one of two hooks, selected by ``scope``:
 
 * ``"module"`` -- ``check_module(info)`` sees one parsed file;
-* ``"project"`` -- ``check_project(infos)`` sees every parsed file;
 * ``"semantic"`` -- ``check_semantic(model)`` sees the project-wide
   :class:`~repro.lint.semantic.model.SemanticModel` (call graph,
   transitive effects, determinism roots, liveness) built from
@@ -30,15 +29,11 @@ class Rule:
     code: str = "R000"
     name: str = "base"
     description: str = ""
-    #: "module" rules see one file at a time; "project" rules see
-    #: all parsed files; "semantic" rules see the SemanticModel.
+    #: "module" rules see one file at a time; "semantic" rules see
+    #: the SemanticModel.
     scope: str = "module"
 
     def check_module(self, info: ModuleInfo) -> Iterable[Finding]:
-        return ()
-
-    def check_project(
-            self, infos: Sequence[ModuleInfo]) -> Iterable[Finding]:
         return ()
 
     def check_semantic(self, model) -> Iterable[Finding]:

@@ -3,21 +3,20 @@
 Public module-level functions in the model packages that accept raw
 numeric inputs must route through the robustness layer before doing
 physics: either directly (an ``@validated`` decorator, a ``check_*``
-call, ``ensure_finite_output``, or an explicit taxonomy raise) or by
+call, ``ensure_finite_output``, or an explicit taxonomy raise -- the
+summarizer records these as ``FunctionSummary.validates``) or by
 delegating to something that does (a validated function, or a class
-whose ``__init__``/``__post_init__`` validates).  The delegation
-closure is computed project-wide, so thin public wrappers over guarded
-cores stay clean without decoration.
+whose ``__init__``/``__post_init__`` validates).  Evidence flows
+backwards along the shared call graph, so thin public wrappers over
+guarded cores stay clean without decoration.  Only edges inside the
+model packages carry it: a validator elsewhere in the project (say
+``core.constants``) does not vouch for model code.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List
 
-from ..astutil import annotation_source, decorator_names, dotted_name
-from ..context import ModuleInfo
 from ..findings import Finding
 from . import Rule, register
 
@@ -33,29 +32,17 @@ _NUMERIC_TOKENS = ("float", "int", "ndarray", "ArrayLike", "complex")
 #: Parameters that are control knobs, not physical quantities.
 _EXEMPT_PARAMS = {"self", "cls", "seed", "rng"}
 
-#: Raising one of these counts as an explicit domain guard.
-_TAXONOMY = {
-    "ReproError", "ModelDomainError", "ConvergenceError",
-    "RoadmapDataError", "SimulationBudgetError", "CalibrationError",
-    "ModelIndexError",
-}
 
-_DIRECT_CALL_EVIDENCE_PREFIX = "check_"
-_DIRECT_CALL_EVIDENCE = {"ensure_finite_output"}
+def _guarded(module: str) -> bool:
+    return any(module == pkg or module.startswith(pkg + ".")
+               for pkg in GUARDED_PACKAGES)
 
 
-@dataclass
-class _FunctionFacts:
-    """What one function (or method) does, validation-wise."""
-
-    qualname: str                       # "repro.mod.fn" / "repro.mod.Cls.fn"
-    node: ast.AST
-    module: str
-    public: bool
-    numeric_params: List[str]
-    direct: bool                        # direct evidence in the body
-    callees: Set[str] = field(default_factory=set)  # resolved qualnames
-    has_evidence: bool = False
+def _numeric_params(fn) -> List[str]:
+    return [p.name for p in fn.params
+            if p.kind in ("pos", "kwonly")
+            and p.name not in _EXEMPT_PARAMS
+            and any(token in p.annotation for token in _NUMERIC_TOKENS)]
 
 
 @register
@@ -65,189 +52,36 @@ class ValidationBoundaryRule(Rule):
     description = (
         "Public numeric model APIs must validate their inputs via "
         "repro.robust (directly or by delegating to guarded code).")
-    scope = "project"
+    scope = "semantic"
 
-    def check_project(
-            self, infos: Sequence[ModuleInfo]) -> Iterable[Finding]:
-        facts: Dict[str, _FunctionFacts] = {}
-        info_by_module = {info.module: info for info in infos}
-        for info in infos:
-            if self._guarded(info.module):
-                self._collect(info, facts)
+    def check_semantic(self, model) -> Iterable[Finding]:
+        graph = model.graph
+        paths = {qual: summary.path
+                 for summary in model.summaries.values()
+                 if _guarded(summary.module)
+                 for qual in summary.functions}
+        # Calling a class reaches its __init__/__post_init__, so
+        # dataclass validation in __post_init__ counts as evidence.
+        stack = [qual for qual in paths
+                 if graph.functions[qual].validates]
+        evidence = set(stack)
+        while stack:
+            for caller in graph.callers(stack.pop()):
+                if caller in paths and caller not in evidence:
+                    evidence.add(caller)
+                    stack.append(caller)
 
-        self._close_over_delegation(facts)
-
-        findings: List[Finding] = []
-        for fact in facts.values():
-            if "." in fact.qualname.rsplit(fact.module + ".", 1)[-1]:
-                continue                # methods: constructors feed the
-                                        # closure but are not boundaries
-            if not fact.public or not fact.numeric_params \
-                    or fact.has_evidence:
+        for qual, path in paths.items():
+            fn = graph.functions[qual]
+            numeric = _numeric_params(fn)
+            # Methods feed the closure but are not boundaries.
+            if fn.class_name is not None or not fn.is_public \
+                    or not numeric or qual in evidence:
                 continue
-            info = info_by_module[fact.module]
-            findings.append(Finding(
-                path=str(info.path), line=fact.node.lineno,
-                col=fact.node.col_offset, code=self.code,
+            yield Finding(
+                path=path, line=fn.line, col=fn.col, code=self.code,
                 message=(
-                    f"public function '{fact.node.name}' takes numeric "
-                    f"input ({', '.join(fact.numeric_params[:4])}) but "
-                    "never reaches repro.robust validation -- add "
-                    "@validated/check_* or delegate to guarded code")))
-        return findings
-
-    # -- collection ----------------------------------------------------
-
-    @staticmethod
-    def _guarded(module: str) -> bool:
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in GUARDED_PACKAGES)
-
-    def _collect(self, info: ModuleInfo,
-                 facts: Dict[str, _FunctionFacts]) -> None:
-        imports = _local_imports(info)
-        for node in info.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(info, node, None, imports, facts)
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item,
-                                  (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        self._add_function(info, item, node.name,
-                                           imports, facts)
-
-    def _add_function(self, info: ModuleInfo, fn: ast.AST,
-                      class_name: Optional[str],
-                      imports: Dict[str, str],
-                      facts: Dict[str, _FunctionFacts]) -> None:
-        qual = f"{info.module}.{class_name}.{fn.name}" if class_name \
-            else f"{info.module}.{fn.name}"
-        fact = _FunctionFacts(
-            qualname=qual, node=fn, module=info.module,
-            public=not fn.name.startswith("_") and not (
-                class_name or "").startswith("_"),
-            numeric_params=_numeric_params(fn),
-            direct=_direct_evidence(fn))
-        fact.callees = _resolved_callees(fn, info.module, class_name,
-                                         imports)
-        facts[qual] = fact
-
-    # -- delegation closure --------------------------------------------
-
-    @staticmethod
-    def _close_over_delegation(facts: Dict[str, _FunctionFacts]) -> None:
-        """Fixpoint: evidence flows backwards along resolved calls.
-
-        Calling a class name counts when that class's ``__init__`` or
-        ``__post_init__`` has evidence (dataclass validation in
-        ``__post_init__`` is the house style).
-        """
-        class_ctor_evidence: Dict[str, bool] = {}
-
-        def ctor_ok(class_qual: str) -> bool:
-            if class_qual not in class_ctor_evidence:
-                class_ctor_evidence[class_qual] = any(
-                    facts.get(f"{class_qual}.{ctor}") is not None
-                    and facts[f"{class_qual}.{ctor}"].has_evidence
-                    for ctor in ("__init__", "__post_init__"))
-            return class_ctor_evidence[class_qual]
-
-        for fact in facts.values():
-            fact.has_evidence = fact.direct
-        changed = True
-        while changed:
-            changed = False
-            class_ctor_evidence.clear()
-            for fact in facts.values():
-                if fact.has_evidence:
-                    continue
-                for callee in fact.callees:
-                    target = facts.get(callee)
-                    if (target is not None and target.has_evidence) \
-                            or ctor_ok(callee):
-                        fact.has_evidence = True
-                        changed = True
-                        break
-
-
-# -- helpers ----------------------------------------------------------
-
-
-def _numeric_params(fn: ast.AST) -> List[str]:
-    names = []
-    args = fn.args
-    for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        if arg.arg in _EXEMPT_PARAMS:
-            continue
-        annotation = annotation_source(arg)
-        if any(token in annotation for token in _NUMERIC_TOKENS):
-            names.append(arg.arg)
-    return names
-
-
-def _direct_evidence(fn: ast.AST) -> bool:
-    if "validated" in decorator_names(fn):
-        return True
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            callee = dotted_name(node.func)
-            if callee:
-                bare = callee.split(".")[-1]
-                if bare.startswith(_DIRECT_CALL_EVIDENCE_PREFIX) \
-                        or bare in _DIRECT_CALL_EVIDENCE:
-                    return True
-        elif isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc
-            target = exc.func if isinstance(exc, ast.Call) else exc
-            name = dotted_name(target)
-            if name and name.split(".")[-1] in _TAXONOMY:
-                return True
-    return False
-
-
-def _local_imports(info: ModuleInfo) -> Dict[str, str]:
-    """Imported bare name -> absolute repro qualname (best effort)."""
-    mapping: Dict[str, str] = {}
-    package_parts = info.module.split(".")[:-1]
-    for node in ast.walk(info.tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        if node.level:
-            base_parts = package_parts[:len(package_parts)
-                                       - (node.level - 1)]
-            base = ".".join(base_parts + ([node.module]
-                                          if node.module else []))
-        elif node.module and node.module.startswith("repro"):
-            base = node.module
-        else:
-            continue
-        for alias in node.names:
-            mapping[alias.asname or alias.name] = f"{base}.{alias.name}"
-    return mapping
-
-
-def _resolved_callees(fn: ast.AST, module: str,
-                      class_name: Optional[str],
-                      imports: Dict[str, str]) -> Set[str]:
-    """Qualnames this function may delegate to.
-
-    Bare names resolve to same-module symbols or repro imports;
-    ``self.method()`` resolves within the enclosing class.
-    """
-    callees: Set[str] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = dotted_name(node.func)
-        if not dotted:
-            continue
-        parts = dotted.split(".")
-        if len(parts) == 1:
-            name = parts[0]
-            callees.add(imports.get(name, f"{module}.{name}"))
-        elif parts[0] == "self" and class_name and len(parts) == 2:
-            callees.add(f"{module}.{class_name}.{parts[1]}")
-        elif len(parts) == 2 and parts[0] in imports:
-            # imported class used as Mod.fn or Cls.method
-            callees.add(f"{imports[parts[0]]}.{parts[1]}")
-    return callees
+                    f"public function '{fn.name}' takes numeric "
+                    f"input ({', '.join(numeric[:4])}) but never "
+                    "reaches repro.robust validation -- add "
+                    "@validated/check_* or delegate to guarded code"))

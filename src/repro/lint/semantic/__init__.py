@@ -1,12 +1,13 @@
 """repro.lint.semantic -- project-wide semantic analysis layer.
 
-The AST rules (R001-R005) are syntactic: they judge what code
-*does*, line by line.  The headline guarantees of this
-codebase, though, are *reachability* properties -- "no shard entry
-point may **reach** a wall-clock read", "scalar/batched twins may not
-drift apart" -- so this subpackage lowers every parsed module to a
-compact, JSON-serializable :class:`~repro.lint.semantic.summary.
-FileSummary` (per-function effect sets, resolved callees, signatures,
+The AST rules (R001, R003, R005) are syntactic: they judge what code
+*does*, line by line.  The headline guarantees of this codebase,
+though, are *reachability* properties -- "no shard entry point may
+**reach** a wall-clock read", "every public model API **reaches**
+validation", "scalar/batched twins may not drift apart" -- so this
+subpackage lowers every parsed module to a compact, JSON-serializable
+:class:`~repro.lint.semantic.summary.FileSummary` (per-function
+effect sets, validation evidence, resolved callees, signatures,
 references, waivers) and assembles the summaries into a queryable
 :class:`~repro.lint.semantic.model.SemanticModel`:
 
@@ -22,7 +23,7 @@ references, waivers) and assembles the summaries into a queryable
   cache (content-hash keyed summaries under ``.replint_cache/``) so
   semantic-only lint runs skip re-parsing unchanged files;
 * :mod:`~repro.lint.semantic.model` -- ties summaries + graph into
-  the object the semantic rules (R008-R010) consume.
+  the object the semantic rules (R002, R008-R010) consume.
 
 Summaries are extracted once per file content; the propagation layer
 is recomputed from summaries on every run (it is cheap relative to

@@ -2,13 +2,13 @@
 
 A :class:`FileSummary` is everything the project-wide passes need to
 know about one source file -- per-function signatures, direct effect
-sets, resolved callee candidates, name references, ``__all__``
-exports and the waiver tables -- as plain JSON-serializable data.  It
-is a *pure function of the file's content and path*, which is what
-makes the incremental cache (:mod:`repro.lint.semantic.cache`)
-sound: a content hash fully keys the summary, and everything derived
-across files (the call graph, transitive effects) is recomputed from
-summaries on every run.
+sets, direct validation evidence, resolved callee candidates, name
+references, ``__all__`` exports and the waiver tables -- as plain
+JSON-serializable data.  It is a *pure function of the file's content
+and path*, which is what makes the incremental cache
+(:mod:`repro.lint.semantic.cache`) sound: a content hash fully keys
+the summary, and everything derived across files (the call graph,
+transitive effects) is recomputed from summaries on every run.
 
 Call resolution here is deliberately an under-approximation that
 never guesses: bare names resolve through local symbols and explicit
@@ -36,7 +36,14 @@ from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 3
+SUMMARY_SCHEMA_VERSION = 4
+
+#: Raising one of these counts as an explicit domain guard.
+_TAXONOMY_ERRORS = frozenset({
+    "ReproError", "ModelDomainError", "ConvergenceError",
+    "RoadmapDataError", "SimulationBudgetError", "CalibrationError",
+    "ModelIndexError",
+})
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,9 @@ class FunctionSummary:
     callees: List[str] = field(default_factory=list)
     is_public: bool = True
     is_shard_entry: bool = False
+    #: R002's direct evidence: ``@validated``, a ``check_*`` or
+    #: ``ensure_finite_output`` call, or a taxonomy-error raise
+    validates: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -95,6 +105,7 @@ class FunctionSummary:
             "callees": list(self.callees),
             "is_public": self.is_public,
             "is_shard_entry": self.is_shard_entry,
+            "validates": self.validates,
         }
 
     @staticmethod
@@ -109,6 +120,7 @@ class FunctionSummary:
             callees=list(data["callees"]),
             is_public=data["is_public"],
             is_shard_entry=data["is_shard_entry"],
+            validates=data["validates"],
         )
 
 
@@ -248,6 +260,21 @@ def _is_shard_entry(fn: ast.AST) -> bool:
     return "shard" in names
 
 
+def _validates(node: ast.AST) -> bool:
+    """Direct validation evidence: a ``check_*`` or
+    ``ensure_finite_output`` call, or a raise of a taxonomy error."""
+    if isinstance(node, ast.Call):
+        bare = (dotted_name(node.func) or "").rsplit(".", 1)[-1]
+        return bare.startswith("check_") \
+            or bare == "ensure_finite_output"
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        target = node.exc.func if isinstance(node.exc, ast.Call) \
+            else node.exc
+        bare = (dotted_name(target) or "").rsplit(".", 1)[-1]
+        return bare in _TAXONOMY_ERRORS
+    return False
+
+
 class _Resolver:
     """Resolve dotted call/attribute targets to qualname candidates."""
 
@@ -330,10 +357,13 @@ def _summarize_function(info: ModuleInfo, fn: ast.AST,
             resolved = resolver.resolve(dotted, class_name, var_types)
             if resolved:
                 callees.add(resolved)
+    validates = "validated" in (
+        dotted.rsplit(".", 1)[-1] for dotted in decorators)
 
     for node, stack in walk_with_function_stack(fn, [fn]):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             is_shard_entry = is_shard_entry or _is_shard_entry(node)
+        validates = validates or _validates(node)
         for kind, detail in detect_effects(node, imports, heads, stack,
                                            module=info.module):
             line = getattr(node, "lineno", fn.lineno)
@@ -365,6 +395,7 @@ def _summarize_function(info: ModuleInfo, fn: ast.AST,
         is_public=not fn.name.startswith("_")
         and not (class_name or "").startswith("_"),
         is_shard_entry=is_shard_entry,
+        validates=validates,
     )
 
 

@@ -1,4 +1,4 @@
-"""Per-rule fixtures for the AST rules R001-R003 and R005: true
+"""Per-rule fixtures for the rules R001-R003 and R005: true
 positives and false-positive avoidance cases, plus a corpus that pins
 the position of every R001 finding. The retired R006 keeps its
 false-positive cases, now held against R001 and R008."""
@@ -9,10 +9,14 @@ from pathlib import Path
 from repro.lint import run_lint
 
 
-def lint_file(tmp_path, source, name="mod.py", select=None):
+def write(tmp_path, name, source):
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
+
+
+def lint_file(tmp_path, source, name="mod.py", select=None):
+    write(tmp_path, name, source)
     return run_lint([tmp_path], select=select, use_cache=False)
 
 
@@ -242,6 +246,58 @@ class TestR002ValidationBoundary:
                 return x + 1.0
         """, name="repro/perf/mod.py", select=["R002"])
         assert report.clean
+
+    def test_delegation_through_package_reexport_is_evidence(
+            self, tmp_path):
+        write(tmp_path, "repro/devices/core.py", """
+            from repro.robust.validate import check_positive
+
+            def guarded(delta: float) -> float:
+                check_positive("delta", delta)
+                return 2.0 * delta
+        """)
+        write(tmp_path, "repro/devices/__init__.py", """
+            from .core import guarded
+        """)
+        report = lint_file(tmp_path, """
+            from repro.devices import guarded
+
+            def vth_shift(delta: float) -> float:
+                return guarded(delta)
+        """, name="repro/devices/mod.py", select=["R002"])
+        assert report.clean
+
+    def test_validating_constructor_is_evidence(self, tmp_path):
+        report = lint_file(tmp_path, """
+            from dataclasses import dataclass
+
+            from repro.robust.validate import check_positive
+
+            @dataclass
+            class Stack:
+                height: float
+
+                def __post_init__(self):
+                    check_positive("height", self.height)
+
+            def stack_of(height: float) -> Stack:
+                return Stack(height)
+        """, name="repro/devices/mod.py", select=["R002"])
+        assert report.clean
+
+    def test_unvalidated_constructor_is_not_evidence(self, tmp_path):
+        report = lint_file(tmp_path, """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Stack:
+                height: float
+
+            def stack_of(height: float) -> Stack:
+                return Stack(height)
+        """, name="repro/devices/mod.py", select=["R002"])
+        assert codes(report) == ["R002"]
+        assert "stack_of" in report.findings[0].message
 
 
 class TestR003ExceptionHygiene:
