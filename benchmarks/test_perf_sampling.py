@@ -108,8 +108,7 @@ def test_sharded_yield_costs_one_draw(benchmark):
     def sharded():
         workload = YieldWorkload("65nm", "vth-shift", 0.03,
                                  n_dies=400_000, seed=next(seeds))
-        return run_sharded(workload, n_shards=8, env_chaos=False,
-                           use_cache=False)
+        return run_sharded(workload, n_shards=8, env_chaos=False)
 
     def unsharded():
         sampler = MonteCarloSampler(get_node("65nm"), seed=next(seeds))

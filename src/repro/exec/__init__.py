@@ -32,7 +32,7 @@ from .policy import RetryPolicy
 from .result import (ConfidenceBounds, ExecResult, PartialResult,
                      ShardOutcome, clopper_pearson_interval,
                      wilson_interval)
-from .runner import SHARD_CACHE, run_sharded
+from .runner import run_sharded
 from .shards import Shard, plan_shards
 from .workloads import (YIELD_METRICS, ChainSignoffWorkload,
                         ShardWorkload, SocNoiseWorkload, SstaWorkload,
@@ -45,7 +45,7 @@ __all__ = [
     "RetryPolicy",
     "ConfidenceBounds", "ExecResult", "PartialResult",
     "ShardOutcome", "clopper_pearson_interval", "wilson_interval",
-    "SHARD_CACHE", "run_sharded",
+    "run_sharded",
     "Shard", "plan_shards",
     "YIELD_METRICS", "ChainSignoffWorkload", "ShardWorkload",
     "SocNoiseWorkload", "SstaWorkload", "YieldWorkload",

@@ -10,7 +10,9 @@ checkpointed payloads bit-for-bit as if the shards had just executed.
 Writes are atomic (temp file + ``os.replace``) so a crash mid-write
 never corrupts previously stored shards, and each shard is stored the
 moment it validates -- the checkpoint always reflects exactly the
-completed work.
+completed work.  A path that cannot hold the file (its directory is
+missing, or it names a directory) is rejected when the store is
+built, before any shard runs.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class ShardCheckpoint:
             raise ModelDomainError(
                 f"checkpoint path must be a non-empty string, got "
                 f"{path!r}")
+        if os.path.isdir(path) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(path))):
+            raise ModelDomainError(
+                f"checkpoint path {path!r} must name a file in an "
+                f"existing directory")
         self.path = path
 
     def _read_all(self) -> Dict[str, Dict[str, Any]]:
@@ -86,30 +93,21 @@ class ShardCheckpoint:
         data = self._read_all()
         data.setdefault(key, {})[f"{start}:{stop}"] = payload
         directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".checkpoint-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(data, handle)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+            fd, tmp_path = tempfile.mkstemp(
+                dir=directory, prefix=".checkpoint-", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(data, handle)
+                os.replace(tmp_path, self.path)
+            finally:
+                if os.path.exists(tmp_path):
+                    os.unlink(tmp_path)
+        except OSError as error:
+            raise ModelDomainError(
+                f"unwritable checkpoint {self.path!r}: {error}")
 
     def shard_payload(self, key: str, start: int,
                       stop: int) -> Optional[Any]:
         """One shard's checkpointed payload, or ``None``."""
         return self.load(key).get(f"{start}:{stop}")
-
-    def clear(self, key: Optional[str] = None) -> None:
-        """Drop one run's shards (or the whole store)."""
-        if key is None:
-            if os.path.exists(self.path):
-                os.unlink(self.path)
-            return
-        data = self._read_all()
-        if key in data:
-            del data[key]
-            with open(self.path, "w", encoding="utf-8") as handle:
-                json.dump(data, handle)

@@ -107,7 +107,7 @@ class ShardOutcome:
     stop: int
     ok: bool
     attempts: int               # attempts actually consumed
-    source: str                 # "worker" | "cache" | "checkpoint"
+    source: str                 # "worker" | "checkpoint"
     error_type: str = ""        # last error class name when not ok
     error_message: str = ""
 

@@ -2,10 +2,9 @@
 
 :func:`run_sharded` executes a :class:`~repro.exec.workloads.
 ShardWorkload` shard by shard with per-attempt timeouts, bounded
-exponential back-off retries, a shard-level result cache, optional
-checkpoint/resume, and deterministic chaos injection.  The hard
-guarantee it preserves -- by construction, and pinned by the test
-suite -- is:
+exponential back-off retries, optional checkpoint/resume, and
+deterministic chaos injection.  The hard guarantee it preserves -- by
+construction, and pinned by the test suite -- is:
 
     Under a fixed seed, the merged result is bit-for-bit the
     single-process result, for any shard count, worker failure
@@ -43,7 +42,6 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Union
 
-from ..perf.cache import KeyedCache
 from ..robust.errors import (ExecBudgetError, ExecError,
                              ModelDomainError, PoisonedResultError,
                              ShardTimeoutError, WorkerCrashError)
@@ -56,14 +54,7 @@ from .result import (ConfidenceBounds, ExecResult, PartialResult,
 from .shards import Shard, plan_shards
 from .workloads import ShardWorkload
 
-__all__ = ["run_sharded", "SHARD_CACHE"]
-
-#: Shard-level payload cache: (workload, params, shard plan, slice)
-#: -> validated payload.  Payloads are deterministic, so cache hits
-#: are exact replays; ``repro.perf.clear_caches()`` drops it.  Pass
-#: vectors are ``np.packbits`` byte lists, so a full cache of yield
-#: shards holds one int per eight dies, not one bool per die.
-SHARD_CACHE = KeyedCache("exec.shards", maxsize=4096)
+__all__ = ["run_sharded"]
 
 #: How long an injected hang sleeps in a worker process before the
 #: parent's timeout kills it.
@@ -182,8 +173,7 @@ def run_sharded(workload: ShardWorkload,
                 resume: bool = False,
                 chaos: Optional[ChaosPlan] = None,
                 env_chaos: bool = True,
-                strict: bool = False,
-                use_cache: bool = True
+                strict: bool = False
                 ) -> Union[ExecResult, PartialResult]:
     """Execute ``workload`` over ``n_shards`` fault-tolerant shards.
 
@@ -210,28 +200,22 @@ def run_sharded(workload: ShardWorkload,
     if chaos is None and env_chaos:
         chaos = chaos_from_env(policy)
     execute = _BACKENDS[backend]
-    n_total = workload.n_total()
-    shards = plan_shards(n_total, n_shards)
     store = (ShardCheckpoint(checkpoint)
              if isinstance(checkpoint, str) else checkpoint)
+    n_total = workload.n_total()
+    shards = plan_shards(n_total, n_shards)
     ckpt_key = run_key(workload.name, list(workload.key()),
                        n_shards) if store is not None else ""
 
     payloads: Dict[int, Any] = {}
     outcomes: List[ShardOutcome] = []
     for shard in shards:
-        cache_key = (workload.name, workload.key(), n_shards,
-                     shard.start, shard.stop)
         payload = None
         source = "worker"
         attempts = 0
         last_error: Optional[ExecError] = None
 
-        if use_cache and cache_key in SHARD_CACHE:
-            payload = SHARD_CACHE.get_or_compute(cache_key,
-                                                 lambda: None)
-            source = "cache"
-        elif store is not None and resume:
+        if store is not None and resume:
             stored = store.shard_payload(ckpt_key, shard.start,
                                          shard.stop)
             if stored is not None:
@@ -244,7 +228,6 @@ def run_sharded(workload: ShardWorkload,
                     payload = None  # corrupt checkpoint: re-run
 
         if payload is None:
-            source = "worker"
             for attempt in range(policy.max_attempts):
                 delay = policy.delay_before(attempt)
                 if delay > 0.0:
@@ -264,9 +247,6 @@ def run_sharded(workload: ShardWorkload,
 
         if payload is not None:
             payloads[shard.index] = payload
-            if use_cache:
-                SHARD_CACHE.get_or_compute(cache_key,
-                                           lambda p=payload: p)
             if store is not None and source != "checkpoint":
                 store.store(ckpt_key, shard.start, shard.stop,
                             payload)

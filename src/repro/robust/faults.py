@@ -307,7 +307,7 @@ def default_registry() -> List[ApiSpec]:
         result = run_sharded(
             YieldWorkload(node_name="65nm", metric="vth-shift",
                           limit=limit, n_dies=8, seed=11),
-            n_shards=n_shards, env_chaos=False, use_cache=False)
+            n_shards=n_shards, env_chaos=False)
         return result.value.yield_fraction
 
     def lint_cache_capacity(max_files: Any) -> float:

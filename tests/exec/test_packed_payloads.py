@@ -117,8 +117,7 @@ def test_validation_rejects_corrupt_bytes(workload, build, corrupt):
 def test_bool_list_checkpoint_is_rerun(tmp_path):
     workload = yield_workload()
     path = str(tmp_path / "ck.json")
-    clean = run_sharded(workload, n_shards=2, env_chaos=False,
-                        use_cache=False).value
+    clean = run_sharded(workload, n_shards=2, env_chaos=False).value
     store = ShardCheckpoint(path)
     key = run_key(workload.name, list(workload.key()), 2)
     for start, stop in ((0, 20), (20, 40)):
@@ -126,7 +125,7 @@ def test_bool_list_checkpoint_is_rerun(tmp_path):
             "start": start, "stop": stop,
             "passed": [bool(ok) for ok in clean.passed[start:stop]]})
     resumed = run_sharded(workload, n_shards=2, checkpoint=path,
-                          resume=True, env_chaos=False, use_cache=False)
+                          resume=True, env_chaos=False)
     assert [o.source for o in resumed.outcomes] == ["worker", "worker"]
     assert np.array_equal(resumed.value.passed, clean.passed)
     # The re-run shards replaced the old-format entries.
@@ -156,11 +155,10 @@ def test_env_chaos_poison_is_retried(monkeypatch):
     poisoned = [index for index in range(n_shards)
                 if plan.fault_for(index, 0) == "poison"]
     workload = yield_workload()
-    clean = run_sharded(workload, n_shards=n_shards, env_chaos=False,
-                        use_cache=False).value
+    clean = run_sharded(workload, n_shards=n_shards,
+                        env_chaos=False).value
     monkeypatch.setenv(CHAOS_ENV_VAR, str(seed))
-    chaotic = run_sharded(workload, n_shards=n_shards, policy=policy,
-                          use_cache=False)
+    chaotic = run_sharded(workload, n_shards=n_shards, policy=policy)
     for index in poisoned:
         assert chaotic.outcomes[index].attempts >= 2
     assert np.array_equal(chaotic.value.passed, clean.passed)

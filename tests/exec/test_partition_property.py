@@ -74,7 +74,7 @@ def test_runner_balanced_plans_hit_the_oracle(n_shards, oracle):
     result = run_sharded(
         YieldWorkload(node_name="65nm", metric="vth-shift",
                       limit=0.03, n_dies=N_DIES, seed=SEED),
-        n_shards=n_shards, env_chaos=False, use_cache=False)
+        n_shards=n_shards, env_chaos=False)
     assert np.array_equal(result.value.passed,
                           np.asarray(oracle.passed))
     assert result.value.yield_fraction == oracle.yield_fraction

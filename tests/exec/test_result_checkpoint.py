@@ -114,14 +114,6 @@ class TestShardCheckpoint:
         assert store.shard_payload("b", 0, 5) == {"x": 3}
         assert store.shard_payload("a", 99, 100) is None
 
-    def test_clear_one_run(self, tmp_path):
-        store = ShardCheckpoint(str(tmp_path / "ck.json"))
-        store.store("a", 0, 5, {})
-        store.store("b", 0, 5, {})
-        store.clear("a")
-        assert store.load("a") == {}
-        assert store.load("b") != {}
-
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = tmp_path / "ck.json"
         store = ShardCheckpoint(str(path))
@@ -137,9 +129,20 @@ class TestShardCheckpoint:
         with pytest.raises(ModelDomainError):
             ShardCheckpoint(str(path)).load("a")
 
-    def test_bad_path_is_typed(self):
-        with pytest.raises(ModelDomainError):
-            ShardCheckpoint("")
+    def test_bad_path_is_typed(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        for bad in ("", str(tmp_path / "missing" / "ck.json"),
+                    str(tmp_path / "file" / "ck.json"), str(tmp_path)):
+            with pytest.raises(ModelDomainError):
+                ShardCheckpoint(bad)
+
+    def test_failed_write_is_typed(self, tmp_path):
+        directory = tmp_path / "gone"
+        directory.mkdir()
+        store = ShardCheckpoint(str(directory / "ck.json"))
+        directory.rmdir()
+        with pytest.raises(ModelDomainError, match="ck.json"):
+            store.store("a", 0, 5, {"x": 1})
 
 
 class TestRunKey:

@@ -3,8 +3,8 @@
 Under a fixed seed the sharded runner's merged result is bit-for-bit
 the single-process oracle's, for any shard count, worker failure
 order, or retry history -- including runs where the chaos harness
-injects crashes, hangs and poisoned payloads, runs resumed from a
-checkpoint, and runs served from the shard cache.
+injects crashes, hangs and poisoned payloads, and runs resumed from
+a checkpoint.
 """
 
 import numpy as np
@@ -26,8 +26,8 @@ from repro.variability.statistical import (MonteCarloSampler,
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Attempt counts and sources are pinned below; never let one
-    test's shard cache satisfy another's run."""
+    """Memo hit and miss counts are pinned below; start every test
+    from empty caches."""
     clear_caches()
     yield
     clear_caches()
@@ -63,7 +63,6 @@ class ScriptedChaos(ChaosPlan):
 
 def run(workload, **kwargs):
     kwargs.setdefault("env_chaos", False)
-    kwargs.setdefault("use_cache", False)
     return run_sharded(workload, **kwargs)
 
 
@@ -312,23 +311,6 @@ class TestCheckpointResume:
         assert np.array_equal(resumed.value.passed, clean.passed)
 
 
-class TestShardCache:
-    def test_second_run_is_served_from_cache(self):
-        workload = yield_workload()
-        first = run_sharded(workload, n_shards=4, env_chaos=False)
-        second = run_sharded(workload, n_shards=4, env_chaos=False)
-        assert all(o.source == "worker" for o in first.outcomes)
-        assert all(o.source == "cache" for o in second.outcomes)
-        assert np.array_equal(second.value.passed,
-                              first.value.passed)
-
-    def test_cache_key_includes_the_shard_plan(self):
-        workload = yield_workload()
-        run_sharded(workload, n_shards=4, env_chaos=False)
-        other = run_sharded(workload, n_shards=2, env_chaos=False)
-        assert all(o.source == "worker" for o in other.outcomes)
-
-
 class TestDegradation:
     def test_partial_result_has_stats_and_bounds(self):
         workload = yield_workload()
@@ -374,8 +356,8 @@ class TestEnvChaos:
         monkeypatch.setenv(CHAOS_ENV_VAR, "1234")
         policy = RetryPolicy(max_retries=3, timeout_s=5.0,
                              backoff_initial_s=0.0)
-        result = run_sharded(workload, n_shards=4, policy=policy,
-                             use_cache=False)  # env_chaos defaults on
+        # env_chaos defaults on
+        result = run_sharded(workload, n_shards=4, policy=policy)
         assert isinstance(result, ExecResult)  # recoverable: no loss
         assert np.array_equal(result.value.passed, clean.passed)
 

@@ -200,7 +200,7 @@ class TestShardedYieldPins:
     @staticmethod
     def run(workload, n_shards, backend="serial"):
         return run_sharded(workload, n_shards=n_shards, backend=backend,
-                           env_chaos=False, use_cache=False).value
+                           env_chaos=False).value
 
     @pytest.mark.parametrize("seed, n_pass, digest", [
         (0, 381653, "1fb0b1273ad2aba9f2fd5670a71afd3c"

@@ -215,6 +215,15 @@ class TestYieldCommand:
         assert "unknown yield metric" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_bad_checkpoint_path_is_one_liner_subprocess(self, tmp_path):
+        path = tmp_path / "missing" / "ck.json"
+        result = run_cli("yield", "--dies", "40", "--shards", "4",
+                         "--checkpoint", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert str(path) in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_checkpoint_resume_round_trip(self, capsys, tmp_path):
         path = str(tmp_path / "ck.json")
         from repro.perf import clear_caches

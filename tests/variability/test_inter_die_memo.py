@@ -140,8 +140,7 @@ class TestMemo:
     def test_eight_serial_shards_draw_once(self, memo_counts):
         workload = YieldWorkload("65nm", "vth-shift", 0.03, n_dies=800,
                                  seed=9)
-        run_sharded(workload, n_shards=8, env_chaos=False,
-                    use_cache=False)
+        run_sharded(workload, n_shards=8, env_chaos=False)
         assert memo_counts() == (7, 1)
         assert cache_stats()[MEMO].size == 1
         clear_caches()
