@@ -2,15 +2,17 @@
 
 Acceptance gate: ``chain_signoff_batch`` at 32 dies (65 nm) is >= 2x
 faster than the retained per-die scalar oracle, with identical
-fixed-seed pass/fail vectors.  Measured 9.8-11x on a 2-core x86_64
-host (3.1-4.2x there before the batched path counted the ADC ramp
-histogram from the SAR transition table; the scalar oracle gained
-from gathering the sine codes from the sweep); the gate is
-deliberately conservative.  As in the other
-perf benchmarks the speedup is asserted with our own ``perf_counter``
-measurement so it also holds under ``--benchmark-disable`` (the CI
-mode); bit-level equivalence lives in the tier-1 suite
-(``tests/analog/test_chain_batch.py``).
+fixed-seed pass/fail vectors.  Measured 12.5-15.1x on a 2-core x86_64
+host, whose speed swung by up to 2x between runs: 10.3-15.3x there
+before the DAC levels were summed as a pairwise tree and the SAR
+conversion walked a heap of its thresholds (kernels the scalar oracle
+shares; its time did not move beyond that swing), and 3.1-4.2x before
+the batched path counted the ADC ramp histogram from the SAR
+transition table.  The gate is deliberately conservative.  As in the
+other perf benchmarks the speedup is asserted with our own
+``perf_counter`` measurement so it also holds under
+``--benchmark-disable`` (the CI mode); bit-level equivalence lives in
+the tier-1 suite (``tests/analog/test_chain_batch.py``).
 """
 
 import time

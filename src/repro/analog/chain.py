@@ -32,14 +32,19 @@ Two evaluation paths share the chain model and the metric cores:
   elementwise cores with a leading die axis.
 
 They differ in how the ADC's ramp histogram is counted: the oracle
-converts every ramp sample, while the batched path binary-searches the
-ramp against each die's sorted SAR decision thresholds (the ADC's
-transition table), which gives the same counts exactly.  Both draw
-identical variates under a fixed seed (the sampler's spawn-per-die
-contract), so die ``d`` of a batch matches the ``d``-th
-:func:`chain_signoff` of a :meth:`MonteCarloSampler.sample_die` loop
-bit for bit on linearity and to float64 round-off on the spectrum.
-:func:`chain_yield_vs_node` runs the batched path.
+converts every ramp sample, while the batched path counts the ramp
+samples below each die's sorted SAR decision thresholds (the ADC's
+transition table) with one binary search for all dies and an exact
+float fix-up, which gives the same counts exactly.  Both share the
+kernels below them: the DAC levels are summed in numpy's own pairwise
+order, and a SAR conversion walks a heap of the trial thresholds built
+once per sign-off, so each kernel repeats the textbook expression's
+float operations on the same operands.  Both draw identical variates
+under a fixed seed (the sampler's spawn-per-die contract), so die
+``d`` of a batch matches the ``d``-th :func:`chain_signoff` of a
+:meth:`MonteCarloSampler.sample_die` loop bit for bit on linearity and
+to float64 round-off on the spectrum.  :func:`chain_yield_vs_node`
+runs the batched path.
 """
 
 from __future__ import annotations
@@ -177,7 +182,8 @@ class R2rDac:
     ``code / 2**N`` for ideal weights, which float64 stores exactly.
 
     Fields may carry a leading die axis ``(n_dies, ...)``: the same
-    instance then evaluates a whole Monte Carlo batch elementwise.
+    instance then evaluates a whole Monte Carlo batch elementwise, and
+    ``termination`` must broadcast to ``weights.shape[:-1]``.
     """
 
     n_bits: int
@@ -193,6 +199,7 @@ class R2rDac:
                 f"{self.n_bits}, got shape {weights.shape}")
         check_non_negative("weights", weights)
         check_positive("termination", self.termination)
+        _per_die("termination", self.termination, weights)
 
     @classmethod
     def ideal(cls, n_bits: int = 8) -> "R2rDac":
@@ -204,11 +211,9 @@ class R2rDac:
     def levels(self) -> np.ndarray:
         """Output fractions for every code, ``(..., 2**n_bits)``."""
         weights = np.asarray(self.weights, dtype=float)
-        bits = _bit_matrix(self.n_bits)
-        numerator = (weights[..., None, :] * bits).sum(axis=-1)
-        total = weights.sum(axis=-1) + np.asarray(
-            self.termination, dtype=float)
-        return numerator / total[..., None]
+        total = weights.sum(axis=-1) + _per_die(
+            "termination", self.termination, weights)
+        return _code_sums(weights) / total[..., None]
 
     def convert(self, codes: np.ndarray) -> np.ndarray:
         """Output fractions for an integer code sequence."""
@@ -223,8 +228,13 @@ class SarAdc:
     ``termination`` the dummy LSB cap (ideal 1) and ``offset`` the
     comparator offset as a fraction of full scale.  Conversion is the
     textbook MSB-first successive approximation: trial threshold
-    ``(settled + w_j) / total`` against the held input.  Like
-    :class:`R2rDac`, fields may carry a leading die axis.
+    ``(settled + w_j) / total`` against the held input.  Each threshold
+    is computed once, into a heap of the descent's nodes
+    (:meth:`_trial_heap`), and a conversion walks it (:func:`_walk`),
+    so the comparisons are the textbook loop's, on the same floats.
+    Like :class:`R2rDac`, fields may carry a leading die axis;
+    ``termination`` and ``offset`` must broadcast to
+    ``weights.shape[:-1]``.
     """
 
     n_bits: int
@@ -242,6 +252,8 @@ class SarAdc:
         check_non_negative("weights", weights)
         check_positive("termination", self.termination)
         check_finite("offset", self.offset)
+        _per_die("termination", self.termination, weights)
+        _per_die("offset", self.offset, weights)
 
     @classmethod
     def ideal(cls, n_bits: int = 8) -> "SarAdc":
@@ -258,76 +270,96 @@ class SarAdc:
         Out-of-range inputs saturate at code 0 / full scale, as the
         comparator chain would.
         """
-        offset = np.asarray(self.offset, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if np.asarray(self.weights).ndim > 1:
-            return self._approximate(values + offset[..., None])
-        return self._approximate(values + offset)
+        return self._convert(self._trial_heap(), values)
 
-    def _cap_total(self) -> np.ndarray:
-        """Total cap-DAC weight (bits + dummy LSB), ``(...)``."""
-        return np.asarray(self.weights, dtype=float).sum(axis=-1) \
-            + np.asarray(self.termination, dtype=float)
+    def _convert(self, heap: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """:meth:`convert` against a prebuilt :meth:`_trial_heap`."""
+        offset = _per_die("offset", self.offset, self.weights)
+        if offset.ndim:
+            offset = offset[..., None]
+        return _walk(heap, np.asarray(values, dtype=float) + offset)
 
-    def _approximate(self, held: np.ndarray) -> np.ndarray:
-        """MSB-first successive approximation of offset-held inputs."""
-        weights = np.asarray(self.weights, dtype=float)
-        batched = weights.ndim > 1
-        total = self._cap_total()
-        if batched:
-            total = total[..., None]
-        settled = np.zeros_like(held)
-        codes = np.zeros(held.shape, dtype=np.int64)
-        for j in range(self.n_bits - 1, -1, -1):
-            trial = settled + (weights[..., j:j + 1] if batched
-                               else weights[j])
-            keep = held >= trial / total
-            settled = np.where(keep, trial, settled)
-            codes += keep.astype(np.int64) * (1 << j)
-        return codes
+    def _trial_heap(self) -> np.ndarray:
+        """Every trial threshold of the descent, in heap order.
 
-    def _transition_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted decision thresholds and the code held at each.
-
-        The ``2**n_bits - 1`` trial thresholds ``(settled + w_j) /
-        total`` of every node of the descent, built level by level with
-        :meth:`_approximate`'s own float operations (set-bit weights
-        added MSB-first from 0.0), so each is bit for bit a value the
-        descent compares against.  Every decision is ``held >= t`` for
-        one of them, so a held input's code depends only on how many
-        thresholds lie at or below it: the code stored next to sorted
-        threshold ``i`` holds on ``[t_i, t_{i+1})``, and code 0 holds
-        below ``t_0``.  Both arrays are ``(..., 2**n_bits - 1)``.
+        Node ``k`` is one decision ``held >= (settled + w_j) / total``;
+        its children ``2k + 1`` and ``2k + 2`` are the next decisions
+        after the bit is dropped and kept.  ``settled`` is the node's
+        kept weights added MSB-first from 0.0, and the one division is
+        by the same total, so every entry is bit for bit the threshold
+        the textbook loop compares against at that node.  The heap is
+        ``(..., 2**n_bits - 1)``, one level per bit, MSB level first.
         """
         weights = np.asarray(self.weights, dtype=float)
-        total = self._cap_total()[..., None]
-        settled = np.zeros(weights.shape[:-1] + (1,))
-        levels = []
-        for j in range(self.n_bits - 1, -1, -1):
+        dies = weights.shape[:-1]
+        total = (weights.sum(axis=-1) + _per_die(
+            "termination", self.termination, weights))[..., None]
+        heap = np.empty(dies + (2 ** self.n_bits - 1,))
+        settled = np.zeros(dies + (1,))
+        for level in range(self.n_bits):
+            j = self.n_bits - 1 - level
             trial = settled + weights[..., j:j + 1]
-            levels.append(trial / total)
-            settled = np.concatenate([settled, trial], axis=-1)
-        thresholds = np.sort(np.concatenate(levels, axis=-1), axis=-1)
-        return thresholds, self._approximate(thresholds)
+            np.divide(trial, total,
+                      out=heap[..., 2 ** level - 1:2 ** (level + 1) - 1])
+            # The level below holds node p's children at 2p (bit
+            # dropped) and 2p + 1 (bit kept).
+            below = np.empty(dies + (2 ** (level + 1),))
+            below[..., 0::2] = settled
+            below[..., 1::2] = trial
+            settled = below
+        return heap
 
-    def _ramp_histogram(self, ramp: np.ndarray
+    def _transition_table(self, heap: Optional[np.ndarray] = None
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted decision thresholds and the code held at each.
+
+        The thresholds are the :meth:`_trial_heap` entries, sorted.
+        Every decision is ``held >= t`` for one of them, so a held
+        input's code depends only on how many thresholds lie at or
+        below it: the code stored next to sorted threshold ``i`` (one
+        walk of the heap at ``t_i``) holds on ``[t_i, t_{i+1})``, and
+        code 0 holds below ``t_0``.  Both arrays are
+        ``(..., 2**n_bits - 1)``.
+        """
+        heap = self._trial_heap() if heap is None else heap
+        thresholds = np.sort(heap, axis=-1)
+        return thresholds, _walk(heap, thresholds)
+
+    def _ramp_histogram(self, ramp: np.ndarray,
+                        heap: Optional[np.ndarray] = None
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-die code counts and monotonic flags of an ascending ramp.
 
         Equal to ``np.bincount`` of each die's ``convert(ramp)`` row
-        and to ``_ramp_monotonic`` of it, without converting a sample:
-        a binary search counts the held samples below each sorted
+        and to ``_ramp_monotonic`` of it, without converting a sample.
+        The count of held samples ``ramp + offset`` below each sorted
         threshold (``side="left"``, since a sample equal to a threshold
-        passes it), the differences are the hits of each table row, and
-        one ``bincount`` puts them on the rows' codes.  For a batched
-        ADC; ``ramp`` is a 1-D ascending input shared by all dies.
+        passes it) comes from one ``searchsorted`` of ``threshold -
+        offset`` in the shared ramp for every (die, threshold) pair.
+        That subtraction rounds differently from the held sum, so an
+        exact fix-up then steps each count down while
+        ``ramp[k - 1] + offset >= t`` and up while ``ramp[k] + offset <
+        t``, the held sum's own float addition, until no count moves.
+        ``ramp[k] + offset`` never decreases in ``k``, so the counts are
+        those of a search in each die's held ramp.  The differences are
+        the hits of each table row, and one ``bincount`` puts them on
+        the rows' codes.  For a batched ADC; ``ramp`` is a 1-D
+        ascending input shared by all dies.
         """
-        thresholds, codes = self._transition_table()
-        offset = np.asarray(self.offset, dtype=float)
+        thresholds, codes = self._transition_table(heap)
         n_dies = thresholds.shape[0]
-        below = np.stack([np.searchsorted(ramp + offset[d], thresholds[d],
-                                          side="left")
-                          for d in range(n_dies)])
+        offset = _per_die("offset", self.offset, self.weights)[:, None]
+        below = np.searchsorted(ramp, thresholds - offset, side="left")
+        # fenced[k] is ramp[k - 1] and fenced[k + 1] is ramp[k]; the
+        # infinite ends never move a count past either end of the ramp.
+        fenced = np.concatenate([[-np.inf], ramp, [np.inf]])
+        while True:
+            down = fenced.take(below) + offset >= thresholds
+            up = fenced[1:].take(below) + offset < thresholds
+            if not (down.any() or up.any()):
+                break
+            below += up
+            below -= down
         hits = np.diff(below, axis=-1, prepend=0, append=ramp.size)
         # Row 0 is the region below every threshold, where no decision
         # keeps a bit.
@@ -343,10 +375,97 @@ class SarAdc:
         return counts.astype(np.int64).reshape(n_dies, n_codes), monotonic
 
 
-def _bit_matrix(n_bits: int) -> np.ndarray:
-    """The ``(2**n, n)`` matrix of code bits, LSB first, as floats."""
-    codes = np.arange(2 ** n_bits, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(n_bits)) & 1).astype(float)
+def _per_die(name: str, value: ArrayOrFloat,
+             weights: np.ndarray) -> np.ndarray:
+    """``value`` broadcast to the die axis ``weights.shape[:-1]``."""
+    dies = np.shape(weights)[:-1]
+    value = np.asarray(value, dtype=float)
+    if value.shape == dies:
+        return value
+    try:
+        return np.broadcast_to(value, dies)
+    except ValueError:
+        raise ModelDomainError(
+            f"{name} must broadcast to the die axis {dies}, got shape "
+            f"{np.shape(value)}") from None
+
+
+def _code_sums(weights: np.ndarray) -> np.ndarray:
+    """Connected weight ``sum(b_i * w_i)`` of every code, ``(..., 2**n)``.
+
+    Bit ``i`` gets its own broadcast axis holding ``(0.0, w_i)``, LSB
+    last, so a C-order reshape puts each code's sum at its index.  The
+    terms are added in the order numpy's pairwise sum reduces a
+    length-``n`` axis: below 8 terms one after another; from 8 to 128
+    into eight interleaved accumulators combined as a balanced tree,
+    then the tail.  So every sum is bit for bit
+    ``(weights[..., None, :] * bits).sum(axis=-1)``, at about
+    ``2 * 2**n`` adds per die instead of ``n * 2**n`` products plus the
+    reduction.
+    """
+    dies, n_bits = weights.shape[:-1], weights.shape[-1]
+    pairs = np.zeros(dies + (n_bits, 2))
+    # Adding 0.0 turns a -0.0 weight into 0.0.  numpy's sum starts from
+    # 0.0, so none of its sums is -0.0; with no -0.0 term, none of these
+    # is either.
+    np.add(weights, 0.0, out=pairs[..., 1])
+    terms = [pairs[..., i, :].reshape(
+        dies + (1,) * (n_bits - 1 - i) + (2,) + (1,) * i)
+        for i in range(n_bits)]
+    if n_bits < 8:
+        sums = terms[0]
+        for term in terms[1:]:
+            sums = sums + term
+    else:
+        tail = n_bits - n_bits % 8
+        acc = terms[:8]
+        for start in range(8, tail, 8):
+            acc = [a + t for a, t in zip(acc, terms[start:start + 8])]
+        sums = ((acc[0] + acc[1]) + (acc[2] + acc[3])) \
+            + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for term in terms[tail:]:
+            sums = sums + term
+    return sums.reshape(dies + (2 ** n_bits,))
+
+
+#: Dies per block of :func:`_walk`.  A 64-die block of a 256-code
+#: sweep keeps each step array (held inputs, node indices, gathered
+#: thresholds) at 128 KiB, so all of them stay in L2 across the n steps
+#: instead of streaming the whole batch through memory once per bit.
+_WALK_ROWS = 64
+
+
+def _walk(heap: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """SAR codes of ``held`` inputs, by walking a :meth:`SarAdc._trial_heap`.
+
+    Each of the ``n`` steps is one ``np.take`` of the current node's
+    threshold and one compare, ``node = 2 * node + 1 + (held >= t)``:
+    the textbook MSB-first decision, without its per-step division.
+    After ``n`` steps the node is leaf ``2**n - 1 + code``.  A batched
+    ``heap`` ``(..., 2**n - 1)`` walks ``held`` ``(..., m)`` row by row;
+    a 1-D heap walks ``held`` of any shape.
+    """
+    n_nodes = heap.shape[-1]
+    n_bits = n_nodes.bit_length()
+    tables = heap.reshape(-1, n_nodes)
+    rows = (held.reshape(-1, held.shape[-1]) if heap.ndim > 1
+            else held.reshape(1, -1))
+    codes = np.empty(rows.shape, dtype=np.int64)
+    for start in range(0, tables.shape[0], _WALK_ROWS):
+        table = tables[start:start + _WALK_ROWS].ravel()
+        block = rows[start:start + _WALK_ROWS]
+        # Nodes index the block's flat table: row r's root is at
+        # r * n_nodes, so a child is 2 * node + 1 - root + decision.
+        root = np.arange(0, table.size, n_nodes)[:, None]
+        node = np.repeat(root, block.shape[1], axis=1)
+        step = 1 - node
+        for _ in range(n_bits):
+            keep = block >= np.take(table, node)
+            node += node
+            node += step
+            node += keep
+        codes[start:start + _WALK_ROWS] = node - root - n_nodes
+    return codes.reshape(held.shape)
 
 
 def _midstep_ramp(n_bits: int, n_per_code: int) -> np.ndarray:
@@ -563,27 +682,29 @@ class SignalChain:
 
         dac_levels = self.dac.levels()
         ramp = _midstep_ramp(n_bits, n_ramp_per_code)
-        sweep_codes = self.adc.convert(self.through_filter(dac_levels))
+        heap = self.adc._trial_heap()
+        sweep_codes = self.adc._convert(heap,
+                                        self.through_filter(dac_levels))
         monotonic = np.all(np.diff(sweep_codes, axis=-1) >= 0, axis=-1)
         # The sine samples are DAC levels, and the filter and the SAR act
         # elementwise, so the sine's codes are a gather of the sweep's.
-        # C order keeps the FFT reductions those of a converted record.
-        sine_out = np.ascontiguousarray(
-            sweep_codes[..., _sine_codes(n_bits, n_fft, cycles,
-                                         amplitude_fraction)],
-            dtype=float)
+        # ``np.take`` returns C order, which keeps the FFT reductions
+        # those of a converted record.
+        sine_out = np.take(sweep_codes.astype(float),
+                           _sine_codes(n_bits, n_fft, cycles,
+                                       amplitude_fraction), axis=-1)
 
         full_scale = float(2 ** n_bits - 1)
         if batched:
             dac_report = transfer_linearity_batch(dac_levels)
-            counts, ramp_monotonic = self.adc._ramp_histogram(ramp)
+            counts, ramp_monotonic = self.adc._ramp_histogram(ramp, heap)
             adc_report = replace(_histogram_linearity(counts),
                                  monotonic=ramp_monotonic)
             spectral = spectral_metrics_batch(sine_out, cycles,
                                               full_scale=full_scale)
         else:
             dac_report = transfer_linearity(dac_levels)
-            adc_report = histogram_linearity(self.adc.convert(ramp),
+            adc_report = histogram_linearity(self.adc._convert(heap, ramp),
                                              n_bits)
             spectral = spectral_metrics(sine_out, cycles,
                                         full_scale=full_scale)

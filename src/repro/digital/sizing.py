@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from scipy.optimize import brentq
-
 from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
                                    inverter_self_load)
@@ -96,6 +94,8 @@ def size_for_delay(node: TechnologyNode, delay_target: float,
     if miss(w_min) <= 0:
         width = w_min
     else:
+        from scipy.optimize import brentq
+
         width = brentq(miss, w_min, w_max, xtol=1e-12)
     return SizingResult(
         width=width,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..technology.node import TechnologyNode
 from ..devices.mosfet import DeviceType, Mosfet
@@ -126,6 +125,8 @@ class SramCell:
             return 0.0
         if net_current(hi) >= 0:
             return vdd
+        from scipy.optimize import brentq
+
         return brentq(net_current, lo, hi, xtol=1e-9)
 
     def _inverter_vout_many(self, vin: np.ndarray, pull_down: Mosfet,
@@ -246,6 +247,8 @@ class SramCell:
         elif net_current(vdd) >= 0:
             v_final = vdd             # pull-up never loses: unwritable
         else:
+            from scipy.optimize import brentq
+
             v_final = brentq(net_current, 0.0, vdd, xtol=1e-9)
         # Writable when the node is dragged below the trip point
         # (~VDD/2); the margin is the distance below it.

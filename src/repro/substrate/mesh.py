@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 from ..robust.errors import ModelDomainError, ModelIndexError
 from ..robust.validate import check_finite, check_positive
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,8 @@ class SubstrateMesh:
         rows = np.concatenate([edge_a, edge_b, edge_a, edge_b, every])
         cols = np.concatenate([edge_a, edge_b, edge_b, edge_a, every])
         vals = np.concatenate([edge_g, edge_g, -edge_g, -edge_g, diag])
+        from scipy import sparse
+
         matrix = sparse.csc_matrix(
             (vals, (rows, cols)), shape=(size, size))
         return matrix
@@ -266,6 +269,8 @@ class SubstrateMesh:
                 f"currents must have {self.n_nodes} or "
                 f"{self.n_nodes + 1} rows, got shape {currents.shape}")
         if self._solver is None:
+            from scipy.sparse.linalg import splu
+
             self._solver = splu(self.conductance_matrix())
         return self._solver.solve(currents)
 

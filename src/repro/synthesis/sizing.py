@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import differential_evolution
 
 from ..robust.errors import ModelDomainError, ReproError
 from ..robust.guards import ConvergenceReport
@@ -282,6 +281,8 @@ class CircuitSynthesizer:
                 "vectorized backend requested but this synthesizer has "
                 "no batched evaluator; pass evaluate_batch= or use "
                 "backend='oracle'")
+        from scipy.optimize import differential_evolution
+
         self._n_evaluations = 0
         bounds = [(0.0, 1.0)] * len(self.variables)
         common = dict(seed=seed, maxiter=maxiter, popsize=popsize,

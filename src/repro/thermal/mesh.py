@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import factorized
 
 from ..robust.validate import check_positive
 from ..robust.errors import ModelDomainError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Thermal conductivity of silicon [W/(m*K)].
 K_SILICON = 130.0
@@ -122,6 +123,8 @@ class ThermalMesh:
         cols = np.concatenate([edge_a, edge_b, edge_b, edge_a, every])
         vals = np.concatenate([edge_g, edge_g, -edge_g, -edge_g,
                                np.full(n, g_down)])
+        from scipy import sparse
+
         return sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
     def solve(self, power_map: np.ndarray) -> np.ndarray:
@@ -133,6 +136,8 @@ class ThermalMesh:
         if np.any(power_map < 0):
             raise ModelDomainError("power_map entries must be non-negative")
         if self._solver is None:
+            from scipy.sparse.linalg import factorized
+
             self._solver = factorized(self.conductance_matrix())
         rise = self._solver(power_map)
         return self.stack.ambient + rise

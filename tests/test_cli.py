@@ -12,13 +12,18 @@ from repro.__main__ import main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def run_python(*args):
+    """Run the interpreter on ``src`` in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env)
+
+
 def run_cli(*argv):
     """Run ``python -m repro`` in a subprocess; the traceback-free
     exit contract must hold for real invocations, not just main()."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "repro", *argv],
-                          capture_output=True, text=True, env=env)
+    return run_python("-m", "repro", *argv)
 
 
 class TestCli:
@@ -62,6 +67,16 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy_subprocess(self):
+        """scipy loads where a command uses it, not at CLI start-up."""
+        result = run_python("-c", "import sys, repro.__main__; print(*("
+                            "m for m in sys.modules "
+                            "if m.split('.')[0] == 'scipy'))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
 
 
 class TestChainYieldCommand:
