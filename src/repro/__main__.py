@@ -166,44 +166,27 @@ def cmd_yield(args) -> int:
 
 
 def cmd_chain_yield(args) -> int:
-    from .analog import ChainSpec, chain_yield_vs_node
-    from .robust import RoadmapDataError
-    from .technology import get_node
-    node_names = args.nodes.split(",") if args.nodes else None
-    if node_names:
-        try:
-            for name in node_names:
-                get_node(name)
-        except RoadmapDataError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    columns = ["node", "yield_fraction", "enob_mean", "enob_min",
-               "dnl_worst_lsb", "inl_worst_lsb", "n_dies"]
-    if args.shards is not None:
-        from .exec import ChainSignoffWorkload, PartialResult
-        from .technology import all_nodes
-        names = node_names or [n.name for n in all_nodes()]
-        rows = []
-        for name in names:
-            workload = ChainSignoffWorkload(
-                node_name=name, n_dies=args.dies, seed=args.seed,
-                dnl_limit=args.dnl_limit, inl_limit=args.inl_limit,
-                enob_min=args.enob_min)
-            result = _run_workload(workload, args)
-            if isinstance(result, PartialResult):
-                _print_partial(result)
-            else:
-                rows.append(result.value)
-        if rows:
-            _print_table(rows, columns=columns)
-        return 0
-    nodes = ([get_node(name) for name in node_names]
-             if node_names else None)
-    spec = ChainSpec(dnl_limit=args.dnl_limit, inl_limit=args.inl_limit,
-                     enob_min=args.enob_min)
-    rows = chain_yield_vs_node(nodes=nodes, spec=spec,
-                               n_dies=args.dies, seed=args.seed)
-    _print_table(rows, columns=columns)
+    from .exec import ChainSignoffWorkload, PartialResult
+    from .technology import all_nodes, get_node
+    # Canonical names, all resolved before the first node runs.
+    names = ([get_node(name).name for name in args.nodes.split(",")]
+             if args.nodes else [node.name for node in all_nodes()])
+    rows = []
+    for name in names:
+        workload = ChainSignoffWorkload(
+            node_name=name, n_dies=args.dies, seed=args.seed,
+            dnl_limit=args.dnl_limit, inl_limit=args.inl_limit,
+            enob_min=args.enob_min)
+        result = _run_workload(workload, args)
+        if isinstance(result, PartialResult):
+            _print_partial(result)
+        else:
+            rows.append(result.value)
+    if rows:
+        _print_table(rows, columns=["node", "yield_fraction",
+                                    "enob_mean", "enob_min",
+                                    "dnl_worst_lsb", "inl_worst_lsb",
+                                    "n_dies"])
     return 0
 
 
@@ -214,22 +197,11 @@ def cmd_soc_noise(args) -> int:
         n_blocks=args.blocks, n_cycles=args.cycles,
         frequency=args.frequency, seed=args.seed,
         event_budget=args.event_budget)
-    if args.shards is not None:
-        result = _run_workload(workload, args)
-        if isinstance(result, PartialResult):
-            _print_partial(result)
-            return 0
-        _print_table([result.value])
+    result = _run_workload(workload, args)
+    if isinstance(result, PartialResult):
+        _print_partial(result)
         return 0
-    trace, swan = workload._trace_and_swan()
-    wave = swan.stream_noise(trace, chunk_events=args.chunk_events)
-    _print_table([{
-        "gates": len(swan.netlist.instances),
-        "events": trace.n_events,
-        "activity": trace.activity_factor(args.cycles),
-        "rms_uV": wave.rms * 1e6,
-        "p2p_uV": wave.peak_to_peak * 1e6,
-    }])
+    _print_table([result.value])
     return 0
 
 
@@ -286,13 +258,14 @@ def cmd_figures(_args) -> int:
     return 0
 
 
-def _add_exec_args(parser, default_shards=None) -> None:
+def _add_exec_args(parser) -> None:
     """The sharded-execution flags shared by MC subcommands."""
     group = parser.add_argument_group("sharded execution")
-    group.add_argument("--shards", type=int, default=default_shards,
+    group.add_argument("--shards", type=int, default=1,
                        help="split the run into N fault-tolerant "
-                            "shards (fixed-seed results are "
-                            "bit-identical for any N)")
+                            "shards (default 1; fixed-seed yields are "
+                            "bit-identical for any N, soc-noise "
+                            "waveforms to round-off)")
     group.add_argument("--timeout", type=float, default=None,
                        help="per-shard attempt timeout [s]")
     group.add_argument("--retries", type=int, default=2,
@@ -387,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="pass/fail limit on the metric")
     yield_parser.add_argument("--dies", type=int, default=500)
     yield_parser.add_argument("--seed", type=int, default=0)
-    _add_exec_args(yield_parser, default_shards=1)
+    _add_exec_args(yield_parser)
     yield_parser.set_defaults(func=cmd_yield)
 
     soc_parser = sub.add_parser(
@@ -404,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     soc_parser.add_argument("--seed", type=int, default=0)
     soc_parser.add_argument("--event-budget", type=int,
                             default=10_000_000)
-    soc_parser.add_argument("--chunk-events", type=int,
-                            default=100_000,
-                            help="events per streamed SWAN chunk")
     _add_exec_args(soc_parser)
     soc_parser.set_defaults(func=cmd_soc_noise)
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..perf.cache import KeyedCache
 from ..robust.errors import ModelDomainError, PoisonedResultError
+from ..robust.validate import check_count
 
 __all__ = [
     "ShardWorkload", "YieldWorkload", "ChainSignoffWorkload",
@@ -190,6 +191,8 @@ class YieldWorkload(ShardWorkload):
             raise ModelDomainError(
                 f"unknown yield metric {self.metric!r}; available: "
                 f"{sorted(YIELD_METRICS)}")
+        check_count("n_dies", self.n_dies)
+        check_count("seed", self.seed, minimum=0)
 
     def n_total(self) -> int:
         return self.n_dies
@@ -251,6 +254,12 @@ class ChainSignoffWorkload(ShardWorkload):
     enob_min: Optional[float] = None
 
     name = "chain-signoff"
+
+    def __post_init__(self) -> None:
+        check_count("n_dies", self.n_dies)
+        check_count("seed", self.seed, minimum=0)
+        # Bad limits fail here, not as a crash in every worker.
+        self._spec()
 
     def n_total(self) -> int:
         return self.n_dies
@@ -428,13 +437,15 @@ _SOC_FLOWS = KeyedCache("exec.soc_noise_flows", maxsize=1)
 @dataclass(frozen=True)
 class SocNoiseWorkload(ShardWorkload):
     """Sharded SoC activity -> substrate noise: the event trace is
-    split into event ranges, each shard propagates its slice to the
-    sensor, and partial waveforms sum in shard order.
+    split into event ranges, each shard streams its range to the
+    sensor through ``stream_noise`` in chunks of ``chunk_events``
+    events, and partial waveforms sum in shard order.
 
     The shard plan moves float round-off exactly like
     ``stream_noise``'s ``chunk_events`` does (documented there); for
     a fixed plan the waveform is independent of failures/retries, and
-    with one shard it is bit-for-bit the one-shot propagation.
+    with one shard it is bit-for-bit ``stream_noise`` of the whole
+    trace.
 
     The flow (netlist, event simulation, SWAN set-up) depends only on
     ``key()``, so a run builds it once, in ``n_total()``, and its
@@ -453,6 +464,8 @@ class SocNoiseWorkload(ShardWorkload):
 
     #: SWAN sampling step [s] (the stream_noise default).
     dt = 25e-12
+    #: Events per streamed chunk (the stream_noise default).
+    chunk_events = 100_000
 
     def key(self) -> tuple:
         return (self.node_name, self.target_gates, self.n_blocks,
@@ -492,19 +505,16 @@ class SocNoiseWorkload(ShardWorkload):
 
     def run_shard(self, start: int, stop: int) -> Dict[str, Any]:
         trace, swan = self._flow()
-        time, currents = swan.injected_currents(
-            trace.event_range(start, stop), dt=self.dt,
-            duration=trace.duration)
-        voltage = swan.propagate(time, currents).voltage
+        wave = swan.stream_noise(trace.event_range(start, stop),
+                                 dt=self.dt,
+                                 chunk_events=self.chunk_events)
         return {
             "start": start, "stop": stop,
             "n_events": trace.n_events,
             "activity": float(trace.activity_factor(self.n_cycles)),
             "n_gates": len(trace.instance_names),
-            "time_step_ps": float((time[1] - time[0]) * 1e12
-                                  if time.size > 1 else 0.0),
             "duration": float(trace.duration),
-            "voltage": voltage.tolist(),
+            "voltage": wave.voltage.tolist(),
         }
 
     def validate_payload(self, payload: Any, start: int,
@@ -531,8 +541,8 @@ class SocNoiseWorkload(ShardWorkload):
         wave = NoiseWaveform(time=np.arange(0.0, duration, self.dt),
                              voltage=voltage)
         return {
-            "gates": float(payloads[0]["n_gates"]),
-            "events": float(payloads[0]["n_events"]),
+            "gates": int(payloads[0]["n_gates"]),
+            "events": int(payloads[0]["n_events"]),
             "activity": float(payloads[0]["activity"]),
             "rms_uV": float(wave.rms * 1e6),
             "p2p_uV": float(wave.peak_to_peak * 1e6),

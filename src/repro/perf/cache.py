@@ -102,14 +102,11 @@ class KeyedCache:
                           misses=self._misses, size=len(self._data))
 
 
-def memoized(name: str, maxsize: Optional[int] = None,
-             key: Optional[Callable[..., Hashable]] = None
-             ) -> Callable[[F], F]:
+def memoized(name: str) -> Callable[[F], F]:
     """Decorator: memoize a function through a registered KeyedCache.
 
-    ``key`` maps the call arguments to the cache key; by default the
-    positional/keyword arguments themselves form the key (so they must
-    all be hashable).  Exceptions are not cached.
+    The positional/keyword arguments form the key (so they must all
+    be hashable); the cache is unbounded.  Exceptions are not cached.
 
     Example::
 
@@ -117,15 +114,12 @@ def memoized(name: str, maxsize: Optional[int] = None,
         def characterize_cell(node, cell_name, drive=1.0):
             ...
     """
-    cache = KeyedCache(name, maxsize=maxsize)
+    cache = KeyedCache(name)
 
     def decorate(func: F) -> F:
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if key is not None:
-                cache_key = key(*args, **kwargs)
-            else:
-                cache_key = (args, tuple(sorted(kwargs.items())))
+            cache_key = (args, tuple(sorted(kwargs.items())))
             return cache.get_or_compute(
                 cache_key, lambda: func(*args, **kwargs))
 

@@ -208,8 +208,7 @@ class SwanSimulator:
     def injected_currents(self, trace: EventTrace,
                           dt: float = 25e-12,
                           detailed: bool = False,
-                          duration: Optional[float] = None,
-                          chunk_events: Optional[int] = None
+                          duration: Optional[float] = None
                           ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         """Per-mesh-node injected current waveforms.
 
@@ -218,13 +217,11 @@ class SwanSimulator:
         ringing) are used instead of the macromodels.
 
         Cell codes and mesh nodes are gathered straight from the
-        trace's source indices, and all events of a cell type are
-        superposed in one scatter per type, so no per-event Python
-        object exists anywhere on this path.  ``chunk_events`` bounds
-        the size of the per-event index matrices by superposing at
-        most that many events at a time (identical jitter stream; the
-        accumulated waveform matches the unchunked one to
-        floating-point rounding).
+        trace's source indices, and every event's pulse is scattered
+        into the per-node matrix by one global ``bincount``, so no
+        per-event Python object exists anywhere on this path.  Memory
+        grows with the trace: :meth:`stream_noise` feeds it bounded
+        chunks.
 
         :meth:`_injected_currents_scalar` is the per-event reference
         loop: both consume identical RNG variates, so they agree to
@@ -244,7 +241,6 @@ class SwanSimulator:
         sources = trace.source_indices[placed_idx[keep]]
         code_arr = self._code_by_gate[sources]
         node_arr = self._node_by_gate[sources]
-        jitter = None
         if detailed:
             # One draw per kept event, in event order -- the same
             # variates the scalar loop consumes inside
@@ -253,27 +249,6 @@ class SwanSimulator:
                 start_arr.size)
         unique_nodes, node_rows = np.unique(node_arr,
                                             return_inverse=True)
-        currents = np.zeros((unique_nodes.size, n_times))
-        if chunk_events is not None:
-            chunk_events = check_count("chunk_events", chunk_events)
-            for lo in range(0, start_arr.size, chunk_events):
-                hi = lo + chunk_events
-                self._superpose(
-                    start_arr[lo:hi], code_arr[lo:hi],
-                    node_rows[lo:hi],
-                    None if jitter is None else jitter[lo:hi],
-                    detailed, currents, n_times, dt)
-        else:
-            self._superpose(start_arr, code_arr, node_rows, jitter,
-                            detailed, currents, n_times, dt)
-        return time, {int(node): currents[k]
-                      for k, node in enumerate(unique_nodes)}
-
-    def _superpose(self, start_arr: np.ndarray, code_arr: np.ndarray,
-                   node_rows: np.ndarray, jitter: Optional[np.ndarray],
-                   detailed: bool, currents: np.ndarray,
-                   n_times: int, dt: float) -> None:
-        """Accumulate one batch of events into the currents matrix."""
         flat_parts: List[np.ndarray] = []
         value_parts: List[np.ndarray] = []
         for code in np.unique(code_arr):
@@ -281,55 +256,27 @@ class SwanSimulator:
             span = max(int(4.0 * model.duration / dt) + 2, 4)
             local_t = np.arange(span) * dt
             selected = code_arr == code
-            cell_starts = start_arr[selected]
             if detailed:
                 # The detailed waveform is linear in its jitter
                 # factor, so each event is a scaled copy of one unit
-                # pulse: superposition is either a weighted scatter of
-                # that pulse or a convolution of the jitter-weighted
-                # impulse train with it.
-                pulse = model.detailed_waveform(local_t)
-                weights = jitter[selected]
+                # pulse.
+                pulse = (jitter[selected, None]
+                         * model.detailed_waveform(local_t))
             else:
                 pulse = model.macromodel_waveform(local_t)
-                weights = np.ones(cell_starts.size)
-            # Two equivalent superpositions; pick the cheaper one.
-            # The scatter touches events*span samples; the FFT costs
-            # ~rows*T*log2(T), which only pays off for very dense
-            # event trains relative to the pulse span.
-            cell_nodes = np.unique(node_rows[selected])
-            scatter_ops = cell_starts.size * span
-            fft_ops = (cell_nodes.size * n_times
-                       * max(math.log2(n_times), 1.0))
-            if scatter_ops <= fft_ops:
-                # Defer: all sparse cell types merge into ONE global
-                # bincount at the end (per-type full-grid buffers are
-                # what made the first convolution attempt slow).
-                index = cell_starts[:, None] + np.arange(span)
-                values = weights[:, None] * pulse
-                values = np.where(index < n_times, values, 0.0)
-                index = np.minimum(index, n_times - 1)
-                rows = node_rows[selected]
-                flat_parts.append(
-                    (rows[:, None] * n_times + index).ravel())
-                value_parts.append(values.ravel())
-            else:
-                # Dense event train: FFT-convolve the impulse train
-                # on the rows this cell type actually drives.
-                from scipy.signal import fftconvolve
-                rows = np.searchsorted(cell_nodes,
-                                       node_rows[selected])
-                impulses = np.bincount(
-                    rows * n_times + cell_starts, weights=weights,
-                    minlength=cell_nodes.size * n_times
-                ).reshape(cell_nodes.size, n_times)
-                currents[cell_nodes] += fftconvolve(
-                    impulses, pulse[None, :], axes=1)[:, :n_times]
-        if flat_parts:
-            currents += np.bincount(
-                np.concatenate(flat_parts),
-                weights=np.concatenate(value_parts),
-                minlength=currents.size).reshape(currents.shape)
+            index = start_arr[selected, None] + np.arange(span)
+            values = np.where(index < n_times, pulse, 0.0)
+            index = np.minimum(index, n_times - 1)
+            flat_parts.append(
+                (node_rows[selected, None] * n_times + index).ravel())
+            value_parts.append(values.ravel())
+        currents = np.bincount(
+            np.concatenate(flat_parts),
+            weights=np.concatenate(value_parts),
+            minlength=unique_nodes.size * n_times
+        ).reshape(unique_nodes.size, n_times)
+        return time, {int(node): currents[k]
+                      for k, node in enumerate(unique_nodes)}
 
     def _injected_currents_scalar(self, result: SimulationResult,
                                   dt: float = 25e-12,
@@ -396,12 +343,15 @@ class SwanSimulator:
                      chunk_events: int = 100_000) -> NoiseWaveform:
         """Stream a columnar trace to the sensor waveform, chunkwise.
 
-        Million-event traces flow through in bounded memory: each
-        chunk of at most ``chunk_events`` events is superposed and
-        propagated through the cached transfer-impedance row, and only
-        the accumulated sensor voltage persists between chunks.  The
-        jitter stream is consumed in event order across chunks, so the
-        result matches the one-shot path to floating-point rounding.
+        The one place where injection meets propagation: :meth:`run`,
+        :func:`run_swan_experiment` and every sharded soc-noise shard
+        come through here.  Million-event traces flow through in
+        bounded memory: each chunk of at most ``chunk_events`` events
+        is superposed and propagated through the cached
+        transfer-impedance row, and only the accumulated sensor
+        voltage persists between chunks.  The jitter stream is
+        consumed in event order across chunks, so the chunk size moves
+        the result by floating-point rounding only.
         """
         chunk_events = check_count("chunk_events", chunk_events)
         duration = duration if duration is not None else trace.duration
@@ -437,16 +387,16 @@ class SwanSimulator:
             stimulus_seed: int = 0,
             activity: Optional[EventTrace] = None,
             duration: Optional[float] = None) -> NoiseWaveform:
-        """Full flow: activity -> injection -> propagation.
+        """Full flow: activity -> injection -> propagation, streamed
+        through :meth:`stream_noise` in its default chunks.
 
         ``duration`` truncates/extends the output time axis (defaults
         to the simulated activity's span).
         """
         if activity is None:
             activity = self.simulate_activity(n_cycles, stimulus_seed)
-        time, currents = self.injected_currents(
-            activity, dt=dt, detailed=detailed, duration=duration)
-        return self.propagate(time, currents)
+        return self.stream_noise(activity, dt=dt, detailed=detailed,
+                                 duration=duration)
 
 
 @dataclass(frozen=True)
@@ -496,11 +446,7 @@ def run_swan_experiment(netlist: Netlist,
         mesh_resolution=mesh_resolution,
         clock_frequency=clock_frequency, seed=seed)
     activity = simulator.simulate_activity(n_cycles, stimulus_seed=seed)
-    time, macro_currents = simulator.injected_currents(
-        activity, dt=dt, detailed=False)
-    _, detailed_currents = simulator.injected_currents(
-        activity, dt=dt, detailed=True)
     return SwanComparison(
-        swan=simulator.propagate(time, macro_currents),
-        reference=simulator.propagate(time, detailed_currents),
+        swan=simulator.stream_noise(activity, dt=dt, detailed=False),
+        reference=simulator.stream_noise(activity, dt=dt, detailed=True),
     )

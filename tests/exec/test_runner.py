@@ -261,6 +261,24 @@ class TestSocNoiseFlowReplay:
             assert self.soc_workload().run_shard(start, stop) == replayed
 
 
+class TestSocNoiseShardStreaming:
+    """A soc-noise shard streams its event range through
+    ``stream_noise`` in chunks of ``SocNoiseWorkload.chunk_events``
+    events, so one shard is the unsharded stream bit for bit, however
+    many chunks the trace spans."""
+
+    def test_one_shard_is_the_chunked_stream(self, monkeypatch):
+        monkeypatch.setattr(SocNoiseWorkload, "chunk_events", 300)
+        workload = SocNoiseWorkload(target_gates=2000, n_blocks=2,
+                                    n_cycles=10)
+        n_total = workload.n_total()
+        assert n_total > 6 * 300
+        voltage = workload.run_shard(0, n_total)["voltage"]
+        trace, swan = workload._trace_and_swan()
+        wave = swan.stream_noise(trace, chunk_events=300)
+        assert voltage == wave.voltage.tolist()
+
+
 class TestCheckpointResume:
     def test_resume_replays_bit_for_bit(self, tmp_path):
         workload = ssta_workload()

@@ -106,6 +106,31 @@ class TestChainYieldCommand:
                      "--nodes", "65nm"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_checkpoint_is_written_without_shards(self, capsys,
+                                                  tmp_path):
+        path = tmp_path / "ck.json"
+        assert main(["chain-yield", "--dies", "4", "--nodes", "65nm",
+                     "--checkpoint", str(path)]) == 0
+        assert path.is_file()
+
+    def test_chaos_is_armed_without_shards(self, capsys):
+        assert main(["chain-yield", "--dies", "4", "--nodes", "65nm",
+                     "--retries", "0", "--chaos-seed", "0",
+                     "--chaos-crash", "1", "--chaos-hang", "0",
+                     "--chaos-poison", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "no shard completed" in captured.err
+
+    def test_bad_limit_fails_before_any_worker(self, capsys):
+        assert main(["chain-yield", "--dies", "4", "--nodes", "65nm",
+                     "--dnl-limit", "-1", "--backend", "process"]) == 1
+        assert capsys.readouterr().err == (
+            "error: dnl_limit must be a positive finite number, "
+            "got -1.0\n")
+
 
 class TestCliHardening:
     def test_unknown_subcommand_exits_cleanly(self):
@@ -137,6 +162,12 @@ class TestCliHardening:
         assert err.startswith("error (strict):")
         assert "calibrated" in err
 
+    @pytest.mark.parametrize("command", ["yield", "chain-yield"])
+    def test_bad_dies_names_n_dies(self, command, capsys):
+        assert main([command, "--dies", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: n_dies must be >= 1, got 0\n")
+
 
 class TestSocNoiseCommand:
     def test_smoke_table(self, capsys):
@@ -147,10 +178,12 @@ class TestSocNoiseCommand:
                        "p2p_uV"):
             assert column in out
 
-    def test_chunked_streaming_accepted(self, capsys):
+    def test_checkpoint_is_written_without_shards(self, capsys,
+                                                  tmp_path):
+        path = tmp_path / "ck.json"
         assert main(["soc-noise", "--gates", "400", "--blocks", "2",
-                     "--cycles", "4", "--chunk-events", "50"]) == 0
-        assert "events" in capsys.readouterr().out
+                     "--cycles", "4", "--checkpoint", str(path)]) == 0
+        assert path.is_file()
 
     def test_process_shards_print_the_unsharded_table(self, capsys):
         args = ["soc-noise", "--gates", "2000", "--blocks", "2",

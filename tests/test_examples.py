@@ -1,8 +1,9 @@
 """Smoke tests: every example script runs clean end to end.
 
-The fast scripts run fully; the Monte-Carlo-heavy ones are compiled
-and import-checked (their full runs are exercised by the benchmark
-suite, which shares their code paths).
+The fast scripts run fully in tier-1; the two Monte-Carlo-heavy ones
+run fully under ``@pytest.mark.slow``, so the scheduled slow suite
+(``pytest -m slow``) covers them.  Every script is also compiled in
+tier-1.
 """
 
 import pathlib
@@ -18,20 +19,19 @@ FAST_SCRIPTS = [
     "quickstart.py",
     "end_of_road_study.py",
     "adc_design_space.py",
+    "analog_synthesis_flow.py",
     "chain_signoff.py",
     "mixed_signal_soc.py",
+    "thermal_runaway.py",
 ]
 
-HEAVY_SCRIPTS = [
-    "analog_synthesis_flow.py",
+SLOW_SCRIPTS = [
     "sram_variability.py",
-    "thermal_runaway.py",
     "statistical_design.py",
 ]
 
 
-@pytest.mark.parametrize("script", FAST_SCRIPTS)
-def test_fast_example_runs(script):
+def run_example(script):
     result = subprocess.run(
         [sys.executable, str(EXAMPLES / script)],
         capture_output=True, text=True, timeout=300)
@@ -39,7 +39,18 @@ def test_fast_example_runs(script):
     assert result.stdout.strip()
 
 
-@pytest.mark.parametrize("script", FAST_SCRIPTS + HEAVY_SCRIPTS)
+@pytest.mark.parametrize("script", FAST_SCRIPTS)
+def test_fast_example_runs(script):
+    run_example(script)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("script", SLOW_SCRIPTS)
+def test_slow_example_runs(script):
+    run_example(script)
+
+
+@pytest.mark.parametrize("script", FAST_SCRIPTS + SLOW_SCRIPTS)
 def test_example_compiles(script):
     py_compile.compile(str(EXAMPLES / script), doraise=True)
 
@@ -47,4 +58,4 @@ def test_example_compiles(script):
 def test_all_examples_covered():
     """Every .py in examples/ is listed in one of the two groups."""
     on_disk = {path.name for path in EXAMPLES.glob("*.py")}
-    assert on_disk == set(FAST_SCRIPTS + HEAVY_SCRIPTS)
+    assert on_disk == set(FAST_SCRIPTS + SLOW_SCRIPTS)
