@@ -10,7 +10,8 @@ limit and pay only the thermal one.
 
 import pytest
 
-from repro.analog import PipelineAdc, enob_vs_device_area, sine_test
+from repro.analog import (PipelineAdc, enob_vs_device_area, sine_test,
+                          yield_vs_area)
 from repro.technology import get_node
 
 from conftest import print_table
@@ -23,16 +24,18 @@ def generate_ablation():
     rows = enob_vs_device_area(node,
                                area_factors=(1, 4, 16, 64),
                                seed=1, n_samples=2048, cycles=67)
-    return ideal, rows
+    return ideal, rows, yield_vs_area(node, offset_limit=3e-3)
 
 
 @pytest.mark.benchmark(group="abl_adc")
 def test_abl_adc_enob(benchmark):
-    ideal, rows = benchmark(generate_ablation)
+    ideal, rows, offset_yield = benchmark(generate_ablation)
     print(f"ideal pipeline: ENOB {ideal.enob:.2f} "
           f"(SNDR {ideal.sndr_db:.1f} dB)")
     print_table("Ablation: ENOB vs matching-device area (65 nm, "
                 "10-bit pipeline)", rows)
+    print_table("Section 4.1: input-pair offset yield vs area (65 nm, "
+                "3 mV limit)", offset_yield)
 
     # The ideal converter delivers its bits.
     assert ideal.enob > 9.0
@@ -47,3 +50,6 @@ def test_abl_adc_enob(benchmark):
     # ...and brings every area within ~1.5 bits of nominal.
     for row in rows:
         assert row["enob_calibrated"] > row["nominal_bits"] - 1.6
+    # Offset yield only climbs with area: analog devices stay big.
+    yields = [row["yield"] for row in offset_yield]
+    assert yields == sorted(yields)

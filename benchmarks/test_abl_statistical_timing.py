@@ -10,6 +10,7 @@ shows up directly on inverter chains.
 
 import pytest
 
+from repro.devices import corner_spread_summary
 from repro.digital import (corner_vs_statistical_margin,
                            depth_averaging_study, kogge_stone_adder,
                            ripple_adder)
@@ -31,12 +32,12 @@ def generate_ablation():
         rows.append(margins)
     averaging = depth_averaging_study(node, depths=(4, 8, 16, 32, 64),
                                       n_samples=150, seed=0)
-    return rows, averaging
+    return rows, averaging, corner_spread_summary(node)
 
 
 @pytest.mark.benchmark(group="abl_ssta")
 def test_abl_statistical_timing(benchmark):
-    rows, averaging = benchmark(generate_ablation)
+    rows, averaging, corners = benchmark(generate_ablation)
     print_table("Ablation: corner vs statistical margin (65 nm)",
                 rows,
                 columns=["design", "nominal_ps", "corner_ps",
@@ -44,6 +45,8 @@ def test_abl_statistical_timing(benchmark):
                          "statistical_margin_pct", "pessimism_ratio"])
     print_table("Ablation: mismatch averaging vs logic depth",
                 averaging)
+    print_table("Section 2.4: inter-die process corners (65 nm, "
+                "W = 2L NMOS)", corners)
 
     # Corner sign-off over-margins on both designs.
     for row in rows:
@@ -55,3 +58,6 @@ def test_abl_statistical_timing(benchmark):
     ratio = averaging[0]["sigma_over_mean"] \
         / averaging[-1]["sigma_over_mean"]
     assert ratio == pytest.approx(4.0, rel=0.5)
+    # The fast corner drives more current than the slow one.
+    by_corner = {row["corner"]: row for row in corners}
+    assert by_corner["FF"]["ion_uA"] > by_corner["SS"]["ion_uA"]

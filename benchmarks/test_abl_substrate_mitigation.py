@@ -10,7 +10,8 @@ result: distance saturates quickly, grounding quality dominates.
 import pytest
 
 from repro.digital import clocked_datapath
-from repro.substrate import (Floorplan, SubstrateProcess, SwanSimulator)
+from repro.substrate import (Floorplan, SubstrateProcess, SwanSimulator,
+                             isolation_knob_ranking)
 from repro.technology import get_node
 
 from conftest import print_table
@@ -72,14 +73,18 @@ def generate_ablation():
     rows.append({"variant": "floating backside (worst case)",
                  "rms_mV": unlucky.rms * 1e3,
                  "reduction_x": base.rms / unlucky.rms})
-    return rows
+    ranking = [{"substrate": substrate, "first_knob": knob}
+               for substrate, knob in isolation_knob_ranking().items()]
+    return rows, ranking
 
 
 @pytest.mark.benchmark(group="abl_substrate")
 def test_abl_substrate_mitigation(benchmark):
-    rows = benchmark(generate_ablation)
+    rows, ranking = benchmark(generate_ablation)
     print_table("Ablation: substrate-noise mitigation on an EPI "
                 "substrate", rows)
+    print_table("Section 4.3: first mitigation to reach for, per "
+                "substrate type (>= 6 dB)", ranking)
 
     by_name = {row["variant"]: row for row in rows}
     # Guard ring and backside ground help.
@@ -96,3 +101,7 @@ def test_abl_substrate_mitigation(benchmark):
                by_name["+ 10x better backside ground"]["reduction_x"])
     # A floating backside makes everything worse.
     assert by_name["floating backside (worst case)"]["reduction_x"] < 1.0
+    # Distance works on high-ohmic bulk; EPI needs a grounded backside.
+    knobs = {row["substrate"]: row["first_knob"] for row in ranking}
+    assert knobs == {"high-ohmic": "distance",
+                     "epi": "backside-grounding"}

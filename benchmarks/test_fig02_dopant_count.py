@@ -8,8 +8,8 @@ the relative sqrt(N)/N uncertainty explodes at short L.
 import numpy as np
 import pytest
 
-from repro.technology import get_node
-from repro.variability import dopant_count_vs_length
+from repro.technology import all_nodes, get_node
+from repro.variability import dopant_count_vs_length, relative_ler_trend
 
 from conftest import print_table
 
@@ -17,13 +17,16 @@ from conftest import print_table
 def generate_fig2():
     node = get_node("65nm")
     lengths = np.geomspace(20e-9, 1000e-9, 15)
-    return dopant_count_vs_length(node, lengths.tolist())
+    return (dopant_count_vs_length(node, lengths.tolist()),
+            relative_ler_trend(all_nodes()))
 
 
 @pytest.mark.benchmark(group="fig02")
 def test_fig02_dopant_count(benchmark):
-    rows = benchmark(generate_fig2)
+    rows, ler = benchmark(generate_fig2)
     print_table("Fig. 2: dopant atoms vs channel length", rows)
+    print_table("Section 2.4: line-edge roughness relative to gate "
+                "length", ler)
 
     counts = [row["dopant_count"] for row in rows]
     lengths = [row["length_nm"] for row in rows]
@@ -37,3 +40,6 @@ def test_fig02_dopant_count(benchmark):
     # Relative uncertainty grows as L shrinks.
     rel = [row["relative_sigma"] for row in rows]
     assert rel == sorted(rel, reverse=True)
+    # The same absolute roughness weighs more on shorter gates.
+    ler_rel = [row["relative_sigma"] for row in ler]
+    assert ler_rel == sorted(ler_rel)

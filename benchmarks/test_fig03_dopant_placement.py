@@ -8,7 +8,8 @@ sigma, and a *relatively* larger spread at smaller nodes.
 
 import pytest
 
-from repro.technology import get_node
+from repro.memory import read_access_with_offset
+from repro.technology import all_nodes, get_node
 from repro.variability import DopantPlacementModel
 
 from conftest import print_table
@@ -24,17 +25,21 @@ def generate_fig3():
         stats = model.effective_length_statistics(N_DEVICES)
         stats["node"] = name
         results.append(stats)
-    return results
+    read_access = [dict(node=node.name, **read_access_with_offset(node))
+                   for node in all_nodes()]
+    return results, read_access
 
 
 @pytest.mark.benchmark(group="fig03")
 def test_fig03_dopant_placement(benchmark):
-    rows = benchmark(generate_fig3)
+    rows, read_access = benchmark(generate_fig3)
     print_table(
         "Fig. 3: MC source/drain dopant placement -> L_eff statistics",
         rows,
         columns=["node", "nominal_length_nm", "mean_leff_nm",
                  "sigma_leff_nm", "relative_sigma"])
+    print_table("Section 2.4: SRAM read access with a 5-sigma "
+                "sense-amp offset swing", read_access)
 
     for row in rows:
         # Encroachment always shortens the channel.
@@ -44,3 +49,7 @@ def test_fig03_dopant_placement(benchmark):
     rel = [row["relative_sigma"] for row in rows]
     assert rel == sorted(rel)
     assert rel[-1] > 2.0 * rel[0]
+    # The offset-driven bitline swing grows relative to V_DD.
+    swings = [row["required_swing_mV"] / node.vdd
+              for row, node in zip(read_access, all_nodes())]
+    assert swings == sorted(swings)

@@ -14,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog import limit_gap, survey_vs_limits, tradeoff_plane
+from repro.analog import (limit_gap, mismatch_constant, noise_budget,
+                          sample_synthetic_survey, survey_vs_limits,
+                          tradeoff_plane)
 from repro.technology import get_node
 
 from conftest import print_table
@@ -25,12 +27,23 @@ def generate_fig6():
     speeds = np.geomspace(1e4, 1e10, 13)
     plane = tradeoff_plane(node, speeds.tolist(), n_bits=10.0)
     survey = survey_vs_limits(node)
-    return node, plane, survey
+    synthetic = [{
+        "name": design.name,
+        "sample_rate_Hz": design.sample_rate,
+        "enob": design.n_bits,
+        "power_W": design.power,
+        "margin_over_mismatch": design.to_tradeoff_point().figure_of_merit
+        / mismatch_constant(node),
+    } for design in sample_synthetic_survey(node, n_designs=8, seed=0)]
+    # 10 bits (SNR 61.96 dB) on a 1 V peak-to-peak sine.
+    budget = noise_budget(6.02 * 10.0 + 1.76, 0.5 / math.sqrt(2.0),
+                          n_stages=3)
+    return node, plane, survey, synthetic, budget
 
 
 @pytest.mark.benchmark(group="fig06")
 def test_fig06_tradeoff_plane(benchmark):
-    node, plane, survey = benchmark(generate_fig6)
+    node, plane, survey, synthetic, budget = benchmark(generate_fig6)
     print_table("Fig. 6: P limits vs speed at 10 bit", plane)
     print_table("Fig. 6 overlay: ADC survey vs the two limits",
                 survey,
@@ -40,6 +53,10 @@ def test_fig06_tradeoff_plane(benchmark):
     gap = limit_gap(node)
     print(f"mismatch/thermal constant gap: {gap:.1f}x "
           f"({math.log10(gap):.2f} decades)")
+    print_table("Fig. 6 (section 4.1): synthetic designs 2-30x above "
+                "the mismatch limit (seed 0)", synthetic)
+    print_table("Section 4.1 (eq. 4): kT/C budget of a 10-bit, "
+                "three-stage chain (1 V p-p)", [budget])
 
     # Limit lines parallel in log-log (constant ratio).
     ratios = [row["mismatch_limit_W"] / row["thermal_limit_W"]
@@ -54,3 +71,6 @@ def test_fig06_tradeoff_plane(benchmark):
                             for row in survey]
     median_mismatch = sorted(log_margins_mismatch)[len(survey) // 2]
     assert median_mismatch < math.log10(gap)
+    # Synthetic designs stay inside their 2-30x margin band.
+    assert all(1.9 < row["margin_over_mismatch"] < 31.0
+               for row in synthetic)

@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from repro.digital import clocked_datapath
-from repro.signal_integrity import (VcoModel, synthetic_clock_noise,
+from repro.signal_integrity import (WLAN_MASK, LeesonParameters,
+                                    VcoModel, check_spurs,
+                                    phase_noise_profile, rms_jitter,
+                                    substrate_noise_psd_from_waveform,
+                                    synthetic_clock_noise,
                                     vco_spur_experiment)
 from repro.substrate import NoiseWaveform, SwanSimulator
 from repro.technology import get_node
@@ -44,6 +48,7 @@ def generate_fig9():
 
     # Sensitivity series: spur level vs noise amplitude.
     series = []
+    verdicts = [{"noise": "SWAN", **_verdict(report)}]
     for amplitude in (1e-3, 3e-3, 10e-3):
         synthetic = synthetic_clock_noise(CLOCK, duration=2e-6,
                                           amplitude=amplitude)
@@ -53,12 +58,33 @@ def generate_fig9():
             "spur_dbc": r.worst_spur_dbc,
             "analytic_dbc": r.analytic_spur_dbc,
         })
-    return report, series, noise
+        verdicts.append({"noise": f"{amplitude * 1e3:g} mV tone",
+                         **_verdict(r)})
+
+    # Beyond the spurs: the SWAN noise power around the clock, taken
+    # as a white floor, raises the VCO's phase noise and its jitter.
+    params = LeesonParameters()
+    psd = substrate_noise_psd_from_waveform(voltage, 1e-10, CLOCK)
+    profile = phase_noise_profile(params, vco, psd,
+                                  [1e4, 1e5, 1e6, 1e7])
+    jitter = [{"substrate_psd_V2_per_Hz": level,
+               "rms_jitter_ps": rms_jitter(params, vco, level) * 1e12}
+              for level in (0.0, psd)]
+    return report, series, noise, verdicts, profile, jitter
+
+
+def _verdict(spurs):
+    compliance = check_spurs(spurs, WLAN_MASK)
+    return {"spur_dbc": compliance.spur_dbc,
+            "limit_dbc": compliance.limit_dbc,
+            "margin_db": compliance.margin_db,
+            "compliant": compliance.compliant}
 
 
 @pytest.mark.benchmark(group="fig09")
 def test_fig09_vco_spurs(benchmark):
-    report, series, noise = benchmark(generate_fig9)
+    report, series, noise, verdicts, profile, jitter = \
+        benchmark(generate_fig9)
     print_table("Fig. 9: VCO spur report (SWAN-driven)", [{
         "carrier_GHz": report.carrier_frequency / 1e9,
         "clock_MHz": report.clock_frequency / 1e6,
@@ -69,6 +95,12 @@ def test_fig09_vco_spurs(benchmark):
     }])
     print_table("Fig. 9b: spur level vs substrate noise amplitude",
                 series)
+    print_table("Fig. 9 (section 4.3): spurs against the WLAN emission "
+                "mask", verdicts)
+    print_table("Fig. 9 (section 4.3): VCO phase noise with the SWAN "
+                "noise floor", profile)
+    print_table("Fig. 9 (section 4.3): integrated RMS jitter, 10 kHz to "
+                "40 MHz", jitter)
 
     # Carrier where it should be.
     assert report.carrier_frequency == pytest.approx(2.3e9, rel=0.01)
@@ -82,3 +114,7 @@ def test_fig09_vco_spurs(benchmark):
     # 10x more noise -> +20 dB spur.
     assert series[-1]["spur_dbc"] - series[0]["spur_dbc"] \
         == pytest.approx(20.0, abs=3.0)
+    # Louder noise eats the mask margin; substrate noise adds jitter.
+    margins = [row["margin_db"] for row in verdicts[1:]]
+    assert margins == sorted(margins, reverse=True)
+    assert jitter[1]["rms_jitter_ps"] > jitter[0]["rms_jitter_ps"]

@@ -1,8 +1,9 @@
 """Performance benchmark of the incremental semantic lint cache.
 
 The semantic rules (R002, R008-R010) need whole-project file
-summaries; the cold path parses every module under ``src/repro`` while
-the warm path replays content-hashed summaries from
+summaries; the cold path parses every module under ``src/repro``,
+``benchmarks``, ``examples`` and ``perfbench`` (the trees CI lints)
+while the warm path replays content-hashed summaries from
 ``.replint_cache``-style directories without touching ``ast.parse``.
 As with the other perf benchmarks, the speedup gate uses its own
 ``time.perf_counter`` measurement so it holds even under
@@ -19,7 +20,8 @@ from conftest import record_bench
 from repro.lint import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC_TREE = REPO_ROOT / "src" / "repro"
+TREES = [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks",
+         REPO_ROOT / "examples", REPO_ROOT / "perfbench"]
 SEMANTIC_RULES = ["R002", "R008", "R009", "R010"]
 
 
@@ -40,11 +42,11 @@ def test_warm_cache_semantic_run_speedup(benchmark, tmp_path):
 
     def cold():
         shutil.rmtree(cache_dir, ignore_errors=True)
-        return run_lint([SRC_TREE], select=SEMANTIC_RULES,
+        return run_lint(TREES, select=SEMANTIC_RULES,
                         cache_dir=cache_dir)
 
     def warm():
-        return run_lint([SRC_TREE], select=SEMANTIC_RULES,
+        return run_lint(TREES, select=SEMANTIC_RULES,
                         cache_dir=cache_dir)
 
     cold_report = cold()     # leaves the cache populated for ``warm``
@@ -57,10 +59,11 @@ def test_warm_cache_semantic_run_speedup(benchmark, tmp_path):
     cold()                   # repopulate after the timed cold runs
     t_warm = best_of(warm)
     speedup = t_cold / t_warm
-    print(f"\nsemantic lint over src/repro: cold={t_cold * 1e3:.0f} ms"
-          f" warm={t_warm * 1e3:.0f} ms speedup={speedup:.1f}x")
+    print(f"\nsemantic lint over the four trees: "
+          f"cold={t_cold * 1e3:.0f} ms warm={t_warm * 1e3:.0f} ms "
+          f"speedup={speedup:.1f}x")
     record_bench("lint_semantic_warm_cache", {
-        "tree": "src/repro",
+        "tree": "src/repro benchmarks examples perfbench",
         "rules": SEMANTIC_RULES,
         "cold_ms": round(t_cold * 1e3, 2),
         "warm_ms": round(t_warm * 1e3, 2),

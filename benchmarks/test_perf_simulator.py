@@ -81,8 +81,7 @@ def no_event_objects(monkeypatch):
     """Fail the test if anything allocates a SwitchingEvent."""
 
     def trap(cls, *args, **kwargs):
-        raise AssertionError(
-            "per-event SwitchingEvent allocated on the hot path")
+        pytest.fail("per-event SwitchingEvent allocated on the hot path")
 
     monkeypatch.setattr(simulator_module.SwitchingEvent, "__new__",
                         trap)

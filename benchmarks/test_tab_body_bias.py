@@ -11,7 +11,7 @@ import pytest
 
 from repro.devices import (body_bias_effectiveness,
                            required_vsb_for_reduction)
-from repro.digital import apply_vtcmos_standby, ripple_adder
+from repro.digital import body_bias_trend_on_design, ripple_adder
 from repro.technology import all_nodes
 
 from conftest import print_table
@@ -30,14 +30,11 @@ def generate_tab_d():
         "vsb_for_10x_V": required_vsb_for_reduction(node, 10.0),
     } for node in all_nodes()]
 
-    on_design = []
-    for node in all_nodes():
-        result = apply_vtcmos_standby(ripple_adder(node, width=8),
-                                      vsb=0.5)
-        on_design.append({
-            "node": node.name,
-            "design_leakage_reduction": result.reduction,
-        })
+    on_design = [{
+        "node": row["node"],
+        "design_leakage_reduction": row["leakage_reduction"],
+    } for row in body_bias_trend_on_design(
+        all_nodes(), lambda node: ripple_adder(node, width=8), vsb=0.5)]
     return per_device, required, on_design
 
 

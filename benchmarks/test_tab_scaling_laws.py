@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import ScalingScenario, scale, scaling_table
 from repro.core.scaling import (effective_scenario, node_scale_factor,
-                                voltage_scale_factor)
+                                noise_margin_trend, voltage_scale_factor)
 from repro.technology import all_nodes
 
 from conftest import print_table
@@ -36,15 +36,17 @@ def generate_tab_a():
             "gate_delay": consequences.gate_delay,
             "power_density": consequences.power_density,
         })
-    return full, cv, actual
+    return full, cv, actual, noise_margin_trend(nodes)
 
 
 @pytest.mark.benchmark(group="tab_a")
 def test_tab_scaling_laws(benchmark):
-    full, cv, actual = benchmark(generate_tab_a)
+    full, cv, actual, margins = benchmark(generate_tab_a)
     print_table("Tab A: full (Dennard) scaling consequences", full)
     print_table("Tab A': constant-voltage scaling", cv)
     print_table("Tab A'': actual roadmap transitions", actual)
+    print_table("Section 1: inverter noise margin per node (slowly "
+                "degrading but acceptable)", margins)
 
     # The paper's quoted numbers at S = 2.
     s2 = next(row for row in full if row["s"] == 2.0)
@@ -57,3 +59,6 @@ def test_tab_scaling_laws(benchmark):
     assert cv2["power_density"] > 4.0
     # Real transitions deviate from full scaling: power density rises.
     assert all(row["power_density"] >= 0.95 for row in actual)
+    # Noise margins shrink with the supply but stay above 0.1 V.
+    nm = [row["noise_margin_V"] for row in margins]
+    assert nm == sorted(nm, reverse=True) and nm[-1] > 0.1

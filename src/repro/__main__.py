@@ -100,9 +100,13 @@ def cmd_report(args) -> int:
 def _exec_policy_and_chaos(args):
     """(RetryPolicy, ChaosPlan | None) from the shared exec flags."""
     from .exec import ChaosPlan, ChaosSpec, RetryPolicy
+    from .exec.chaos import check_fault_rates
     policy = RetryPolicy(max_retries=args.retries,
                          timeout_s=args.timeout,
                          backoff_initial_s=args.backoff)
+    # The rates are checked even when no --chaos-seed arms them.
+    check_fault_rates(args.chaos_crash, args.chaos_hang,
+                      args.chaos_poison)
     chaos = None
     if args.chaos_seed is not None:
         chaos = ChaosPlan(

@@ -7,7 +7,6 @@ from .tradeoff import (
     limit_gap,
     minimum_power,
     mismatch_constant,
-    power_trend_fixed_spec,
     thermal_noise_constant,
     tradeoff_plane,
 )
@@ -17,7 +16,6 @@ from .adc import (
     minimum_adc_power,
     resolution_speed_frontier,
     sample_synthetic_survey,
-    survey_points,
     survey_vs_limits,
 )
 from .supply_scaling import (
@@ -28,14 +26,10 @@ from .supply_scaling import (
     power_ratio,
 )
 from .noise import (
-    capacitance_for_snr,
     corner_frequency,
     enob_from_snr,
-    flicker_noise_density,
     ktc_noise_voltage,
     noise_budget,
-    snr_from_enob,
-    snr_from_noise,
     thermal_noise_density_mosfet,
 )
 from .adc_behavioral import (
@@ -48,13 +42,10 @@ from .adc_behavioral import (
 from .switched_capacitor import (
     ScAmplifier,
     design_sc_stage,
-    settling_budget_sweep,
-    speed_accuracy_power_point,
 )
 from .yield_analysis import (
     OtaYieldAnalyzer,
     YieldReport,
-    area_for_offset_yield,
     offset_yield,
     yield_vs_area,
 )
@@ -92,20 +83,18 @@ from .chain import (
 __all__ = [
     "TradeoffPoint", "accuracy_from_bits", "bits_from_accuracy",
     "limit_gap", "minimum_power", "mismatch_constant",
-    "power_trend_fixed_spec", "thermal_noise_constant", "tradeoff_plane",
+    "thermal_noise_constant", "tradeoff_plane",
     "SURVEY", "AdcDesign", "minimum_adc_power",
     "resolution_speed_frontier", "sample_synthetic_survey",
-    "survey_points", "survey_vs_limits",
+    "survey_vs_limits",
     "analog_power_trend", "digital_power_trend", "headroom_trend",
     "mismatch_limited_power", "power_ratio",
-    "capacitance_for_snr", "corner_frequency", "enob_from_snr",
-    "flicker_noise_density", "ktc_noise_voltage", "noise_budget",
-    "snr_from_enob", "snr_from_noise", "thermal_noise_density_mosfet",
-    "ScAmplifier", "design_sc_stage", "settling_budget_sweep",
-    "speed_accuracy_power_point",
+    "corner_frequency", "enob_from_snr", "ktc_noise_voltage",
+    "noise_budget", "thermal_noise_density_mosfet",
+    "ScAmplifier", "design_sc_stage",
     "AdcTestResult", "PipelineAdc", "PipelineStage",
     "enob_vs_device_area", "sine_test",
-    "OtaYieldAnalyzer", "YieldReport", "area_for_offset_yield",
+    "OtaYieldAnalyzer", "YieldReport",
     "offset_yield", "yield_vs_area",
     "DetectorFrontend", "DetectorFrontendDesign", "FrontendPerformance",
     "MillerOta", "OtaDesign", "OtaPerformance", "SingleStageOta",

@@ -78,11 +78,6 @@ SURVEY: List[AdcDesign] = [
 ]
 
 
-def survey_points() -> List[TradeoffPoint]:
-    """The survey projected onto the Fig. 6 plane."""
-    return [design.to_tradeoff_point() for design in SURVEY]
-
-
 def survey_vs_limits(node: TechnologyNode,
                      temperature: float = 300.0
                      ) -> List[Dict[str, float]]:

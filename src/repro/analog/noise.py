@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
-from ..core.constants import BOLTZMANN, kt_energy
+from ..core.constants import kt_energy
 from ..robust.errors import ModelDomainError
 from ..robust.validate import validated
 
@@ -16,17 +16,6 @@ def ktc_noise_voltage(capacitance: float,
     if capacitance <= 0:
         raise ModelDomainError("capacitance must be positive")
     return math.sqrt(kt_energy(temperature) / capacitance)
-
-
-def capacitance_for_snr(snr_db: float, signal_rms: float,
-                        temperature: float = 300.0,
-                        margin_db: float = 3.0) -> float:
-    """Capacitance [F] for kT/C noise ``margin_db`` below the target
-    noise floor at ``snr_db`` and ``signal_rms`` [V]."""
-    if signal_rms <= 0:
-        raise ModelDomainError("signal_rms must be positive")
-    noise_rms = signal_rms / 10.0 ** ((snr_db + margin_db) / 20.0)
-    return kt_energy(temperature) / noise_rms ** 2
 
 
 def thermal_noise_density_mosfet(gm: float, gamma: float = 2.0 / 3.0,
@@ -41,18 +30,6 @@ def thermal_noise_density_mosfet(gm: float, gamma: float = 2.0 / 3.0,
     return 4.0 * kt_energy(temperature) / 1.0 * gamma / gm
 
 
-def flicker_noise_density(kf: float, cox: float, width: float,
-                          length: float, frequency: float) -> float:
-    """1/f noise PSD [V^2/Hz]: KF / (Cox*W*L*f).
-
-    Area-inverse like mismatch -- the same reason analog devices stay
-    big.
-    """
-    if min(cox, width, length, frequency) <= 0:
-        raise ModelDomainError("all parameters must be positive")
-    return kf / (cox * width * length * frequency)
-
-
 def corner_frequency(kf: float, cox: float, width: float, length: float,
                      gm: float, gamma: float = 2.0 / 3.0,
                      temperature: float = 300.0) -> float:
@@ -61,23 +38,10 @@ def corner_frequency(kf: float, cox: float, width: float, length: float,
     return kf / (cox * width * length * thermal)
 
 
-def snr_from_noise(signal_rms: float, noise_rms: float) -> float:
-    """SNR [dB] of RMS signal over RMS noise."""
-    if signal_rms <= 0 or noise_rms <= 0:
-        raise ModelDomainError("signal and noise must be positive")
-    return 20.0 * math.log10(signal_rms / noise_rms)
-
-
 @validated(snr_db="finite")
 def enob_from_snr(snr_db: float) -> float:
     """Effective number of bits: (SNR - 1.76)/6.02."""
     return (snr_db - 1.76) / 6.02
-
-
-@validated(enob="finite")
-def snr_from_enob(enob: float) -> float:
-    """SNR [dB] of an ``enob``-bit ideal quantizer."""
-    return 6.02 * enob + 1.76
 
 
 def noise_budget(snr_db: float, signal_rms: float,

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
 
 from ..technology.node import TechnologyNode
 from .circuits import OtaDesign, OtaPerformance, SingleStageOta
 from .noise import ktc_noise_voltage
-from .tradeoff import accuracy_from_bits
 from ..robust.errors import ModelDomainError
 
 
@@ -117,53 +115,3 @@ def design_sc_stage(node: TechnologyNode, ota_design: OtaDesign,
     performance = SingleStageOta(node, load).evaluate(ota_design)
     return ScAmplifier(sampling_capacitance=sampling_capacitance,
                        gain=gain, ota=performance)
-
-
-def speed_accuracy_power_point(node: TechnologyNode,
-                               ota_design: OtaDesign,
-                               n_bits: float = 10.0,
-                               step: float = 0.5,
-                               sampling_capacitance: float = 1e-12
-                               ) -> Dict[str, float]:
-    """One concrete (speed, accuracy, power) point for eq. 4.
-
-    Returns the stage's achievable clock at ``n_bits`` settling, its
-    power, and the eq. 4 figure of merit P/(f*A^2) for comparison
-    against the Fig. 6 limit lines.
-    """
-    stage = design_sc_stage(node, ota_design,
-                            sampling_capacitance)
-    f_max = stage.max_clock(step, n_bits)
-    accuracy = accuracy_from_bits(n_bits)
-    fom = (stage.ota.power / (f_max * accuracy ** 2)
-           if f_max > 0 else math.inf)
-    return {
-        "f_max_Hz": f_max,
-        "power_W": stage.ota.power,
-        "n_bits": n_bits,
-        "fom_J": fom,
-        "noise_limited_bits": stage.noise_limited_bits(2.0 * step),
-    }
-
-
-def settling_budget_sweep(node: TechnologyNode,
-                          ota_design: OtaDesign,
-                          bit_range: Sequence[float] = (6, 8, 10, 12),
-                          step: float = 0.5
-                          ) -> List[Dict[str, float]]:
-    """Achievable clock vs resolution for one OTA sizing.
-
-    Every extra bit costs ~0.7/beta time constants of settling: speed
-    and accuracy trade exponentially at fixed power -- the circuit
-    mechanics beneath eq. 4.
-    """
-    stage = design_sc_stage(node, ota_design)
-    rows = []
-    for bits in bit_range:
-        rows.append({
-            "n_bits": float(bits),
-            "f_max_MHz": stage.max_clock(step, bits) / 1e6,
-            "settling_ns": stage.settling_time(
-                step, 2.0 ** (bits + 1.0)) * 1e9,
-        })
-    return rows

@@ -157,26 +157,3 @@ def limit_gap(node: TechnologyNode, temperature: float = 300.0) -> float:
     improves with t_ox.
     """
     return mismatch_constant(node) / thermal_noise_constant(temperature)
-
-
-def power_trend_fixed_spec(nodes: Sequence[TechnologyNode],
-                           speed: float = 100e6,
-                           n_bits: float = 10.0
-                           ) -> List[Dict[str, float]]:
-    """Mismatch-limited minimum power per node at a fixed spec.
-
-    Shows the 'power decreases with improved matching' half of the
-    paper's section-4.1 argument -- before the supply-voltage penalty
-    of eq. 5 is applied (see :mod:`repro.analog.supply_scaling`).
-    """
-    accuracy = accuracy_from_bits(n_bits)
-    rows = []
-    for node in nodes:
-        limits = minimum_power(speed, accuracy, node)
-        rows.append({
-            "node": node.name,
-            "mismatch_limit_mW": limits["mismatch_W"] * 1e3,
-            "thermal_limit_mW": limits["thermal_W"] * 1e3,
-            "gap": limit_gap(node),
-        })
-    return rows

@@ -221,13 +221,3 @@ def yield_vs_area(node: TechnologyNode, offset_limit: float = 3e-3,
             "sigma_level": offset_limit / sigma,
         })
     return rows
-
-
-def area_for_offset_yield(node: TechnologyNode, offset_limit: float,
-                          sigma_level: float = 3.0) -> float:
-    """Gate area [m^2] for the pair to meet ``offset_limit`` at
-    ``sigma_level`` confidence."""
-    if offset_limit <= 0 or sigma_level <= 0:
-        raise ModelDomainError("offset_limit and sigma_level must be positive")
-    sigma_needed = offset_limit / sigma_level
-    return (node.avt / sigma_needed) ** 2

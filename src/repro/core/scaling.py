@@ -187,23 +187,17 @@ def effective_scenario(from_node: TechnologyNode,
 def noise_margin_trend(nodes: List[TechnologyNode]) -> List[Dict[str, float]]:
     """First-order static noise margin of a CMOS inverter per node.
 
-    NM ~ (V_DD - 2*V_T)/2 + V_T/2 in the symmetric approximation; the
-    paper notes the margin decreases with scaling but stays acceptable.
-    Returns absolute margin [V] and margin relative to V_DD.
+    NM = min(V_DD/2, (V_DD/2 + V_T)/2) in the symmetric approximation;
+    the paper notes the margin decreases with scaling but stays
+    acceptable.  Returns the margin [V] and the margin relative to V_DD.
     """
     rows = []
     for node in nodes:
-        switching = node.vdd / 2.0
-        margin = min(switching - node.vth / 2.0,
-                     node.vdd - switching - node.vth / 2.0) + node.vth / 2.0
-        margin = max(margin, 0.0)
-        # Simple symmetric estimate: NM = (VDD/2 + VT)/2 bounded by VDD/2.
-        nm_est = min(node.vdd / 2.0, (node.vdd / 2.0 + node.vth) / 2.0)
+        margin = min(node.vdd / 2.0, (node.vdd / 2.0 + node.vth) / 2.0)
         rows.append({
             "node": node.name,
             "feature_size_nm": node.feature_size * 1e9,
-            "noise_margin_V": nm_est,
-            "noise_margin_rel": nm_est / node.vdd,
-            "margin_V": margin,
+            "noise_margin_V": margin,
+            "noise_margin_rel": margin / node.vdd,
         })
     return rows

@@ -32,8 +32,6 @@ from .corners import (
     InterDieSigmas,
     apply_corner,
     corner_spread_summary,
-    corner_vth_pair,
-    iter_corners,
     worst_case_vth,
 )
 
@@ -48,6 +46,6 @@ __all__ = [
     "BodyBiasResult", "body_bias_effectiveness", "body_effect_gamma",
     "required_vsb_for_reduction", "vth_with_body_bias",
     "Corner", "CornerSpec", "InterDieSigmas", "apply_corner",
-    "corner_spread_summary", "corner_vth_pair", "iter_corners",
+    "corner_spread_summary",
     "worst_case_vth",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from ..technology.node import TechnologyNode
 from ..robust.validate import validated
@@ -70,9 +70,7 @@ def apply_corner(node: TechnologyNode, corner: Corner,
                  ) -> TechnologyNode:
     """Return the node shifted to ``corner``.
 
-    Only the NMOS-relevant shift is applied to the shared ``vth``
-    field; use :func:`corner_vth_pair` when the P/N split matters
-    (e.g. FS/SF noise-margin analysis).
+    Only the NMOS shift is applied to the shared ``vth`` field.
     """
     spec = _CORNER_SPECS[corner]
     return node.with_overrides(
@@ -82,25 +80,6 @@ def apply_corner(node: TechnologyNode, corner: Corner,
                                           * sigmas.length_rel),
         tox=node.tox * (1 + spec.tox_sigma * sigmas.tox_rel),
     )
-
-
-def corner_vth_pair(node: TechnologyNode, corner: Corner,
-                    sigmas: InterDieSigmas = InterDieSigmas()
-                    ) -> Dict[str, float]:
-    """Return the {nmos, pmos} V_T at ``corner`` [V]."""
-    spec = _CORNER_SPECS[corner]
-    return {
-        "nmos": node.vth + spec.vth_sigma_n * sigmas.vth,
-        "pmos": node.vth + spec.vth_sigma_p * sigmas.vth,
-    }
-
-
-def iter_corners(node: TechnologyNode,
-                 sigmas: InterDieSigmas = InterDieSigmas()
-                 ) -> Iterator[TechnologyNode]:
-    """Yield the node at all five corners (TT first)."""
-    for corner in Corner:
-        yield apply_corner(node, corner, sigmas)
 
 
 @validated(n_sigma="non-negative")

@@ -7,18 +7,13 @@ from .delay import (
     fo4_delay_model,
     fo4_load,
 )
-from .gates import CELL_TYPES, Cell, CellType, library_report, make_cell
+from .gates import CELL_TYPES, Cell, CellType, make_cell
 from .netlist import Instance, Netlist
 from .generators import (
-    array_multiplier,
     clocked_datapath,
-    decoder,
-    equality_comparator,
     estimate_gates_for_target,
-    fir_filter,
     full_adder,
     kogge_stone_adder,
-    lfsr,
     random_logic,
     ripple_adder,
     soc_netlist,
@@ -28,7 +23,6 @@ from .ssta import (
     StatisticalTimingAnalyzer,
     corner_vs_statistical_margin,
     depth_averaging_study,
-    spatially_correlated_ssta,
 )
 from .simulator import (
     EventDrivenSimulator,
@@ -48,13 +42,10 @@ from .energy import (
     PowerReport,
     analytic_power_estimate,
     leakage_fraction_trend,
-    power_report,
-    switching_energy_of_run,
 )
 from .sizing import (
     SizingResult,
     WorstCasePenalty,
-    energy_vs_delay_curve,
     size_for_delay,
     stage_delay,
     stage_energy,
@@ -86,16 +77,13 @@ from .leakage_mgmt import (
 __all__ = [
     "DelayModel", "delay_variability_trend", "energy_delay_product",
     "fo4_delay_model", "fo4_load",
-    "CELL_TYPES", "Cell", "CellType", "library_report", "make_cell",
+    "CELL_TYPES", "Cell", "CellType", "make_cell",
     "Instance", "Netlist",
-    "array_multiplier", "clocked_datapath", "decoder",
-    "equality_comparator", "estimate_gates_for_target", "fir_filter",
-    "full_adder",
-    "kogge_stone_adder", "lfsr", "random_logic", "ripple_adder",
+    "clocked_datapath", "estimate_gates_for_target", "full_adder",
+    "kogge_stone_adder", "random_logic", "ripple_adder",
     "soc_netlist",
     "SstaResult", "StatisticalTimingAnalyzer",
     "corner_vs_statistical_margin", "depth_averaging_study",
-    "spatially_correlated_ssta",
     "EventDrivenSimulator", "SimulationResult", "SwitchingEvent",
     "random_stimulus",
     "StaticTimingAnalyzer", "TimingReport", "critical_delay",
@@ -103,8 +91,7 @@ __all__ = [
     "BatchTimingResult", "CompiledTimingGraph",
     "CompiledEventEngine", "EventTrace",
     "PowerReport", "analytic_power_estimate", "leakage_fraction_trend",
-    "power_report", "switching_energy_of_run",
-    "SizingResult", "WorstCasePenalty", "energy_vs_delay_curve",
+    "SizingResult", "WorstCasePenalty",
     "size_for_delay", "stage_delay", "stage_energy",
     "worst_case_energy_trend", "worst_case_penalty",
     "EnergyDelayModel", "OperatingPoint", "minimum_energy_trend",

@@ -17,10 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..technology.node import TechnologyNode
 from ..devices.leakage import gate_leakage_per_gate
-from .netlist import Netlist
-from .simulator import SimulationResult
 from ..robust.errors import ModelDomainError
-from ..robust.validate import validated
+from ..robust.validate import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -50,56 +48,6 @@ class PowerReport:
         return self.leakage / self.total
 
 
-@validated(wire_cap_per_fanout="non-negative")
-def switching_energy_of_run(netlist: Netlist,
-                            result: SimulationResult,
-                            wire_cap_per_fanout: float = 0.5e-15) -> float:
-    """Dynamic energy [J] of a simulated event stream.
-
-    Each driver-attributed event charges/discharges that net's load +
-    the driver parasitic; C*V^2 is counted per *pair* of transitions,
-    i.e. C*V^2/2 per event.
-    """
-    vdd = netlist.node.vdd
-    energy = 0.0
-    for event in result.events:
-        driver = netlist.driver_of(event.net)
-        load = netlist.fanout_capacitance(event.net, wire_cap_per_fanout)
-        if driver is not None:
-            load += driver.cell.output_parasitic
-        energy += 0.5 * load * vdd ** 2
-    return energy
-
-
-def power_report(netlist: Netlist, result: SimulationResult,
-                 short_circuit_fraction: float = 0.1,
-                 wire_cap_per_fanout: float = 0.5e-15) -> PowerReport:
-    """Full power breakdown from a simulation run.
-
-    Short-circuit power is taken as a fixed fraction of dynamic power
-    (the classic ~10 % rule for balanced slopes).
-    """
-    if result.duration <= 0:
-        raise ModelDomainError("simulation duration must be positive")
-    dynamic = switching_energy_of_run(
-        netlist, result, wire_cap_per_fanout) / result.duration
-    sub = 0.0
-    gate = 0.0
-    for instance in netlist.instances.values():
-        budget = gate_leakage_per_gate(
-            netlist.node,
-            nmos_width=instance.cell.nmos_width,
-            fanin=max(instance.cell.cell_type.n_inputs, 1))
-        sub += budget.subthreshold * netlist.node.vdd
-        gate += budget.gate * netlist.node.vdd
-    return PowerReport(
-        dynamic=dynamic,
-        short_circuit=short_circuit_fraction * dynamic,
-        subthreshold_leakage=sub,
-        gate_leakage=gate,
-    )
-
-
 def analytic_power_estimate(node: TechnologyNode, n_gates: int,
                             frequency: float, activity: float = 0.1,
                             avg_load: Optional[float] = None
@@ -110,8 +58,8 @@ def analytic_power_estimate(node: TechnologyNode, n_gates: int,
     This is what the leakage-fraction trend (Tab B) sweeps across
     nodes.
     """
-    if n_gates < 1 or frequency <= 0:
-        raise ModelDomainError("n_gates and frequency must be positive")
+    n_gates = check_count("n_gates", n_gates)
+    check_positive("frequency", frequency)
     if not 0 <= activity <= 1:
         raise ModelDomainError("activity must be in [0, 1]")
     from ..devices.capacitance import inverter_input_capacitance

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
@@ -206,20 +206,3 @@ def make_cell(name: str, node: TechnologyNode, drive: float = 1.0) -> Cell:
             f"unknown cell {name!r}; available: "
             f"{', '.join(CELL_TYPES)}") from None
     return Cell(cell_type=cell_type, node=node, drive=drive)
-
-
-def library_report(node: TechnologyNode) -> List[Dict[str, float]]:
-    """Characterization table of the whole library in ``node``."""
-    rows = []
-    for name in CELL_TYPES:
-        cell = make_cell(name, node)
-        load = 4.0 * cell.input_capacitance
-        rows.append({
-            "cell": name,
-            "input_cap_fF": cell.input_capacitance * 1e15,
-            "delay_fo4_ps": cell.delay(load) * 1e12,
-            "energy_fJ": cell.switching_energy(load) * 1e15,
-            "leakage_nW": cell.leakage_power() * 1e9,
-            "area_um2": cell.area() * 1e12,
-        })
-    return rows

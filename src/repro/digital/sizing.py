@@ -176,30 +176,3 @@ def worst_case_energy_trend(nodes: Sequence[TechnologyNode],
             "energy_penalty_pct": (penalty.energy_penalty - 1.0) * 100.0,
         })
     return rows
-
-
-def energy_vs_delay_curve(node: TechnologyNode,
-                          delay_targets: Sequence[float],
-                          external_load: Optional[float] = None,
-                          vth: Optional[float] = None
-                          ) -> List[Dict[str, float]]:
-    """The energy-delay trade-off curve sizing moves along.
-
-    Sharply rising energy at tight targets is why the worst-case
-    penalty grows so fast once sigma_VT eats the timing slack.
-    """
-    if external_load is None:
-        external_load = 8.0 * inverter_input_capacitance(
-            node, 2.0 * node.feature_size)
-    rows = []
-    for target in delay_targets:
-        try:
-            result = size_for_delay(node, target, external_load, vth)
-        except ValueError:
-            continue
-        rows.append({
-            "delay_ps": target * 1e12,
-            "width_um": result.width * 1e6,
-            "energy_fJ": result.energy * 1e15,
-        })
-    return rows

@@ -11,7 +11,6 @@ design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -292,75 +291,3 @@ def depth_averaging_study(node: TechnologyNode,
             "sigma_over_mean": result.sigma / result.mean,
         })
     return rows
-
-
-def spatially_correlated_ssta(netlist: Netlist,
-                              die: float = 2e-3,
-                              spec: Optional["object"] = None,
-                              n_samples: int = 120,
-                              seed: Optional[int] = None
-                              ) -> Dict[str, float]:
-    """SSTA with spatially *correlated* intra-die variation.
-
-    Places the instances on the die (row-major grid) and draws each
-    sample's V_T offsets from a smooth spatial map
-    (:mod:`repro.variability.spatial`) instead of independently per
-    gate.  Neighbouring gates then vary together, so path delays
-    average less than the independent-mismatch model predicts -- the
-    variance the white-noise SSTA underestimates.
-
-    Returns both sigmas for comparison.
-
-    Each sample's V_T map is still drawn die-by-die (the maps are
-    independently seeded objects), but every per-gate query is one
-    batched :meth:`VtMap.at` call and all timing runs happen in two
-    :meth:`CompiledTimingGraph.evaluate` calls over the stacked
-    offset matrices -- same variate stream as per-gate scalar
-    queries and per-sample STA.
-    """
-    import numpy as np
-    from ..variability.spatial import SpatialSpec, sample_vt_map
-
-    n_samples = check_count("n_samples", n_samples, minimum=2)
-    node = netlist.node
-    white_sigma = VariationSpec().intra_sigma_vth(
-        node, 2.0 * node.feature_size, node.feature_size)
-    spatial_spec = spec or SpatialSpec(
-        gradient_sigma=white_sigma / die,
-        correlated_sigma=0.5 * white_sigma,
-        correlation_length=0.3 * die,
-        white_sigma=white_sigma)
-
-    names = list(netlist.instances)
-    n_gates = len(names)
-    n_cols = max(int(math.ceil(math.sqrt(n_gates))), 1)
-    xs = np.array([0.05 * die + 0.9 * die * (index % n_cols) / n_cols
-                   for index in range(n_gates)])
-    ys = np.array([0.05 * die + 0.9 * die * (index // n_cols) / n_cols
-                   for index in range(n_gates)])
-
-    rng = resolve_rng(seed=seed)
-    correlated_offsets = np.empty((n_samples, n_gates))
-    independent_offsets = np.empty((n_samples, n_gates))
-    total_sigma = math.sqrt(spatial_spec.white_sigma ** 2
-                            + spatial_spec.correlated_sigma ** 2)
-    for i in range(n_samples):
-        vt_map = sample_vt_map(node, die, spatial_spec,
-                               seed=int(rng.integers(2 ** 31)))
-        correlated_offsets[i] = vt_map.at(xs, ys)
-        independent_offsets[i] = rng.normal(
-            0.0, total_sigma, size=n_gates)
-    compiled = CompiledTimingGraph(netlist)
-    correlated = compiled.evaluate(correlated_offsets).critical_delays
-    independent = compiled.evaluate(
-        independent_offsets).critical_delays
-    return {
-        "sigma_correlated_ps": float(correlated.std(ddof=1)) * 1e12,
-        "sigma_independent_ps": float(independent.std(ddof=1)) * 1e12,
-        "mean_correlated_ps": float(correlated.mean()) * 1e12,
-        "mean_independent_ps": float(independent.mean()) * 1e12,
-        "underestimation":
-            float(correlated.std(ddof=1)
-                  / max(independent.std(ddof=1), 1e-30)),
-    }
-

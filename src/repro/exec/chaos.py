@@ -37,6 +37,25 @@ FAULT_KINDS = ("crash", "hang", "poison")
 CHAOS_ENV_VAR = "REPRO_CHAOS_SEED"
 
 
+def check_fault_rates(crash_rate: float, hang_rate: float,
+                      poison_rate: float) -> None:
+    """Require each rate to be a fraction in [0, 1] and their sum
+    to be at most 1."""
+    total = 0.0
+    for name, value in (("crash_rate", crash_rate),
+                        ("hang_rate", hang_rate),
+                        ("poison_rate", poison_rate)):
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float)) or not math.isfinite(value) \
+                or not 0.0 <= value <= 1.0:
+            raise ModelDomainError(
+                f"{name} must be a fraction in [0, 1], got {value!r}")
+        total += float(value)
+    if total > 1.0:
+        raise ModelDomainError(
+            f"fault rates must sum to <= 1, got {total:.3g}")
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
     """Fault mix of a chaos plan (per-attempt injection rates)."""
@@ -52,19 +71,8 @@ class ChaosSpec:
             raise ModelDomainError(
                 f"chaos seed must be a non-negative integer, got "
                 f"{self.seed!r}")
-        total = 0.0
-        for name in ("crash_rate", "hang_rate", "poison_rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float)) or not math.isfinite(value) \
-                    or not 0.0 <= value <= 1.0:
-                raise ModelDomainError(
-                    f"{name} must be a fraction in [0, 1], got "
-                    f"{value!r}")
-            total += float(value)
-        if total > 1.0:
-            raise ModelDomainError(
-                f"fault rates must sum to <= 1, got {total:.3g}")
+        check_fault_rates(self.crash_rate, self.hang_rate,
+                          self.poison_rate)
 
     @property
     def total_rate(self) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..perf.cache import KeyedCache
 from ..robust.errors import ModelDomainError, PoisonedResultError
-from ..robust.validate import check_count
+from ..robust.validate import check_count, check_positive
 
 __all__ = [
     "ShardWorkload", "YieldWorkload", "ChainSignoffWorkload",
@@ -466,6 +466,11 @@ class SocNoiseWorkload(ShardWorkload):
     dt = 25e-12
     #: Events per streamed chunk (the stream_noise default).
     chunk_events = 100_000
+
+    def __post_init__(self) -> None:
+        # A bad clock fails here, not as a ZeroDivisionError or a
+        # complaint about the derived clock period.
+        check_positive("frequency", self.frequency)
 
     def key(self) -> tuple:
         return (self.node_name, self.target_gates, self.n_blocks,

@@ -3,11 +3,8 @@
 from .wire import (
     WireGeometry,
     capacitance_per_length,
-    delay_table_vs_length,
-    rc_time_constant,
     resistance_per_length,
     wire_delay,
-    wire_delay_in_pitches,
     wire_energy,
 )
 from .elmore import (
@@ -19,11 +16,9 @@ from .elmore import (
 from .repeaters import (
     DriverModel,
     RepeaterSolution,
-    critical_length,
     insert_repeaters,
     optimal_repeater_count,
     optimal_repeater_size,
-    repeated_delay_per_mm,
 )
 from .clocktree import (
     HTreeReport,
@@ -61,13 +56,11 @@ from .trends import (
 )
 
 __all__ = [
-    "WireGeometry", "capacitance_per_length", "delay_table_vs_length",
-    "rc_time_constant", "resistance_per_length", "wire_delay",
-    "wire_delay_in_pitches", "wire_energy",
+    "WireGeometry", "capacitance_per_length", "resistance_per_length",
+    "wire_delay", "wire_energy",
     "RCNode", "RCTree", "driver_wire_load_delay", "uniform_line",
-    "DriverModel", "RepeaterSolution", "critical_length",
+    "DriverModel", "RepeaterSolution",
     "insert_repeaters", "optimal_repeater_count", "optimal_repeater_size",
-    "repeated_delay_per_mm",
     "HTreeReport", "build_h_tree", "h_tree_report",
     "max_wire_length_for_skew", "skew_budget", "skew_length_sweep",
     "synchronous_region_trend",

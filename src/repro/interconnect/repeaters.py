@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
@@ -123,31 +123,3 @@ def insert_repeaters(node: TechnologyNode, length: float,
         delay_unrepeated=wire_delay(geom, length),
         energy_overhead=energy,
     )
-
-
-def critical_length(node: TechnologyNode, layer: int = 1,
-                    driver: Optional[DriverModel] = None) -> float:
-    """Length [m] beyond which repeating a wire wins.
-
-    Solves k_opt(L) = 1: shorter wires are best left unbuffered.
-    """
-    geom = WireGeometry.for_node(node, layer)
-    driver = driver or DriverModel.for_node(node)
-    r = resistance_per_length(geom)
-    c = capacitance_per_length(geom)
-    rc_unit = 0.7 * driver.resistance_unit * driver.capacitance_unit
-    return math.sqrt(rc_unit / (0.4 * r * c))
-
-
-def repeated_delay_per_mm(node: TechnologyNode, layer: int = 1) -> Dict[str, float]:
-    """Headline metric: optimally repeated delay of 1 mm of wire [s/mm].
-
-    Used in scaling-trend reports (gate delay falls, this does not).
-    """
-    solution = insert_repeaters(node, 1e-3, layer)
-    return {
-        "node": node.name,
-        "delay_per_mm_ps": solution.delay * 1e12,
-        "n_repeaters_per_mm": float(solution.n_repeaters),
-        "unrepeated_delay_ps": solution.delay_unrepeated * 1e12,
-    }

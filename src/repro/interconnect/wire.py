@@ -14,9 +14,7 @@ get faster -- and fixed-length global wires get relatively slower still.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
 
 from ..core.constants import EPSILON_0
 from ..robust.errors import ModelDomainError
@@ -130,15 +128,6 @@ def wire_delay(geom: WireGeometry, length: float,
     return 0.5 * r * c * length ** 2
 
 
-def wire_delay_in_pitches(geom: WireGeometry, n_pitches: float) -> float:
-    """Eq. 3, second form: delay of a wire ``n_pitches`` pitches long.
-
-    rho*kappa*(L/lambda)^2 -- demonstrates the pitch-invariance of the
-    delay of *scaled* wires.
-    """
-    return wire_delay(geom, n_pitches * geom.pitch)
-
-
 @validated(_result_finite=True, length="non-negative",
            vdd="non-negative", activity="non-negative")
 def wire_energy(geom: WireGeometry, length: float, vdd: float,
@@ -150,20 +139,3 @@ def wire_energy(geom: WireGeometry, length: float, vdd: float,
     """
     c = capacitance_per_length(geom)
     return activity * c * length * vdd ** 2
-
-
-def rc_time_constant(geom: WireGeometry, length: float) -> float:
-    """Lumped RC product r*c*L^2 [s] (no 1/2 factor)."""
-    return 2.0 * wire_delay(geom, length)
-
-
-def delay_table_vs_length(node: TechnologyNode,
-                          lengths: Sequence[float],
-                          layer: int = 1) -> List[Dict[str, float]]:
-    """Tabulate wire delay vs length for reports and benchmarks."""
-    geom = WireGeometry.for_node(node, layer)
-    return [{
-        "length_um": length * 1e6,
-        "delay_ps": wire_delay(geom, length) * 1e12,
-        "n_pitches": length / geom.pitch,
-    } for length in lengths]

@@ -21,8 +21,9 @@ code      name                      invariant
                                     project call graph
 ``R009``  twin-signature-parity     ``X``/``X_batch`` twin signatures
                                     agree modulo the batching axis
-``R010``  dead-public-api           public functions are referenced or
-                                    exported somewhere in the project
+``R010``  dead-public-api           public functions are used outside
+                                    their body or in their own module's
+                                    ``__all__``; re-exports do not count
 ========  ========================  =======================================
 
 R001, R003 and R005 are syntactic and check one file at a time.

@@ -16,6 +16,10 @@ from .engine import iter_rule_docs, run_lint
 from .sarif import to_sarif
 from .semantic.cache import DEFAULT_CACHE_DIR
 
+#: The library and every tree that calls it: R010 counts a figure,
+#: example or perfbench workload as a user of the library.
+DEFAULT_PATHS = ("src/repro", "benchmarks", "examples", "perfbench")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -26,8 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "vectorization safety, transitive determinism, "
                      "twin-signature parity, dead-API detection)."))
     parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)")
+        "paths", nargs="*", default=list(DEFAULT_PATHS),
+        help=f"files or directories to lint (default: "
+             f"{' '.join(DEFAULT_PATHS)})")
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text)")

@@ -4,8 +4,8 @@ A :class:`SemanticModel` bundles the per-file summaries (cache-served
 or freshly extracted) with the :class:`~repro.lint.semantic.callgraph.
 CallGraph` built from them, and pre-digests the project-wide facts
 the R008-R010 rules query: determinism roots (shard entry points plus
-the listed :data:`DETERMINISM_ROOTS`) and the merged reference/export
-tables for liveness analysis.
+the listed :data:`DETERMINISM_ROOTS`) and the merged reference table
+for liveness analysis.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class SemanticModel:
     #: path string -> that file's summary.
     summaries: Dict[str, FileSummary]
     graph: CallGraph
-    #: bare name -> True when referenced outside the function's own
-    #: body somewhere in the project (or exported via ``__all__``).
-    _live_names: Set[str] = field(default_factory=set)
     #: bare name -> owners that reference it ("module.owner" tags).
     _reference_owners: Dict[str, Set[str]] = field(default_factory=dict)
 
@@ -77,12 +74,6 @@ class SemanticModel:
         # not make it live: its owner tag equals the qualname.
         return any(owner != fn.qual for owner in owners)
 
-    def live_names(self) -> Set[str]:
-        return set(self._live_names)
-
-    def reference_owners(self, name: str) -> Set[str]:
-        return set(self._reference_owners.get(name, ()))
-
 
 def build_semantic_model(
         summaries: Dict[str, FileSummary]) -> SemanticModel:
@@ -98,7 +89,4 @@ def build_semantic_model(
                 # referencing itself in another module still counts.
                 bucket.add(f"{summary.module}.{owner}" if owner
                            else f"{summary.module}:<toplevel>")
-            model._live_names.add(name)
-        for exported in summary.exports:
-            model._live_names.add(exported)
     return model

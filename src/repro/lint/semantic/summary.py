@@ -36,7 +36,7 @@ from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 4
+SUMMARY_SCHEMA_VERSION = 5
 
 #: Raising one of these counts as an explicit domain guard.
 _TAXONOMY_ERRORS = frozenset({
@@ -137,7 +137,8 @@ class FileSummary:
     #: bare imported name -> absolute repro target ("repro.x.y.name")
     aliases: Dict[str, str] = field(default_factory=dict)
     #: referenced bare name -> sorted owners ("" = module level / class
-    #: body / method; otherwise the enclosing top-level function name)
+    #: body / method; otherwise the enclosing top-level function name).
+    #: A package ``__init__``'s ``from .x import f`` is not recorded.
     references: Dict[str, List[str]] = field(default_factory=dict)
     exports: List[str] = field(default_factory=list)   # __all__ strings
     #: documented waivers: effective line -> codes; file-wide codes;
@@ -408,6 +409,8 @@ def _literal_str(node: Optional[ast.AST]) -> Optional[str]:
 def _collect_references(info: ModuleInfo,
                         summary: FileSummary) -> None:
     references: Dict[str, set] = {}
+    # A package ``__init__`` that imports a name only re-exports it.
+    is_package = info.path.stem == "__init__"
 
     def note(name: str, owner: str) -> None:
         references.setdefault(name, set()).add(owner)
@@ -419,7 +422,7 @@ def _collect_references(info: ModuleInfo,
                 note(child.id, owner)
             elif isinstance(child, ast.Attribute):
                 note(child.attr, owner)
-            elif isinstance(child, ast.ImportFrom):
+            elif isinstance(child, ast.ImportFrom) and not is_package:
                 for alias in child.names:
                     note(alias.name, owner)
             child_owner = owner

@@ -7,12 +7,10 @@ from .sram import (
     snm_trend,
     snm_under_mismatch,
 )
-from .array import ArraySpec, SramArray, array_trend
+from .array import ArraySpec, SramArray
 from .sense_amp import (
     SenseAmp,
-    offset_compensation_benefit,
     read_access_with_offset,
-    sense_margin_trend,
 )
 from .lowpower import (
     RetentionResult,
@@ -26,9 +24,8 @@ from .lowpower import (
 __all__ = [
     "SramCell", "SramCellDesign", "cell_failure_probability",
     "snm_trend", "snm_under_mismatch",
-    "ArraySpec", "SramArray", "array_trend",
-    "SenseAmp", "offset_compensation_benefit",
-    "read_access_with_offset", "sense_margin_trend",
+    "ArraySpec", "SramArray",
+    "SenseAmp", "read_access_with_offset",
     "RetentionResult", "body_bias_retention", "drowsy_mode",
     "minimum_retention_voltage", "power_gate_array",
     "retention_techniques_trend",

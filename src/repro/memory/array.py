@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..technology.node import TechnologyNode
 from ..interconnect.wire import WireGeometry, capacitance_per_length, \
@@ -130,19 +130,3 @@ class SramArray:
             "array_yield": math.exp(log_yield),
             "capacity_bits": float(bits),
         }
-
-
-def array_trend(nodes: Sequence[TechnologyNode],
-                spec: ArraySpec = ArraySpec()) -> List[Dict[str, float]]:
-    """Access time, leakage and density per node for one macro spec."""
-    rows = []
-    for node in nodes:
-        array = SramArray(node, spec)
-        rows.append({
-            "node": node.name,
-            "access_time_ns": array.access_time() * 1e9,
-            "leakage_uW": array.total_leakage() * 1e6,
-            "area_mm2": array.area() * 1e6,
-            "bits_per_mm2": spec.capacity_bits / (array.area() * 1e6),
-        })
-    return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..technology.node import TechnologyNode
 from ..variability.pelgrom import sigma_delta_vth
@@ -99,52 +99,3 @@ def read_access_with_offset(node: TechnologyNode,
         "swing_time_ns": swing_time * 1e9,
         "access_time_ns": access * 1e9,
     }
-
-
-def sense_margin_trend(nodes: Sequence[TechnologyNode],
-                       sigma_level: float = 5.0
-                       ) -> List[Dict[str, float]]:
-    """Required swing as a fraction of V_DD per node.
-
-    Both jaws of the vise close together: sigma grows while V_DD
-    (hence the maximum available differential) shrinks.
-    """
-    rows = []
-    for node in nodes:
-        sense = SenseAmp.sized_for(node)
-        swing = sense.required_swing(sigma_level)
-        rows.append({
-            "node": node.name,
-            "offset_sigma_mV": sense.offset_sigma * 1e3,
-            "required_swing_mV": swing * 1e3,
-            "swing_over_vdd": swing / node.vdd,
-        })
-    return rows
-
-
-def offset_compensation_benefit(node: TechnologyNode,
-                                area_factors: Sequence[float] =
-                                (1, 4, 16),
-                                sigma_level: float = 5.0
-                                ) -> List[Dict[str, float]]:
-    """Upsizing vs offset-cancellation for the sense amplifier.
-
-    Offset cancellation (auto-zeroing) divides the effective offset by
-    ~10 at the cost of an extra clock phase -- usually cheaper than
-    the 100x area that buys the same 10x sigma reduction.
-    """
-    rows = []
-    for factor in area_factors:
-        sense = SenseAmp.sized_for(node, area_factor=factor)
-        rows.append({
-            "technique": f"area x{factor:g}",
-            "required_swing_mV":
-                sense.required_swing(sigma_level) * 1e3,
-        })
-    cancelled = SenseAmp.sized_for(node, area_factor=1.0)
-    rows.append({
-        "technique": "auto-zeroed (10x offset cut)",
-        "required_swing_mV":
-            cancelled.required_swing(sigma_level) / 10.0 * 1e3,
-    })
-    return rows

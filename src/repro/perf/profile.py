@@ -19,6 +19,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TypeVar
 
+#: The documented way to read and reset the ``timed()`` registry
+#: (docs/architecture.md); no library code calls them.
+__all__ = ["profile_report", "reset_profile"]
+
 F = TypeVar("F", bound=Callable[..., Any])
 
 _RECORDS: Dict[str, "TimingRecord"] = {}

@@ -71,8 +71,8 @@ def resolve_rng(rng: Optional[np.random.Generator] = None,
     deterministic child of the package root stream.
 
     Raises :class:`ModelDomainError` for a non-``Generator`` ``rng``
-    or a non-integer ``seed`` instead of letting numpy throw a bare
-    ``TypeError`` deep inside a sweep.
+    or a non-integer or negative ``seed`` instead of letting numpy
+    throw a bare ``TypeError``/``ValueError`` deep inside a sweep.
     """
     if rng is not None:
         if not isinstance(rng, np.random.Generator):
@@ -85,5 +85,7 @@ def resolve_rng(rng: Optional[np.random.Generator] = None,
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise ModelDomainError(
                 f"seed must be an integer or SeedSequence, got {seed!r}")
+        if seed < 0:
+            raise ModelDomainError(f"seed must be >= 0, got {seed}")
         return np.random.default_rng(int(seed))
     return np.random.default_rng(spawn_seed())

@@ -12,7 +12,6 @@ from .coupling import (
     SupplyRail,
     capacitive_crosstalk_ratio,
     crosstalk_trend,
-    inductive_coupling_voltage,
     simultaneous_switching_noise,
     supply_bounce,
 )
@@ -49,7 +48,7 @@ __all__ = [
     "Spectrum", "SpurReport", "VcoModel", "spectrum_of",
     "synthetic_clock_noise", "vco_spur_experiment",
     "SupplyRail", "capacitive_crosstalk_ratio", "crosstalk_trend",
-    "inductive_coupling_voltage", "simultaneous_switching_noise",
+    "simultaneous_switching_noise",
     "supply_bounce",
     "CELLULAR_MASK", "WLAN_MASK", "ComplianceReport", "EmissionMask",
     "check_spurs", "compliance_sweep", "max_tolerable_noise",

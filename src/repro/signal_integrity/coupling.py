@@ -54,18 +54,6 @@ def crosstalk_trend(nodes: Sequence[TechnologyNode],
     return rows
 
 
-def inductive_coupling_voltage(di_dt: float,
-                               mutual_inductance: float = 1e-9) -> float:
-    """Induced victim voltage [V] = M * di/dt.
-
-    ``mutual_inductance`` defaults to 1 nH (adjacent package bond
-    wires); relevant "at higher frequencies" per the paper.
-    """
-    if mutual_inductance < 0:
-        raise ModelDomainError("mutual_inductance must be non-negative")
-    return mutual_inductance * di_dt
-
-
 @dataclass(frozen=True)
 class SupplyRail:
     """Power-delivery parasitics of one supply domain."""

@@ -3,7 +3,6 @@
 from .mesh import (
     SubstrateMesh,
     SubstrateProcess,
-    isolation_vs_distance,
 )
 from .injection import (
     INJECTION_FRACTION,
@@ -27,7 +26,7 @@ from .swan import (
 )
 
 __all__ = [
-    "SubstrateMesh", "SubstrateProcess", "isolation_vs_distance",
+    "SubstrateMesh", "SubstrateProcess",
     "INJECTION_FRACTION", "InjectionMacromodel", "characterize_cell",
     "characterize_library",
     "EPI_PROCESS", "HIGH_OHMIC_PROCESS", "IsolationStudy",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 from ..robust.errors import ModelDomainError, ModelIndexError
@@ -289,27 +289,3 @@ class SubstrateMesh:
     def spreading_impedance(self, node: int) -> float:
         """Self (spreading) impedance of one node [ohm]."""
         return float(self.transfer_impedance_to(node)[node])
-
-
-def isolation_vs_distance(mesh: SubstrateMesh, injector_xy: Tuple[float, float],
-                          distances: Sequence[float]
-                          ) -> List[Dict[str, float]]:
-    """Coupling attenuation vs injector-sensor separation.
-
-    The classic EPI-substrate result: attenuation grows with distance
-    until the common backplane path dominates, after which moving
-    further away no longer helps (isolation saturates).
-    """
-    ix, iy = injector_xy
-    injector = mesh.node_at(ix, iy)
-    rows = []
-    for distance in distances:
-        sensor = mesh.node_at(ix + distance, iy)
-        z = mesh.transfer_impedance_to(sensor)
-        rows.append({
-            "distance_um": distance * 1e6,
-            "transfer_ohm": float(z[injector]),
-            "self_ohm": float(z[sensor]),
-            "coupling": float(z[injector]) / float(z[sensor]),
-        })
-    return rows

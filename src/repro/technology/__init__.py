@@ -1,7 +1,7 @@
 """CMOS technology substrate: node parameters and material models."""
 
 from .node import TechnologyNode
-from .library import all_nodes, available_nodes, get_node, nodes_below
+from .library import all_nodes, get_node
 from .materials import (
     CONDUCTORS,
     GATE_DIELECTRICS,
@@ -15,9 +15,7 @@ from .materials import (
 __all__ = [
     "TechnologyNode",
     "all_nodes",
-    "available_nodes",
     "get_node",
-    "nodes_below",
     "CONDUCTORS",
     "GATE_DIELECTRICS",
     "INTER_METAL_DIELECTRICS",

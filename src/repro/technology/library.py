@@ -18,7 +18,6 @@ from typing import Dict, List
 from ..perf.cache import memoized
 from ..robust.errors import RoadmapDataError
 from .node import TechnologyNode
-from ..robust.validate import validated
 
 # Each tuple: (feature nm, VDD V, VT V, tox nm, M1 pitch nm, N_A 1/m^3,
 #              n, DIBL V/V, body factor, AVT mV*um, alpha, metal layers,
@@ -92,11 +91,6 @@ _LIBRARY: Dict[str, TechnologyNode] = {
 }
 
 
-def available_nodes() -> List[str]:
-    """Return the names of the built-in nodes, largest feature first."""
-    return list(_LIBRARY)
-
-
 @memoized("technology.get_node")
 def get_node(name: str) -> TechnologyNode:
     """Look up a built-in node by name (e.g. ``"65nm"``).
@@ -120,10 +114,3 @@ def get_node(name: str) -> TechnologyNode:
 def all_nodes() -> List[TechnologyNode]:
     """Return every built-in node, largest feature size first."""
     return list(_LIBRARY.values())
-
-
-@validated(feature_size_nm="positive")
-def nodes_below(feature_size_nm: float) -> List[TechnologyNode]:
-    """Return built-in nodes with feature size <= ``feature_size_nm``."""
-    return [node for node in _LIBRARY.values()
-            if node.feature_size <= feature_size_nm * 1e-9]

@@ -5,7 +5,6 @@ from .electrothermal import (
     ElectrothermalBatch,
     ElectrothermalResult,
     electrothermal_rth_sweep,
-    electrothermal_trend,
     fixed_die_electrothermal_trend,
     runaway_rth_threshold,
     runaway_rth_thresholds,
@@ -16,7 +15,7 @@ from .electrothermal import (
 __all__ = [
     "K_SILICON", "ThermalMesh", "ThermalStack",
     "ElectrothermalBatch", "ElectrothermalResult",
-    "electrothermal_rth_sweep", "electrothermal_trend",
+    "electrothermal_rth_sweep",
     "fixed_die_electrothermal_trend",
     "runaway_rth_threshold", "runaway_rth_thresholds",
     "solve_operating_point", "solve_operating_point_batch",

@@ -623,30 +623,3 @@ def fixed_die_electrothermal_trend(nodes: Sequence[TechnologyNode],
             "runaway": float(result.runaway),
         })
     return rows
-
-
-def electrothermal_trend(nodes: Sequence[TechnologyNode],
-                         n_gates: int = 1_000_000,
-                         frequency: float = 1e9,
-                         stack: ThermalStack = ThermalStack()
-                         ) -> List[Dict[str, float]]:
-    """Self-consistent junction temperature and feedback per node,
-    all nodes solved in one batched fixed-point iteration."""
-    nodes = list(nodes)
-    if not nodes:
-        return []
-    batch = solve_operating_point_batch(
-        nodes, rth=stack.rth_junction_to_ambient, n_gates=n_gates,
-        frequency=frequency, ambient=stack.ambient)
-    rows = []
-    for i, node in enumerate(nodes):
-        result = batch.result(i)
-        rows.append({
-            "node": node.name,
-            "junction_K": result.junction_temperature,
-            "junction_C": result.junction_temperature - 273.15,
-            "leakage_W": result.leakage_power,
-            "feedback_amplification": result.feedback_amplification,
-            "runaway": float(result.runaway),
-        })
-    return rows

@@ -19,7 +19,6 @@ from .pelgrom import (
     MismatchSample,
     MismatchSampler,
     area_for_matching,
-    matching_area_trend,
     offset_sigma_diff_pair,
     sigma_capacitor_mismatch,
     sigma_delta_beta,
@@ -43,7 +42,6 @@ from .statistical import (
     monte_carlo_yield,
     monte_carlo_yield_batch,
     relative_variability_trend,
-    worst_case_value,
 )
 
 __all__ = [
@@ -52,7 +50,7 @@ __all__ = [
     "LerParameters", "current_spread_from_ler", "effective_length_profile",
     "generate_edge", "relative_ler_trend",
     "MismatchSample", "MismatchSampler", "area_for_matching",
-    "matching_area_trend", "offset_sigma_diff_pair",
+    "offset_sigma_diff_pair",
     "sigma_capacitor_mismatch", "sigma_delta_beta", "sigma_delta_vth",
     "sigma_resistor_mismatch",
     "SpatialSpec", "VtMap", "common_centroid_benefit",
@@ -60,5 +58,4 @@ __all__ = [
     "DieBatch", "MonteCarloSampler", "SampledDevice", "SampledDie",
     "VariationSpec", "YieldResult", "monte_carlo_yield",
     "monte_carlo_yield_batch", "relative_variability_trend",
-    "worst_case_value",
 ]

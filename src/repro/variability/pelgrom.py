@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,27 +64,6 @@ def area_for_matching(node: TechnologyNode, sigma_vth_target: float) -> float:
     so analog blocks do not shrink with scaling.
     """
     return (node.avt / sigma_vth_target) ** 2
-
-
-def matching_area_trend(nodes: Sequence[TechnologyNode],
-                        sigma_vth_target: float = 1e-3
-                        ) -> List[Dict[str, float]]:
-    """Required matched-pair area per node vs the minimum device area.
-
-    The ratio explodes with scaling: matched area shrinks only with
-    A_VT (~t_ox) while minimum area shrinks with L^2.
-    """
-    rows = []
-    for node in nodes:
-        required = area_for_matching(node, sigma_vth_target)
-        minimum = node.feature_size ** 2
-        rows.append({
-            "node": node.name,
-            "required_area_um2": required * 1e12,
-            "min_device_area_um2": minimum * 1e12,
-            "area_ratio": required / minimum,
-        })
-    return rows
 
 
 class MismatchSampler:

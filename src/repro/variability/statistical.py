@@ -452,13 +452,6 @@ def monte_carlo_yield_batch(sampler: MonteCarloSampler,
                        passed=np.asarray(ok, dtype=bool))
 
 
-@validated(nominal="finite", sigma="non-negative", n_sigma="non-negative")
-def worst_case_value(nominal: float, sigma: float, n_sigma: float = 3.0,
-                     upper: bool = True) -> float:
-    """Classic worst-case corner value: nominal +/- n_sigma * sigma."""
-    return nominal + (n_sigma if upper else -n_sigma) * sigma
-
-
 @validated(absolute_sigma_vth="positive")
 def relative_variability_trend(nodes: Sequence[TechnologyNode],
                                absolute_sigma_vth: float = 0.015

@@ -8,8 +8,7 @@ from repro.analog import (SURVEY, AdcDesign, analog_power_trend,
                           digital_power_trend, headroom_trend, limit_gap,
                           minimum_adc_power, mismatch_limited_power,
                           power_ratio, resolution_speed_frontier,
-                          sample_synthetic_survey, survey_points,
-                          survey_vs_limits)
+                          sample_synthetic_survey, survey_vs_limits)
 from repro.technology import all_nodes, get_node
 
 
@@ -25,7 +24,7 @@ class TestSurvey:
         assert {"flash", "pipeline", "sar", "sigma-delta"} <= architectures
 
     def test_points_projection(self):
-        points = survey_points()
+        points = [design.to_tradeoff_point() for design in SURVEY]
         assert len(points) == len(SURVEY)
         assert all(p.figure_of_merit > 0 for p in points)
 

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.analog import (OtaDesign, ScAmplifier, SingleStageOta,
-                          design_sc_stage, settling_budget_sweep,
-                          speed_accuracy_power_point,
+                          accuracy_from_bits, design_sc_stage,
                           thermal_noise_constant)
 from repro.technology import get_node
 
@@ -71,21 +70,20 @@ class TestScAmplifier:
 
 
 class TestSweepAndFom:
-    def test_sweep_monotone(self, node, ota_design):
-        rows = settling_budget_sweep(node, ota_design)
-        clocks = [row["f_max_MHz"] for row in rows]
+    def test_sweep_monotone(self, stage):
+        clocks = [stage.max_clock(0.5, bits) for bits in (6, 8, 10, 12)]
         assert clocks == sorted(clocks, reverse=True)
 
-    def test_fom_above_thermal_limit(self, node, ota_design):
+    def test_fom_above_thermal_limit(self, stage):
         """No real circuit beats kT: the eq. 4 sanity check."""
-        point = speed_accuracy_power_point(node, ota_design)
-        assert point["fom_J"] > thermal_noise_constant(
-            efficiency=1.0)
+        fom = stage.ota.power / (stage.max_clock(0.5, 10.0)
+                                 * accuracy_from_bits(10.0) ** 2)
+        assert fom > thermal_noise_constant(efficiency=1.0)
 
     def test_more_current_faster_clock(self, node, ota_design):
         import dataclasses
         hot = dataclasses.replace(ota_design, tail_current=1.6e-3)
-        slow = speed_accuracy_power_point(node, ota_design)
-        fast = speed_accuracy_power_point(node, hot)
-        assert fast["f_max_Hz"] > slow["f_max_Hz"]
-        assert fast["power_W"] > slow["power_W"]
+        slow = design_sc_stage(node, ota_design)
+        fast = design_sc_stage(node, hot)
+        assert fast.max_clock(0.5, 10.0) > slow.max_clock(0.5, 10.0)
+        assert fast.ota.power > slow.ota.power

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from repro.analog import (TradeoffPoint, accuracy_from_bits,
                           bits_from_accuracy, limit_gap, minimum_power,
-                          mismatch_constant, power_trend_fixed_spec,
-                          thermal_noise_constant, tradeoff_plane)
+                          mismatch_constant, thermal_noise_constant,
+                          tradeoff_plane)
 from repro.technology import all_nodes, get_node
 
 
@@ -106,9 +106,11 @@ class TestPlane:
     def test_power_trend_improves_with_matching(self):
         """Mismatch-limited power falls as A_VT improves (the half of
         the argument *before* the supply penalty)."""
-        rows = power_trend_fixed_spec(all_nodes())
-        powers = [row["mismatch_limit_mW"] for row in rows]
+        accuracy = accuracy_from_bits(10.0)
+        limits = [minimum_power(100e6, accuracy, node)
+                  for node in all_nodes()]
+        powers = [row["mismatch_W"] for row in limits]
         assert powers == sorted(powers, reverse=True)
         # Thermal limit stays constant across nodes.
-        thermals = {row["thermal_limit_mW"] for row in rows}
+        thermals = {row["thermal_W"] for row in limits}
         assert len(thermals) == 1

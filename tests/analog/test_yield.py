@@ -5,10 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analog import (OtaDesign, OtaYieldAnalyzer,
-                          area_for_offset_yield, offset_yield,
+from repro.analog import (OtaDesign, OtaYieldAnalyzer, offset_yield,
                           yield_vs_area)
-from repro.variability import sigma_delta_vth
+from repro.variability import area_for_matching, sigma_delta_vth
 from repro.technology import get_node
 
 
@@ -60,24 +59,18 @@ class TestYieldVsArea:
             2.0 * rows[1]["sigma_offset_mV"], rel=1e-6)
 
     def test_area_for_yield_inverse(self, node):
-        area = area_for_offset_yield(node, offset_limit=3e-3,
-                                     sigma_level=3.0)
+        """A 3 mV offset at 3 sigma: the Pelgrom area for 1 mV sigma."""
+        area = area_for_matching(node, 3e-3 / 3.0)
         width = math.sqrt(area)
         sigma = sigma_delta_vth(node, width, width)
         assert 3e-3 / sigma == pytest.approx(3.0, rel=1e-6)
-
-    def test_area_for_yield_validation(self, node):
-        with pytest.raises(ValueError):
-            area_for_offset_yield(node, offset_limit=-1.0)
 
     def test_smaller_node_needs_relatively_more(self):
         """Same offset spec costs more minimum-device-areas at 65 nm."""
         old = get_node("350nm")
         new = get_node("65nm")
-        ratio_old = area_for_offset_yield(old, 3e-3) \
-            / old.feature_size ** 2
-        ratio_new = area_for_offset_yield(new, 3e-3) \
-            / new.feature_size ** 2
+        ratio_old = area_for_matching(old, 1e-3) / old.feature_size ** 2
+        ratio_new = area_for_matching(new, 1e-3) / new.feature_size ** 2
         assert ratio_new > ratio_old
 
 

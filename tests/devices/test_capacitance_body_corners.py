@@ -6,11 +6,10 @@ import pytest
 
 from repro.devices import (Corner, InterDieSigmas, apply_corner,
                            body_bias_effectiveness, body_effect_gamma,
-                           corner_spread_summary, corner_vth_pair,
-                           device_capacitances,
+                           corner_spread_summary, device_capacitances,
                            inverter_input_capacitance,
-                           inverter_self_load, iter_corners,
-                           junction_capacitance, overlap_capacitance,
+                           inverter_self_load, junction_capacitance,
+                           overlap_capacitance,
                            required_vsb_for_reduction, vth_with_body_bias,
                            worst_case_vth)
 from repro.technology import all_nodes, get_node
@@ -107,13 +106,6 @@ class TestCorners:
     def test_ff_is_fast(self, node):
         ff = apply_corner(node, Corner.FF)
         assert ff.vth < node.vth
-
-    def test_fs_splits_polarities(self, node):
-        pair = corner_vth_pair(node, Corner.FS)
-        assert pair["nmos"] < node.vth < pair["pmos"]
-
-    def test_iter_corners_yields_five(self, node):
-        assert len(list(iter_corners(node))) == 5
 
     def test_worst_case_vth(self, node):
         sigmas = InterDieSigmas(vth=0.02)

@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from repro.digital import (EventDrivenSimulator, analytic_power_estimate,
-                           apply_vtcmos_standby, assign_dual_vth,
-                           energy_vs_delay_curve, insert_power_gating,
+from repro.digital import (analytic_power_estimate, apply_vtcmos_standby,
+                           assign_dual_vth, insert_power_gating,
                            leakage_fraction_trend,
-                           leakage_ratio_for_vth_delta, power_report,
-                           random_stimulus, ripple_adder, size_for_delay,
-                           stage_delay, stage_energy,
+                           leakage_ratio_for_vth_delta, ripple_adder,
+                           size_for_delay, stage_delay, stage_energy,
                            worst_case_energy_trend, worst_case_penalty)
+from repro.devices import inverter_input_capacitance
 from repro.technology import all_nodes, get_node
 
 
@@ -25,24 +24,18 @@ def adder(node):
     return ripple_adder(node, width=4)
 
 
-@pytest.fixture(scope="module")
-def sim_result(adder):
-    sim = EventDrivenSimulator(adder, clock_period=2e-9)
-    return sim.run(random_stimulus(adder, 10, seed=0), 10)
-
-
 class TestPowerReport:
-    def test_breakdown_sums(self, adder, sim_result):
-        report = power_report(adder, sim_result)
+    def test_breakdown_sums(self, node):
+        report = analytic_power_estimate(node, 1000, 1e9)
         assert report.total == pytest.approx(
             report.dynamic + report.short_circuit + report.leakage)
 
-    def test_dynamic_dominates_at_high_activity(self, adder, sim_result):
-        report = power_report(adder, sim_result)
+    def test_dynamic_dominates_at_high_activity(self, node):
+        report = analytic_power_estimate(node, 1000, 1e9, activity=0.5)
         assert report.dynamic > report.leakage
 
-    def test_leakage_fraction_bounds(self, adder, sim_result):
-        report = power_report(adder, sim_result)
+    def test_leakage_fraction_bounds(self, node):
+        report = analytic_power_estimate(node, 1000, 1e9)
         assert 0 <= report.leakage_fraction < 1
 
     def test_analytic_estimate_scales_with_gates(self, node):
@@ -137,9 +130,10 @@ class TestWorstCasePenalty:
     def test_energy_delay_curve_monotone(self, node):
         import numpy as np
         base = worst_case_penalty(node).nominal.delay
-        rows = energy_vs_delay_curve(
-            node, list(np.linspace(base, 3 * base, 6)))
-        energies = [row["energy_fJ"] for row in rows]
+        load = 8.0 * inverter_input_capacitance(node,
+                                                2.0 * node.feature_size)
+        energies = [size_for_delay(node, target, load).energy
+                    for target in np.linspace(base, 3 * base, 6)]
         assert energies == sorted(energies, reverse=True)
 
 

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.digital import (EventDrivenSimulator, array_multiplier,
-                           clocked_datapath, estimate_gates_for_target,
-                           lfsr, random_logic, ripple_adder)
+from repro.digital import (EventDrivenSimulator, clocked_datapath,
+                           estimate_gates_for_target, random_logic,
+                           random_stimulus, ripple_adder)
 from repro.technology import get_node
+
+from netlists import array_multiplier, fir_filter, lfsr
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +118,12 @@ class TestClockedDatapath:
 
 class TestFirFilter:
     def test_gate_count_scales(self, node):
-        from repro.digital import fir_filter
         small = fir_filter(node, n_taps=2, data_width=2)
         big = fir_filter(node, n_taps=6, data_width=6)
         assert big.gate_count() > 3 * small.gate_count()
 
     def test_zero_coefficients_zero_output(self, node):
         """All coefficient bits low: the accumulator stays zero."""
-        from repro.digital import fir_filter
         fir = fir_filter(node, n_taps=3, data_width=3)
         state = {}
         inputs = {"en": True, "zero": False,
@@ -135,7 +135,6 @@ class TestFirFilter:
 
     def test_passthrough_single_tap_coefficient(self, node):
         """Only c0 set: the output registers the previous sample."""
-        from repro.digital import fir_filter
         fir = fir_filter(node, n_taps=3, data_width=3)
         state = {}
         inputs = {"en": True, "zero": False,
@@ -148,8 +147,6 @@ class TestFirFilter:
         assert values["y2"] is True
 
     def test_produces_switching_activity(self, node):
-        from repro.digital import (EventDrivenSimulator, fir_filter,
-                                   random_stimulus)
         fir = fir_filter(node, n_taps=4, data_width=4)
         sim = EventDrivenSimulator(fir, clock_period=2e-9)
         result = sim.run(random_stimulus(fir, 8, seed=0,
@@ -157,7 +154,6 @@ class TestFirFilter:
         assert result.toggle_count() > 50
 
     def test_validation(self, node):
-        from repro.digital import fir_filter
         import pytest as _pytest
         with _pytest.raises(ValueError):
             fir_filter(node, n_taps=1)

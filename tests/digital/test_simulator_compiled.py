@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.digital import (CELL_TYPES, Cell, CompiledEventEngine,
                            EventDrivenSimulator, EventTrace, Netlist,
-                           clocked_datapath, fir_filter, lfsr,
-                           random_logic, random_stimulus, ripple_adder,
-                           soc_netlist)
+                           clocked_datapath, random_logic,
+                           random_stimulus, ripple_adder, soc_netlist)
 from repro.robust.errors import ModelDomainError, SimulationBudgetError
 from repro.technology import get_node
+
+from netlists import fir_filter, lfsr
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,11 @@ import pytest
 
 from repro.digital import (EventDrivenSimulator, Netlist,
                            StaticTimingAnalyzer, critical_delay,
-                           delay_under_mismatch, lfsr, random_stimulus,
+                           delay_under_mismatch, random_stimulus,
                            ripple_adder)
 from repro.technology import get_node
+
+from netlists import lfsr
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,12 @@ import pytest
 
 from repro.digital import (StatisticalTimingAnalyzer,
                            corner_vs_statistical_margin, critical_delay,
-                           decoder, depth_averaging_study,
-                           equality_comparator, kogge_stone_adder,
+                           depth_averaging_study, kogge_stone_adder,
                            ripple_adder)
 from repro.variability import VariationSpec
 from repro.technology import get_node
+
+from netlists import decoder, equality_comparator
 
 
 @pytest.fixture(scope="module")
@@ -147,26 +148,3 @@ class TestDepthAveraging:
                                      n_samples=250, seed=1)
         ratio = rows[0]["sigma_over_mean"] / rows[1]["sigma_over_mean"]
         assert ratio == pytest.approx(4.0, rel=0.4)
-
-
-class TestSpatialSsta:
-    def test_correlation_inflates_sigma(self, node):
-        """Correlated variation averages less: independent-mismatch
-        SSTA underestimates the true path-delay sigma."""
-        from repro.digital import spatially_correlated_ssta, ripple_adder
-        result = spatially_correlated_ssta(
-            ripple_adder(node, width=8), n_samples=60, seed=0)
-        assert result["underestimation"] > 1.2
-
-    def test_means_agree(self, node):
-        from repro.digital import spatially_correlated_ssta, ripple_adder
-        result = spatially_correlated_ssta(
-            ripple_adder(node, width=6), n_samples=60, seed=1)
-        assert result["mean_correlated_ps"] == pytest.approx(
-            result["mean_independent_ps"], rel=0.05)
-
-    def test_rejects_tiny_sample(self, node):
-        from repro.digital import spatially_correlated_ssta, ripple_adder
-        with pytest.raises(ValueError):
-            spatially_correlated_ssta(ripple_adder(node, 4),
-                                      n_samples=1)

@@ -7,7 +7,8 @@ instance graph (driver -> load per input net, in-edges of sequential
 cells cut).  The oracle builds that graph with networkx and is
 compared on hypothesis netlists with flip-flop feedback, self-fed
 flip-flops, a net on several pins of one gate, undriven nets and
-loads added before their driver, and on every library generator.
+loads added before their driver, and on every library generator and
+test netlist builder.
 The compiled event engine's settle levels, which come from its own
 array Kahn pass, are checked against the same order.
 """
@@ -21,6 +22,8 @@ from repro.digital import (CELL_TYPES, CompiledEventEngine,
                            StaticTimingAnalyzer, generators)
 from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
+
+import netlists as builders
 
 NODE = get_node("65nm")
 LOOP = r"^netlist contains a combinational loop$"
@@ -115,17 +118,17 @@ class TestNetworkxOracle:
 
     @pytest.mark.parametrize("build", [
         lambda: generators.ripple_adder(NODE, 6),
-        lambda: generators.array_multiplier(NODE, 4),
-        lambda: generators.lfsr(NODE, 8),
+        lambda: builders.array_multiplier(NODE, 4),
+        lambda: builders.lfsr(NODE, 8),
         lambda: generators.random_logic(NODE, 150, seed=3,
                                         sequential_fraction=0.2),
         lambda: generators.clocked_datapath(NODE, 4, 3, seed=2),
         lambda: generators.soc_netlist(NODE, target_gates=1500,
                                        n_blocks=3, seed=5),
         lambda: generators.kogge_stone_adder(NODE, 8),
-        lambda: generators.decoder(NODE, 3),
-        lambda: generators.equality_comparator(NODE, 7),
-        lambda: generators.fir_filter(NODE, 3, 3),
+        lambda: builders.decoder(NODE, 3),
+        lambda: builders.equality_comparator(NODE, 7),
+        lambda: builders.fir_filter(NODE, 3, 3),
     ], ids=["ripple", "multiplier", "lfsr", "random", "datapath", "soc",
             "kogge_stone", "decoder", "comparator", "fir"])
     def test_generators_match_networkx(self, build):

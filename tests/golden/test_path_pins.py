@@ -43,7 +43,7 @@ from repro.synthesis.sizing import (default_frontend_spec,
                                     default_ota_spec, frontend_synthesizer,
                                     ota_synthesizer)
 from repro.technology import all_nodes, get_node
-from repro.thermal import (electrothermal_rth_sweep, electrothermal_trend,
+from repro.thermal import (electrothermal_rth_sweep,
                            fixed_die_electrothermal_trend,
                            runaway_rth_threshold)
 
@@ -464,11 +464,6 @@ class TestElectrothermalPins:
         assert repr_digest(rows) == (
             "72dd0eeec54bfb2a1bc1493a37e8c23d"
             "d719ce2dbb18fa09f83432edb25577b2")
-
-    def test_trend(self):
-        assert repr_digest(electrothermal_trend(all_nodes())) == (
-            "a76808ff49d53bb40910dc6181b422e1"
-            "fa13c434bae8db89f9afc8bdc1edd5e8")
 
     def test_fixed_die_trend(self):
         assert repr_digest(fixed_die_electrothermal_trend(all_nodes())) \

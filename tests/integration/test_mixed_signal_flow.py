@@ -3,22 +3,19 @@
 Exercises the longest dependency chains in the library in one pass:
 
 digital netlist -> event simulation -> SWAN injection -> substrate
-mesh -> noise waveform -> VCO modulation -> spectrum -> emission mask,
-and digital netlist -> power -> thermal -> hot leakage.
+mesh -> noise waveform -> VCO modulation -> spectrum -> emission mask.
 """
 
 import numpy as np
 import pytest
 
-from repro.digital import (EventDrivenSimulator, clocked_datapath,
-                           power_report, random_stimulus)
+from repro.digital import clocked_datapath
 from repro.signal_integrity import (WLAN_MASK, VcoModel, check_spurs,
                                     rms_jitter, LeesonParameters,
                                     substrate_noise_psd_from_waveform,
                                     vco_spur_experiment)
 from repro.substrate import NoiseWaveform, SwanSimulator
 from repro.technology import get_node
-from repro.thermal import ThermalStack, solve_operating_point
 
 CLOCK = 13e6
 
@@ -78,24 +75,6 @@ class TestDigitalToSubstrateToVco:
             substrate_noise.voltage, 2e-10, 1e6)
         jitter = rms_jitter(LeesonParameters(), vco, psd)
         assert 0 < jitter < 1e-9
-
-
-class TestDigitalToThermal:
-    def test_power_report_feeds_thermal(self, node, netlist):
-        sim = EventDrivenSimulator(netlist,
-                                   clock_period=1.0 / CLOCK)
-        result = sim.run(random_stimulus(netlist, 3, seed=0,
-                                         held_high=("en",)), 3)
-        power = power_report(netlist, result)
-        assert power.total > 0
-        # Scale the block power to a 1 Mgate design and solve the
-        # electrothermal point.
-        scale_factor = 1_000_000 / netlist.gate_count()
-        operating = solve_operating_point(
-            node, n_gates=1_000_000, frequency=CLOCK,
-            stack=ThermalStack(rth_junction_to_ambient=5.0))
-        assert operating.converged
-        assert operating.junction_temperature > 318.0
 
 
 class TestCrossNodeConsistency:

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.interconnect import (WireGeometry, capacitance_per_length,
-                                delay_table_vs_length, rc_time_constant,
                                 resistance_per_length, wire_delay,
-                                wire_delay_in_pitches, wire_energy)
+                                wire_energy)
 from repro.technology import all_nodes, get_node
 
 
@@ -59,15 +58,6 @@ class TestEquation3:
         with pytest.raises(ValueError):
             wire_delay(geom, -1e-3)
 
-    def test_half_rc_product(self, geom):
-        assert rc_time_constant(geom, 1e-3) == pytest.approx(
-            2.0 * wire_delay(geom, 1e-3))
-
-    def test_pitch_form_matches_length_form(self, geom):
-        n = 1000.0
-        assert wire_delay_in_pitches(geom, n) == pytest.approx(
-            wire_delay(geom, n * geom.pitch))
-
     def test_scaled_wire_constant_delay(self):
         """Eq. 3's punchline: same length-in-pitches, same delay
         (same materials)."""
@@ -77,8 +67,8 @@ class TestEquation3:
                           dielectric_k=3.0, resistivity=1.7e-8)
         g2 = WireGeometry(pitch=base.wire_pitch / 2.0,
                           dielectric_k=3.0, resistivity=1.7e-8)
-        d1 = wire_delay_in_pitches(g1, n_pitches)
-        d2 = wire_delay_in_pitches(g2, n_pitches)
+        d1 = wire_delay(g1, n_pitches * g1.pitch)
+        d2 = wire_delay(g2, n_pitches * g2.pitch)
         assert d2 == pytest.approx(d1, rel=1e-9)
 
     def test_fixed_length_wire_slows_with_scaling(self):
@@ -130,8 +120,7 @@ class TestParasitics:
 
 class TestDelayTable:
     def test_table_rows_and_monotone(self):
-        node = get_node("100nm")
-        rows = delay_table_vs_length(node, [1e-4, 1e-3, 5e-3])
-        assert len(rows) == 3
-        delays = [row["delay_ps"] for row in rows]
+        geom = WireGeometry.for_node(get_node("100nm"), 1)
+        delays = [wire_delay(geom, length)
+                  for length in (1e-4, 1e-3, 5e-3)]
         assert delays == sorted(delays)

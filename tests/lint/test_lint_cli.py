@@ -16,6 +16,9 @@ from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
+#: The CI gate's trees: the library and everything that calls it.
+TREES = [str(SRC), str(REPO_ROOT / "benchmarks"),
+         str(REPO_ROOT / "examples"), str(REPO_ROOT / "perfbench")]
 
 
 def run_cli(args):
@@ -55,9 +58,10 @@ class TestCli:
 
 class TestShippedTreeIsClean:
     def test_module_invocation_exits_zero(self):
-        """``python -m repro.lint src/repro`` is the CI gate."""
+        """``python -m repro.lint src/repro benchmarks examples
+        perfbench`` is the CI gate."""
         result = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(SRC),
+            [sys.executable, "-m", "repro.lint", *TREES,
              "--format", "json"],
             capture_output=True, text=True, cwd=str(REPO_ROOT),
             env={"PYTHONPATH": str(REPO_ROOT / "src"),
@@ -70,11 +74,11 @@ class TestShippedTreeIsClean:
         assert payload["n_findings"] == 0
 
     def test_semantic_rules_pass_on_shipped_tree(self):
-        """``python -m repro.lint --select R008,R009,R010 src/repro``
-        is the semantic acceptance gate."""
+        """``python -m repro.lint --select R008,R009,R010`` over the
+        four trees is the semantic acceptance gate."""
         result = subprocess.run(
             [sys.executable, "-m", "repro.lint",
-             "--select", "R008,R009,R010", str(SRC)],
+             "--select", "R008,R009,R010", *TREES],
             capture_output=True, text=True, cwd=str(REPO_ROOT),
             env={"PYTHONPATH": str(REPO_ROOT / "src"),
                  "PYTHONHASHSEED": "0"})
@@ -82,7 +86,7 @@ class TestShippedTreeIsClean:
 
     def test_shipped_waivers_are_few_and_documented(self):
         report = json.loads(subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(SRC),
+            [sys.executable, "-m", "repro.lint", *TREES,
              "--format", "json"],
             capture_output=True, text=True, cwd=str(REPO_ROOT),
             env={"PYTHONPATH": str(REPO_ROOT / "src"),

@@ -301,6 +301,39 @@ class TestR010DeadPublicApi:
         """}, select=["R010"])
         assert report.clean
 
+    def test_package_reexport_is_not_a_use(self, tmp_path):
+        """A package ``__init__`` that imports and lists a function
+        only re-exports it: only the defining module's ``__all__``
+        exempts a function."""
+        report = lint_tree(tmp_path, {
+            "src/repro/pkg/__init__.py": """
+                from .mod import reexported
+
+                __all__ = ["reexported"]
+            """,
+            "src/repro/pkg/mod.py": """
+                def reexported(x):
+                    return x
+            """,
+        }, select=["R010"])
+        assert codes(report) == ["R010"]
+        assert "repro.pkg.mod.reexported" in report.findings[0].message
+
+    def test_benchmark_reference_is_live(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/mod.py": """
+                def tabulated(x):
+                    return x
+            """,
+            "benchmarks/test_fig.py": """
+                from repro.mod import tabulated
+
+                def test_fig():
+                    assert tabulated(1) == 1
+            """,
+        }, select=["R010"])
+        assert report.clean
+
     def test_private_functions_and_methods_are_exempt(self, tmp_path):
         report = lint_tree(tmp_path, {"src/repro/mod.py": """
             __all__ = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory import ArraySpec, SramArray, array_trend
+from repro.memory import ArraySpec, SramArray
 from repro.technology import get_node
 
 
@@ -69,9 +69,11 @@ class TestYield:
 
 class TestTrend:
     def test_density_improves_with_scaling(self):
-        rows = array_trend([get_node("130nm"), get_node("65nm")])
-        assert rows[1]["bits_per_mm2"] > rows[0]["bits_per_mm2"]
+        old, new = (SramArray(get_node(name), ArraySpec())
+                    for name in ("130nm", "65nm"))
+        assert new.area() < old.area()
 
     def test_leakage_worsens_with_scaling(self):
-        rows = array_trend([get_node("130nm"), get_node("65nm")])
-        assert rows[1]["leakage_uW"] > rows[0]["leakage_uW"]
+        old, new = (SramArray(get_node(name), ArraySpec())
+                    for name in ("130nm", "65nm"))
+        assert new.total_leakage() > old.total_leakage()

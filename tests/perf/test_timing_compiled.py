@@ -14,7 +14,7 @@ import pytest
 from repro.digital import (CompiledTimingGraph, Netlist,
                            StaticTimingAnalyzer,
                            StatisticalTimingAnalyzer, clocked_datapath,
-                           critical_delay, decoder, delay_under_mismatch,
+                           critical_delay, delay_under_mismatch,
                            kogge_stone_adder, random_logic)
 from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
@@ -34,8 +34,27 @@ def inverter_chain(node, length=12):
     return netlist
 
 
+def decoder(node, n_select=4):
+    """One-hot decoder: every select line fans out to half the AND
+    terms, and the symmetric terms tie exactly."""
+    netlist = Netlist(node, "decoder")
+    selects = netlist.add_inputs(f"sel{i}" for i in range(n_select))
+    inverted = [netlist.add_gate("INV", [s], f"nsel{i}").output
+                for i, s in enumerate(selects)]
+    for code in range(2 ** n_select):
+        terms = [selects[bit] if (code >> bit) & 1 else inverted[bit]
+                 for bit in range(n_select)]
+        net = terms[0]
+        for k, term in enumerate(terms[1:]):
+            net = netlist.add_gate("AND2", [net, term],
+                                   f"d{code}_{k}").output
+        netlist.add_gate("BUF", [net], f"out{code}")
+        netlist.add_output(f"out{code}")
+    return netlist
+
+
 def topologies(node):
-    """The four equivalence workloads named by the issue."""
+    """The four equivalence workloads: chain, tree, fanout, sequential."""
     return {
         "chain": inverter_chain(node, 12),
         "tree": kogge_stone_adder(node, 8),

@@ -60,7 +60,7 @@ class TestResolveRng:
         with pytest.raises(ModelDomainError):
             resolve_rng(rng=np.random.RandomState(0))  # replint: disable=R001 -- legacy object constructed only to prove it is rejected
 
-    @pytest.mark.parametrize("bad", [1.5, "x", True, float("nan")])
+    @pytest.mark.parametrize("bad", [1.5, "x", True, float("nan"), -1])
     def test_bad_seed_rejected(self, bad):
         with pytest.raises(ModelDomainError):
             resolve_rng(seed=bad)

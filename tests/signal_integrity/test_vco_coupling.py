@@ -9,7 +9,6 @@ from repro.signal_integrity import (SupplyRail, VcoModel,
                                     capacitive_crosstalk_ratio,
                                     comparison_report, correlation,
                                     crosstalk_trend,
-                                    inductive_coupling_voltage,
                                     pointwise_nrmse, relative_p2p_error,
                                     relative_rms_error,
                                     simultaneous_switching_noise,
@@ -104,12 +103,6 @@ class TestCrosstalk:
         rows = crosstalk_trend(all_nodes())
         assert len(rows) == len(all_nodes())
         assert all(0 < row["crosstalk_ratio"] < 1 for row in rows)
-
-    def test_inductive_coupling(self):
-        assert inductive_coupling_voltage(1e9, 1e-9) \
-            == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            inductive_coupling_voltage(1e9, -1e-9)
 
 
 class TestSupplyBounce:

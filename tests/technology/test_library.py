@@ -3,8 +3,7 @@ builds its argument on must hold across the table."""
 
 import pytest
 
-from repro.technology import all_nodes, available_nodes, get_node, \
-    nodes_below
+from repro.technology import all_nodes, get_node
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +27,8 @@ class TestLookup:
             get_node("7nm")
 
     def test_available_nodes_ordered_largest_first(self):
-        names = available_nodes()
-        sizes = [get_node(n).feature_size for n in names]
+        sizes = [node.feature_size for node in all_nodes()]
         assert sizes == sorted(sizes, reverse=True)
-
-    def test_nodes_below(self):
-        below = nodes_below(100)
-        assert {n.name for n in below} == {"100nm", "90nm", "65nm",
-                                           "45nm", "32nm"}
 
 
 class TestRoadmapTrends:

@@ -168,6 +168,36 @@ class TestCliHardening:
         assert capsys.readouterr().err == (
             "error: n_dies must be >= 1, got 0\n")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["soc-noise", "--seed", "-1"], "seed"),
+        (["soc-noise", "--seed", "-1", "--backend", "process",
+          "--shards", "2"], "seed"),
+        (["soc-noise", "--frequency", "0"], "frequency"),
+        (["soc-noise", "--frequency", "nan"], "frequency"),
+        (["soc-noise", "--frequency", "inf"], "frequency"),
+        (["soc-noise", "--frequency", "-1"], "frequency"),
+        (["leakage", "--frequency", "nan"], "frequency"),
+        (["leakage", "--frequency", "inf"], "frequency"),
+        (["yield", "--dies", "1000", "--chaos-crash", "-1"],
+         "crash_rate"),
+        (["yield", "--dies", "1000", "--chaos-crash", "nan"],
+         "crash_rate"),
+        (["yield", "--dies", "1000", "--chaos-crash", "inf"],
+         "crash_rate"),
+        (["yield", "--dies", "1000", "--chaos-crash", "2"],
+         "crash_rate"),
+        (["yield", "--dies", "1000", "--chaos-hang", "-0.5"],
+         "hang_rate"),
+        (["yield", "--dies", "1000", "--chaos-poison", "1.5"],
+         "poison_rate"),
+    ])
+    def test_bad_value_is_one_error_line(self, argv, name, capsys):
+        """Checked before any work starts, with or without the flags
+        that use the value (``--chaos-seed`` arms the chaos rates)."""
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {name} ")
+
 
 class TestSocNoiseCommand:
     def test_smoke_table(self, capsys):

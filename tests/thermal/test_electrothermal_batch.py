@@ -11,7 +11,7 @@ from repro.robust.errors import ModelDomainError, ModelDomainWarning
 from repro.technology import all_nodes
 from repro.technology.library import get_node
 from repro.thermal import (ElectrothermalBatch, ThermalStack,
-                           electrothermal_rth_sweep, electrothermal_trend,
+                           electrothermal_rth_sweep,
                            fixed_die_electrothermal_trend,
                            runaway_rth_threshold, runaway_rth_thresholds,
                            solve_operating_point,
@@ -154,20 +154,6 @@ class TestTrendEquivalence:
             assert a["junction_K"] == pytest.approx(b["junction_K"],
                                                     rel=1e-9)
             assert a["leakage_W"] == pytest.approx(b["leakage_W"],
-                                                   rel=1e-9)
-
-    def test_trend_rows_agree(self, nodes):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelDomainWarning)
-            oracle = [solve_operating_point(node) for node in nodes]
-            vector = electrothermal_trend(nodes)
-        assert len(vector) == len(nodes)
-        for node, a, b in zip(nodes, oracle, vector):
-            assert b["node"] == node.name
-            assert b["runaway"] == float(a.runaway)
-            assert b["junction_K"] == pytest.approx(
-                a.junction_temperature, rel=1e-9)
-            assert b["leakage_W"] == pytest.approx(a.leakage_power,
                                                    rel=1e-9)
 
     def test_fixed_die_trend_rows_agree(self, nodes):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.thermal import (ElectrothermalResult, ThermalMesh,
-                           ThermalStack, electrothermal_trend,
-                           fixed_die_electrothermal_trend,
+                           ThermalStack, fixed_die_electrothermal_trend,
                            runaway_rth_threshold,
                            solve_operating_point)
 from repro.technology import all_nodes, get_node
@@ -116,13 +115,6 @@ class TestElectrothermal:
                 rth_junction_to_ambient=2.0 * threshold))
         assert not safe.runaway
         assert hot.runaway
-
-    def test_trend_covers_nodes(self):
-        rows = electrothermal_trend([get_node("130nm"),
-                                     get_node("65nm")])
-        assert len(rows) == 2
-        for row in rows:
-            assert row["junction_K"] > 318.0
 
     def test_fixed_die_runs_away_at_the_end(self):
         """Constant power density broken: the smallest node cooks."""

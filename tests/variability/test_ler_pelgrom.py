@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.variability import (LerParameters, MismatchSampler,
                                area_for_matching, current_spread_from_ler,
                                effective_length_profile, generate_edge,
-                               matching_area_trend, offset_sigma_diff_pair,
-                               relative_ler_trend, sigma_delta_beta,
-                               sigma_delta_vth)
+                               offset_sigma_diff_pair, relative_ler_trend,
+                               sigma_delta_beta, sigma_delta_vth)
 from repro.technology import all_nodes, get_node
 
 
@@ -99,8 +98,8 @@ class TestPelgrom:
 
     def test_matching_area_shrinks_slower_than_min_device(self):
         """Section 4.1: analog area does not follow scaling."""
-        rows = matching_area_trend(all_nodes(), sigma_vth_target=1e-3)
-        ratios = [row["area_ratio"] for row in rows]
+        ratios = [area_for_matching(node, 1e-3) / node.feature_size ** 2
+                  for node in all_nodes()]
         assert ratios == sorted(ratios)
         # A_VT improves ~5.6x while L^2 shrinks ~120x: the matched
         # area, in minimum devices, grows by several times.

@@ -5,8 +5,7 @@ import pytest
 
 from repro.variability import (MonteCarloSampler, VariationSpec,
                                YieldResult, monte_carlo_yield,
-                               relative_variability_trend,
-                               worst_case_value)
+                               relative_variability_trend)
 from repro.technology import all_nodes, get_node
 
 
@@ -100,11 +99,6 @@ class TestYield:
 
 
 class TestHelpers:
-    def test_worst_case_value(self):
-        assert worst_case_value(1.0, 0.1, 3.0) == pytest.approx(1.3)
-        assert worst_case_value(1.0, 0.1, 3.0, upper=False) \
-            == pytest.approx(0.7)
-
     def test_relative_variability_trend_monotone(self):
         rows = relative_variability_trend(all_nodes())
         fractions = [row["sigma_over_overdrive"] for row in rows]
