@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog import (limit_gap, mismatch_constant, noise_budget,
+from repro.analog import (OtaDesign, accuracy_from_bits, design_sc_stage,
+                          limit_gap, mismatch_constant, noise_budget,
                           sample_synthetic_survey, survey_vs_limits,
-                          tradeoff_plane)
+                          thermal_noise_constant, tradeoff_plane)
 from repro.technology import get_node
 
 from conftest import print_table
@@ -41,6 +42,22 @@ def generate_fig6():
     return node, plane, survey, synthetic, budget
 
 
+def sc_stage_clocks():
+    """Eq. 4's circuit mechanics: the clock a 180 nm SC stage settles
+    at, and its speed*accuracy^2/power against the thermal limit."""
+    stage = design_sc_stage(get_node("180nm"), OtaDesign(
+        input_width=40e-6, input_length=0.4e-6, load_width=20e-6,
+        load_length=0.8e-6, tail_current=400e-6))
+    rows = []
+    for bits in (6.0, 8.0, 10.0, 12.0):
+        clock = stage.max_clock(0.5, bits)
+        fom = stage.ota.power / (clock * accuracy_from_bits(bits) ** 2)
+        rows.append({"n_bits": bits, "max_clock_MHz": clock * 1e-6,
+                     "margin_over_thermal":
+                         fom / thermal_noise_constant(efficiency=1.0)})
+    return rows
+
+
 @pytest.mark.benchmark(group="fig06")
 def test_fig06_tradeoff_plane(benchmark):
     node, plane, survey, synthetic, budget = benchmark(generate_fig6)
@@ -57,6 +74,9 @@ def test_fig06_tradeoff_plane(benchmark):
                 "the mismatch limit (seed 0)", synthetic)
     print_table("Section 4.1 (eq. 4): kT/C budget of a 10-bit, "
                 "three-stage chain (1 V p-p)", [budget])
+    clocks = sc_stage_clocks()
+    print_table("Section 4.1 (eq. 4): achievable clock of a 180 nm "
+                "SC stage vs resolution", clocks)
 
     # Limit lines parallel in log-log (constant ratio).
     ratios = [row["mismatch_limit_W"] / row["thermal_limit_W"]
@@ -74,3 +94,7 @@ def test_fig06_tradeoff_plane(benchmark):
     # Synthetic designs stay inside their 2-30x margin band.
     assert all(1.9 < row["margin_over_mismatch"] < 31.0
                for row in synthetic)
+    # More bits settle slower, and no circuit beats kT.
+    clock = [row["max_clock_MHz"] for row in clocks]
+    assert clock == sorted(clock, reverse=True)
+    assert all(row["margin_over_thermal"] > 1.0 for row in clocks)

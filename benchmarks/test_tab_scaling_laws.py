@@ -11,7 +11,7 @@ import pytest
 from repro.core import ScalingScenario, scale, scaling_table
 from repro.core.scaling import (effective_scenario, node_scale_factor,
                                 noise_margin_trend, voltage_scale_factor)
-from repro.technology import all_nodes
+from repro.technology import all_nodes, get_node
 
 from conftest import print_table
 
@@ -39,6 +39,23 @@ def generate_tab_a():
     return full, cv, actual, noise_margin_trend(nodes)
 
 
+def scaled_nodes():
+    """The 65 nm node's own parameters under ideal full and
+    constant-voltage scaling."""
+    rows = []
+    for full_scaling in (True, False):
+        for s in (1.4, 2.0):
+            node = get_node("65nm").scaled(s, full_scaling=full_scaling)
+            rows.append({"scenario": "full" if full_scaling
+                         else "constant-voltage",
+                         "s": s,
+                         "feature_size_nm": node.feature_size * 1e9,
+                         "vdd_V": node.vdd, "vth_V": node.vth,
+                         "tox_nm": node.tox * 1e9,
+                         "doping_per_cm3": node.channel_doping * 1e-6})
+    return rows
+
+
 @pytest.mark.benchmark(group="tab_a")
 def test_tab_scaling_laws(benchmark):
     full, cv, actual, margins = benchmark(generate_tab_a)
@@ -47,6 +64,8 @@ def test_tab_scaling_laws(benchmark):
     print_table("Tab A'': actual roadmap transitions", actual)
     print_table("Section 1: inverter noise margin per node (slowly "
                 "degrading but acceptable)", margins)
+    scaled = scaled_nodes()
+    print_table("Section 1: the 65 nm node ideally scaled", scaled)
 
     # The paper's quoted numbers at S = 2.
     s2 = next(row for row in full if row["s"] == 2.0)
@@ -62,3 +81,7 @@ def test_tab_scaling_laws(benchmark):
     # Noise margins shrink with the supply but stay above 0.1 V.
     nm = [row["noise_margin_V"] for row in margins]
     assert nm == sorted(nm, reverse=True) and nm[-1] > 0.1
+    # Full scaling divides the supply by S; constant voltage keeps it.
+    vdd = {(row["scenario"], row["s"]): row["vdd_V"] for row in scaled}
+    assert vdd["full", 2.0] == pytest.approx(vdd["constant-voltage", 2.0]
+                                             / 2.0)

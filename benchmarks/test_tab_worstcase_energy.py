@@ -11,7 +11,7 @@ the energy consumption will be significant".
 import pytest
 
 from repro.devices import worst_case_vth
-from repro.digital import worst_case_energy_trend
+from repro.digital import energy_delay_product, worst_case_energy_trend
 from repro.technology import all_nodes
 
 from conftest import print_table
@@ -37,6 +37,10 @@ def test_tab_worstcase_energy(benchmark):
                 four_sigma)
     print_table("Section 3.1: slow-corner V_T that worst-case design "
                 "assumes (3 sigma inter-die)", slow_corner)
+    edp = [{"node": node.name, **energy_delay_product(node)}
+           for node in all_nodes()]
+    print_table("Section 3: FO4 energy, delay and their product at "
+                "nominal V_DD", edp)
 
     penalties = [row["energy_penalty_pct"] for row in three_sigma]
     # Grows toward nanometre nodes.
@@ -48,3 +52,6 @@ def test_tab_worstcase_energy(benchmark):
     # Guard-banding harder costs more.
     for r3, r4 in zip(three_sigma, four_sigma):
         assert r4["energy_penalty_pct"] >= r3["energy_penalty_pct"]
+    # Scaling still buys energy-delay product at nominal supply.
+    products = [row["edp_Js"] for row in edp]
+    assert products == sorted(products, reverse=True)

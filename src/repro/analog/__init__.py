@@ -3,7 +3,6 @@
 from .tradeoff import (
     TradeoffPoint,
     accuracy_from_bits,
-    bits_from_accuracy,
     limit_gap,
     minimum_power,
     mismatch_constant,
@@ -26,11 +25,8 @@ from .supply_scaling import (
     power_ratio,
 )
 from .noise import (
-    corner_frequency,
     enob_from_snr,
-    ktc_noise_voltage,
     noise_budget,
-    thermal_noise_density_mosfet,
 )
 from .adc_behavioral import (
     AdcTestResult,
@@ -53,7 +49,6 @@ from .circuits import (
     DetectorFrontend,
     DetectorFrontendDesign,
     FrontendPerformance,
-    MillerOta,
     OtaDesign,
     OtaPerformance,
     SingleStageOta,
@@ -81,23 +76,22 @@ from .chain import (
 )
 
 __all__ = [
-    "TradeoffPoint", "accuracy_from_bits", "bits_from_accuracy",
-    "limit_gap", "minimum_power", "mismatch_constant",
-    "thermal_noise_constant", "tradeoff_plane",
+    "TradeoffPoint", "accuracy_from_bits", "limit_gap",
+    "minimum_power", "mismatch_constant", "thermal_noise_constant",
+    "tradeoff_plane",
     "SURVEY", "AdcDesign", "minimum_adc_power",
     "resolution_speed_frontier", "sample_synthetic_survey",
     "survey_vs_limits",
     "analog_power_trend", "digital_power_trend", "headroom_trend",
     "mismatch_limited_power", "power_ratio",
-    "corner_frequency", "enob_from_snr", "ktc_noise_voltage",
-    "noise_budget", "thermal_noise_density_mosfet",
+    "enob_from_snr", "noise_budget",
     "ScAmplifier", "design_sc_stage",
     "AdcTestResult", "PipelineAdc", "PipelineStage",
     "enob_vs_device_area", "sine_test",
     "OtaYieldAnalyzer", "YieldReport",
     "offset_yield", "yield_vs_area",
     "DetectorFrontend", "DetectorFrontendDesign", "FrontendPerformance",
-    "MillerOta", "OtaDesign", "OtaPerformance", "SingleStageOta",
+    "OtaDesign", "OtaPerformance", "SingleStageOta",
     "LinearityReport", "SpectralReport",
     "histogram_linearity", "histogram_linearity_batch",
     "spectral_metrics", "spectral_metrics_batch",

@@ -5,8 +5,7 @@ thermal and mismatch limit lines.  We do not have the paper's survey
 database, so this module ships a synthetic survey of published-design-
 like points (speed/resolution/power triples spanning flash, pipeline,
 SAR and sigma-delta architectures, with the era-typical 2-20x margin
-above the mismatch limit) plus the standard FoM machinery to place any
-converter on the Fig. 6 plane.
+above the mismatch limit), placed on the Fig. 6 plane.
 """
 
 from __future__ import annotations
@@ -38,17 +37,6 @@ class AdcDesign:
         """Project onto the Fig. 6 plane."""
         return TradeoffPoint(label=self.name, speed=self.sample_rate,
                              n_bits=self.n_bits, power=self.power)
-
-    @property
-    def walden_fom(self) -> float:
-        """Walden FoM P/(2^N * f_s) [J/conversion-step]."""
-        return self.power / (2.0 ** self.n_bits * self.sample_rate)
-
-    @property
-    def schreier_fom(self) -> float:
-        """Schreier FoM SNDR + 10log10(f_s/2 / P) [dB]."""
-        sndr = 6.02 * self.n_bits + 1.76
-        return sndr + 10.0 * math.log10(self.sample_rate / 2.0 / self.power)
 
 
 # Synthetic survey: era-accurate (late-90s / early-2000s) design
@@ -125,15 +113,14 @@ def minimum_adc_power(node: TechnologyNode, sample_rate: float,
 
 def resolution_speed_frontier(node: TechnologyNode,
                               power_budget: float,
-                              n_bits_range: Sequence[float],
-                              calibrated: bool = False
+                              n_bits_range: Sequence[float]
                               ) -> List[Dict[str, float]]:
     """Max sample rate vs resolution at a fixed power budget."""
     if power_budget <= 0:
         raise ModelDomainError("power_budget must be positive")
     rows = []
     for n_bits in n_bits_range:
-        unit = minimum_adc_power(node, 1.0, n_bits, calibrated)
+        unit = minimum_adc_power(node, 1.0, n_bits)
         rows.append({
             "n_bits": n_bits,
             "max_sample_rate_Hz": power_budget / unit,

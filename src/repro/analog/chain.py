@@ -628,22 +628,6 @@ class SignalChain:
         return cls(node=node, design=design, dac=dac, adc=adc,
                    sc_gain_eff=gain, sc_stage=stage)
 
-    def with_shorted_leg(self, leg: int) -> "SignalChain":
-        """Chain with DAC ladder leg ``leg`` shorted out (weight 0).
-
-        The known-fault injection hook: killing bit ``leg`` collapses
-        ``2**leg`` codes onto their neighbours, an INL signature of
-        about ``2**leg`` LSB that the sign-off must flag.
-        """
-        leg = check_count("leg", leg, minimum=0)
-        if leg >= self.design.n_bits:
-            raise ModelDomainError(
-                f"leg must be below n_bits={self.design.n_bits}, "
-                f"got {leg}")
-        weights = np.array(self.dac.weights, dtype=float, copy=True)
-        weights[..., leg] = 0.0
-        return replace(self, dac=replace(self.dac, weights=weights))
-
     def through_filter(self, fractions: np.ndarray) -> np.ndarray:
         """Apply the SC stage about mid-scale (gain error only)."""
         gain = np.asarray(self.sc_gain_eff, dtype=float)

@@ -95,20 +95,6 @@ class OtaPerformance:
     area: float                 # m^2
     swing: float                # V output swing
 
-    def meets(self, spec: Dict[str, float]) -> bool:
-        """Check a spec dict, e.g. {"gain_db": 60, "gbw_hz": 50e6}."""
-        checks = {
-            "gain_db": self.gain_db >= spec.get("gain_db", -math.inf),
-            "gbw_hz": self.gbw_hz >= spec.get("gbw_hz", 0.0),
-            "phase_margin_deg": self.phase_margin_deg
-            >= spec.get("phase_margin_deg", 0.0),
-            "slew_rate": self.slew_rate >= spec.get("slew_rate", 0.0),
-            "power": self.power <= spec.get("power", math.inf),
-            "offset_sigma": self.offset_sigma
-            <= spec.get("offset_sigma", math.inf),
-        }
-        return all(checks.values())
-
 
 class SingleStageOta:
     """Evaluation engine for the 5-transistor OTA."""
@@ -331,53 +317,6 @@ class SingleStageOta:
         )
 
 
-class MillerOta:
-    """Evaluation engine for the two-stage Miller-compensated OTA."""
-
-    def __init__(self, node: TechnologyNode, load_capacitance: float,
-                 compensation_capacitance: Optional[float] = None):
-        if load_capacitance <= 0:
-            raise ModelDomainError("load_capacitance must be positive")
-        self.node = node
-        self.load_capacitance = load_capacitance
-        self.compensation = (compensation_capacitance
-                             if compensation_capacitance is not None
-                             else 0.3 * load_capacitance)
-
-    def evaluate(self, design: OtaDesign,
-                 second_stage_current_ratio: float = 4.0) -> OtaPerformance:
-        """Evaluate with the second stage scaled off the tail current."""
-        design.validate(self.node)
-        stage1 = SingleStageOta(self.node, self.compensation)
-        perf1 = stage1.evaluate(design)
-        node = self.node
-        from ..core.constants import thermal_voltage
-        phi_t = thermal_voltage(node.temperature)
-        i2 = second_stage_current_ratio * design.tail_current
-        beta2 = (node.mobility_n * node.cox
-                 * 4.0 * design.input_width / design.input_length)
-        vov2 = max(math.sqrt(max(2.0 * i2 / beta2, 1e-12)),
-                   2.0 * node.subthreshold_n * phi_t)
-        gm2 = min(2.0 * i2 / vov2,
-                  i2 / (node.subthreshold_n * phi_t))
-        gain2 = gm2 * 1.0e7 * design.input_length / i2
-        pole2 = gm2 / (2.0 * math.pi * self.load_capacitance)
-        gbw = perf1.gbw_hz
-        phase_margin = 90.0 - math.degrees(math.atan(gbw / pole2))
-        return OtaPerformance(
-            gain_db=perf1.gain_db + 20.0 * math.log10(max(gain2, 1e-12)),
-            gbw_hz=gbw,
-            phase_margin_deg=phase_margin,
-            slew_rate=min(perf1.slew_rate,
-                          i2 / self.load_capacitance),
-            input_noise_rms=perf1.input_noise_rms,
-            offset_sigma=perf1.offset_sigma,
-            power=node.vdd * (design.tail_current * 1.25 + i2),
-            area=perf1.area * 2.5,
-            swing=max(node.vdd - 2.0 * vov2, 0.0),
-        )
-
-
 @dataclass
 class DetectorFrontendDesign:
     """Sizing of the charge-sensitive amplifier + shaper (Fig. 8)."""
@@ -410,14 +349,6 @@ class FrontendPerformance:
     enc_electrons: float        # equivalent noise charge [e- rms]
     power: float                # W
     area: float                 # m^2
-
-    def meets(self, spec: Dict[str, float]) -> bool:
-        """Spec check, e.g. {"enc_electrons": 500, "power": 2e-3}."""
-        return (self.enc_electrons <= spec.get("enc_electrons", math.inf)
-                and self.power <= spec.get("power", math.inf)
-                and self.peaking_time
-                <= spec.get("peaking_time", math.inf)
-                and self.charge_gain >= spec.get("charge_gain", 0.0))
 
 
 class DetectorFrontend:
@@ -564,8 +495,3 @@ class DetectorFrontend:
             power=field_out(power),
             area=field_out(area),
         )
-
-    def optimal_input_capacitance_ratio(self) -> float:
-        """Classic capacitive matching: C_gate ~ C_det/3 minimizes ENC
-        at fixed current density (used to seed the optimizer)."""
-        return 1.0 / 3.0

@@ -10,34 +10,6 @@ from ..robust.errors import ModelDomainError
 from ..robust.validate import validated
 
 
-def ktc_noise_voltage(capacitance: float,
-                      temperature: float = 300.0) -> float:
-    """RMS kT/C sampling noise [V] on ``capacitance`` [F]."""
-    if capacitance <= 0:
-        raise ModelDomainError("capacitance must be positive")
-    return math.sqrt(kt_energy(temperature) / capacitance)
-
-
-def thermal_noise_density_mosfet(gm: float, gamma: float = 2.0 / 3.0,
-                                 temperature: float = 300.0) -> float:
-    """Input-referred thermal noise PSD of a MOSFET [V^2/Hz].
-
-    v_n^2 = 4kT * gamma / gm; gamma rises above 2/3 for short
-    channels (excess noise), another nanometre-era tax.
-    """
-    if gm <= 0:
-        raise ModelDomainError("gm must be positive")
-    return 4.0 * kt_energy(temperature) / 1.0 * gamma / gm
-
-
-def corner_frequency(kf: float, cox: float, width: float, length: float,
-                     gm: float, gamma: float = 2.0 / 3.0,
-                     temperature: float = 300.0) -> float:
-    """1/f corner [Hz]: where flicker PSD equals thermal PSD."""
-    thermal = thermal_noise_density_mosfet(gm, gamma, temperature)
-    return kf / (cox * width * length * thermal)
-
-
 @validated(snr_db="finite")
 def enob_from_snr(snr_db: float) -> float:
     """Effective number of bits: (SNR - 1.76)/6.02."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..technology.node import TechnologyNode
 from .circuits import OtaDesign, OtaPerformance, SingleStageOta
-from .noise import ktc_noise_voltage
 from ..robust.errors import ModelDomainError
 
 
@@ -89,18 +88,6 @@ class ScAmplifier:
         if math.isinf(t_settle) or t_settle <= 0:
             return 0.0
         return settle_fraction / t_settle
-
-    def noise_limited_bits(self, full_scale: float,
-                           temperature: float = 300.0) -> float:
-        """Resolution where kT/C noise equals the quantization noise."""
-        if full_scale <= 0:
-            raise ModelDomainError("full_scale must be positive")
-        noise = ktc_noise_voltage(self.sampling_capacitance,
-                                  temperature)
-        # q_rms = LSB/sqrt(12); solve 2^-N * FS / sqrt(12) = v_n.
-        return math.log2(full_scale
-                         / (noise * math.sqrt(12.0)))
-
 
 def design_sc_stage(node: TechnologyNode, ota_design: OtaDesign,
                     sampling_capacitance: float = 1e-12,

@@ -53,12 +53,6 @@ def accuracy_from_bits(n_bits: float) -> float:
             f"computation") from None
 
 
-@validated(_result_finite=True, accuracy="positive")
-def bits_from_accuracy(accuracy: float) -> float:
-    """Inverse of :func:`accuracy_from_bits`."""
-    return math.log2(accuracy / math.sqrt(1.5))
-
-
 @validated(_result_finite=True, temperature="positive",
            efficiency="fraction")
 def thermal_noise_constant(temperature: float = 300.0,

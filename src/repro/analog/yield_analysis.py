@@ -79,18 +79,6 @@ class OtaYieldAnalyzer:
                                       self.design.input_length)
         return sigma_in, sigma_beta
 
-    def sample_performance(self) -> OtaPerformance:
-        """One MC draw of the OTA's performance."""
-        die = self._sampler.sample_die()
-        nominal = self._evaluate_shifted(die.vth_global,
-                                         die.length_factor_global,
-                                         die.tox_factor_global)
-        # Replace the analytic offset sigma by an actual draw.
-        sigma_in, sigma_beta = self._offset_sigmas()
-        offset = (sigma_in * self.rng.standard_normal()
-                  + 0.1 * sigma_beta * self.rng.standard_normal())
-        return dataclasses.replace(nominal, offset_sigma=abs(offset))
-
     def _performance_matrix_oracle(self, batch, offsets: np.ndarray,
                                    keys: List[str]) -> np.ndarray:
         """Scalar reference of :meth:`_performance_matrix_batch`: one
@@ -146,8 +134,7 @@ class OtaYieldAnalyzer:
 
         ``spec`` keys: ``gain_db``/``gbw_hz``/``phase_margin_deg``/
         ``slew_rate``/``swing`` are minima; ``power``/``offset_sigma``
-        maxima (same convention as :meth:`OtaPerformance.meets`).
-        Every die is evaluated in one
+        maxima.  Every die is evaluated in one
         :meth:`SingleStageOta.evaluate_batch` call with per-die node
         overrides, bit-for-bit the per-die scalar loop.
         """

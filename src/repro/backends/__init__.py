@@ -30,11 +30,6 @@ class EquivalenceContract:
     #: iterative solver.
     rtol: float
 
-    @property
-    def bitwise(self) -> bool:
-        """True when the contract is exact float equality."""
-        return self.rtol == 0.0
-
 
 _CONTRACTS = {contract.engine: contract for contract in (
     EquivalenceContract("synthesis.ota", 0.0),

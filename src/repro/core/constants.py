@@ -1,13 +1,11 @@
-"""Physical constants and unit helpers used throughout the library.
+"""Physical constants used throughout the library.
 
 All internal computations use SI units (metres, volts, amperes, seconds,
-farads, joules).  The helpers below make intent explicit at call sites,
-e.g. ``nm(65)`` instead of ``65e-9``.
+farads, joules).
 """
 
 from __future__ import annotations
 
-import math
 from ..robust.errors import ModelDomainError
 
 __all__ = [
@@ -15,11 +13,6 @@ __all__ = [
     "EPSILON_SI", "N_INTRINSIC_SI", "ROOM_TEMPERATURE", "RHO_COPPER",
     "RHO_ALUMINIUM",
     "thermal_voltage", "kt_energy",
-    "nm", "um", "mm", "to_nm", "to_um",
-    "ps", "to_ps", "ns", "to_ns", "ghz", "mhz",
-    "ff", "to_ff", "pf",
-    "mw", "to_mw", "uw",
-    "db", "db20", "from_db", "dbm_to_watts", "watts_to_dbm",
 ]
 
 # --- fundamental constants (CODATA values, SI units) ---------------------
@@ -67,120 +60,3 @@ def kt_energy(temperature: float = ROOM_TEMPERATURE) -> float:
     if temperature <= 0:
         raise ModelDomainError(f"temperature must be positive, got {temperature}")
     return BOLTZMANN * temperature
-
-
-# --- unit helpers ---------------------------------------------------------
-
-def nm(value: float) -> float:
-    """Convert nanometres to metres."""
-    return value * 1e-9
-
-
-def um(value: float) -> float:
-    """Convert micrometres to metres."""
-    return value * 1e-6
-
-
-def mm(value: float) -> float:
-    """Convert millimetres to metres."""
-    return value * 1e-3
-
-
-def to_nm(metres: float) -> float:
-    """Convert metres to nanometres."""
-    return metres * 1e9
-
-
-def to_um(metres: float) -> float:
-    """Convert metres to micrometres."""
-    return metres * 1e6
-
-
-def ps(value: float) -> float:
-    """Convert picoseconds to seconds."""
-    return value * 1e-12
-
-def to_ps(seconds: float) -> float:
-    """Convert seconds to picoseconds."""
-    return seconds * 1e12
-
-
-def ns(value: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return value * 1e-9
-
-
-def to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * 1e9
-
-
-def ghz(value: float) -> float:
-    """Convert gigahertz to hertz."""
-    return value * 1e9
-
-
-def mhz(value: float) -> float:
-    """Convert megahertz to hertz."""
-    return value * 1e6
-
-
-def ff(value: float) -> float:
-    """Convert femtofarads to farads."""
-    return value * 1e-15
-
-
-def to_ff(farads: float) -> float:
-    """Convert farads to femtofarads."""
-    return farads * 1e15
-
-
-def pf(value: float) -> float:
-    """Convert picofarads to farads."""
-    return value * 1e-12
-
-
-def mw(value: float) -> float:
-    """Convert milliwatts to watts."""
-    return value * 1e-3
-
-
-def to_mw(watts: float) -> float:
-    """Convert watts to milliwatts."""
-    return watts * 1e3
-
-
-def uw(value: float) -> float:
-    """Convert microwatts to watts."""
-    return value * 1e-6
-
-
-def db(ratio: float) -> float:
-    """Express a power ratio in decibels (10*log10)."""
-    if ratio <= 0:
-        raise ModelDomainError(f"ratio must be positive, got {ratio}")
-    return 10.0 * math.log10(ratio)
-
-
-def db20(ratio: float) -> float:
-    """Express an amplitude ratio in decibels (20*log10)."""
-    if ratio <= 0:
-        raise ModelDomainError(f"ratio must be positive, got {ratio}")
-    return 20.0 * math.log10(ratio)
-
-
-def from_db(decibels: float) -> float:
-    """Convert decibels back to a power ratio."""
-    return 10.0 ** (decibels / 10.0)
-
-
-def dbm_to_watts(dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
-    return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    """Convert a power level in watts to dBm."""
-    if watts <= 0:
-        raise ModelDomainError(f"power must be positive, got {watts}")
-    return 10.0 * math.log10(watts / 1e-3)

@@ -101,11 +101,6 @@ class Roadmap:
             for parameter in _FITTED_PARAMETERS
         }
 
-    @property
-    def fits(self) -> Dict[str, TrendFit]:
-        """The per-parameter power-law fits."""
-        return dict(self._fits)
-
     def project(self, feature_size: float,
                 name: Optional[str] = None) -> TechnologyNode:
         """Return a projected node at ``feature_size`` [m]."""
@@ -127,14 +122,3 @@ class Roadmap:
                        ) -> List[TechnologyNode]:
         """Project a whole series of nodes."""
         return [self.project(size) for size in feature_sizes]
-
-    def halving_generations(self, start: float, count: int,
-                            factor: float = math.sqrt(2.0)
-                            ) -> List[TechnologyNode]:
-        """Generate ``count`` successive generations from ``start`` [m],
-        each smaller by ``factor`` (default: the historical sqrt(2) per
-        generation, which doubles density each step)."""
-        if count < 1:
-            raise ModelDomainError("count must be at least 1")
-        sizes = [start / factor ** i for i in range(count)]
-        return self.project_series(sizes)

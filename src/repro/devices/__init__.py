@@ -1,14 +1,12 @@
 """Device-level models: MOSFET I-V, leakage, capacitance, body bias."""
 
-from .mosfet import DeviceType, Mosfet, Region
+from .mosfet import DeviceType, Mosfet
 from .leakage import (
     LeakageBudget,
     device_leakage,
     dibl_effective_vth,
     gate_leakage_current,
     gate_leakage_per_gate,
-    ioff_vs_vth_sweep,
-    leakage_power_density,
     subthreshold_current,
 )
 from .capacitance import (
@@ -36,10 +34,9 @@ from .corners import (
 )
 
 __all__ = [
-    "DeviceType", "Mosfet", "Region",
+    "DeviceType", "Mosfet",
     "LeakageBudget", "device_leakage", "dibl_effective_vth",
-    "gate_leakage_current", "gate_leakage_per_gate", "ioff_vs_vth_sweep",
-    "leakage_power_density", "subthreshold_current",
+    "gate_leakage_current", "gate_leakage_per_gate", "subthreshold_current",
     "DeviceCapacitances", "device_capacitances",
     "inverter_input_capacitance", "inverter_self_load",
     "junction_capacitance", "overlap_capacitance",

@@ -175,36 +175,3 @@ def gate_leakage_per_gate(node: TechnologyNode,
     isub = 0.5 * sum(b.subthreshold for b in budgets) / fanin
     igate = 0.5 * sum(b.gate for b in budgets)
     return LeakageBudget(subthreshold=isub, gate=igate)
-
-
-@validated(_result_finite=True, gates_per_mm2="positive")
-def leakage_power_density(node: TechnologyNode,
-                          gates_per_mm2: float = None) -> float:
-    """Static power density [W/m^2] of random logic in ``node``.
-
-    ``gates_per_mm2`` defaults to the density implied by a 2-input
-    NAND footprint of (8 pitch) x (12 pitch).
-    """
-    if gates_per_mm2 is None:
-        gate_area = (8 * node.wire_pitch) * (12 * node.wire_pitch)
-        gates_per_m2 = 1.0 / gate_area
-    else:
-        gates_per_m2 = gates_per_mm2 * 1e6
-    per_gate = gate_leakage_per_gate(node).power(node.vdd)
-    return per_gate * gates_per_m2
-
-
-@validated(_result_finite=True, vth_values="finite", width="positive")
-def ioff_vs_vth_sweep(node: TechnologyNode, vth_values: np.ndarray,
-                      width: float = None) -> np.ndarray:
-    """Off-current sweep over candidate V_T values [A].
-
-    Used by the MTCMOS analysis: how much leakage does a high-V_T
-    variant save?
-    """
-    if width is None:
-        width = 2.0 * node.feature_size
-    i0 = node.i0_per_width * width
-    vth_eff = dibl_effective_vth(vth_values, node.dibl, node.vdd)
-    return np.asarray(subthreshold_current(
-        i0, vth_eff, n=node.subthreshold_n, temperature=node.temperature))

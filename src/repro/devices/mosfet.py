@@ -39,14 +39,6 @@ class DeviceType(enum.Enum):
     PMOS = "pmos"
 
 
-class Region(enum.Enum):
-    """Operating region of the transistor."""
-
-    CUTOFF = "cutoff"          # subthreshold conduction only
-    LINEAR = "linear"
-    SATURATION = "saturation"
-
-
 @dataclass
 class Mosfet:
     """A single MOS transistor in a given technology.
@@ -197,16 +189,6 @@ class Mosfet:
         """Drive current at V_GS = V_DS = V_DD [A]."""
         return float(self.ids(self.node.vdd, self.node.vdd, vbs))
 
-    def region(self, vgs: float, vds: float, vbs: float = 0.0) -> Region:
-        """Classify the operating region."""
-        vth = float(self.vth(vds=vds, vbs=vbs))
-        if vgs < vth:
-            return Region.CUTOFF
-        alpha = self.node.alpha_power
-        overdrive = vgs - vth
-        vdsat = overdrive ** (alpha / 2.0) * self.node.vdd ** (1 - alpha / 2.0)
-        return Region.SATURATION if vds >= vdsat else Region.LINEAR
-
     # --- small-signal ------------------------------------------------------
 
     def gm(self, vgs: float, vds: float, vbs: float = 0.0,
@@ -232,11 +214,6 @@ class Mosfet:
                 * thermal_voltage(self.temperature) * math.log(10.0))
 
     # --- capacitances -------------------------------------------------------
-
-    @property
-    def gate_capacitance(self) -> float:
-        """Total gate capacitance Cox*W*L [F] (intrinsic only)."""
-        return self.node.cox * self.width * self.length
 
     @property
     def gate_area(self) -> float:

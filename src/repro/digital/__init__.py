@@ -33,7 +33,6 @@ from .simulator import (
 from .timing import (
     StaticTimingAnalyzer,
     TimingReport,
-    critical_delay,
     delay_under_mismatch,
 )
 from .timing_compiled import BatchTimingResult, CompiledTimingGraph
@@ -86,8 +85,7 @@ __all__ = [
     "corner_vs_statistical_margin", "depth_averaging_study",
     "EventDrivenSimulator", "SimulationResult", "SwitchingEvent",
     "random_stimulus",
-    "StaticTimingAnalyzer", "TimingReport", "critical_delay",
-    "delay_under_mismatch",
+    "StaticTimingAnalyzer", "TimingReport", "delay_under_mismatch",
     "BatchTimingResult", "CompiledTimingGraph",
     "CompiledEventEngine", "EventTrace",
     "PowerReport", "analytic_power_estimate", "leakage_fraction_trend",

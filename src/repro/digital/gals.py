@@ -35,17 +35,11 @@ class GalsPartition:
     interface_power_overhead: float  # fraction of core dynamic power
     synchronizer_latency: float      # s per crossing
 
-    @property
-    def is_single_domain(self) -> bool:
-        """True when the whole die fits in one synchronous region."""
-        return self.n_islands == 1
-
 
 def partition_die(node: TechnologyNode, die_edge: float = 10e-3,
                   frequency: float = 1e9,
                   skew_fraction: float = 0.2,
-                  interface_depth: int = 4,
-                  repeated_clock: bool = False) -> GalsPartition:
+                  interface_depth: int = 4) -> GalsPartition:
     """Partition a die into skew-feasible synchronous islands.
 
     Each island's edge is the skew-limited wire length of
@@ -56,8 +50,7 @@ def partition_die(node: TechnologyNode, die_edge: float = 10e-3,
     """
     if die_edge <= 0:
         raise ModelDomainError("die_edge must be positive")
-    island_edge = max_wire_length_for_skew(
-        node, frequency, skew_fraction, repeated=repeated_clock)
+    island_edge = max_wire_length_for_skew(node, frequency, skew_fraction)
     islands_per_edge = max(int(math.ceil(die_edge / island_edge)), 1)
     n_islands = islands_per_edge ** 2
     # Internal borders: 2 * n * (n - 1) for an n x n grid.
@@ -110,8 +103,7 @@ def gals_trend(nodes: Sequence[TechnologyNode],
 
 def single_domain_max_frequency(node: TechnologyNode,
                                 die_edge: float = 10e-3,
-                                skew_fraction: float = 0.2,
-                                repeated_clock: bool = False) -> float:
+                                skew_fraction: float = 0.2) -> float:
     """Highest clock [Hz] at which the whole die stays one domain.
 
     Inverts the skew constraint: for an unrepeated clock wire,
@@ -122,8 +114,7 @@ def single_domain_max_frequency(node: TechnologyNode,
     lo, hi = 1e6, 1e12
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        reach = max_wire_length_for_skew(node, mid, skew_fraction,
-                                         repeated=repeated_clock)
+        reach = max_wire_length_for_skew(node, mid, skew_fraction)
         if reach >= die_edge:
             lo = mid
         else:

@@ -169,13 +169,6 @@ class Cell:
         model = self.delay_model(load_capacitance)
         return model.delay(vth=self.node.vth + vth_offset)
 
-    def switching_energy(self, load_capacitance: float) -> float:
-        """Dynamic energy per output transition C*V_DD^2 [J]."""
-        total = (load_capacitance + self.output_parasitic
-                 + 0.5 * self.cell_type.internal_nodes
-                 * self.input_capacitance * 0.2)
-        return total * self.node.vdd ** 2
-
     def leakage_current(self) -> float:
         """Average static leakage [A]."""
         budget = gate_leakage_per_gate(

@@ -298,10 +298,6 @@ class Netlist:
         return sum(inst.cell.leakage_power()
                    for inst in self.instances.values())
 
-    def total_area(self) -> float:
-        """Sum of cell footprints [m^2]."""
-        return sum(inst.cell.area() for inst in self.instances.values())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Netlist({self.name!r}, {self.gate_count()} gates, "
                 f"{len(self.primary_inputs)} inputs, "

@@ -41,42 +41,11 @@ class SwitchingEvent:
 
 @dataclass
 class SimulationResult:
-    """Output of a simulation run.
-
-    The event list is treated as immutable after construction: the
-    per-instance grouping and per-net toggle counts are computed on
-    first use and memoized (SWAN and the power estimator query them
-    repeatedly over the same result).
-    """
+    """Output of a simulation run."""
 
     events: List[SwitchingEvent]
     final_values: Dict[str, bool]
     duration: float
-    _by_instance: Optional[Dict[str, List[SwitchingEvent]]] = field(
-        default=None, repr=False, compare=False)
-    _toggles_by_net: Optional[Dict[str, int]] = field(
-        default=None, repr=False, compare=False)
-
-    def events_by_instance(self) -> Dict[str, List[SwitchingEvent]]:
-        """Group driver-attributed events per gate instance (memoized)."""
-        if self._by_instance is None:
-            grouped: Dict[str, List[SwitchingEvent]] = {}
-            for event in self.events:
-                if event.instance is not None:
-                    grouped.setdefault(event.instance, []).append(event)
-            self._by_instance = grouped
-        return self._by_instance
-
-    def toggle_count(self, net: Optional[str] = None) -> int:
-        """Number of transitions (on one net, or total; memoized)."""
-        if net is None:
-            return len(self.events)
-        if self._toggles_by_net is None:
-            counts: Dict[str, int] = {}
-            for e in self.events:
-                counts[e.net] = counts.get(e.net, 0) + 1
-            self._toggles_by_net = counts
-        return self._toggles_by_net.get(net, 0)
 
     def activity_factor(self, n_cycles: int) -> float:
         """Average toggles per net per cycle."""

@@ -48,7 +48,7 @@ calls, without ever materializing per-event Python objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,23 +96,11 @@ class EventTrace:
     instance_names: Tuple[str, ...]
     final_values: Dict[str, bool]
     duration: float
-    _by_instance: Optional[Dict[str, np.ndarray]] = field(
-        default=None, repr=False, compare=False)
 
     @property
     def n_events(self) -> int:
         """Number of recorded switching events."""
         return int(self.times.shape[0])
-
-    def toggle_count(self, net: Optional[str] = None) -> int:
-        """Number of transitions (on one net, or total)."""
-        if net is None:
-            return self.n_events
-        try:
-            index = self.net_names.index(net)
-        except ValueError:
-            return 0
-        return int(np.count_nonzero(self.net_indices == index))
 
     def activity_factor(self, n_cycles: int) -> float:
         """Average toggles per switching net per cycle."""
@@ -121,24 +109,6 @@ class EventTrace:
             return 0.0
         n_nets = np.unique(self.net_indices).size
         return self.n_events / (n_nets * n_cycles)
-
-    def events_by_instance(self) -> Dict[str, np.ndarray]:
-        """Event indices per driving gate instance (memoized)."""
-        if self._by_instance is None:
-            grouped: Dict[str, np.ndarray] = {}
-            placed = np.flatnonzero(self.source_indices >= 0)
-            if placed.size:
-                order = np.argsort(self.source_indices[placed],
-                                   kind="stable")
-                ordered = placed[order]
-                sources = self.source_indices[ordered]
-                cuts = np.flatnonzero(sources[1:] != sources[:-1]) + 1
-                for block in np.split(ordered, cuts):
-                    name = self.instance_names[
-                        int(self.source_indices[block[0]])]
-                    grouped[name] = block
-            self._by_instance = grouped
-        return self._by_instance
 
     def to_events(self) -> List[SwitchingEvent]:
         """Materialize the stream as scalar :class:`SwitchingEvent`\\ s.

@@ -24,58 +24,6 @@ from .timing import StaticTimingAnalyzer
 from .timing_compiled import CompiledTimingGraph
 from ..robust.rng import resolve_rng
 from ..robust.errors import ModelDomainError
-from ..variability.statistical import check_shard
-
-
-@dataclass(frozen=True)
-class SstaShard:
-    """One shard's slice of a Monte Carlo SSTA population.
-
-    ``samples[k]`` is bit-for-bit sample ``start + k`` of the full
-    ``n_total``-sample run, and ``counts`` are *integer* critical-path
-    hit counts aligned with ``names`` (netlist insertion order).
-    Shards therefore merge exactly: concatenate ``samples`` in shard
-    order, sum ``counts`` elementwise, and divide by the total sample
-    count only at the end -- never average per-shard fractions.
-    """
-
-    samples: np.ndarray        # (stop - start,) critical delays [s]
-    counts: np.ndarray         # (n_gates,) int64, insertion order
-    names: tuple               # gate axis of ``counts``
-    nominal_delay: float       # deterministic STA delay [s]
-    start: int
-    stop: int
-
-
-def merge_ssta_shards(shards: Sequence[SstaShard]) -> SstaResult:
-    """Exactly merge contiguous :class:`SstaShard` slices.
-
-    The shards must tile ``[0, n_total)``; pass them in any order.
-    Raises :class:`ModelDomainError` on gaps, overlaps, or mismatched
-    gate axes.
-    """
-    if not shards:
-        raise ModelDomainError("cannot merge zero SSTA shards")
-    ordered = sorted(shards, key=lambda s: s.start)
-    names = ordered[0].names
-    cursor = 0
-    for shard in ordered:
-        if shard.names != names:
-            raise ModelDomainError(
-                "SSTA shards disagree on the gate axis")
-        if shard.start != cursor:
-            raise ModelDomainError(
-                f"SSTA shards do not tile the population: expected "
-                f"start {cursor}, got {shard.start}")
-        cursor = shard.stop
-    samples = np.concatenate([s.samples for s in ordered])
-    counts = np.sum([s.counts for s in ordered], axis=0)
-    n_total = len(samples)
-    criticality = {name: int(count) / n_total
-                   for name, count in zip(names, counts) if count}
-    return SstaResult(samples=samples,
-                      nominal_delay=ordered[0].nominal_delay,
-                      criticality=criticality)
 
 
 @dataclass(frozen=True)
@@ -101,16 +49,6 @@ class SstaResult:
         if not 0.0 < q < 1.0:
             raise ModelDomainError("q must be in (0, 1)")
         return float(np.quantile(self.samples, q))
-
-    def yield_at(self, clock_period: float) -> float:
-        """Fraction of dies meeting ``clock_period``."""
-        return float(np.mean(self.samples <= clock_period))
-
-    def most_critical(self, count: int = 5) -> List[str]:
-        """Instances most often on the critical path."""
-        ranked = sorted(self.criticality.items(),
-                        key=lambda item: item[1], reverse=True)
-        return [name for name, _ in ranked[:count]]
 
 
 class StatisticalTimingAnalyzer:
@@ -147,7 +85,29 @@ class StatisticalTimingAnalyzer:
 
     def run(self, n_samples: int = 200) -> SstaResult:
         """Draw ``n_samples`` dies and collect delay statistics."""
-        return merge_ssta_shards([self.run_shard(n_samples)])
+        n_samples = check_count("n_samples", n_samples, minimum=2)
+        nominal = StaticTimingAnalyzer(
+            self.netlist,
+            wire_cap_per_fanout=self.wire_cap_per_fanout).analyze()
+        sigmas = self._intra_sigmas()
+        names = list(sigmas)
+        compiled = CompiledTimingGraph(
+            self.netlist, wire_cap_per_fanout=self.wire_cap_per_fanout)
+        # Same stream as the scalar loop: per sample, one inter-die
+        # draw then n_gates intra-die draws.
+        draws = self.rng.standard_normal((n_samples, 1 + len(names)))
+        global_shift = self.variation.vth_inter * draws[:, 0]
+        offsets = np.array([sigmas[name] for name in names]) \
+            * draws[:, 1:]
+        batch = compiled.evaluate(
+            offsets, global_vth_offset=global_shift)
+        counts = batch.criticality_counts()
+        topo_of = {name: i for i, name in enumerate(batch.names_topo)}
+        criticality = {name: int(counts[topo_of[name]]) / n_samples
+                       for name in batch.names if counts[topo_of[name]]}
+        return SstaResult(samples=batch.critical_delays,
+                          nominal_delay=nominal.critical_delay,
+                          criticality=criticality)
 
     def _run_reference(self, n_samples: int = 200) -> SstaResult:
         """Per-sample scalar loop (one full dict-based STA per die).
@@ -182,46 +142,6 @@ class StatisticalTimingAnalyzer:
         return SstaResult(samples=samples,
                           nominal_delay=nominal.critical_delay,
                           criticality=criticality)
-
-    def run_shard(self, n_samples: int,
-                  shard: Optional[tuple] = None) -> SstaShard:
-        """Evaluate one ``(start, stop)`` slice of an ``n_samples`` run.
-
-        Draws the full run's variate matrix (the cheap part) and
-        evaluates only the slice (the expensive part), so shard ``k``
-        of any partition carries bit-for-bit the samples ``run()``
-        would have produced at those indices under the same seed.
-        Returns integer criticality *counts* -- the mergeable form --
-        via :class:`SstaShard`; :func:`merge_ssta_shards` rebuilds the
-        exact single-process :class:`SstaResult`.
-        """
-        n_samples = check_count("n_samples", n_samples, minimum=2)
-        shard = check_shard(shard, n_samples)
-        start, stop = shard if shard is not None else (0, n_samples)
-        nominal = StaticTimingAnalyzer(
-            self.netlist,
-            wire_cap_per_fanout=self.wire_cap_per_fanout).analyze()
-        sigmas = self._intra_sigmas()
-        names = list(sigmas)
-        compiled = CompiledTimingGraph(
-            self.netlist, wire_cap_per_fanout=self.wire_cap_per_fanout)
-        # Same stream as the scalar loop: per sample, one inter-die
-        # draw then n_gates intra-die draws.
-        draws = self.rng.standard_normal(
-            (n_samples, 1 + len(names)))[start:stop]
-        global_shift = self.variation.vth_inter * draws[:, 0]
-        offsets = np.array([sigmas[name] for name in names]) \
-            * draws[:, 1:]
-        batch = compiled.evaluate(
-            offsets, global_vth_offset=global_shift)
-        counts_topo = batch.criticality_counts()
-        topo_of = {name: i for i, name in enumerate(batch.names_topo)}
-        counts = np.array([counts_topo[topo_of[name]]
-                           for name in batch.names], dtype=np.int64)
-        return SstaShard(samples=batch.critical_delays,
-                         counts=counts, names=tuple(batch.names),
-                         nominal_delay=nominal.critical_delay,
-                         start=start, stop=stop)
 
 
 def corner_vs_statistical_margin(netlist: Netlist,

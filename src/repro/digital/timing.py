@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .netlist import Instance, Netlist
 from ..robust.rng import resolve_rng
-from ..robust.validate import validated
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,6 @@ class TimingReport:
         if total <= 0:
             return float("inf")
         return 1.0 / total
-
-    def slack(self, clock_period: float) -> float:
-        """Timing slack [s] at ``clock_period``."""
-        return clock_period - self.critical_delay
 
 
 class StaticTimingAnalyzer:
@@ -108,16 +103,6 @@ class StaticTimingAnalyzer:
         )
 
 
-@validated(global_vth_offset="finite")
-def critical_delay(netlist: Netlist, global_vth_offset: float = 0.0,
-                   vth_offsets: Optional[Dict[str, float]] = None) -> float:
-    """Convenience wrapper: critical-path delay [s]."""
-    analyzer = StaticTimingAnalyzer(
-        netlist, vth_offsets=vth_offsets,
-        global_vth_offset=global_vth_offset)
-    return analyzer.analyze().critical_delay
-
-
 def delay_under_mismatch(netlist: Netlist, sigma_vth: float,
                          n_samples: int = 100,
                          seed: Optional[int] = None) -> List[float]:
@@ -130,8 +115,8 @@ def delay_under_mismatch(netlist: Netlist, sigma_vth: float,
     (:class:`~repro.digital.timing_compiled.CompiledTimingGraph`) and
     evaluates every sample in one batched call.  Sample ``i`` consumes
     row ``i`` of one ``(n_samples, n_gates)`` normal block and matches
-    :func:`critical_delay` at that row's per-gate offsets to float64
-    round-off.
+    a :class:`StaticTimingAnalyzer` run at that row's per-gate offsets
+    to float64 round-off.
     """
     from ..robust.validate import check_count, check_non_negative
     from .timing_compiled import CompiledTimingGraph

@@ -153,20 +153,6 @@ class EnergyDelayModel:
                              "(delay_limit too tight?)")
         return best
 
-    def dvfs_curve(self, vdd_values: Sequence[float]
-                   ) -> List[Dict[str, float]]:
-        """Classic DVFS curve: energy and delay vs V_DD at nominal V_T."""
-        rows = []
-        for vdd in vdd_values:
-            point = self.evaluate(vdd, self.node.vth)
-            rows.append({
-                "vdd_V": vdd,
-                "delay_ns": point.delay_per_stage * 1e9,
-                "energy_fJ": point.total_energy * 1e15,
-                "leakage_share": point.leakage_share,
-            })
-        return rows
-
 
 def minimum_energy_trend(nodes: Sequence[TechnologyNode],
                          logic_depth: int = 30,

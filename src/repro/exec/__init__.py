@@ -1,7 +1,7 @@
 """Fault-tolerant sharded execution of batched Monte Carlo workloads.
 
 The paper's headline numbers are all Monte Carlo statistics -- yield
-vs node, chain sign-off, SSTA distributions -- and at sign-off scale
+vs node, chain sign-off, substrate noise -- and at sign-off scale
 those runs move onto many workers, where workers crash, hang, and
 occasionally return garbage.  This package makes that regime safe
 without touching a single published number:
@@ -35,8 +35,7 @@ from .result import (ConfidenceBounds, ExecResult, PartialResult,
 from .runner import run_sharded
 from .shards import Shard, plan_shards
 from .workloads import (YIELD_METRICS, ChainSignoffWorkload,
-                        ShardWorkload, SocNoiseWorkload, SstaWorkload,
-                        YieldWorkload)
+                        ShardWorkload, SocNoiseWorkload, YieldWorkload)
 
 __all__ = [
     "CHAOS_ENV_VAR", "FAULT_KINDS", "ChaosPlan", "ChaosSpec",
@@ -48,5 +47,5 @@ __all__ = [
     "run_sharded",
     "Shard", "plan_shards",
     "YIELD_METRICS", "ChainSignoffWorkload", "ShardWorkload",
-    "SocNoiseWorkload", "SstaWorkload", "YieldWorkload",
+    "SocNoiseWorkload", "YieldWorkload",
 ]

@@ -137,11 +137,6 @@ class ExecResult:
         """Number of shards the run was split into."""
         return len(self.outcomes)
 
-    @property
-    def total_attempts(self) -> int:
-        """Attempts summed over shards (retries included)."""
-        return sum(outcome.attempts for outcome in self.outcomes)
-
 
 @dataclass(frozen=True)
 class PartialResult:
@@ -171,11 +166,6 @@ class PartialResult:
     def completed(self) -> Tuple[ShardOutcome, ...]:
         """The shards that produced a validated payload."""
         return tuple(o for o in self.outcomes if o.ok)
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the population actually evaluated."""
-        return self.n_done / self.n_total if self.n_total else 0.0
 
     def summary(self) -> str:
         """One-line human summary (CLI degraded-mode output)."""

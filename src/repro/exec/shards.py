@@ -1,7 +1,7 @@
 """Shard planning: contiguous, balanced slices of an MC population.
 
 A shard is a half-open ``[start, stop)`` index interval of the full
-workload (dies, SSTA samples, trace events).  Planning is pure
+workload (dies, trace events).  Planning is pure
 arithmetic -- the same ``(n_total, n_shards)`` always yields the same
 plan -- and shards tile the population exactly, so concatenating
 per-shard results in shard-index order reconstructs the single

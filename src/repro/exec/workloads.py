@@ -19,13 +19,12 @@ The determinism contract is carried by the model layer, not by this
 module: every workload rebuilds its sampler from the fixed seed on
 each attempt, and the shard-aware entry points
 (:func:`~repro.variability.statistical.monte_carlo_yield_batch`,
-:func:`~repro.analog.chain.chain_signoff_batch`,
-:meth:`~repro.digital.ssta.StatisticalTimingAnalyzer.run_shard`)
-guarantee that shard unit ``k`` is bit-for-bit unit ``start + k`` of
-the full run.  Merging is then pure concatenation (arrays), integer
-addition (counts), or order-independent reduction (max), so merged
-statistics equal the single-process oracle's bit for bit -- for any
-shard count, worker failure order, or retry history.
+:func:`~repro.analog.chain.chain_signoff_batch`) guarantee that shard
+unit ``k`` is bit-for-bit unit ``start + k`` of the full run.  Merging
+is then pure concatenation (arrays), integer addition (counts), or
+order-independent reduction (max), so merged statistics equal the
+single-process oracle's bit for bit -- for any shard count, worker
+failure order, or retry history.
 
 The waveform workload (:class:`SocNoiseWorkload`) is the documented
 exception: partial sensor waveforms *sum* across shards, so changing
@@ -49,7 +48,7 @@ from ..robust.validate import check_count, check_positive
 
 __all__ = [
     "ShardWorkload", "YieldWorkload", "ChainSignoffWorkload",
-    "SstaWorkload", "SocNoiseWorkload", "YIELD_METRICS",
+    "SocNoiseWorkload", "YIELD_METRICS",
 ]
 
 #: Named ``DieBatch -> (n_dies,) array`` metrics for the yield
@@ -338,92 +337,6 @@ class ChainSignoffWorkload(ShardWorkload):
             "enob_mean": (sum(enob) / len(enob)
                           if enob else float("nan")),
             "enob_min": min(enob) if enob else float("nan"),
-        }
-
-
-@dataclass(frozen=True)
-class SstaWorkload(ShardWorkload):
-    """Sharded Monte Carlo SSTA over a generated ripple-adder
-    netlist, merging samples and integer criticality counts exactly
-    (:func:`~repro.digital.ssta.merge_ssta_shards`)."""
-
-    node_name: str
-    width: int = 8
-    n_samples: int = 200
-    seed: int = 0
-
-    name = "ssta"
-
-    def n_total(self) -> int:
-        return self.n_samples
-
-    def key(self) -> tuple:
-        return (self.node_name, self.width, self.n_samples,
-                self.seed)
-
-    def _analyzer(self):
-        from ..digital.generators import ripple_adder
-        from ..digital.ssta import StatisticalTimingAnalyzer
-        from ..technology import get_node
-        netlist = ripple_adder(get_node(self.node_name),
-                               width=self.width)
-        return StatisticalTimingAnalyzer(netlist, seed=self.seed)
-
-    def run_shard(self, start: int, stop: int) -> Dict[str, Any]:
-        shard = self._analyzer().run_shard(self.n_samples,
-                                           (start, stop))
-        return {
-            "start": start, "stop": stop,
-            "samples": [float(v) for v in shard.samples],
-            "counts": [int(c) for c in shard.counts],
-            "names": list(shard.names),
-            "nominal": float(shard.nominal_delay),
-        }
-
-    def validate_payload(self, payload: Any, start: int,
-                         stop: int) -> None:
-        _require(payload, ("start", "stop", "samples", "counts",
-                           "names", "nominal"))
-        _check_span(payload, start, stop)
-        size = stop - start
-        _check_floats("samples", payload["samples"], size)
-        counts = payload["counts"]
-        names = payload["names"]
-        if not isinstance(counts, list) or not isinstance(
-                names, list) or len(counts) != len(names):
-            raise PoisonedResultError(
-                "payload counts/names must be lists of equal length")
-        for count in counts:
-            if isinstance(count, bool) or not isinstance(
-                    count, int) or not 0 <= count <= size:
-                raise PoisonedResultError(
-                    f"criticality count {count!r} outside [0, "
-                    f"{size}]")
-        nominal = payload["nominal"]
-        if not isinstance(nominal, float) or not math.isfinite(
-                nominal):
-            raise PoisonedResultError(
-                f"nominal delay {nominal!r} is not a finite float")
-
-    def merge(self, payloads: List[Dict[str, Any]]) -> Any:
-        from ..digital.ssta import SstaShard, merge_ssta_shards
-        shards = [SstaShard(
-            samples=np.asarray(p["samples"], dtype=float),
-            counts=np.asarray(p["counts"], dtype=np.int64),
-            names=tuple(p["names"]),
-            nominal_delay=p["nominal"],
-            start=p["start"], stop=p["stop"]) for p in payloads]
-        return merge_ssta_shards(shards)
-
-    def partial_statistics(self, payloads: List[Dict[str, Any]]
-                           ) -> Dict[str, float]:
-        samples = [v for p in payloads for v in p["samples"]]
-        if not samples:
-            return {"n_done": 0.0}
-        return {
-            "n_done": float(len(samples)),
-            "mean_delay_ps": 1e12 * sum(samples) / len(samples),
-            "max_delay_ps": 1e12 * max(samples),
         }
 
 

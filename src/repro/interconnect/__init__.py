@@ -10,8 +10,6 @@ from .wire import (
 from .elmore import (
     RCNode,
     RCTree,
-    driver_wire_load_delay,
-    uniform_line,
 )
 from .repeaters import (
     DriverModel,
@@ -58,8 +56,7 @@ from .trends import (
 __all__ = [
     "WireGeometry", "capacitance_per_length", "resistance_per_length",
     "wire_delay", "wire_energy",
-    "RCNode", "RCTree", "driver_wire_load_delay", "uniform_line",
-    "DriverModel", "RepeaterSolution",
+    "RCNode", "RCTree", "DriverModel", "RepeaterSolution",
     "insert_repeaters", "optimal_repeater_count", "optimal_repeater_size",
     "HTreeReport", "build_h_tree", "h_tree_report",
     "max_wire_length_for_skew", "skew_budget", "skew_length_sweep",

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..robust.validate import check_count, check_non_negative, validated
-from .wire import WireGeometry, capacitance_per_length, resistance_per_length
+from ..robust.validate import check_non_negative
 from ..robust.errors import RoadmapDataError
 
 
@@ -63,13 +62,6 @@ class RCTree:
         node = node or self.root
         return sum(n.capacitance for n in node.iter_nodes())
 
-    def find(self, name: str) -> RCNode:
-        """Find a node by name; raises KeyError if absent."""
-        for node in self.root.iter_nodes():
-            if node.name == name:
-                return node
-        raise RoadmapDataError(f"no RC node named {name!r}")
-
     def _path_to(self, name: str) -> List[RCNode]:
         """Return the node path root -> target."""
         def search(node: RCNode, path: List[RCNode]) -> Optional[List[RCNode]]:
@@ -111,46 +103,3 @@ class RCTree:
         if not delays:
             return 0.0
         return max(delays) - min(delays)
-
-
-@validated(length="non-negative", segments="count",
-           driver_resistance="non-negative",
-           load_capacitance="non-negative")
-def uniform_line(geom: WireGeometry, length: float, segments: int = 10,
-                 driver_resistance: float = 0.0,
-                 load_capacitance: float = 0.0,
-                 name_prefix: str = "seg") -> RCTree:
-    """Build an RC-ladder model of a uniform wire.
-
-    With enough segments the Elmore delay converges to r*c*L^2/2 +
-    R_drv*c*L + (R_drv + r*L)*C_load, the standard driver-wire-load
-    formula.
-    """
-    r_seg = resistance_per_length(geom) * length / segments
-    c_seg = capacitance_per_length(geom) * length / segments
-    tree = RCTree(driver_resistance=driver_resistance)
-    current = tree.root
-    for i in range(segments):
-        current = current.add_child(
-            RCNode(f"{name_prefix}{i}", resistance=r_seg,
-                   capacitance=c_seg))
-    current.capacitance += load_capacitance
-    current.name = f"{name_prefix}_sink"
-    return tree
-
-
-@validated(_result_finite=True, length="non-negative",
-           driver_resistance="non-negative",
-           load_capacitance="non-negative")
-def driver_wire_load_delay(geom: WireGeometry, length: float,
-                           driver_resistance: float,
-                           load_capacitance: float) -> float:
-    """Closed-form Elmore delay of driver + uniform wire + load [s].
-
-    T = R_drv*(C_wire + C_load) + r*L*(c*L/2 + C_load).
-    """
-    r = resistance_per_length(geom)
-    c = capacitance_per_length(geom)
-    c_wire = c * length
-    return (driver_resistance * (c_wire + load_capacitance)
-            + r * length * (c_wire / 2.0 + load_capacitance))

@@ -87,11 +87,6 @@ class RlcCharacter:
         return math.exp(-math.pi * self.damping
                         / math.sqrt(1.0 - self.damping ** 2))
 
-    @property
-    def flight_time(self) -> float:
-        """Wave propagation time sqrt(L*C) [s]."""
-        return math.sqrt(self.inductance * self.capacitance)
-
 
 def rlc_character(geom: WireGeometry, length: float,
                   driver_resistance: float,
@@ -161,8 +156,7 @@ def inductive_crosstalk_fraction(geom: WireGeometry, length: float,
 
 
 def inductance_relevance_trend(nodes: Sequence[TechnologyNode],
-                               length: float = 3e-3,
-                               layer_top: bool = True
+                               length: float = 3e-3
                                ) -> List[Dict[str, float]]:
     """When does L matter?  Per-node check on a global wire.
 
@@ -173,8 +167,7 @@ def inductance_relevance_trend(nodes: Sequence[TechnologyNode],
     from .repeaters import DriverModel
     rows = []
     for node in nodes:
-        layer = node.metal_layers if layer_top else 1
-        geom = WireGeometry.for_node(node, layer)
+        geom = WireGeometry.for_node(node, node.metal_layers)
         driver = DriverModel.for_node(node)
         # A strong global driver: 32x unit inverter.
         r_drv = driver.resistance_unit / 32.0

@@ -24,7 +24,7 @@ under-approximation everywhere except class expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .summary import FileSummary, FunctionSummary
 
@@ -69,8 +69,8 @@ class CallGraph:
         self.summaries = summaries
         #: qualname -> FunctionSummary, merged across all files.
         self.functions: Dict[str, FunctionSummary] = {}
-        #: class qualname -> {"fields": [...], "methods": [...]}
-        self.classes: Dict[str, Dict[str, List[str]]] = {}
+        #: class qualname -> that class's summary record.
+        self.classes: Dict[str, Dict[str, Any]] = {}
         #: module dotted name -> that module's alias map.
         self._module_aliases: Dict[str, Dict[str, str]] = {}
         for summary in summaries.values():
@@ -94,20 +94,16 @@ class CallGraph:
             return aliases[name]
         return None
 
-    def resolve(self, candidate: str) -> List[str]:
-        """Function qualnames a recorded candidate actually reaches."""
+    def definition(self, candidate: str) -> Optional[str]:
+        """The function, method or class qualname a recorded candidate
+        names, chasing package re-exports."""
         seen = set()
         for _ in range(_MAX_ALIAS_HOPS):
             if candidate in seen:
                 break
             seen.add(candidate)
-            if candidate in self.functions:
-                return [candidate]
-            if candidate in self.classes:
-                methods = self.classes[candidate].get("methods", [])
-                return [f"{candidate}.{method}"
-                        for method in _CLASS_ENTRY_METHODS
-                        if method in methods]
+            if candidate in self.functions or candidate in self.classes:
+                return candidate
             # ``pkg.Cls.method`` through a re-exported class.
             head, _, tail = candidate.rpartition(".")
             chased = self._chase_alias(candidate)
@@ -116,9 +112,20 @@ class CallGraph:
                 if chased_head is not None:
                     chased = f"{chased_head}.{tail}"
             if chased is None:
-                return []
+                return None
             candidate = chased
-        return []
+        return None
+
+    def resolve(self, candidate: str) -> List[str]:
+        """Function qualnames a recorded candidate actually reaches."""
+        target = self.definition(candidate)
+        if target is None:
+            return []
+        if target in self.functions:
+            return [target]
+        methods = self.classes[target].get("methods", [])
+        return [f"{target}.{method}" for method in _CLASS_ENTRY_METHODS
+                if method in methods]
 
     # -- structure ----------------------------------------------------
 
@@ -175,15 +182,3 @@ class CallGraph:
     def effects_of(self, qual: str) -> Dict[str, EffectOrigin]:
         """Transitive effect kinds carried by ``qual`` (with witnesses)."""
         return dict(self._origins.get(qual, {}))
-
-    def reachable(self, roots: Iterable[str]) -> List[str]:
-        """Every function reachable from ``roots`` (roots included)."""
-        stack = [root for root in roots if root in self.functions]
-        seen = set(stack)
-        while stack:
-            qual = stack.pop()
-            for callee in self._edges.get(qual, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    stack.append(callee)
-        return sorted(seen)

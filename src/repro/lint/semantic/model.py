@@ -4,7 +4,7 @@ A :class:`SemanticModel` bundles the per-file summaries (cache-served
 or freshly extracted) with the :class:`~repro.lint.semantic.callgraph.
 CallGraph` built from them, and pre-digests the project-wide facts
 the R008-R010 rules query: determinism roots (shard entry points plus
-the listed :data:`DETERMINISM_ROOTS`) and the merged reference table
+the listed :data:`DETERMINISM_ROOTS`) and the merged reference tables
 for liveness analysis.
 """
 
@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from .callgraph import CallGraph
-from .summary import FileSummary, FunctionSummary
+from .summary import FileSummary
+
+#: Modules whose references keep no API live: the fault registry
+#: drives each API the way a test does.
+_DRIVER_MODULES = frozenset({"repro.robust.faults"})
 
 #: Fixed-seed entry points R008 holds to determinism besides the shard
-#: entry points: the batched OTA, front-end, OTA-yield and
+#: entry points: the batched OTA, front-end, OTA-yield, SSTA and
 #: electrothermal engines, the scalar references they are tested
 #: against, and the public drivers that run them.
 DETERMINISM_ROOTS: Tuple[str, ...] = (
@@ -30,6 +34,7 @@ DETERMINISM_ROOTS: Tuple[str, ...] = (
     "repro.analog.yield_analysis.OtaYieldAnalyzer."
     "_performance_matrix_oracle",
     "repro.analog.yield_analysis.OtaYieldAnalyzer.run",
+    "repro.digital.ssta.StatisticalTimingAnalyzer.run",
     "repro.synthesis.sizing.frontend_synthesizer",
     "repro.synthesis.sizing.ota_synthesizer",
     "repro.thermal.electrothermal.electrothermal_rth_sweep",
@@ -46,8 +51,10 @@ class SemanticModel:
     #: path string -> that file's summary.
     summaries: Dict[str, FileSummary]
     graph: CallGraph
-    #: bare name -> owners that reference it ("module.owner" tags).
-    _reference_owners: Dict[str, Set[str]] = field(default_factory=dict)
+    #: loaded bare name -> owners that load it ("module.owner" tags).
+    _name_owners: Dict[str, Set[str]] = field(default_factory=dict)
+    #: function/class qualname -> owners whose references resolve to it.
+    _definition_owners: Dict[str, Set[str]] = field(default_factory=dict)
 
     # -- R008: determinism roots --------------------------------------
 
@@ -65,14 +72,23 @@ class SemanticModel:
 
     # -- R010: liveness -----------------------------------------------
 
-    def is_referenced(self, fn: FunctionSummary) -> bool:
-        """Is ``fn`` referenced anywhere beyond its own body?"""
-        owners = self._reference_owners.get(fn.name)
-        if not owners:
-            return False
-        # A reference from the function's own body (recursion) does
-        # not make it live: its owner tag equals the qualname.
-        return any(owner != fn.qual for owner in owners)
+    def is_referenced(self, qual: str, by_name: bool = False) -> bool:
+        """Is the function, method or class ``qual`` referenced beyond
+        its own body?  ``by_name`` (methods, whose receivers are
+        untyped) counts any load of the bare name."""
+        owners = (self._name_owners.get(qual.rpartition(".")[2], ())
+                  if by_name else self._definition_owners.get(qual, ()))
+        # A reference from the definition's own body (recursion, a
+        # method naming its class) does not make it live.
+        return any(owner != qual and not owner.startswith(qual + ".")
+                   for owner in owners)
+
+
+def _tagged(module: str, owners: List[str]) -> Set[str]:
+    # Tag owners with their defining module so a function referencing
+    # itself in another module still counts.
+    return {f"{module}.{owner}" if owner else f"{module}:<toplevel>"
+            for owner in owners}
 
 
 def build_semantic_model(
@@ -82,11 +98,14 @@ def build_semantic_model(
     model = SemanticModel(summaries=dict(summaries), graph=graph)
 
     for summary in summaries.values():
-        for name, owners in summary.references.items():
-            bucket = model._reference_owners.setdefault(name, set())
-            for owner in owners:
-                # Tag owners with their defining module so a function
-                # referencing itself in another module still counts.
-                bucket.add(f"{summary.module}.{owner}" if owner
-                           else f"{summary.module}:<toplevel>")
+        if summary.module in _DRIVER_MODULES:
+            continue
+        for name, owners in summary.name_loads.items():
+            model._name_owners.setdefault(name, set()).update(
+                _tagged(summary.module, owners))
+        for candidate, owners in summary.references.items():
+            target = graph.definition(candidate)
+            if target is not None:
+                model._definition_owners.setdefault(target, set()).update(
+                    _tagged(summary.module, owners))
     return model

@@ -3,10 +3,10 @@
 A :class:`FileSummary` is everything the project-wide passes need to
 know about one source file -- per-function signatures, direct effect
 sets, direct validation evidence, resolved callee candidates, name
-references, ``__all__`` exports and the waiver tables -- as plain
-JSON-serializable data.  It is a *pure function of the file's content
-and path*, which is what makes the incremental cache
-(:mod:`repro.lint.semantic.cache`) sound: a content hash fully keys
+loads and resolved references, ``__all__`` exports and the waiver
+tables -- as plain JSON-serializable data.  It is a *pure function of
+the file's content and path*, which is what makes the incremental
+cache (:mod:`repro.lint.semantic.cache`) sound: a content hash fully keys
 the summary, and everything derived across files (the call graph,
 transitive effects) is recomputed from summaries on every run.
 
@@ -36,7 +36,7 @@ from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 5
+SUMMARY_SCHEMA_VERSION = 6
 
 #: Raising one of these counts as an explicit domain guard.
 _TAXONOMY_ERRORS = frozenset({
@@ -132,13 +132,19 @@ class FileSummary:
     module: str
     error: Optional[str] = None         # syntax/read error (E999)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-    #: class name -> {"fields": [...], "methods": [...]} in source order
-    classes: Dict[str, Dict[str, List[str]]] = field(default_factory=dict)
+    #: class name -> {"fields": [...], "methods": [...] (source order),
+    #: "decorators": [...], "line": n, "col": n}
+    classes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: bare imported name -> absolute repro target ("repro.x.y.name")
     aliases: Dict[str, str] = field(default_factory=dict)
-    #: referenced bare name -> sorted owners ("" = module level / class
-    #: body / method; otherwise the enclosing top-level function name).
-    #: A package ``__init__``'s ``from .x import f`` is not recorded.
+    #: Owners are "" (module level), "fn" (a top-level function),
+    #: "Cls" (a class body) or "Cls.meth" (a method body); nested
+    #: bodies fold into the enclosing owner.
+    #: loaded bare name (``name`` or ``.name``) -> sorted owners
+    name_loads: Dict[str, List[str]] = field(default_factory=dict)
+    #: resolved dotted target of a loaded Name or attribute chain
+    #: ("repro.x.f", "repro.pkg.f") -> sorted owners.  An import that
+    #: the module never reads is not recorded.
     references: Dict[str, List[str]] = field(default_factory=dict)
     exports: List[str] = field(default_factory=list)   # __all__ strings
     #: documented waivers: effective line -> codes; file-wide codes;
@@ -161,6 +167,7 @@ class FileSummary:
                           for qual, fn in self.functions.items()},
             "classes": self.classes,
             "aliases": self.aliases,
+            "name_loads": self.name_loads,
             "references": self.references,
             "exports": self.exports,
             "line_waiver_codes": {str(line): codes for line, codes
@@ -180,6 +187,7 @@ class FileSummary:
                        for qual, fn in data["functions"].items()},
             classes=data["classes"],
             aliases=data["aliases"],
+            name_loads=data["name_loads"],
             references=data["references"],
             exports=data["exports"],
             line_waiver_codes={int(line): codes for line, codes
@@ -212,8 +220,9 @@ def _repro_aliases(info: ModuleInfo) -> Dict[str, str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "repro":
-                    mapping[alias.asname
-                            or alias.name.split(".")[0]] = alias.name
+                    # ``import repro.x.y`` binds ``repro`` itself.
+                    mapping[alias.asname or "repro"] = \
+                        alias.name if alias.asname else "repro"
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base_parts = package_parts[:len(package_parts)
@@ -406,34 +415,41 @@ def _literal_str(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-def _collect_references(info: ModuleInfo,
-                        summary: FileSummary) -> None:
+def _collect_references(info: ModuleInfo, summary: FileSummary,
+                        resolver: _Resolver) -> None:
+    name_loads: Dict[str, set] = {}
     references: Dict[str, set] = {}
-    # A package ``__init__`` that imports a name only re-exports it.
-    is_package = info.path.stem == "__init__"
 
-    def note(name: str, owner: str) -> None:
-        references.setdefault(name, set()).add(owner)
-
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
+    def note(node: ast.AST, owner: str) -> None:
+        for child in ast.walk(node):
             if isinstance(child, ast.Name) \
                     and isinstance(child.ctx, ast.Load):
-                note(child.id, owner)
-            elif isinstance(child, ast.Attribute):
-                note(child.attr, owner)
-            elif isinstance(child, ast.ImportFrom) and not is_package:
-                for alias in child.names:
-                    note(alias.name, owner)
-            child_owner = owner
-            if owner == "" and isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node is info.tree:
-                child_owner = child.name
-            visit(child, child_owner)
+                bare = child.id
+            elif isinstance(child, ast.Attribute) \
+                    and isinstance(child.ctx, ast.Load):
+                bare = child.attr
+            else:
+                continue
+            name_loads.setdefault(bare, set()).add(owner)
+            dotted = dotted_name(child)
+            target = dotted and resolver.resolve(dotted, None, {})
+            if target:
+                references.setdefault(target, set()).add(owner)
 
-    visit(info.tree, "")
     for node in info.tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note(node, node.name)
+        elif isinstance(node, ast.ClassDef):
+            for part in node.decorator_list + node.bases + [
+                    keyword.value for keyword in node.keywords]:
+                note(part, node.name)
+            for item in node.body:
+                is_method = isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                note(item, f"{node.name}.{item.name}" if is_method
+                     else node.name)
+        else:
+            note(node, "")
         if isinstance(node, ast.Assign) \
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets) \
@@ -442,6 +458,8 @@ def _collect_references(info: ModuleInfo,
                 literal = _literal_str(element)
                 if literal is not None:
                     summary.exports.append(literal)
+    summary.name_loads = {name: sorted(owners)
+                          for name, owners in sorted(name_loads.items())}
     summary.references = {name: sorted(owners)
                           for name, owners in sorted(references.items())}
 
@@ -474,10 +492,14 @@ def summarize(info: ModuleInfo) -> FileSummary:
                 elif isinstance(item, ast.AnnAssign) \
                         and isinstance(item.target, ast.Name):
                     fields.append(item.target.id)
-            summary.classes[node.name] = {"fields": fields,
-                                          "methods": methods}
+            summary.classes[node.name] = {
+                "fields": fields, "methods": methods,
+                "decorators": [dotted_name(d.func if isinstance(
+                    d, ast.Call) else d) or "" for d in
+                    node.decorator_list],
+                "line": node.lineno, "col": node.col_offset}
 
-    _collect_references(info, summary)
+    _collect_references(info, summary, resolver)
 
     summary.line_waiver_codes = {
         line: sorted({code for waiver in waivers if waiver.documented

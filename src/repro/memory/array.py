@@ -32,11 +32,6 @@ class ArraySpec:
         """Total storage [bits]."""
         return self.n_rows * self.n_cols
 
-    @property
-    def word_bits(self) -> int:
-        """Bits per accessed word."""
-        return self.n_cols // self.column_mux
-
 
 class SramArray:
     """An SRAM macro: cells plus bitline/wordline electrical models."""
@@ -95,13 +90,6 @@ class SramArray:
         if read_current <= 0:
             return float("inf")
         return self.bitline_capacitance() * swing / read_current
-
-    def access_time(self) -> float:
-        """Total read access estimate [s]: decode + WL + BL + sense."""
-        decode = 4.0 * self.wordline_delay() / self.spec.n_cols * 16
-        sense = 0.2 * self.bitline_swing_time()
-        return decode + self.wordline_delay() \
-            + self.bitline_swing_time() + sense
 
     def total_leakage(self) -> float:
         """Array standby leakage [W]."""

@@ -58,13 +58,6 @@ class SenseAmp:
             raise ModelDomainError("sigma_level must be positive")
         return sigma_level * self.offset_sigma
 
-    def sense_yield(self, swing: float) -> float:
-        """Probability one sense fires correctly at ``swing`` [V]."""
-        from scipy.stats import norm
-        if swing < 0:
-            raise ModelDomainError("swing must be non-negative")
-        return float(norm.cdf(swing / self.offset_sigma))
-
     @classmethod
     def sized_for(cls, node: TechnologyNode,
                   area_factor: float = 8.0) -> "SenseAmp":

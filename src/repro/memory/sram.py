@@ -7,7 +7,7 @@ devices (maximum mismatch), there are millions of them (worst-case
 statistics), and the array leaks constantly (it is never clock-gated).
 
 The model computes the butterfly-curve static noise margin (SNM) from
-the compact MOSFET model, read/write margins, per-cell leakage, and
+the compact MOSFET model, the read margin, per-cell leakage, and
 the cell-failure probability under V_T mismatch.
 """
 
@@ -43,16 +43,6 @@ class SramCellDesign:
         for name in ("pull_down_ratio", "access_ratio", "pull_up_ratio"):
             if getattr(self, name) <= 0:
                 raise ModelDomainError(f"{name} must be positive")
-
-    @property
-    def cell_ratio(self) -> float:
-        """Driver/access strength ratio (read stability knob)."""
-        return self.pull_down_ratio / self.access_ratio
-
-    @property
-    def pullup_ratio(self) -> float:
-        """Pull-up/access strength ratio (writability knob)."""
-        return self.pull_up_ratio / self.access_ratio
 
 
 class SramCell:
@@ -228,31 +218,6 @@ class SramCell:
     def hold_snm(self) -> float:
         """SNM with the cell isolated [V]."""
         return self.static_noise_margin(read_condition=False)
-
-    def write_margin(self) -> float:
-        """Write margin [V]: how far below V_DD the internal '1' node
-        is dragged with the bitline at 0 -- positive when the cell
-        flips (writable)."""
-        vdd = self.node.vdd
-        # '1' node held by pull-up, attacked through the access device
-        # to a grounded bitline.
-        def net_current(v_node: float) -> float:
-            # Positive = the pull-up wins and the node rises.
-            i_up = self.pu_l.ids(vdd, vdd - v_node)      # holds high
-            i_ax = self.ax_l.ids(vdd, v_node)            # pulls to BL=0
-            return i_up - i_ax
-
-        if net_current(0.0) <= 0:
-            v_final = 0.0             # access overwhelms the pull-up
-        elif net_current(vdd) >= 0:
-            v_final = vdd             # pull-up never loses: unwritable
-        else:
-            from scipy.optimize import brentq
-
-            v_final = brentq(net_current, 0.0, vdd, xtol=1e-9)
-        # Writable when the node is dragged below the trip point
-        # (~VDD/2); the margin is the distance below it.
-        return vdd / 2.0 - v_final
 
     def leakage_current(self) -> float:
         """Static leakage of the cell [A] (both sides, worst state)."""

@@ -38,12 +38,6 @@ class CacheStats:
     misses: int
     size: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class KeyedCache:
     """A named, thread-safe memo cache with optional size bound.

@@ -202,7 +202,7 @@ def default_registry() -> List[ApiSpec]:
     from ..exec import (ChaosSpec, RetryPolicy, YieldWorkload,
                         clopper_pearson_interval, plan_shards,
                         run_sharded, wilson_interval)
-    from ..interconnect import elmore, wire
+    from ..interconnect import wire
     from ..lint.semantic import AnalysisCache
     from ..substrate.mesh import SubstrateMesh, SubstrateProcess
     from ..synthesis.sizing import (CircuitSynthesizer, Specification,
@@ -241,14 +241,6 @@ def default_registry() -> List[ApiSpec]:
         return wire.WireGeometry(pitch=pitch,
                                  width_fraction=width_fraction,
                                  aspect_ratio=aspect_ratio)
-
-    def uniform_line_delay(length: float, driver_resistance: float,
-                           load_capacitance: float) -> float:
-        tree = elmore.uniform_line(
-            geometry, length, segments=4,
-            driver_resistance=driver_resistance,
-            load_capacitance=load_capacitance)
-        return tree.elmore_delay("seg_sink")
 
     def node_override(vdd: float, vth: float, tox: float
                       ) -> TechnologyNode:
@@ -361,7 +353,7 @@ def default_registry() -> List[ApiSpec]:
         trace = engine.run(sim_stimulus, n_cycles)
         return {"times": trace.times,
                 "activity": trace.activity_factor(n_cycles),
-                "toggles": float(trace.toggle_count())}
+                "toggles": float(trace.n_events)}
 
     def trace_activity_factor(n_cycles: Any) -> float:
         trace = CompiledEventEngine(
@@ -471,12 +463,6 @@ def default_registry() -> List[ApiSpec]:
         ApiSpec(leakage.gate_leakage_per_gate,
                 lambda **kw: leakage.gate_leakage_per_gate(node, **kw),
                 {"nmos_width": 2 * f, "pmos_width": 4 * f}),
-        ApiSpec(leakage.leakage_power_density,
-                lambda **kw: leakage.leakage_power_density(node, **kw),
-                {"gates_per_mm2": 1e5}),
-        ApiSpec(leakage.ioff_vs_vth_sweep,
-                lambda **kw: leakage.ioff_vs_vth_sweep(node, **kw),
-                {"vth_values": 0.3, "width": 2 * f}),
         ApiSpec(Mosfet.ids, mosfet_ids,
                 {"width": 2 * f, "vgs": 1.0, "vds": 1.0, "vbs": 0.0}),
         ApiSpec(Mosfet.off_current, mosfet_off_current,
@@ -518,17 +504,8 @@ def default_registry() -> List[ApiSpec]:
         ApiSpec(wire.wire_energy,
                 lambda **kw: wire.wire_energy(geometry, **kw),
                 {"length": 1e-3, "vdd": 1.0, "activity": 0.5}),
-        ApiSpec(elmore.driver_wire_load_delay,
-                lambda **kw: elmore.driver_wire_load_delay(geometry, **kw),
-                {"length": 1e-3, "driver_resistance": 1e3,
-                 "load_capacitance": 1e-15}),
-        ApiSpec(elmore.uniform_line, uniform_line_delay,
-                {"length": 1e-3, "driver_resistance": 1e3,
-                 "load_capacitance": 1e-15}),
         ApiSpec(tradeoff.accuracy_from_bits, tradeoff.accuracy_from_bits,
                 {"n_bits": 10.0}),
-        ApiSpec(tradeoff.bits_from_accuracy, tradeoff.bits_from_accuracy,
-                {"accuracy": 1254.0}),
         ApiSpec(tradeoff.thermal_noise_constant,
                 tradeoff.thermal_noise_constant,
                 {"temperature": 300.0, "efficiency": 0.01}),
@@ -544,9 +521,6 @@ def default_registry() -> List[ApiSpec]:
         ApiSpec(pelgrom.sigma_delta_beta,
                 lambda **kw: pelgrom.sigma_delta_beta(node, **kw),
                 {"width": 10 * f, "length": 2 * f}),
-        ApiSpec(pelgrom.area_for_matching,
-                lambda **kw: pelgrom.area_for_matching(node, **kw),
-                {"sigma_vth_target": 1e-3}),
         ApiSpec(pelgrom.offset_sigma_diff_pair,
                 lambda **kw: pelgrom.offset_sigma_diff_pair(node, **kw),
                 {"width": 10 * f, "length": 2 * f, "gm_over_id": 10.0}),

@@ -70,16 +70,17 @@ def check_non_negative(name: str, value: ArrayLike) -> ArrayLike:
 
 
 def check_range(name: str, value: ArrayLike, low: float, high: float,
-                low_open: bool = False, high_open: bool = False) -> ArrayLike:
-    """Require finite ``value`` inside [low, high] (open ends optional)."""
+                low_open: bool = False) -> ArrayLike:
+    """Require finite ``value`` inside [low, high] (low end optionally
+    open)."""
     arr = _as_float_array(name, value)
     ok = np.isfinite(arr)
     ok &= (arr > low) if low_open else (arr >= low)
-    ok &= (arr < high) if high_open else (arr <= high)
+    ok &= arr <= high
     if not np.all(ok):
-        lo_b, hi_b = "(" if low_open else "[", ")" if high_open else "]"
+        lo_b = "(" if low_open else "["
         raise ModelDomainError(
-            f"{name} must be in {lo_b}{low:g}, {high:g}{hi_b}, "
+            f"{name} must be in {lo_b}{low:g}, {high:g}], "
             f"got {value!r}")
     return value
 

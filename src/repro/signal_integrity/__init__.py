@@ -37,11 +37,9 @@ from .phase_noise import (
 from .metrics import (
     comparison_report,
     correlation,
-    peak_to_peak,
     pointwise_nrmse,
     relative_p2p_error,
     relative_rms_error,
-    rms,
 )
 
 __all__ = [
@@ -56,6 +54,6 @@ __all__ = [
     "LeesonParameters", "leeson_phase_noise", "phase_noise_profile",
     "rms_jitter", "substrate_noise_psd_from_waveform",
     "substrate_phase_noise", "total_phase_noise",
-    "comparison_report", "correlation", "peak_to_peak",
-    "pointwise_nrmse", "relative_p2p_error", "relative_rms_error", "rms",
+    "comparison_report", "correlation", "pointwise_nrmse",
+    "relative_p2p_error", "relative_rms_error",
 ]

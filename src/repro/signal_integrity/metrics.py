@@ -11,16 +11,6 @@ from ..substrate.swan import NoiseWaveform
 from ..robust.errors import ModelDomainError
 
 
-def rms(waveform: NoiseWaveform) -> float:
-    """RMS value [V]."""
-    return waveform.rms
-
-
-def peak_to_peak(waveform: NoiseWaveform) -> float:
-    """Peak-to-peak value [V]."""
-    return waveform.peak_to_peak
-
-
 def relative_rms_error(test: NoiseWaveform,
                        reference: NoiseWaveform) -> float:
     """|RMS_test - RMS_ref| / RMS_ref (the Fig. 10 RMS metric)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 from ..robust.errors import ModelDomainError, ModelIndexError
@@ -122,11 +122,6 @@ class SubstrateMesh:
         j = np.clip((np.asarray(y) / self.dy).astype(np.int64),
                     0, self.ny - 1)
         return j * self.nx + i
-
-    def position_of(self, index: int) -> Tuple[float, float]:
-        """Chip coordinates of a node centre."""
-        j, i = divmod(index, self.nx)
-        return ((i + 0.5) * self.dx, (j + 0.5) * self.dy)
 
     @property
     def n_nodes(self) -> int:
@@ -285,7 +280,3 @@ class SubstrateMesh:
         rhs = np.zeros(self.n_nodes + 1)
         rhs[sensor] = 1.0
         return self.solve(rhs)
-
-    def spreading_impedance(self, node: int) -> float:
-        """Self (spreading) impedance of one node [ohm]."""
-        return float(self.transfer_impedance_to(node)[node])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,12 +71,6 @@ class Floorplan:
         x = x1 + (x2 - x1) * (index % n_cols + 0.5) / n_cols
         y = y1 + (y2 - y1) * (index // n_cols + 0.5) / max(n_rows, 1)
         return x, y
-
-    def instance_positions(self, names: List[str]
-                           ) -> Dict[str, Tuple[float, float]]:
-        """Grid positions for every instance name."""
-        x, y = self.grid_positions(len(names))
-        return dict(zip(names, zip(x.tolist(), y.tolist())))
 
     @classmethod
     def default(cls, die_width: float = 3e-3, die_height: float = 3e-3
@@ -363,24 +357,6 @@ class SwanSimulator:
             if currents:
                 voltage += self.propagate(time, currents).voltage
         return NoiseWaveform(time=time, voltage=voltage)
-
-    def node_potentials(self, node_currents: Dict[int, np.ndarray],
-                        t_indices: Sequence[int]) -> np.ndarray:
-        """Full-mesh substrate potentials at selected time bins.
-
-        Builds one ``(n_nodes + 1, k)`` right-hand-side matrix from
-        the injected-current waveforms and solves all ``k`` time bins
-        against the mesh's cached factorization in a single batched
-        call -- the noise-map view of a streamed activity trace.
-        """
-        t_indices = np.asarray(t_indices, dtype=int)
-        if t_indices.ndim != 1 or t_indices.size == 0:
-            raise ModelDomainError(
-                "t_indices must be a non-empty 1-D index sequence")
-        rhs = np.zeros((self.mesh.n_nodes + 1, t_indices.size))
-        for node, series in node_currents.items():
-            rhs[node] = np.asarray(series)[t_indices]
-        return self.mesh.solve(rhs)
 
     def run(self, n_cycles: int = 5, dt: float = 25e-12,
             detailed: bool = False,

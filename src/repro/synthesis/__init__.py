@@ -11,7 +11,6 @@ from .layout import (
 )
 from .devices_gen import (
     capacitor_cell,
-    guard_ring_cell,
     matched_pair_cell,
     mosfet_cell,
     resistor_cell,
@@ -47,7 +46,7 @@ from .flow import (
 __all__ = [
     "LAYERS", "DesignRules", "Layout", "LayoutCell", "Pin", "Placement",
     "Rect",
-    "capacitor_cell", "guard_ring_cell", "matched_pair_cell",
+    "capacitor_cell", "matched_pair_cell",
     "mosfet_cell", "resistor_cell",
     "PlacementProblem", "SimulatedAnnealingPlacer", "place_cells",
     "MazeRouter", "RouteResult", "route_layout",

@@ -88,15 +88,14 @@ def mosfet_cell(node: TechnologyNode, name: str, width: float,
 
 
 def matched_pair_cell(node: TechnologyNode, name: str, width: float,
-                      length: Optional[float] = None,
-                      pmos: bool = False) -> LayoutCell:
+                      length: Optional[float] = None) -> LayoutCell:
     """Common-centroid matched pair (A-B-B-A interdigitation).
 
     The matching-critical layout style LAYLA applies to differential
     pairs and current mirrors: both halves see the same gradients.
     Pins: ``GA``, ``GB``, ``SA``, ``SB``, ``DA``, ``DB``.
     """
-    half = mosfet_cell(node, f"{name}_half", width / 2.0, length, pmos)
+    half = mosfet_cell(node, f"{name}_half", width / 2.0, length)
     rules = DesignRules.for_node(node)
     cell = LayoutCell(name=name)
     step = half.width + rules.cell_margin
@@ -175,31 +174,4 @@ def resistor_cell(node: TechnologyNode, name: str, resistance: float,
     x_last = margin + (n_legs - 1) * leg_pitch + strip_width / 2.0
     y_last = margin + (leg_length if n_legs % 2 == 1 else 0.0)
     cell.pins.append(Pin("N", "poly", x_last, y_last))
-    return cell
-
-
-def guard_ring_cell(node: TechnologyNode, name: str,
-                    inner_width: float, inner_height: float
-                    ) -> LayoutCell:
-    """Substrate-contact guard ring around an inner area.
-
-    The classic mixed-signal isolation structure (section 4.3 of the
-    paper): a ring of substrate contacts that collects injected
-    majority-carrier noise before it reaches the sensitive device.
-    """
-    if inner_width <= 0 or inner_height <= 0:
-        raise ModelDomainError("inner dimensions must be positive")
-    rules = DesignRules.for_node(node)
-    ring = 2.0 * rules.contact_size
-    cell = LayoutCell(name=name)
-    w = inner_width + 2.0 * ring
-    h = inner_height + 2.0 * ring
-    # Four sides on active + metal1.
-    for layer in ("active", "metal1"):
-        cell.rects.append(Rect(layer, 0.0, 0.0, w, ring))
-        cell.rects.append(Rect(layer, 0.0, h - ring, w, ring))
-        cell.rects.append(Rect(layer, 0.0, ring, ring, h - 2 * ring))
-        cell.rects.append(Rect(layer, w - ring, ring, ring,
-                               h - 2 * ring))
-    cell.pins.append(Pin("RING", "metal1", w / 2.0, ring / 2.0))
     return cell

@@ -17,8 +17,8 @@ from typing import Dict, Optional
 
 from ..technology.node import TechnologyNode
 from ..analog.circuits import FrontendPerformance
-from .devices_gen import (capacitor_cell, guard_ring_cell,
-                          matched_pair_cell, mosfet_cell, resistor_cell)
+from .devices_gen import (capacitor_cell, matched_pair_cell, mosfet_cell,
+                          resistor_cell)
 from .layout import DesignRules, Layout
 from .placement import PlacementProblem, place_cells
 from .router import RouteResult, route_layout

@@ -9,7 +9,6 @@ feature size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -67,19 +66,6 @@ class Rect:
         """A copy mirrored about the vertical line x = axis."""
         return Rect(self.layer, 2.0 * axis - self.x2, self.y,
                     self.width, self.height)
-
-    def overlaps(self, other: "Rect") -> bool:
-        """True when both rectangles share area on the same layer."""
-        if self.layer != other.layer:
-            return False
-        return (self.x < other.x2 and other.x < self.x2
-                and self.y < other.y2 and other.y < self.y2)
-
-    def spacing_to(self, other: "Rect") -> float:
-        """Euclidean gap between rectangles (0 if touching/overlap)."""
-        dx = max(other.x - self.x2, self.x - other.x2, 0.0)
-        dy = max(other.y - self.y2, self.y - other.y2, 0.0)
-        return math.hypot(dx, dy)
 
 
 @dataclass(frozen=True)

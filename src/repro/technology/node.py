@@ -175,11 +175,6 @@ class TechnologyNode:
         return EPSILON_0 * EPSILON_SIO2 / self.tox
 
     @property
-    def gate_capacitance_min(self) -> float:
-        """Gate capacitance of a minimum square device (W = L) [F]."""
-        return self.cox * self.feature_size ** 2
-
-    @property
     def overdrive(self) -> float:
         """Nominal gate overdrive V_DD - V_T [V]."""
         return self.vdd - self.vth
@@ -296,17 +291,6 @@ class TechnologyNode:
             raise ModelDomainError(
                 f"unknown node parameters: {sorted(unknown)}")
         return cls(**data)
-
-    def to_json(self) -> str:
-        """Serialize to a JSON string."""
-        import json
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TechnologyNode":
-        """Deserialize from :meth:`to_json` output."""
-        import json
-        return cls.from_dict(json.loads(text))
 
     def summary(self) -> Dict[str, float]:
         """Return the headline parameters as a plain dictionary."""

@@ -142,12 +142,6 @@ class ThermalMesh:
         rise = self._solver(power_map)
         return self.stack.ambient + rise
 
-    def uniform_power_map(self, total_power: float) -> np.ndarray:
-        """Spread ``total_power`` [W] evenly over the die."""
-        if total_power < 0:
-            raise ModelDomainError("total_power must be non-negative")
-        return np.full(self.n_nodes, total_power / self.n_nodes)
-
     def block_power_map(self, blocks: Sequence[Tuple[float, float,
                                                      float, float,
                                                      float]]

@@ -16,9 +16,6 @@ from .ler import (
     relative_ler_trend,
 )
 from .pelgrom import (
-    MismatchSample,
-    MismatchSampler,
-    area_for_matching,
     offset_sigma_diff_pair,
     sigma_capacitor_mismatch,
     sigma_delta_beta,
@@ -49,7 +46,6 @@ __all__ = [
     "dopant_count_sigma", "dopant_count_vs_length", "vth_sigma_from_rdf",
     "LerParameters", "current_spread_from_ler", "effective_length_profile",
     "generate_edge", "relative_ler_trend",
-    "MismatchSample", "MismatchSampler", "area_for_matching",
     "offset_sigma_diff_pair",
     "sigma_capacitor_mismatch", "sigma_delta_beta", "sigma_delta_vth",
     "sigma_resistor_mismatch",

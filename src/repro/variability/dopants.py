@@ -107,12 +107,6 @@ class PlacedDopants:
         """Number of dopants actually placed."""
         return int(self.x.size)
 
-    @property
-    def effective_length(self) -> float:
-        """Channel length after S/D dopant encroachment [m]."""
-        return max(self.length - self.source_encroachment
-                   - self.drain_encroachment, 0.0)
-
 
 class DopantPlacementModel:
     """Monte Carlo model of discrete dopant placement (Fig. 3).
@@ -208,15 +202,4 @@ class DopantPlacementModel:
             "mean_leff_nm": float(samples.mean()) * 1e9,
             "sigma_leff_nm": float(samples.std(ddof=1)) * 1e9,
             "relative_sigma": float(samples.std(ddof=1) / samples.mean()),
-        }
-
-    def count_statistics(self, n_devices: int,
-                         width: Optional[float] = None,
-                         length: Optional[float] = None) -> Dict[str, float]:
-        """MC statistics of the dopant count; checks sqrt(N) scaling."""
-        counts = self.sample_batch(n_devices, width, length)["count"]
-        return {
-            "mean_count": float(counts.mean()),
-            "sigma_count": float(counts.std(ddof=1)),
-            "poisson_prediction": math.sqrt(max(counts.mean(), 0.0)),
         }

@@ -14,22 +14,10 @@ the "mismatch improves slightly" observation in section 4.1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from ..robust.validate import check_count, check_range, validated
+from ..robust.validate import validated
 from ..technology.node import TechnologyNode
-from ..robust.rng import resolve_rng
-
-
-@dataclass(frozen=True)
-class MismatchSample:
-    """One sampled device-pair mismatch."""
-
-    delta_vth: float       # V
-    delta_beta_rel: float  # relative current-factor error
 
 
 @validated(_result_finite=True, width="positive", length="positive",
@@ -53,49 +41,6 @@ def sigma_delta_beta(node: TechnologyNode, width: float,
                      length: float) -> float:
     """Pelgrom sigma of the relative current-factor difference."""
     return node.abeta / math.sqrt(width * length)
-
-
-@validated(_result_finite=True, sigma_vth_target="positive")
-def area_for_matching(node: TechnologyNode, sigma_vth_target: float) -> float:
-    """Gate area W*L [m^2] needed to reach a target sigma_VT.
-
-    This is the key inversion behind the paper's analog-area argument:
-    accuracy requirements, not the technology, set analog device area,
-    so analog blocks do not shrink with scaling.
-    """
-    return (node.avt / sigma_vth_target) ** 2
-
-
-class MismatchSampler:
-    """Draws correlated (delta_VT, delta_beta) mismatch samples."""
-
-    def __init__(self, node: TechnologyNode, width: float, length: float,
-                 correlation: float = 0.0,
-                 seed: Optional[int] = None):
-        check_range("correlation", correlation, -1.0, 1.0)
-        self.node = node
-        self.width = width
-        self.length = length
-        self.correlation = correlation
-        self.rng = resolve_rng(seed=seed)
-        self._sigma_vth = sigma_delta_vth(node, width, length)
-        self._sigma_beta = sigma_delta_beta(node, width, length)
-
-    def sample(self) -> MismatchSample:
-        """Draw one device-pair mismatch."""
-        z1, z2 = self.rng.standard_normal(2)
-        z2 = self.correlation * z1 + math.sqrt(
-            1 - self.correlation ** 2) * z2
-        return MismatchSample(delta_vth=self._sigma_vth * z1,
-                              delta_beta_rel=self._sigma_beta * z2)
-
-    def sample_many(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw ``count`` samples; returns (delta_vth, delta_beta)."""
-        count = check_count("count", count)
-        z = self.rng.standard_normal((2, count))
-        z[1] = self.correlation * z[0] + math.sqrt(
-            1 - self.correlation ** 2) * z[1]
-        return self._sigma_vth * z[0], self._sigma_beta * z[1]
 
 
 @validated(_result_finite=True, width="positive", length="positive",

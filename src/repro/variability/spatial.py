@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -98,11 +98,6 @@ class VtMap:
             smooth = smooth + self._white_sigma \
                 * self._rng.standard_normal(smooth.shape)
         return float(smooth) if scalar else smooth
-
-    def pair_difference(self, xy_a: Tuple[float, float],
-                        xy_b: Tuple[float, float]) -> float:
-        """delta V_T of a device pair at the two positions [V]."""
-        return self.at(*xy_a) - self.at(*xy_b)
 
 
 def sample_vt_map(node: TechnologyNode, die: float = 5e-3,

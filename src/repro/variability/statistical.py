@@ -173,15 +173,6 @@ class SampledDie:
                * self.rng.standard_normal()),
         )
 
-    def effective_node(self) -> TechnologyNode:
-        """Node shifted by this die's global variations only."""
-        return self.node.with_overrides(
-            name=f"{self.node.name}@die",
-            vth=self.node.vth + self.vth_global,
-            feature_size=self.node.feature_size * self.length_factor_global,
-            tox=self.node.tox * self.tox_factor_global,
-        )
-
 
 @dataclass
 class DieBatch:

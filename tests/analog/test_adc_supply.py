@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analog import (SURVEY, AdcDesign, analog_power_trend,
+from repro.analog import (SURVEY, analog_power_trend,
                           digital_power_trend, headroom_trend, limit_gap,
                           minimum_adc_power, mismatch_limited_power,
                           power_ratio, resolution_speed_frontier,
@@ -39,16 +39,6 @@ class TestSurvey:
         margins = sorted(row["margin_over_mismatch"] for row in rows)
         median = margins[len(margins) // 2]
         assert median < limit_gap(node)
-
-    def test_walden_fom_era_plausible(self):
-        """Late-90s converters: ~0.5-100 pJ/step."""
-        for design in SURVEY:
-            assert 1e-14 < design.walden_fom < 1e-9
-
-    def test_schreier_fom_monotone_in_power(self):
-        base = AdcDesign("a", "x", 1e6, 10.0, 1e-3)
-        better = AdcDesign("b", "x", 1e6, 10.0, 0.5e-3)
-        assert better.schreier_fom > base.schreier_fom
 
 
 class TestMinimumAdcPower:

@@ -5,39 +5,14 @@ import math
 import pytest
 
 from repro.analog import (DetectorFrontend, DetectorFrontendDesign,
-                          MillerOta, OtaDesign, SingleStageOta,
-                          corner_frequency, enob_from_snr,
-                          ktc_noise_voltage, noise_budget,
-                          thermal_noise_density_mosfet)
+                          OtaDesign, SingleStageOta, enob_from_snr,
+                          noise_budget)
 from repro.technology import get_node
 
 
 @pytest.fixture(scope="module")
 def node():
     return get_node("180nm")
-
-
-class TestKtc:
-    def test_1pf_at_300k(self):
-        """kT/C on 1 pF: the canonical 64 uV."""
-        assert ktc_noise_voltage(1e-12) == pytest.approx(64e-6, rel=0.02)
-
-    def test_larger_cap_less_noise(self):
-        assert ktc_noise_voltage(4e-12) == pytest.approx(
-            ktc_noise_voltage(1e-12) / 2.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            ktc_noise_voltage(0.0)
-
-
-class TestDeviceNoise:
-    def test_thermal_psd_inverse_gm(self):
-        assert thermal_noise_density_mosfet(2e-3) == pytest.approx(
-            thermal_noise_density_mosfet(1e-3) / 2.0)
-
-    def test_corner_frequency_positive(self):
-        assert corner_frequency(1e-25, 5e-3, 1e-6, 1e-6, 1e-3) > 0
 
 
 class TestSnrMath:
@@ -91,11 +66,6 @@ class TestSingleStageOta:
         assert ota.evaluate(big).offset_sigma \
             < ota.evaluate(ota_design).offset_sigma
 
-    def test_spec_check(self, node, ota_design):
-        perf = SingleStageOta(node, 2e-12).evaluate(ota_design)
-        assert perf.meets({"gain_db": perf.gain_db - 1.0})
-        assert not perf.meets({"gain_db": perf.gain_db + 10.0})
-
     def test_rejects_sub_feature_sizing(self, node):
         bad = OtaDesign(1e-9, 1e-9, 1e-6, 1e-6, 1e-4)
         with pytest.raises(ValueError):
@@ -104,18 +74,6 @@ class TestSingleStageOta:
     def test_rejects_bad_load(self, node):
         with pytest.raises(ValueError):
             SingleStageOta(node, 0.0)
-
-
-class TestMillerOta:
-    def test_more_gain_than_single_stage(self, node, ota_design):
-        single = SingleStageOta(node, 2e-12).evaluate(ota_design)
-        miller = MillerOta(node, 2e-12).evaluate(ota_design)
-        assert miller.gain_db > single.gain_db + 20.0
-
-    def test_more_power_than_single_stage(self, node, ota_design):
-        single = SingleStageOta(node, 2e-12).evaluate(ota_design)
-        miller = MillerOta(node, 2e-12).evaluate(ota_design)
-        assert miller.power > single.power
 
 
 class TestDetectorFrontend:
@@ -162,11 +120,6 @@ class TestDetectorFrontend:
         hi = engine.evaluate(self.make_design(
             feedback_capacitance=0.25e-12))
         assert hi.charge_gain == pytest.approx(4.0 * lo.charge_gain)
-
-    def test_spec_check(self, node):
-        perf = DetectorFrontend(node).evaluate(self.make_design())
-        assert perf.meets({"enc_electrons": perf.enc_electrons + 1})
-        assert not perf.meets({"enc_electrons": 1.0})
 
     def test_validation(self, node):
         with pytest.raises(ValueError):

@@ -64,10 +64,6 @@ class TestScAmplifier:
         f12 = stage.max_clock(0.5, 12.0)
         assert 0 < f12 < f10
 
-    def test_noise_limited_bits_from_ktc(self, stage):
-        bits = stage.noise_limited_bits(1.0)
-        assert 8.0 < bits < 16.0
-
 
 class TestSweepAndFom:
     def test_sweep_monotone(self, stage):

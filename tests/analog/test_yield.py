@@ -7,8 +7,13 @@ from hypothesis import given, strategies as st
 
 from repro.analog import (OtaDesign, OtaYieldAnalyzer, offset_yield,
                           yield_vs_area)
-from repro.variability import area_for_matching, sigma_delta_vth
+from repro.variability import sigma_delta_vth
 from repro.technology import get_node
+
+
+def area_for_matching(node, sigma_vth_target):
+    """Gate area W*L [m^2] that reaches ``sigma_vth_target``."""
+    return (node.avt / sigma_vth_target) ** 2
 
 
 @pytest.fixture(scope="module")

@@ -70,7 +70,7 @@ def assert_backends_agree(oracle_result: object, vectorized_result: object,
         f"{contract.engine}: results have different shapes "
         f"({len(oracle_leaves)} vs {len(vector_leaves)} numeric leaves)")
     for index, (a, b) in enumerate(zip(oracle_leaves, vector_leaves)):
-        if contract.bitwise:
+        if contract.rtol == 0.0:
             assert np.array_equal(a, b, equal_nan=True), (
                 f"{contract.engine}: bit-for-bit contract violated at "
                 f"numeric leaf {index}: {a!r} != {b!r}")
@@ -226,13 +226,13 @@ class TestContracts:
     """The tolerance table in :mod:`repro.backends`."""
 
     def test_synthesis_contracts_are_bitwise(self):
-        assert equivalence_contract("synthesis.ota").bitwise
-        assert equivalence_contract("synthesis.frontend").bitwise
-        assert equivalence_contract("analog.ota_yield").bitwise
+        assert equivalence_contract("synthesis.ota").rtol == 0.0
+        assert equivalence_contract("synthesis.frontend").rtol == 0.0
+        assert equivalence_contract("analog.ota_yield").rtol == 0.0
 
     def test_electrothermal_contract_is_tolerance(self):
         contract = equivalence_contract("thermal.electrothermal")
-        assert not contract.bitwise
+        assert contract.rtol > 0.0
         assert 0.0 < contract.rtol <= 1e-9
 
     def test_missing_contract_is_typed_error(self):

@@ -1,9 +1,6 @@
-"""Tests for physical constants and unit helpers."""
-
-import math
+"""Tests for physical constants."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core import constants as c
 
@@ -32,67 +29,3 @@ class TestKtEnergy:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             c.kt_energy(0.0)
-
-
-class TestUnitHelpers:
-    def test_nm_roundtrip(self):
-        assert c.to_nm(c.nm(65.0)) == pytest.approx(65.0)
-
-    def test_um_roundtrip(self):
-        assert c.to_um(c.um(3.5)) == pytest.approx(3.5)
-
-    def test_nm_value(self):
-        assert c.nm(65) == pytest.approx(65e-9)
-
-    def test_mm(self):
-        assert c.mm(2) == pytest.approx(2e-3)
-
-    def test_time_units(self):
-        assert c.ps(10) == pytest.approx(1e-11)
-        assert c.to_ps(c.ps(10)) == pytest.approx(10)
-        assert c.ns(1) == pytest.approx(1e-9)
-        assert c.to_ns(c.ns(7)) == pytest.approx(7)
-
-    def test_frequency_units(self):
-        assert c.ghz(2.3) == pytest.approx(2.3e9)
-        assert c.mhz(13) == pytest.approx(13e6)
-
-    def test_capacitance_units(self):
-        assert c.ff(5) == pytest.approx(5e-15)
-        assert c.to_ff(c.ff(5)) == pytest.approx(5)
-        assert c.pf(1) == pytest.approx(1e-12)
-
-    def test_power_units(self):
-        assert c.mw(3) == pytest.approx(3e-3)
-        assert c.to_mw(c.mw(3)) == pytest.approx(3)
-        assert c.uw(9) == pytest.approx(9e-6)
-
-
-class TestDecibels:
-    def test_db_of_10_is_10(self):
-        assert c.db(10.0) == pytest.approx(10.0)
-
-    def test_db20_of_10_is_20(self):
-        assert c.db20(10.0) == pytest.approx(20.0)
-
-    def test_from_db_roundtrip(self):
-        assert c.from_db(c.db(123.0)) == pytest.approx(123.0)
-
-    def test_db_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            c.db(0.0)
-        with pytest.raises(ValueError):
-            c.db20(-1.0)
-
-    def test_dbm_conversions(self):
-        assert c.dbm_to_watts(0.0) == pytest.approx(1e-3)
-        assert c.watts_to_dbm(1e-3) == pytest.approx(0.0)
-        assert c.watts_to_dbm(1.0) == pytest.approx(30.0)
-
-    def test_watts_to_dbm_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            c.watts_to_dbm(0.0)
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_db_roundtrip_property(self, ratio):
-        assert c.from_db(c.db(ratio)) == pytest.approx(ratio, rel=1e-9)

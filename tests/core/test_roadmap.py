@@ -67,16 +67,6 @@ class TestRoadmapProjection:
         assert len(nodes) == 3
         assert nodes[0].feature_size > nodes[-1].feature_size
 
-    def test_halving_generations(self, roadmap):
-        nodes = roadmap.halving_generations(65e-9, 3)
-        assert len(nodes) == 3
-        ratio = nodes[0].feature_size / nodes[1].feature_size
-        assert ratio == pytest.approx(2.0 ** 0.5)
-
-    def test_halving_rejects_zero_count(self, roadmap):
-        with pytest.raises(ValueError):
-            roadmap.halving_generations(65e-9, 0)
-
     @settings(deadline=None, max_examples=20)
     @given(st.floats(min_value=10e-9, max_value=500e-9))
     def test_projection_always_physical(self, roadmap, size):
@@ -84,8 +74,3 @@ class TestRoadmapProjection:
         assert node.vdd > 0
         assert 0 < node.vth < node.vdd
         assert node.tox >= 0.8e-9
-
-    def test_fits_accessor_returns_copy(self, roadmap):
-        fits = roadmap.fits
-        fits.clear()
-        assert roadmap.fits  # internal state untouched

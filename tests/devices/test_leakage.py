@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from repro.core.constants import thermal_voltage
 from repro.devices import (device_leakage, dibl_effective_vth,
                            gate_leakage_current, gate_leakage_per_gate,
-                           ioff_vs_vth_sweep, leakage_power_density,
                            subthreshold_current)
 from repro.technology import all_nodes, get_node
 
@@ -131,14 +130,3 @@ class TestGateLevelAggregates:
         inv = gate_leakage_per_gate(node, fanin=1)
         nand3 = gate_leakage_per_gate(node, fanin=3)
         assert nand3.subthreshold < inv.subthreshold
-
-    def test_power_density_grows_with_scaling(self):
-        """Static W/m^2 rises by orders of magnitude (section 2.1)."""
-        old = leakage_power_density(get_node("180nm"))
-        new = leakage_power_density(get_node("45nm"))
-        assert new > 100.0 * old
-
-    def test_ioff_sweep_monotone(self, node):
-        vth = np.linspace(0.1, 0.5, 9)
-        ioff = ioff_vs_vth_sweep(node, vth)
-        assert np.all(np.diff(ioff) < 0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constants import thermal_voltage
-from repro.devices import DeviceType, Mosfet, Region
+from repro.devices import DeviceType, Mosfet
 from repro.technology import get_node
 
 
@@ -144,17 +144,6 @@ class TestStrongInversion:
             >= float(device.ids(vgs, 0.6))
 
 
-class TestRegions:
-    def test_cutoff(self, nmos):
-        assert nmos.region(0.0, 1.0) is Region.CUTOFF
-
-    def test_saturation(self, nmos, node):
-        assert nmos.region(node.vdd, node.vdd) is Region.SATURATION
-
-    def test_linear(self, nmos, node):
-        assert nmos.region(node.vdd, 0.02) is Region.LINEAR
-
-
 class TestSmallSignal:
     def test_gm_positive_in_saturation(self, nmos, node):
         assert nmos.gm(node.vdd, node.vdd) > 0
@@ -170,10 +159,6 @@ class TestSmallSignal:
 
 
 class TestCapacitanceAndMismatch:
-    def test_gate_capacitance(self, node):
-        device = Mosfet(node, width=1e-6, length=100e-9)
-        assert device.gate_capacitance == pytest.approx(
-            node.cox * 1e-6 * 100e-9)
 
     def test_mismatch_sigma_pelgrom(self, node):
         small = Mosfet(node, width=2 * node.feature_size)

@@ -87,7 +87,6 @@ class TestCellElectrical:
             cell = make_cell(name, node)
             load = 4.0 * cell.input_capacitance
             assert cell.delay(load) > 0
-            assert cell.switching_energy(load) > 0
 
 
 class TestNetlist:
@@ -184,5 +183,4 @@ class TestNetlist:
     def test_total_aggregates(self, node):
         adder = ripple_adder(node, width=4)
         assert adder.total_leakage_power() > 0
-        assert adder.total_area() > 0
         assert adder.gate_count() == 20

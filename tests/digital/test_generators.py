@@ -109,7 +109,7 @@ class TestClockedDatapath:
         sim = EventDrivenSimulator(netlist, clock_period=2e-9)
         result = sim.run({"en": [True], "zero": [False]}, n_cycles=6,
                          initial_state={"src0": True})
-        assert result.toggle_count() > 20
+        assert len(result.events) > 20
 
     def test_estimate_gates_positive(self):
         assert estimate_gates_for_target(100) >= 1
@@ -151,7 +151,7 @@ class TestFirFilter:
         sim = EventDrivenSimulator(fir, clock_period=2e-9)
         result = sim.run(random_stimulus(fir, 8, seed=0,
                                          held_high=("en",)), 8)
-        assert result.toggle_count() > 50
+        assert len(result.events) > 50
 
     def test_validation(self, node):
         import pytest as _pytest
@@ -187,8 +187,8 @@ class TestSocNetlist:
         off = engine.run(
             {**random_stimulus(soc, 6, seed=1, held_high=["en"]),
              "blk0_en": [False], "blk1_en": [False]}, 6)
-        assert on.toggle_count() > 50
-        assert off.toggle_count() < 0.2 * on.toggle_count()
+        assert on.n_events > 50
+        assert off.n_events < 0.2 * on.n_events
 
     def test_reproducible(self, node):
         from repro.digital import soc_netlist

@@ -264,22 +264,9 @@ class TestEventTrace:
 
     def test_accessors_match_scalar_result(self, node, trace):
         result = trace.to_result()
-        assert trace.toggle_count() == result.toggle_count()
-        some_net = trace.net_names[int(trace.net_indices[0])]
-        assert (trace.toggle_count(some_net)
-                == result.toggle_count(some_net))
-        assert trace.toggle_count("no_such_net") == 0
+        assert trace.n_events == len(result.events)
         assert trace.activity_factor(10) == pytest.approx(
             result.activity_factor(10))
-
-    def test_events_by_instance_groups(self, trace):
-        grouped = trace.events_by_instance()
-        scalar_grouped = trace.to_result().events_by_instance()
-        assert set(grouped) == set(scalar_grouped)
-        for name, indices in grouped.items():
-            assert [trace.net_names[int(trace.net_indices[k])]
-                    for k in indices] \
-                == [e.net for e in scalar_grouped[name]]
 
     def test_chunks_partition_stream(self, trace):
         chunks = list(trace.chunks(100))
@@ -300,7 +287,6 @@ class TestEventTrace:
             {"a": [False]}, 3)
         assert trace.n_events == 0
         assert trace.activity_factor(3) == 0.0
-        assert trace.events_by_instance() == {}
         assert trace.to_events() == []
 
 
@@ -340,26 +326,6 @@ class TestHypothesisEquivalence:
             except SimulationBudgetError as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
-
-
-class TestMemoizedResultAccessors:
-    def test_events_by_instance_cached(self, node):
-        chain = inverter_chain(node, 3)
-        result = EventDrivenSimulator(chain, clock_period=1e-9).run(
-            {"a": [True, False]}, 2)
-        first = result.events_by_instance()
-        assert result.events_by_instance() is first
-        assert set(first) == {"u0", "u1", "u2"}
-
-    def test_toggle_count_cached(self, node):
-        chain = inverter_chain(node, 3)
-        result = EventDrivenSimulator(chain, clock_period=1e-9).run(
-            {"a": [True, False]}, 2)
-        assert result.toggle_count("n0") == 2
-        assert result._toggles_by_net is not None
-        assert result.toggle_count("n0") == 2
-        assert result.toggle_count("absent") == 0
-        assert result.toggle_count() == len(result.events)
 
 
 class TestPartitionCache:

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.digital import (EventDrivenSimulator, Netlist,
-                           StaticTimingAnalyzer, critical_delay,
-                           delay_under_mismatch, random_stimulus,
-                           ripple_adder)
+                           StaticTimingAnalyzer, delay_under_mismatch,
+                           random_stimulus, ripple_adder)
 from repro.technology import get_node
 
 from netlists import lfsr
+
+
+def critical_delay(netlist, **kwargs):
+    """Critical-path delay [s] of one STA run."""
+    return StaticTimingAnalyzer(netlist, **kwargs).analyze().critical_delay
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +35,7 @@ class TestSimulator:
         sim = EventDrivenSimulator(chain, clock_period=1e-9)
         result = sim.run({"a": [True, False]}, n_cycles=2)
         # Each input change flips all four inverters.
-        assert result.toggle_count("n3") == 2
+        assert sum(e.net == "n3" for e in result.events) == 2
 
     def test_event_times_increase_along_chain(self, node):
         chain = inverter_chain(node, 4)
@@ -44,7 +48,7 @@ class TestSimulator:
         chain = inverter_chain(node, 3)
         sim = EventDrivenSimulator(chain, clock_period=1e-9)
         result = sim.run({"a": [False]}, n_cycles=3)
-        assert result.toggle_count() == 0
+        assert result.events == []
 
     def test_glitch_suppression_same_value(self, node):
         """Events that do not change a net's value are dropped."""
@@ -53,7 +57,7 @@ class TestSimulator:
         netlist.add_gate("AND2", ["a", "b"], "y")
         sim = EventDrivenSimulator(netlist, clock_period=1e-9)
         result = sim.run({"a": [True], "b": [False]}, n_cycles=2)
-        assert result.toggle_count("y") == 0
+        assert [e for e in result.events if e.net == "y"] == []
 
     def test_lfsr_produces_activity(self, node):
         netlist = lfsr(node, width=8)
@@ -61,7 +65,7 @@ class TestSimulator:
         stimulus = {"enable": [True]}
         result = sim.run(stimulus, n_cycles=20,
                          initial_state={"q0": True})
-        assert result.toggle_count() > 10
+        assert len(result.events) > 10
 
     def test_missing_stimulus_raises(self, node):
         chain = inverter_chain(node)
@@ -78,13 +82,6 @@ class TestSimulator:
                                    clock_period=1e-9)
         with pytest.raises(ValueError):
             sim.run({"a": [True]}, n_cycles=0)
-
-    def test_events_by_instance_grouping(self, node):
-        chain = inverter_chain(node, 3)
-        sim = EventDrivenSimulator(chain, clock_period=1e-9)
-        result = sim.run({"a": [True, False]}, n_cycles=2)
-        grouped = result.events_by_instance()
-        assert set(grouped) == {"u0", "u1", "u2"}
 
     def test_activity_factor(self, node):
         chain = inverter_chain(node, 2)
@@ -124,9 +121,6 @@ class TestSta:
     def test_max_frequency_and_slack(self, node):
         chain = inverter_chain(node, 4)
         report = StaticTimingAnalyzer(chain).analyze()
-        period = 2.0 * report.critical_delay
-        assert report.slack(period) == pytest.approx(
-            report.critical_delay)
         assert report.max_frequency() == pytest.approx(
             1.0 / report.critical_delay)
 

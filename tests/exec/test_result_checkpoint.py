@@ -84,7 +84,7 @@ class TestPartialResult:
         partial = self._partial()
         assert [o.index for o in partial.completed] == [0, 2]
         assert [o.index for o in partial.failed] == [1]
-        assert partial.coverage == pytest.approx(20 / 30)
+        assert partial.n_done / partial.n_total == pytest.approx(20 / 30)
 
     def test_summary_names_failed_shards(self):
         text = self._partial().summary()

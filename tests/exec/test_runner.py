@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from repro.analog.chain import chain_yield_vs_node
-from repro.digital.generators import ripple_adder
-from repro.digital.ssta import StatisticalTimingAnalyzer
 from repro.exec import (ChainSignoffWorkload, ChaosPlan, ChaosSpec,
                         ExecResult, PartialResult, RetryPolicy,
-                        SocNoiseWorkload, SstaWorkload, YIELD_METRICS,
-                        YieldWorkload, run_sharded)
+                        SocNoiseWorkload, YIELD_METRICS, YieldWorkload,
+                        run_sharded)
 from repro.perf import cache_stats, clear_caches
 from repro.robust import ExecBudgetError, ModelDomainError
 from repro.technology import get_node
@@ -36,11 +34,6 @@ def _fresh_caches():
 def yield_workload(n_dies=40, seed=7):
     return YieldWorkload(node_name="65nm", metric="vth-shift",
                          limit=0.03, n_dies=n_dies, seed=seed)
-
-
-def ssta_workload(n_samples=24):
-    return SstaWorkload(node_name="65nm", width=4,
-                        n_samples=n_samples, seed=5)
 
 
 def chain_workload(n_dies=8):
@@ -82,17 +75,6 @@ class TestShardEquivalence:
             assert result.value.yield_fraction \
                 == oracle.yield_fraction
 
-    def test_ssta_matches_oracle(self):
-        workload = ssta_workload()
-        analyzer = StatisticalTimingAnalyzer(
-            ripple_adder(get_node("65nm"), width=4), seed=5)
-        oracle = analyzer.run(24)
-        for n_shards in (1, 3, 4):
-            merged = run(workload, n_shards=n_shards).value
-            assert np.array_equal(merged.samples, oracle.samples)
-            assert merged.criticality == oracle.criticality
-            assert merged.nominal_delay == oracle.nominal_delay
-
     def test_chain_signoff_matches_one_shard_run(self):
         workload = chain_workload()
         oracle = run(workload, n_shards=1).value
@@ -129,8 +111,8 @@ class TestChaosHarness:
         assert by_index[2].attempts == 3   # poison, crash, success
         assert by_index[3].attempts == 1   # untouched
 
-    def test_ssta_survives_seeded_chaos(self):
-        workload = ssta_workload()
+    def test_chain_signoff_survives_seeded_chaos(self):
+        workload = chain_workload()
         clean = run(workload, n_shards=3).value
         policy = RetryPolicy(max_retries=3, timeout_s=5.0,
                              backoff_initial_s=0.0)
@@ -138,8 +120,8 @@ class TestChaosHarness:
                                     hang_rate=0.2, poison_rate=0.3),
                           policy=policy, recoverable=True)
         result = run(workload, n_shards=3, policy=policy, chaos=chaos)
-        assert np.array_equal(result.value.samples, clean.samples)
-        assert result.value.criticality == clean.criticality
+        assert sum(o.attempts for o in result.outcomes) > 3  # chaos bit
+        assert result.value == clean
 
     def test_chain_signoff_survives_poisoned_workers(self):
         workload = chain_workload()
@@ -161,7 +143,8 @@ class TestChaosHarness:
                                     hang_rate=0.0, poison_rate=0.45),
                           policy=policy, recoverable=True)
         result = run(workload, n_shards=5, policy=policy, chaos=chaos)
-        assert result.total_attempts > result.n_shards  # chaos bit
+        attempts = sum(outcome.attempts for outcome in result.outcomes)
+        assert attempts > result.n_shards  # chaos bit
         assert np.array_equal(result.value.passed, clean.passed)
 
 
@@ -238,7 +221,7 @@ class TestSocNoiseFlowReplay:
         chaos = ScriptedChaos({(0, 0): "crash", (2, 0): "poison"})
         result = run(self.soc_workload(), n_shards=4, chaos=chaos,
                      policy=RetryPolicy(backoff_initial_s=0.0))
-        assert result.total_attempts == 6
+        assert sum(outcome.attempts for outcome in result.outcomes) == 6
         assert builds == [0]
 
     def test_memo_holds_the_last_run_only(self, builds):
@@ -281,7 +264,7 @@ class TestSocNoiseShardStreaming:
 
 class TestCheckpointResume:
     def test_resume_replays_bit_for_bit(self, tmp_path):
-        workload = ssta_workload()
+        workload = chain_workload()
         path = str(tmp_path / "ck.json")
         first = run(workload, n_shards=3, checkpoint=path)
         assert all(o.source == "worker" for o in first.outcomes)
@@ -289,9 +272,7 @@ class TestCheckpointResume:
                       resume=True)
         assert all(o.source == "checkpoint"
                    for o in resumed.outcomes)
-        assert np.array_equal(resumed.value.samples,
-                              first.value.samples)
-        assert resumed.value.criticality == first.value.criticality
+        assert resumed.value == first.value
 
     def test_resume_after_partial_run_completes_the_rest(
             self, tmp_path):

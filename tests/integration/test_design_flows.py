@@ -9,8 +9,8 @@ import pytest
 
 from repro.analog import OtaDesign, OtaYieldAnalyzer
 from repro.core import Roadmap
-from repro.digital import (StatisticalTimingAnalyzer, assign_dual_vth,
-                           critical_delay, kogge_stone_adder,
+from repro.digital import (StatisticalTimingAnalyzer, StaticTimingAnalyzer,
+                           assign_dual_vth, kogge_stone_adder,
                            leakage_fraction_trend)
 from repro.memory import SramCell
 from repro.synthesis import (default_ota_spec, ota_synthesizer,
@@ -51,7 +51,7 @@ class TestLeakageThenTiming:
     def test_mtcmos_design_still_meets_timing_statistically(self):
         node = get_node("65nm")
         adder = kogge_stone_adder(node, width=8)
-        baseline = critical_delay(adder)
+        baseline = StaticTimingAnalyzer(adder).analyze().critical_delay
         mtcmos = assign_dual_vth(adder, delta_vth=0.1,
                                  slack_fraction=0.15)
         assert mtcmos.delay_after <= baseline * 1.151

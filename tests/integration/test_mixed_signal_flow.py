@@ -69,12 +69,15 @@ class TestDigitalToSubstrateToVco:
         assert report.compliant
 
     def test_jitter_from_swan_psd(self, substrate_noise):
+        """The substrate PSD at the clock, where the periodic SWAN
+        waveform has its power, adds jitter over the noise-free VCO."""
         vco = VcoModel(center_frequency=2.3e9,
                        substrate_sensitivity=20e6)
         psd = substrate_noise_psd_from_waveform(
-            substrate_noise.voltage, 2e-10, 1e6)
-        jitter = rms_jitter(LeesonParameters(), vco, psd)
-        assert 0 < jitter < 1e-9
+            substrate_noise.voltage, 2e-10, CLOCK)
+        params = LeesonParameters()
+        jitter = rms_jitter(params, vco, psd)
+        assert rms_jitter(params, vco, 0.0) < jitter < 1e-9
 
 
 class TestCrossNodeConsistency:

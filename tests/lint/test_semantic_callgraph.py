@@ -270,7 +270,7 @@ class TestModel:
         model = build_semantic_model(summaries)
         by_name = {fn.name: fn
                    for fn in model.graph.functions.values()}
-        assert model.is_referenced(by_name["used"])
-        assert not model.is_referenced(by_name["dead"])
+        assert model.is_referenced(by_name["used"].qual)
+        assert not model.is_referenced(by_name["dead"].qual)
         # Recursion alone is not a reference.
-        assert not model.is_referenced(by_name["recursive"])
+        assert not model.is_referenced(by_name["recursive"].qual)

@@ -336,16 +336,155 @@ class TestR010DeadPublicApi:
 
     def test_private_functions_and_methods_are_exempt(self, tmp_path):
         report = lint_tree(tmp_path, {"src/repro/mod.py": """
-            __all__ = []
+            __all__ = ["Thing"]
 
             def _internal(x):
                 return x
 
             class Thing:
+                def _method_never_called(self):
+                    return 1
+
+            class _Hidden:
                 def method_never_called(self):
                     return 1
         """}, select=["R010"])
         assert report.clean
+
+    # Tests are not linted, so "only a test uses it" is a definition
+    # with no reference in the linted trees.
+
+    def test_method_only_tests_call_is_flagged(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/mod.py": """
+                __all__ = ["Model"]
+
+                class Model:
+                    def evaluate(self):
+                        return 1
+
+                    def only_tests_call_me(self):
+                        return 2
+            """,
+            "benchmarks/test_fig.py": """
+                from repro.mod import Model
+
+                def test_fig():
+                    assert Model().evaluate() == 1
+            """,
+        }, select=["R010"])
+        assert codes(report) == ["R010"]
+        assert "method repro.mod.Model.only_tests_call_me" \
+            in report.findings[0].message
+
+    def test_class_only_tests_use_is_flagged(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/mod.py": """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Orphan:
+                value: float
+
+                def __add__(self, other):
+                    return Orphan(self.value + other.value)
+        """}, select=["R010"])
+        assert codes(report) == ["R010"]
+        assert "class repro.mod.Orphan" in report.findings[0].message
+
+    def test_fault_registry_reference_is_not_a_use(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/mod.py": """
+                def driven(x):
+                    return x
+            """,
+            "src/repro/robust/faults.py": """
+                from ..mod import driven
+
+                __all__ = ["default_registry"]
+
+                def default_registry():
+                    return [(driven, {"x": 1.0})]
+            """,
+        }, select=["R010"])
+        assert codes(report) == ["R010"]
+        assert "function repro.mod.driven" in report.findings[0].message
+
+    def test_same_named_attribute_and_unused_import_are_not_uses(
+            self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/pkg/__init__.py": "",
+            "src/repro/pkg/x.py": """
+                def f():
+                    return 1
+            """,
+            "src/repro/pkg/user.py": """
+                from .x import f
+
+                def main(obj):
+                    return obj.f()
+            """,
+        }, select=["R010"])
+        assert codes(report) == ["R010"]
+        assert "function repro.pkg.x.f" in report.findings[0].message
+
+    def test_registered_class_is_live(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/rules.py": """
+            __all__ = ["run"]
+
+            _REGISTRY = []
+
+            def register(cls):
+                _REGISTRY.append(cls)
+                return cls
+
+            @register
+            class MyRule:
+                def check(self):
+                    return []
+
+            def run():
+                return [rule().check() for rule in _REGISTRY]
+        """}, select=["R010"])
+        assert report.clean, [f.message for f in report.findings]
+
+    def test_reference_through_package_reexport_is_live(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/pkg/__init__.py": """
+                from .mod import f
+            """,
+            "src/repro/pkg/mod.py": """
+                def f():
+                    return 1
+
+                def g():
+                    return 2
+            """,
+            "benchmarks/test_fig.py": """
+                import repro.pkg.mod
+                from repro import pkg
+
+                def test_fig():
+                    assert pkg.f() + repro.pkg.mod.g() == 3
+            """,
+        }, select=["R010"])
+        assert report.clean, [f.message for f in report.findings]
+
+    def test_method_called_on_any_receiver_in_a_benchmark_is_live(
+            self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/mod.py": """
+                __all__ = ["Model"]
+
+                class Model:
+                    def evaluate(self):
+                        return 1
+            """,
+            "benchmarks/test_fig.py": """
+                def test_fig(anything):
+                    assert anything.evaluate() == 1
+            """,
+        }, select=["R010"])
+        assert report.clean, [f.message for f in report.findings]
 
     def test_recursion_is_not_liveness(self, tmp_path):
         report = lint_tree(tmp_path, {"src/repro/mod.py": """

@@ -15,7 +15,6 @@ class TestSpec:
     def test_capacity(self):
         spec = ArraySpec(n_rows=256, n_cols=128, column_mux=4)
         assert spec.capacity_bits == 32768
-        assert spec.word_bits == 32
 
     def test_rejects_bad_mux(self):
         with pytest.raises(ValueError):
@@ -33,16 +32,6 @@ class TestElectrical:
         tall = SramArray(node, ArraySpec(n_rows=256, n_cols=64))
         assert tall.bitline_capacitance() > 2.0 \
             * short.bitline_capacitance()
-
-    def test_access_time_positive_and_subnanosecond_scale(self, array):
-        access = array.access_time()
-        assert 1e-12 < access < 10e-9
-
-    def test_access_time_grows_with_array_size(self):
-        node = get_node("65nm")
-        small = SramArray(node, ArraySpec(n_rows=64, n_cols=32))
-        large = SramArray(node, ArraySpec(n_rows=512, n_cols=256))
-        assert large.access_time() > small.access_time()
 
     def test_swing_time_rejects_bad_swing(self, array):
         with pytest.raises(ValueError):

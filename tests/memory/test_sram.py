@@ -22,8 +22,8 @@ def cell(node):
 class TestDesign:
     def test_default_ratios(self):
         design = SramCellDesign()
-        assert design.cell_ratio > 1.0
-        assert design.pullup_ratio < 1.0
+        assert design.pull_down_ratio / design.access_ratio > 1.0
+        assert design.pull_up_ratio / design.access_ratio < 1.0
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
@@ -110,17 +110,6 @@ class TestSnm:
         new_ratio = rows["45nm"]["read_snm_mV"] \
             / rows["45nm"]["sigma_vt_access_mV"]
         assert new_ratio < old_ratio / 3.0
-
-
-class TestWriteMargin:
-    def test_default_cell_writable(self, cell):
-        assert cell.write_margin() > 0
-
-    def test_strong_pullup_blocks_write(self, node):
-        unwritable = SramCell(node, SramCellDesign(
-            pull_up_ratio=8.0, access_ratio=0.8))
-        assert unwritable.write_margin() < \
-            SramCell(node).write_margin()
 
 
 class TestLeakageArea:

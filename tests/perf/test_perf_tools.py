@@ -27,7 +27,6 @@ class TestKeyedCache:
         assert len(calls) == 1
         stats = scratch_cache.stats
         assert stats.hits == 2 and stats.misses == 1
-        assert stats.hit_rate == pytest.approx(2 / 3)
 
     def test_maxsize_evicts_oldest(self):
         cache = KeyedCache("test.bounded", maxsize=2)

@@ -14,7 +14,7 @@ import pytest
 from repro.digital import (CompiledTimingGraph, Netlist,
                            StaticTimingAnalyzer,
                            StatisticalTimingAnalyzer, clocked_datapath,
-                           critical_delay, delay_under_mismatch,
+                           delay_under_mismatch,
                            kogge_stone_adder, random_logic)
 from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
@@ -140,9 +140,9 @@ class TestSstaEquivalence:
         # n_gates draws per sample.
         rng = np.random.default_rng(4)
         names = list(netlist.instances)
-        oracle = [critical_delay(netlist, vth_offsets=dict(zip(
+        oracle = [StaticTimingAnalyzer(netlist, vth_offsets=dict(zip(
             names, rng.normal(0.0, 0.02, size=len(names)))))
-            for _ in range(25)]
+            .analyze().critical_delay for _ in range(25)]
         np.testing.assert_allclose(fast, oracle, rtol=1e-10)
 
     def test_quantiles_match_scalar_loop(self, node):

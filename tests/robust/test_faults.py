@@ -97,8 +97,8 @@ class TestRegistry:
 
     def test_renamed_api_fails_when_the_registry_is_built(
             self, monkeypatch):
-        monkeypatch.delattr(tradeoff, "bits_from_accuracy")
-        with pytest.raises(AttributeError, match="bits_from_accuracy"):
+        monkeypatch.delattr(tradeoff, "accuracy_from_bits")
+        with pytest.raises(AttributeError, match="accuracy_from_bits"):
             default_registry()
 
     def test_flags_unregistered_finite_validated_function(self):
@@ -138,7 +138,7 @@ class TestRegistry:
                 "exec.result.clopper_pearson_interval",
                 "exec.runner.run_sharded",
                 "lint.semantic.cache.AnalysisCache"} <= names
-        assert len(names) >= 71
+        assert len(names) >= 66
 
 
 class TestSweep:

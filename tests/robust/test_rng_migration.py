@@ -71,19 +71,6 @@ def test_ler_pinned(node):
         0.01974013266628124, rel=1e-12)
 
 
-def test_pelgrom_sampler_pinned(node):
-    from repro.variability.pelgrom import MismatchSampler
-    sampler = MismatchSampler(node, 10 * node.feature_size,
-                              2 * node.feature_size, seed=5)
-    dvth, dbeta = sampler.sample_many(4)
-    assert dvth == pytest.approx(
-        [-0.006620947126744613, -0.010934240273862935,
-         -0.0020505358892569455, 0.0034713014146360173], rel=1e-12)
-    assert dbeta == pytest.approx(
-        [0.03908118880384253, 0.003774014868466153,
-         -0.019011645789263558, -0.02699726495317303], rel=1e-12)
-
-
 def test_monte_carlo_sampler_pinned(node):
     from repro.variability.statistical import MonteCarloSampler
     batch = MonteCarloSampler(node, seed=11).sample_dies_batch(

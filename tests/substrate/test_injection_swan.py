@@ -78,10 +78,9 @@ class TestFloorplan:
 
     def test_positions_inside_region(self):
         plan = Floorplan.default()
-        positions = plan.instance_positions(
-            [f"g{i}" for i in range(25)])
+        xs, ys = plan.grid_positions(25)
         x1, y1, x2, y2 = plan.digital_region
-        for x, y in positions.values():
+        for x, y in zip(xs, ys):
             assert x1 <= x <= x2
             assert y1 <= y <= y2
 

@@ -116,45 +116,22 @@ class TestGatePlacement:
         names = list(sim.netlist.instances)
         x1, y1, x2, y2 = sim.floorplan.digital_region
         n_cols, n_rows = 5, 5
-        expected = {
-            name: (x1 + (x2 - x1) * (k % n_cols + 0.5) / n_cols,
-                   y1 + (y2 - y1) * (k // n_cols + 0.5) / n_rows)
-            for k, name in enumerate(names)}
-        assert sim.floorplan.instance_positions(names) == expected
+        expected = [(x1 + (x2 - x1) * (k % n_cols + 0.5) / n_cols,
+                     y1 + (y2 - y1) * (k // n_cols + 0.5) / n_rows)
+                    for k in range(len(names))]
+        xs, ys = sim.floorplan.grid_positions(len(names))
+        assert list(zip(xs.tolist(), ys.tolist())) == expected
 
     def test_node_by_gate_matches_node_at(self, sim):
-        names = list(sim.netlist.instances)
-        positions = sim.floorplan.instance_positions(names)
+        xs, ys = sim.floorplan.grid_positions(len(sim.netlist.instances))
         assert sim._node_by_gate.dtype == np.int64
         assert sim._node_by_gate.tolist() == [
-            sim.mesh.node_at(*positions[name]) for name in names]
+            sim.mesh.node_at(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
     def test_code_by_gate_names_each_cell(self, sim):
         assert [sim._cell_names[code] for code in sim._code_by_gate] \
             == [inst.cell.cell_type.name
                 for inst in sim.netlist.instances.values()]
-
-
-class TestNodePotentials:
-    def test_matches_per_column_solve(self, netlist, streams):
-        _, trace = streams
-        sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        _, currents = sim.injected_currents(trace)
-        t_indices = [0, 3, 11]
-        batched = sim.node_potentials(currents, t_indices)
-        assert batched.shape == (sim.mesh.n_nodes + 1, 3)
-        for k, t in enumerate(t_indices):
-            rhs = np.zeros(sim.mesh.n_nodes + 1)
-            for mesh_node, series in currents.items():
-                rhs[mesh_node] = series[t]
-            assert np.array_equal(sim.mesh.solve(rhs), batched[:, k])
-
-    def test_validates_indices(self, netlist):
-        sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
-        with pytest.raises(ModelDomainError):
-            sim.node_potentials({}, [])
-        with pytest.raises(ModelDomainError):
-            sim.node_potentials({}, [[0, 1]])
 
 
 class TestBatchedMeshSolve:

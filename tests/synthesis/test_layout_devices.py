@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.synthesis import (DesignRules, Layout, LayoutCell, Placement,
-                             Rect, capacitor_cell, guard_ring_cell,
-                             matched_pair_cell, mosfet_cell,
-                             resistor_cell)
+                             Rect, capacitor_cell, matched_pair_cell,
+                             mosfet_cell, resistor_cell)
 from repro.technology import get_node
 
 
@@ -37,23 +36,6 @@ class TestRect:
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
             Rect("metal1", 0, 0, 0, 1)
-
-    def test_overlap_same_layer_only(self):
-        a = Rect("metal1", 0, 0, 2, 2)
-        b = Rect("metal1", 1, 1, 2, 2)
-        c = Rect("metal2", 1, 1, 2, 2)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-    def test_touching_is_not_overlap(self):
-        a = Rect("metal1", 0, 0, 1, 1)
-        b = Rect("metal1", 1, 0, 1, 1)
-        assert not a.overlaps(b)
-
-    def test_spacing(self):
-        a = Rect("metal1", 0, 0, 1, 1)
-        b = Rect("metal1", 3, 0, 1, 1)
-        assert a.spacing_to(b) == pytest.approx(2.0)
 
     def test_translation(self):
         rect = Rect("poly", 0, 0, 1, 1).translated(5, 7)
@@ -175,13 +157,3 @@ class TestDeviceGenerators:
         long = resistor_cell(node, "r2", 100e3)
         assert len(long.rects) > len(short.rects)
         assert short.pin("P") is not None
-
-    def test_guard_ring_surrounds_box(self, node):
-        ring = guard_ring_cell(node, "g", 10e-6, 10e-6)
-        assert ring.width > 10e-6
-        assert ring.height > 10e-6
-        assert ring.pin("RING") is not None
-
-    def test_guard_ring_rejects_bad_dims(self, node):
-        with pytest.raises(ValueError):
-            guard_ring_cell(node, "g", -1e-6, 1e-6)

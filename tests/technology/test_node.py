@@ -75,11 +75,6 @@ class TestDerivedQuantities:
         with pytest.raises(ValueError):
             make_node().sigma_vt(0.0)
 
-    def test_gate_capacitance_min(self):
-        node = make_node()
-        assert node.gate_capacitance_min == pytest.approx(
-            node.cox * node.feature_size ** 2)
-
     def test_summary_keys(self):
         summary = make_node().summary()
         assert summary["feature_size_nm"] == pytest.approx(65.0)
@@ -152,14 +147,8 @@ class TestSerialization:
         clone = TechnologyNode.from_dict(node.to_dict())
         assert clone == node
 
-    def test_json_roundtrip(self):
-        node = make_node(vth=0.31)
-        clone = TechnologyNode.from_json(node.to_json())
-        assert clone == node
-        assert clone.vth == pytest.approx(0.31)
-
     def test_library_nodes_roundtrip(self):
-        clone = TechnologyNode.from_json(get_node("65nm").to_json())
+        clone = TechnologyNode.from_dict(get_node("65nm").to_dict())
         assert clone == get_node("65nm")
 
     def test_unknown_key_rejected(self):

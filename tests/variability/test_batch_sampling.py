@@ -43,7 +43,6 @@ class TestInterDieEquivalence:
                                   seed=7).sample_dies_batch(10)
         die = batch.die(3)
         assert die.vth_global == batch.vth_global[3]
-        assert die.effective_node().vth == node.vth + batch.vth_global[3]
 
     def test_batch_validation(self, node, spec):
         sampler = MonteCarloSampler(node, spec, seed=0)

@@ -90,21 +90,19 @@ class TestPlacementModel:
         a = DopantPlacementModel(node, seed=42).sample()
         b = DopantPlacementModel(node, seed=42).sample()
         assert a.count == b.count
-        assert a.effective_length == pytest.approx(b.effective_length)
+        assert a.source_encroachment == b.source_encroachment
+        assert a.drain_encroachment == b.drain_encroachment
 
     def test_dopants_inside_channel(self, node):
         sample = DopantPlacementModel(node, seed=1).sample()
         assert np.all(sample.x >= 0) and np.all(sample.x <= sample.length)
         assert np.all(sample.y >= 0) and np.all(sample.y <= sample.width)
 
-    def test_effective_length_below_drawn(self, node):
-        sample = DopantPlacementModel(node, seed=2).sample()
-        assert sample.effective_length < sample.length
-
     def test_count_statistics_poisson(self, node):
-        stats = DopantPlacementModel(node, seed=3).count_statistics(400)
-        assert stats["sigma_count"] == pytest.approx(
-            stats["poisson_prediction"], rel=0.25)
+        counts = DopantPlacementModel(node, seed=3).sample_batch(
+            400)["count"]
+        assert counts.std(ddof=1) == pytest.approx(
+            np.sqrt(counts.mean()), rel=0.25)
 
     def test_leff_statistics_fields(self, node):
         stats = DopantPlacementModel(node, seed=4)\
@@ -121,5 +119,4 @@ class TestPlacementModel:
     def test_any_seed_gives_physical_sample(self, seed):
         node = get_node("65nm")
         sample = DopantPlacementModel(node, seed=seed).sample()
-        assert sample.effective_length >= 0
         assert sample.count >= 0

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.variability import (LerParameters, MismatchSampler,
-                               area_for_matching, current_spread_from_ler,
+from repro.variability import (LerParameters, current_spread_from_ler,
                                effective_length_profile, generate_edge,
                                offset_sigma_diff_pair, relative_ler_trend,
                                sigma_delta_beta, sigma_delta_vth)
 from repro.technology import all_nodes, get_node
+
+
+def area_for_matching(node, sigma_vth_target):
+    """Gate area W*L [m^2] that reaches ``sigma_vth_target``: the
+    Pelgrom inversion ``sigma_delta_vth`` must undo."""
+    return (node.avt / sigma_vth_target) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -116,33 +121,3 @@ class TestPelgrom:
     def test_sigma_positive_property(self, width, length):
         node = get_node("65nm")
         assert sigma_delta_vth(node, width, length) > 0
-
-
-class TestMismatchSampler:
-    def test_reproducible(self, node):
-        a = MismatchSampler(node, 1e-6, 1e-6, seed=7).sample()
-        b = MismatchSampler(node, 1e-6, 1e-6, seed=7).sample()
-        assert a.delta_vth == pytest.approx(b.delta_vth)
-
-    def test_sample_many_statistics(self, node):
-        sampler = MismatchSampler(node, 1e-6, 1e-6, seed=8)
-        dvth, dbeta = sampler.sample_many(4000)
-        assert float(np.std(dvth)) == pytest.approx(
-            sigma_delta_vth(node, 1e-6, 1e-6), rel=0.1)
-        assert float(np.std(dbeta)) == pytest.approx(
-            sigma_delta_beta(node, 1e-6, 1e-6), rel=0.1)
-
-    def test_correlation_respected(self, node):
-        sampler = MismatchSampler(node, 1e-6, 1e-6, correlation=0.8,
-                                  seed=9)
-        dvth, dbeta = sampler.sample_many(4000)
-        measured = float(np.corrcoef(dvth, dbeta)[0, 1])
-        assert measured == pytest.approx(0.8, abs=0.05)
-
-    def test_rejects_bad_correlation(self, node):
-        with pytest.raises(ValueError):
-            MismatchSampler(node, 1e-6, 1e-6, correlation=1.5)
-
-    def test_rejects_bad_count(self, node):
-        with pytest.raises(ValueError):
-            MismatchSampler(node, 1e-6, 1e-6).sample_many(0)

@@ -40,12 +40,6 @@ class TestSampler:
         shifts = [sampler.sample_die().vth_global for _ in range(800)]
         assert float(np.std(shifts)) == pytest.approx(0.02, rel=0.1)
 
-    def test_effective_node_shifted(self, node):
-        sampler = MonteCarloSampler(node, seed=7)
-        die = sampler.sample_die()
-        shifted = die.effective_node()
-        assert shifted.vth == pytest.approx(node.vth + die.vth_global)
-
     def test_device_sampling_includes_intra(self, node):
         sampler = MonteCarloSampler(
             node, VariationSpec(vth_inter=0.0), seed=8)
