@@ -1,6 +1,6 @@
 """Per-rule fixtures for the rules R001-R003 and R005: true
-positives and false-positive avoidance cases, plus a corpus that pins
-the position of every R001 finding. The retired R006 keeps its
+positives and false-positive avoidance cases, plus corpora that pin
+the position of every R001, R003 and R005 finding. The retired R006 keeps its
 false-positive cases, now held against R001 and R008."""
 
 import textwrap
@@ -339,6 +339,109 @@ class TestR003ExceptionHygiene:
         """)
         assert report.clean
 
+    CORPUS = {
+        "mod.py": """
+            import builtins
+            import errno
+            from repro.robust.errors import ModelDomainError
+
+            if errno.EPERM < 0:
+                raise RuntimeError("module level")
+
+            try:
+                import fcntl
+            except:
+                fcntl = None
+
+
+            class Config:
+                if not hasattr(errno, "ENOENT"):
+                    raise KeyError("class body")
+
+                def load(self, path):
+                    try:
+                        return open(path).read()
+                    except:
+                        return ""
+
+                class Inner:
+                    def check(self):
+                        raise LookupError("nested class")
+
+
+            def reraise(x):
+                try:
+                    return 1.0 / x
+                except ZeroDivisionError as err:
+                    raise err
+
+
+            def wrapped(x):
+                try:
+                    return int(x)
+                except ValueError as exc:
+                    raise ModelDomainError(str(x)) from exc
+
+
+            def elsewhere():
+                exc = ValueError("bound, not caught, in this function")
+                raise exc
+
+
+            def hook():
+                raise NotImplementedError("subclass hook")
+
+
+            def closure(flag):
+                def inner():
+                    if flag:
+                        raise ValueError
+                    raise builtins.TypeError("dotted")
+                return inner
+
+
+            def untyped(x):
+                raise Exception("no closest taxonomy type")
+        """,
+    }
+
+    def test_corpus_findings_are_pinned(self, tmp_path):
+        """Module-level, class-body, nested-class and closure raises and
+        bare excepts are flagged at exact positions; a re-raise of any
+        name an ``except ... as`` in the module binds, a taxonomy raise
+        and ``NotImplementedError`` are not."""
+        for name, source in self.CORPUS.items():
+            write(tmp_path, name, source)
+        report = run_lint([tmp_path], select=["R003"])
+        found = [(Path(f.path).relative_to(tmp_path).as_posix(),
+                  f.line, f.col, f.message) for f in report.findings]
+        expected = [
+            ("mod.py", 7, 4, "raise RuntimeError bypasses the "
+             "repro.robust.errors taxonomy (closest taxonomy type: "
+             "ConvergenceError)"),
+            ("mod.py", 11, 0, "bare 'except:'"),
+            ("mod.py", 17, 8, "raise KeyError bypasses the "
+             "repro.robust.errors taxonomy (closest taxonomy type: "
+             "RoadmapDataError)"),
+            ("mod.py", 22, 8, "bare 'except:'"),
+            ("mod.py", 27, 12, "raise LookupError bypasses the "
+             "repro.robust.errors taxonomy (closest taxonomy type: "
+             "RoadmapDataError)"),
+            ("mod.py", 56, 12, "raise ValueError bypasses the "
+             "repro.robust.errors taxonomy (closest taxonomy type: "
+             "ModelDomainError)"),
+            ("mod.py", 57, 8, "raise TypeError bypasses the "
+             "repro.robust.errors taxonomy (closest taxonomy type: "
+             "ModelDomainError)"),
+            ("mod.py", 62, 4, "raise Exception bypasses the "
+             "repro.robust.errors taxonomy; taxonomy"),
+        ]
+        assert [row[:3] for row in found] \
+            == [row[:3] for row in expected]
+        for (_, _, _, message), (_, _, _, detail) in zip(found,
+                                                          expected):
+            assert message.startswith(detail)
+
 
 class TestR005VectorizationSafety:
     def test_flags_scalar_math_on_array_param(self, tmp_path):
@@ -372,6 +475,70 @@ class TestR005VectorizationSafety:
                 return np.exp(vth / tau)
         """)
         assert report.clean
+
+    CORPUS = {
+        "mod.py": """
+            import math
+            import math as m
+            from math import exp
+            import numpy as np
+            from numpy.typing import ArrayLike, NDArray
+
+            GRID = np.linspace(0.0, 1.0, 5)
+            TOP = math.exp(GRID)
+
+
+            class Model:
+                def scale(self, x: np.ndarray, k: float):
+                    return math.exp(x) + math.sqrt(k)
+
+
+            def outer(v: ArrayLike):
+                def inner(t: float):
+                    return m.log(v * t)
+                return inner
+
+
+            def typed(a: NDArray[np.float64], b: "np.ndarray", n: int):
+                return m.hypot(a, b) + math.floor(n) + exp(a)
+
+
+            def lazy(x: np.ndarray):
+                return (lambda: math.tanh(x))()
+
+
+            def scalar(x: float, y: "float"):
+                return math.exp(x) * m.cos(y)
+        """,
+    }
+
+    def test_corpus_findings_are_pinned(self, tmp_path):
+        """Methods, closures over an outer function's array parameter,
+        ``ArrayLike``/``NDArray``/string annotations, ``import math as
+        m`` and ``from math import exp`` are flagged at exact
+        positions; module-level calls and scalar parameters are not."""
+        for name, source in self.CORPUS.items():
+            write(tmp_path, name, source)
+        report = run_lint([tmp_path], select=["R005"])
+        found = [(Path(f.path).relative_to(tmp_path).as_posix(),
+                  f.line, f.col, f.message) for f in report.findings]
+        expected = [
+            ("mod.py", 14, 15, "math.exp() on array-annotated "
+             "parameter(s) x breaks"),
+            ("mod.py", 19, 15, "math.log() on array-annotated "
+             "parameter(s) v breaks"),
+            ("mod.py", 24, 11, "math.hypot() on array-annotated "
+             "parameter(s) a, b breaks"),
+            ("mod.py", 24, 43, "math.exp() on array-annotated "
+             "parameter(s) a breaks"),
+            ("mod.py", 28, 20, "math.tanh() on array-annotated "
+             "parameter(s) x breaks"),
+        ]
+        assert [row[:3] for row in found] \
+            == [row[:3] for row in expected]
+        for (_, _, _, message), (_, _, _, detail) in zip(found,
+                                                          expected):
+            assert message.startswith(detail)
 
 
 class TestR006ShardSeedDiscipline:
