@@ -1,11 +1,12 @@
-"""Performance benchmark of the incremental semantic lint cache.
+"""Performance benchmark of the incremental lint cache.
 
-The semantic rules (R002, R008-R010) need whole-project file
-summaries; the cold path parses every module under ``src/repro``,
-``benchmarks``, ``examples`` and ``perfbench`` (the trees CI lints)
-while the warm path replays content-hashed summaries from
-``.replint_cache``-style directories without touching ``ast.parse``.
-As with the other perf benchmarks, the speedup gate uses its own
+Every rule reads whole-project file summaries; the cold path parses
+every module under ``src/repro``, ``benchmarks``, ``examples`` and
+``perfbench`` (the trees CI lints) while the warm path replays
+content-hashed summaries from ``.replint_cache``-style directories
+without touching ``ast.parse``.  The gate runs twice: for the semantic
+rules alone and for every rule (the CI gate's command).  As with the
+other perf benchmarks, the speedup gate uses its own
 ``time.perf_counter`` measurement so it holds even under
 ``--benchmark-disable``.
 """
@@ -36,18 +37,20 @@ def best_of(fn, repeats=3):
 
 
 @pytest.mark.benchmark(group="perf_lint")
-def test_warm_cache_semantic_run_speedup(benchmark, tmp_path):
-    """Acceptance: warm-cache semantic lint >= 3x a cold run."""
+@pytest.mark.parametrize("rules, key", [
+    (SEMANTIC_RULES, "lint_semantic_warm_cache"),
+    (None, "lint_all_rules_warm_cache"),
+], ids=["semantic", "all-rules"])
+def test_warm_cache_run_speedup(benchmark, tmp_path, rules, key):
+    """Acceptance: a warm-cache lint run >= 3x a cold run."""
     cache_dir = tmp_path / "cache"
 
     def cold():
         shutil.rmtree(cache_dir, ignore_errors=True)
-        return run_lint(TREES, select=SEMANTIC_RULES,
-                        cache_dir=cache_dir)
+        return run_lint(TREES, select=rules, cache_dir=cache_dir)
 
     def warm():
-        return run_lint(TREES, select=SEMANTIC_RULES,
-                        cache_dir=cache_dir)
+        return run_lint(TREES, select=rules, cache_dir=cache_dir)
 
     cold_report = cold()     # leaves the cache populated for ``warm``
     warm_report = benchmark(warm)
@@ -59,12 +62,13 @@ def test_warm_cache_semantic_run_speedup(benchmark, tmp_path):
     cold()                   # repopulate after the timed cold runs
     t_warm = best_of(warm)
     speedup = t_cold / t_warm
-    print(f"\nsemantic lint over the four trees: "
+    label = "semantic" if rules else "all-rule"
+    print(f"\n{label} lint over the four trees: "
           f"cold={t_cold * 1e3:.0f} ms warm={t_warm * 1e3:.0f} ms "
           f"speedup={speedup:.1f}x")
-    record_bench("lint_semantic_warm_cache", {
+    record_bench(key, {
         "tree": "src/repro benchmarks examples perfbench",
-        "rules": SEMANTIC_RULES,
+        "rules": rules or "all",
         "cold_ms": round(t_cold * 1e3, 2),
         "warm_ms": round(t_warm * 1e3, 2),
         "speedup": round(speedup, 2),

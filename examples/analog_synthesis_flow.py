@@ -12,7 +12,7 @@ Run:  python examples/analog_synthesis_flow.py
 
 import pathlib
 
-from repro.synthesis import (Specification, default_ota_spec,
+from repro.synthesis import (default_ota_spec,
                              manual_design_baseline, ota_synthesizer,
                              synthesize_detector_frontend)
 from repro.technology import get_node

@@ -16,7 +16,7 @@ import numpy as np
 from repro.digital import clocked_datapath
 from repro.signal_integrity import (VcoModel, comparison_report,
                                     vco_spur_experiment)
-from repro.substrate import (Floorplan, NoiseWaveform, SwanSimulator,
+from repro.substrate import (NoiseWaveform, SwanSimulator,
                              run_swan_experiment)
 from repro.technology import get_node
 

@@ -47,14 +47,18 @@ def cmd_nodes(_args) -> int:
     return 0
 
 
+def _nodes(names: Optional[str]):
+    """The nodes a comma-separated ``--nodes`` value lists, resolved
+    before any of them runs; every node only when the flag is absent."""
+    from .technology import all_nodes, get_node
+    if names is None:
+        return all_nodes()
+    return [get_node(name) for name in names.split(",")]
+
+
 def cmd_node(args) -> int:
-    from .robust import RoadmapDataError
     from .technology import get_node
-    try:
-        node = get_node(args.name)
-    except RoadmapDataError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    node = get_node(args.name)
     print(node)
     for key, value in node.summary().items():
         print(f"  {key:>22}: {value:.5g}")
@@ -91,8 +95,7 @@ def cmd_report(args) -> int:
                      operating_temperature=args.temperature)
         print(f"report written to {args.output}")
     else:
-        import sys as _sys
-        generate_report(stream=_sys.stdout,
+        generate_report(stream=sys.stdout,
                         operating_temperature=args.temperature)
     return 0
 
@@ -171,12 +174,8 @@ def cmd_yield(args) -> int:
 
 def cmd_chain_yield(args) -> int:
     from .exec import ChainSignoffWorkload, PartialResult
-    from .technology import all_nodes, get_node
-    # Canonical names, all resolved before the first node runs.
-    names = ([get_node(name).name for name in args.nodes.split(",")]
-             if args.nodes else [node.name for node in all_nodes()])
     rows = []
-    for name in names:
+    for name in [node.name for node in _nodes(args.nodes)]:
         workload = ChainSignoffWorkload(
             node_name=name, n_dies=args.dies, seed=args.seed,
             dnl_limit=args.dnl_limit, inl_limit=args.inl_limit,
@@ -211,21 +210,12 @@ def cmd_soc_noise(args) -> int:
 
 def cmd_electrothermal(args) -> int:
     import numpy as np
-    from .robust import RoadmapDataError, check_count, check_positive
-    from .technology import all_nodes, get_node
+    from .robust import check_count, check_positive
     from .thermal import electrothermal_rth_sweep
     rth_points = check_count("rth_points", args.rth_points)
     check_positive("rth_min", args.rth_min)
     check_positive("rth_max", args.rth_max)
-    if args.nodes:
-        try:
-            nodes = [get_node(name)
-                     for name in args.nodes.split(",")]
-        except RoadmapDataError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    else:
-        nodes = all_nodes()
+    nodes = _nodes(args.nodes)
     rth_values = np.geomspace(args.rth_min, args.rth_max, rth_points)
     rows = electrothermal_rth_sweep(
         nodes, rth_values, n_gates=args.gates,

@@ -27,7 +27,6 @@ import numpy as np
 from ..core.constants import (
     kt_energy, ELECTRON_CHARGE, EPSILON_0, EPSILON_SIO2)
 from ..technology.node import TechnologyNode
-from ..devices.mosfet import DeviceType, Mosfet
 from ..variability.pelgrom import sigma_delta_vth
 from ..robust.errors import ModelDomainError
 from ..robust.validate import check_finite

@@ -15,7 +15,6 @@ digital power keeps falling.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
 from ..technology.node import TechnologyNode

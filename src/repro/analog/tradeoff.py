@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.constants import BOLTZMANN, kt_energy
+from ..core.constants import kt_energy
 from ..robust.errors import ModelDomainError
 from ..robust.validate import validated
 from ..technology.node import TechnologyNode

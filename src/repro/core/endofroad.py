@@ -17,7 +17,6 @@ clawed back by leakage, margining and analog/interconnect overheads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 

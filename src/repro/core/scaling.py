@@ -17,7 +17,6 @@ regenerates as the paper's implicit "Table A".
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Dict, List
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..core.constants import (EPSILON_0, EPSILON_SI, ELECTRON_CHARGE,
                               thermal_voltage)

@@ -16,7 +16,6 @@ the paper's equations) and as per-device/per-gate aggregates used by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 

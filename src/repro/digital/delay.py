@@ -16,7 +16,6 @@ effect at 65 nm (0.78 V).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 

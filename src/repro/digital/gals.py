@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..technology.node import TechnologyNode
 from ..interconnect.clocktree import max_wire_length_for_skew

@@ -11,7 +11,7 @@ a digital standard cell library").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from ..technology.node import TechnologyNode

@@ -9,7 +9,7 @@ named nets.  It is consumed by the static timing analyzer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..technology.node import TechnologyNode

@@ -16,7 +16,6 @@ Benchmark Tab C regenerates this trend.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 

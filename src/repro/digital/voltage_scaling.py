@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.constants import thermal_voltage
 from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
                                    inverter_self_load)

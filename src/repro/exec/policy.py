@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..robust.errors import ModelDomainError
-from ..robust.validate import check_finite
+from ..robust.validate import check_finite, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,9 @@ class RetryPolicy:
                 raise ModelDomainError(
                     f"timeout_s must be positive or None, got "
                     f"{self.timeout_s!r}")
-        check_finite("backoff_initial_s", self.backoff_initial_s)
+        check_non_negative("backoff_initial_s", self.backoff_initial_s)
         check_finite("backoff_factor", self.backoff_factor)
-        check_finite("backoff_max_s", self.backoff_max_s)
-        if self.backoff_initial_s < 0.0 or self.backoff_max_s < 0.0:
-            raise ModelDomainError("back-off delays must be >= 0")
+        check_non_negative("backoff_max_s", self.backoff_max_s)
         if self.backoff_factor < 1.0:
             raise ModelDomainError(
                 f"backoff_factor must be >= 1, got "

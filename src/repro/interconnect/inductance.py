@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.constants import EPSILON_0
 from ..technology.node import TechnologyNode
 from .wire import (WireGeometry, capacitance_per_length,
                    resistance_per_length)

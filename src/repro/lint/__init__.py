@@ -26,13 +26,15 @@ code      name                      invariant
                                     ``__all__``; re-exports do not count
 ========  ========================  =======================================
 
-R001, R003 and R005 are syntactic and check one file at a time.
-R002 and R008-R010 run on the project-wide semantic model
+Every rule runs on the project-wide semantic model
 (:mod:`repro.lint.semantic`) built from content-hash cached per-file
-summaries (``.replint_cache/``; disable with ``--no-cache``).  R001
-and R008's ``unseeded-rng`` effect share one detector.  Run
-``python -m repro.lint --list-rules`` for the live catalog, and see
-``docs/architecture.md`` for the full rule catalog and waiver policy.
+summaries (``.replint_cache/``; disable with ``--no-cache``), so each
+file takes one path -- read, summarized through the cache, checked --
+and a warm run parses nothing.  R001, R003 and R005 read the per-site
+facts the summarizer records; R001 and R008's ``unseeded-rng`` effect
+share one detector.  Run ``python -m repro.lint --list-rules`` for the
+live catalog, and see ``docs/architecture.md`` for the full rule
+catalog and waiver policy.
 """
 
 from .engine import discover_files, run_lint

@@ -1,4 +1,4 @@
-"""Small AST helpers shared by the lint rules."""
+"""Small AST helpers shared by the summarizer and the effect detectors."""
 
 from __future__ import annotations
 
@@ -20,48 +20,60 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 
 class ImportMap:
-    """Resolve local aliases back to canonical module/symbol paths.
+    """Every alias table of one module, from one pass over its imports.
+
+    ``canonical()`` maps a local alias back to its module/symbol path:
 
     ``import numpy as np``             -> ``np``     => ``numpy``
     ``import numpy.random as npr``     -> ``npr``    => ``numpy.random``
     ``from numpy import random as r``  -> ``r``      => ``numpy.random``
     ``from numpy.random import normal``-> ``normal`` => ``numpy.random.normal``
+
+    ``heads`` holds the top-level names import statements bind anywhere
+    in the module, and ``repro`` maps a bare imported name to its
+    absolute repro-internal target, resolving relative imports against
+    ``package`` (the dotted parts of the importing module's package).
     """
 
-    def __init__(self, tree: ast.Module):
+    def __init__(self, tree: ast.Module, package: List[str]):
         self.aliases: Dict[str, str] = {}
+        self.repro: Dict[str, str] = {}
+        heads = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] \
-                        = alias.name if alias.asname else \
-                        alias.name.split(".")[0]
-                    if alias.asname:
-                        self.aliases[alias.asname] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and node.level == 0:
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = \
-                        f"{node.module}.{alias.name}"
+                    root = alias.name.split(".")[0]
+                    head = alias.asname or root
+                    heads.add(head)
+                    self.aliases[head] = \
+                        alias.name if alias.asname else root
+                    if root == "repro":
+                        # ``import repro.x.y`` binds ``repro`` itself.
+                        self.repro[head] = self.aliases[head]
+            elif isinstance(node, ast.ImportFrom):
+                heads.update(alias.asname or alias.name
+                             for alias in node.names)
+                if node.module and node.level == 0:
+                    for alias in node.names:
+                        self.aliases[alias.asname or alias.name] = \
+                            f"{node.module}.{alias.name}"
+                if node.level:
+                    base = ".".join(
+                        package[:len(package) - (node.level - 1)]
+                        + ([node.module] if node.module else []))
+                else:
+                    base = node.module or ""
+                if base.split(".")[0] == "repro":
+                    for alias in node.names:
+                        self.repro[alias.asname or alias.name] = \
+                            f"{base}.{alias.name}"
+        self.heads: FrozenSet[str] = frozenset(heads)
 
     def canonical(self, dotted: str) -> str:
         """Map the leading alias of ``a.b.c`` to its canonical path."""
         head, _, rest = dotted.partition(".")
         base = self.aliases.get(head, head)
         return f"{base}.{rest}" if rest else base
-
-
-def import_heads(tree: ast.AST) -> FrozenSet[str]:
-    """Top-level names bound by import statements anywhere in ``tree``."""
-    heads = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            heads.update(alias.asname or alias.name.split(".")[0]
-                         for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            heads.update(alias.asname or alias.name
-                         for alias in node.names)
-    return frozenset(heads)
 
 
 def walk_with_function_stack(

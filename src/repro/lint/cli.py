@@ -12,7 +12,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..robust.errors import ReproError
-from .engine import iter_rule_docs, run_lint
+from .engine import run_lint
+from .rules import get_rules
 from .sarif import to_sarif
 from .semantic.cache import DEFAULT_CACHE_DIR
 
@@ -50,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print findings suppressed by documented waivers")
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the semantic analysis cache")
+        help="disable the file summary cache")
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
-        help=f"semantic summary cache location "
+        help=f"file summary cache location "
              f"(default: {DEFAULT_CACHE_DIR})")
     return parser
 
@@ -69,8 +70,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in iter_rule_docs():
-            print(f"{rule.code} {rule.name} [{rule.scope}]")
+        for rule in get_rules():
+            print(f"{rule.code} {rule.name}")
             print(f"    {rule.description}")
         return 0
 

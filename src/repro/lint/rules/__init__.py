@@ -1,14 +1,12 @@
 """Rule base class and registry for ``repro.lint``.
 
 A rule is a small stateless object with a ``code`` (``R0xx``), a
-``name`` and one of two hooks, selected by ``scope``:
-
-* ``"module"`` -- ``check_module(info)`` sees one parsed file;
-* ``"semantic"`` -- ``check_semantic(model)`` sees the project-wide
-  :class:`~repro.lint.semantic.model.SemanticModel` (call graph,
-  transitive effects, determinism roots, liveness) built from
-  cached per-file summaries -- these rules never touch raw ASTs, so
-  a warm cache runs them without re-parsing anything.
+``name`` and one hook, ``check(model)``, which sees the project-wide
+:class:`~repro.lint.semantic.model.SemanticModel` (call graph,
+transitive effects, determinism roots, liveness and the per-site
+facts of every file) built from cached per-file summaries.  No rule
+touches a raw AST, so a warm cache runs every rule without parsing
+anything.
 
 Rules yield :class:`~repro.lint.findings.Finding` objects; waiver
 filtering happens centrally in the engine.
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Type
 
-from ..context import ModuleInfo
 from ..findings import Finding
 from ...robust.errors import ModelDomainError, RoadmapDataError
 
@@ -29,14 +26,8 @@ class Rule:
     code: str = "R000"
     name: str = "base"
     description: str = ""
-    #: "module" rules see one file at a time; "semantic" rules see
-    #: the SemanticModel.
-    scope: str = "module"
 
-    def check_module(self, info: ModuleInfo) -> Iterable[Finding]:
-        return ()
-
-    def check_semantic(self, model) -> Iterable[Finding]:
+    def check(self, model) -> Iterable[Finding]:
         return ()
 
 

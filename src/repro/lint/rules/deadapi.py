@@ -42,9 +42,8 @@ class DeadPublicApiRule(Rule):
                    "through a resolved reference or their own module's "
                    "__all__, methods by name); package re-exports and "
                    "the fault registry do not count")
-    scope = "semantic"
 
-    def check_semantic(self, model) -> Iterable[Finding]:
+    def check(self, model) -> Iterable[Finding]:
         for summary in sorted(model.summaries.values(),
                               key=lambda s: s.path):
             if not summary.module.startswith("repro"):

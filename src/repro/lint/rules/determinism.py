@@ -37,9 +37,8 @@ class TransitiveDeterminismRule(Rule):
     description = ("shard entry points and listed engine entry points "
                    "must not transitively reach nondeterministic "
                    "effects")
-    scope = "semantic"
 
-    def check_semantic(self, model) -> Iterable[Finding]:
+    def check(self, model) -> Iterable[Finding]:
         graph = model.graph
         paths = {fn.qual: summary.path
                  for summary in model.summaries.values()

@@ -9,17 +9,16 @@ convergence failures from data gaps.  This rule flags
 * bare ``except:`` clauses (swallow KeyboardInterrupt/SystemExit).
 
 Re-raises (``raise`` with no operand, ``raise err from ...`` of a
-caught name) and ``NotImplementedError`` (abstract-hook idiom) are
-allowed.
+name an ``except ... as`` in the module binds) and
+``NotImplementedError`` (abstract-hook idiom) are allowed.  The
+summarizer records the raise and bare-``except`` sites of the whole
+module, re-raises left out.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Set
+from typing import Iterable
 
-from ..astutil import dotted_name
-from ..context import ModuleInfo
 from ..findings import Finding
 from . import Rule, register
 
@@ -31,9 +30,6 @@ _BUILTIN_BANNED = {
     "IOError", "AssertionError", "StopIteration", "AttributeError",
     "NameError",
 }
-
-#: Always-acceptable raises.
-_ALLOWED = {"NotImplementedError", "KeyboardInterrupt", "SystemExit"}
 
 _SUGGESTION = {
     "ValueError": "ModelDomainError",
@@ -56,51 +52,22 @@ class ExceptionHygieneRule(Rule):
         "No bare except; raise through the repro.robust.errors "
         "taxonomy instead of builtin exceptions.")
 
-    def check_module(self, info: ModuleInfo) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        caught_names = _caught_exception_names(info.tree)
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                findings.append(Finding(
-                    path=str(info.path), line=node.lineno,
-                    col=node.col_offset, code=self.code,
-                    message=("bare 'except:' also catches "
-                             "KeyboardInterrupt/SystemExit -- name the "
-                             "exception(s) or use 'except Exception'")))
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                findings.extend(
-                    self._check_raise(info, node, caught_names))
-        return findings
-
-    def _check_raise(self, info: ModuleInfo, node: ast.Raise,
-                     caught_names: Set[str]) -> Iterable[Finding]:
-        exc = node.exc
-        target = exc.func if isinstance(exc, ast.Call) else exc
-        name = dotted_name(target)
-        if name is None:
-            return
-        bare = name.split(".")[-1]
-        if bare in _ALLOWED:
-            return
-        if not isinstance(exc, ast.Call) and bare in caught_names:
-            return                      # ``except X as err: ... raise err``
-        if bare in _BUILTIN_BANNED:
-            hint = _SUGGESTION.get(bare)
+    def check(self, model) -> Iterable[Finding]:
+        for path, site in model.sites("bare-except"):
+            yield Finding(
+                path=path, line=site.line, col=site.col, code=self.code,
+                message=("bare 'except:' also catches "
+                         "KeyboardInterrupt/SystemExit -- name the "
+                         "exception(s) or use 'except Exception'"))
+        for path, site in model.sites("raise"):
+            if site.detail not in _BUILTIN_BANNED:
+                continue
+            hint = _SUGGESTION.get(site.detail)
             suggestion = f" (closest taxonomy type: {hint})" if hint \
                 else ""
             yield Finding(
-                path=str(info.path), line=node.lineno,
-                col=node.col_offset, code=self.code,
+                path=path, line=site.line, col=site.col, code=self.code,
                 message=(
-                    f"raise {bare} bypasses the repro.robust.errors "
+                    f"raise {site.detail} bypasses the repro.robust.errors "
                     f"taxonomy{suggestion}; taxonomy types still "
                     "subclass the builtin, so callers keep working"))
-
-
-def _caught_exception_names(tree: ast.Module) -> Set[str]:
-    """Names bound by ``except ... as name`` anywhere in the module."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-    return names

@@ -8,21 +8,16 @@ which keeps explicit seeds bit-stable and gives seed-less callers an
 independent child stream of the fixed root ``SeedSequence``.
 
 The detector is :func:`repro.lint.semantic.effects.global_rng_state`,
-the one behind R008's ``unseeded-rng`` effect.  R001 runs it over the
-whole module, so module-level and class-body calls, which no function
-summary covers, are flagged too.
+the one behind R008's ``unseeded-rng`` effect.  The summarizer records
+its sites in the whole module, so module-level and class-body calls,
+which no function summary covers, are flagged too.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterable
 
-from ..astutil import (ImportMap, dotted_name, import_heads,
-                       walk_with_function_stack)
-from ..context import ModuleInfo
 from ..findings import Finding
-from ..semantic.effects import RNG_MODULE, global_rng_state
 from . import Rule, register
 
 
@@ -35,24 +30,11 @@ class RngDisciplineRule(Rule):
         "unseeded default_rng() in model code; inject a Generator or "
         "route through repro.robust.rng.resolve_rng.")
 
-    def check_module(self, info: ModuleInfo) -> Iterable[Finding]:
-        if info.module == RNG_MODULE:
-            return
-        imports = ImportMap(info.tree)
-        heads = import_heads(info.tree)
-        for node, stack in walk_with_function_stack(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            detail = global_rng_state(node, imports.canonical(dotted),
-                                      dotted, heads, stack)
-            if detail:
-                yield Finding(
-                    path=str(info.path), line=node.lineno,
-                    col=node.col_offset, code=self.code,
-                    message=(f"{detail}: hidden or unseeded RNG state "
-                             "-- inject a numpy.random.Generator or use "
-                             "repro.robust.rng.resolve_rng(rng, "
-                             "seed=seed)"))
+    def check(self, model) -> Iterable[Finding]:
+        for path, site in model.sites("global-rng"):
+            yield Finding(
+                path=path, line=site.line, col=site.col, code=self.code,
+                message=(f"{site.detail}: hidden or unseeded RNG state "
+                         "-- inject a numpy.random.Generator or use "
+                         "repro.robust.rng.resolve_rng(rng, "
+                         "seed=seed)"))

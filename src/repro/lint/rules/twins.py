@@ -50,9 +50,8 @@ class TwinSignatureParityRule(Rule):
     name = "twin-signature-parity"
     description = ("scalar and batched twin signatures must agree "
                    "modulo the batching axis")
-    scope = "semantic"
 
-    def check_semantic(self, model) -> Iterable[Finding]:
+    def check(self, model) -> Iterable[Finding]:
         graph = model.graph
         paths = {fn.qual: summary.path
                  for summary in model.summaries.values()

@@ -52,9 +52,8 @@ class ValidationBoundaryRule(Rule):
     description = (
         "Public numeric model APIs must validate their inputs via "
         "repro.robust (directly or by delegating to guarded code).")
-    scope = "semantic"
 
-    def check_semantic(self, model) -> Iterable[Finding]:
+    def check(self, model) -> Iterable[Finding]:
         graph = model.graph
         paths = {qual: summary.path
                  for summary in model.summaries.values()

@@ -6,22 +6,17 @@ function whose signature advertises array inputs (``np.ndarray`` /
 ``ArrayLike`` annotations) must therefore use the ``numpy`` equivalents
 in any expression touching those parameters.  Scalar-only helpers may
 keep ``math.*`` -- it is faster on scalars and that is the point of the
-batched engines keeping both paths.
+batched engines keeping both paths.  The summarizer records each
+``math.*`` call on array-annotated parameters of its enclosing
+functions (closures see their outer functions' parameters).
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Set
+from typing import Iterable
 
-from ..astutil import (ImportMap, annotation_source, dotted_name,
-                       walk_with_function_stack)
-from ..context import ModuleInfo
 from ..findings import Finding
 from . import Rule, register
-
-#: Annotation substrings that advertise "arrays welcome here".
-_ARRAY_TOKENS = ("ndarray", "ArrayLike", "NDArray")
 
 
 @register
@@ -32,51 +27,12 @@ class VectorizationSafetyRule(Rule):
         "No scalar math.* calls on parameters annotated as arrays; "
         "use the numpy equivalent.")
 
-    def check_module(self, info: ModuleInfo) -> Iterable[Finding]:
-        imports = ImportMap(info.tree)
-        findings: List[Finding] = []
-        for node, stack in walk_with_function_stack(info.tree):
-            if not isinstance(node, ast.Call) or not stack:
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            canonical = imports.canonical(dotted)
-            parts = canonical.split(".")
-            if len(parts) != 2 or parts[0] != "math":
-                continue
-            array_params = _array_params(stack)
-            if not array_params:
-                continue
-            touched = _touched_params(node, array_params)
-            if touched:
-                findings.append(Finding(
-                    path=str(info.path), line=node.lineno,
-                    col=node.col_offset, code=self.code,
-                    message=(
-                        f"math.{parts[1]}() on array-annotated "
-                        f"parameter(s) {', '.join(sorted(touched))} "
-                        "breaks on ndarray inputs -- use "
-                        f"numpy.{parts[1]} (or np.asarray first)")))
-        return findings
-
-
-def _array_params(stack) -> Set[str]:
-    """Parameters of the enclosing functions annotated as arrays."""
-    names: Set[str] = set()
-    for fn in stack:
-        args = fn.args
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            annotation = annotation_source(arg)
-            if any(token in annotation for token in _ARRAY_TOKENS):
-                names.add(arg.arg)
-    return names
-
-
-def _touched_params(call: ast.Call, array_params: Set[str]) -> Set[str]:
-    touched: Set[str] = set()
-    for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        for node in ast.walk(arg):
-            if isinstance(node, ast.Name) and node.id in array_params:
-                touched.add(node.id)
-    return touched
+    def check(self, model) -> Iterable[Finding]:
+        for path, site in model.sites("math-call"):
+            yield Finding(
+                path=path, line=site.line, col=site.col, code=self.code,
+                message=(
+                    f"math.{site.detail}() on array-annotated "
+                    f"parameter(s) {', '.join(site.params)} "
+                    "breaks on ndarray inputs -- use "
+                    f"numpy.{site.detail} (or np.asarray first)"))

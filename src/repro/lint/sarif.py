@@ -36,7 +36,6 @@ def _rule_table() -> List[Dict[str, Any]]:
             "id": rule.code,
             "name": rule.name,
             "shortDescription": {"text": rule.description},
-            "properties": {"scope": rule.scope},
         })
     return table
 

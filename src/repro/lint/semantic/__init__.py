@@ -1,15 +1,16 @@
-"""repro.lint.semantic -- project-wide semantic analysis layer.
+"""repro.lint.semantic -- the project-wide analysis layer every rule reads.
 
-The AST rules (R001, R003, R005) are syntactic: they judge what code
-*does*, line by line.  The headline guarantees of this codebase,
-though, are *reachability* properties -- "no shard entry point may
-**reach** a wall-clock read", "every public model API **reaches**
-validation", "scalar/batched twins may not drift apart" -- so this
-subpackage lowers every parsed module to a compact, JSON-serializable
+Some rules judge what code *does* at one site (R001, R003, R005);
+the headline guarantees of this codebase, though, are *reachability*
+properties -- "no shard entry point may **reach** a wall-clock read",
+"every public model API **reaches** validation", "scalar/batched twins
+may not drift apart".  This subpackage lowers every parsed module to a
+compact, JSON-serializable
 :class:`~repro.lint.semantic.summary.FileSummary` (per-function
 effect sets, validation evidence, resolved callees, signatures,
-references, waivers) and assembles the summaries into a queryable
-:class:`~repro.lint.semantic.model.SemanticModel`:
+references, per-site facts, waivers) and assembles the summaries into
+the queryable :class:`~repro.lint.semantic.model.SemanticModel` that
+every rule consumes:
 
 * :mod:`~repro.lint.semantic.effects` -- direct nondeterminism /
   impurity detection (``reads-clock``, ``unseeded-rng``,
@@ -21,9 +22,9 @@ references, waivers) and assembles the summaries into a queryable
   witness chains;
 * :mod:`~repro.lint.semantic.cache` -- the incremental analysis
   cache (content-hash keyed summaries under ``.replint_cache/``) so
-  semantic-only lint runs skip re-parsing unchanged files;
+  warm lint runs parse no unchanged file;
 * :mod:`~repro.lint.semantic.model` -- ties summaries + graph into
-  the object the semantic rules (R002, R008-R010) consume.
+  the object the rules consume.
 
 Summaries are extracted once per file content; the propagation layer
 is recomputed from summaries on every run (it is cheap relative to

@@ -15,8 +15,8 @@ The effect vocabulary:
 ``unseeded-rng``
     Hidden global RNG state (legacy ``numpy.random.*`` functions,
     stdlib ``random``) and unseeded ``default_rng()`` (including the
-    ``seed=None`` pass-through) -- :func:`global_rng_state`, which
-    R001 runs over whole modules -- plus unpinned
+    ``seed=None`` pass-through) -- :func:`global_rng_state`, whose
+    sites R001 reports -- plus unpinned
     ``resolve_rng()``/``spawn_seed()``: deterministic per process,
     but dependent on global call order, which the shard replay
     contract forbids.
@@ -139,7 +139,7 @@ def _default_rng_unseeded(node: ast.Call,
 
 
 def global_rng_state(node: ast.Call, canonical: str, dotted: str,
-                     import_heads: FrozenSet[str],
+                     heads: FrozenSet[str],
                      stack: Sequence[ast.AST]) -> str:
     """What unseeded stream the call draws from ('' if none): legacy
     ``numpy.random.*`` global state, an unseeded ``default_rng()`` or
@@ -147,8 +147,8 @@ def global_rng_state(node: ast.Call, canonical: str, dotted: str,
     import in this file, not a local name).
 
     ``stack`` lists the enclosing function definitions, outermost
-    first.  This is R001's whole check, and it is the first half of
-    the ``unseeded-rng`` effect.
+    first.  Its sites are R001's findings, and it is the first half
+    of the ``unseeded-rng`` effect.
     """
     parts = canonical.split(".")
     if canonical.startswith("numpy.random."):
@@ -160,7 +160,7 @@ def global_rng_state(node: ast.Call, canonical: str, dotted: str,
             return f"legacy global numpy.random.{attr}()"
         return ""
     if len(parts) == 2 and parts[0] == "random" \
-            and dotted.split(".")[0] in import_heads \
+            and dotted.split(".")[0] in heads \
             and parts[1] in _STDLIB_RANDOM:
         return f"stdlib random.{parts[1]}()"
     return ""
@@ -202,11 +202,13 @@ def _unordered_source(expr: ast.AST) -> str:
 
 
 def detect_effects(node: ast.AST, imports: ImportMap,
-                   import_heads: FrozenSet[str],
-                   stack: Sequence[ast.AST],
-                   module: str = "") -> List[Tuple[str, str]]:
-    """All ``(kind, detail)`` effects this single AST node performs."""
+                   stack: Sequence[ast.AST], module: str = ""
+                   ) -> Tuple[List[Tuple[str, str]], str]:
+    """``(effects, global_rng)``: every ``(kind, detail)`` effect this
+    single AST node performs, and the :func:`global_rng_state` detail
+    among them ('' if none), the site R001 reports."""
     found: List[Tuple[str, str]] = []
+    global_rng = ""
     if isinstance(node, ast.Call):
         dotted = dotted_name(node.func)
         if dotted is not None:
@@ -221,9 +223,10 @@ def detect_effects(node: ast.AST, imports: ImportMap,
                     and node.func.attr in _IO_METHODS:
                 found.append(("io", f".{node.func.attr}()"))
             if module != RNG_MODULE:
-                detail = global_rng_state(node, canonical, dotted,
-                                          import_heads, stack) \
-                    or _child_stream(node, canonical, dotted)
+                global_rng = global_rng_state(node, canonical, dotted,
+                                              imports.heads, stack)
+                detail = global_rng or _child_stream(node, canonical,
+                                                     dotted)
                 if detail:
                     found.append(("unseeded-rng", detail))
     elif isinstance(node, ast.Attribute):
@@ -243,4 +246,4 @@ def detect_effects(node: ast.AST, imports: ImportMap,
             if source:
                 found.append(("unordered-iteration",
                               f"comprehension over {source}"))
-    return found
+    return found, global_rng

@@ -1,20 +1,21 @@
-"""The object the semantic rules consume.
+"""The object every rule consumes.
 
 A :class:`SemanticModel` bundles the per-file summaries (cache-served
 or freshly extracted) with the :class:`~repro.lint.semantic.callgraph.
 CallGraph` built from them, and pre-digests the project-wide facts
 the R008-R010 rules query: determinism roots (shard entry points plus
 the listed :data:`DETERMINISM_ROOTS`) and the merged reference tables
-for liveness analysis.
+for liveness analysis.  R001, R003 and R005 read the per-site facts
+of every file through :meth:`SemanticModel.sites`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .callgraph import CallGraph
-from .summary import FileSummary
+from .summary import FileSummary, SiteSummary
 
 #: Modules whose references keep no API live: the fault registry
 #: drives each API the way a test does.
@@ -55,6 +56,15 @@ class SemanticModel:
     _name_owners: Dict[str, Set[str]] = field(default_factory=dict)
     #: function/class qualname -> owners whose references resolve to it.
     _definition_owners: Dict[str, Set[str]] = field(default_factory=dict)
+
+    # -- R001, R003, R005: per-site facts -----------------------------
+
+    def sites(self, kind: str) -> Iterator[Tuple[str, SiteSummary]]:
+        """``(path, site)`` for every recorded site of ``kind``."""
+        for summary in self.summaries.values():
+            for site in summary.sites:
+                if site.kind == kind:
+                    yield summary.path, site
 
     # -- R008: determinism roots --------------------------------------
 

@@ -1,10 +1,11 @@
 """Per-file semantic summaries: the cacheable unit of analysis.
 
-A :class:`FileSummary` is everything the project-wide passes need to
-know about one source file -- per-function signatures, direct effect
-sets, direct validation evidence, resolved callee candidates, name
-loads and resolved references, ``__all__`` exports and the waiver
-tables -- as plain JSON-serializable data.  It is a *pure function of
+A :class:`FileSummary` is everything the rules need to know about one
+source file -- per-function signatures, direct effect sets, direct
+validation evidence, resolved callee candidates, name loads and
+resolved references, ``__all__`` exports, the per-site facts R001,
+R003 and R005 judge, and the waiver tables -- as plain
+JSON-serializable data.  It is a *pure function of
 the file's content and path*, which is what makes the incremental
 cache (:mod:`repro.lint.semantic.cache`) sound: a content hash fully keys
 the summary, and everything derived across files (the call graph,
@@ -26,17 +27,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..astutil import (ImportMap, annotation_source, dotted_name,
-                       import_heads, param_default_map,
-                       walk_with_function_stack)
+                       param_default_map, walk_with_function_stack)
 from ..context import ModuleInfo
 from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 6
+SUMMARY_SCHEMA_VERSION = 7
+
+#: Annotation substrings that advertise "arrays welcome here".
+_ARRAY_TOKENS = ("ndarray", "ArrayLike", "NDArray")
 
 #: Raising one of these counts as an explicit domain guard.
 _TAXONOMY_ERRORS = frozenset({
@@ -73,6 +76,30 @@ class EffectSummary:
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "line": self.line, "col": self.col,
                 "detail": self.detail, "waived": self.waived}
+
+
+@dataclass(frozen=True)
+class SiteSummary:
+    """One source site a per-site rule judges, anywhere in the file.
+
+    ``global-rng`` (R001): a :func:`~repro.lint.semantic.effects.
+    global_rng_state` call, ``detail`` the stream it draws from;
+    ``raise`` (R003): a raise of the exception named ``detail`` that
+    is not a re-raise of a name an ``except ... as`` in the module
+    binds; ``bare-except`` (R003); ``math-call`` (R005): ``math.detail``
+    called on the array-annotated parameters ``params`` of its
+    enclosing functions.
+    """
+
+    kind: str
+    line: int
+    col: int
+    detail: str = ""
+    params: Tuple[str, ...] = ()
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "line": self.line, "col": self.col,
+                "detail": self.detail, "params": list(self.params)}
 
 
 @dataclass
@@ -147,6 +174,8 @@ class FileSummary:
     #: the module never reads is not recorded.
     references: Dict[str, List[str]] = field(default_factory=dict)
     exports: List[str] = field(default_factory=list)   # __all__ strings
+    #: what R001, R003 and R005 judge, module-level code included
+    sites: List[SiteSummary] = field(default_factory=list)
     #: documented waivers: effective line -> codes; file-wide codes;
     #: undocumented waiver sites (line, codes) for R000.
     line_waiver_codes: Dict[int, List[str]] = field(default_factory=dict)
@@ -170,6 +199,7 @@ class FileSummary:
             "name_loads": self.name_loads,
             "references": self.references,
             "exports": self.exports,
+            "sites": [site.to_dict() for site in self.sites],
             "line_waiver_codes": {str(line): codes for line, codes
                                   in self.line_waiver_codes.items()},
             "file_waiver_codes": self.file_waiver_codes,
@@ -190,6 +220,8 @@ class FileSummary:
             name_loads=data["name_loads"],
             references=data["references"],
             exports=data["exports"],
+            sites=[SiteSummary(**{**site, "params": tuple(site["params"])})
+                   for site in data["sites"]],
             line_waiver_codes={int(line): codes for line, codes
                                in data["line_waiver_codes"].items()},
             file_waiver_codes=data["file_waiver_codes"],
@@ -205,40 +237,6 @@ def error_summary(path: str, module: str, error: str) -> FileSummary:
 
 
 # -- extraction -------------------------------------------------------
-
-
-def _repro_aliases(info: ModuleInfo) -> Dict[str, str]:
-    """Imported bare name -> absolute repro-internal dotted target."""
-    mapping: Dict[str, str] = {}
-    # For a package __init__ the module *is* the package, so level-1
-    # relative imports resolve against it, not against its parent.
-    if info.path.stem == "__init__":
-        package_parts = info.module.split(".")
-    else:
-        package_parts = info.module.split(".")[:-1]
-    for node in ast.walk(info.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "repro":
-                    # ``import repro.x.y`` binds ``repro`` itself.
-                    mapping[alias.asname or "repro"] = \
-                        alias.name if alias.asname else "repro"
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base_parts = package_parts[:len(package_parts)
-                                           - (node.level - 1)]
-                base = ".".join(base_parts
-                                + ([node.module] if node.module else []))
-            elif node.module and node.module.split(".")[0] == "repro":
-                base = node.module
-            else:
-                continue
-            if base.split(".")[0] != "repro":
-                continue
-            for alias in node.names:
-                mapping[alias.asname or alias.name] = \
-                    f"{base}.{alias.name}"
-    return mapping
 
 
 def _params(fn: ast.AST) -> List[ParamSummary]:
@@ -346,9 +344,8 @@ def _local_var_types(fn: ast.AST, resolver: _Resolver,
 
 
 def _summarize_function(info: ModuleInfo, fn: ast.AST,
-                        class_name: Optional[str],
-                        resolver: _Resolver, imports: ImportMap,
-                        heads: FrozenSet[str]) -> FunctionSummary:
+                        class_name: Optional[str], resolver: _Resolver,
+                        recorder: _SiteRecorder) -> FunctionSummary:
     qual = f"{info.module}.{class_name}.{fn.name}" if class_name \
         else f"{info.module}.{fn.name}"
     var_types = _local_var_types(fn, resolver, class_name)
@@ -374,8 +371,7 @@ def _summarize_function(info: ModuleInfo, fn: ast.AST,
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             is_shard_entry = is_shard_entry or _is_shard_entry(node)
         validates = validates or _validates(node)
-        for kind, detail in detect_effects(node, imports, heads, stack,
-                                           module=info.module):
+        for kind, detail in recorder.visit(node, stack):
             line = getattr(node, "lineno", fn.lineno)
             col = getattr(node, "col_offset", 0)
             effects.append(EffectSummary(
@@ -464,22 +460,105 @@ def _collect_references(info: ModuleInfo, summary: FileSummary,
                           for name, owners in sorted(references.items())}
 
 
+class _SiteRecorder:
+    """One pass over a module's nodes: each node's effects for its
+    function summary, and the sites R001, R003 and R005 judge."""
+
+    def __init__(self, module: str, imports: ImportMap):
+        self.module = module
+        self.imports = imports
+        self.sites: List[SiteSummary] = []
+        self.raises: List[Tuple[ast.Raise, str, bool]] = []
+        self.caught: Set[str] = set()
+
+    def visit(self, node: ast.AST,
+              stack: List[ast.AST]) -> List[Tuple[str, str]]:
+        """Record ``node``'s sites and return its effects."""
+        effects, global_rng = detect_effects(node, self.imports, stack,
+                                             module=self.module)
+        if global_rng:
+            self._add("global-rng", node, global_rng)
+        if isinstance(node, ast.ExceptHandler):
+            if node.type is None:
+                self._add("bare-except", node)
+            if node.name:
+                self.caught.add(node.name)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            called = isinstance(node.exc, ast.Call)
+            name = dotted_name(node.exc.func if called else node.exc)
+            if name is not None:
+                self.raises.append((node, name.rsplit(".", 1)[-1],
+                                    called))
+        elif isinstance(node, ast.Call) and stack:
+            self._math_call(node, stack)
+        return effects
+
+    def walk(self, root: ast.AST) -> None:
+        """Visit ``root`` and everything below it, outside any
+        function summary (module-level code and class bodies)."""
+        self.visit(root, [])
+        for node, stack in walk_with_function_stack(root):
+            self.visit(node, stack)
+
+    def finish(self) -> List[SiteSummary]:
+        # ``except X as err: ... raise err`` re-raises what it caught;
+        # a name bound by any handler in the module counts.
+        for node, name, called in self.raises:
+            if called or name not in self.caught:
+                self._add("raise", node, name)
+        return self.sites
+
+    def _math_call(self, node: ast.Call,
+                   stack: Sequence[ast.AST]) -> None:
+        dotted = dotted_name(node.func)
+        if dotted is None:
+            return
+        parts = self.imports.canonical(dotted).split(".")
+        if len(parts) != 2 or parts[0] != "math":
+            return
+        array_params = {
+            arg.arg for fn in stack
+            for arg in fn.args.posonlyargs + fn.args.args
+            + fn.args.kwonlyargs
+            if any(token in annotation_source(arg)
+                   for token in _ARRAY_TOKENS)}
+        touched = {
+            child.id
+            for arg in node.args + [kw.value for kw in node.keywords]
+            for child in ast.walk(arg)
+            if isinstance(child, ast.Name) and child.id in array_params}
+        if touched:
+            self._add("math-call", node, parts[1], sorted(touched))
+
+    def _add(self, kind: str, node: ast.AST, detail: str = "",
+             params: Sequence[str] = ()) -> None:
+        self.sites.append(SiteSummary(kind=kind, line=node.lineno,
+                                      col=node.col_offset, detail=detail,
+                                      params=tuple(params)))
+
+
 def summarize(info: ModuleInfo) -> FileSummary:
     """Extract the :class:`FileSummary` of one parsed module."""
-    aliases = _repro_aliases(info)
-    resolver = _Resolver(info, aliases)
-    imports = ImportMap(info.tree)
-    heads = import_heads(info.tree)
+    # For a package __init__ the module *is* the package, so level-1
+    # relative imports resolve against it, not against its parent.
+    package = info.module.split(".")
+    if info.path.stem != "__init__":
+        package = package[:-1]
+    imports = ImportMap(info.tree, package)
+    resolver = _Resolver(info, imports.repro)
+    recorder = _SiteRecorder(info.module, imports)
 
     summary = FileSummary(path=str(info.path), module=info.module,
-                          aliases=aliases)
+                          aliases=imports.repro)
 
     for node in info.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = _summarize_function(info, node, None, resolver,
-                                     imports, heads)
+            fn = _summarize_function(info, node, None, resolver, recorder)
             summary.functions[fn.qual] = fn
         elif isinstance(node, ast.ClassDef):
+            for part in node.decorator_list + node.bases + [
+                    keyword.value for keyword in node.keywords]:
+                recorder.walk(part)
             fields: List[str] = []
             methods: List[str] = []
             for item in node.body:
@@ -487,9 +566,11 @@ def summarize(info: ModuleInfo) -> FileSummary:
                                      ast.AsyncFunctionDef)):
                     methods.append(item.name)
                     fn = _summarize_function(info, item, node.name,
-                                             resolver, imports, heads)
+                                             resolver, recorder)
                     summary.functions[fn.qual] = fn
-                elif isinstance(item, ast.AnnAssign) \
+                    continue
+                recorder.walk(item)
+                if isinstance(item, ast.AnnAssign) \
                         and isinstance(item.target, ast.Name):
                     fields.append(item.target.id)
             summary.classes[node.name] = {
@@ -498,6 +579,9 @@ def summarize(info: ModuleInfo) -> FileSummary:
                     d, ast.Call) else d) or "" for d in
                     node.decorator_list],
                 "line": node.lineno, "col": node.col_offset}
+        else:
+            recorder.walk(node)
+    summary.sites = recorder.finish()
 
     _collect_references(info, summary, resolver)
 

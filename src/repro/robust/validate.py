@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Mapping, Union
 
 import numpy as np
 

@@ -9,12 +9,11 @@ the wire-to-wire and supply-rail channels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..technology.node import TechnologyNode
-from ..interconnect.wire import WireGeometry, capacitance_per_length
+from ..interconnect.wire import WireGeometry
 from ..core.constants import EPSILON_0
 from ..robust.errors import ModelDomainError
 

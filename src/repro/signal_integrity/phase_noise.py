@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.constants import BOLTZMANN, kt_energy
+from ..core.constants import kt_energy
 from .vco import VcoModel
 from ..robust.errors import ModelDomainError
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..perf.cache import memoized
 from ..technology.node import TechnologyNode
-from ..digital.gates import CELL_TYPES, Cell, make_cell
+from ..digital.gates import CELL_TYPES, make_cell
 
 
 #: Fraction of a cell's switched charge that couples into the substrate

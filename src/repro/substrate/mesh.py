@@ -24,9 +24,8 @@ obtained with *one* sparse solve via reciprocity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 from ..robust.errors import ModelDomainError, ModelIndexError

@@ -24,7 +24,7 @@ error of SWAN vs reference over a 100 ns window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from ..digital.netlist import Netlist
 from ..digital.simulator import SimulationResult, random_stimulus
 from ..digital.simulator_compiled import CompiledEventEngine, EventTrace
 from ..perf.profile import timed
-from .injection import (InjectionMacromodel, characterize_library)
+from .injection import characterize_library
 from .mesh import SubstrateMesh, SubstrateProcess
 from ..robust.rng import resolve_rng
 from ..robust.errors import ModelDomainError

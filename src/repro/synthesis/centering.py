@@ -14,10 +14,8 @@ engines: offset spreads with Pelgrom mismatch, bias-dependent metrics
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..robust.validate import check_positive
 from ..technology.node import TechnologyNode

@@ -11,7 +11,6 @@ with the AMGIE/LAYLA analog synthesis tools".  The flow is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 

@@ -10,7 +10,7 @@ feature size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..technology.node import TechnologyNode
 from ..robust.errors import ModelDomainError, RoadmapDataError

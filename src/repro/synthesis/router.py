@@ -9,14 +9,12 @@ measure routed wirelength for Fig. 8.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..robust.guards import SimulationBudget
 from ..robust.validate import check_count, check_non_negative, check_positive
-from .layout import DesignRules, Layout, Rect
+from .layout import Layout, Rect
 
 
 @dataclass(frozen=True)

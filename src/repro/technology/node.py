@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Dict, Optional
 
 from ..robust.errors import ModelDomainError, ModelDomainWarning
-from ..robust.validate import check_finite, check_positive
+from ..robust.validate import check_positive
 from ..core.constants import (
     EPSILON_0,
     EPSILON_SI,

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.constants import (ELECTRON_CHARGE, EPSILON_0, EPSILON_SI)
+from ..core.constants import ELECTRON_CHARGE
 from ..robust.validate import check_count, validated
 from ..technology.node import TechnologyNode
 from ..robust.rng import resolve_rng

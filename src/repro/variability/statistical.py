@@ -31,7 +31,6 @@ however many shards slice it.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union

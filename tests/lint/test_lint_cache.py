@@ -1,5 +1,6 @@
 """The incremental semantic analysis cache."""
 
+import ast
 import json
 import textwrap
 
@@ -179,3 +180,53 @@ class TestEngineCacheIntegration:
         assert [f.code for f in cold.findings] == ["R000"]
         assert [f.to_dict() for f in warm.findings] \
             == [f.to_dict() for f in cold.findings]
+
+    def test_warm_all_rule_run_parses_nothing(self, tmp_path,
+                                              monkeypatch):
+        """Every rule reads the cached summaries: with all rules
+        selected, a warm run over per-site findings, their waivers, an
+        undocumented waiver and a syntax error never calls
+        ``ast.parse`` and reports exactly what the cold run did."""
+        tree = tmp_path / "tree"
+        write(tree, """
+            import math
+            import numpy as np
+
+            np.random.seed(0)
+            NOISE = np.random.normal()  # replint: disable=R001 -- fixture
+
+            def check(v: np.ndarray):
+                if v is None:
+                    raise ValueError("v")
+                # replint: disable=R003 -- fixture
+                raise KeyError("v")
+
+            def grow(v: np.ndarray):
+                return math.exp(v)
+
+            def shrink(v: np.ndarray):
+                return math.log(v)  # replint: disable=R005 -- fixture
+
+            def quiet(x):
+                return x  # replint: disable=R008
+        """, name="mod.py")
+        write(tree, "def broken(:\n", name="bad.py")
+        kwargs = dict(cache_dir=tmp_path / "cache")
+        cold = run_lint([tree], **kwargs)
+
+        parses = []
+        parse = ast.parse
+
+        def counting_parse(*args, **kw):
+            parses.append(args)
+            return parse(*args, **kw)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        warm = run_lint([tree], **kwargs)
+        assert parses == []
+        assert [f.code for f in cold.findings] \
+            == ["E999", "R001", "R003", "R005", "R000"]
+        assert [f.code for f in cold.waived] == ["R001", "R003", "R005"]
+        for attr in ("findings", "waived"):
+            assert [f.to_dict() for f in getattr(warm, attr)] \
+                == [f.to_dict() for f in getattr(cold, attr)]

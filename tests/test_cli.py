@@ -1,13 +1,15 @@
 """Tests for the python -m repro command-line interface."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -349,3 +351,106 @@ class TestElectrothermalCommand:
         assert "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
         assert line.startswith("error: " + flag[2:].replace("-", "_"))
+
+
+#: Leading arguments that keep each subcommand's run small.
+SMALL = {
+    "chain-yield": ["--dies", "4", "--nodes", "65nm"],
+    "yield": ["--dies", "1000"],
+    "soc-noise": ["--gates", "200", "--blocks", "2", "--cycles", "2"],
+    "electrothermal": ["--nodes", "65nm", "--rth-points", "2",
+                       "--gates", "1000"],
+    "leakage": ["--gates", "1000"],
+}
+
+#: The parameter an option feeds, where it is not the option's name.
+PARAMETER = {
+    "--dies": "n_dies", "--gates": "n_gates", "--blocks": "n_blocks",
+    "--cycles": "n_cycles", "--shards": "n_shards",
+    "--timeout": "timeout_s", "--retries": "max_retries",
+    "--backoff": "backoff_initial_s", "--chaos-seed": "seed",
+    "--chaos-crash": "crash_rate", "--chaos-hang": "hang_rate",
+    "--chaos-poison": "poison_rate",
+    ("soc-noise", "--gates"): "target_gates",
+}
+
+#: Edge values that are valid input, each with the reason.
+ALLOWED = {
+    ("--seed", "0"): "0 is a seed like any other",
+    ("--chaos-seed", "0"): "0 is a seed like any other; the retries "
+                           "outlast the default fault rates",
+    ("--retries", "0"): "a shard may run exactly once",
+    ("--backoff", "0"): "a failed shard may retry at once",
+    ("--chaos-crash", "0"): "a rate of 0 injects no fault",
+    ("--chaos-hang", "0"): "a rate of 0 injects no fault",
+    ("--chaos-poison", "0"): "a rate of 0 injects no fault",
+    ("--enob-min", "0"): "an ENOB floor every die meets",
+    ("--enob-min", "-1"): "an ENOB floor every die meets",
+    ("--limit", "0"): "a limit no die meets: yield 0 with valid bounds",
+    ("--limit", "-1"): "a limit no die meets: yield 0 with valid bounds",
+}
+
+
+def numeric_cases():
+    """Every int option of every subcommand at 0 and -1, and every
+    float option at 0, -1, nan and inf, read from ``build_parser()``."""
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.type not in (int, float):
+                continue
+            option = action.option_strings[0]
+            values = ["0", "-1"] + (["nan", "inf"]
+                                    if action.type is float else [])
+            for value in values:
+                yield pytest.param(command, option, value,
+                                   id=f"{command} {option} {value}")
+
+
+def run_main(argv):
+    """``main(argv)``'s exit status, usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exit_info:
+        return exit_info.code
+
+
+class TestCliContract:
+    """Generated from the parser: an edge value either runs cleanly
+    (listed in ``ALLOWED``, no nan/inf printed) or is rejected with one
+    stderr line naming the parameter it feeds -- never a traceback."""
+
+    @pytest.mark.parametrize("command, option, value",
+                             list(numeric_cases()))
+    def test_numeric_edge_value(self, command, option, value, capsys):
+        code = run_main([command, *SMALL.get(command, []), option, value])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert (option, value) in ALLOWED, captured.out
+            assert not re.search(r"\b(nan|inf)\b", captured.out,
+                                 re.IGNORECASE)
+            return
+        assert code in (1, 2)
+        parameter = PARAMETER.get((command, option)) or PARAMETER.get(
+            option, option[2:].replace("-", "_"))
+        [line] = captured.err.splitlines()
+        assert re.search(rf"\b{parameter}\b", line), line
+
+    @pytest.mark.parametrize("argv", [
+        ["node"],
+        ["chain-yield", "--dies", "4", "--nodes"],
+        ["electrothermal", "--rth-points", "2", "--gates", "1000",
+         "--nodes"],
+        ["yield", "--dies", "1000", "--node"],
+        ["soc-noise", *SMALL["soc-noise"], "--node"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", ["", "7nm"])
+    def test_unknown_node_name(self, argv, name, capsys):
+        """An empty name is unknown too: only an absent ``--nodes``
+        means every node."""
+        assert run_main([*argv, name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: unknown technology node {name!r}")
