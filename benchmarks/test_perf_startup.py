@@ -1,17 +1,21 @@
-"""CLI start-up benchmark: import time and one cheap command.
+"""CLI start-up benchmark: import time and every command's wall time.
 
 ``python -m repro node 65nm`` does almost no work, so its wall time is
 interpreter start-up plus imports, and ``-X importtime`` gives the
 cumulative import time of ``repro.__main__``.  Both are printed and
-recorded, not gated: start-up times on a shared host vary too much for
-a threshold.  The one assert guards what used to cost most of that
-time: importing the CLI must load no ``scipy`` module (it loaded 321
+recorded, and so is each subcommand's wall time at its default
+arguments, one run each in a fresh interpreter; none is gated, since
+start-up times on a shared host vary too much for a threshold.  The one
+assert: importing the CLI loads no ``scipy`` module (it loaded 321
 while five modules imported ``scipy.optimize`` or ``scipy.sparse`` at
-the top).  Measured on a 2-core x86_64 host, medians of 5: import
-0.51-0.54 s and ``node 65nm`` 0.60-0.66 s, against 1.15-1.18 s and
-1.24-1.30 s with those top-level imports.
+the top).  ``tests/test_cli.py::TestCommandImports`` checks what each
+command loads.  Measured on a 2-core x86_64 host, medians of 5:
+``node 65nm`` took 1.24-1.30 s with those top-level imports,
+0.60-0.66 s once scipy was imported where it is used, and about 0.2 s
+once ``repro/__init__`` imported no subpackage.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -21,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from conftest import record_bench
+from repro.__main__ import build_parser
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 NODE_COMMAND = ("-m", "repro", "node", "65nm")
@@ -74,3 +79,27 @@ def test_cli_startup(benchmark):
         "gate": "no scipy module on import",
     })
     assert scipy_modules == []
+
+
+def default_commands():
+    """Every subcommand of ``build_parser()`` at its default arguments
+    (``node`` needs a name)."""
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return [[command, "65nm"] if command == "node" else [command]
+            for command in commands.choices]
+
+
+@pytest.mark.benchmark(group="perf_startup")
+def test_cli_command_wall_times():
+    """Record each command's wall time, one run in a fresh interpreter."""
+    wall_ms = {}
+    for argv in default_commands():
+        start = time.perf_counter()
+        python("-m", "repro", *argv)
+        wall_ms[" ".join(argv)] = round(
+            (time.perf_counter() - start) * 1e3, 1)
+    print("\nCLI wall time (one run each, fresh interpreter): "
+          + ", ".join(f"{command} {ms:.0f} ms"
+                      for command, ms in wall_ms.items()))
+    record_bench("cli_command_wall_ms", wall_ms)

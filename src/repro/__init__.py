@@ -22,28 +22,4 @@ See the ``examples/`` directory for complete scenarios and
 paper.
 """
 
-from . import (
-    analog,
-    backends,
-    core,
-    devices,
-    digital,
-    interconnect,
-    memory,
-    perf,
-    robust,
-    signal_integrity,
-    substrate,
-    synthesis,
-    technology,
-    thermal,
-    variability,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "analog", "backends", "core", "devices", "digital", "interconnect", "memory",
-    "perf", "robust", "signal_integrity", "substrate", "synthesis",
-    "technology", "thermal", "variability", "__version__",
-]

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Mapping, Optional, Union
 import numpy as np
 
 from ..core.constants import (
-    kt_energy, ELECTRON_CHARGE, EPSILON_0, EPSILON_SIO2)
+    kt_energy, thermal_voltage, ELECTRON_CHARGE, EPSILON_0, EPSILON_SIO2)
 from ..technology.node import TechnologyNode
 from ..variability.pelgrom import sigma_delta_vth
 from ..robust.errors import ModelDomainError
@@ -106,7 +106,6 @@ class SingleStageOta:
 
     def _bias_point(self, design: OtaDesign) -> Dict[str, float]:
         node = self.node
-        from ..core.constants import thermal_voltage
         phi_t = thermal_voltage(node.temperature)
         # Weak inversion caps gm at I/(n*phi_t); the square law would
         # otherwise promise unbounded gm/I as V_ov -> 0, which sizing
@@ -258,7 +257,6 @@ class SingleStageOta:
             tail = np.where(bad, 1e-6, tail)
             tox = np.where(bad, node.tox, tox)
 
-        from ..core.constants import thermal_voltage
         phi_t = thermal_voltage(node.temperature)
         cox = EPSILON_0 * EPSILON_SIO2 / tox if "tox" in overrides \
             else node.cox
@@ -381,7 +379,6 @@ class DetectorFrontend:
         """Evaluate one front-end sizing."""
         design.validate(self.node)
         node = self.node
-        from ..core.constants import thermal_voltage
         phi_t = thermal_voltage(node.temperature)
         beta = (node.mobility_n * node.cox
                 * design.input_width / design.input_length)
@@ -460,7 +457,6 @@ class DetectorFrontend:
             tau = np.where(bad, 1e-6, tau)
             current = np.where(bad, 1e-6, current)
 
-        from ..core.constants import thermal_voltage
         phi_t = thermal_voltage(node.temperature)
         beta = node.mobility_n * node.cox * iw / il
         vov = np.maximum(

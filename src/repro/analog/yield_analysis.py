@@ -171,12 +171,11 @@ def offset_yield(node: TechnologyNode, width: float, length: float,
     P(|offset| < limit) for offset ~ N(0, A_VT/sqrt(WL)): the
     analytic backbone of the yield-vs-area trade.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
     if offset_limit <= 0:
         raise ModelDomainError("offset_limit must be positive")
     sigma = sigma_delta_vth(node, width, length)
-    return float(norm.cdf(offset_limit / sigma)
-                 - norm.cdf(-offset_limit / sigma))
+    return float(ndtr(offset_limit / sigma) - ndtr(-offset_limit / sigma))
 
 
 def yield_vs_area(node: TechnologyNode, offset_limit: float = 3e-3,

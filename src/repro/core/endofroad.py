@@ -18,9 +18,10 @@ clawed back by leakage, margining and analog/interconnect overheads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..technology.node import TechnologyNode
+if TYPE_CHECKING:
+    from ..technology.node import TechnologyNode
 
 
 @dataclass(frozen=True)

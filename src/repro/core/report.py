@@ -11,9 +11,12 @@ summarized by reference.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO
 
-from ..technology.node import TechnologyNode
+from ..robust.validate import check_positive
+
+if TYPE_CHECKING:
+    from ..technology.node import TechnologyNode
 
 
 def _table(rows: Sequence[Dict], columns: Optional[List[str]] = None,
@@ -61,6 +64,7 @@ def generate_report(nodes: Optional[Sequence[TechnologyNode]] = None,
     from ..variability.dopants import channel_dopant_count
     from ..memory.sram import snm_trend
 
+    check_positive("temperature", operating_temperature)  # before any output
     nodes = list(nodes) if nodes is not None else all_nodes()
     out = io.StringIO()
 

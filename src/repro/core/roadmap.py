@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..technology.library import all_nodes
-from ..technology.node import TechnologyNode
 from ..robust.errors import ModelDomainError
+
+if TYPE_CHECKING:
+    from ..technology.node import TechnologyNode
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ def fit_trend(parameter: str,
     Uses least squares in log-log space.  Defaults to the built-in
     library.
     """
+    from ..technology.library import all_nodes
     if nodes is None:
         nodes = all_nodes()
     if len(nodes) < 2:
@@ -95,6 +97,7 @@ class Roadmap:
     """
 
     def __init__(self, nodes: Optional[Sequence[TechnologyNode]] = None):
+        from ..technology.library import all_nodes
         self._nodes = list(nodes) if nodes is not None else all_nodes()
         self._fits: Dict[str, TrendFit] = {
             parameter: fit_trend(parameter, self._nodes)
@@ -104,6 +107,7 @@ class Roadmap:
     def project(self, feature_size: float,
                 name: Optional[str] = None) -> TechnologyNode:
         """Return a projected node at ``feature_size`` [m]."""
+        from ..technology.node import TechnologyNode
         if feature_size <= 0:
             raise ModelDomainError("feature_size must be positive")
         params = {parameter: fit.evaluate(feature_size)

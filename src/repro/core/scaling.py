@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from ..technology.node import TechnologyNode
 from ..robust.errors import ModelDomainError
+
+if TYPE_CHECKING:
+    from ..technology.node import TechnologyNode
 
 
 class ScalingScenario(enum.Enum):

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from ..technology.node import TechnologyNode
 from ..robust.validate import validated
+from .mosfet import Mosfet
 
 
 class Corner(enum.Enum):
@@ -98,7 +99,6 @@ def corner_spread_summary(node: TechnologyNode,
                           sigmas: InterDieSigmas = InterDieSigmas()
                           ) -> List[Dict[str, float]]:
     """Summarize drive-current spread across corners (for reports)."""
-    from .mosfet import Mosfet  # local import avoids a cycle
     rows = []
     for corner in Corner:
         shifted = apply_corner(node, corner, sigmas)

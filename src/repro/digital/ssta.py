@@ -158,7 +158,7 @@ def corner_vs_statistical_margin(netlist: Netlist,
     margin: the same confidence (Gaussian n-sigma quantile) of the
     MC distribution.  The ratio > 1 is silicon left on the table.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
     node = netlist.node
     corner_shift = n_sigma * variation.vth_inter \
         + n_sigma * variation.intra_sigma_vth(
@@ -167,7 +167,7 @@ def corner_vs_statistical_margin(netlist: Netlist,
         global_vth_offset=corner_shift).critical_delays[0])
     analyzer = StatisticalTimingAnalyzer(netlist, variation, seed=seed)
     result = analyzer.run(n_samples)
-    quantile = float(norm.cdf(n_sigma))
+    quantile = float(ndtr(n_sigma))
     statistical_delay = result.quantile(quantile)
     return {
         "nominal_ps": result.nominal_delay * 1e12,
@@ -193,10 +193,9 @@ def depth_averaging_study(node: TechnologyNode,
     mismatch better than short ones (and why the shallow-logic trend
     of fast clocks collides with variability).
     """
-    from .netlist import Netlist as _Netlist
     rows = []
     for depth in depths:
-        chain = _Netlist(node, f"chain{depth}")
+        chain = Netlist(node, f"chain{depth}")
         chain.add_input("a")
         net = "a"
         for i in range(depth):

@@ -69,8 +69,8 @@ def wilson_interval(n_pass: int, n: int,
     level = check_fraction("level", level)
     if not 0.0 < level < 1.0:
         raise ModelDomainError("level must be in (0, 1)")
-    from scipy.stats import norm
-    z = float(norm.ppf(0.5 + level / 2.0))
+    from scipy.special import ndtri
+    z = float(ndtri(0.5 + level / 2.0))
     p = n_pass / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -88,12 +88,12 @@ def clopper_pearson_interval(n_pass: int, n: int,
     level = check_fraction("level", level)
     if not 0.0 < level < 1.0:
         raise ModelDomainError("level must be in (0, 1)")
-    from scipy.stats import beta
+    from scipy.special import betaincinv
     alpha = 1.0 - level
     lower = 0.0 if n_pass == 0 else float(
-        beta.ppf(alpha / 2.0, n_pass, n - n_pass + 1))
+        betaincinv(n_pass, n - n_pass + 1, alpha / 2.0))
     upper = 1.0 if n_pass == n else float(
-        beta.ppf(1.0 - alpha / 2.0, n_pass + 1, n - n_pass))
+        betaincinv(n_pass + 1, n - n_pass, 1.0 - alpha / 2.0))
     return ConfidenceBounds(lower=lower, upper=upper,
                             level=level, method="clopper-pearson")
 

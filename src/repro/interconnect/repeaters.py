@@ -15,7 +15,8 @@ from typing import Optional
 from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
                                    inverter_self_load)
-from .wire import WireGeometry, capacitance_per_length, resistance_per_length
+from .wire import (WireGeometry, capacitance_per_length,
+                   resistance_per_length, wire_delay)
 from ..robust.errors import ModelDomainError
 
 
@@ -114,7 +115,6 @@ def insert_repeaters(node: TechnologyNode, length: float,
     c_self = h * driver.self_load_unit
     per_segment = (0.69 * r_drv * (c_self + c * seg + c_in)
                    + r * seg * (0.38 * c * seg + 0.69 * c_in))
-    from .wire import wire_delay
     energy = k * (c_in + c_self) * node.vdd ** 2
     return RepeaterSolution(
         n_repeaters=k,

@@ -8,11 +8,12 @@ convergence failures from data gaps.  This rule flags
   taxonomy: they still *are* ValueError/KeyError/... by inheritance),
 * bare ``except:`` clauses (swallow KeyboardInterrupt/SystemExit).
 
-Re-raises (``raise`` with no operand, ``raise err from ...`` of a
-name an ``except ... as`` in the module binds) and
+Re-raises (``raise`` with no operand, ``raise err from ...`` of the
+name an enclosing ``except ... as`` of the same function binds) and
 ``NotImplementedError`` (abstract-hook idiom) are allowed.  The
 summarizer records the raise and bare-``except`` sites of the whole
-module, re-raises left out.
+module, re-raises left out; ``raise exc`` is judged by the class its
+scope last bound ``exc`` to (``exc = ValueError(...)``).
 """
 
 from __future__ import annotations

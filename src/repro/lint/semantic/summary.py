@@ -36,7 +36,7 @@ from .effects import detect_effects
 
 #: Bump whenever the summary layout or the extraction semantics
 #: change: the cache keys include it, so stale layouts self-evict.
-SUMMARY_SCHEMA_VERSION = 7
+SUMMARY_SCHEMA_VERSION = 8
 
 #: Annotation substrings that advertise "arrays welcome here".
 _ARRAY_TOKENS = ("ndarray", "ArrayLike", "NDArray")
@@ -84,9 +84,10 @@ class SiteSummary:
 
     ``global-rng`` (R001): a :func:`~repro.lint.semantic.effects.
     global_rng_state` call, ``detail`` the stream it draws from;
-    ``raise`` (R003): a raise of the exception named ``detail`` that
-    is not a re-raise of a name an ``except ... as`` in the module
-    binds; ``bare-except`` (R003); ``math-call`` (R005): ``math.detail``
+    ``raise`` (R003): a raise of the exception named ``detail`` (for
+    ``raise name``, the callee of the function's last ``name = f()``)
+    that no enclosing ``except ... as name`` makes a re-raise;
+    ``bare-except`` (R003); ``math-call`` (R005): ``math.detail``
     called on the array-annotated parameters ``params`` of its
     enclosing functions.
     """
@@ -468,8 +469,11 @@ class _SiteRecorder:
         self.module = module
         self.imports = imports
         self.sites: List[SiteSummary] = []
-        self.raises: List[Tuple[ast.Raise, str, bool]] = []
-        self.caught: Set[str] = set()
+        #: ``raise name`` nodes re-raising what an enclosing handler
+        #: caught (handlers are visited before their bodies)
+        self.reraises: Set[int] = set()
+        #: (function, name) -> the call its last ``name = f()`` made
+        self.bound: Dict[Tuple[Optional[int], str], ast.Call] = {}
 
     def visit(self, node: ast.AST,
               stack: List[ast.AST]) -> List[Tuple[str, str]]:
@@ -478,17 +482,29 @@ class _SiteRecorder:
                                              module=self.module)
         if global_rng:
             self._add("global-rng", node, global_rng)
+        scope = id(stack[-1]) if stack else None
         if isinstance(node, ast.ExceptHandler):
             if node.type is None:
                 self._add("bare-except", node)
-            if node.name:
-                self.caught.add(node.name)
-        elif isinstance(node, ast.Raise) and node.exc is not None:
-            called = isinstance(node.exc, ast.Call)
-            name = dotted_name(node.exc.func if called else node.exc)
+            self.reraises.update(
+                id(child) for child, inner in walk_with_function_stack(node)
+                if not inner and isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Name)
+                and child.exc.id == node.name)
+        elif isinstance(node, ast.Assign) \
+                and isinstance(node.value, ast.Call):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.bound[scope, target.id] = node.value
+        elif isinstance(node, ast.Raise) and node.exc is not None \
+                and id(node) not in self.reraises:
+            exc = node.exc
+            if isinstance(exc, ast.Name):
+                exc = self.bound.get((scope, exc.id), exc)
+            name = dotted_name(exc.func if isinstance(exc, ast.Call)
+                               else exc)
             if name is not None:
-                self.raises.append((node, name.rsplit(".", 1)[-1],
-                                    called))
+                self._add("raise", node, name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Call) and stack:
             self._math_call(node, stack)
         return effects
@@ -499,14 +515,6 @@ class _SiteRecorder:
         self.visit(root, [])
         for node, stack in walk_with_function_stack(root):
             self.visit(node, stack)
-
-    def finish(self) -> List[SiteSummary]:
-        # ``except X as err: ... raise err`` re-raises what it caught;
-        # a name bound by any handler in the module counts.
-        for node, name, called in self.raises:
-            if called or name not in self.caught:
-                self._add("raise", node, name)
-        return self.sites
 
     def _math_call(self, node: ast.Call,
                    stack: Sequence[ast.AST]) -> None:
@@ -537,6 +545,16 @@ class _SiteRecorder:
                                       params=tuple(params)))
 
 
+def _add_function(summary: FileSummary, fn: FunctionSummary) -> None:
+    """Store ``fn``, merging a same-qualname definition (a property
+    setter) into the first: effects, callees and validation evidence."""
+    first = summary.functions.setdefault(fn.qual, fn)
+    if first is not fn:
+        first.effects += fn.effects     # later lines: still sorted
+        first.callees = sorted({*first.callees, *fn.callees})
+        first.validates = first.validates or fn.validates
+
+
 def summarize(info: ModuleInfo) -> FileSummary:
     """Extract the :class:`FileSummary` of one parsed module."""
     # For a package __init__ the module *is* the package, so level-1
@@ -553,8 +571,8 @@ def summarize(info: ModuleInfo) -> FileSummary:
 
     for node in info.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = _summarize_function(info, node, None, resolver, recorder)
-            summary.functions[fn.qual] = fn
+            _add_function(summary, _summarize_function(
+                info, node, None, resolver, recorder))
         elif isinstance(node, ast.ClassDef):
             for part in node.decorator_list + node.bases + [
                     keyword.value for keyword in node.keywords]:
@@ -565,9 +583,8 @@ def summarize(info: ModuleInfo) -> FileSummary:
                 if isinstance(item, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                     methods.append(item.name)
-                    fn = _summarize_function(info, item, node.name,
-                                             resolver, recorder)
-                    summary.functions[fn.qual] = fn
+                    _add_function(summary, _summarize_function(
+                        info, item, node.name, resolver, recorder))
                     continue
                 recorder.walk(item)
                 if isinstance(item, ast.AnnAssign) \
@@ -581,7 +598,7 @@ def summarize(info: ModuleInfo) -> FileSummary:
                 "line": node.lineno, "col": node.col_offset}
         else:
             recorder.walk(node)
-    summary.sites = recorder.finish()
+    summary.sites = recorder.sites
 
     _collect_references(info, summary, resolver)
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..technology.node import TechnologyNode
+from ..devices.capacitance import device_capacitances, junction_capacitance
 from ..interconnect.wire import WireGeometry, capacitance_per_length, \
     resistance_per_length
 from .sram import SramCell, SramCellDesign, cell_failure_probability
@@ -59,7 +60,6 @@ class SramArray:
         geom = WireGeometry.for_node(self.node, layer=2)
         length = self.spec.n_rows * self.cell_height
         wire = capacitance_per_length(geom) * length
-        from ..devices.capacitance import junction_capacitance
         junctions = self.spec.n_rows * junction_capacitance(
             self.node, self.design.access_ratio * self.node.feature_size)
         return wire + junctions
@@ -70,7 +70,6 @@ class SramArray:
         length = self.spec.n_cols * self.cell_width
         r = resistance_per_length(geom)
         c = capacitance_per_length(geom)
-        from ..devices.capacitance import device_capacitances
         gate_load = self.spec.n_cols * device_capacitances(
             self.node,
             self.design.access_ratio * self.node.feature_size

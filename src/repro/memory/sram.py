@@ -279,7 +279,7 @@ def cell_failure_probability(node: TechnologyNode,
     and reports the implied sigma-level.  ``snm_floor`` defaults to
     5 % of V_DD (sense-margin requirement).
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
     snm_floor = snm_floor if snm_floor is not None else 0.05 * node.vdd
     samples = snm_under_mismatch(node, design, n_samples,
                                  read_condition=True, seed=seed)
@@ -291,7 +291,7 @@ def cell_failure_probability(node: TechnologyNode,
     return {
         "mean_snm_V": mu,
         "sigma_snm_V": sigma,
-        "fail_probability": float(norm.cdf(-level)),
+        "fail_probability": float(ndtr(-level)),
         "sigma_level": level,
     }
 

@@ -23,7 +23,7 @@ from ..analog.circuits import OtaDesign, OtaPerformance, SingleStageOta
 from ..analog.yield_analysis import OtaYieldAnalyzer
 from ..variability.statistical import VariationSpec
 from .sizing import (CircuitSynthesizer, Specification, SynthesisResult,
-                     Variable)
+                     Variable, ota_synthesizer)
 
 
 class GuardBandedOta:
@@ -125,8 +125,6 @@ def compare_centering(node: TechnologyNode, load_capacitance: float,
     k-sigma corner; score both with the same Monte Carlo yield
     analyzer.  Centering should buy yield at a modest power premium.
     """
-    from .sizing import ota_synthesizer
-
     nominal_result = ota_synthesizer(
         node, load_capacitance, spec).run(seed=seed, maxiter=maxiter)
     centered_result = centered_ota_synthesizer(

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..technology.node import TechnologyNode
-from ..analog.circuits import FrontendPerformance
+from ..analog.circuits import (DetectorFrontend, DetectorFrontendDesign,
+                               FrontendPerformance)
 from .devices_gen import (capacitor_cell, matched_pair_cell, mosfet_cell,
                           resistor_cell)
 from .layout import DesignRules, Layout
@@ -153,8 +154,6 @@ def manual_design_baseline(node: TechnologyNode,
     benchmark can show the synthesis engine matching or beating
     manual quality -- the paper's productivity claim.
     """
-    from ..analog.circuits import (DetectorFrontend,
-                                   DetectorFrontendDesign)
     engine = DetectorFrontend(node, detector_capacitance)
     length = 2.0 * node.feature_size
     c_gate_target = detector_capacitance / 3.0

@@ -379,9 +379,9 @@ class YieldResult:
     @property
     def sigma_level(self) -> float:
         """Equivalent one-sided Gaussian sigma of the yield."""
-        from scipy.stats import norm
+        from scipy.special import ndtri
         frac = min(max(self.yield_fraction, 1e-12), 1 - 1e-12)
-        return float(norm.ppf(frac))
+        return float(ndtri(frac))
 
 
 def monte_carlo_yield(sampler: MonteCarloSampler,

@@ -407,9 +407,11 @@ class TestR003ExceptionHygiene:
 
     def test_corpus_findings_are_pinned(self, tmp_path):
         """Module-level, class-body, nested-class and closure raises and
-        bare excepts are flagged at exact positions; a re-raise of any
-        name an ``except ... as`` in the module binds, a taxonomy raise
-        and ``NotImplementedError`` are not."""
+        bare excepts are flagged at exact positions, and so is ``raise
+        exc`` of a name bound to a builtin exception in a function no
+        handler encloses; a re-raise of the name an enclosing ``except
+        ... as`` binds, a taxonomy raise and ``NotImplementedError``
+        are not."""
         for name, source in self.CORPUS.items():
             write(tmp_path, name, source)
         report = run_lint([tmp_path], select=["R003"])
@@ -427,6 +429,9 @@ class TestR003ExceptionHygiene:
             ("mod.py", 27, 12, "raise LookupError bypasses the "
              "repro.robust.errors taxonomy (closest taxonomy type: "
              "RoadmapDataError)"),
+            ("mod.py", 46, 4, "raise ValueError bypasses the "
+             "repro.robust.errors taxonomy (closest taxonomy type: "
+             "ModelDomainError)"),
             ("mod.py", 56, 12, "raise ValueError bypasses the "
              "repro.robust.errors taxonomy (closest taxonomy type: "
              "ModelDomainError)"),

@@ -40,6 +40,30 @@ class TestR008TransitiveDeterminism:
         # The witness chain names the intermediate hop and the sink.
         assert "_middle" in message and "_sink" in message
 
+    def test_property_setter_keeps_getter_effects(self, tmp_path):
+        """A ``@stamp.setter`` shares its getter's qualname; the
+        getter's clock read still reaches ``run_shard`` through
+        ``self.stamp``."""
+        report = lint_tree(tmp_path, {"mod.py": """
+            import time
+
+            class Job:
+                @property
+                def stamp(self):
+                    return time.perf_counter()
+
+                @stamp.setter
+                def stamp(self, value):
+                    self._stamp = value
+
+                def run_shard(self, spec):
+                    return self.stamp
+        """}, select=["R008"])
+        assert codes(report) == ["R008"]
+        message = report.findings[0].message
+        assert "reads-clock" in message
+        assert "Job.stamp" in message
+
     def test_listed_root_reaching_unseeded_rng(self, tmp_path):
         report = lint_tree(tmp_path, {
             "src/repro/thermal/electrothermal.py": """

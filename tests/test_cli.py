@@ -391,12 +391,17 @@ ALLOWED = {
 }
 
 
+def subcommands():
+    """``build_parser()``'s subcommand parsers by name."""
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def numeric_cases():
     """Every int option of every subcommand at 0 and -1, and every
     float option at 0, -1, nan and inf, read from ``build_parser()``."""
-    [commands] = [action for action in build_parser()._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-    for command, parser in commands.choices.items():
+    for command, parser in subcommands().items():
         for action in parser._actions:
             if action.type not in (int, float):
                 continue
@@ -432,6 +437,7 @@ class TestCliContract:
                                  re.IGNORECASE)
             return
         assert code in (1, 2)
+        assert captured.out == ""
         parameter = PARAMETER.get((command, option)) or PARAMETER.get(
             option, option[2:].replace("-", "_"))
         [line] = captured.err.splitlines()
@@ -454,3 +460,45 @@ class TestCliContract:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: unknown technology node {name!r}")
+
+
+#: Runs ``python -m repro`` on the arguments after ``-c`` and prints
+#: the modules the command loaded as the last stderr line.
+MODULE_PROBE = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('repro', run_name='__main__',\n"
+                "                     alter_sys=True)\n"
+                "finally:\n"
+                "    print(*sorted(sys.modules), file=sys.stderr)\n")
+
+
+def loaded_modules(*argv):
+    """The modules ``python -m repro <argv>`` loads in a fresh
+    interpreter."""
+    result = run_python("-c", MODULE_PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    return result.stderr.splitlines()[-1].split()
+
+
+def command_argvs():
+    """Every subcommand of ``build_parser()`` with a small valid argv."""
+    for command in subcommands():
+        extra = ["65nm"] if command == "node" else SMALL.get(command, [])
+        yield pytest.param([command, *extra], id=command)
+
+
+class TestCommandImports:
+    """Each command loads only what it runs."""
+
+    @pytest.mark.parametrize("argv", list(command_argvs()))
+    def test_no_command_loads_scipy_stats(self, argv):
+        """``scipy.special`` serves every normal and beta quantile;
+        ``scipy.stats`` alone takes about 0.6 s to import."""
+        assert "scipy.stats" not in loaded_modules(*argv)
+
+    def test_nodes_loads_no_analog_digital_or_scipy(self):
+        loaded = loaded_modules("nodes")
+        assert [name for name in loaded
+                if name.split(".")[:2] in (["repro", "analog"],
+                                           ["repro", "digital"])
+                or name.split(".")[0] == "scipy"] == []
