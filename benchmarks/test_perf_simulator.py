@@ -19,7 +19,11 @@ Acceptance gates:
 As in ``test_perf_ssta.py`` the speedup is asserted with our own
 ``perf_counter`` measurement (warm engines, construction outside the
 timed region) so the gates also hold under ``--benchmark-disable``
-(the CI mode).
+(the CI mode).  Both tier gates record their numbers under the BENCH
+key ``event_engine``: the clock tree's compiled and scalar times and
+speedup, and the 50k-gate flow's elapsed time with its run loop's
+steps against the trace's distinct event times (one step per
+wavefront would take at least one step per distinct time).
 """
 
 import time
@@ -27,6 +31,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import record_bench
 from repro.digital import (CompiledEventEngine, EventDrivenSimulator,
                            Netlist, random_stimulus, soc_netlist)
 from repro.digital import simulator as simulator_module
@@ -35,6 +40,15 @@ from repro.technology import get_node
 
 CLOCK_PERIOD = 20e-9
 N_CYCLES = 12
+
+#: This module's BENCH entry, filled in by each gate as it runs.
+EVENT_ENGINE = {}
+
+
+def record_event_engine(**fields):
+    """Merge ``fields`` into the ``event_engine`` BENCH entry."""
+    EVENT_ENGINE.update(fields)
+    record_bench("event_engine", dict(EVENT_ENGINE))
 
 
 def best_of(fn, repeats=3):
@@ -113,11 +127,19 @@ def test_compiled_engine_speedup(benchmark):
           f" scalar={t_scalar * 1e3:.0f} ms"
           f" compiled={t_compiled * 1e3:.1f} ms"
           f" speedup={t_scalar / t_compiled:.0f}x")
+    record_event_engine(
+        clock_tree_gates=netlist.gate_count(),
+        clock_tree_events=trace.n_events,
+        clock_tree_scalar_ms=round(t_scalar * 1e3, 1),
+        clock_tree_compiled_ms=round(t_compiled * 1e3, 2),
+        clock_tree_speedup=round(t_scalar / t_compiled, 1),
+        clock_tree_gate=">= 10x")
     assert t_scalar / t_compiled >= 10.0
 
 
 @pytest.mark.benchmark(group="perf_simulator")
-def test_soc_activity_to_noise_50k(benchmark, no_event_objects):
+def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
+                                   monkeypatch):
     """End-to-end 50k-gate activity -> streamed substrate noise,
     no per-event object anywhere on the compiled path."""
     netlist, stimulus = soc_workload(50_000)
@@ -131,11 +153,28 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects):
         return trace, swan.stream_noise(trace, chunk_events=100_000)
 
     trace, wave = benchmark(flow)
+    # Count the run loop's steps (one partition each) in the timed run.
+    steps = []
+    partition = engine._batch_partition
+
+    def counted(batch_net, *args):
+        steps.append(batch_net.size)
+        return partition(batch_net, *args)
+
+    monkeypatch.setattr(engine, "_batch_partition", counted)
     elapsed = best_of(flow, repeats=1)
+    event_times = np.unique(trace.times).size
     print(f"\nSoC flow n_gates={netlist.gate_count()}"
           f" n_events={trace.n_events}"
           f" rms={wave.rms * 1e6:.2f} uV"
-          f" elapsed={elapsed:.2f} s")
+          f" elapsed={elapsed:.2f} s"
+          f" steps={len(steps)} event_times={event_times}")
+    record_event_engine(
+        soc_flow_gates=netlist.gate_count(),
+        soc_flow_events=trace.n_events,
+        soc_flow_elapsed_s=round(elapsed, 3),
+        soc_flow_loop_steps=len(steps),
+        soc_flow_event_times=event_times)
     assert trace.n_events > 50_000
     assert np.isfinite(wave.voltage).all()
     assert wave.peak_to_peak > 0.0

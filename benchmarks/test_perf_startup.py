@@ -1,18 +1,17 @@
-"""CLI start-up benchmark: import time and every command's wall time.
+"""CLI start-up benchmark: ``node 65nm`` and every command's wall time.
 
 ``python -m repro node 65nm`` does almost no work, so its wall time is
-interpreter start-up plus imports, and ``-X importtime`` gives the
-cumulative import time of ``repro.__main__``.  Both are printed and
-recorded, and so is each subcommand's wall time at its default
-arguments, one run each in a fresh interpreter; none is gated, since
-start-up times on a shared host vary too much for a threshold.  The one
-assert: importing the CLI loads no ``scipy`` module (it loaded 321
-while five modules imported ``scipy.optimize`` or ``scipy.sparse`` at
-the top).  ``tests/test_cli.py::TestCommandImports`` checks what each
-command loads.  Measured on a 2-core x86_64 host, medians of 5:
-``node 65nm`` took 1.24-1.30 s with those top-level imports,
-0.60-0.66 s once scipy was imported where it is used, and about 0.2 s
-once ``repro/__init__`` imported no subpackage.
+interpreter start-up plus imports.  It is printed and recorded, and so
+is each subcommand's wall time at its default arguments, one run each
+in a fresh interpreter; none is gated, since start-up times on a
+shared host vary too much for a threshold.  The one assert: importing
+the CLI loads no ``scipy`` module (it loaded 321 while five modules
+imported ``scipy.optimize`` or ``scipy.sparse`` at the top).
+``tests/test_cli.py::TestCommandImports`` checks what each command
+loads.  Measured on a 2-core x86_64 host, medians of 5: ``node 65nm``
+took 1.24-1.30 s with those top-level imports, 0.60-0.66 s once scipy
+was imported where it is used, and about 0.2 s once ``repro/__init__``
+imported no subpackage.
 """
 
 import argparse
@@ -51,29 +50,16 @@ def best_of(fn, repeats=3):
     return best
 
 
-def import_time_s():
-    """Cumulative ``-X importtime`` of ``repro.__main__`` [s]."""
-    report = python("-X", "importtime", "-c", "import repro.__main__")
-    for line in report.stderr.splitlines():
-        fields = [field.strip() for field in line.split("|")]
-        if len(fields) == 3 and fields[2] == "repro.__main__":
-            return int(fields[1]) / 1e6
-    pytest.fail("-X importtime printed no repro.__main__ line")
-
-
 @pytest.mark.benchmark(group="perf_startup")
 def test_cli_startup(benchmark):
     """Report CLI start-up; importing the CLI loads no scipy module."""
     benchmark(python, *NODE_COMMAND)
-    t_import = import_time_s()
     t_node = best_of(lambda: python(*NODE_COMMAND))
     scipy_modules = python("-c", SCIPY_PROBE).stdout.split()
-    print(f"\nCLI start-up: import repro.__main__ {t_import * 1e3:.0f} ms "
-          f"(-X importtime, cumulative), python -m repro node 65nm "
+    print(f"\nCLI start-up: python -m repro node 65nm "
           f"{t_node * 1e3:.0f} ms (best of 3), "
           f"{len(scipy_modules)} scipy modules loaded")
     record_bench("cli_startup", {
-        "import_main_ms": round(t_import * 1e3, 1),
         "node_65nm_ms": round(t_node * 1e3, 1),
         "scipy_modules": len(scipy_modules),
         "gate": "no scipy module on import",

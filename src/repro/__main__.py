@@ -12,6 +12,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from typing import List, Optional
@@ -401,21 +402,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     with a one-line ``error:`` message and status 1 -- never a
     traceback.  ``--strict`` additionally promotes
     :class:`~repro.robust.ReproWarning` (out-of-calibration inputs,
-    non-converged sweep points) to errors.
+    non-converged sweep points) to errors.  A closed stdout (``repro
+    nodes | head -1`` once ``head`` has exited) ends the run with
+    status 1 and nothing on stderr, as the ``signal`` module docs
+    advise for SIGPIPE.
     """
     from .robust import ReproError, ReproWarning
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        if args.strict:
-            warnings.simplefilter("error", category=ReproWarning)
-        try:
-            return args.func(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        except ReproWarning as warning:
-            print(f"error (strict): {warning}", file=sys.stderr)
-            return 1
+    try:
+        with warnings.catch_warnings():
+            if args.strict:
+                warnings.simplefilter("error", category=ReproWarning)
+            try:
+                status = args.func(args)
+            except ReproError as error:
+                print(f"error: {error}", file=sys.stderr)
+                status = 1
+            except ReproWarning as warning:
+                print(f"error (strict): {warning}", file=sys.stderr)
+                status = 1
+        # A closed stdout must fail here, not in the flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ scalar oracle: identical event times, tie ordering, values, instance
 attribution and final net values for identical stimulus.  These tests
 pin that contract on hand-built topologies (chain, fanout tree,
 reconvergent glitch, DFFs), on the library generators, on a glitch
-storm that trips the budget/oscillation guards, and on random
+storm that trips the budget/oscillation guards, on batches that span
+several wavefronts with conflicts between them, and on random
 hypothesis netlists.
 """
 
@@ -20,6 +21,7 @@ from repro.digital import (CELL_TYPES, Cell, CompiledEventEngine,
                            EventDrivenSimulator, EventTrace, Netlist,
                            clocked_datapath, random_logic,
                            random_stimulus, ripple_adder, soc_netlist)
+from repro.digital import simulator_compiled
 from repro.robust.errors import ModelDomainError, SimulationBudgetError
 from repro.technology import get_node
 
@@ -376,6 +378,142 @@ class TestPartitionCache:
                 or engine._partition_cache[signature] != (1,)
 
 
+def record_batches(monkeypatch, engine):
+    """Record each batch ``engine.run`` takes: its event times and the
+    end of each of its conflict-free groups."""
+    batches = []
+    batch_end = simulator_compiled._batch_end
+    partition = engine._batch_partition
+
+    def recording_end(q_time, q_net, head, limit, reach):
+        end = batch_end(q_time, q_net, head, limit, reach)
+        batches.append([q_time[head:end].copy()])
+        return end
+
+    def recording_partition(batch_net, *args):
+        bounds = partition(batch_net, *args)
+        batches[-1].append(bounds)
+        return bounds
+
+    monkeypatch.setattr(simulator_compiled, "_batch_end", recording_end)
+    monkeypatch.setattr(engine, "_batch_partition", recording_partition)
+    return batches
+
+
+def splits_across_wavefronts(batches):
+    """True when some group boundary separates two event times: the
+    event after it conflicts with an earlier-time event of the batch."""
+    return any(times[stop - 1] < times[stop]
+               for times, bounds in batches for stop in bounds[:-1])
+
+
+class TestBatching:
+    """One loop step takes every queued event that no event scheduled
+    by the step can precede; the stream stays the scalar oracle's."""
+
+    def test_fewer_steps_than_event_times(self, node, monkeypatch):
+        soc = soc_netlist(node, target_gates=2000, n_blocks=2, seed=0)
+        stimulus = random_stimulus(
+            soc, 10, seed=0, held_high=["en", "blk0_en", "blk1_en"])
+        engine = CompiledEventEngine(soc, clock_period=1 / 50e6)
+        partition = engine._batch_partition
+        steps = []
+
+        def counted(batch_net, *args):
+            steps.append(batch_net.size)
+            return partition(batch_net, *args)
+
+        monkeypatch.setattr(engine, "_batch_partition", counted)
+        trace = engine.run(stimulus, 10)
+        # One step per wavefront would take at least one step per
+        # distinct event time (681 here); batching takes 185.
+        assert len(steps) < np.unique(trace.times).size / 2
+        assert sum(steps) >= trace.n_events
+
+    def test_reconvergent_fanout_at_mixed_drives(self, node, monkeypatch):
+        netlist = Netlist(node)
+        netlist.add_input("a")
+        netlist.add_gate("BUF", ["a"], "fast", drive=4)
+        netlist.add_gate("INV", ["a"], "slow", drive=0.5)
+        netlist.add_gate("INV", ["slow"], "slower", drive=1)
+        netlist.add_gate("XOR2", ["fast", "slow"], "x", drive=2)
+        netlist.add_gate("NAND2", ["x", "slower"], "y", drive=0.5)
+        netlist.add_gate("MUX2", ["fast", "x", "y"], "z", drive=1)
+        netlist.add_gate("XNOR2", ["z", "slow"], "w", drive=4)
+        stimulus = {"a": [True, False, False, True]}
+        engine = CompiledEventEngine(netlist, clock_period=1e-9)
+        batches = record_batches(monkeypatch, engine)
+        trace = engine.run(stimulus, 4)
+        result = EventDrivenSimulator(netlist, clock_period=1e-9).run(
+            stimulus, 4)
+        assert splits_across_wavefronts(batches)
+        assert_streams_equal(result, trace)
+
+    def test_several_inputs_switch_at_once(self, node, monkeypatch):
+        netlist = Netlist(node)
+        netlist.add_inputs(["a", "b", "c", "d"])
+        netlist.add_gate("NAND2", ["a", "b"], "p", drive=0.5)
+        netlist.add_gate("NOR2", ["b", "c"], "q", drive=4)
+        netlist.add_gate("XOR2", ["c", "d"], "r", drive=1)
+        netlist.add_gate("XOR2", ["p", "q"], "s", drive=2)
+        netlist.add_gate("AOI21", ["q", "r", "a"], "t", drive=0.5)
+        netlist.add_gate("MUX2", ["s", "r", "t"], "u", drive=1)
+        netlist.add_gate("NAND3", ["s", "t", "u"], "v", drive=4)
+        stimulus = {"a": [True, False, True, False],
+                    "b": [True, True, False, False],
+                    "c": [False, True, True, False],
+                    "d": [True, False, False, True]}
+        engine = CompiledEventEngine(netlist, clock_period=1e-9)
+        batches = record_batches(monkeypatch, engine)
+        trace = engine.run(stimulus, 8)
+        result = EventDrivenSimulator(netlist, clock_period=1e-9).run(
+            stimulus, 8)
+        assert splits_across_wavefronts(batches)
+        assert_streams_equal(result, trace)
+
+    @pytest.mark.parametrize("look_ahead", [1, 2, 7])
+    def test_any_batch_prefix_is_exact(self, node, monkeypatch,
+                                       look_ahead):
+        # A look-ahead cap cuts batches short; the stream must not move.
+        monkeypatch.setattr(simulator_compiled, "_LOOKAHEAD", look_ahead)
+        soc = soc_netlist(node, target_gates=800, n_blocks=2,
+                          adder_width=4, seed=3)
+        stimulus = random_stimulus(
+            soc, 6, seed=1, held_high=["en", "blk0_en", "blk1_en"])
+        result, trace = run_both(soc, stimulus, 6, clock_period=2e-9)
+        assert_streams_equal(result, trace)
+
+    def test_budget_trips_mid_batch(self, node, monkeypatch):
+        # Find events that are neither the first of their batch nor at
+        # its first time, then trip the budget at each of them.
+        soc = soc_netlist(node, target_gates=800, n_blocks=2,
+                          adder_width=4, seed=3)
+        stimulus = random_stimulus(
+            soc, 6, seed=1, held_high=["en", "blk0_en", "blk1_en"])
+        engine = CompiledEventEngine(soc, clock_period=2e-9)
+        batches = record_batches(monkeypatch, engine)
+        times = engine.run(stimulus, 6).times
+        mid_batch = []
+        for (first, *_), (following, *_) in zip(batches, batches[1:]):
+            k = int(np.searchsorted(times, first[0], side="right"))
+            if k < times.size and times[k] <= first[-1] \
+                    and times[k] < following[0]:
+                mid_batch.append(k)
+        assert len(mid_batch) >= 3
+        for budget in (mid_batch[0], mid_batch[len(mid_batch) // 2],
+                       mid_batch[-1]):
+            messages = []
+            for cls in (EventDrivenSimulator, CompiledEventEngine):
+                sim = cls(soc, clock_period=2e-9, event_budget=budget)
+                with pytest.raises(SimulationBudgetError) as excinfo:
+                    sim.run(stimulus, 6)
+                messages.append(re.sub(
+                    r"after \S+ s wall-clock", "after <t> s wall-clock",
+                    str(excinfo.value)))
+            assert messages[0] == messages[1]
+            assert f"{budget + 1}" in messages[0]
+
+
 class TestLowering:
     """The compile agrees exactly with the netlist's views."""
 
@@ -399,6 +537,27 @@ class TestLowering:
             assert loads.tolist() == [gate_of[inst.name]
                                       for inst in soc.loads_of(net)
                                       if not inst.is_sequential]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_net_order_with_inputs_declared_late(self, data):
+        # Inputs declared after the gates that read them, undriven
+        # nets and unread inputs: the compile still numbers the nets
+        # in Netlist.nets order.
+        inputs = [f"i{k}" for k in range(data.draw(st.integers(1, 5)))]
+        early = data.draw(st.lists(st.sampled_from(inputs), unique=True))
+        netlist = Netlist(get_node("65nm"))
+        netlist.add_inputs(early)
+        pool = inputs + ["float0", "float1"]
+        for _ in range(data.draw(st.integers(0, 12))):
+            name = data.draw(st.sampled_from(sorted(CELL_TYPES)))
+            pins = data.draw(st.lists(
+                st.sampled_from(pool), min_size=CELL_TYPES[name].n_inputs,
+                max_size=CELL_TYPES[name].n_inputs))
+            pool.append(netlist.add_gate(name, pins).output)
+        netlist.add_inputs([net for net in inputs if net not in early])
+        engine = CompiledEventEngine(netlist)
+        assert engine._net_names == tuple(netlist.nets)
 
     def test_levels_follow_topological_order(self, soc):
         engine = CompiledEventEngine(soc)

@@ -134,6 +134,40 @@ class TestChainYieldCommand:
             "got -1.0\n")
 
 
+#: What the ``repro`` console script runs (``pyproject.toml``).
+CONSOLE_SCRIPT = ("import sys; from repro.__main__ import main; "
+                  "sys.exit(main())")
+
+
+class TestClosedStdout:
+    """``repro nodes | head -1``: once the reader has gone, the run
+    ends with status 1 and nothing on stderr, whether a ``print`` or
+    the last flush meets the closed pipe."""
+
+    @pytest.mark.parametrize("buffered", [False, True],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("entry", [("-m", "repro"),
+                                       ("-c", CONSOLE_SCRIPT)],
+                             ids=["module", "console-script"])
+    @pytest.mark.parametrize("argv", [["nodes"], ["node", "65nm"],
+                                      ["figures"]], ids=" ".join)
+    def test_exits_one_without_traceback(self, argv, entry, buffered):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, *entry, *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+
+
 class TestCliHardening:
     def test_unknown_subcommand_exits_cleanly(self):
         result = run_cli("frobnicate")
