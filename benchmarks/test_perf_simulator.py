@@ -21,9 +21,10 @@ As in ``test_perf_ssta.py`` the speedup is asserted with our own
 timed region) so the gates also hold under ``--benchmark-disable``
 (the CI mode).  Both tier gates record their numbers under the BENCH
 key ``event_engine``: the clock tree's compiled and scalar times and
-speedup, and the 50k-gate flow's elapsed time with its run loop's
-steps against the trace's distinct event times (one step per
-wavefront would take at least one step per distinct time).
+speedup, and the 50k-gate flow's netlist build and compile times and
+its elapsed time with its run loop's steps against the trace's
+distinct event times (one step per wavefront would take at least one
+step per distinct time).
 """
 
 import time
@@ -81,13 +82,16 @@ def clock_tree(node, fanout=4, depth=6):
 
 
 def soc_workload(target_gates, n_blocks=8, seed=0, n_cycles=N_CYCLES):
+    """The SoC, its stimulus and the netlist's build time [s]."""
     node = get_node("65nm")
+    start = time.perf_counter()
     netlist = soc_netlist(node, target_gates=target_gates,
                           n_blocks=n_blocks, seed=seed)
+    build_s = time.perf_counter() - start
     enables = ["en"] + [f"blk{b}_en" for b in range(n_blocks)]
     stimulus = random_stimulus(netlist, n_cycles, seed=seed,
                                held_high=enables)
-    return netlist, stimulus
+    return netlist, stimulus, build_s
 
 
 @pytest.fixture()
@@ -142,9 +146,11 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
                                    monkeypatch):
     """End-to-end 50k-gate activity -> streamed substrate noise,
     no per-event object anywhere on the compiled path."""
-    netlist, stimulus = soc_workload(50_000)
+    netlist, stimulus, netlist_s = soc_workload(50_000)
+    start = time.perf_counter()
     engine = CompiledEventEngine(netlist, clock_period=CLOCK_PERIOD,
                                  event_budget=10_000_000)
+    compile_s = time.perf_counter() - start
     swan = SwanSimulator(netlist, mesh_resolution=10,
                          clock_frequency=1.0 / CLOCK_PERIOD, seed=0)
 
@@ -167,11 +173,15 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
     print(f"\nSoC flow n_gates={netlist.gate_count()}"
           f" n_events={trace.n_events}"
           f" rms={wave.rms * 1e6:.2f} uV"
+          f" netlist={netlist_s * 1e3:.0f} ms"
+          f" compile={compile_s * 1e3:.0f} ms"
           f" elapsed={elapsed:.2f} s"
           f" steps={len(steps)} event_times={event_times}")
     record_event_engine(
         soc_flow_gates=netlist.gate_count(),
         soc_flow_events=trace.n_events,
+        soc_flow_netlist_s=round(netlist_s, 3),
+        soc_flow_compile_s=round(compile_s, 3),
         soc_flow_elapsed_s=round(elapsed, 3),
         soc_flow_loop_steps=len(steps),
         soc_flow_event_times=event_times)
@@ -186,7 +196,7 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
 def test_soc_activity_to_noise_100k_nightly(benchmark,
                                             no_event_objects):
     """Nightly scale point: >= 100k gates through the full flow."""
-    netlist, stimulus = soc_workload(100_000, seed=1)
+    netlist, stimulus, _ = soc_workload(100_000, seed=1)
     assert netlist.gate_count() >= 100_000
     engine = CompiledEventEngine(netlist, clock_period=CLOCK_PERIOD,
                                  event_budget=50_000_000)

@@ -20,6 +20,7 @@ from ..devices.capacitance import (inverter_input_capacitance,
 from ..devices.leakage import gate_leakage_per_gate
 from .delay import DelayModel
 from ..robust.errors import ModelDomainError, RoadmapDataError
+from ..robust.validate import check_positive
 
 
 # Logic functions map an input tuple to a bool.
@@ -112,17 +113,17 @@ CELL_TYPES: Dict[str, CellType] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
-    """A sized instance of a :class:`CellType` in a technology node."""
+    """A sized :class:`CellType` in a technology node; immutable, so a
+    :class:`~repro.digital.netlist.Netlist` shares one per kind."""
 
     cell_type: CellType
     node: TechnologyNode
     drive: float = 1.0          # drive strength in unit (X1) inverters
 
     def __post_init__(self) -> None:
-        if self.drive <= 0:
-            raise ModelDomainError(f"drive must be positive, got {self.drive}")
+        check_positive("drive", self.drive)
 
     @property
     def nmos_width(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..technology.node import TechnologyNode
-from .gates import CELL_TYPES, Cell, make_cell
+from .gates import Cell, make_cell
 from ..robust.errors import ModelDomainError
 
 #: One gate for :meth:`Netlist._add_gates`: (cell name, input nets,
@@ -60,15 +60,16 @@ class Netlist:
         self.primary_inputs: List[str] = []
         self._declared_outputs: List[str] = []
         self._net_driver: Dict[str, str] = {}
-        # net -> instance names loading it, in insertion order (the
-        # fanout index that keeps loads_of/fanout_capacitance O(fanout)
-        # instead of a scan over every instance).
-        self._net_loads: Dict[str, List[str]] = {}
+        # One immutable Cell per (cell name, drive type, drive), shared
+        # by every instance of that kind.
+        self._cells: Dict[Tuple[str, type, float], Cell] = {}
         self._counter = 0
+        self._loads_cache: Optional[Dict[str, List[str]]] = None
         self._topo_cache: Optional[List[Instance]] = None
 
     def _invalidate_caches(self) -> None:
         """Drop derived structure after a mutation."""
+        self._loads_cache = None
         self._topo_cache = None
 
     # --- construction -----------------------------------------------------
@@ -107,14 +108,17 @@ class Netlist:
         instance_name)`` rows, in order, and return them.
 
         Each row is one :meth:`add_gate` call: the same checks in the
-        same order, the same errors, auto-generated names and index
-        updates.  A bad row raises with every row before it added.
+        same order, the same errors and auto-generated names.  Rows of
+        one kind -- cell name, drive type and drive, so ``1`` and
+        ``1.0`` differ -- share one :func:`make_cell` cell, which
+        raised any unknown-cell or drive error when it was built.  A
+        bad row raises with every row before it added.
         """
         node = self.node
         instances = self.instances
         net_driver = self._net_driver
-        net_loads = self._net_loads
-        primary_inputs = self.primary_inputs
+        cells = self._cells
+        primary_inputs = set(self.primary_inputs)
         added: List[Instance] = []
         self._invalidate_caches()
         for cell_name, pins, output, drive, name in rows:
@@ -128,10 +132,11 @@ class Netlist:
             if name in instances:
                 raise ModelDomainError(f"instance {name!r} already exists")
             self._counter = counter + 1
-            cell_type = CELL_TYPES.get(cell_name)
-            if cell_type is None:
-                make_cell(cell_name, node, drive)   # the unknown-cell error
-            cell = Cell(cell_type, node, drive)
+            key = (cell_name, type(drive), drive)
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = make_cell(cell_name, node, drive)
+            cell_type = cell.cell_type
             if len(pins) != cell_type.n_inputs:
                 raise ModelDomainError(
                     f"{cell_name} takes {cell_type.n_inputs} inputs, "
@@ -139,12 +144,6 @@ class Netlist:
             instance = Instance(name, cell, tuple(pins), output)
             instances[name] = instance
             net_driver[output] = name
-            for net in instance.inputs:
-                loads = net_loads.get(net)
-                if loads is None:
-                    net_loads[net] = [name]
-                elif loads[-1] != name:     # a net on several pins
-                    loads.append(name)      # loads this gate once
             added.append(instance)
         return added
 
@@ -175,10 +174,30 @@ class Netlist:
         name = self._net_driver.get(net)
         return self.instances[name] if name else None
 
+    def _net_loads(self) -> Dict[str, List[str]]:
+        """net -> names of the instances loading it, in insertion order.
+
+        The fanout index that keeps :meth:`loads_of` and
+        :meth:`fanout_capacitance` O(fanout): built by one pass over
+        the instances when first queried and cached until mutation.  A
+        net on several pins of one gate loads that gate once.
+        """
+        if self._loads_cache is None:
+            net_loads: Dict[str, List[str]] = {}
+            for name, inst in self.instances.items():
+                for net in inst.inputs:
+                    loads = net_loads.get(net)
+                    if loads is None:
+                        net_loads[net] = [name]
+                    elif loads[-1] != name:
+                        loads.append(name)
+            self._loads_cache = net_loads
+        return self._loads_cache
+
     def loads_of(self, net: str) -> List[Instance]:
         """Instances with ``net`` as an input (O(fanout) via index)."""
         return [self.instances[name]
-                for name in self._net_loads.get(net, ())]
+                for name in self._net_loads().get(net, ())]
 
     def fanout_capacitance(self, net: str,
                            wire_cap_per_fanout: float = 0.5e-15) -> float:
@@ -216,7 +235,7 @@ class Netlist:
     def _kahn_order(self) -> List[Instance]:
         instances = self.instances
         net_driver = self._net_driver
-        net_loads = self._net_loads
+        net_loads = self._net_loads()
         # Unvisited driver count of each combinational instance with
         # any; each instance drives exactly one net, so distinct driven
         # input nets are distinct drivers.

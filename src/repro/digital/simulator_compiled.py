@@ -307,10 +307,6 @@ class CompiledEventEngine:
 
     DEFAULT_EVENT_BUDGET = 1_000_000
     DEFAULT_OSCILLATION_LIMIT = 512
-    #: Bound on the conflict-signature partition cache; clocked designs
-    #: replay a handful of wavefront shapes every cycle, so in practice
-    #: the cache stays tiny.  On overflow it is cleared, never stale.
-    PARTITION_CACHE_MAX = 4096
 
     def __init__(self, netlist: Netlist, clock_period: float = 1e-9,
                  wire_cap_per_fanout: float = 0.5e-15,
@@ -413,11 +409,14 @@ class CompiledEventEngine:
         # Distinct (gate, net) input pins in gate-then-pin order: a net
         # on several pins of one gate is one load of that net, with its
         # pin count as the weight Netlist.fanout_capacitance gives it.
-        same = fanin[:, :, None] == fanin[:, None, :]
-        distinct = (fanin != dummy) & ~np.tril(same, -1).any(axis=2)
+        a, b, c = fanin.T
+        ab, ac, bc = a == b, a == c, b == c
+        distinct = np.column_stack([a != dummy, (b != dummy) & ~ab,
+                                    (c != dummy) & ~ac & ~bc])
         pin_gate = np.nonzero(distinct)[0]
         pin_net = fanin[distinct]
-        pin_mult = same.sum(axis=2)[distinct]
+        pin_mult = np.column_stack(
+            [1 + ab + ac, 1 + ab + bc, 1 + ac + bc])[distinct]
         # Pins grouped by net; a stable sort keeps each net's loads in
         # insertion order, the order Netlist.loads_of lists them.
         by_net = np.argsort(pin_net, kind="stable")
@@ -526,13 +525,6 @@ class CompiledEventEngine:
         known[out_net] = True
         self._floating = np.flatnonzero(~known)
 
-        # Batch conflict-signature cache: partition boundaries are a
-        # pure function of the event net-index sequence (the loads CSR
-        # is fixed at compile time and run-only extra nets never have
-        # loads), so a repeated batch skips the conflict scan.  A
-        # buffer tree repeats most of its batches; a SoC few of them.
-        self._partition_cache: Dict[bytes, Tuple[int, ...]] = {}
-
     # --- evaluation helpers ----------------------------------------------
 
     def _evaluate(self, gates: np.ndarray,
@@ -554,44 +546,32 @@ class CompiledEventEngine:
             values[floating] = saved
 
     def _batch_partition(self, batch_net: np.ndarray,
-                         csr_count: np.ndarray,
-                         csr_start: np.ndarray) -> Tuple[int, ...]:
-        """Conflict-free group boundaries of one batch (memoized).
+                         csr_count: np.ndarray, csr_start: np.ndarray
+                         ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """Conflict-free groups of one batch, with their load rows.
 
-        Returns the exclusive end position of each group, in order.
-        The result depends only on the net-index sequence and the
-        compile-time loads CSR, so it is cached by the raw bytes of
-        ``batch_net``; a cache hit replays the exact boundaries the
-        conflict scan would recompute, keeping the event stream
-        bit-for-bit unchanged.
+        Returns, for each group in order, its exclusive end position
+        and its loads: exactly ``_csr_rows(batch_net[start:stop],
+        ...)``.  The conflict scan gathers the loads of the whole
+        remaining suffix, in event order; the group's are the prefix
+        whose event position falls inside the group, cut with one
+        ``searchsorted`` on the sorted event column.
         """
         m = batch_net.size
-        if m == 1:
-            return (1,)
-        signature = batch_net.tobytes()
-        bounds = self._partition_cache.get(signature)
-        if bounds is not None:
-            return bounds
         csr_gates = self._csr_gates
         out_net = self._out_net
-        ends: List[int] = []
+        groups: List[Tuple[int, np.ndarray, np.ndarray]] = []
         start = 0
         while start < m:
             nets_s = batch_net[start:]
-            if nets_s.size == 1:
-                start += 1
-                ends.append(start)
-                continue
             load_gates, load_event = _csr_rows(nets_s, csr_start,
                                                csr_count, csr_gates)
-            start += _first_conflict(nets_s, load_gates, load_event,
-                                     out_net[load_gates])
-            ends.append(start)
-        if len(self._partition_cache) >= self.PARTITION_CACHE_MAX:
-            self._partition_cache.clear()
-        bounds = tuple(ends)
-        self._partition_cache[signature] = bounds
-        return bounds
+            size = 1 if nets_s.size == 1 else _first_conflict(
+                nets_s, load_gates, load_event, out_net[load_gates])
+            cut = int(np.searchsorted(load_event, size))
+            start += size
+            groups.append((start, load_gates[:cut], load_event[:cut]))
+        return groups
 
     # --- simulation ------------------------------------------------------
 
@@ -653,7 +633,6 @@ class CompiledEventEngine:
         csr_start[:n_base] = self._csr_start
         reach = np.full(n_values, np.inf)
         reach[:n_base] = self._reach
-        csr_gates = self._csr_gates
         out_net = self._out_net
         delays = self._delays
         initial_keys = {slot(net) for net in initial_state} \
@@ -757,10 +736,10 @@ class CompiledEventEngine:
                 batch_src = q_src[head:end]
                 head = end
 
-                bounds = self._batch_partition(batch_net, csr_count,
+                groups = self._batch_partition(batch_net, csr_count,
                                                csr_start)
                 start = 0
-                for stop in bounds:
+                for stop, grp_gates, grp_event in groups:
                     group_time = batch_time[start:stop]
                     group_net = batch_net[start:stop]
                     group_val = batch_val[start:stop]
@@ -807,8 +786,6 @@ class CompiledEventEngine:
                     if track_extras:
                         written[group_net] = True
                     if n_applied:
-                        grp_gates, grp_event = _csr_rows(
-                            group_net, csr_start, csr_count, csr_gates)
                         live = applied[grp_event]
                         eval_gates = grp_gates[live]
                         if eval_gates.size:

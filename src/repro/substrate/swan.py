@@ -37,7 +37,7 @@ from .injection import characterize_library
 from .mesh import SubstrateMesh, SubstrateProcess
 from ..robust.rng import resolve_rng
 from ..robust.errors import ModelDomainError
-from ..robust.validate import check_count
+from ..robust.validate import check_count, check_positive
 
 
 @dataclass
@@ -136,8 +136,7 @@ class SwanSimulator:
                  guard_ring: bool = False,
                  seed: Optional[int] = None,
                  rng: Optional[np.random.Generator] = None):
-        if clock_frequency <= 0:
-            raise ModelDomainError("clock_frequency must be positive")
+        check_positive("clock_frequency", clock_frequency)
         self.netlist = netlist
         self.floorplan = floorplan or Floorplan.default()
         self.clock_frequency = clock_frequency
@@ -161,10 +160,9 @@ class SwanSimulator:
         ``_code_by_gate`` / ``_node_by_gate`` hold each gate's cell-type
         code and mesh node in netlist insertion order, so an
         EventTrace's source indices gather against them directly; the
-        scalar oracle reaches the same arrays through ``_gate_of``.
+        scalar oracle maps instance names to the same positions itself.
         """
         insts = list(self.netlist.instances.values())
-        self._gate_of = {inst.name: g for g, inst in enumerate(insts)}
         self._node_by_gate = self.mesh.nodes_at(
             *self.floorplan.grid_positions(len(insts)))
         type_names = [inst.cell.cell_type.name for inst in insts]
@@ -281,6 +279,7 @@ class SwanSimulator:
         """Reference per-event accumulation loop (numerical oracle)."""
         duration = duration if duration is not None else result.duration
         time = self._time_axis(duration, dt)
+        gate_of = {name: g for g, name in enumerate(self.netlist.instances)}
         node_currents: Dict[int, np.ndarray] = {}
         # Pre-sample each cell type's pulse once for the macromodel
         # path (identical for every event of that cell).
@@ -304,7 +303,7 @@ class SwanSimulator:
                     pulse = model.macromodel_waveform(local_t)
                     pulse_cache[cell_name] = pulse
             mesh_node = int(
-                self._node_by_gate[self._gate_of[event.instance]])
+                self._node_by_gate[gate_of[event.instance]])
             series = node_currents.get(mesh_node)
             if series is None:
                 series = np.zeros(time.size)

@@ -4,13 +4,15 @@ The row routine is what ``soc_netlist`` and ``full_adder`` lower
 through, and ``add_gate`` is its one-row call.  Building a random gate
 sequence gate by gate and in one ``_add_gates`` call must give the
 same netlist, and a bad row must raise what ``add_gate`` raises and
-leave exactly the rows before it.
+leave exactly the rows before it.  The rows share one cell per kind,
+and the net->loads index they leave behind is rebuilt when first
+queried, so queries between rows must see every row.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.digital import CELL_TYPES, Netlist
+from repro.digital import CELL_TYPES, Netlist, soc_netlist
 from repro.technology import get_node
 
 NODE = get_node("65nm")
@@ -79,14 +81,17 @@ def snapshot(netlist):
     }
 
 
+def brute_force_loads(netlist, net):
+    return [inst for inst in netlist.instances.values()
+            if net in inst.inputs]
+
+
 def assert_same(per_gate, bulk):
     assert snapshot(bulk) == snapshot(per_gate)
     # The load index lists each gate reading a net once, in insertion
     # order, whatever built it.
     for net in bulk.nets:
-        assert bulk.loads_of(net) == [
-            inst for inst in bulk.instances.values()
-            if net in inst.inputs]
+        assert bulk.loads_of(net) == brute_force_loads(bulk, net)
     # The auto-name counter agrees too: the next auto-named gate gets
     # the same instance and net names in both.
     assert bulk.add_gate("INV", ["a"]) == per_gate.add_gate("INV", ["a"])
@@ -116,15 +121,17 @@ def bad_row(kind, rows):
         "unknown-cell": ("NAND9", ("a", "b"), None, 1.0, None),
         "zero-drive": ("INV", ("a",), None, 0.0, None),
         "negative-drive": ("INV", ("a",), None, -2.0, None),
+        "nan-drive": ("INV", ("a",), None, float("nan"), None),
+        "inf-drive": ("INV", ("a",), None, float("inf"), None),
     }[kind]
 
 
 ERROR_KINDS = ("driven-output", "primary-input-output",
                "duplicate-instance", "pin-count", "unknown-cell",
-               "zero-drive", "negative-drive")
+               "zero-drive", "negative-drive", "nan-drive", "inf-drive")
 #: Errors raised after the row has taken its auto-name number.
 COUNTED_ERRORS = ("pin-count", "unknown-cell", "zero-drive",
-                  "negative-drive")
+                  "negative-drive", "nan-drive", "inf-drive")
 
 
 @given(rows=gate_rows(min_size=1), tail=gate_rows(max_size=3),
@@ -153,9 +160,14 @@ def test_bad_row_raises_like_add_gate(rows, tail, kind):
     ("duplicate-instance", "ModelDomainError", "already exists"),
     ("pin-count", "ModelDomainError", "NAND2 takes 2 inputs, got 1"),
     ("unknown-cell", "RoadmapDataError", "unknown cell 'NAND9'"),
-    ("zero-drive", "ModelDomainError", "drive must be positive, got 0.0"),
+    ("zero-drive", "ModelDomainError",
+     "drive must be a positive finite number, got 0.0"),
     ("negative-drive", "ModelDomainError",
-     "drive must be positive, got -2.0"),
+     "drive must be a positive finite number, got -2.0"),
+    ("nan-drive", "ModelDomainError",
+     "drive must be a positive finite number, got nan"),
+    ("inf-drive", "ModelDomainError",
+     "drive must be a positive finite number, got inf"),
 ])
 def test_each_error_kind_is_the_add_gate_error(kind, error_type,
                                                message):
@@ -163,3 +175,68 @@ def test_each_error_kind_is_the_add_gate_error(kind, error_type,
     _, error = build_bulk(rows + [bad_row(kind, rows)])
     assert type(error).__name__ == error_type
     assert message in str(error)
+
+
+def test_one_cell_per_kind():
+    netlist = fresh()
+    x1 = netlist.add_gate("INV", ["a"], drive=1.0)
+    x2 = netlist.add_gate("INV", ["a"], drive=2.0)
+    again = netlist.add_gate("INV", ["b"], drive=1.0)
+    as_int = netlist.add_gate("INV", ["c"], drive=1)
+    assert x2.cell is not x1.cell
+    assert x2.cell.drive == 2.0
+    assert again.cell is x1.cell
+    # The drive's type is part of the kind: an int drive stays an int.
+    assert as_int.cell is not x1.cell
+    assert repr(as_int.cell.drive) == "1"
+    assert repr(x1.cell.drive) == "1.0"
+
+
+def test_cli_default_soc_has_one_cell_per_kind():
+    soc = soc_netlist(NODE, target_gates=20_000, n_blocks=8, seed=0)
+    assert len(soc.instances) == 20_000
+    assert len({id(inst.cell) for inst in soc.instances.values()}) == 11
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_queries_between_rows_see_every_row(data):
+    netlist = fresh()
+    nets = list(PRIMARY_INPUTS)
+    for step in range(data.draw(st.integers(1, 10))):
+        action = data.draw(st.sampled_from((
+            "add", "loads_of", "fanout_capacitance", "topological_order",
+            "primary_outputs")))
+        if action == "add":
+            # Pins may read nets of earlier rows in the same call, and
+            # one net may sit on several pins of a gate.
+            rows = []
+            for k in range(data.draw(st.integers(1, 4))):
+                cell = data.draw(st.sampled_from(CELLS))
+                n_pins = CELL_TYPES[cell].n_inputs
+                pins = tuple(data.draw(st.lists(
+                    st.sampled_from(nets), min_size=n_pins,
+                    max_size=n_pins)))
+                output = f"s{step}_{k}"
+                rows.append((cell, pins, output,
+                             data.draw(st.sampled_from(DRIVES)), None))
+                nets.append(output)
+            netlist._add_gates(rows)
+        elif action == "loads_of":
+            netlist.loads_of(data.draw(st.sampled_from(nets)))
+        elif action == "fanout_capacitance":
+            netlist.fanout_capacitance(data.draw(st.sampled_from(nets)))
+        elif action == "topological_order":
+            netlist.topological_order()
+        else:
+            consumed = {net for inst in netlist.instances.values()
+                        for net in inst.inputs}
+            assert netlist.primary_outputs == [
+                inst.output for inst in netlist.instances.values()
+                if inst.output not in consumed]
+        for net in netlist.nets:
+            loads = brute_force_loads(netlist, net)
+            assert netlist.loads_of(net) == loads
+            assert netlist.fanout_capacitance(net) == sum(
+                inst.cell.input_capacitance * inst.inputs.count(net)
+                for inst in loads) + 0.5e-15 * max(len(loads), 1)

@@ -1,5 +1,7 @@
 """Tests for the cell library and netlist structure."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,17 @@ class TestCellElectrical:
     def test_rejects_bad_drive(self, node):
         with pytest.raises(ValueError):
             make_cell("INV", node, drive=0.0)
+
+    @pytest.mark.parametrize("drive", [float("nan"), float("inf")])
+    def test_rejects_non_finite_drive(self, node, drive):
+        with pytest.raises(ValueError, match="^drive must be a positive "
+                                             "finite number"):
+            make_cell("INV", node, drive=drive)
+
+    def test_cell_is_frozen(self, node):
+        cell = make_cell("INV", node)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.drive = 2.0
 
     def test_vth_offset_slows_gate(self, node):
         cell = make_cell("INV", node)

@@ -330,17 +330,15 @@ class TestHypothesisEquivalence:
         assert outcomes[0] == outcomes[1]
 
 
-class TestPartitionCache:
-    """The conflict-signature partition cache: warm runs replay the
-    memoized wavefront partitions bit-for-bit."""
+class TestRerun:
+    """An engine keeps nothing between runs: a second run replays the
+    first bit for bit and still matches the scalar oracle."""
 
     def test_warm_rerun_is_bitwise_identical(self, node):
         netlist = lfsr(node, width=6)
         engine = CompiledEventEngine(netlist, clock_period=2e-9)
         stimulus = {"enable": [True]}
         cold = engine.run(stimulus, 16, initial_state={"q0": True})
-        assert len(engine._partition_cache) > 0
-        cached = dict(engine._partition_cache)
         warm = engine.run(stimulus, 16, initial_state={"q0": True})
         assert cold.to_events() is not warm.to_events()
         assert len(cold.to_events()) == len(warm.to_events())
@@ -348,34 +346,15 @@ class TestPartitionCache:
             assert (ref.time, ref.net, ref.value, ref.instance) \
                 == (got.time, got.net, got.value, got.instance)
         assert cold.final_values == warm.final_values
-        # The warm run only re-reads entries; no signature changes.
-        assert engine._partition_cache == cached
 
     def test_cached_engine_matches_scalar_oracle(self, node):
         netlist = clocked_datapath(node)
         stimulus = random_stimulus(netlist, 12, seed=3)
         engine = CompiledEventEngine(netlist, clock_period=2e-9)
-        engine.run(stimulus, 12)  # populate the cache
+        engine.run(stimulus, 12)  # a first run on the same engine
         result = EventDrivenSimulator(netlist, clock_period=2e-9).run(
             stimulus, 12)
         assert_streams_equal(result, engine.run(stimulus, 12))
-
-    def test_cache_overflow_clears_not_evicts(self, node):
-        netlist = inverter_chain(node, 4)
-        engine = CompiledEventEngine(netlist, clock_period=1e-9)
-        engine.PARTITION_CACHE_MAX = 2
-        engine.run({"a": [True, False, True, False]}, 4)
-        assert len(engine._partition_cache) <= 2
-
-    def test_single_event_wavefront_not_cached(self, node):
-        # m == 1 wavefronts take the fast path without touching the
-        # cache; an inverter chain produces only singleton wavefronts.
-        netlist = inverter_chain(node, 3)
-        engine = CompiledEventEngine(netlist, clock_period=1e-9)
-        engine.run({"a": [True]}, 1)
-        for signature in engine._partition_cache:
-            assert len(signature) > np.dtype(np.int64).itemsize \
-                or engine._partition_cache[signature] != (1,)
 
 
 def record_batches(monkeypatch, engine):
@@ -391,9 +370,9 @@ def record_batches(monkeypatch, engine):
         return end
 
     def recording_partition(batch_net, *args):
-        bounds = partition(batch_net, *args)
-        batches[-1].append(bounds)
-        return bounds
+        groups = partition(batch_net, *args)
+        batches[-1].append([stop for stop, _, _ in groups])
+        return groups
 
     monkeypatch.setattr(simulator_compiled, "_batch_end", recording_end)
     monkeypatch.setattr(engine, "_batch_partition", recording_partition)
@@ -512,6 +491,49 @@ class TestBatching:
                     str(excinfo.value)))
             assert messages[0] == messages[1]
             assert f"{budget + 1}" in messages[0]
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           n_gates=st.integers(min_value=5, max_value=60),
+           sequential_fraction=st.floats(min_value=0.0, max_value=0.3),
+           drives=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+                           min_size=1, max_size=4))
+    def test_groups_carry_their_load_rows(self, seed, n_gates,
+                                          sequential_fraction, drives):
+        # The rows the partition hands each group are the ones the
+        # group's own gather gives, dtypes included, and the groups
+        # tile the batch.
+        netlist = with_drives(random_logic(
+            get_node("65nm"), n_gates=n_gates, n_inputs=4, seed=seed,
+            sequential_fraction=sequential_fraction), drives)
+        stimulus = random_stimulus(netlist, 4, seed=seed + 1)
+        engine = CompiledEventEngine(netlist, clock_period=1e-9)
+        partition = engine._batch_partition
+        n_rows = []
+
+        def checked(batch_net, csr_count, csr_start):
+            groups = partition(batch_net, csr_count, csr_start)
+            start = 0
+            for stop, gates, event in groups:
+                assert start < stop
+                expected = simulator_compiled._csr_rows(
+                    batch_net[start:stop], csr_start, csr_count,
+                    engine._csr_gates)
+                for got, want in zip((gates, event), expected):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                n_rows.append(gates.size)
+                start = stop
+            assert start == batch_net.size
+            return groups
+
+        engine._batch_partition = checked
+        trace = engine.run(stimulus, 4)
+        result = EventDrivenSimulator(netlist, clock_period=1e-9).run(
+            stimulus, 4)
+        assert_streams_equal(result, trace)
+        assert len(n_rows) > 0
 
 
 class TestLowering:

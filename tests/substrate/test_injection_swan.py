@@ -115,6 +115,12 @@ class TestSwanSimulator:
         with pytest.raises(ValueError):
             SwanSimulator(netlist, clock_frequency=0.0)
 
+    @pytest.mark.parametrize("frequency", [float("nan"), float("inf")])
+    def test_rejects_non_finite_clock(self, netlist, frequency):
+        with pytest.raises(ValueError, match="^clock_frequency must be "
+                                             "a positive finite number"):
+            SwanSimulator(netlist, clock_frequency=frequency)
+
     def test_waveform_resampling(self, node, netlist):
         sim = SwanSimulator(netlist, mesh_resolution=12, seed=0)
         waveform = sim.run(n_cycles=2)
