@@ -21,10 +21,10 @@ As in ``test_perf_ssta.py`` the speedup is asserted with our own
 timed region) so the gates also hold under ``--benchmark-disable``
 (the CI mode).  Both tier gates record their numbers under the BENCH
 key ``event_engine``: the clock tree's compiled and scalar times and
-speedup, and the 50k-gate flow's netlist build and compile times and
-its elapsed time with its run loop's steps against the trace's
-distinct event times (one step per wavefront would take at least one
-step per distinct time).
+speedup, and the 50k-gate flow's netlist build, compile, SWAN set-up
+and streaming times and its elapsed time with its run loop's steps
+against the trace's distinct event times (one step per wavefront
+would take at least one step per distinct time).
 """
 
 import time
@@ -151,8 +151,10 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
     engine = CompiledEventEngine(netlist, clock_period=CLOCK_PERIOD,
                                  event_budget=10_000_000)
     compile_s = time.perf_counter() - start
+    start = time.perf_counter()
     swan = SwanSimulator(netlist, mesh_resolution=10,
                          clock_frequency=1.0 / CLOCK_PERIOD, seed=0)
+    swan_init_s = time.perf_counter() - start
 
     def flow():
         trace = engine.run(stimulus, N_CYCLES)
@@ -169,12 +171,16 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
 
     monkeypatch.setattr(engine, "_batch_partition", counted)
     elapsed = best_of(flow, repeats=1)
+    stream_s = best_of(
+        lambda: swan.stream_noise(trace, chunk_events=100_000), repeats=1)
     event_times = np.unique(trace.times).size
     print(f"\nSoC flow n_gates={netlist.gate_count()}"
           f" n_events={trace.n_events}"
           f" rms={wave.rms * 1e6:.2f} uV"
           f" netlist={netlist_s * 1e3:.0f} ms"
           f" compile={compile_s * 1e3:.0f} ms"
+          f" swan_init={swan_init_s * 1e3:.0f} ms"
+          f" stream={stream_s * 1e3:.0f} ms"
           f" elapsed={elapsed:.2f} s"
           f" steps={len(steps)} event_times={event_times}")
     record_event_engine(
@@ -182,6 +188,8 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
         soc_flow_events=trace.n_events,
         soc_flow_netlist_s=round(netlist_s, 3),
         soc_flow_compile_s=round(compile_s, 3),
+        soc_flow_swan_init_s=round(swan_init_s, 3),
+        soc_flow_stream_s=round(stream_s, 3),
         soc_flow_elapsed_s=round(elapsed, 3),
         soc_flow_loop_steps=len(steps),
         soc_flow_event_times=event_times)

@@ -60,9 +60,13 @@ class Netlist:
         self.primary_inputs: List[str] = []
         self._declared_outputs: List[str] = []
         self._net_driver: Dict[str, str] = {}
-        # One immutable Cell per (cell name, drive type, drive), shared
-        # by every instance of that kind.
-        self._cells: Dict[Tuple[str, type, float], Cell] = {}
+        # One immutable Cell per kind -- (cell name, drive type, drive)
+        # -- shared by every instance of that kind: _kinds maps the key
+        # to the kind's index in _kind_cells, and _gate_kind holds each
+        # instance's kind index in insertion order.
+        self._kinds: Dict[Tuple[str, type, float], int] = {}
+        self._kind_cells: List[Cell] = []
+        self._gate_kind: List[int] = []
         self._counter = 0
         self._loads_cache: Optional[Dict[str, List[str]]] = None
         self._topo_cache: Optional[List[Instance]] = None
@@ -113,11 +117,19 @@ class Netlist:
         ``1.0`` differ -- share one :func:`make_cell` cell, which
         raised any unknown-cell or drive error when it was built.  A
         bad row raises with every row before it added.
+
+        Each added gate's kind index goes to the ``_gate_kind`` column
+        once all of its row's checks have passed, so the column stays
+        as long as :attr:`instances` even after a bad row; the compiled
+        event engine and the SWAN placement read kinds from it instead
+        of from every instance.
         """
         node = self.node
         instances = self.instances
         net_driver = self._net_driver
-        cells = self._cells
+        kinds = self._kinds
+        kind_cells = self._kind_cells
+        gate_kind = self._gate_kind
         primary_inputs = set(self.primary_inputs)
         added: List[Instance] = []
         self._invalidate_caches()
@@ -133,9 +145,13 @@ class Netlist:
                 raise ModelDomainError(f"instance {name!r} already exists")
             self._counter = counter + 1
             key = (cell_name, type(drive), drive)
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = make_cell(cell_name, node, drive)
+            kind = kinds.get(key)
+            if kind is None:
+                cell = make_cell(cell_name, node, drive)
+                kind = kinds[key] = len(kind_cells)
+                kind_cells.append(cell)
+            else:
+                cell = kind_cells[kind]
             cell_type = cell.cell_type
             if len(pins) != cell_type.n_inputs:
                 raise ModelDomainError(
@@ -143,6 +159,7 @@ class Netlist:
                     f"got {len(pins)}")
             instance = Instance(name, cell, tuple(pins), output)
             instances[name] = instance
+            gate_kind.append(kind)
             net_driver[output] = name
             added.append(instance)
         return added
@@ -201,10 +218,18 @@ class Netlist:
 
     def fanout_capacitance(self, net: str,
                            wire_cap_per_fanout: float = 0.5e-15) -> float:
-        """Capacitive load on ``net`` [F]: pin caps + wire estimate."""
+        """Capacitive load on ``net`` [F]: pin caps + wire estimate.
+
+        Each load adds its pin cap times the pins ``net`` takes on it
+        to a running total, in :meth:`loads_of` order: an explicit left
+        fold, because ``sum`` over floats is compensated from CPython
+        3.12.  The compiled event engine folds the same terms in the
+        same order, so the two agree bit for bit on every Python.
+        """
         loads = self.loads_of(net)
-        pin_cap = sum(inst.cell.input_capacitance
-                      * inst.inputs.count(net) for inst in loads)
+        pin_cap = 0.0
+        for inst in loads:
+            pin_cap += inst.cell.input_capacitance * inst.inputs.count(net)
         return pin_cap + wire_cap_per_fanout * max(len(loads), 1)
 
     def gate_count(self) -> int:

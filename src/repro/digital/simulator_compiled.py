@@ -69,7 +69,7 @@ from ..robust.errors import ModelDomainError, SimulationBudgetError
 from ..robust.guards import SimulationBudget
 from ..robust.validate import check_count, check_positive
 from ..perf.profile import timed
-from .gates import CELL_TYPES, Cell
+from .gates import CELL_TYPES
 from .netlist import Netlist
 from .simulator import SimulationResult, SwitchingEvent
 
@@ -298,10 +298,10 @@ class CompiledEventEngine:
     hot loop is pure array work per batch instead of per event.
 
     Compilation takes array passes and one array-valued
-    :meth:`Cell.delay` call per (cell type, drive) kind.  Each gate's
-    load is the scalar simulator's own fanout capacitance, and the
-    array call rounds exactly like the scalar one, so event times
-    agree bit for bit.  Mutating the netlist afterwards does not
+    :meth:`Cell.delay` call per netlist cell kind.  Each gate's load
+    is the scalar simulator's own fanout capacitance, and the array
+    call rounds exactly like the scalar one, so event times agree bit
+    for bit.  Mutating the netlist afterwards does not
     update the compiled arrays -- recompile.
     """
 
@@ -335,42 +335,32 @@ class CompiledEventEngine:
         calls.
 
         Nets are numbered in :attr:`Netlist.nets` order and gates in
-        insertion order.  One Python pass over the gates numbers the
-        nets and gathers each gate's kind -- a (cell type, drive)
-        pair, whose gates share one truth table, pin capacitance and
-        delay model -- output net and fanin nets; a second sums each
-        driven net's load caps.  Everything else is array work: the
-        distinct input pins, the net->loads CSR, one array-valued
-        :meth:`Cell.delay` call per kind, and a generational Kahn pass
-        that orders the settle levels.
+        insertion order.  Each gate's kind -- the netlist's shared
+        :class:`Cell`, whose gates share one truth table, pin count,
+        pin capacitance and delay model -- comes from the netlist's
+        per-gate kind column, so the one Python pass over the gates
+        only numbers the nets and gathers each gate's fanin and output
+        nets.  Everything else is array work: the distinct input pins,
+        the net->loads CSR, a fold of each driven net's load caps with
+        one step per fanout position, one array-valued
+        :meth:`Cell.delay` call per kind in use, and a generational
+        Kahn pass that orders the settle levels.
         """
         netlist = self.netlist
-        instances = list(netlist.instances.values())
-        n_gates = len(instances)
+        n_gates = len(netlist.instances)
         self.n_gates = n_gates
         self._instance_names: Tuple[str, ...] = tuple(netlist.instances)
+        kind_cells = netlist._kind_cells
+        kind = np.array(netlist._gate_kind, dtype=np.int64)
 
         # The one pass over the gates.  Numbering each net at its first
         # sight after the primary inputs is the Netlist.nets order.
         net_of = {net: k for k, net in enumerate(netlist.primary_inputs)}
         number = net_of.setdefault
-        kinds: Dict[Tuple[str, float], int] = {}
-        kind_cells: List[Cell] = []
-        kind_list: List[int] = []
         out_list: List[int] = []
-        n_inputs_list: List[int] = []
         fanin_list: List[int] = []
-        for inst in instances:
-            cell = inst.cell
-            key = (cell.cell_type.name, cell.drive)
-            k = kinds.get(key)
-            if k is None:
-                k = kinds[key] = len(kind_cells)
-                kind_cells.append(cell)
-            kind_list.append(k)
-            pins = inst.inputs
-            n_inputs_list.append(len(pins))
-            for net in pins:
+        for inst in netlist.instances.values():
+            for net in inst.inputs:
                 fanin_list.append(number(net, len(net_of)))
             out_list.append(number(inst.output, len(net_of)))
         self._net_of = net_of
@@ -392,7 +382,6 @@ class CompiledEventEngine:
                 truth[code, packed] = cell_type.function(bits)
         self._truth_flat = truth.ravel()
 
-        kind = np.array(kind_list, dtype=np.int64)
         is_seq = np.array([cell.cell_type.is_sequential
                            for cell in kind_cells], dtype=bool)[kind]
         self._tcode8 = np.array(
@@ -402,7 +391,9 @@ class CompiledEventEngine:
         dummy = n_nets            # always-False padding slot
         self._dummy = dummy
         out_net = np.array(out_list, dtype=np.int64)
-        n_inputs = np.array(n_inputs_list, dtype=np.int64)
+        # The netlist checked every gate's pin count against its cell.
+        n_inputs = np.array([cell.cell_type.n_inputs
+                             for cell in kind_cells], dtype=np.int64)[kind]
         fanin = np.full((n_gates, 3), dummy, dtype=np.int64)
         fanin[np.arange(3) < n_inputs[:, None]] = fanin_list
 
@@ -423,28 +414,36 @@ class CompiledEventEngine:
         n_loads = np.bincount(pin_net, minlength=n_nets)
         first_load = np.cumsum(n_loads) - n_loads
 
-        # Per-gate loaded delays.  The load cap is the same Python sum,
-        # over the same terms in the same order, as
-        # Netlist.fanout_capacitance (from CPython 3.12 ``sum`` over
-        # floats is compensated, so no array reduction matches it).
-        # Each kind then takes one Cell.delay call with an array load:
-        # V_T and V_DD stay scalar, so every power in the delay model
-        # is still a Python-float ``**``, and the load enters only
-        # through +, * and /, which numpy rounds exactly like Python.
+        # Per-gate loaded delays.  Each load cap is the left fold that
+        # Netlist.fanout_capacitance takes, over the same terms in the
+        # same order (numpy reductions add pairwise, and from CPython
+        # 3.12 ``sum`` over floats is compensated, so neither would
+        # do).  With the gates ordered by fanout, the driven nets that
+        # have a j-th load term are a prefix, and step j adds that
+        # term to each one's running total.  Each kind in use then
+        # takes one Cell.delay call with an array load: V_T and V_DD
+        # stay scalar, so every power in the delay model is still a
+        # Python-float ``**``, and the load enters only through +, *
+        # and /, which numpy rounds exactly like Python.
         kind_cap = np.array([cell.input_capacitance
                              for cell in kind_cells], dtype=float)
-        terms = (kind_cap[kind[pin_gate]] * pin_mult)[by_net].tolist()
+        terms = (kind_cap[kind[pin_gate]] * pin_mult)[by_net]
         load_count = n_loads[out_net]
-        pin_cap = np.array(
-            [sum(terms[start:start + count]) for start, count
-             in zip(first_load[out_net].tolist(), load_count.tolist())],
-            dtype=float)
+        widest = np.argsort(load_count)[::-1]
+        first = first_load[out_net][widest]
+        folded = np.zeros(n_gates)
+        live = n_gates - np.cumsum(np.bincount(load_count))[:-1]
+        for j, n in enumerate(live.tolist()):
+            folded[:n] += terms[first[:n] + j]
+        pin_cap = np.empty(n_gates)
+        pin_cap[widest] = folded
         load_cap = pin_cap + self.wire_cap_per_fanout * np.maximum(
             load_count, 1)
         delays = np.empty(n_gates)
         for k, cell in enumerate(kind_cells):
             members = np.flatnonzero(kind == k)
-            delays[members] = cell.delay(load_cap[members])
+            if members.size:    # a kind whose first row failed has none
+                delays[members] = cell.delay(load_cap[members])
 
         self._fanin = fanin
         self._out_net = out_net

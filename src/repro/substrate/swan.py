@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -110,6 +110,20 @@ class NoiseWaveform:
             voltage=np.interp(time, self.time, self.voltage))
 
 
+class _NodeCurrents(dict):
+    """``{mesh node: current row}`` over one ``(nodes x samples)``
+    matrix: each row is a view of ``matrix``, and ``nodes`` lists the
+    keys in row order, so :meth:`SwanSimulator.propagate` multiplies
+    the matrix without stacking the rows again."""
+
+    __slots__ = ("nodes", "matrix")
+
+    def __init__(self, nodes: np.ndarray, matrix: np.ndarray):
+        super().__init__(zip(nodes.tolist(), matrix))
+        self.nodes = nodes
+        self.matrix = matrix
+
+
 class SwanSimulator:
     """Runs the SWAN flow on one netlist + floorplan.
 
@@ -161,15 +175,22 @@ class SwanSimulator:
         code and mesh node in netlist insertion order, so an
         EventTrace's source indices gather against them directly; the
         scalar oracle maps instance names to the same positions itself.
+        The codes number ``_cell_names``, the sorted cell types of the
+        kinds the gates use, and reach the gates through the netlist's
+        per-gate kind column: one code per kind, then one gather.
         """
-        insts = list(self.netlist.instances.values())
+        netlist = self.netlist
+        gate_kind = np.array(netlist._gate_kind, dtype=np.int64)
         self._node_by_gate = self.mesh.nodes_at(
-            *self.floorplan.grid_positions(len(insts)))
-        type_names = [inst.cell.cell_type.name for inst in insts]
-        self._cell_names = sorted(set(type_names))
-        codes = {cell: k for k, cell in enumerate(self._cell_names)}
-        self._code_by_gate = np.array([codes[name] for name in type_names],
-                                      dtype=np.int64)
+            *self.floorplan.grid_positions(gate_kind.size))
+        kind_names = [cell.cell_type.name for cell in netlist._kind_cells]
+        self._cell_names = sorted({kind_names[k]
+                                   for k in np.unique(gate_kind).tolist()})
+        codes = {name: k for k, name in enumerate(self._cell_names)}
+        # -1: a kind no gate uses (its first row failed), never gathered.
+        self._code_by_gate = np.array(
+            [codes.get(name, -1) for name in kind_names],
+            dtype=np.int64)[gate_kind]
         self._impedance = self.mesh.transfer_impedance_to(
             self.sensor_node)
 
@@ -209,11 +230,16 @@ class SwanSimulator:
         ringing) are used instead of the macromodels.
 
         Cell codes and mesh nodes are gathered straight from the
-        trace's source indices, and every event's pulse is scattered
-        into the per-node matrix by one global ``bincount``, so no
-        per-event Python object exists anywhere on this path.  Memory
-        grows with the trace: :meth:`stream_noise` feeds it bounded
-        chunks.
+        trace's source indices, and each cell code's events add their
+        pulses into one preallocated ``(nodes x samples)`` matrix with
+        ``np.add.at``, code by code in ascending order, so no
+        per-event Python object exists anywhere on this path.  Each
+        weight lands on its bin in event order, starting from zero --
+        the additions one ``bincount`` over the codes' concatenated
+        pulses makes -- so the matrix is that ``bincount``'s, bit for
+        bit.  The returned dict's rows are views of that matrix, which
+        it carries for :meth:`propagate`.  Memory grows with the
+        trace: :meth:`stream_noise` feeds it bounded chunks.
 
         :meth:`_injected_currents_scalar` is the per-event reference
         loop: both consume identical RNG variates, so they agree to
@@ -241,8 +267,8 @@ class SwanSimulator:
                 start_arr.size)
         unique_nodes, node_rows = np.unique(node_arr,
                                             return_inverse=True)
-        flat_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
+        currents = np.zeros((unique_nodes.size, n_times))
+        flat = currents.reshape(-1)
         for code in np.unique(code_arr):
             model = self.macromodels[self._cell_names[code]]
             span = max(int(4.0 * model.duration / dt) + 2, 4)
@@ -259,16 +285,10 @@ class SwanSimulator:
             index = start_arr[selected, None] + np.arange(span)
             values = np.where(index < n_times, pulse, 0.0)
             index = np.minimum(index, n_times - 1)
-            flat_parts.append(
-                (node_rows[selected, None] * n_times + index).ravel())
-            value_parts.append(values.ravel())
-        currents = np.bincount(
-            np.concatenate(flat_parts),
-            weights=np.concatenate(value_parts),
-            minlength=unique_nodes.size * n_times
-        ).reshape(unique_nodes.size, n_times)
-        return time, {int(node): currents[k]
-                      for k, node in enumerate(unique_nodes)}
+            np.add.at(flat,
+                      (node_rows[selected, None] * n_times + index).ravel(),
+                      values.ravel())
+        return time, _NodeCurrents(unique_nodes, currents)
 
     def _injected_currents_scalar(self, result: SimulationResult,
                                   dt: float = 25e-12,
@@ -318,14 +338,21 @@ class SwanSimulator:
 
         One matrix-vector product of the stacked per-node currents
         against the transfer-impedance row replaces the per-node
-        accumulation loop.
+        accumulation loop.  The dict :meth:`injected_currents` returns
+        carries the matrix its rows are views of, and that matrix is
+        multiplied without a copy; any other dict's rows are stacked
+        into the same matrix first, so both give the same waveform.
         """
         if not node_currents:
             return NoiseWaveform(time=time,
                                  voltage=np.zeros(time.size))
-        nodes = np.fromiter(node_currents.keys(), dtype=int,
-                            count=len(node_currents))
-        matrix = np.vstack(list(node_currents.values()))
+        if isinstance(node_currents, _NodeCurrents):
+            nodes = node_currents.nodes
+            matrix = node_currents.matrix
+        else:
+            nodes = np.fromiter(node_currents.keys(), dtype=int,
+                                count=len(node_currents))
+            matrix = np.vstack(list(node_currents.values()))
         return NoiseWaveform(time=time,
                              voltage=self._impedance[nodes] @ matrix)
 

@@ -6,13 +6,19 @@ sequence gate by gate and in one ``_add_gates`` call must give the
 same netlist, and a bad row must raise what ``add_gate`` raises and
 leave exactly the rows before it.  The rows share one cell per kind,
 and the net->loads index they leave behind is rebuilt when first
-queried, so queries between rows must see every row.
+queried, so queries between rows must see every row.  The per-gate
+kind column the compiled engine reads must name every instance's
+cell, in insertion order, whatever happened before.
 """
+
+import functools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.digital import CELL_TYPES, Netlist, soc_netlist
+from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
 
 NODE = get_node("65nm")
@@ -86,6 +92,14 @@ def brute_force_loads(netlist, net):
             if net in inst.inputs]
 
 
+def assert_kinds_in_step(netlist):
+    """The kind column lists each instance's own shared cell."""
+    cells = [netlist._kind_cells[k] for k in netlist._gate_kind]
+    instances = list(netlist.instances.values())
+    assert len(cells) == len(instances)
+    assert all(cell is inst.cell for cell, inst in zip(cells, instances))
+
+
 def assert_same(per_gate, bulk):
     assert snapshot(bulk) == snapshot(per_gate)
     # The load index lists each gate reading a net once, in insertion
@@ -147,10 +161,14 @@ def test_bad_row_raises_like_add_gate(rows, tail, kind):
     assert type(error) is type(expected)
     assert str(error) == str(expected)
     assert len(bulk.instances) == len(rows)
+    assert_kinds_in_step(bulk)
+    assert_kinds_in_step(per_gate)
     counter = len(rows) + (kind in COUNTED_ERRORS)
     assert bulk.add_gate("BUF", ["a"]).name == f"u{counter}"
     per_gate.add_gate("BUF", ["a"])
     assert_same(per_gate, bulk)
+    assert_kinds_in_step(bulk)
+    assert_kinds_in_step(per_gate)
 
 
 @pytest.mark.parametrize("kind, error_type, message", [
@@ -205,9 +223,9 @@ def test_queries_between_rows_see_every_row(data):
     nets = list(PRIMARY_INPUTS)
     for step in range(data.draw(st.integers(1, 10))):
         action = data.draw(st.sampled_from((
-            "add", "loads_of", "fanout_capacitance", "topological_order",
-            "primary_outputs")))
-        if action == "add":
+            "add", "add-then-fail", "loads_of", "fanout_capacitance",
+            "topological_order", "primary_outputs")))
+        if action in ("add", "add-then-fail"):
             # Pins may read nets of earlier rows in the same call, and
             # one net may sit on several pins of a gate.
             rows = []
@@ -221,7 +239,15 @@ def test_queries_between_rows_see_every_row(data):
                 rows.append((cell, pins, output,
                              data.draw(st.sampled_from(DRIVES)), None))
                 nets.append(output)
-            netlist._add_gates(rows)
+            if action == "add":
+                netlist._add_gates(rows)
+            else:
+                # A pin-count error after the valid rows, at a drive
+                # that may be a new kind.
+                bad = ("NAND2", ("a",), None,
+                       data.draw(st.sampled_from(DRIVES + (3.0,))), None)
+                with pytest.raises(ModelDomainError, match="takes 2"):
+                    netlist._add_gates(rows + [bad])
         elif action == "loads_of":
             netlist.loads_of(data.draw(st.sampled_from(nets)))
         elif action == "fanout_capacitance":
@@ -234,9 +260,12 @@ def test_queries_between_rows_see_every_row(data):
             assert netlist.primary_outputs == [
                 inst.output for inst in netlist.instances.values()
                 if inst.output not in consumed]
+        assert_kinds_in_step(netlist)
         for net in netlist.nets:
             loads = brute_force_loads(netlist, net)
             assert netlist.loads_of(net) == loads
-            assert netlist.fanout_capacitance(net) == sum(
-                inst.cell.input_capacitance * inst.inputs.count(net)
-                for inst in loads) + 0.5e-15 * max(len(loads), 1)
+            # The pin caps add left to right, in load order.
+            assert netlist.fanout_capacitance(net) == functools.reduce(
+                operator.add,
+                [inst.cell.input_capacitance * inst.inputs.count(net)
+                 for inst in loads], 0.0) + 0.5e-15 * max(len(loads), 1)

@@ -10,7 +10,10 @@ several wavefronts with conflicts between them, and on random
 hypothesis netlists.
 """
 
+import functools
 import itertools
+import math
+import operator
 import re
 
 import numpy as np
@@ -645,6 +648,70 @@ class TestLowering:
                  for inst in mixed.instances.values()}
         assert len(kinds) == 4 * len(CELL_TYPES)
         assert sorted(calls) == sorted(kinds)
+
+    @pytest.fixture(scope="class")
+    def wide(self, node):
+        """Net ``a`` with 24 loads: every cell type, int and float
+        drives, and ``a`` on several pins of some loads.  Its terms
+        add up differently left to right than compensated."""
+        netlist = Netlist(node)
+        netlist.add_inputs(["x", "b"])
+        netlist.add_gate("INV", ["x"], "a", drive=2)
+        names = sorted(CELL_TYPES)
+        drives = (1, 2, 4, 0.5, 1.5)
+        for k in range(24):
+            name = names[k % len(names)]
+            pins = ["a" if pin == 0 or (k + pin) % 3 == 0 else "b"
+                    for pin in range(CELL_TYPES[name].n_inputs)]
+            netlist.add_gate(name, pins, drive=drives[k % len(drives)])
+        return netlist
+
+    def test_fanout_capacitance_is_a_left_fold(self, wide):
+        loads = wide.loads_of("a")
+        terms = [inst.cell.input_capacitance * inst.inputs.count("a")
+                 for inst in loads]
+        fold = functools.reduce(operator.add, terms, 0.0)
+        assert len(terms) >= 20
+        assert any(inst.inputs.count("a") > 1 for inst in loads)
+        assert len({inst.cell.drive for inst in loads}) > 1
+        # The summation order shows on this net: a compensated sum
+        # (CPython's ``sum`` over floats from 3.12) would differ.
+        assert math.fsum(terms) != fold
+        assert wide.fanout_capacitance("a", self.WIRE_CAP) == (
+            fold + self.WIRE_CAP * len(terms))
+
+    def test_delays_fold_the_wide_net(self, wide):
+        engine = CompiledEventEngine(wide,
+                                     wire_cap_per_fanout=self.WIRE_CAP)
+        for g, inst in enumerate(wide.instances.values()):
+            assert engine._delays[g] == inst.cell.delay(
+                wide.fanout_capacitance(inst.output, self.WIRE_CAP))
+
+    def test_kind_left_by_a_failed_row(self, node, monkeypatch):
+        # The NAND3 row fails its pin check after its kind was made:
+        # the kind stays in the netlist, but no gate and no delay call
+        # uses it.
+        netlist = Netlist(node)
+        netlist.add_inputs(["a", "b"])
+        netlist.add_gate("INV", ["a"], "y")
+        with pytest.raises(ModelDomainError, match="NAND3 takes 3"):
+            netlist.add_gate("NAND3", ["a", "b"], drive=3.0)
+        netlist.add_gate("NAND2", ["y", "b"], "z")
+        assert len(netlist._kind_cells) == 3
+        calls = []
+        delay = Cell.delay
+
+        def counted(cell, *args, **kwargs):
+            calls.append(cell.cell_type.name)
+            return delay(cell, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "delay", counted)
+        engine = CompiledEventEngine(netlist)
+        assert sorted(calls) == ["INV", "NAND2"]
+        monkeypatch.undo()
+        for g, inst in enumerate(netlist.instances.values()):
+            assert engine._delays[g] == inst.cell.delay(
+                netlist.fanout_capacitance(inst.output))
 
     def test_combinational_loop_rejected(self, node):
         netlist = Netlist(node)

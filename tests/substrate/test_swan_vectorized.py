@@ -4,6 +4,10 @@ The vectorized superposition consumes the same RNG variates as the
 per-event loop (``SwanSimulator._injected_currents_scalar``), so the
 two must agree to floating-point rounding -- including the jittered
 detailed waveforms.
+On the ``soc-noise`` CLI-default trace, the group-by-group
+accumulation must also give exactly the matrix that one ``bincount``
+over every group's concatenated pulses gave, and propagating it
+without a copy exactly the stacked product.
 The mesh assemblies are compared against a straightforward stamp-loop
 reference.
 """
@@ -12,7 +16,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.digital import ripple_adder
+from repro.digital import random_stimulus, ripple_adder, soc_netlist
+from repro.digital.simulator_compiled import CompiledEventEngine
+from repro.robust.errors import ModelDomainError
 from repro.substrate import SubstrateMesh
 from repro.substrate.swan import SwanSimulator
 from repro.technology import get_node
@@ -66,6 +72,103 @@ class TestSuperpositionEquivalence:
             activity, duration=1e-13)
         assert currents == {} or all(
             np.all(wave == 0.0) for wave in currents.values())
+
+
+def _bincount_currents(sim, trace, dt=25e-12, detailed=False,
+                       duration=None):
+    """The superposition as one ``bincount`` over every cell code's
+    concatenated pulses: ``injected_currents`` before it accumulated
+    group by group.  It draws the same jitter variates."""
+    duration = duration if duration is not None else trace.duration
+    n_times = sim._time_axis(duration, dt).size
+    placed_idx = np.flatnonzero(trace.source_indices >= 0)
+    all_starts = (trace.times[placed_idx] / dt).astype(int)
+    keep = all_starts < n_times
+    start_arr = all_starts[keep]
+    sources = trace.source_indices[placed_idx[keep]]
+    code_arr = sim._code_by_gate[sources]
+    node_arr = sim._node_by_gate[sources]
+    if detailed:
+        jitter = 1.0 + 0.05 * sim.rng.standard_normal(start_arr.size)
+    unique_nodes, node_rows = np.unique(node_arr, return_inverse=True)
+    flat_parts, value_parts = [], []
+    for code in np.unique(code_arr):
+        model = sim.macromodels[sim._cell_names[code]]
+        span = max(int(4.0 * model.duration / dt) + 2, 4)
+        local_t = np.arange(span) * dt
+        selected = code_arr == code
+        if detailed:
+            pulse = (jitter[selected, None]
+                     * model.detailed_waveform(local_t))
+        else:
+            pulse = model.macromodel_waveform(local_t)
+        index = start_arr[selected, None] + np.arange(span)
+        values = np.where(index < n_times, pulse, 0.0)
+        index = np.minimum(index, n_times - 1)
+        flat_parts.append(
+            (node_rows[selected, None] * n_times + index).ravel())
+        value_parts.append(values.ravel())
+    currents = np.bincount(
+        np.concatenate(flat_parts),
+        weights=np.concatenate(value_parts),
+        minlength=unique_nodes.size * n_times
+    ).reshape(unique_nodes.size, n_times)
+    return {int(node): currents[k] for k, node in enumerate(unique_nodes)}
+
+
+@pytest.fixture(scope="module")
+def cli_flow():
+    """The ``soc-noise`` CLI default: 65 nm, 20k gates, 8 blocks, 10
+    cycles at 50 MHz, seed 0 (19,951 events)."""
+    netlist = soc_netlist(get_node("65nm"), target_gates=20_000,
+                          n_blocks=8, seed=0)
+    stimulus = random_stimulus(
+        netlist, 10, seed=0,
+        held_high=["en"] + [f"blk{b}_en" for b in range(8)])
+    trace = CompiledEventEngine(
+        netlist, clock_period=1 / 50e6,
+        event_budget=10_000_000).run(stimulus, 10)
+    return netlist, trace
+
+
+def test_placement_codes_only_kinds_in_use(node):
+    # A row that fails its pin check leaves its new kind behind; the
+    # adder has no MUX2.
+    netlist = ripple_adder(node, width=2)
+    with pytest.raises(ModelDomainError, match="MUX2 takes 3"):
+        netlist.add_gate("MUX2", ["a0"], drive=3.0)
+    sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
+    names = [inst.cell.cell_type.name
+             for inst in netlist.instances.values()]
+    assert sim._cell_names == sorted(set(names))
+    assert [sim._cell_names[code] for code in sim._code_by_gate] == names
+
+
+class TestSuperpositionReference:
+    """Byte-for-byte against the concatenate-and-``bincount`` form."""
+
+    @pytest.mark.parametrize("detailed", [False, True])
+    @pytest.mark.parametrize("chunk_events", [1_000, 7_000, 100_000])
+    def test_chunks_match_one_bincount(self, cli_flow, detailed,
+                                       chunk_events):
+        netlist, trace = cli_flow
+        sim = SwanSimulator(netlist, clock_frequency=50e6, seed=0)
+        reference = SwanSimulator(netlist, clock_frequency=50e6, seed=0)
+        n_chunks = 0
+        for chunk in trace.chunks(chunk_events):
+            time, currents = sim.injected_currents(
+                chunk, detailed=detailed, duration=trace.duration)
+            expected = _bincount_currents(
+                reference, chunk, detailed=detailed,
+                duration=trace.duration)
+            assert list(currents) == list(expected)
+            for node, row in expected.items():
+                assert currents[node].tobytes() == row.tobytes()
+            # The carried matrix against its rows stacked again.
+            assert sim.propagate(time, currents).voltage.tobytes() == (
+                sim.propagate(time, dict(currents)).voltage.tobytes())
+            n_chunks += 1
+        assert n_chunks == -(-trace.n_events // chunk_events)
 
 
 def _reference_substrate_matrix(mesh: SubstrateMesh):
