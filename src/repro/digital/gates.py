@@ -10,6 +10,7 @@ a digital standard cell library").
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
@@ -130,17 +131,25 @@ class Cell:
         """Equivalent NMOS width of the output stage [m]."""
         return 2.0 * self.node.feature_size * self.drive
 
-    @property
+    # The two capacitance terms run the validated device model, so
+    # each is computed once per Cell and kept: cached_property writes
+    # the instance __dict__ directly, which a frozen dataclass allows,
+    # and dataclass equality and hashing read the fields alone.
+    @functools.cached_property
     def input_capacitance(self) -> float:
         """Capacitance of one input pin [F] (logical effort scaled)."""
         return (self.cell_type.logical_effort
                 * inverter_input_capacitance(self.node, self.nmos_width))
 
+    @functools.cached_property
+    def _self_load(self) -> float:
+        """One inverter's output self-load at this drive [F]."""
+        return inverter_self_load(self.node, self.nmos_width)
+
     @property
     def output_parasitic(self) -> float:
         """Parasitic self-load at the output [F]."""
-        return (self.cell_type.parasitic_effort
-                * inverter_self_load(self.node, self.nmos_width))
+        return self.cell_type.parasitic_effort * self._self_load
 
     def delay_model(self, load_capacitance: float) -> DelayModel:
         """The :class:`DelayModel` of this cell driving the given load.
@@ -156,8 +165,7 @@ class Cell:
             node=self.node,
             drive_width=self.nmos_width / self.cell_type.logical_effort,
             load_capacitance=load_capacitance
-            + (self.cell_type.parasitic_effort - 1.0)
-            * inverter_self_load(self.node, self.nmos_width),
+            + (self.cell_type.parasitic_effort - 1.0) * self._self_load,
         )
 
     def delay(self, load_capacitance: float,

@@ -9,8 +9,9 @@ named nets.  It is consumed by the static timing analyzer
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..technology.node import TechnologyNode
 from .gates import Cell, make_cell
@@ -36,12 +37,95 @@ class Instance:
         return self.cell.cell_type.is_sequential
 
 
+class _InstanceView(Mapping):
+    """Read-only ``name -> Instance`` view of a netlist's gate columns.
+
+    ``len``, iteration (names in insertion order) and ``in`` read the
+    columns and build nothing.  An :class:`Instance` is built on the
+    first read of its item and kept, so every read of one gate returns
+    the same object; once every gate has been read, :meth:`values` and
+    :meth:`items` copy the kept list.  Both return lists, snapshots in
+    insertion order.  The view holds the columns themselves, which the
+    netlist only ever appends to, and no reference back to the netlist,
+    so a dropped netlist is freed without waiting for the cyclic
+    garbage collector.
+    """
+
+    __slots__ = ("_names", "_pins", "_outputs", "_kinds", "_cells",
+                 "_position", "_built", "_n_built")
+
+    def __init__(self, names: List[str], pins: List[Tuple[str, ...]],
+                 outputs: List[str], kinds: List[int], cells: List[Cell],
+                 position: Dict[str, int]):
+        self._names = names
+        self._pins = pins
+        self._outputs = outputs
+        self._kinds = kinds
+        self._cells = cells
+        self._position = position
+        # Instance of each position read so far (None: not yet), and
+        # how many are built; the list grows on demand.
+        self._built: List[Optional[Instance]] = []
+        self._n_built = 0
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._position
+
+    def __getitem__(self, name: str) -> Instance:
+        return self._at(self._position[name])
+
+    def _at(self, position: int) -> Instance:
+        """The instance of the gate at ``position`` in insertion order."""
+        built = self._built
+        if position >= len(built):
+            built.extend([None] * (position + 1 - len(built)))
+        instance = built[position]
+        if instance is None:
+            instance = built[position] = Instance(
+                self._names[position],
+                self._cells[self._kinds[position]],
+                self._pins[position],
+                self._outputs[position])
+            self._n_built += 1
+        return instance
+
+    def _all(self) -> List[Instance]:
+        """The kept list, with every gate's instance built."""
+        n_gates = len(self._names)
+        if self._n_built < n_gates:
+            for position in range(n_gates):
+                self._at(position)
+        return self._built
+
+    def values(self) -> List[Instance]:          # type: ignore[override]
+        """Every instance, in insertion order."""
+        return self._all()[:]
+
+    def items(self) -> List[Tuple[str, Instance]]:  # type: ignore[override]
+        """``(name, instance)`` pairs, in insertion order."""
+        return list(zip(self._names, self._all()))
+
+
 class Netlist:
     """A combinational / sequential gate-level netlist.
 
     Nets are plain strings; primary inputs are declared explicitly,
     every instance output defines its net, and any net that is never
     consumed is a primary output unless declared otherwise.
+
+    Gates are kept as columns in insertion order -- names, pin tuples,
+    output nets and a kind index into one shared :class:`Cell` per
+    (cell name, drive type, drive) -- plus a name -> position index.
+    :attr:`instances` is a read-only mapping over those columns that
+    builds an :class:`Instance` only when one is read, so a flow that
+    lowers the netlist to arrays (the compiled event engine, the SWAN
+    placement) never builds one.
 
     Examples
     --------
@@ -56,20 +140,37 @@ class Netlist:
     def __init__(self, node: TechnologyNode, name: str = "top"):
         self.node = node
         self.name = name
-        self.instances: Dict[str, Instance] = {}
         self.primary_inputs: List[str] = []
         self._declared_outputs: List[str] = []
         self._net_driver: Dict[str, str] = {}
         # One immutable Cell per kind -- (cell name, drive type, drive)
         # -- shared by every instance of that kind: _kinds maps the key
-        # to the kind's index in _kind_cells, and _gate_kind holds each
-        # instance's kind index in insertion order.
+        # to the kind's index in _kind_cells.
         self._kinds: Dict[Tuple[str, type, float], int] = {}
         self._kind_cells: List[Cell] = []
+        # The gate columns, in insertion order, and name -> position.
+        self._gate_names: List[str] = []
+        self._gate_pins: List[Tuple[str, ...]] = []
+        self._gate_outputs: List[str] = []
         self._gate_kind: List[int] = []
+        self._gate_position: Dict[str, int] = {}
+        self._instances = _InstanceView(
+            self._gate_names, self._gate_pins, self._gate_outputs,
+            self._gate_kind, self._kind_cells, self._gate_position)
         self._counter = 0
-        self._loads_cache: Optional[Dict[str, List[str]]] = None
+        self._loads_cache: Optional[Dict[str, List[int]]] = None
         self._topo_cache: Optional[List[Instance]] = None
+
+    @property
+    def instances(self) -> Mapping[str, Instance]:
+        """Read-only ``name -> Instance`` mapping, in insertion order.
+
+        A view of the gate columns: ``len``, iteration and ``in`` build
+        nothing, and an instance is built on the first read of its item
+        and kept, so ``add_gate(...) is instances[name]``.  ``values()``
+        and ``items()`` return lists in insertion order.
+        """
+        return self._instances
 
     def _invalidate_caches(self) -> None:
         """Drop derived structure after a mutation."""
@@ -104,12 +205,12 @@ class Netlist:
 
         ``output`` defaults to an auto-generated net name.
         """
-        return self._add_gates(
-            [(cell_name, inputs, output, drive, instance_name)])[0]
+        self._add_gates([(cell_name, inputs, output, drive, instance_name)])
+        return self._instances._at(len(self._gate_names) - 1)
 
-    def _add_gates(self, rows: Iterable[_GateRow]) -> List[Instance]:
+    def _add_gates(self, rows: Iterable[_GateRow]) -> None:
         """Add gates given as ``(cell_name, inputs, output, drive,
-        instance_name)`` rows, in order, and return them.
+        instance_name)`` rows, in order.
 
         Each row is one :meth:`add_gate` call: the same checks in the
         same order, the same errors and auto-generated names.  Rows of
@@ -118,20 +219,22 @@ class Netlist:
         raised any unknown-cell or drive error when it was built.  A
         bad row raises with every row before it added.
 
-        Each added gate's kind index goes to the ``_gate_kind`` column
-        once all of its row's checks have passed, so the column stays
-        as long as :attr:`instances` even after a bad row; the compiled
-        event engine and the SWAN placement read kinds from it instead
-        of from every instance.
+        A row that passes every check appends to each gate column
+        (name, pins, output, kind) and to the name index; no row
+        builds an :class:`Instance`.  The columns stay in step after a
+        bad row, and the compiled event engine and the SWAN placement
+        read them directly.
         """
         node = self.node
-        instances = self.instances
         net_driver = self._net_driver
         kinds = self._kinds
         kind_cells = self._kind_cells
+        names = self._gate_names
+        pin_column = self._gate_pins
+        outputs = self._gate_outputs
         gate_kind = self._gate_kind
+        position = self._gate_position
         primary_inputs = set(self.primary_inputs)
-        added: List[Instance] = []
         self._invalidate_caches()
         for cell_name, pins, output, drive, name in rows:
             counter = self._counter
@@ -141,7 +244,7 @@ class Netlist:
                 raise ModelDomainError(f"net {output!r} is already driven")
             if name is None:
                 name = f"u{counter}"
-            if name in instances:
+            if name in position:
                 raise ModelDomainError(f"instance {name!r} already exists")
             self._counter = counter + 1
             key = (cell_name, type(drive), drive)
@@ -157,12 +260,12 @@ class Netlist:
                 raise ModelDomainError(
                     f"{cell_name} takes {cell_type.n_inputs} inputs, "
                     f"got {len(pins)}")
-            instance = Instance(name, cell, tuple(pins), output)
-            instances[name] = instance
+            position[name] = len(names)
+            names.append(name)
+            pin_column.append(tuple(pins))
+            outputs.append(output)
             gate_kind.append(kind)
             net_driver[output] = name
-            added.append(instance)
-        return added
 
     # --- structure queries --------------------------------------------------
 
@@ -170,10 +273,10 @@ class Netlist:
     def nets(self) -> List[str]:
         """All nets in the design."""
         seen = dict.fromkeys(self.primary_inputs)
-        for instance in self.instances.values():
-            for net in instance.inputs:
+        for pins, output in zip(self._gate_pins, self._gate_outputs):
+            for net in pins:
                 seen.setdefault(net)
-            seen.setdefault(instance.output)
+            seen.setdefault(output)
         return list(seen)
 
     @property
@@ -181,40 +284,40 @@ class Netlist:
         """Declared outputs, or nets nothing consumes."""
         if self._declared_outputs:
             return list(self._declared_outputs)
-        consumed = {net for inst in self.instances.values()
-                    for net in inst.inputs}
-        return [inst.output for inst in self.instances.values()
-                if inst.output not in consumed]
+        consumed = {net for pins in self._gate_pins for net in pins}
+        return [output for output in self._gate_outputs
+                if output not in consumed]
 
     def driver_of(self, net: str) -> Optional[Instance]:
         """Instance driving ``net`` (None for primary inputs)."""
         name = self._net_driver.get(net)
-        return self.instances[name] if name else None
+        return None if name is None else self._instances[name]
 
-    def _net_loads(self) -> Dict[str, List[str]]:
-        """net -> names of the instances loading it, in insertion order.
+    def _net_loads(self) -> Dict[str, List[int]]:
+        """net -> positions of the gates loading it, in insertion order.
 
         The fanout index that keeps :meth:`loads_of` and
         :meth:`fanout_capacitance` O(fanout): built by one pass over
-        the instances when first queried and cached until mutation.  A
+        the pin column when first queried and cached until mutation.  A
         net on several pins of one gate loads that gate once.
         """
         if self._loads_cache is None:
-            net_loads: Dict[str, List[str]] = {}
-            for name, inst in self.instances.items():
-                for net in inst.inputs:
+            net_loads: Dict[str, List[int]] = {}
+            for position, pins in enumerate(self._gate_pins):
+                for net in pins:
                     loads = net_loads.get(net)
                     if loads is None:
-                        net_loads[net] = [name]
-                    elif loads[-1] != name:
-                        loads.append(name)
+                        net_loads[net] = [position]
+                    elif loads[-1] != position:
+                        loads.append(position)
             self._loads_cache = net_loads
         return self._loads_cache
 
     def loads_of(self, net: str) -> List[Instance]:
         """Instances with ``net`` as an input (O(fanout) via index)."""
-        return [self.instances[name]
-                for name in self._net_loads().get(net, ())]
+        instance_at = self._instances._at
+        return [instance_at(position)
+                for position in self._net_loads().get(net, ())]
 
     def fanout_capacitance(self, net: str,
                            wire_cap_per_fanout: float = 0.5e-15) -> float:
@@ -226,15 +329,19 @@ class Netlist:
         3.12.  The compiled event engine folds the same terms in the
         same order, so the two agree bit for bit on every Python.
         """
-        loads = self.loads_of(net)
+        loads = self._net_loads().get(net, ())
+        cells = self._kind_cells
+        gate_kind = self._gate_kind
+        gate_pins = self._gate_pins
         pin_cap = 0.0
-        for inst in loads:
-            pin_cap += inst.cell.input_capacitance * inst.inputs.count(net)
+        for position in loads:
+            pin_cap += (cells[gate_kind[position]].input_capacitance
+                        * gate_pins[position].count(net))
         return pin_cap + wire_cap_per_fanout * max(len(loads), 1)
 
     def gate_count(self) -> int:
         """Number of gate instances."""
-        return len(self.instances)
+        return len(self._gate_names)
 
     def topological_order(self) -> List[Instance]:
         """Instances in topological order (cached until mutation).
@@ -254,32 +361,37 @@ class Netlist:
         must not change.
         """
         if self._topo_cache is None:
-            self._topo_cache = self._kahn_order()
+            instance_at = self._instances._at
+            self._topo_cache = [instance_at(position)
+                                for position in self._kahn_order()]
         return list(self._topo_cache)
 
-    def _kahn_order(self) -> List[Instance]:
-        instances = self.instances
+    def _kahn_order(self) -> List[int]:
+        """Gate positions in :meth:`topological_order`."""
         net_driver = self._net_driver
         net_loads = self._net_loads()
-        # Unvisited driver count of each combinational instance with
-        # any; each instance drives exactly one net, so distinct driven
-        # input nets are distinct drivers.
-        pending: Dict[str, int] = {}
-        generation: List[str] = []
-        for name, inst in instances.items():
-            count = 0 if inst.is_sequential else len(
-                {net for net in inst.inputs if net in net_driver})
+        outputs = self._gate_outputs
+        sequential = [cell.cell_type.is_sequential
+                      for cell in self._kind_cells]
+        # Unvisited driver count of each combinational gate with any;
+        # each gate drives exactly one net, so distinct driven input
+        # nets are distinct drivers.
+        pending: Dict[int, int] = {}
+        generation: List[int] = []
+        for position, (kind, pins) in enumerate(
+                zip(self._gate_kind, self._gate_pins)):
+            count = 0 if sequential[kind] else len(
+                {net for net in pins if net in net_driver})
             if count:
-                pending[name] = count
+                pending[position] = count
             else:
-                generation.append(name)
-        order: List[Instance] = []
+                generation.append(position)
+        order: List[int] = []
         while generation:
-            following: List[str] = []
-            for name in generation:
-                inst = instances[name]
-                order.append(inst)
-                for load in net_loads.get(inst.output, ()):
+            following: List[int] = []
+            for position in generation:
+                order.append(position)
+                for load in net_loads.get(outputs[position], ()):
                     count = pending.get(load)
                     if count is None:       # sequential: in-edges cut
                         continue

@@ -335,21 +335,22 @@ class CompiledEventEngine:
         calls.
 
         Nets are numbered in :attr:`Netlist.nets` order and gates in
-        insertion order.  Each gate's kind -- the netlist's shared
+        insertion order, both read from the netlist's gate columns
+        (names, pins, outputs and kinds), so no :class:`Instance` is
+        built.  Each gate's kind -- the netlist's shared
         :class:`Cell`, whose gates share one truth table, pin count,
-        pin capacitance and delay model -- comes from the netlist's
-        per-gate kind column, so the one Python pass over the gates
-        only numbers the nets and gathers each gate's fanin and output
-        nets.  Everything else is array work: the distinct input pins,
-        the net->loads CSR, a fold of each driven net's load caps with
-        one step per fanout position, one array-valued
-        :meth:`Cell.delay` call per kind in use, and a generational
-        Kahn pass that orders the settle levels.
+        pin capacitance and delay model -- comes from the kind column,
+        so the one Python pass over the gates only numbers the nets of
+        each gate's pins and output.  Everything else is array work:
+        the distinct input pins, the net->loads CSR, a fold of each
+        driven net's load caps with one step per fanout position, one
+        array-valued :meth:`Cell.delay` call per kind in use, and a
+        generational Kahn pass that orders the settle levels.
         """
         netlist = self.netlist
-        n_gates = len(netlist.instances)
+        self._instance_names: Tuple[str, ...] = tuple(netlist._gate_names)
+        n_gates = len(self._instance_names)
         self.n_gates = n_gates
-        self._instance_names: Tuple[str, ...] = tuple(netlist.instances)
         kind_cells = netlist._kind_cells
         kind = np.array(netlist._gate_kind, dtype=np.int64)
 
@@ -359,10 +360,10 @@ class CompiledEventEngine:
         number = net_of.setdefault
         out_list: List[int] = []
         fanin_list: List[int] = []
-        for inst in netlist.instances.values():
-            for net in inst.inputs:
+        for pins, output in zip(netlist._gate_pins, netlist._gate_outputs):
+            for net in pins:
                 fanin_list.append(number(net, len(net_of)))
-            out_list.append(number(inst.output, len(net_of)))
+            out_list.append(number(output, len(net_of)))
         self._net_of = net_of
         self._net_names: Tuple[str, ...] = tuple(net_of)
         n_nets = len(net_of)

@@ -28,11 +28,20 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
+from ..perf.cache import KeyedCache
 from ..robust.errors import ModelDomainError, ModelIndexError
 from ..robust.validate import check_finite, check_positive
 
 if TYPE_CHECKING:
     from scipy import sparse
+    from scipy.sparse.linalg import SuperLU
+
+#: ``splu`` factorizations of conductance matrices, keyed on what
+#: defines the matrix (:meth:`SubstrateMesh._matrix_key`): meshes with
+#: one definition share one factorization, and a set-up after
+#: ``repro.perf.clear_caches()`` factorizes again.  A few entries cover
+#: a sweep over guard rings or substrate processes.
+_FACTORIZATIONS = KeyedCache("substrate.mesh_factorizations", maxsize=8)
 
 
 @dataclass(frozen=True)
@@ -237,6 +246,17 @@ class SubstrateMesh:
             (vals, (rows, cols)), shape=(size, size))
         return matrix
 
+    def _matrix_key(self) -> tuple:
+        """What defines :meth:`conductance_matrix`: equal keys give
+        equal matrices, bit for bit."""
+        return (self.die_width, self.die_height, self.nx, self.ny,
+                self.process, tuple(sorted(self._extra_ground.items())))
+
+    def _factorize(self) -> SuperLU:
+        from scipy.sparse.linalg import splu
+
+        return splu(self.conductance_matrix())
+
     def solve(self, currents: np.ndarray) -> np.ndarray:
         """Node potentials [V] for injected current vector(s) [A].
 
@@ -244,10 +264,16 @@ class SubstrateMesh:
         or ``n_nodes + 1`` (including the bulk node) -- or a 2-D
         ``(n_nodes, k)`` / ``(n_nodes + 1, k)`` matrix of ``k``
         independent right-hand sides (e.g. one per time bin of a
-        streamed event trace).  All columns reuse the one cached LU
-        factorization.  The returned array matches the input's
-        dimensionality and always includes the bulk node as its last
-        row.
+        streamed event trace).  All columns reuse one LU
+        factorization, which the mesh keeps until a ground contact is
+        added.  It comes from the ``substrate.mesh_factorizations``
+        memo (a bounded, registered ``repro.perf`` cache) keyed on the
+        die size, ``nx``, ``ny``, the process and the sorted extra
+        ground contacts, so meshes with one definition assemble and
+        factorize once.  ``splu`` is deterministic, so a shared
+        factorization solves bit for bit like a fresh one.  The
+        returned array matches the input's dimensionality and always
+        includes the bulk node as its last row.
         """
         currents = np.asarray(currents, dtype=float)
         if currents.ndim not in (1, 2):
@@ -263,9 +289,8 @@ class SubstrateMesh:
                 f"currents must have {self.n_nodes} or "
                 f"{self.n_nodes + 1} rows, got shape {currents.shape}")
         if self._solver is None:
-            from scipy.sparse.linalg import splu
-
-            self._solver = splu(self.conductance_matrix())
+            self._solver = _FACTORIZATIONS.get_or_compute(
+                self._matrix_key(), self._factorize)
         return self._solver.solve(currents)
 
     def transfer_impedance_to(self, sensor: int) -> np.ndarray:

@@ -2,10 +2,15 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.digital import CELL_TYPES, Netlist, make_cell, ripple_adder
+from repro.devices import capacitance
+from repro.devices.capacitance import (inverter_input_capacitance,
+                                       inverter_self_load)
+from repro.digital import (CELL_TYPES, CompiledTimingGraph, Netlist,
+                           StaticTimingAnalyzer, make_cell, ripple_adder)
 from repro.technology import get_node
 
 
@@ -88,6 +93,61 @@ class TestCellElectrical:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cell.drive = 2.0
 
+    @pytest.mark.parametrize("name", sorted(CELL_TYPES))
+    @pytest.mark.parametrize("drive", [1.0, 0.5, 3.0])
+    def test_capacitance_terms_equal_the_device_model(self, node, name,
+                                                      drive):
+        """The kept terms are the recomputed expressions, bit for bit."""
+        cell = make_cell(name, node, drive=drive)
+        effort = cell.cell_type
+        self_load = inverter_self_load(node, cell.nmos_width)
+        for _ in range(2):      # the first read computes, the next keeps
+            assert cell.input_capacitance == (
+                effort.logical_effort
+                * inverter_input_capacitance(node, cell.nmos_width))
+            assert cell.output_parasitic == (effort.parasitic_effort
+                                             * self_load)
+            load = np.array([0.0, 3e-15, 40e-15])
+            model = cell.delay_model(load)
+            assert np.array_equal(
+                model.load_capacitance,
+                load + (effort.parasitic_effort - 1.0) * self_load)
+            assert model.drive_width == (cell.nmos_width
+                                         / effort.logical_effort)
+
+    def test_device_model_runs_once_per_cell(self, node, monkeypatch):
+        calls = []
+        device_capacitances = capacitance.device_capacitances
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return device_capacitances(*args, **kwargs)
+
+        monkeypatch.setattr(capacitance, "device_capacitances", counted)
+        cell = make_cell("NAND2", node, drive=2.0)
+        for _ in range(3):
+            cell.input_capacitance
+            cell.output_parasitic
+            cell.delay_model(5e-15)
+        # One NMOS and one PMOS evaluation for each of the two terms.
+        assert len(calls) == 4
+        again = make_cell("NAND2", node, drive=2.0)
+        again.input_capacitance
+        assert len(calls) == 6
+
+    def test_kept_terms_leave_equality_and_hash(self, node):
+        read = make_cell("AOI21", node, drive=2.0)
+        fresh = make_cell("AOI21", node, drive=2.0)
+        hash_before = hash(read)
+        read.input_capacitance
+        read.output_parasitic
+        assert read == fresh
+        assert hash(read) == hash_before == hash(fresh)
+        assert dataclasses.astuple(read) == dataclasses.astuple(fresh)
+        assert read != make_cell("AOI21", node, drive=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.input_capacitance = 0.0
+
     def test_vth_offset_slows_gate(self, node):
         cell = make_cell("INV", node)
         assert cell.delay(10e-15, vth_offset=0.05) > cell.delay(10e-15)
@@ -165,6 +225,25 @@ class TestNetlist:
         assert state["q"] is True
         _, state = netlist.step({"en": True}, state)
         assert state["q"] is False
+
+    @pytest.mark.parametrize("first_name", ["", "g0"])
+    def test_driver_of_any_name_at_any_position(self, node, first_name):
+        """An empty instance name, and the gate at position 0, still
+        drive their nets: neither timing analyzer sees a startpoint."""
+        netlist = Netlist(node)
+        netlist.add_input("a")
+        first = netlist.add_gate("INV", ["a"], "y",
+                                 instance_name=first_name)
+        second = netlist.add_gate("INV", ["y"], "z")
+        assert netlist.driver_of("y") is first
+        assert netlist.driver_of("z") is second
+        assert netlist.driver_of("a") is None
+        assert netlist.driver_of("nowhere") is None
+        path = (first_name, second.name)
+        assert StaticTimingAnalyzer(netlist).analyze().critical_path \
+            == path
+        assert CompiledTimingGraph(netlist).evaluate().critical_path() \
+            == path
 
     def test_primary_outputs_inferred(self, node):
         netlist = Netlist(node)

@@ -1,8 +1,11 @@
 """Tests for the finite-difference substrate mesh."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.perf import cache_registry, clear_caches
 from repro.substrate import SubstrateMesh, SubstrateProcess
 
 
@@ -137,3 +140,107 @@ class TestEpiCoupling:
     def test_contact_rejects_bad_resistance(self, mesh):
         with pytest.raises(ValueError):
             mesh.add_ground_contact(1e-3, 1e-3, resistance=0.0)
+
+
+#: One changed value per SubstrateProcess field.
+PROCESS_CHANGES = {"epi_resistivity": 0.2, "epi_thickness": 6e-6,
+                   "bulk_resistivity": 2e-4, "bulk_thickness": 250e-6,
+                   "backplane_grounded": False, "backside_resistance": 3.0}
+
+
+class TestFactorizationMemo:
+    """Meshes with one definition share one ``splu`` factorization."""
+
+    @pytest.fixture()
+    def memo(self):
+        memo = cache_registry()["substrate.mesh_factorizations"]
+        memo.clear()
+        yield memo
+        memo.clear()
+
+    @staticmethod
+    def build(die=(2e-3, 1.5e-3), nx=12, ny=9,
+              process=SubstrateProcess(), ring=None):
+        mesh = SubstrateMesh(*die, nx=nx, ny=ny, process=process)
+        if ring is not None:
+            mesh.add_guard_ring(*ring, resistance_per_contact=2.0)
+        return mesh
+
+    @staticmethod
+    def impedance_bytes(mesh, sensor=40):
+        return mesh.transfer_impedance_to(sensor).tobytes()
+
+    def test_one_definition_one_factorization(self, memo):
+        ring = (1.2e-3, 0.9e-3, 1.8e-3, 1.4e-3)
+        before = memo.stats
+        first, second = self.build(ring=ring), self.build(ring=ring)
+        assert self.impedance_bytes(first) == self.impedance_bytes(second)
+        assert first._solver is second._solver
+        assert len(memo) == 1
+        after = memo.stats
+        assert (after.misses - before.misses,
+                after.hits - before.hits) == (1, 1)
+
+    @pytest.mark.parametrize("variant", [
+        {"ring": (1.2e-3, 0.9e-3, 1.8e-3, 1.4e-3)},
+        {"nx": 13}, {"ny": 10}, {"die": (2.1e-3, 1.5e-3)},
+        {"die": (2e-3, 1.6e-3)},
+        *({"process": dataclasses.replace(SubstrateProcess(),
+                                          **{name: value})}
+          for name, value in PROCESS_CHANGES.items()),
+    ], ids=["guard-ring", "nx", "ny", "die-width", "die-height",
+            *PROCESS_CHANGES])
+    def test_each_definition_gets_its_own_entry(self, memo, variant):
+        base, other = self.build(), self.build(**variant)
+        base_bytes = self.impedance_bytes(base)
+        assert self.impedance_bytes(other) != base_bytes
+        assert other._solver is not base._solver
+        assert len(memo) == 2
+        assert self.impedance_bytes(self.build()) == base_bytes
+        assert len(memo) == 2
+
+    def test_ground_contact_after_a_solve_refactorizes(self, memo):
+        mesh = self.build()
+        before = self.impedance_bytes(mesh)
+        solver = mesh._solver
+        mesh.add_ground_contact(1.0e-3, 0.7e-3, resistance=0.5)
+        after = self.impedance_bytes(mesh)
+        assert mesh._solver is not solver
+        assert after != before
+        contacted = self.build()
+        contacted.add_ground_contact(1.0e-3, 0.7e-3, resistance=0.5)
+        assert self.impedance_bytes(contacted) == after
+        assert contacted._solver is mesh._solver
+        assert len(memo) == 2
+
+    def test_clear_caches_empties_it(self, memo):
+        mesh = self.build()
+        expected = self.impedance_bytes(mesh)
+        assert len(memo) == 1
+        clear_caches()
+        assert len(memo) == 0
+        fresh = self.build()
+        assert self.impedance_bytes(fresh) == expected
+        assert fresh._solver is not mesh._solver
+        assert len(memo) == 1
+
+    def test_every_process_field_is_changed(self):
+        assert sorted(PROCESS_CHANGES) == sorted(
+            field.name for field in dataclasses.fields(SubstrateProcess))
+
+    def test_bounded(self, memo):
+        for nx in range(4, 6 + memo.maxsize):
+            self.impedance_bytes(self.build(nx=nx, ny=4), sensor=0)
+        assert len(memo) == memo.maxsize
+
+    @pytest.mark.parametrize("ring", [None, (0.2e-3, 0.2e-3, 0.9e-3,
+                                             0.8e-3)])
+    def test_bytes_equal_a_fresh_splu(self, memo, ring):
+        from scipy.sparse.linalg import splu
+
+        for _ in range(2):      # a miss, then a hit
+            mesh = self.build(ring=ring)
+            rhs = np.zeros(mesh.n_nodes + 1)
+            rhs[40] = 1.0
+            expected = splu(mesh.conductance_matrix()).solve(rhs)
+            assert self.impedance_bytes(mesh) == expected.tobytes()
