@@ -24,7 +24,9 @@ key ``event_engine``: the clock tree's compiled and scalar times and
 speedup, and the 50k-gate flow's netlist build, compile, SWAN set-up
 and streaming times and its elapsed time with its run loop's steps
 against the trace's distinct event times (one step per wavefront
-would take at least one step per distinct time).
+would take at least one step per distinct time).  The flow's stage
+times -- netlist, compile, stimulus, SWAN set-up, engine run and
+streaming -- split the whole request.
 """
 
 import time
@@ -82,16 +84,19 @@ def clock_tree(node, fanout=4, depth=6):
 
 
 def soc_workload(target_gates, n_blocks=8, seed=0, n_cycles=N_CYCLES):
-    """The SoC, its stimulus and the netlist's build time [s]."""
+    """The SoC, its stimulus, and the netlist's and the stimulus's
+    build times [s]."""
     node = get_node("65nm")
     start = time.perf_counter()
     netlist = soc_netlist(node, target_gates=target_gates,
                           n_blocks=n_blocks, seed=seed)
     build_s = time.perf_counter() - start
     enables = ["en"] + [f"blk{b}_en" for b in range(n_blocks)]
+    start = time.perf_counter()
     stimulus = random_stimulus(netlist, n_cycles, seed=seed,
                                held_high=enables)
-    return netlist, stimulus, build_s
+    stimulus_s = time.perf_counter() - start
+    return netlist, stimulus, build_s, stimulus_s
 
 
 @pytest.fixture()
@@ -146,7 +151,7 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
                                    monkeypatch):
     """End-to-end 50k-gate activity -> streamed substrate noise,
     no per-event object anywhere on the compiled path."""
-    netlist, stimulus, netlist_s = soc_workload(50_000)
+    netlist, stimulus, netlist_s, stimulus_s = soc_workload(50_000)
     start = time.perf_counter()
     engine = CompiledEventEngine(netlist, clock_period=CLOCK_PERIOD,
                                  event_budget=10_000_000)
@@ -161,6 +166,7 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
         return trace, swan.stream_noise(trace, chunk_events=100_000)
 
     trace, wave = benchmark(flow)
+    run_s = best_of(lambda: engine.run(stimulus, N_CYCLES), repeats=1)
     # Count the run loop's steps (one partition each) in the timed run.
     steps = []
     partition = engine._batch_partition
@@ -179,6 +185,8 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
           f" rms={wave.rms * 1e6:.2f} uV"
           f" netlist={netlist_s * 1e3:.0f} ms"
           f" compile={compile_s * 1e3:.0f} ms"
+          f" stimulus={stimulus_s * 1e3:.1f} ms"
+          f" run={run_s * 1e3:.0f} ms"
           f" swan_init={swan_init_s * 1e3:.0f} ms"
           f" stream={stream_s * 1e3:.0f} ms"
           f" elapsed={elapsed:.2f} s"
@@ -188,6 +196,8 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
         soc_flow_events=trace.n_events,
         soc_flow_netlist_s=round(netlist_s, 3),
         soc_flow_compile_s=round(compile_s, 3),
+        soc_flow_stimulus_s=round(stimulus_s, 4),
+        soc_flow_run_s=round(run_s, 3),
         soc_flow_swan_init_s=round(swan_init_s, 3),
         soc_flow_stream_s=round(stream_s, 3),
         soc_flow_elapsed_s=round(elapsed, 3),
@@ -204,7 +214,7 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
 def test_soc_activity_to_noise_100k_nightly(benchmark,
                                             no_event_objects):
     """Nightly scale point: >= 100k gates through the full flow."""
-    netlist, stimulus, _ = soc_workload(100_000, seed=1)
+    netlist, stimulus, _, _ = soc_workload(100_000, seed=1)
     assert netlist.gate_count() >= 100_000
     engine = CompiledEventEngine(netlist, clock_period=CLOCK_PERIOD,
                                  event_budget=50_000_000)

@@ -10,7 +10,6 @@ control logic.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,60 +23,94 @@ from ..robust.validate import validated
 
 
 class _GateColumns:
-    """Gates collected as cell, input and output columns in insertion
-    order, then added to a netlist in one :meth:`Netlist._add_gates`
-    call with drive 1 and auto-generated instance names.
+    """Gates collected as numbered columns in insertion order, then
+    added to a netlist in one :meth:`Netlist._add_columns` call with
+    drive 1 and auto-generated instance names.
 
-    Columns rather than a list of row tuples: ``zip`` hands the rows
-    over without keeping one tuple per gate alive, which for a 20k-gate
-    SoC would cost an extra full garbage-collection pass per build."""
+    A net gets its id when its name is created -- the next one after
+    the netlist's nets and those created before it -- and gates refer
+    to nets by id only: each appends its cell name, its pin ids and
+    pin count, and its output id.  The names are the only strings; a
+    net the netlist already has is looked up once, by :meth:`ref`.
+    Flat columns rather than one row tuple per gate: a 20k-gate list
+    of row tuples cost an extra full garbage-collection pass per
+    build."""
 
-    def __init__(self) -> None:
+    def __init__(self, netlist: Netlist) -> None:
+        self.netlist = netlist
+        self.base = len(netlist._net_names)
+        self.names: List[str] = []       # net base + k is names[k]
         self.cells: List[str] = []
-        self.inputs: List[Sequence[str]] = []
-        self.outputs: List[str] = []
+        self.pins: List[int] = []
+        self.counts: List[int] = []
+        self.outputs: List[int] = []
 
-    def add(self, cell_name: str, inputs: Sequence[str],
-            output: str) -> str:
+    def net(self, name: str) -> int:
+        """Create the net ``name``; returns its id."""
+        self.names.append(name)
+        return self.base + len(self.names) - 1
+
+    def ref(self, name: str) -> int:
+        """The id of the netlist's net ``name`` (created if it has
+        none)."""
+        net = self.netlist._net_index.get(name)
+        return self.net(name) if net is None else net
+
+    def name_of(self, net: int) -> str:
+        """The name of net ``net``."""
+        if net >= self.base:
+            return self.names[net - self.base]
+        return self.netlist._net_names[net]
+
+    def add(self, cell_name: str, pins: Sequence[int],
+            output: int) -> int:
         """Collect one gate; returns its output net."""
         self.cells.append(cell_name)
-        self.inputs.append(inputs)
+        self.pins += pins
+        self.counts.append(len(pins))
         self.outputs.append(output)
         return output
 
-    def full_adder(self, a: str, b: str, cin: str,
-                   prefix: str) -> Tuple[str, str]:
+    def full_adder(self, a: int, b: int, cin: int,
+                   prefix: str) -> Tuple[int, int]:
         """Collect a full-adder slice; returns (sum_net, carry_net)."""
-        axb, s = f"{prefix}_axb", f"{prefix}_s"
-        and1, and2, cout = (f"{prefix}_and1", f"{prefix}_and2",
-                            f"{prefix}_cout")
+        axb = self.base + len(self.names)
+        s, and1, and2, cout = axb + 1, axb + 2, axb + 3, axb + 4
+        self.names += (f"{prefix}_axb", f"{prefix}_s", f"{prefix}_and1",
+                       f"{prefix}_and2", f"{prefix}_cout")
         self.cells += ("XOR2", "XOR2", "AND2", "AND2", "OR2")
-        self.inputs += ((a, b), (axb, cin), (a, b), (axb, cin),
-                        (and1, and2))
+        self.pins += (a, b, axb, cin, a, b, axb, cin, and1, and2)
+        self.counts += (2, 2, 2, 2, 2)
         self.outputs += (axb, s, and1, and2, cout)
         return s, cout
 
-    def gated_dff(self, enable_net: str, data: str, q: str) -> None:
+    def gated_dff(self, clock_enable: int, enable: int, data: int,
+                  q: int) -> None:
         """Collect a register with MUX2 recirculation clock gating:
-        ``q`` holds while ``enable_net`` is low."""
-        d = f"{q}_d"
+        ``q`` holds while ``enable`` is low.  The DFF's first pin
+        reads ``clock_enable``."""
+        names = self.names
+        d = self.base + len(names)
+        names.append(f"{self.name_of(q)}_d")
         self.cells += ("MUX2", "DFF")
-        self.inputs += ((enable_net, q, data), ("en", d))
+        self.pins += (enable, q, data, clock_enable, d)
+        self.counts += (3, 2)
         self.outputs += (d, q)
 
-    def lower(self, netlist: Netlist) -> None:
-        """Add the collected gates to ``netlist``."""
-        netlist._add_gates(zip(self.cells, self.inputs, self.outputs,
-                               repeat(1.0), repeat(None)))
+    def lower(self) -> None:
+        """Add the collected gates to the netlist."""
+        self.netlist._add_columns(self.base, self.names, self.cells,
+                                  self.pins, self.counts, self.outputs)
 
 
 def full_adder(netlist: Netlist, a: str, b: str, cin: str,
                prefix: str) -> tuple:
     """Add a full-adder slice; returns (sum_net, carry_net)."""
-    gates = _GateColumns()
-    s, cout = gates.full_adder(a, b, cin, prefix)
-    gates.lower(netlist)
-    return s, cout
+    gates = _GateColumns(netlist)
+    s, cout = gates.full_adder(gates.ref(a), gates.ref(b), gates.ref(cin),
+                               prefix)
+    gates.lower()
+    return gates.name_of(s), gates.name_of(cout)
 
 
 def ripple_adder(node: TechnologyNode, width: int = 8,
@@ -189,14 +222,20 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
     ``target_gates`` (unbounded fanout would push loaded gate delays
     past a clock period, silently squashing the very activity the
     workload exists to produce).
+
+    The SoC is numbered where it is created: each net gets its id when
+    its name is made, the gates refer to nets by id, and the whole SoC
+    reaches the netlist as one batch of numbered columns
+    (:meth:`Netlist._add_columns`), so the build looks up only the
+    primary inputs by name.  The RNG calls are the same, in the same
+    order, as when the gates went in as string rows.
     """
     if not 0.0 <= glue_fraction < 1.0:
         raise ModelDomainError(
             f"glue_fraction must be in [0, 1), got {glue_fraction}")
     rng = resolve_rng(rng, seed=seed)
     netlist = Netlist(node, name)
-    zero = "zero"
-    netlist.add_inputs(["en", zero]
+    netlist.add_inputs(["en", "zero"]
                        + [f"blk{b}_en" for b in range(n_blocks)])
     comb_cells = ["INV", "NAND2", "NOR2", "AND2", "OR2", "XOR2",
                   "NAND3", "AOI21"]
@@ -209,23 +248,24 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
     slice_cost = 7 * adder_width
     logic_budget = int(gates_per_block * (1.0 - glue_fraction))
     n_slices = max((logic_budget - source_cost) // slice_cost, 1)
-    gates = _GateColumns()
+    gates = _GateColumns(netlist)
+    en, zero = gates.ref("en"), gates.ref("zero")
 
-    def source_bank(prefix: str, enable_net: str) -> List[str]:
+    def source_bank(prefix: str, enable: int) -> List[int]:
         """XNOR-feedback shift register (pseudo-random sources)."""
-        src = [f"{prefix}_src{i}" for i in range(n_src)]
+        src = [gates.net(f"{prefix}_src{i}") for i in range(n_src)]
         feedback = gates.add("XNOR2", (src[-1], src[n_src // 2]),
-                             f"{prefix}_fb")
-        gates.gated_dff(enable_net, feedback, src[0])
+                             gates.net(f"{prefix}_fb"))
+        gates.gated_dff(en, enable, feedback, src[0])
         for i in range(1, n_src):
-            gates.gated_dff(enable_net, src[i - 1], src[i])
+            gates.gated_dff(en, enable, src[i - 1], src[i])
         return src
 
     for b in range(n_blocks):
-        blk_en = f"blk{b}_en"
+        blk_en = gates.ref(f"blk{b}_en")
         src = source_bank(f"b{b}k0", blk_en)
         used = source_cost
-        registered: List[str] = []
+        registered: List[int] = []
         for s in range(n_slices):
             if s and s % slices_per_bank == 0:
                 src = source_bank(f"b{b}k{s // slices_per_bank}",
@@ -238,8 +278,8 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
                 c = src[perm[(i + adder_width) % n_src]]
                 total, carry = gates.full_adder(a, c, carry,
                                                 f"b{b}_s{s}_fa{i}")
-                q = f"b{b}_s{s}_r{i}"
-                gates.gated_dff(blk_en, total, q)
+                q = gates.net(f"b{b}_s{s}_r{i}")
+                gates.gated_dff(en, blk_en, total, q)
                 registered.append(q)
             used += slice_cost
         # Random glue logic on the block's registered nets; each
@@ -253,8 +293,8 @@ def soc_netlist(node: TechnologyNode, target_gates: int = 20_000,
             pins = [block_nets[int(rng.integers(len(block_nets)))]
                     for _ in range(n_pins)]
             block_nets.append(gates.add(cell_name, pins,
-                                        f"b{b}_glue{g}"))
-    gates.lower(netlist)
+                                        gates.net(f"b{b}_glue{g}")))
+    gates.lower()
     return netlist
 
 

@@ -9,22 +9,34 @@ named nets.  It is consumed by the static timing analyzer
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..technology.node import TechnologyNode
-from .gates import Cell, make_cell
+from .gates import CELL_TYPES, Cell, make_cell
 from ..robust.errors import ModelDomainError
 
 #: One gate for :meth:`Netlist._add_gates`: (cell name, input nets,
 #: output net or None, drive, instance name or None).
 _GateRow = Tuple[str, Sequence[str], Optional[str], float, Optional[str]]
 
+#: Fewest gates :meth:`Netlist._add_columns` checks as one batch; fewer
+#: go in as string rows, which costs less than the batch's array calls.
+_MIN_BATCH = 32
 
-@dataclass
+
+@dataclass(frozen=True)
 class Instance:
-    """One placed gate: a cell with named input nets and an output net."""
+    """One placed gate: a cell with named input nets and an output net.
+
+    Frozen: it reads one gate of its netlist, and assigning to a field
+    would silently part it from the netlist's own columns.
+    """
 
     name: str
     cell: Cell
@@ -42,26 +54,30 @@ class _InstanceView(Mapping):
 
     ``len``, iteration (names in insertion order) and ``in`` read the
     columns and build nothing.  An :class:`Instance` is built on the
-    first read of its item and kept, so every read of one gate returns
-    the same object; once every gate has been read, :meth:`values` and
-    :meth:`items` copy the kept list.  Both return lists, snapshots in
-    insertion order.  The view holds the columns themselves, which the
-    netlist only ever appends to, and no reference back to the netlist,
-    so a dropped netlist is freed without waiting for the cyclic
-    garbage collector.
+    first read of its item, its net ids named through the net table,
+    and kept, so every read of one gate returns the same object; once
+    every gate has been read, :meth:`values` and :meth:`items` copy
+    the kept list.  Both return lists, snapshots in insertion order.
+    The view holds the columns themselves, which the netlist only
+    ever appends to, and no reference back to the netlist, so a
+    dropped netlist is freed without waiting for the cyclic garbage
+    collector.
     """
 
-    __slots__ = ("_names", "_pins", "_outputs", "_kinds", "_cells",
-                 "_position", "_built", "_n_built")
+    __slots__ = ("_names", "_pins", "_pin_end", "_outputs", "_kinds",
+                 "_cells", "_net_names", "_position", "_built",
+                 "_n_built")
 
-    def __init__(self, names: List[str], pins: List[Tuple[str, ...]],
-                 outputs: List[str], kinds: List[int], cells: List[Cell],
-                 position: Dict[str, int]):
+    def __init__(self, names: List[str], pins: array, pin_end: array,
+                 outputs: array, kinds: array, cells: List[Cell],
+                 net_names: List[str], position: Dict[str, int]):
         self._names = names
         self._pins = pins
+        self._pin_end = pin_end
         self._outputs = outputs
         self._kinds = kinds
         self._cells = cells
+        self._net_names = net_names
         self._position = position
         # Instance of each position read so far (None: not yet), and
         # how many are built; the list grows on demand.
@@ -87,11 +103,15 @@ class _InstanceView(Mapping):
             built.extend([None] * (position + 1 - len(built)))
         instance = built[position]
         if instance is None:
+            net_names = self._net_names
+            pin_end = self._pin_end
+            start = pin_end[position - 1] if position else 0
             instance = built[position] = Instance(
                 self._names[position],
                 self._cells[self._kinds[position]],
-                self._pins[position],
-                self._outputs[position])
+                tuple([net_names[net]
+                       for net in self._pins[start:pin_end[position]]]),
+                net_names[self._outputs[position]])
             self._n_built += 1
         return instance
 
@@ -115,17 +135,24 @@ class _InstanceView(Mapping):
 class Netlist:
     """A combinational / sequential gate-level netlist.
 
-    Nets are plain strings; primary inputs are declared explicitly,
+    Nets are named by strings; primary inputs are declared explicitly,
     every instance output defines its net, and any net that is never
     consumed is a primary output unless declared otherwise.
 
-    Gates are kept as columns in insertion order -- names, pin tuples,
-    output nets and a kind index into one shared :class:`Cell` per
-    (cell name, drive type, drive) -- plus a name -> position index.
-    :attr:`instances` is a read-only mapping over those columns that
-    builds an :class:`Instance` only when one is read, so a flow that
-    lowers the netlist to arrays (the compiled event engine, the SWAN
-    placement) never builds one.
+    Every net is numbered once, when it is created: a net table maps
+    ids to names, its index maps names to ids, and a per-net column
+    holds the position of the net's driving gate.  Gates are kept as
+    columns in insertion order -- names, pins as net ids (one flat
+    column and each gate's end offset in it), output net ids and a
+    kind index into one shared :class:`Cell` per (cell name, drive
+    type, drive) -- plus a name -> position index.  Ids follow
+    creation; :attr:`nets` orders the nets by first sight after the
+    primary inputs, an order that :meth:`_net_order` computes once per
+    netlist state with array passes and that the compiled event engine
+    shares.  :attr:`instances` is a read-only mapping over the columns
+    that builds an :class:`Instance` only when one is read, so a flow
+    that lowers the netlist to arrays (the compiled event engine, the
+    SWAN placement) builds none and looks up no net by name.
 
     Examples
     --------
@@ -142,24 +169,35 @@ class Netlist:
         self.name = name
         self.primary_inputs: List[str] = []
         self._declared_outputs: List[str] = []
-        self._net_driver: Dict[str, str] = {}
+        # The net table: id -> name, name -> id, and the position of
+        # each net's driving gate (-1: none).
+        self._net_names: List[str] = []
+        self._net_index: Dict[str, int] = {}
+        self._net_driver = array("q")
         # One immutable Cell per kind -- (cell name, drive type, drive)
         # -- shared by every instance of that kind: _kinds maps the key
         # to the kind's index in _kind_cells.
         self._kinds: Dict[Tuple[str, type, float], int] = {}
         self._kind_cells: List[Cell] = []
         # The gate columns, in insertion order, and name -> position.
+        # Gate g's pins are the net ids of _gate_pins from the previous
+        # gate's end offset up to _gate_pin_end[g].
         self._gate_names: List[str] = []
-        self._gate_pins: List[Tuple[str, ...]] = []
-        self._gate_outputs: List[str] = []
-        self._gate_kind: List[int] = []
+        self._gate_pins = array("q")
+        self._gate_pin_end = array("q")
+        self._gate_outputs = array("q")
+        self._gate_kind = array("q")
         self._gate_position: Dict[str, int] = {}
         self._instances = _InstanceView(
-            self._gate_names, self._gate_pins, self._gate_outputs,
-            self._gate_kind, self._kind_cells, self._gate_position)
+            self._gate_names, self._gate_pins, self._gate_pin_end,
+            self._gate_outputs, self._gate_kind, self._kind_cells,
+            self._net_names, self._gate_position)
         self._counter = 0
         self._loads_cache: Optional[Dict[str, List[int]]] = None
         self._topo_cache: Optional[List[Instance]] = None
+        self._order_cache: Optional[Tuple[np.ndarray,
+                                          Tuple[str, ...]]] = None
+        self._kind_cache: Optional[np.ndarray] = None
 
     @property
     def instances(self) -> Mapping[str, Instance]:
@@ -176,15 +214,22 @@ class Netlist:
         """Drop derived structure after a mutation."""
         self._loads_cache = None
         self._topo_cache = None
+        self._order_cache = None
+        self._kind_cache = None
 
     # --- construction -----------------------------------------------------
 
     def add_input(self, net: str) -> str:
         """Declare a primary input net."""
-        if net in self._net_driver:
+        net_id = self._net_index.get(net)
+        if net_id is not None and self._net_driver[net_id] >= 0:
             raise ModelDomainError(f"net {net!r} is already driven")
         if net in self.primary_inputs:
             raise ModelDomainError(f"input {net!r} already declared")
+        if net_id is None:
+            self._net_index[net] = len(self._net_names)
+            self._net_names.append(net)
+            self._net_driver.append(-1)
         self.primary_inputs.append(net)
         self._invalidate_caches()
         return net
@@ -210,7 +255,7 @@ class Netlist:
 
     def _add_gates(self, rows: Iterable[_GateRow]) -> None:
         """Add gates given as ``(cell_name, inputs, output, drive,
-        instance_name)`` rows, in order.
+        instance_name)`` rows of names, in order.
 
         Each row is one :meth:`add_gate` call: the same checks in the
         same order, the same errors and auto-generated names.  Rows of
@@ -219,18 +264,22 @@ class Netlist:
         raised any unknown-cell or drive error when it was built.  A
         bad row raises with every row before it added.
 
-        A row that passes every check appends to each gate column
-        (name, pins, output, kind) and to the name index; no row
-        builds an :class:`Instance`.  The columns stay in step after a
-        bad row, and the compiled event engine and the SWAN placement
-        read them directly.
+        A row that passes every check numbers its nets, pins then
+        output -- a name the net table lacks gets the next id -- and
+        appends to each gate column (name, pin ids and end offset,
+        output id, kind) and to the name index; no row builds an
+        :class:`Instance`.  A bad row numbers nothing, so the columns
+        and the net table stay in step after it.
         """
         node = self.node
-        net_driver = self._net_driver
+        net_names = self._net_names
+        net_index = self._net_index
+        driver = self._net_driver
         kinds = self._kinds
         kind_cells = self._kind_cells
         names = self._gate_names
         pin_column = self._gate_pins
+        pin_end = self._gate_pin_end
         outputs = self._gate_outputs
         gate_kind = self._gate_kind
         position = self._gate_position
@@ -240,7 +289,9 @@ class Netlist:
             counter = self._counter
             if output is None:
                 output = f"n{counter}"
-            if output in net_driver or output in primary_inputs:
+            out_net = net_index.get(output)
+            if (out_net is not None and driver[out_net] >= 0) \
+                    or output in primary_inputs:
                 raise ModelDomainError(f"net {output!r} is already driven")
             if name is None:
                 name = f"u{counter}"
@@ -260,38 +311,217 @@ class Netlist:
                 raise ModelDomainError(
                     f"{cell_name} takes {cell_type.n_inputs} inputs, "
                     f"got {len(pins)}")
-            position[name] = len(names)
+            gate = len(names)
+            position[name] = gate
             names.append(name)
-            pin_column.append(tuple(pins))
-            outputs.append(output)
+            for net in pins:
+                net_id = net_index.get(net)
+                if net_id is None:
+                    net_id = net_index[net] = len(net_names)
+                    net_names.append(net)
+                    driver.append(-1)
+                pin_column.append(net_id)
+            pin_end.append(len(pin_column))
+            # Looked up again: one of the gate's own pins may name it.
+            out_net = net_index.get(output)
+            if out_net is None:
+                net_index[output] = len(net_names)
+                net_names.append(output)
+                driver.append(gate)
+                outputs.append(len(net_names) - 1)
+            else:
+                driver[out_net] = gate
+                outputs.append(out_net)
             gate_kind.append(kind)
-            net_driver[output] = name
+
+    def _add_columns(self, base: int, net_names: Sequence[str],
+                     cells: Sequence[str], pins: Sequence[int],
+                     pin_counts: Sequence[int],
+                     outputs: Sequence[int]) -> None:
+        """Add auto-named, drive-1 gates given as numbered columns.
+
+        ``net_names`` names new nets, numbered from ``base`` on (the
+        netlist's net count when the columns were started); ``pins``
+        (flat, ``pin_counts`` of them per gate) and ``outputs`` are net
+        ids, below ``base`` for nets the netlist already has.  Gate k
+        is the row ``(cells[k], its pins, outputs[k], 1.0, None)``.
+
+        A batch of at least ``_MIN_BATCH`` gates is checked at once
+        (:meth:`_append_columns`) and, if it passes, appended as it is.
+        Otherwise the gates go through :meth:`_add_gates` as string
+        rows, so a bad gate's error, its message, the gates added
+        before it and the counter are exactly what :meth:`add_gate`
+        gives.
+        """
+        if len(cells) >= _MIN_BATCH and self._append_columns(
+                base, net_names, cells, pins, pin_counts, outputs):
+            return
+        known = self._net_names
+        pin_names = [known[net] if net < base else net_names[net - base]
+                     for net in pins]
+        self._add_gates(
+            (cell_name, pin_names[end - count:end],
+             known[output] if output < base else net_names[output - base],
+             1.0, None)
+            for cell_name, count, end, output in zip(
+                cells, pin_counts, itertools.accumulate(pin_counts),
+                outputs))
+
+    def _append_columns(self, base: int, net_names: Sequence[str],
+                        cells: Sequence[str], pins: Sequence[int],
+                        pin_counts: Sequence[int],
+                        outputs: Sequence[int]) -> bool:
+        """Check numbered columns as one batch and append them if they
+        pass; returns whether they did.
+
+        The checks are the rows' own, made with array and set
+        operations: the net ids index the net table or the new names,
+        the new names are distinct and new to the netlist, every output
+        is a new net and none repeats (so none is a primary input or
+        already driven), the instance names the rows would take are
+        free, every cell is known and each gate's pin count is its
+        cell's.  The kinds the batch uses are then made in the order of
+        their first use, as the rows would make them.  A batch that
+        fails changes nothing.
+        """
+        n_gates = len(cells)
+        n_new = len(net_names)
+        pin_ids = np.fromiter(pins, np.int64, len(pins))
+        counts = np.fromiter(pin_counts, np.int64, n_gates)
+        out_ids = np.fromiter(outputs, np.int64, n_gates)
+        first = self._counter
+        gate_names = [f"u{counter}"
+                      for counter in range(first, first + n_gates)]
+        new_index = dict(zip(net_names, range(base, base + n_new)))
+        # The distinct cells in order of first use, and each gate's.
+        code_of = dict.fromkeys(cells)
+        for k, cell_name in enumerate(code_of):
+            code_of[cell_name] = k
+        code = np.fromiter(map(code_of.__getitem__, cells), np.int64,
+                           n_gates)
+        fresh = out_ids - base
+        position = self._gate_position
+        if not (base == len(self._net_names)
+                and counts.sum() == pin_ids.size
+                and pin_ids.min(initial=0) >= 0
+                and pin_ids.max(initial=0) < base + n_new
+                and fresh.min(initial=0) >= 0
+                and fresh.max(initial=0) < n_new
+                and np.bincount(fresh).max(initial=0) <= 1
+                and len(new_index) == n_new
+                and self._net_index.keys().isdisjoint(new_index.keys())
+                and (not position
+                     or position.keys().isdisjoint(gate_names))
+                and all(cell_name in CELL_TYPES for cell_name in code_of)
+                and np.array_equal(counts, np.array(
+                    [CELL_TYPES[cell_name].n_inputs
+                     for cell_name in code_of], dtype=np.int64)[code])):
+            return False
+        kinds = self._kinds
+        kind_cells = self._kind_cells
+        kind_of_code = np.empty(len(code_of), dtype=np.int64)
+        for k, cell_name in enumerate(code_of):
+            key = (cell_name, float, 1.0)
+            kind = kinds.get(key)
+            if kind is None:
+                kind = kinds[key] = len(kind_cells)
+                kind_cells.append(make_cell(cell_name, self.node, 1.0))
+            kind_of_code[k] = kind
+        self._invalidate_caches()
+        start = len(self._gate_names)
+        self._counter = first + n_gates
+        self._net_names += net_names
+        self._net_index.update(new_index)
+        driver = np.full(n_new, -1, dtype=np.int64)
+        driver[fresh] = np.arange(start, start + n_gates)
+        self._net_driver.frombytes(driver.tobytes())
+        self._gate_names += gate_names
+        position.update(zip(gate_names, range(start, start + n_gates)))
+        self._gate_pin_end.frombytes(
+            (np.cumsum(counts) + len(self._gate_pins)).tobytes())
+        self._gate_pins.frombytes(pin_ids.tobytes())
+        self._gate_outputs.frombytes(out_ids.tobytes())
+        self._gate_kind.frombytes(kind_of_code[code].tobytes())
+        return True
 
     # --- structure queries --------------------------------------------------
 
+    def _net_order(self) -> Tuple[np.ndarray, Tuple[str, ...]]:
+        """Each net id's position in :attr:`nets` (-1: not a net of any
+        gate or input), and the net names in that order.
+
+        The order is first sight over the primary inputs, then each
+        gate's pins and output in insertion order, computed with array
+        passes: the sighting sequence of net ids, each id's first
+        sighting (a ``minimum.at`` scatter) and the sightings that are
+        first ones.  Cached until a mutation.
+        """
+        if self._order_cache is None:
+            net_index = self._net_index
+            n_ids = len(self._net_names)
+            pins = np.array(self._gate_pins, dtype=np.int64)
+            outputs = np.array(self._gate_outputs, dtype=np.int64)
+            # Gate g's output follows its pins: the pins of gates 0..g
+            # and the outputs of the g gates before it.
+            out_at = (np.array(self._gate_pin_end, dtype=np.int64)
+                      + np.arange(outputs.size))
+            is_pin = np.ones(pins.size + outputs.size, dtype=bool)
+            is_pin[out_at] = False
+            n_inputs = len(self.primary_inputs)
+            sighting = np.empty(n_inputs + is_pin.size, dtype=np.int64)
+            sighting[:n_inputs] = [net_index[net]
+                                   for net in self.primary_inputs]
+            body = sighting[n_inputs:]
+            body[out_at] = outputs
+            body[is_pin] = pins
+            first = np.full(n_ids, sighting.size, dtype=np.int64)
+            np.minimum.at(first, sighting, np.arange(sighting.size))
+            is_first = np.zeros(sighting.size, dtype=bool)
+            is_first[first[first < sighting.size]] = True
+            order = sighting[is_first]
+            rank = np.full(n_ids, -1, dtype=np.int64)
+            rank[order] = np.arange(order.size)
+            rank.flags.writeable = False
+            net_names = self._net_names
+            self._order_cache = (rank, tuple([net_names[net]
+                                              for net in order.tolist()]))
+        return self._order_cache
+
+    def _kind_array(self) -> np.ndarray:
+        """The kind column as one read-only int64 array, cached until a
+        mutation: the compile and the SWAN placement share it."""
+        if self._kind_cache is None:
+            kind = np.array(self._gate_kind, dtype=np.int64)
+            kind.flags.writeable = False
+            self._kind_cache = kind
+        return self._kind_cache
+
     @property
     def nets(self) -> List[str]:
-        """All nets in the design."""
-        seen = dict.fromkeys(self.primary_inputs)
-        for pins, output in zip(self._gate_pins, self._gate_outputs):
-            for net in pins:
-                seen.setdefault(net)
-            seen.setdefault(output)
-        return list(seen)
+        """All nets in the design: the primary inputs, then every other
+        net at its first sight in a gate's pins then output, in
+        insertion order."""
+        return list(self._net_order()[1])
 
     @property
     def primary_outputs(self) -> List[str]:
         """Declared outputs, or nets nothing consumes."""
         if self._declared_outputs:
             return list(self._declared_outputs)
-        consumed = {net for pins in self._gate_pins for net in pins}
-        return [output for output in self._gate_outputs
-                if output not in consumed]
+        outputs = np.array(self._gate_outputs, dtype=np.int64)
+        consumed = np.zeros(len(self._net_names), dtype=bool)
+        consumed[np.array(self._gate_pins, dtype=np.int64)] = True
+        net_names = self._net_names
+        return [net_names[net]
+                for net in outputs[~consumed[outputs]].tolist()]
 
     def driver_of(self, net: str) -> Optional[Instance]:
         """Instance driving ``net`` (None for primary inputs)."""
-        name = self._net_driver.get(net)
-        return None if name is None else self._instances[name]
+        net_id = self._net_index.get(net)
+        if net_id is None:
+            return None
+        position = self._net_driver[net_id]
+        return None if position < 0 else self._instances._at(position)
 
     def _net_loads(self) -> Dict[str, List[int]]:
         """net -> positions of the gates loading it, in insertion order.
@@ -302,15 +532,20 @@ class Netlist:
         net on several pins of one gate loads that gate once.
         """
         if self._loads_cache is None:
-            net_loads: Dict[str, List[int]] = {}
-            for position, pins in enumerate(self._gate_pins):
-                for net in pins:
-                    loads = net_loads.get(net)
+            pins = self._gate_pins
+            by_id: Dict[int, List[int]] = {}
+            start = 0
+            for position, end in enumerate(self._gate_pin_end):
+                for net in pins[start:end]:
+                    loads = by_id.get(net)
                     if loads is None:
-                        net_loads[net] = [position]
+                        by_id[net] = [position]
                     elif loads[-1] != position:
                         loads.append(position)
-            self._loads_cache = net_loads
+                start = end
+            net_names = self._net_names
+            self._loads_cache = {net_names[net]: loads
+                                 for net, loads in by_id.items()}
         return self._loads_cache
 
     def loads_of(self, net: str) -> List[Instance]:
@@ -330,13 +565,16 @@ class Netlist:
         same order, so the two agree bit for bit on every Python.
         """
         loads = self._net_loads().get(net, ())
+        net_id = self._net_index.get(net)
         cells = self._kind_cells
         gate_kind = self._gate_kind
-        gate_pins = self._gate_pins
+        pins = self._gate_pins
+        pin_end = self._gate_pin_end
         pin_cap = 0.0
         for position in loads:
+            start = pin_end[position - 1] if position else 0
             pin_cap += (cells[gate_kind[position]].input_capacitance
-                        * gate_pins[position].count(net))
+                        * pins[start:pin_end[position]].count(net_id))
         return pin_cap + wire_cap_per_fanout * max(len(loads), 1)
 
     def gate_count(self) -> int:
@@ -368,9 +606,11 @@ class Netlist:
 
     def _kahn_order(self) -> List[int]:
         """Gate positions in :meth:`topological_order`."""
-        net_driver = self._net_driver
+        driver = self._net_driver
+        net_names = self._net_names
         net_loads = self._net_loads()
         outputs = self._gate_outputs
+        pins = self._gate_pins
         sequential = [cell.cell_type.is_sequential
                       for cell in self._kind_cells]
         # Unvisited driver count of each combinational gate with any;
@@ -378,10 +618,12 @@ class Netlist:
         # nets are distinct drivers.
         pending: Dict[int, int] = {}
         generation: List[int] = []
-        for position, (kind, pins) in enumerate(
-                zip(self._gate_kind, self._gate_pins)):
+        start = 0
+        for position, (kind, end) in enumerate(
+                zip(self._gate_kind, self._gate_pin_end)):
             count = 0 if sequential[kind] else len(
-                {net for net in pins if net in net_driver})
+                {net for net in pins[start:end] if driver[net] >= 0})
+            start = end
             if count:
                 pending[position] = count
             else:
@@ -391,7 +633,8 @@ class Netlist:
             following: List[int] = []
             for position in generation:
                 order.append(position)
-                for load in net_loads.get(outputs[position], ()):
+                for load in net_loads.get(net_names[outputs[position]],
+                                          ()):
                     count = pending.get(load)
                     if count is None:       # sequential: in-edges cut
                         continue

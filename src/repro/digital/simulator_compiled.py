@@ -60,7 +60,8 @@ calls, without ever materializing per-event Python objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,6 +89,35 @@ _NO_GATES.flags.writeable = False
 _LOOKAHEAD = 4096
 
 
+class _FinalValues:
+    """The net values a run ends with, as the dict
+    :attr:`EventTrace.final_values` reads: built from the run's final
+    value array on first read and kept.  Its keys are the netlist's
+    nets in order, then the run-only nets at ``extras`` (slots of the
+    value array), each net mapped to its final value."""
+
+    __slots__ = ("_names", "_values", "_n_nets", "_extras", "_dict")
+
+    def __init__(self, names: Tuple[str, ...], values: np.ndarray,
+                 n_nets: int, extras: List[int]):
+        self._names = names
+        self._values = values
+        self._n_nets = n_nets
+        self._extras = extras
+        self._dict: Optional[Dict[str, bool]] = None
+
+    def get(self) -> Dict[str, bool]:
+        """The final values, built on the first call."""
+        if self._dict is None:
+            names = self._names
+            values = self._values
+            final = dict(zip(names, values[:self._n_nets].tolist()))
+            for slot in self._extras:
+                final[names[slot]] = bool(values[slot])
+            self._dict = final
+        return self._dict
+
+
 @dataclass
 class EventTrace:
     """A switching-event stream in struct-of-arrays form.
@@ -97,7 +127,9 @@ class EventTrace:
     ``values[k]``, ``source_indices[k]``) plus the name tables that
     decode the integer columns.  ``source_indices`` holds the driving
     gate's position in netlist insertion order, or ``-1`` for a
-    primary-input event.
+    primary-input event.  :attr:`final_values` is built from the
+    run's final value array when it is first read, so a flow that
+    never reads it (the SWAN flow) builds no per-net dict.
 
     Accessors mirror the scalar result; :meth:`to_events` /
     :meth:`to_result` materialize the object form for legacy
@@ -111,8 +143,14 @@ class EventTrace:
     source_indices: np.ndarray   # (n_events,) gate index or -1
     net_names: Tuple[str, ...]
     instance_names: Tuple[str, ...]
-    final_values: Dict[str, bool]
     duration: float
+    _final: _FinalValues = field(repr=False)
+
+    @property
+    def final_values(self) -> Dict[str, bool]:
+        """Each net's value at the end of the run: the netlist's nets
+        in order, then the run-only nets the run set or wrote."""
+        return self._final.get()
 
     @property
     def n_events(self) -> int:
@@ -161,8 +199,8 @@ class EventTrace:
             source_indices=self.source_indices[start:stop],
             net_names=self.net_names,
             instance_names=self.instance_names,
-            final_values=self.final_values,
-            duration=self.duration)
+            duration=self.duration,
+            _final=self._final)
 
     def chunks(self, chunk_events: int) -> Iterator["EventTrace"]:
         """Yield consecutive :meth:`event_range` slices of at most
@@ -335,38 +373,31 @@ class CompiledEventEngine:
         calls.
 
         Nets are numbered in :attr:`Netlist.nets` order and gates in
-        insertion order, both read from the netlist's gate columns
-        (names, pins, outputs and kinds), so no :class:`Instance` is
-        built.  Each gate's kind -- the netlist's shared
-        :class:`Cell`, whose gates share one truth table, pin count,
-        pin capacitance and delay model -- comes from the kind column,
-        so the one Python pass over the gates only numbers the nets of
-        each gate's pins and output.  Everything else is array work:
-        the distinct input pins, the net->loads CSR, a fold of each
-        driven net's load caps with one step per fanout position, one
-        array-valued :meth:`Cell.delay` call per kind in use, and a
-        generational Kahn pass that orders the settle levels.
+        insertion order.  The netlist keeps its pins and outputs as net
+        ids and ranks each id by its first sight after the primary
+        inputs (:meth:`Netlist._net_order`, shared with ``nets``), so
+        the fanin and output tables are gathers through that rank: no
+        net is looked up by name and no :class:`Instance` is built.
+        Each gate's kind -- the netlist's shared :class:`Cell`, whose
+        gates share one truth table, pin count, pin capacitance and
+        delay model -- comes from the netlist's kind array.  Everything
+        else is array work too: the distinct input pins, the net->loads
+        CSR, a fold of each driven net's load caps with one step per
+        fanout position, one array-valued :meth:`Cell.delay` call per
+        kind in use, and a generational Kahn pass that orders the
+        settle levels.
         """
         netlist = self.netlist
         self._instance_names: Tuple[str, ...] = tuple(netlist._gate_names)
         n_gates = len(self._instance_names)
         self.n_gates = n_gates
         kind_cells = netlist._kind_cells
-        kind = np.array(netlist._gate_kind, dtype=np.int64)
-
-        # The one pass over the gates.  Numbering each net at its first
-        # sight after the primary inputs is the Netlist.nets order.
-        net_of = {net: k for k, net in enumerate(netlist.primary_inputs)}
-        number = net_of.setdefault
-        out_list: List[int] = []
-        fanin_list: List[int] = []
-        for pins, output in zip(netlist._gate_pins, netlist._gate_outputs):
-            for net in pins:
-                fanin_list.append(number(net, len(net_of)))
-            out_list.append(number(output, len(net_of)))
-        self._net_of = net_of
-        self._net_names: Tuple[str, ...] = tuple(net_of)
-        n_nets = len(net_of)
+        kind = netlist._kind_array()
+        rank, self._net_names = netlist._net_order()
+        self._net_rank = rank
+        # The run's value names: the nets, then the padding slot.
+        self._value_names = self._net_names + ("<pad>",)
+        n_nets = len(self._net_names)
 
         # 8-entry truth table per cell type: 3 inputs max in the
         # library, padded pins read the always-False dummy net.
@@ -391,12 +422,14 @@ class CompiledEventEngine:
 
         dummy = n_nets            # always-False padding slot
         self._dummy = dummy
-        out_net = np.array(out_list, dtype=np.int64)
-        # The netlist checked every gate's pin count against its cell.
+        out_net = rank[np.array(netlist._gate_outputs, dtype=np.int64)]
+        # The netlist checked every gate's pin count against its cell,
+        # and keeps the pins flat in gate-then-pin order.
         n_inputs = np.array([cell.cell_type.n_inputs
                              for cell in kind_cells], dtype=np.int64)[kind]
         fanin = np.full((n_gates, 3), dummy, dtype=np.int64)
-        fanin[np.arange(3) < n_inputs[:, None]] = fanin_list
+        fanin[np.arange(3) < n_inputs[:, None]] = rank[
+            np.array(netlist._gate_pins, dtype=np.int64)]
 
         # Distinct (gate, net) input pins in gate-then-pin order: a net
         # on several pins of one gate is one load of that net, with its
@@ -519,11 +552,20 @@ class CompiledEventEngine:
 
         # Nets that are neither driven nor primary inputs read as
         # False during the settle even if an initial state set them.
+        # The primary inputs are the first nets.
         self._primary_inputs = list(netlist.primary_inputs)
         known = np.zeros(n_nets, dtype=bool)
-        known[[net_of[net] for net in self._primary_inputs]] = True
+        known[:len(self._primary_inputs)] = True
         known[out_net] = True
         self._floating = np.flatnonzero(~known)
+
+    def _net_position(self, name: str) -> int:
+        """Net ``name``'s index in the compiled value array, or -1 when
+        the compiled netlist has no such net."""
+        net = self.netlist._net_index.get(name)
+        if net is None or net >= self._net_rank.size:
+            return -1
+        return int(self._net_rank[net])
 
     # --- evaluation helpers ----------------------------------------------
 
@@ -603,27 +645,24 @@ class CompiledEventEngine:
 
         # Value-array layout: netlist nets, the always-False dummy
         # padding slot, then any run-only nets named by the stimulus
-        # or initial state but absent from the netlist.
+        # or initial state but absent from the netlist, in order.
         n_base = len(self._net_names)
+        slots: Dict[str, int] = {}
         extra_names: List[str] = []
-        seen = set(self._net_of)
-        for name in list(stimulus) + list(initial_state or {}):
-            if name not in seen:
-                extra_names.append(name)
-                seen.add(name)
-        extra_of = {name: n_base + 1 + k
-                    for k, name in enumerate(extra_names)}
-        value_names = (list(self._net_names) + ["<pad>"] + extra_names)
+        for name in itertools.chain(stimulus, initial_state or ()):
+            if name not in slots:
+                index = self._net_position(name)
+                if index < 0:
+                    index = n_base + 1 + len(extra_names)
+                    extra_names.append(name)
+                slots[name] = index
+        value_names = self._value_names + tuple(extra_names)
         n_values = n_base + 1 + len(extra_names)
-
-        def slot(name: str) -> int:
-            index = self._net_of.get(name)
-            return extra_of[name] if index is None else index
 
         values = np.zeros(n_values, dtype=bool)
         if initial_state:
             for net, val in initial_state.items():
-                values[slot(net)] = bool(val)
+                values[slots[net]] = bool(val)
         self._settle(values)
 
         # Extend the loads CSR with empty rows for pad + extra nets.
@@ -635,13 +674,13 @@ class CompiledEventEngine:
         reach[:n_base] = self._reach
         out_net = self._out_net
         delays = self._delays
-        initial_keys = {slot(net) for net in initial_state} \
+        initial_keys = {slots[net] for net in initial_state} \
             if initial_state else set()
         track_extras = bool(extra_names)
         written = np.zeros(n_values, dtype=bool) if track_extras \
             else None
 
-        stim_nets = np.array([slot(net) for net in stimulus],
+        stim_nets = np.array([slots[net] for net in stimulus],
                              dtype=np.int64)
         patterns = np.empty((len(stimulus), n_cycles), dtype=bool)
         for k, (net, pattern) in enumerate(stimulus.items()):
@@ -812,21 +851,15 @@ class CompiledEventEngine:
             vals = np.zeros(0, dtype=bool)
             sources = np.zeros(0, dtype=np.int64)
 
-        final_values = dict(zip(self._net_names,
-                                values[:n_base].tolist()))
-        for name in extra_names:
-            index = extra_of[name]
-            if index in initial_keys or (track_extras
-                                         and written[index]):
-                final_values[name] = bool(values[index])
-
+        extras = [slot for slot in range(n_base + 1, n_values)
+                  if slot in initial_keys or written[slot]]
         return EventTrace(
             times=times, net_indices=nets, values=vals,
             source_indices=sources,
-            net_names=tuple(value_names),
+            net_names=value_names,
             instance_names=self._instance_names,
-            final_values=final_values,
-            duration=n_cycles * self.clock_period)
+            duration=n_cycles * self.clock_period,
+            _final=_FinalValues(value_names, values, n_base, extras))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompiledEventEngine({self.netlist.name!r}, "

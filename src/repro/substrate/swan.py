@@ -176,16 +176,18 @@ class SwanSimulator:
         EventTrace's source indices gather against them directly; the
         scalar oracle maps instance names to the same positions itself.
         The codes number ``_cell_names``, the sorted cell types of the
-        kinds the gates use, and reach the gates through the netlist's
-        per-gate kind column: one code per kind, then one gather.
+        kinds the gates use (a ``bincount`` of the netlist's kind
+        array), and reach the gates through that array: one code per
+        kind, then one gather.
         """
         netlist = self.netlist
-        gate_kind = np.array(netlist._gate_kind, dtype=np.int64)
+        gate_kind = netlist._kind_array()
         self._node_by_gate = self.mesh.nodes_at(
             *self.floorplan.grid_positions(gate_kind.size))
         kind_names = [cell.cell_type.name for cell in netlist._kind_cells]
+        in_use = np.bincount(gate_kind, minlength=len(kind_names)) > 0
         self._cell_names = sorted({kind_names[k]
-                                   for k in np.unique(gate_kind).tolist()})
+                                   for k in np.flatnonzero(in_use).tolist()})
         codes = {name: k for k, name in enumerate(self._cell_names)}
         # -1: a kind no gate uses (its first row failed), never gathered.
         self._code_by_gate = np.array(

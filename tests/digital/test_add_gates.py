@@ -1,25 +1,34 @@
-"""``Netlist._add_gates`` against ``Netlist.add_gate``.
+"""``Netlist._add_gates`` against ``Netlist.add_gate``, and the
+numbered columns ``soc_netlist`` hands ``Netlist._add_columns``.
 
-The row routine is what ``soc_netlist`` and ``full_adder`` lower
-through, and ``add_gate`` is its one-row call.  Building a random gate
-sequence gate by gate and in one ``_add_gates`` call must give the
-same netlist, and a bad row must raise what ``add_gate`` raises and
-leave exactly the rows before it.  The rows share one cell per kind,
-and the net->loads index they leave behind is rebuilt when first
-queried, so queries between rows must see every row.  The gates are
-columns behind a read-only ``instances`` mapping that builds each
-``Instance`` on its first read: reads between rows must see every
-row and keep returning the objects already handed out, and the
+The row routine is what ``add_gate`` calls with one row.  Building a
+random gate sequence gate by gate and in one ``_add_gates`` call must
+give the same netlist, and a bad row must raise what ``add_gate``
+raises and leave exactly the rows before it.  The rows share one cell
+per kind, and the net->loads index they leave behind is rebuilt when
+first queried, so queries between rows must see every row.  The gates
+are columns behind a read-only ``instances`` mapping that builds each
+(frozen) ``Instance`` on its first read: reads between rows must see
+every row and keep returning the objects already handed out, and the
 soc-noise flow must build none.  The per-gate kind column the
 compiled engine reads must name every instance's cell, in insertion
 order, whatever happened before.
+
+``soc_netlist`` numbers its nets where it creates them and adds its
+gates as numbered columns, checked as one batch.  The SoC must equal
+its own instances rebuilt as string rows -- every query, the load
+index and every compiled array -- a corrupted column must raise what
+the string rows raise, after the same gates, and building and
+compiling it must look up no pin's net by name.
 """
 
+import dataclasses
 import functools
 import gc
 import operator
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -251,6 +260,54 @@ def test_soc_noise_flow_builds_no_instance(monkeypatch):
     assert [args[0] for args in built] == [first.name]
 
 
+class CountingIndex(dict):
+    """A net-name index that records every lookup by name."""
+
+    def __init__(self, lookups):
+        super().__init__()
+        self.lookups = lookups
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups.append(key)
+        return super().__contains__(key)
+
+
+def test_soc_build_and_compile_look_up_no_pin_by_name(monkeypatch):
+    """The SoC is numbered where it is created: building, compiling
+    and running it look up the primary inputs and the stimulus nets by
+    name, never a pin."""
+    lookups = []
+    init = Netlist.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._net_index = CountingIndex(lookups)
+
+    monkeypatch.setattr(Netlist, "__init__", counted)
+    soc = soc_netlist(NODE, target_gates=2_000, n_blocks=4, seed=0)
+    engine = CompiledEventEngine(soc, clock_period=1.0 / 50e6,
+                                 event_budget=10_000_000)
+    stimulus = random_stimulus(
+        soc, 4, seed=0, held_high=["en"] + [f"blk{b}_en" for b in range(4)])
+    trace = engine.run(stimulus, 4)
+    assert trace.n_events > 0
+    assert isinstance(soc._net_index, CountingIndex)
+    # Each primary input is looked up when it is declared, when the
+    # generator resolves it and when the nets are ordered; each
+    # stimulus net when the run places it.
+    assert 0 < len(lookups) <= 3 * len(soc.primary_inputs) + len(stimulus)
+    assert set(lookups) == set(soc.primary_inputs)
+    assert len(soc._gate_pins) > 100 * len(lookups)
+
+
 def test_instances_read_out_of_order_keep_their_objects():
     netlist = fresh()
     rows = [("INV", ("a",), f"y{k}", 1.0, None) for k in range(6)]
@@ -414,3 +471,247 @@ def test_queries_between_rows_see_every_row(data):
     assert netlist.instances.items() == [(inst.name, inst)
                                          for inst in reference]
     assert_kinds_in_step(netlist)
+
+
+def test_instance_is_frozen():
+    netlist = fresh()
+    gate = netlist.add_gate("INV", ["a"], "y")
+    before = (netlist.nets, netlist.primary_outputs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.output = "z"
+    assert gate.output == "y"
+    assert (netlist.nets, netlist.primary_outputs) == before
+    assert netlist.driver_of("y") is gate
+    assert netlist.driver_of("z") is None
+
+
+def test_one_kind_array_per_netlist_state():
+    netlist = fresh()
+    netlist.add_gate("INV", ["a"], "y")
+    kinds = netlist._kind_array()
+    assert netlist._kind_array() is kinds
+    assert not kinds.flags.writeable
+    netlist.add_gate("NAND2", ["a", "y"], drive=2.0)
+    assert kinds.tolist() == [0]
+    assert netlist._kind_array().tolist() == list(netlist._gate_kind) \
+        == [0, 1]
+
+
+#: The ``TestSocNetlistPins`` configs of tests/golden/test_path_pins.py.
+SOC_CONFIGS = {
+    "cli-default": ("65nm", dict(target_gates=20_000, n_blocks=8, seed=0)),
+    "130nm": ("130nm", dict(seed=1234)),
+    "glue": ("65nm", dict(target_gates=3_000, n_blocks=3,
+                          glue_fraction=0.3, seed=7)),
+    "tiny": ("65nm", dict(target_gates=200, n_blocks=1, adder_width=4,
+                          seed=3)),
+}
+
+
+def as_string_rows(soc):
+    """``soc`` rebuilt from its own instances as string rows."""
+    rebuilt = Netlist(soc.node, soc.name)
+    rebuilt.add_inputs(soc.primary_inputs)
+    rebuilt._add_gates((inst.cell.cell_type.name, inst.inputs, inst.output,
+                        inst.cell.drive, None)
+                       for inst in soc.instances.values())
+    return rebuilt
+
+
+def public_queries(netlist):
+    nets = netlist.nets
+    return {
+        "instances": [(inst.name, inst.cell.cell_type.name,
+                       inst.cell.drive, inst.inputs, inst.output)
+                      for inst in netlist.instances.values()],
+        "kinds": ([(cell.cell_type.name, cell.drive)
+                   for cell in netlist._kind_cells],
+                  list(netlist._gate_kind)),
+        "nets": nets,
+        "primary_inputs": netlist.primary_inputs,
+        "primary_outputs": netlist.primary_outputs,
+        "drivers": [getattr(netlist.driver_of(net), "name", None)
+                    for net in nets],
+        "loads": [[inst.name for inst in netlist.loads_of(net)]
+                  for net in nets],
+        "load_index": netlist._net_loads(),
+        "fanout_caps": [netlist.fanout_capacitance(net) for net in nets],
+        "order": [inst.name for inst in netlist.topological_order()],
+        "gate_count": netlist.gate_count(),
+        "step": netlist.step(dict.fromkeys(netlist.primary_inputs, True)),
+    }
+
+
+def compiled_arrays(engine):
+    """Every array and name table of a compiled engine, as bytes, but
+    ``_net_rank``: it maps the netlist's own net ids, which follow
+    creation, so the two routes number them differently."""
+    arrays = {}
+    for name, value in vars(engine).items():
+        if name == "_net_rank":
+            continue
+        if isinstance(value, np.ndarray):
+            arrays[name] = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, (list, tuple)) and value \
+                and isinstance(value[0], np.ndarray):
+            arrays[name] = [(part.dtype.str, part.tobytes())
+                            for part in value]
+        elif isinstance(value, tuple):
+            arrays[name] = value
+    return arrays
+
+
+@pytest.mark.parametrize("config", list(SOC_CONFIGS))
+def test_numbered_soc_equals_its_string_rows(config, monkeypatch):
+    node_name, kwargs = SOC_CONFIGS[config]
+
+    def no_rows(self, rows):
+        raise AssertionError("the SoC went in as string rows")
+
+    # The generator's columns pass the batch checks: no row is added
+    # through the string-row routine.
+    monkeypatch.setattr(Netlist, "_add_gates", no_rows)
+    soc = soc_netlist(get_node(node_name), **kwargs)
+    monkeypatch.undo()
+    rebuilt = as_string_rows(soc)
+    numbered, rows = CompiledEventEngine(soc), CompiledEventEngine(rebuilt)
+    assert numbered._net_names == rows._net_names == tuple(soc.nets)
+    assert compiled_arrays(numbered) == compiled_arrays(rows)
+    assert public_queries(soc) == public_queries(rebuilt)
+    # The next auto-named gate gets the same names in both.
+    assert soc.add_gate("INV", ["en"]) == rebuilt.add_gate("INV", ["en"])
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_numbered_columns_add_like_string_rows(data):
+    """Numbered columns in a batch below or above the array route's
+    minimum, with one fault or none: the same error, gates, nets,
+    kinds and counter as their string rows."""
+    batch, by_rows = fresh(), fresh()
+    base = len(batch._net_names)
+    names, cells, pins, counts, outputs = [], [], [], [], []
+    n_gates = data.draw(st.sampled_from((3, 40)))
+    fault = data.draw(st.sampled_from(
+        ("",) * 4 + ("repeat-output", "input-output", "read-output",
+                     "pin-count", "unknown-cell", "repeat-name",
+                     "input-name", "unused-net")))
+    at = data.draw(st.integers(1, n_gates - 1))
+    for k in range(n_gates):
+        here = fault if k == at else ""
+        cell = "NAND9" if here == "unknown-cell" else data.draw(
+            st.sampled_from(CELLS))
+        n_pins = CELL_TYPES.get(cell, CELL_TYPES["NAND2"]).n_inputs
+        n_pins += (here == "pin-count") * (1 if n_pins < 3 else -1)
+        pins += data.draw(st.lists(st.integers(0, base + len(names) - 1),
+                                   min_size=n_pins, max_size=n_pins))
+        output = base + len(names)
+        if here == "repeat-output":
+            output = outputs[-1]
+        elif here == "input-output":
+            output = 0
+        elif here == "read-output":
+            output = pins[-1]
+        name = f"y{k}"
+        if here == "repeat-name":
+            name = names[-1]
+        elif here == "input-name":
+            name = "b"
+        names.append(name)
+        if here == "unused-net":
+            names.append(f"unused{k}")
+        cells.append(cell)
+        counts.append(n_pins)
+        outputs.append(output)
+    columns = (base, names, cells, pins, counts, outputs)
+    errors = []
+    for netlist, add in ((batch, lambda: batch._add_columns(*columns)),
+                         (by_rows, lambda: by_rows._add_gates(
+                             string_rows(by_rows, columns)))):
+        try:
+            add()
+            errors.append(None)
+        except Exception as error:      # noqa: BLE001 -- compared below
+            errors.append((type(error), str(error)))
+    assert errors[0] == errors[1]
+    assert batch._counter == by_rows._counter
+    assert_kinds_in_step(batch)
+    assert [(cell.cell_type.name, cell.drive) for cell in batch._kind_cells] \
+        == [(cell.cell_type.name, cell.drive)
+            for cell in by_rows._kind_cells]
+    assert list(batch.instances.items()) == list(by_rows.instances.items())
+    assert batch.nets == by_rows.nets
+    assert batch.primary_outputs == by_rows.primary_outputs
+    for net in by_rows.nets:
+        assert batch.driver_of(net) == by_rows.driver_of(net)
+        assert batch.loads_of(net) == by_rows.loads_of(net)
+
+
+CORRUPTIONS = ("duplicate-output", "primary-input-output", "pin-count",
+               "unknown-cell", "taken-instance")
+
+
+def corrupted(netlist, columns, kind, k):
+    """The columns with gate ``k`` corrupted; ``taken-instance`` first
+    adds a gate to ``netlist`` named like the batch's gate ``k``."""
+    base, names, cells, pins, counts, outputs = columns
+    names, cells, pins, counts, outputs = (
+        list(names), list(cells), list(pins), list(counts), list(outputs))
+    start = sum(counts[:k])
+    if kind == "duplicate-output":
+        outputs[k] = outputs[k - 1]
+    elif kind == "primary-input-output":
+        outputs[k] = netlist._net_index["zero"]
+    elif kind == "pin-count":
+        del pins[start]
+        counts[k] -= 1
+    elif kind == "unknown-cell":
+        cells[k] = "NAND9"
+    else:
+        # The gate takes one auto-name number and one net id.
+        netlist.add_gate("INV", ["en"], "pre", instance_name=f"u{k + 1}")
+        pins = [net + (net >= base) for net in pins]
+        outputs = [net + (net >= base) for net in outputs]
+        base += 1
+    return base, names, cells, pins, counts, outputs
+
+
+def string_rows(netlist, columns):
+    """The rows the numbered columns stand for."""
+    base, names, cells, pins, counts, outputs = columns
+    table = netlist._net_names[:base] + names
+    rows, end = [], 0
+    for cell, count, output in zip(cells, counts, outputs):
+        rows.append((cell, tuple(table[net] for net in pins[end:end + count]),
+                     table[output], 1.0, None))
+        end += count
+    return rows
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_corrupted_columns_raise_like_string_rows(kind, monkeypatch):
+    captured = []
+    monkeypatch.setattr(Netlist, "_add_columns",
+                        lambda self, *columns: captured.append(columns))
+    inputs = soc_netlist(NODE, **SOC_CONFIGS["tiny"][1]).primary_inputs
+    monkeypatch.undo()
+
+    def start():
+        netlist = Netlist(NODE)
+        netlist.add_inputs(inputs)
+        return netlist
+
+    k = len(captured[0][2]) // 2
+    batch, by_rows = start(), start()
+    columns = corrupted(batch, captured[0], kind, k)
+    corrupted(by_rows, captured[0], kind, k)
+    with pytest.raises(Exception) as expected:
+        by_rows._add_gates(string_rows(by_rows, columns))
+    with pytest.raises(Exception) as raised:
+        batch._add_columns(*columns)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+    assert len(batch.instances) == k + (kind == "taken-instance")
+    assert snapshot(batch) == snapshot(by_rows)
+    assert batch._counter == by_rows._counter
+    assert_kinds_in_step(batch)

@@ -286,6 +286,26 @@ class TestEventTrace:
         with pytest.raises(ValueError):
             trace.activity_factor(float("nan"))
 
+    def test_final_values_built_once_in_net_order(self, node):
+        # Built from the final value array on first read and shared by
+        # every slice: the netlist's nets in order, then the run-only
+        # nets the initial state set or the run wrote, in stimulus then
+        # initial-state order ("still" is neither).
+        netlist = Netlist(node)
+        netlist.add_input("a")
+        netlist.add_gate("INV", ["a"], "y")
+        stimulus = {"a": [True], "ghost": [True, False], "still": [False]}
+        initial = {"phantom": True, "y": True}
+        result, trace = run_both(netlist, stimulus, 3,
+                                 initial_state=initial, clock_period=1e-9)
+        final = trace.final_values
+        assert list(final) == netlist.nets + ["ghost", "phantom"]
+        assert final == result.final_values
+        assert trace.final_values is final
+        assert trace.event_range(0, 1).final_values is final
+        assert all(chunk.final_values is final
+                   for chunk in trace.chunks(1))
+
     def test_empty_trace(self, node):
         chain = inverter_chain(node, 3)
         trace = CompiledEventEngine(chain, clock_period=1e-9).run(
