@@ -23,18 +23,18 @@ from ..robust.validate import validated
 
 
 class _GateColumns:
-    """Gates collected as numbered columns in insertion order, then
-    added to a netlist in one :meth:`Netlist._add_columns` call with
-    drive 1 and auto-generated instance names.
+    """The gates of :func:`soc_netlist`, collected as numbered columns
+    in insertion order, then added to its netlist in one
+    :meth:`Netlist._add_columns` call with drive 1 and auto-generated
+    instance names.
 
     A net gets its id when its name is created -- the next one after
     the netlist's nets and those created before it -- and gates refer
     to nets by id only: each appends its cell name, its pin ids and
     pin count, and its output id.  The names are the only strings; a
-    net the netlist already has is looked up once, by :meth:`ref`.
-    Flat columns rather than one row tuple per gate: a 20k-gate list
-    of row tuples cost an extra full garbage-collection pass per
-    build."""
+    primary input is looked up once, by :meth:`ref`.  Flat columns
+    rather than one row tuple per gate: a 20k-gate list of row tuples
+    cost an extra full garbage-collection pass per build."""
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
@@ -51,16 +51,8 @@ class _GateColumns:
         return self.base + len(self.names) - 1
 
     def ref(self, name: str) -> int:
-        """The id of the netlist's net ``name`` (created if it has
-        none)."""
-        net = self.netlist._net_index.get(name)
-        return self.net(name) if net is None else net
-
-    def name_of(self, net: int) -> str:
-        """The name of net ``net``."""
-        if net >= self.base:
-            return self.names[net - self.base]
-        return self.netlist._net_names[net]
+        """The id of the netlist's net ``name``."""
+        return self.netlist._net_index[name]
 
     def add(self, cell_name: str, pins: Sequence[int],
             output: int) -> int:
@@ -87,11 +79,11 @@ class _GateColumns:
     def gated_dff(self, clock_enable: int, enable: int, data: int,
                   q: int) -> None:
         """Collect a register with MUX2 recirculation clock gating:
-        ``q`` holds while ``enable`` is low.  The DFF's first pin
-        reads ``clock_enable``."""
+        ``q``, a net created here, holds while ``enable`` is low.  The
+        DFF's first pin reads ``clock_enable``."""
         names = self.names
         d = self.base + len(names)
-        names.append(f"{self.name_of(q)}_d")
+        names.append(f"{names[q - self.base]}_d")
         self.cells += ("MUX2", "DFF")
         self.pins += (enable, q, data, clock_enable, d)
         self.counts += (3, 2)
@@ -106,11 +98,15 @@ class _GateColumns:
 def full_adder(netlist: Netlist, a: str, b: str, cin: str,
                prefix: str) -> tuple:
     """Add a full-adder slice; returns (sum_net, carry_net)."""
-    gates = _GateColumns(netlist)
-    s, cout = gates.full_adder(gates.ref(a), gates.ref(b), gates.ref(cin),
-                               prefix)
-    gates.lower()
-    return gates.name_of(s), gates.name_of(cout)
+    axb, s = f"{prefix}_axb", f"{prefix}_s"
+    and1, and2, cout = (f"{prefix}_and1", f"{prefix}_and2",
+                        f"{prefix}_cout")
+    netlist._add_gates((("XOR2", (a, b), axb, 1.0, None),
+                        ("XOR2", (axb, cin), s, 1.0, None),
+                        ("AND2", (a, b), and1, 1.0, None),
+                        ("AND2", (axb, cin), and2, 1.0, None),
+                        ("OR2", (and1, and2), cout, 1.0, None)))
+    return s, cout
 
 
 def ripple_adder(node: TechnologyNode, width: int = 8,

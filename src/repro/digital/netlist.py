@@ -25,12 +25,12 @@ from ..robust.errors import ModelDomainError
 #: output net or None, drive, instance name or None).
 _GateRow = Tuple[str, Sequence[str], Optional[str], float, Optional[str]]
 
-#: Fewest gates :meth:`Netlist._add_columns` checks as one batch; fewer
-#: go in as string rows, which costs less than the batch's array calls.
-_MIN_BATCH = 32
+#: ``Netlist._net_driver`` of a net no gate drives: -1, or this for a
+#: primary input (which no gate may drive).
+_PRIMARY_INPUT = -2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """One placed gate: a cell with named input nets and an output net.
 
@@ -42,6 +42,17 @@ class Instance:
     cell: Cell
     inputs: Tuple[str, ...]
     output: str
+
+    def __init__(self, name: str, cell: Cell, inputs: Tuple[str, ...],
+                 output: str):
+        # What the frozen dataclass's own __init__ does field by field
+        # through object.__setattr__, at half the cost: every add_gate
+        # builds one.
+        fields = self.__dict__
+        fields["name"] = name
+        fields["cell"] = cell
+        fields["inputs"] = inputs
+        fields["output"] = output
 
     @property
     def is_sequential(self) -> bool:
@@ -96,21 +107,28 @@ class _InstanceView(Mapping):
     def __getitem__(self, name: str) -> Instance:
         return self._at(self._position[name])
 
-    def _at(self, position: int) -> Instance:
-        """The instance of the gate at ``position`` in insertion order."""
+    def _at(self, position: int,
+            inputs: Optional[Tuple[str, ...]] = None) -> Instance:
+        """The instance of the gate at ``position`` in insertion order.
+
+        ``inputs``, if given, are the gate's input nets as its row
+        named them, so a new instance need not name its pin ids.
+        """
         built = self._built
         if position >= len(built):
             built.extend([None] * (position + 1 - len(built)))
         instance = built[position]
         if instance is None:
             net_names = self._net_names
-            pin_end = self._pin_end
-            start = pin_end[position - 1] if position else 0
+            if inputs is None:
+                pin_end = self._pin_end
+                start = pin_end[position - 1] if position else 0
+                inputs = tuple([net_names[net] for net
+                                in self._pins[start:pin_end[position]]])
             instance = built[position] = Instance(
                 self._names[position],
                 self._cells[self._kinds[position]],
-                tuple([net_names[net]
-                       for net in self._pins[start:pin_end[position]]]),
+                inputs,
                 net_names[self._outputs[position]])
             self._n_built += 1
         return instance
@@ -170,7 +188,8 @@ class Netlist:
         self.primary_inputs: List[str] = []
         self._declared_outputs: List[str] = []
         # The net table: id -> name, name -> id, and the position of
-        # each net's driving gate (-1: none).
+        # each net's driving gate (-1: none, _PRIMARY_INPUT: none, and
+        # the net is a primary input).
         self._net_names: List[str] = []
         self._net_index: Dict[str, int] = {}
         self._net_driver = array("q")
@@ -221,15 +240,18 @@ class Netlist:
 
     def add_input(self, net: str) -> str:
         """Declare a primary input net."""
+        driver = self._net_driver
         net_id = self._net_index.get(net)
-        if net_id is not None and self._net_driver[net_id] >= 0:
-            raise ModelDomainError(f"net {net!r} is already driven")
-        if net in self.primary_inputs:
-            raise ModelDomainError(f"input {net!r} already declared")
         if net_id is None:
             self._net_index[net] = len(self._net_names)
             self._net_names.append(net)
-            self._net_driver.append(-1)
+            driver.append(_PRIMARY_INPUT)
+        elif driver[net_id] >= 0:
+            raise ModelDomainError(f"net {net!r} is already driven")
+        elif driver[net_id] == _PRIMARY_INPUT:
+            raise ModelDomainError(f"input {net!r} already declared")
+        else:
+            driver[net_id] = _PRIMARY_INPUT
         self.primary_inputs.append(net)
         self._invalidate_caches()
         return net
@@ -251,7 +273,7 @@ class Netlist:
         ``output`` defaults to an auto-generated net name.
         """
         self._add_gates([(cell_name, inputs, output, drive, instance_name)])
-        return self._instances._at(len(self._gate_names) - 1)
+        return self._instances._at(len(self._gate_names) - 1, tuple(inputs))
 
     def _add_gates(self, rows: Iterable[_GateRow]) -> None:
         """Add gates given as ``(cell_name, inputs, output, drive,
@@ -283,15 +305,14 @@ class Netlist:
         outputs = self._gate_outputs
         gate_kind = self._gate_kind
         position = self._gate_position
-        primary_inputs = set(self.primary_inputs)
         self._invalidate_caches()
         for cell_name, pins, output, drive, name in rows:
             counter = self._counter
             if output is None:
                 output = f"n{counter}"
             out_net = net_index.get(output)
-            if (out_net is not None and driver[out_net] >= 0) \
-                    or output in primary_inputs:
+            # Driven, or a primary input.
+            if out_net is not None and driver[out_net] != -1:
                 raise ModelDomainError(f"net {output!r} is already driven")
             if name is None:
                 name = f"u{counter}"
@@ -346,15 +367,14 @@ class Netlist:
         ids, below ``base`` for nets the netlist already has.  Gate k
         is the row ``(cells[k], its pins, outputs[k], 1.0, None)``.
 
-        A batch of at least ``_MIN_BATCH`` gates is checked at once
-        (:meth:`_append_columns`) and, if it passes, appended as it is.
-        Otherwise the gates go through :meth:`_add_gates` as string
-        rows, so a bad gate's error, its message, the gates added
-        before it and the counter are exactly what :meth:`add_gate`
-        gives.
+        The batch is checked at once (:meth:`_append_columns`) and, if
+        it passes, appended as it is.  Otherwise the gates go through
+        :meth:`_add_gates` as string rows, so a bad gate's error, its
+        message, the gates added before it and the counter are exactly
+        what :meth:`add_gate` gives.
         """
-        if len(cells) >= _MIN_BATCH and self._append_columns(
-                base, net_names, cells, pins, pin_counts, outputs):
+        if self._append_columns(base, net_names, cells, pins, pin_counts,
+                                outputs):
             return
         known = self._net_names
         pin_names = [known[net] if net < base else net_names[net - base]

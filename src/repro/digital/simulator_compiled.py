@@ -61,7 +61,7 @@ calls, without ever materializing per-event Python objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +118,22 @@ class _FinalValues:
         return self._dict
 
 
+class _FinalValuesField:
+    """The :attr:`EventTrace.final_values` field: a trace is built with
+    a dict or with a run's :class:`_FinalValues`, and reading the field
+    gives the dict, the latter's built on the first read."""
+
+    def __get__(self, trace: Optional["EventTrace"],
+                owner: Optional[type] = None):
+        if trace is None:
+            return self
+        final = trace._final
+        return final.get() if isinstance(final, _FinalValues) else final
+
+    def __set__(self, trace: "EventTrace", final) -> None:
+        trace._final = final
+
+
 @dataclass
 class EventTrace:
     """A switching-event stream in struct-of-arrays form.
@@ -127,9 +143,9 @@ class EventTrace:
     ``values[k]``, ``source_indices[k]``) plus the name tables that
     decode the integer columns.  ``source_indices`` holds the driving
     gate's position in netlist insertion order, or ``-1`` for a
-    primary-input event.  :attr:`final_values` is built from the
-    run's final value array when it is first read, so a flow that
-    never reads it (the SWAN flow) builds no per-net dict.
+    primary-input event.  A run's :attr:`final_values` is built from
+    its final value array when it is first read, so a flow that never
+    reads it (the SWAN flow) builds no per-net dict.
 
     Accessors mirror the scalar result; :meth:`to_events` /
     :meth:`to_result` materialize the object form for legacy
@@ -143,14 +159,11 @@ class EventTrace:
     source_indices: np.ndarray   # (n_events,) gate index or -1
     net_names: Tuple[str, ...]
     instance_names: Tuple[str, ...]
+    # Each net's value at the end of the run: the netlist's nets in
+    # order, then the run-only nets the run set or wrote.  Read and set
+    # through _FinalValuesField, installed after the class.
+    final_values: Dict[str, bool]
     duration: float
-    _final: _FinalValues = field(repr=False)
-
-    @property
-    def final_values(self) -> Dict[str, bool]:
-        """Each net's value at the end of the run: the netlist's nets
-        in order, then the run-only nets the run set or wrote."""
-        return self._final.get()
 
     @property
     def n_events(self) -> int:
@@ -199,8 +212,8 @@ class EventTrace:
             source_indices=self.source_indices[start:stop],
             net_names=self.net_names,
             instance_names=self.instance_names,
-            duration=self.duration,
-            _final=self._final)
+            final_values=self._final,
+            duration=self.duration)
 
     def chunks(self, chunk_events: int) -> Iterator["EventTrace"]:
         """Yield consecutive :meth:`event_range` slices of at most
@@ -208,6 +221,9 @@ class EventTrace:
         chunk_events = check_count("chunk_events", chunk_events)
         for start in range(0, max(self.n_events, 1), chunk_events):
             yield self.event_range(start, start + chunk_events)
+
+
+EventTrace.final_values = _FinalValuesField()  # type: ignore[assignment]
 
 
 def _csr_rows(rows: np.ndarray, csr_start: np.ndarray,
@@ -858,8 +874,8 @@ class CompiledEventEngine:
             source_indices=sources,
             net_names=value_names,
             instance_names=self._instance_names,
-            duration=n_cycles * self.clock_period,
-            _final=_FinalValues(value_names, values, n_base, extras))
+            final_values=_FinalValues(value_names, values, n_base, extras),
+            duration=n_cycles * self.clock_period)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompiledEventEngine({self.netlist.name!r}, "

@@ -485,6 +485,27 @@ def test_instance_is_frozen():
     assert netlist.driver_of("z") is None
 
 
+def test_primary_inputs_are_marked_in_the_net_table():
+    """A primary input, declared before or after a pin reads it, is a
+    net no gate may drive and no second declaration may repeat."""
+    netlist = fresh()
+    netlist.add_gate("INV", ["late"], "y")
+    netlist.add_input("late")
+    for net in ("a", "late"):
+        with pytest.raises(ModelDomainError,
+                           match=f"input '{net}' already declared"):
+            netlist.add_input(net)
+        with pytest.raises(ModelDomainError,
+                           match=f"net '{net}' is already driven"):
+            netlist.add_gate("BUF", ["b"], net)
+        assert netlist.driver_of(net) is None
+    with pytest.raises(ModelDomainError, match="net 'y' is already driven"):
+        netlist.add_input("y")
+    assert netlist.primary_inputs == ["a", "b", "c", "late"]
+    assert netlist.nets == ["a", "b", "c", "late", "y"]
+    assert netlist.add_gate("BUF", ["b"]).name == "u1"
+
+
 def test_one_kind_array_per_netlist_state():
     netlist = fresh()
     netlist.add_gate("INV", ["a"], "y")
@@ -585,9 +606,9 @@ def test_numbered_soc_equals_its_string_rows(config, monkeypatch):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_numbered_columns_add_like_string_rows(data):
-    """Numbered columns in a batch below or above the array route's
-    minimum, with one fault or none: the same error, gates, nets,
-    kinds and counter as their string rows."""
+    """Numbered columns of a few or of many gates, with one fault or
+    none: the same error, gates, nets, kinds and counter as their
+    string rows."""
     batch, by_rows = fresh(), fresh()
     base = len(batch._net_names)
     names, cells, pins, counts, outputs = [], [], [], [], []

@@ -10,6 +10,7 @@ several wavefronts with conflicts between them, and on random
 hypothesis netlists.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -285,6 +286,22 @@ class TestEventTrace:
             trace.activity_factor(0)
         with pytest.raises(ValueError):
             trace.activity_factor(float("nan"))
+
+    def test_built_from_its_fields(self, trace):
+        """A trace is a dataclass of its columns, name tables, final
+        values (a dict, or a run's lazy values) and duration."""
+        names = [f.name for f in dataclasses.fields(EventTrace)]
+        assert names == ["times", "net_indices", "values",
+                         "source_indices", "net_names", "instance_names",
+                         "final_values", "duration"]
+        rebuilt = EventTrace(*(getattr(trace, name) for name in names))
+        assert rebuilt.final_values is trace.final_values
+        assert rebuilt.to_events() == trace.to_events()
+        final = {"a": True}
+        assert dataclasses.replace(
+            trace, final_values=final).final_values is final
+        assert dataclasses.asdict(trace)["final_values"] \
+            == trace.final_values
 
     def test_final_values_built_once_in_net_order(self, node):
         # Built from the final value array on first read and shared by
