@@ -4,7 +4,8 @@ These freeze fixed-seed outputs of the chain sign-off yield, Monte
 Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
 yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
 netlist, event stream and sharded runs behind the ``soc-noise`` CLI,
-the electrothermal sweeps
+Fig. 10's SWAN accuracy report and the
+substrate-mitigation ablation, the electrothermal sweeps
 and the ``electrothermal`` CLI, the Monte Carlo OTA yield, the
 OTA and detector front-end synthesis (including Fig. 8's sizing
 flow), the stdouts of the ``chain-yield``,
@@ -27,7 +28,8 @@ from repro.analog.chain import chain_yield_vs_node
 from repro.analog.circuits import OtaDesign
 from repro.analog.yield_analysis import OtaYieldAnalyzer, YieldReport
 from repro.digital import (CompiledEventEngine, clocked_datapath,
-                           random_logic, random_stimulus, soc_netlist)
+                           estimate_gates_for_target, random_logic,
+                           random_stimulus, soc_netlist)
 from repro.digital.ssta import (StatisticalTimingAnalyzer,
                                 corner_vs_statistical_margin)
 from repro.digital.timing import delay_under_mismatch
@@ -37,7 +39,10 @@ from repro.exec.workloads import (ChainSignoffWorkload, SocNoiseWorkload,
 from repro.memory.sram import SramCell
 from repro.robust.errors import ModelDomainWarning
 from repro.robust.faults import run_fault_sweep
-from repro.substrate.swan import SwanSimulator, run_swan_experiment
+from repro.signal_integrity import comparison_report
+from repro.substrate import SubstrateProcess
+from repro.substrate.swan import (Floorplan, SwanSimulator,
+                                  run_swan_experiment)
 from repro.synthesis import synthesize_detector_frontend
 from repro.synthesis.sizing import (default_frontend_spec,
                                     default_ota_spec, frontend_synthesizer,
@@ -180,6 +185,69 @@ class TestSwanPins:
             n_cycles=3)
         assert activity.n_events == 23
         assert activity.duration == close(6.000000000000001e-08)
+
+
+class TestFig10Pins:
+    """Fig. 10 and the substrate-mitigation ablation as
+    ``benchmarks/test_fig10_swan_accuracy.py`` and
+    ``benchmarks/test_abl_substrate_mitigation.py`` run them."""
+
+    def test_comparison_report(self):
+        netlist = clocked_datapath(
+            get_node("350nm"), adder_width=8,
+            n_slices=estimate_gates_for_target(4000, adder_width=8),
+            seed=2)
+        comparison = run_swan_experiment(
+            netlist, n_cycles=5, clock_frequency=50e6,
+            mesh_resolution=24, dt=25e-12, seed=0)
+        report = comparison_report(comparison.swan, comparison.reference)
+        assert netlist.gate_count() == 4049
+        expected = {"test_rms_mV": 4.709786380529257,
+                    "reference_rms_mV": 4.1268120111080515,
+                    "test_p2p_mV": 43.15118415626111,
+                    "reference_p2p_mV": 44.547945756701836,
+                    "rms_error": 0.14126506558864949,
+                    "p2p_error": 0.03135411917912282,
+                    "pointwise_nrmse": 0.5758752005468329,
+                    "correlation": 0.8556375771051354}
+        assert list(report) == list(expected)
+        for key, value in expected.items():
+            assert report[key] == close(value), key
+
+    def test_mitigation_ablation(self):
+        netlist = clocked_datapath(get_node("350nm"), adder_width=8,
+                                   n_slices=4, seed=2)
+        region = (0.1e-3, 0.1e-3, 1.8e-3, 1.8e-3)
+        near = Floorplan(3e-3, 3e-3, region, sensor_xy=(2.0e-3, 2.0e-3))
+        far = Floorplan(3e-3, 3e-3, region, sensor_xy=(2.8e-3, 2.8e-3))
+        grounded = SubstrateProcess(backside_resistance=0.2)
+        variants = [(near, False, SubstrateProcess()),
+                    (near, True, SubstrateProcess()),
+                    (far, False, SubstrateProcess()),
+                    (near, False, grounded),
+                    (far, True, grounded),
+                    (near, False,
+                     SubstrateProcess(backplane_grounded=False))]
+        activity = None
+        rms = []
+        for floorplan, guard_ring, process in variants:
+            simulator = SwanSimulator(
+                netlist, floorplan, mesh_resolution=20,
+                clock_frequency=50e6, guard_ring=guard_ring,
+                process=process, seed=0)
+            if activity is None:
+                activity = simulator.simulate_activity(
+                    3, stimulus_seed=0)
+            rms.append(simulator.run(activity=activity).rms)
+        rms_mV = [value * 1e3 for value in rms]
+        reduction_x = [rms[0] / value for value in rms[1:]]
+        assert rms_mV == [close(value) for value in (
+            0.218666622379931, 0.12415615207878768,
+            0.21866662237993098, 0.021866662237996673,
+            0.020688740756632677, 109323847.12140295)]
+        assert reduction_x == [close(value) for value in (
+            1.761222611354517, 1.0000000000000002, 9.999999999998366,
+            10.56935387958921, 2.0001731382276006e-09)]
 
 
 def pass_digest(passed):
@@ -425,6 +493,19 @@ class TestSocNoiseShardPins:
                                 "activity": 0.15299270072992702,
                                 "rms_uV": 264.98177324442236,
                                 "p2p_uV": p2p_uV}
+
+    def test_cli_default_at_60_cycles(self):
+        """``soc-noise --cycles 60``: the CLI-default SoC over 403k
+        events."""
+        result = run_sharded(
+            SocNoiseWorkload(target_gates=20_000, n_blocks=8,
+                             n_cycles=60),
+            n_shards=1, backend="serial", env_chaos=False)
+        value = result.value
+        assert (value["gates"], value["events"]) == (20_000, 403_254)
+        assert value["activity"] == close(0.3413530397683986)
+        assert value["rms_uV"] == close(7069.332177083443)
+        assert value["p2p_uV"] == close(147968.93157758482)
 
     def test_cli_stdout(self, capsys):
         assert main(["soc-noise", "--gates", "2000", "--blocks", "2",
