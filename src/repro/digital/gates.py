@@ -19,6 +19,7 @@ from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
                                    inverter_self_load)
 from ..devices.leakage import gate_leakage_per_gate
+from ..perf.cache import KeyedCache
 from .delay import DelayModel
 from ..robust.errors import ModelDomainError, RoadmapDataError
 from ..robust.validate import check_positive
@@ -199,12 +200,30 @@ class Cell:
         return width * 12.0 * pitch
 
 
+#: One :class:`Cell` per ``(name, node, type(drive), drive)``, so every
+#: netlist and characterization of a node shares its cells and their
+#: kept capacitance terms.
+_CELLS = KeyedCache("digital.cells", maxsize=1024)
+
+
 def make_cell(name: str, node: TechnologyNode, drive: float = 1.0) -> Cell:
-    """Instantiate a library cell by name."""
+    """The library cell ``name`` at ``drive`` in ``node``.
+
+    Cells are immutable, so one is shared per name, node and drive --
+    its type too, as ``1`` and ``1.0`` build cells with different
+    fields.  An unknown name or a bad drive raises and caches nothing;
+    a drive that cannot be a key (an array) builds a cell of its own.
+    """
     try:
         cell_type = CELL_TYPES[name]
     except KeyError:
         raise RoadmapDataError(
             f"unknown cell {name!r}; available: "
             f"{', '.join(CELL_TYPES)}") from None
-    return Cell(cell_type=cell_type, node=node, drive=drive)
+    try:
+        hash(drive)
+    except TypeError:
+        return Cell(cell_type=cell_type, node=node, drive=drive)
+    return _CELLS.get_or_compute(
+        (name, node, type(drive), drive),
+        lambda: Cell(cell_type=cell_type, node=node, drive=drive))

@@ -9,8 +9,12 @@ from hypothesis import given, strategies as st
 from repro.devices import capacitance
 from repro.devices.capacitance import (inverter_input_capacitance,
                                        inverter_self_load)
-from repro.digital import (CELL_TYPES, CompiledTimingGraph, Netlist,
-                           StaticTimingAnalyzer, make_cell, ripple_adder)
+from repro.digital import (CELL_TYPES, Cell, CompiledEventEngine,
+                           CompiledTimingGraph, Netlist,
+                           StaticTimingAnalyzer, make_cell, ripple_adder,
+                           soc_netlist)
+from repro.perf import cache_registry, cache_stats
+from repro.robust.errors import ModelDomainError, RoadmapDataError
 from repro.technology import get_node
 
 
@@ -124,6 +128,7 @@ class TestCellElectrical:
             return device_capacitances(*args, **kwargs)
 
         monkeypatch.setattr(capacitance, "device_capacitances", counted)
+        cache_registry()["digital.cells"].clear()
         cell = make_cell("NAND2", node, drive=2.0)
         for _ in range(3):
             cell.input_capacitance
@@ -131,13 +136,15 @@ class TestCellElectrical:
             cell.delay_model(5e-15)
         # One NMOS and one PMOS evaluation for each of the two terms.
         assert len(calls) == 4
+        # The next make_cell hands out the same cell, terms and all.
         again = make_cell("NAND2", node, drive=2.0)
+        assert again is cell
         again.input_capacitance
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     def test_kept_terms_leave_equality_and_hash(self, node):
         read = make_cell("AOI21", node, drive=2.0)
-        fresh = make_cell("AOI21", node, drive=2.0)
+        fresh = Cell(cell_type=CELL_TYPES["AOI21"], node=node, drive=2.0)
         hash_before = hash(read)
         read.input_capacitance
         read.output_parasitic
@@ -147,6 +154,51 @@ class TestCellElectrical:
         assert read != make_cell("AOI21", node, drive=1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             read.input_capacitance = 0.0
+
+    def test_make_cell_shares_one_cell_per_kind(self, node):
+        cell = make_cell("NOR3", node, drive=1.5)
+        hits = cache_stats()["digital.cells"].hits
+        assert make_cell("NOR3", node, drive=1.5) is cell
+        assert cache_stats()["digital.cells"].hits == hits + 1
+        # 1 and 1.0 are equal keys but build different fields.
+        as_int = make_cell("NOR3", node, drive=1)
+        assert as_int is not make_cell("NOR3", node, drive=1.0)
+        assert repr(as_int.drive) == "1"
+        assert make_cell("NOR3", get_node("130nm"), drive=1.5) is not cell
+        # An array drive cannot key the cache: a cell of its own.
+        assert make_cell("NOR3", node, drive=np.array(1.5)) is not \
+            make_cell("NOR3", node, drive=np.array(1.5))
+
+    @pytest.mark.parametrize("name, drive, error", [
+        ("NAND9", 1.0, RoadmapDataError),
+        ("NAND9", -1.0, RoadmapDataError),
+        ("INV", -1.0, ModelDomainError),
+        ("INV", float("nan"), ModelDomainError),
+    ])
+    def test_bad_cells_cache_nothing(self, node, name, drive, error):
+        cells = cache_registry()["digital.cells"]
+        size = len(cells)
+        for _ in range(2):
+            with pytest.raises(error):
+                make_cell(name, node, drive=drive)
+        assert len(cells) == size
+        assert (name, node, float, drive) not in cells
+
+    def test_soc_netlists_share_cells_and_delays(self, node):
+        """Two SoC builds share one cell per kind, and a compile on the
+        warm cells gives a fresh compile's delays, byte for byte."""
+        cache_registry()["digital.cells"].clear()
+        fresh = soc_netlist(node, target_gates=2000, n_blocks=2, seed=0)
+        fresh_delays = CompiledEventEngine(
+            fresh, clock_period=1 / 50e6)._delays
+        warm = soc_netlist(node, target_gates=2000, n_blocks=2, seed=0)
+        assert len(warm._kind_cells) == len(fresh._kind_cells) > 1
+        for warm_cell, fresh_cell in zip(warm._kind_cells,
+                                         fresh._kind_cells):
+            assert warm_cell is fresh_cell
+        assert CompiledEventEngine(
+            warm, clock_period=1 / 50e6)._delays.tobytes() \
+            == fresh_delays.tobytes()
 
     def test_vth_offset_slows_gate(self, node):
         cell = make_cell("INV", node)
