@@ -14,6 +14,10 @@ Acceptance gates:
   SoC trace through SWAN in bounded time with **zero** per-event
   Python objects on the hot path (``SwitchingEvent.__new__`` is
   booby-trapped for the duration).
+* The stream's tracemalloc peak stays under a few time-axis rows
+  plus a few words per event of one chunk (``16 * n_times * 8 +
+  64 * chunk events`` bytes): no ``(mesh nodes x samples)`` current
+  matrix is built.
 * Nightly (``-m slow``): the same flow at >= 100k gates.
 
 As in ``test_perf_ssta.py`` the speedup is asserted with our own
@@ -22,14 +26,16 @@ timed region) so the gates also hold under ``--benchmark-disable``
 (the CI mode).  Both tier gates record their numbers under the BENCH
 key ``event_engine``: the clock tree's compiled and scalar times and
 speedup, and the 50k-gate flow's netlist build, compile, SWAN set-up
-and streaming times and its elapsed time with its run loop's steps
-against the trace's distinct event times (one step per wavefront
-would take at least one step per distinct time).  The flow's stage
+and streaming times, the stream's memory peak, and its elapsed time
+with its run loop's steps against the trace's distinct event times
+(one step per wavefront would take at least one step per distinct
+time).  The flow's stage
 times -- netlist, compile, stimulus, SWAN set-up, engine run and
 streaming -- split the whole request.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +49,8 @@ from repro.technology import get_node
 
 CLOCK_PERIOD = 20e-9
 N_CYCLES = 12
+#: Events per streamed chunk in the SoC flows.
+CHUNK_EVENTS = 100_000
 
 #: This module's BENCH entry, filled in by each gate as it runs.
 EVENT_ENGINE = {}
@@ -163,7 +171,7 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
 
     def flow():
         trace = engine.run(stimulus, N_CYCLES)
-        return trace, swan.stream_noise(trace, chunk_events=100_000)
+        return trace, swan.stream_noise(trace, chunk_events=CHUNK_EVENTS)
 
     trace, wave = benchmark(flow)
     run_s = best_of(lambda: engine.run(stimulus, N_CYCLES), repeats=1)
@@ -178,7 +186,16 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
     monkeypatch.setattr(engine, "_batch_partition", counted)
     elapsed = best_of(flow, repeats=1)
     stream_s = best_of(
-        lambda: swan.stream_noise(trace, chunk_events=100_000), repeats=1)
+        lambda: swan.stream_noise(trace, chunk_events=CHUNK_EVENTS),
+        repeats=1)
+    tracemalloc.start()
+    try:
+        swan.stream_noise(trace, chunk_events=CHUNK_EVENTS)
+        _, stream_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_bound = (16 * wave.time.size * 8
+                  + 64 * min(trace.n_events, CHUNK_EVENTS))
     event_times = np.unique(trace.times).size
     print(f"\nSoC flow n_gates={netlist.gate_count()}"
           f" n_events={trace.n_events}"
@@ -189,6 +206,8 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
           f" run={run_s * 1e3:.0f} ms"
           f" swan_init={swan_init_s * 1e3:.0f} ms"
           f" stream={stream_s * 1e3:.0f} ms"
+          f" stream_peak={stream_peak / 1e6:.2f} MB"
+          f" (bound {peak_bound / 1e6:.2f} MB)"
           f" elapsed={elapsed:.2f} s"
           f" steps={len(steps)} event_times={event_times}")
     record_event_engine(
@@ -200,12 +219,14 @@ def test_soc_activity_to_noise_50k(benchmark, no_event_objects,
         soc_flow_run_s=round(run_s, 3),
         soc_flow_swan_init_s=round(swan_init_s, 3),
         soc_flow_stream_s=round(stream_s, 3),
+        soc_flow_stream_peak_mb=round(stream_peak / 1e6, 3),
         soc_flow_elapsed_s=round(elapsed, 3),
         soc_flow_loop_steps=len(steps),
         soc_flow_event_times=event_times)
     assert trace.n_events > 50_000
     assert np.isfinite(wave.voltage).all()
     assert wave.peak_to_peak > 0.0
+    assert stream_peak < peak_bound
     assert elapsed < 30.0
 
 
@@ -223,7 +244,7 @@ def test_soc_activity_to_noise_100k_nightly(benchmark,
 
     def flow():
         trace = engine.run(stimulus, N_CYCLES)
-        return trace, swan.stream_noise(trace, chunk_events=100_000)
+        return trace, swan.stream_noise(trace, chunk_events=CHUNK_EVENTS)
 
     trace, wave = benchmark(flow)
     print(f"\nSoC flow n_gates={netlist.gate_count()}"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,20 +108,6 @@ class NoiseWaveform:
         return NoiseWaveform(
             time=time,
             voltage=np.interp(time, self.time, self.voltage))
-
-
-class _NodeCurrents(dict):
-    """``{mesh node: current row}`` over one ``(nodes x samples)``
-    matrix: each row is a view of ``matrix``, and ``nodes`` lists the
-    keys in row order, so :meth:`SwanSimulator.propagate` multiplies
-    the matrix without stacking the rows again."""
-
-    __slots__ = ("nodes", "matrix")
-
-    def __init__(self, nodes: np.ndarray, matrix: np.ndarray):
-        super().__init__(zip(nodes.tolist(), matrix))
-        self.nodes = nodes
-        self.matrix = matrix
 
 
 class SwanSimulator:
@@ -219,6 +205,45 @@ class SwanSimulator:
     def _time_axis(self, duration: float, dt: float) -> np.ndarray:
         return np.arange(0.0, duration, dt)
 
+    def _kept_events(self, trace: EventTrace, n_times: int, dt: float,
+                     detailed: bool
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                Optional[np.ndarray],
+                                List[Tuple[int, np.ndarray]]]:
+        """The events an ``n_times``-sample axis keeps, and their pulses.
+
+        :meth:`injected_currents` and :meth:`_add_sensor_voltage` both
+        select, draw and shape here.  An event is kept when a placed
+        instance caused it and it starts inside the axis; a later one
+        is dropped, and a kept pulse that runs past the end of the
+        axis is cut there.  With ``detailed`` one jitter factor is
+        drawn per kept event, in event order -- the variates the
+        scalar loop consumes inside ``detailed_waveform`` -- and as
+        the detailed waveform is linear in that factor, each event is
+        a scaled copy of its cell's unit pulse.
+
+        Returns the kept events' start bins, mesh nodes, cell codes and
+        jitter factors (``None`` without ``detailed``), and ``(code,
+        unit pulse)`` for each code among them in ascending order.
+        """
+        placed_idx = np.flatnonzero(trace.source_indices >= 0)
+        starts = (trace.times[placed_idx] / dt).astype(int)
+        keep = starts < n_times
+        starts = starts[keep]
+        sources = trace.source_indices[placed_idx[keep]]
+        codes = self._code_by_gate[sources]
+        jitter = (1.0 + 0.05 * self.rng.standard_normal(starts.size)
+                  if detailed else None)
+        pulses = []
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            model = self.macromodels[self._cell_names[code]]
+            span = max(int(4.0 * model.duration / dt) + 2, 4)
+            local_t = np.arange(span) * dt
+            pulses.append((code, model.detailed_waveform(local_t)
+                           if detailed else
+                           model.macromodel_waveform(local_t)))
+        return starts, self._node_by_gate[sources], codes, jitter, pulses
+
     @timed("swan.superposition")
     def injected_currents(self, trace: EventTrace,
                           dt: float = 25e-12,
@@ -231,66 +256,37 @@ class SwanSimulator:
         ``detailed`` the per-event detailed waveforms (with jitter and
         ringing) are used instead of the macromodels.
 
-        Cell codes and mesh nodes are gathered straight from the
-        trace's source indices, and each cell code's events add their
-        pulses into one preallocated ``(nodes x samples)`` matrix with
-        ``np.add.at``, code by code in ascending order, so no
-        per-event Python object exists anywhere on this path.  Each
-        weight lands on its bin in event order, starting from zero --
-        the additions one ``bincount`` over the codes' concatenated
-        pulses makes -- so the matrix is that ``bincount``'s, bit for
-        bit.  The returned dict's rows are views of that matrix, which
-        it carries for :meth:`propagate`.  Memory grows with the
-        trace: :meth:`stream_noise` feeds it bounded chunks.
-
-        :meth:`_injected_currents_scalar` is the per-event reference
-        loop: both consume identical RNG variates, so they agree to
-        floating-point rounding.
+        The per-node bridge to :meth:`_injected_currents_scalar`, the
+        per-event reference loop: both consume identical RNG variates,
+        so they agree to floating-point rounding, and :meth:`propagate`
+        takes either dict to the sensor; :meth:`stream_noise` calls
+        neither method.  Each cell code's events add their pulses into
+        one preallocated ``(nodes x samples)`` matrix with
+        ``np.add.at``, code by code in ascending order; each weight
+        lands on its bin in event order, starting from zero -- the
+        additions one ``bincount`` over the codes' concatenated pulses
+        makes -- so the matrix is that ``bincount``'s, bit for bit.
+        The returned rows are views of that matrix.
         """
         duration = duration if duration is not None else trace.duration
         time = self._time_axis(duration, dt)
         n_times = time.size
-        placed_idx = np.flatnonzero(trace.source_indices >= 0)
-        if placed_idx.size == 0:
-            return time, {}
-        all_starts = (trace.times[placed_idx] / dt).astype(int)
-        keep = all_starts < n_times
-        if not keep.any():
-            return time, {}
-        start_arr = all_starts[keep]
-        sources = trace.source_indices[placed_idx[keep]]
-        code_arr = self._code_by_gate[sources]
-        node_arr = self._node_by_gate[sources]
-        if detailed:
-            # One draw per kept event, in event order -- the same
-            # variates the scalar loop consumes inside
-            # ``detailed_waveform``.
-            jitter = 1.0 + 0.05 * self.rng.standard_normal(
-                start_arr.size)
-        unique_nodes, node_rows = np.unique(node_arr,
-                                            return_inverse=True)
+        starts, nodes, codes, jitter, pulses = self._kept_events(
+            trace, n_times, dt, detailed)
+        unique_nodes, node_rows = np.unique(nodes, return_inverse=True)
         currents = np.zeros((unique_nodes.size, n_times))
         flat = currents.reshape(-1)
-        for code in np.unique(code_arr):
-            model = self.macromodels[self._cell_names[code]]
-            span = max(int(4.0 * model.duration / dt) + 2, 4)
-            local_t = np.arange(span) * dt
-            selected = code_arr == code
-            if detailed:
-                # The detailed waveform is linear in its jitter
-                # factor, so each event is a scaled copy of one unit
-                # pulse.
-                pulse = (jitter[selected, None]
-                         * model.detailed_waveform(local_t))
-            else:
-                pulse = model.macromodel_waveform(local_t)
-            index = start_arr[selected, None] + np.arange(span)
+        for code, pulse in pulses:
+            selected = codes == code
+            if jitter is not None:
+                pulse = jitter[selected, None] * pulse
+            index = starts[selected, None] + np.arange(pulse.shape[-1])
             values = np.where(index < n_times, pulse, 0.0)
             index = np.minimum(index, n_times - 1)
             np.add.at(flat,
                       (node_rows[selected, None] * n_times + index).ravel(),
                       values.ravel())
-        return time, _NodeCurrents(unique_nodes, currents)
+        return time, dict(zip(unique_nodes.tolist(), currents))
 
     def _injected_currents_scalar(self, result: SimulationResult,
                                   dt: float = 25e-12,
@@ -336,27 +332,40 @@ class SwanSimulator:
 
     def propagate(self, time: np.ndarray,
                   node_currents: Dict[int, np.ndarray]) -> NoiseWaveform:
-        """Quasi-static propagation to the sensor node.
-
-        One matrix-vector product of the stacked per-node currents
-        against the transfer-impedance row replaces the per-node
-        accumulation loop.  The dict :meth:`injected_currents` returns
-        carries the matrix its rows are views of, and that matrix is
-        multiplied without a copy; any other dict's rows are stacked
-        into the same matrix first, so both give the same waveform.
-        """
+        """Quasi-static propagation to the sensor node: the
+        transfer-impedance row times the stacked per-node currents."""
         if not node_currents:
             return NoiseWaveform(time=time,
                                  voltage=np.zeros(time.size))
-        if isinstance(node_currents, _NodeCurrents):
-            nodes = node_currents.nodes
-            matrix = node_currents.matrix
-        else:
-            nodes = np.fromiter(node_currents.keys(), dtype=int,
-                                count=len(node_currents))
-            matrix = np.vstack(list(node_currents.values()))
+        nodes = np.fromiter(node_currents.keys(), dtype=int,
+                            count=len(node_currents))
+        matrix = np.vstack(list(node_currents.values()))
         return NoiseWaveform(time=time,
                              voltage=self._impedance[nodes] @ matrix)
+
+    def _add_sensor_voltage(self, voltage: np.ndarray, trace: EventTrace,
+                            dt: float, detailed: bool) -> None:
+        """Add ``trace``'s sensor voltage into ``voltage``, in place.
+
+        Propagation is linear and quasi-static, so the sensor sees
+        each event's pulse scaled by its node's transfer impedance.
+        Per cell code, in ascending order, the events' weights
+        ``Z[node]`` (times the jitter factor, on the detailed path)
+        are binned onto the time axis as one impulse train, which is
+        convolved with the code's unit pulse and cut at the axis end.
+        That is ``Z[nodes] @ currents`` with the additions reordered.
+        """
+        n_times = voltage.size
+        starts, nodes, codes, jitter, pulses = self._kept_events(
+            trace, n_times, dt, detailed)
+        weight = self._impedance[nodes]
+        if jitter is not None:
+            weight *= jitter
+        for code, pulse in pulses:
+            selected = codes == code
+            train = np.bincount(starts[selected], weights=weight[selected],
+                                minlength=n_times)
+            voltage += np.convolve(train, pulse)[:n_times]
 
     @timed("swan.stream")
     def stream_noise(self, trace: EventTrace, dt: float = 25e-12,
@@ -369,21 +378,18 @@ class SwanSimulator:
         :func:`run_swan_experiment` and every sharded soc-noise shard
         come through here.  Million-event traces flow through in
         bounded memory: each chunk of at most ``chunk_events`` events
-        is superposed and propagated through the cached
-        transfer-impedance row, and only the accumulated sensor
-        voltage persists between chunks.  The jitter stream is
-        consumed in event order across chunks, so the chunk size moves
-        the result by floating-point rounding only.
+        adds its sensor voltage through :meth:`_add_sensor_voltage`,
+        and only the accumulated voltage persists between chunks -- no
+        per-node current ever exists.  The jitter stream is consumed
+        in event order across chunks, so the chunk size moves the
+        result by floating-point rounding only.
         """
         chunk_events = check_count("chunk_events", chunk_events)
         duration = duration if duration is not None else trace.duration
         time = self._time_axis(duration, dt)
         voltage = np.zeros(time.size)
         for chunk in trace.chunks(chunk_events):
-            _, currents = self.injected_currents(
-                chunk, dt=dt, detailed=detailed, duration=duration)
-            if currents:
-                voltage += self.propagate(time, currents).voltage
+            self._add_sensor_voltage(voltage, chunk, dt, detailed)
         return NoiseWaveform(time=time, voltage=voltage)
 
     def run(self, n_cycles: int = 5, dt: float = 25e-12,

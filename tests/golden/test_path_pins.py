@@ -481,9 +481,9 @@ class TestSocNoiseShardPins:
     round-off and its own pin."""
 
     @pytest.mark.parametrize("n_shards, p2p_uV", [
-        (1, 5677.751288154703),
-        (3, 5677.751288154702),
-        (8, 5677.751288154702),
+        (1, 5677.751288154706),
+        (3, 5677.751288154706),
+        (8, 5677.751288154706),
     ])
     def test_merged_row(self, n_shards, p2p_uV):
         result = run_sharded(
@@ -491,7 +491,7 @@ class TestSocNoiseShardPins:
             n_shards=n_shards, backend="serial", env_chaos=False)
         assert result.value == {"gates": 2000.0, "events": 2096.0,
                                 "activity": 0.15299270072992702,
-                                "rms_uV": 264.98177324442236,
+                                "rms_uV": 264.9817732444225,
                                 "p2p_uV": p2p_uV}
 
     def test_cli_default_at_60_cycles(self):

@@ -4,15 +4,20 @@ The compiled activity trace must carry *exactly* the event stream of
 the scalar :class:`EventDrivenSimulator` (so the per-event injection
 oracle sees the same events, attribution and jitter order from
 either), and the chunked/streamed paths must match the one-shot paths
-to floating-point rounding.  The batched multi-RHS mesh solve must
-match per-column solves exactly.
+to floating-point rounding.  ``stream_noise`` must equal the scalar
+oracle's per-node currents taken through the transfer-impedance row,
+and its memory must follow the time axis, not the mesh.  The batched
+multi-RHS mesh solve must match per-column solves exactly.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.digital import (EventDrivenSimulator, random_logic,
-                           random_stimulus, ripple_adder)
+from repro.digital import (CompiledEventEngine, EventDrivenSimulator,
+                           random_logic, random_stimulus, ripple_adder,
+                           soc_netlist)
 from repro.robust.errors import ModelDomainError
 from repro.substrate import SubstrateMesh, SubstrateProcess
 from repro.substrate.swan import EventTrace, Floorplan, SwanSimulator
@@ -96,6 +101,84 @@ class TestTraceInjection:
         sim = SwanSimulator(netlist, mesh_resolution=10, seed=0)
         with pytest.raises(ValueError):
             sim.stream_noise(trace, chunk_events=0)
+
+
+def _oracle_voltage(sim, trace, detailed, duration):
+    """``Z[nodes] @`` the stacked per-node currents of the scalar loop."""
+    time, currents = sim._injected_currents_scalar(
+        trace.to_result(), detailed=detailed, duration=duration)
+    nodes = np.array(list(currents), dtype=int)
+    return time, sim._impedance[nodes] @ np.vstack(list(currents.values()))
+
+
+class TestStreamThroughImpedanceRow:
+    """``stream_noise`` against the scalar oracle propagated by hand."""
+
+    @pytest.fixture(scope="class", params=["65nm", "350nm"])
+    def adder(self, request):
+        netlist = ripple_adder(get_node(request.param), width=6)
+        trace = SwanSimulator(netlist, mesh_resolution=10,
+                              seed=0).simulate_activity(
+            n_cycles=4, stimulus_seed=1)
+        return netlist, trace
+
+    @staticmethod
+    def short_duration(trace, dt=25e-12):
+        """An axis ending two samples after the middle placed event:
+        that event's pulse (at least 4 samples) is cut, and every
+        later-starting event is dropped."""
+        times = trace.times[trace.source_indices >= 0]
+        middle = times[times.size // 2]
+        assert (times > middle + 2 * dt).any()
+        return float(middle + 2 * dt)
+
+    @pytest.mark.parametrize("chunk_events", [1, 7, None])
+    @pytest.mark.parametrize("short", [False, True])
+    @pytest.mark.parametrize("detailed", [False, True])
+    def test_matches_oracle(self, adder, detailed, short, chunk_events):
+        netlist, trace = adder
+        duration = self.short_duration(trace) if short else None
+        streamed = SwanSimulator(netlist, mesh_resolution=10, seed=0)
+        oracle = SwanSimulator(netlist, mesh_resolution=10, seed=0)
+        wave = streamed.stream_noise(
+            trace, detailed=detailed, duration=duration,
+            chunk_events=chunk_events or trace.n_events)
+        time, expected = _oracle_voltage(oracle, trace, detailed,
+                                         duration)
+        assert np.array_equal(wave.time, time)
+        peak = np.abs(expected).max()
+        assert peak > 0.0
+        assert np.abs(wave.voltage - expected).max() <= 1e-15 * peak
+
+
+class TestStreamMemory:
+    """The stream holds a few time-axis rows and a few words per event
+    of one chunk, never a ``(mesh nodes x samples)`` matrix: on the
+    2k-gate, 10-cycle SoC (2,096 events over 8,000 samples, 225 mesh
+    nodes with events) such a matrix alone would take 14.4 MB."""
+
+    @pytest.fixture(scope="class")
+    def soc(self):
+        netlist = soc_netlist(get_node("65nm"), target_gates=2000,
+                              n_blocks=2, seed=0)
+        stimulus = random_stimulus(
+            netlist, 10, seed=0, held_high=["en", "blk0_en", "blk1_en"])
+        trace = CompiledEventEngine(netlist, clock_period=1 / 50e6).run(
+            stimulus, 10)
+        return netlist, trace
+
+    @pytest.mark.parametrize("detailed", [False, True])
+    def test_peak_follows_the_time_axis(self, soc, detailed):
+        netlist, trace = soc
+        sim = SwanSimulator(netlist, clock_frequency=50e6, seed=0)
+        tracemalloc.start()
+        try:
+            wave = sim.stream_noise(trace, detailed=detailed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n_events == 2096 and wave.time.size == 8000
+        assert peak < 16 * wave.time.size * 8 + 64 * trace.n_events
 
 
 class TestGatePlacement:
