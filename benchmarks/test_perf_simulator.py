@@ -12,7 +12,7 @@ Acceptance gates:
   narrow-cascade regime.
 * The end-to-end activity -> substrate-noise flow streams a >= 50k-gate
   SoC trace through SWAN in bounded time with **zero** per-event
-  Python objects on the hot path (``SwitchingEvent.__new__`` is
+  Python objects on the hot path (``SwitchingEvent.__init__`` is
   booby-trapped for the duration).
 * The stream's tracemalloc peak stays under a few time-axis rows
   plus a few words per event of one chunk (``16 * n_times * 8 +
@@ -29,9 +29,8 @@ speedup, and the 50k-gate flow's netlist build, compile, SWAN set-up
 and streaming times, the stream's memory peak, and its elapsed time
 with its run loop's steps against the trace's distinct event times
 (one step per wavefront would take at least one step per distinct
-time).  The flow's stage
-times -- netlist, compile, stimulus, SWAN set-up, engine run and
-streaming -- split the whole request.
+time).  The flow's stage times -- netlist, compile, stimulus, SWAN
+set-up, engine run and streaming -- split the whole request.
 """
 
 import time
@@ -111,10 +110,13 @@ def soc_workload(target_gates, n_blocks=8, seed=0, n_cycles=N_CYCLES):
 def no_event_objects(monkeypatch):
     """Fail the test if anything allocates a SwitchingEvent."""
 
-    def trap(cls, *args, **kwargs):
+    def trap(self, *args, **kwargs):
         pytest.fail("per-event SwitchingEvent allocated on the hot path")
 
-    monkeypatch.setattr(simulator_module.SwitchingEvent, "__new__",
+    # The dataclass's own __init__, so undoing the patch restores it: a
+    # patched inherited __new__ is undone by setting object.__new__ on
+    # the class, which then rejects every later SwitchingEvent's fields.
+    monkeypatch.setattr(simulator_module.SwitchingEvent, "__init__",
                         trap)
 
 
