@@ -4,6 +4,8 @@ These freeze fixed-seed outputs of the chain sign-off yield, Monte
 Carlo SSTA, SRAM margins, the SWAN substrate-noise flow, the sharded
 yield and chain sign-off runs of :mod:`repro.exec`, the SoC-scale
 netlist, event stream and sharded runs behind the ``soc-noise`` CLI,
+the topological order, scalar STA and compiled timing graph of four
+string-row netlists and a dual-V_T assignment,
 Fig. 10's SWAN accuracy report and the
 substrate-mitigation ablation, the electrothermal sweeps
 and the ``electrothermal`` CLI, the Monte Carlo OTA yield, the
@@ -27,9 +29,11 @@ from repro.__main__ import main
 from repro.analog.chain import chain_yield_vs_node
 from repro.analog.circuits import OtaDesign
 from repro.analog.yield_analysis import OtaYieldAnalyzer, YieldReport
-from repro.digital import (CompiledEventEngine, clocked_datapath,
-                           estimate_gates_for_target, random_logic,
-                           random_stimulus, soc_netlist)
+from repro.digital import (CompiledEventEngine, CompiledTimingGraph,
+                           StaticTimingAnalyzer, assign_dual_vth,
+                           clocked_datapath, estimate_gates_for_target,
+                           kogge_stone_adder, random_logic,
+                           random_stimulus, ripple_adder, soc_netlist)
 from repro.digital.ssta import (StatisticalTimingAnalyzer,
                                 corner_vs_statistical_margin)
 from repro.digital.timing import delay_under_mismatch
@@ -472,6 +476,111 @@ class TestSocNetlistPins:
             f"blk{b}_en" for b in range(n_blocks)]
         assert repr_digest([inst.name for inst in
                             netlist.topological_order()]) == order
+
+
+class TestTimingPathPins:
+    """The netlist structure that both timing analyzers read, on four
+    string-row netlists: the topological order (the SHA-256 of its
+    names' ``repr``), the scalar STA's critical path and delay, and the
+    compiled timing graph at fixed-seed offsets (4 samples, 20 mV
+    per-gate sigma, a 10 mV global shift): its gate axis, critical
+    delays, sample 0's critical path and its criticality map."""
+
+    BUILDS = {
+        "ripple": lambda node: ripple_adder(node, 6),
+        "kogge_stone": lambda node: kogge_stone_adder(node, 8),
+        "datapath": lambda node: clocked_datapath(node, 4, 3, seed=2),
+        "random": lambda node: random_logic(node, 150, seed=3,
+                                            sequential_fraction=0.2),
+    }
+    EXPECTED = {
+        "ripple": dict(
+            order="415b0f964ca04e0de1714140ffe4da31"
+                  "6cfc0c3f66534b0ff69949568dc51249",
+            sta_path=("u0", "u3", "u4", "u8", "u9", "u13", "u14", "u18",
+                      "u19", "u23", "u24", "u26"),
+            sta_delay=1.4678065561521155e-10,
+            delays=(1.473442479351635e-10, 1.507395382298972e-10,
+                    1.506569593307671e-10, 1.5279952076868606e-10),
+            path=("u0", "u3", "u4", "u8", "u9", "u13", "u14", "u18",
+                  "u19", "u23", "u24", "u26"),
+            criticality="b08d501f7fba50c99335589fdb2ce9c7"
+                        "ce9c3c4ad0baf5d128e8b3693bb87391"),
+        "kogge_stone": dict(
+            order="bc6f0bda6912acc3557c63f184a7f582"
+                  "2abe80d7511c1170360e3ccefb3634ed",
+            sta_path=("u10", "u21", "u37", "u38", "u61", "u62", "u74"),
+            sta_delay=1.0932414745012241e-10,
+            delays=(1.1470764359423015e-10, 1.1140317958198364e-10,
+                    1.1137065735340215e-10, 1.1192989352081812e-10),
+            path=("u10", "u19", "u20", "u38", "u61", "u62", "u74"),
+            criticality="b133f24a1aadcf6da4aa79aa43c9473f"
+                        "7f9d301005fa22440efa2622070bd3d2"),
+        "datapath": dict(
+            order="ad748548c756451b2c95fbd8cb4ec837"
+                  "c2e52b11b7883e029db9b5cea1277f77",
+            sta_path=("u8", "u57", "u60", "u61", "u66", "u67", "u72",
+                      "u73", "u76"),
+            sta_delay=1.699500468283281e-10,
+            delays=(1.7493213644382358e-10, 1.773274066663402e-10,
+                    1.699893100914833e-10, 1.762631450525114e-10),
+            path=("u8", "u57", "u60", "u61", "u66", "u67", "u72", "u73",
+                  "u76"),
+            criticality="cef4ddd671a7dffdc6744acf90cac7db"
+                        "d1dc3685ccbb1f8936eff8fde1639018"),
+        "random": dict(
+            order="bdb2f260676441eabaf172cc2cb76909"
+                  "d296084b37e5af89308385d837adc6fe",
+            sta_path=("u11", "u23", "u26", "u32", "u48", "u103", "u123",
+                      "u147"),
+            sta_delay=2.499200908646487e-10,
+            delays=(2.5198206271359466e-10, 2.5109690613982573e-10,
+                    2.540828170357103e-10, 2.66363339971446e-10),
+            path=("u11", "u23", "u26", "u32", "u48", "u103", "u123",
+                  "u147"),
+            criticality="85d8d9b57f3052916985497ea3873435"
+                        "11a09bb1d0c0bd8d39ad15adc04500cd"),
+    }
+
+    @pytest.fixture(scope="class", params=list(BUILDS))
+    def design(self, request):
+        return request.param, self.BUILDS[request.param](get_node("65nm"))
+
+    def test_topological_order(self, design):
+        key, netlist = design
+        assert repr_digest([inst.name for inst in
+                            netlist.topological_order()]) \
+            == self.EXPECTED[key]["order"]
+
+    def test_static_timing(self, design):
+        key, netlist = design
+        expected = self.EXPECTED[key]
+        report = StaticTimingAnalyzer(netlist).analyze()
+        assert report.critical_path == expected["sta_path"]
+        assert report.critical_delay == close(expected["sta_delay"])
+
+    def test_compiled_timing_graph(self, design):
+        key, netlist = design
+        expected = self.EXPECTED[key]
+        graph = CompiledTimingGraph(netlist)
+        offsets = np.random.default_rng(11).normal(
+            0.0, 0.02, (4, graph.n_gates))
+        result = graph.evaluate(offsets, global_vth_offset=0.01)
+        assert repr_digest(list(result.names_topo)) == expected["order"]
+        assert result.critical_delays.tolist() == [
+            close(value) for value in expected["delays"]]
+        assert result.critical_path(0) == expected["path"]
+        assert repr_digest([(name, float(p)) for name, p
+                            in result.criticality().items()]) \
+            == expected["criticality"]
+
+    def test_dual_vth_assignment(self):
+        result = assign_dual_vth(ripple_adder(get_node("65nm"), 8))
+        assert (result.n_gates, result.n_high_vt) == (40, 26)
+        assert result.leakage_before == close(4.628660310273638e-07)
+        assert result.leakage_after == close(3.877596408971267e-07)
+        assert result.delay_before == close(1.8571450299107564e-10)
+        assert result.delay_after == close(1.943601790636661e-10)
 
 
 class TestSocNoiseShardPins:
