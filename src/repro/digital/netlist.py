@@ -13,7 +13,8 @@ import itertools
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -28,6 +29,51 @@ _GateRow = Tuple[str, Sequence[str], Optional[str], float, Optional[str]]
 #: ``Netlist._net_driver`` of a net no gate drives: -1, or this for a
 #: primary input (which no gate may drive).
 _PRIMARY_INPUT = -2
+
+#: Shared, read-only empty result of :func:`_csr_rows`.
+_NO_GATES = np.zeros(0, dtype=np.int64)
+_NO_GATES.flags.writeable = False
+
+
+def _csr_rows(rows: np.ndarray, csr_start: np.ndarray,
+              csr_count: np.ndarray, csr_gates: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The loads of each net in ``rows``, concatenated in row order.
+
+    Returns the load gates and, for each, its position in ``rows``.
+    """
+    counts = csr_count[rows]
+    total = int(counts.sum())
+    if not total:
+        return _NO_GATES, _NO_GATES
+    offsets = np.cumsum(counts) - counts
+    ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+    return (csr_gates[np.repeat(csr_start[rows], counts) + ramp],
+            np.repeat(np.arange(rows.size, dtype=np.int64), counts))
+
+
+class _Lowering(NamedTuple):
+    """A netlist's structure as read-only arrays (:meth:`Netlist
+    ._lowering`).  Gates are numbered in insertion order and nets in
+    :attr:`Netlist.nets` order; net ``n_nets`` is the padding slot."""
+
+    fanin: np.ndarray        # (n_gates, 3) pin nets, padded with n_nets
+    n_inputs: np.ndarray     # (n_gates,) pins of each gate
+    out_net: np.ndarray      # (n_gates,) output net
+    is_seq: np.ndarray       # (n_gates,) flip-flop or latch
+    pin_cap: np.ndarray      # (n_gates,) left-folded pin caps of the output
+    load_count: np.ndarray   # (n_gates,) distinct loads of the output
+    csr_gates: np.ndarray    # combinational loads, grouped by net
+    csr_count: np.ndarray    # (n_nets,) combinational loads per net
+    csr_start: np.ndarray    # (n_nets,) each net's first in csr_gates
+    order: np.ndarray        # gates in topological order
+    levels: List[np.ndarray]  # combinational settle levels
+
+    def load_capacitance(self, wire_cap_per_fanout: float) -> np.ndarray:
+        """Each gate's output load [F], bit for bit
+        :meth:`Netlist.fanout_capacitance` of its output net."""
+        return self.pin_cap + wire_cap_per_fanout * np.maximum(
+            self.load_count, 1)
 
 
 @dataclass(frozen=True, init=False)
@@ -167,10 +213,13 @@ class Netlist:
     creation; :attr:`nets` orders the nets by first sight after the
     primary inputs, an order that :meth:`_net_order` computes once per
     netlist state with array passes and that the compiled event engine
-    shares.  :attr:`instances` is a read-only mapping over the columns
-    that builds an :class:`Instance` only when one is read, so a flow
-    that lowers the netlist to arrays (the compiled event engine, the
-    SWAN placement) builds none and looks up no net by name.
+    shares.  :meth:`_lowering` lowers the gates, once per netlist
+    state, to the arrays that :meth:`topological_order` and both
+    compiled engines read.  :attr:`instances` is a read-only mapping
+    over the columns that builds an :class:`Instance` only when one is
+    read, so a flow that lowers the netlist to arrays (the compiled
+    engines, the SWAN placement) builds none and looks up no net by
+    name.
 
     Examples
     --------
@@ -217,6 +266,7 @@ class Netlist:
         self._order_cache: Optional[Tuple[np.ndarray,
                                           Tuple[str, ...]]] = None
         self._kind_cache: Optional[np.ndarray] = None
+        self._lowering_cache: Optional[_Lowering] = None
 
     @property
     def instances(self) -> Mapping[str, Instance]:
@@ -235,6 +285,7 @@ class Netlist:
         self._topo_cache = None
         self._order_cache = None
         self._kind_cache = None
+        self._lowering_cache = None
 
     # --- construction -----------------------------------------------------
 
@@ -516,6 +567,120 @@ class Netlist:
             self._kind_cache = kind
         return self._kind_cache
 
+    def _lowering(self) -> _Lowering:
+        """The gates lowered to arrays, cached until a mutation: what
+        :meth:`topological_order`, the compiled event engine and the
+        compiled timing graph read.
+
+        Array passes through the :attr:`nets` rank and the kind array.
+        The distinct (gate, net) input pins, each weighted by the pins
+        its net takes on the gate, are grouped by net with a stable
+        sort, so each net's loads stay in :meth:`loads_of` order.  Each
+        gate's output load is the left fold of those loads' pin caps
+        that :meth:`fanout_capacitance` takes, one array step per
+        fanout position (numpy reductions add pairwise, and from
+        CPython 3.12 ``sum`` over floats is compensated, so neither
+        would do).  The combinational loads of each net form a CSR
+        index (sequential cells sample only at the clock edge).  A
+        generational Kahn pass then orders the gates: a combinational
+        gate waits for its distinct driven input nets; generation 0 is
+        every gate without one, sequential gates included, in insertion
+        order, and each later generation is the loads the previous one
+        released, in the order of their last visit.  A combinational
+        gate's settle level is one past its deepest combinational
+        driver's, and each level lists its gates in that order.
+        """
+        if self._lowering_cache is not None:
+            return self._lowering_cache
+        rank, net_names = self._net_order()
+        kind = self._kind_array()
+        kind_cells = self._kind_cells
+        n_gates = kind.size
+        n_nets = len(net_names)
+        is_seq = np.array([cell.cell_type.is_sequential
+                           for cell in kind_cells], dtype=bool)[kind]
+        n_inputs = np.array([cell.cell_type.n_inputs
+                             for cell in kind_cells], dtype=np.int64)[kind]
+        out_net = rank[np.array(self._gate_outputs, dtype=np.int64)]
+        # Every gate's pin count was checked against its cell (three at
+        # most), and the pins are flat in gate-then-pin order.
+        fanin = np.full((n_gates, 3), n_nets, dtype=np.int64)
+        fanin[np.arange(3) < n_inputs[:, None]] = rank[
+            np.array(self._gate_pins, dtype=np.int64)]
+
+        # The distinct pins, their multiplicities, grouped by net.
+        a, b, c = fanin.T
+        ab, ac, bc = a == b, a == c, b == c
+        distinct = np.column_stack([a != n_nets, (b != n_nets) & ~ab,
+                                    (c != n_nets) & ~ac & ~bc])
+        pin_gate = np.nonzero(distinct)[0]
+        pin_net = fanin[distinct]
+        pin_mult = np.column_stack(
+            [1 + ab + ac, 1 + ab + bc, 1 + ac + bc])[distinct]
+        by_net = np.argsort(pin_net, kind="stable")
+        n_loads = np.bincount(pin_net, minlength=n_nets)
+        first_load = np.cumsum(n_loads) - n_loads
+
+        # The fold: with the gates ordered by fanout, the driven nets
+        # that have a j-th load term are a prefix, and step j adds that
+        # term to each one's running total.
+        kind_cap = np.array([cell.input_capacitance
+                             for cell in kind_cells], dtype=float)
+        terms = (kind_cap[kind[pin_gate]] * pin_mult)[by_net]
+        load_count = n_loads[out_net]
+        widest = np.argsort(load_count)[::-1]
+        first = first_load[out_net][widest]
+        folded = np.zeros(n_gates)
+        live = n_gates - np.cumsum(np.bincount(load_count))[:-1]
+        for j, n in enumerate(live.tolist()):
+            folded[:n] += terms[first[:n] + j]
+        pin_cap = np.empty(n_gates)
+        pin_cap[widest] = folded
+
+        loads = pin_gate[by_net]
+        csr_gates = loads[~is_seq[loads]]
+        csr_count = np.bincount(pin_net[~is_seq[pin_gate]],
+                                minlength=n_nets)
+        csr_start = np.cumsum(csr_count) - csr_count
+
+        # The Kahn pass; level slot n_gates (index -1) is "no
+        # combinational driver".
+        driver = np.full(n_nets + 1, -1, dtype=np.int64)
+        driver[out_net] = np.arange(n_gates, dtype=np.int64)
+        waits = (driver[pin_net] >= 0) & ~is_seq[pin_gate]
+        pending = np.bincount(pin_gate[waits], minlength=n_gates)
+        driver[out_net[is_seq]] = -1
+        pin_drivers = driver[fanin]
+        level = np.full(n_gates + 1, -1, dtype=np.int64)
+        generations: List[np.ndarray] = []
+        frontier = np.flatnonzero(pending == 0)
+        while frontier.size:
+            generations.append(frontier)
+            comb = frontier[~is_seq[frontier]]
+            level[comb] = level[pin_drivers[comb]].max(axis=1) + 1
+            visits, _ = _csr_rows(out_net[frontier], csr_start,
+                                  csr_count, csr_gates)
+            pending -= np.bincount(visits, minlength=n_gates)
+            gates, last = np.unique(visits[::-1], return_index=True)
+            ready = pending[gates] == 0
+            frontier = visits[np.sort(visits.size - 1 - last[ready])]
+        if pending.any():
+            raise ModelDomainError("netlist contains a combinational loop")
+        order = np.concatenate(generations or [_NO_GATES])
+        comb = order[~is_seq[order]]
+        comb_level = level[comb]
+        by_level = comb[np.argsort(comb_level, kind="stable")]
+        by_level.flags.writeable = False    # and so the levels, its views
+        lowering = _Lowering(
+            fanin, n_inputs, out_net, is_seq, pin_cap, load_count,
+            csr_gates, csr_count, csr_start, order,
+            np.split(by_level, np.cumsum(np.bincount(comb_level))[:-1])
+            if comb.size else [])
+        for array in lowering[:-1]:
+            array.flags.writeable = False
+        self._lowering_cache = lowering
+        return lowering
+
     @property
     def nets(self) -> List[str]:
         """All nets in the design: the primary inputs, then every other
@@ -581,8 +746,9 @@ class Netlist:
         Each load adds its pin cap times the pins ``net`` takes on it
         to a running total, in :meth:`loads_of` order: an explicit left
         fold, because ``sum`` over floats is compensated from CPython
-        3.12.  The compiled event engine folds the same terms in the
-        same order, so the two agree bit for bit on every Python.
+        3.12.  :meth:`_lowering` folds the same terms in the same order
+        with array steps, for the compiled event engine and timing
+        graph, so the two agree bit for bit on every Python.
         """
         loads = self._net_loads().get(net, ())
         net_id = self._net_index.get(net)
@@ -608,65 +774,17 @@ class Netlist:
         treated as new timing startpoints, so feedback through DFFs is
         legal.
 
-        The order comes from a generational Kahn pass over the
-        driver -> load graph (in-edges of sequential cells cut, a net
-        on several pins of one load counted once).  The first
-        generation is every instance without a driver in insertion
-        order; each later one collects the loads whose last unvisited
-        driver sits in the previous generation, in the order those
-        drivers are visited and then in net-load insertion order.  The
-        timing analyzers break equal-arrival ties by this order, so it
-        must not change.
+        The order is the generational Kahn order of :meth:`_lowering`,
+        which both compiled engines share: every instance without a
+        driver in insertion order, then each generation's loads in the
+        order their last driver is visited.  The timing analyzers break
+        equal-arrival ties by this order, so it must not change.
         """
         if self._topo_cache is None:
             instance_at = self._instances._at
-            self._topo_cache = [instance_at(position)
-                                for position in self._kahn_order()]
+            self._topo_cache = [instance_at(position) for position
+                                in self._lowering().order.tolist()]
         return list(self._topo_cache)
-
-    def _kahn_order(self) -> List[int]:
-        """Gate positions in :meth:`topological_order`."""
-        driver = self._net_driver
-        net_names = self._net_names
-        net_loads = self._net_loads()
-        outputs = self._gate_outputs
-        pins = self._gate_pins
-        sequential = [cell.cell_type.is_sequential
-                      for cell in self._kind_cells]
-        # Unvisited driver count of each combinational gate with any;
-        # each gate drives exactly one net, so distinct driven input
-        # nets are distinct drivers.
-        pending: Dict[int, int] = {}
-        generation: List[int] = []
-        start = 0
-        for position, (kind, end) in enumerate(
-                zip(self._gate_kind, self._gate_pin_end)):
-            count = 0 if sequential[kind] else len(
-                {net for net in pins[start:end] if driver[net] >= 0})
-            start = end
-            if count:
-                pending[position] = count
-            else:
-                generation.append(position)
-        order: List[int] = []
-        while generation:
-            following: List[int] = []
-            for position in generation:
-                order.append(position)
-                for load in net_loads.get(net_names[outputs[position]],
-                                          ()):
-                    count = pending.get(load)
-                    if count is None:       # sequential: in-edges cut
-                        continue
-                    if count == 1:
-                        del pending[load]
-                        following.append(load)
-                    else:
-                        pending[load] = count - 1
-            generation = following
-        if pending:
-            raise ModelDomainError("netlist contains a combinational loop")
-        return order
 
     # --- evaluation -----------------------------------------------------------
 

@@ -71,17 +71,13 @@ from ..robust.guards import SimulationBudget
 from ..robust.validate import check_count, check_positive
 from ..perf.profile import timed
 from .gates import CELL_TYPES
-from .netlist import Netlist
+from .netlist import Netlist, _csr_rows
 from .simulator import SimulationResult, SwitchingEvent
 
 __all__ = ["CompiledEventEngine", "EventTrace"]
 
 #: Source index marking a primary-input (driverless) event.
 _SRC_INPUT = -1
-
-#: Shared, read-only empty result of :func:`_csr_rows`.
-_NO_GATES = np.zeros(0, dtype=np.int64)
-_NO_GATES.flags.writeable = False
 
 #: Most queued events one step looks at, so no step scans the whole
 #: pending set.  Scanning this many costs a few microseconds, less than
@@ -175,7 +171,7 @@ class EventTrace:
         n_cycles = check_count("n_cycles", n_cycles)
         if self.n_events == 0:
             return 0.0
-        n_nets = np.unique(self.net_indices).size
+        n_nets = np.count_nonzero(np.bincount(self.net_indices))
         return self.n_events / (n_nets * n_cycles)
 
     def to_events(self) -> List[SwitchingEvent]:
@@ -224,23 +220,6 @@ class EventTrace:
 
 
 EventTrace.final_values = _FinalValuesField()  # type: ignore[assignment]
-
-
-def _csr_rows(rows: np.ndarray, csr_start: np.ndarray,
-              csr_count: np.ndarray, csr_gates: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """The loads of each net in ``rows``, concatenated in row order.
-
-    Returns the load gates and, for each, its position in ``rows``.
-    """
-    counts = csr_count[rows]
-    total = int(counts.sum())
-    if not total:
-        return _NO_GATES, _NO_GATES
-    offsets = np.cumsum(counts) - counts
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    return (csr_gates[np.repeat(csr_start[rows], counts) + ramp],
-            np.repeat(np.arange(rows.size, dtype=np.int64), counts))
 
 
 def _first_conflict(nets: np.ndarray, load_gates: np.ndarray,
@@ -389,19 +368,12 @@ class CompiledEventEngine:
         calls.
 
         Nets are numbered in :attr:`Netlist.nets` order and gates in
-        insertion order.  The netlist keeps its pins and outputs as net
-        ids and ranks each id by its first sight after the primary
-        inputs (:meth:`Netlist._net_order`, shared with ``nets``), so
-        the fanin and output tables are gathers through that rank: no
-        net is looked up by name and no :class:`Instance` is built.
-        Each gate's kind -- the netlist's shared :class:`Cell`, whose
-        gates share one truth table, pin count, pin capacitance and
-        delay model -- comes from the netlist's kind array.  Everything
-        else is array work too: the distinct input pins, the net->loads
-        CSR, a fold of each driven net's load caps with one step per
-        fanout position, one array-valued :meth:`Cell.delay` call per
-        kind in use, and a generational Kahn pass that orders the
-        settle levels.
+        insertion order.  The fanin and output tables, the load folds,
+        the net->loads CSR and the settle levels are the netlist's own
+        lowering (:meth:`Netlist._lowering`), so no net is looked up by
+        name and no :class:`Instance` is built.  Each kind in use --
+        the netlist's shared :class:`Cell`, one truth table and delay
+        model -- takes one array-valued :meth:`Cell.delay` call.
         """
         netlist = self.netlist
         self._instance_names: Tuple[str, ...] = tuple(netlist._gate_names)
@@ -414,9 +386,10 @@ class CompiledEventEngine:
         # The run's value names: the nets, then the padding slot.
         self._value_names = self._net_names + ("<pad>",)
         n_nets = len(self._net_names)
+        lowered = netlist._lowering()
 
         # 8-entry truth table per cell type: 3 inputs max in the
-        # library, padded pins read the always-False dummy net.
+        # library, padded pins read the always-False padding slot.
         type_names = list(CELL_TYPES)
         type_code = {name: k for k, name in enumerate(type_names)}
         truth = np.zeros((len(type_names), 8), dtype=bool)
@@ -429,86 +402,26 @@ class CompiledEventEngine:
                              for b in range(cell_type.n_inputs))
                 truth[code, packed] = cell_type.function(bits)
         self._truth_flat = truth.ravel()
-
-        is_seq = np.array([cell.cell_type.is_sequential
-                           for cell in kind_cells], dtype=bool)[kind]
         self._tcode8 = np.array(
             [type_code[cell.cell_type.name] * 8 for cell in kind_cells],
             dtype=np.int64)[kind]
 
-        dummy = n_nets            # always-False padding slot
-        self._dummy = dummy
-        out_net = rank[np.array(netlist._gate_outputs, dtype=np.int64)]
-        # The netlist checked every gate's pin count against its cell,
-        # and keeps the pins flat in gate-then-pin order.
-        n_inputs = np.array([cell.cell_type.n_inputs
-                             for cell in kind_cells], dtype=np.int64)[kind]
-        fanin = np.full((n_gates, 3), dummy, dtype=np.int64)
-        fanin[np.arange(3) < n_inputs[:, None]] = rank[
-            np.array(netlist._gate_pins, dtype=np.int64)]
-
-        # Distinct (gate, net) input pins in gate-then-pin order: a net
-        # on several pins of one gate is one load of that net, with its
-        # pin count as the weight Netlist.fanout_capacitance gives it.
-        a, b, c = fanin.T
-        ab, ac, bc = a == b, a == c, b == c
-        distinct = np.column_stack([a != dummy, (b != dummy) & ~ab,
-                                    (c != dummy) & ~ac & ~bc])
-        pin_gate = np.nonzero(distinct)[0]
-        pin_net = fanin[distinct]
-        pin_mult = np.column_stack(
-            [1 + ab + ac, 1 + ab + bc, 1 + ac + bc])[distinct]
-        # Pins grouped by net; a stable sort keeps each net's loads in
-        # insertion order, the order Netlist.loads_of lists them.
-        by_net = np.argsort(pin_net, kind="stable")
-        n_loads = np.bincount(pin_net, minlength=n_nets)
-        first_load = np.cumsum(n_loads) - n_loads
-
-        # Per-gate loaded delays.  Each load cap is the left fold that
-        # Netlist.fanout_capacitance takes, over the same terms in the
-        # same order (numpy reductions add pairwise, and from CPython
-        # 3.12 ``sum`` over floats is compensated, so neither would
-        # do).  With the gates ordered by fanout, the driven nets that
-        # have a j-th load term are a prefix, and step j adds that
-        # term to each one's running total.  Each kind in use then
-        # takes one Cell.delay call with an array load: V_T and V_DD
-        # stay scalar, so every power in the delay model is still a
-        # Python-float ``**``, and the load enters only through +, *
-        # and /, which numpy rounds exactly like Python.
-        kind_cap = np.array([cell.input_capacitance
-                             for cell in kind_cells], dtype=float)
-        terms = (kind_cap[kind[pin_gate]] * pin_mult)[by_net]
-        load_count = n_loads[out_net]
-        widest = np.argsort(load_count)[::-1]
-        first = first_load[out_net][widest]
-        folded = np.zeros(n_gates)
-        live = n_gates - np.cumsum(np.bincount(load_count))[:-1]
-        for j, n in enumerate(live.tolist()):
-            folded[:n] += terms[first[:n] + j]
-        pin_cap = np.empty(n_gates)
-        pin_cap[widest] = folded
-        load_cap = pin_cap + self.wire_cap_per_fanout * np.maximum(
-            load_count, 1)
+        # Per-gate loaded delays.  V_T and V_DD stay scalar, so every
+        # power in the delay model is still a Python-float ``**``, and
+        # the load enters only through +, * and /, which numpy rounds
+        # exactly like Python.
+        load_cap = lowered.load_capacitance(self.wire_cap_per_fanout)
         delays = np.empty(n_gates)
         for k, cell in enumerate(kind_cells):
             members = np.flatnonzero(kind == k)
             if members.size:    # a kind whose first row failed has none
                 delays[members] = cell.delay(load_cap[members])
-
-        self._fanin = fanin
-        self._out_net = out_net
+        fanin = self._fanin = lowered.fanin
+        out_net = self._out_net = lowered.out_net
         self._delays = delays
-
-        # Combinational net -> loads CSR (sequential cells sample only
-        # at the clock edge, exactly as the scalar loop skips them).
-        loads = pin_gate[by_net]
-        csr_gates = loads[~is_seq[loads]]
-        csr_count = np.bincount(pin_net[~is_seq[pin_gate]],
-                                minlength=n_nets)
-        csr_start = np.cumsum(csr_count) - csr_count
-        self._csr_gates = csr_gates
-        self._csr_count = csr_count
-        self._csr_start = csr_start
+        csr_gates = self._csr_gates = lowered.csr_gates
+        csr_count = self._csr_count = lowered.csr_count
+        self._csr_start = lowered.csr_start
         # Reach: the smallest delay among a net's combinational loads
         # (inf without one), so an event at t schedules nothing before
         # t + reach[net].
@@ -519,52 +432,12 @@ class CompiledEventEngine:
 
         # Sequential cells in netlist insertion order (the scalar
         # simulator's sampling order).
-        seq_idx = np.flatnonzero(is_seq)
+        seq_idx = np.flatnonzero(lowered.is_seq)
         self._seq_gates = seq_idx
-        self._seq_data = fanin[seq_idx, n_inputs[seq_idx] - 1]
+        self._seq_data = fanin[seq_idx, lowered.n_inputs[seq_idx] - 1]
         self._seq_out = out_net[seq_idx]
         self._seq_delay = delays[seq_idx]
-
-        # Levelized combinational schedule for the initial settle: a
-        # gate's level is one past its deepest combinational driver,
-        # and each level lists its gates in topological order -- the
-        # order of Netlist.topological_order, rebuilt here by the same
-        # generational Kahn pass on the pin table.  A combinational
-        # gate waits for its distinct driven input nets; generation 0
-        # is every gate without one, sequential gates included, and
-        # each later generation is the loads the previous one
-        # released, in the order of their last visit.
-        driver = np.full(n_nets + 1, -1, dtype=np.int64)
-        driver[out_net] = np.arange(n_gates, dtype=np.int64)
-        waits = (driver[pin_net] >= 0) & ~is_seq[pin_gate]
-        pending = np.bincount(pin_gate[waits], minlength=n_gates)
-        comb_driver = driver.copy()
-        comb_driver[out_net[is_seq]] = -1
-        pin_drivers = comb_driver[fanin]
-        # Slot n_gates (index -1) is "no combinational driver".
-        level = np.full(n_gates + 1, -1, dtype=np.int64)
-        generations: List[np.ndarray] = []
-        frontier = np.flatnonzero(pending == 0)
-        while frontier.size:
-            generations.append(frontier)
-            comb = frontier[~is_seq[frontier]]
-            level[comb] = level[pin_drivers[comb]].max(axis=1) + 1
-            visits, _ = _csr_rows(out_net[frontier], csr_start,
-                                  csr_count, csr_gates)
-            pending -= np.bincount(visits, minlength=n_gates)
-            gates, last = np.unique(visits[::-1], return_index=True)
-            ready = pending[gates] == 0
-            frontier = visits[np.sort(visits.size - 1 - last[ready])]
-        if pending.any():
-            raise ModelDomainError("netlist contains a combinational loop")
-        self._levels: List[np.ndarray] = []
-        if generations:
-            topo = np.concatenate(generations)
-            comb_topo = topo[~is_seq[topo]]
-            comb_level = level[comb_topo]
-            self._levels = np.split(
-                comb_topo[np.argsort(comb_level, kind="stable")],
-                np.cumsum(np.bincount(comb_level))[:-1])
+        self._levels = lowered.levels
 
         # Nets that are neither driven nor primary inputs read as
         # False during the settle even if an initial state set them.

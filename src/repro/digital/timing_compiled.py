@@ -5,9 +5,12 @@ dicts gate by gate; Monte Carlo SSTA repeats that walk per sample, so
 sign-off-grade quantiles (q = 0.999 needs thousands of dies) are out
 of reach of the per-sample loop.  This module lowers a
 :class:`~repro.digital.netlist.Netlist` *once* into flat numpy arrays
--- a levelized topological schedule, per-gate fanin indices, load
-capacitances and one array-valued :class:`~repro.digital.delay
-.DelayModel` -- and then evaluates **all samples at once** over
+-- a levelized schedule, per-gate fanin indices and one array-valued
+:class:`~repro.digital.delay.DelayModel` -- gathered from the
+netlist's own lowering (:meth:`Netlist._lowering`: the Kahn order,
+the settle levels and each driven net's load fold, shared with
+:meth:`Netlist.topological_order` and the compiled event engine),
+and then evaluates **all samples at once** over
 ``(n_samples, n_gates)`` arrays: levelized arrival propagation,
 per-sample argmax predecessor tracking for critical paths, and
 criticality counts.
@@ -26,10 +29,11 @@ the same per-gate V_T offsets the batched path reproduces it exactly
 * the scalar endpoint is the first maximum of the instance-arrival
   dict in topological insertion order -- the compiled gate axis *is*
   that topological order, so ``argmax`` over it agrees;
-* the delay formula is not duplicated: compilation builds each gate's
-  :meth:`Cell.delay_model` and stacks them into a single array-valued
-  :class:`DelayModel`, whose (elementwise) :meth:`DelayModel.delay`
-  both paths share.
+* the delay formula is not duplicated: compilation makes one
+  :meth:`Cell.delay_model` call per cell kind, over its gates' loads
+  (:meth:`Netlist.fanout_capacitance`'s, bit for bit), and gathers the
+  models' fields into a single array-valued :class:`DelayModel`,
+  whose (elementwise) :meth:`DelayModel.delay` both paths share.
 
 Callers pass V_T offsets as a ``(n_samples, n_gates)`` array with
 gate columns in **netlist insertion order** (``list(netlist
@@ -129,8 +133,11 @@ class BatchTimingResult:
 class CompiledTimingGraph:
     """A :class:`Netlist` lowered to flat arrays for batched STA.
 
-    Compilation is one topological pass (O(gates + pins)); every
-    subsequent :meth:`evaluate` call is pure array work over
+    Compilation reads the netlist's lowering (computed once per
+    netlist state) and builds the gate axis, the delay model and the
+    fanin table by gathers, with one :meth:`Cell.delay_model` call per
+    cell kind and no per-gate Python; every subsequent
+    :meth:`evaluate` call is pure array work over
     ``(n_samples, n_gates)`` and costs no per-gate Python beyond the
     level loop (depth iterations).
 
@@ -151,71 +158,66 @@ class CompiledTimingGraph:
         self.wire_cap_per_fanout = float(wire_cap_per_fanout)
         self.node = netlist.node
 
-        order = netlist.topological_order()
-        self.names_topo: Tuple[str, ...] = tuple(
-            inst.name for inst in order)
-        self.names: Tuple[str, ...] = tuple(netlist.instances)
-        topo_of = {name: k for k, name in enumerate(self.names_topo)}
-        self._topo_of = topo_of
-        # Column scatter: external (insertion-order) offset columns
-        # land at these topological positions.
-        scatter = np.array([topo_of[name] for name in self.names],
-                           dtype=np.int64)
-        self._gather = np.empty_like(scatter)
-        self._gather[scatter] = np.arange(len(scatter))
-        n_gates = len(order)
+        lowered = netlist._lowering()
+        order = lowered.order
+        n_gates = order.size
         self.n_gates = n_gates
+        gate_names = netlist._gate_names
+        self.names_topo: Tuple[str, ...] = tuple(
+            [gate_names[g] for g in order.tolist()])
+        self.names: Tuple[str, ...] = tuple(gate_names)
+        self._topo_of = dict(zip(self.names_topo, range(n_gates)))
+        # Column gather: topological gate k reads the external
+        # (insertion-order) offset column order[k].
+        self._gather = order
+        topo = np.empty(n_gates, dtype=np.int64)
+        topo[order] = np.arange(n_gates)
 
-        # One array-valued delay model for the whole netlist, stacked
-        # from each gate's own Cell.delay_model so both paths share
+        # One array-valued delay model for the whole netlist, from one
+        # Cell.delay_model call per kind in use, so both paths share
         # the exact same formula composition.
-        models = [
-            inst.cell.delay_model(netlist.fanout_capacitance(
-                inst.output, self.wire_cap_per_fanout))
-            for inst in order]
-        if n_gates:
-            self._delay_model: Optional[DelayModel] = DelayModel(
-                node=self.node,
-                drive_width=np.array(
-                    [m.drive_width for m in models]),
-                load_capacitance=np.array(
-                    [m.load_capacitance for m in models]),
-                prefactor=models[0].prefactor,
-            )
-        else:
-            self._delay_model = None
+        load_cap = lowered.load_capacitance(self.wire_cap_per_fanout)
+        kind = netlist._kind_array()
+        drive_width = np.empty(n_gates)
+        load_capacitance = np.empty(n_gates)
+        for k, cell in enumerate(netlist._kind_cells):
+            members = np.flatnonzero(kind == k)
+            if members.size:    # a kind whose first row failed has none
+                model = cell.delay_model(load_cap[members])
+                drive_width[members] = model.drive_width
+                load_capacitance[members] = model.load_capacitance
+        self._delay_model: Optional[DelayModel] = DelayModel(
+            node=self.node, drive_width=drive_width[order],
+            load_capacitance=load_capacitance[order],
+            prefactor=model.prefactor) if n_gates else None
 
-        # Fanin pin table: per gate, (net name, driver topo index).
+        # Fanin codes: each pin's driver in topological order.
         # Sequential cells get a single pseudo primary-input pin (the
         # clk-to-q launch); pins are sorted by net name *descending*
         # so argmax tie-breaking matches the scalar analyzer's
         # max-over-(arrival, net) tuples.
-        pin_lists: List[List[int]] = []
-        levels = np.zeros(n_gates, dtype=np.int64)
-        for g, inst in enumerate(order):
-            if inst.is_sequential:
-                pin_lists.append([_PIN_INPUT])
-                levels[g] = 0
-                continue
-            pins: List[Tuple[str, int]] = []
-            for net in inst.inputs:
-                driver = netlist.driver_of(net)
-                pins.append((net, topo_of[driver.name]
-                             if driver is not None else _PIN_INPUT))
-            pins.sort(key=lambda pin: pin[0], reverse=True)
-            pin_lists.append([code for _, code in pins])
-            driver_levels = [levels[code] for _, code in pins
-                             if code >= 0]
-            levels[g] = 1 + max(driver_levels) if driver_levels else 0
-
-        max_fanin = max((len(p) for p in pin_lists), default=1)
-        fanin = np.full((n_gates, max_fanin), _PIN_PAD, dtype=np.int64)
-        for g, pins in enumerate(pin_lists):
-            fanin[g, :len(pins)] = pins
-        self._fanin = fanin
-        self._levels: List[np.ndarray] = [
-            np.flatnonzero(levels == lv)
-            for lv in range(int(levels.max()) + 1 if n_gates else 0)]
+        net_names = netlist._net_order()[1]
+        n_nets = len(net_names)
+        code = np.full(n_nets + 1, _PIN_INPUT, dtype=np.int64)
+        code[lowered.out_net] = topo
+        code[n_nets] = _PIN_PAD
+        # Each net's place in descending name order, the padding last.
+        name_rank = np.full(n_nets + 1, n_nets, dtype=np.int64)
+        name_rank[sorted(range(n_nets), key=net_names.__getitem__,
+                         reverse=True)] = np.arange(n_nets)
+        pins = lowered.fanin[order]
+        fanin = code[np.take_along_axis(
+            pins, np.argsort(name_rank[pins], axis=1, kind="stable"),
+            axis=1)]
+        fanin[lowered.is_seq[order]] = (_PIN_INPUT, _PIN_PAD, _PIN_PAD)
+        width = int((fanin != _PIN_PAD).sum(axis=1).max(initial=1))
+        self._fanin = fanin[:, :width]
+        # The sequential cells, then the combinational settle levels:
+        # any schedule with drivers first gives the same arithmetic.
+        launch = topo[lowered.is_seq]
+        self._levels: List[np.ndarray] = (
+            [launch] if launch.size else []) + [
+            topo[gates] for gates in lowered.levels]
 
     # --- evaluation ------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Netlist builders that only the digital tests use as workloads.
+"""Netlist builders that only the digital tests use as workloads, and
+the networkx oracle of the topological order.
 
 Multiplier, LFSR, decoder, comparator and FIR shapes give the engine
 tests sequential, fanout-heavy and reconvergent netlists that no
@@ -6,11 +7,32 @@ library flow builds.  Imported as ``from netlists import ...``: pytest
 puts this directory on ``sys.path`` for its test modules.
 """
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import networkx as nx
 
 from repro.digital import Netlist, full_adder
 from repro.robust.errors import ModelDomainError
 from repro.technology.node import TechnologyNode
+
+
+def networkx_order(netlist: Netlist) -> List[str]:
+    """Instance names in ``nx.topological_sort`` order of the instance
+    graph: an edge from driver to load per input net, in-edges of
+    sequential cells cut.  Raises ``nx.NetworkXUnfeasible`` on a
+    combinational loop."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(netlist.instances)
+    for instance in netlist.instances.values():
+        for net in instance.inputs:
+            driver = netlist.driver_of(net)
+            if driver is not None:
+                graph.add_edge(driver.name, instance.name, net=net)
+    cut = nx.DiGraph(graph)
+    for name, instance in netlist.instances.items():
+        if instance.is_sequential:
+            cut.remove_edges_from(list(cut.in_edges(name)))
+    return list(nx.topological_sort(cut))
 
 
 def array_multiplier(node: TechnologyNode, width: int = 4,

@@ -29,7 +29,7 @@ from repro.digital import simulator_compiled
 from repro.robust.errors import ModelDomainError, SimulationBudgetError
 from repro.technology import get_node
 
-from netlists import fir_filter, lfsr
+from netlists import fir_filter, lfsr, networkx_order
 
 
 @pytest.fixture(scope="module")
@@ -271,8 +271,18 @@ class TestEventTrace:
     def test_accessors_match_scalar_result(self, node, trace):
         result = trace.to_result()
         assert trace.n_events == len(result.events)
-        assert trace.activity_factor(10) == pytest.approx(
-            result.activity_factor(10))
+        assert trace.activity_factor(10) == result.activity_factor(10)
+
+    def test_activity_factor_of_a_slice(self, trace):
+        # A slice counts only the nets its own events toggle.
+        start, stop = trace.n_events // 3, trace.n_events // 2
+        piece = trace.event_range(start, stop)
+        nets = {trace.net_names[net]
+                for net in trace.net_indices[start:stop].tolist()}
+        assert 0 < len(nets) < len(set(trace.net_indices.tolist()))
+        assert piece.activity_factor(10) \
+            == piece.to_result().activity_factor(10) \
+            == (stop - start) / (len(nets) * 10)
 
     def test_chunks_partition_stream(self, trace):
         chunks = list(trace.chunks(100))
@@ -624,9 +634,9 @@ class TestLowering:
     def test_levels_follow_topological_order(self, soc):
         engine = CompiledEventEngine(soc)
         gate_of = {name: g for g, name in enumerate(soc.instances)}
-        topo = {gate_of[inst.name]: k
-                for k, inst in enumerate(soc.topological_order())
-                if not inst.is_sequential}
+        topo = {gate_of[name]: k
+                for k, name in enumerate(networkx_order(soc))
+                if not soc.instances[name].is_sequential}
         level_of = {}
         for depth, gates in enumerate(engine._levels):
             level_of.update(dict.fromkeys(gates.tolist(), depth))

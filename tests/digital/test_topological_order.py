@@ -1,16 +1,17 @@
 """``Netlist.topological_order`` against the networkx oracle.
 
-The order comes from a generational Kahn pass over the netlist's own
-net indexes.  Both timing analyzers break exact arrival ties by it, so
-it must stay the order ``networkx.topological_sort`` gives on the
-instance graph (driver -> load per input net, in-edges of sequential
-cells cut).  The oracle builds that graph with networkx and is
-compared on hypothesis netlists with flip-flop feedback, self-fed
-flip-flops, a net on several pins of one gate, undriven nets and
-loads added before their driver, and on every library generator and
-test netlist builder.
-The compiled event engine's settle levels, which come from its own
-array Kahn pass, are checked against the same order.
+The order comes from the generational Kahn pass of the netlist's
+array lowering, which the compiled event engine and the compiled
+timing graph share.  Both timing analyzers break exact arrival ties by
+it, so it must stay the order ``networkx.topological_sort`` gives on
+the instance graph (driver -> load per input net, in-edges of
+sequential cells cut).  The oracle (``netlists.networkx_order``)
+builds that graph with networkx and is compared on hypothesis netlists
+with flip-flop feedback, self-fed flip-flops, a net on several pins of
+one gate, undriven nets and loads added before their driver, and on
+every library generator and test netlist builder.
+The compiled event engine's settle levels, which come from the same
+pass, are checked against the oracle too.
 """
 
 import networkx as nx
@@ -24,25 +25,10 @@ from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
 
 import netlists as builders
+from netlists import networkx_order
 
 NODE = get_node("65nm")
 LOOP = r"^netlist contains a combinational loop$"
-
-
-def networkx_order(netlist):
-    """Instance names in ``nx.topological_sort`` order of the cut graph."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(netlist.instances)
-    for instance in netlist.instances.values():
-        for net in instance.inputs:
-            driver = netlist.driver_of(net)
-            if driver is not None:
-                graph.add_edge(driver.name, instance.name, net=net)
-    cut = nx.DiGraph(graph)
-    for name, instance in netlist.instances.items():
-        if instance.is_sequential:
-            cut.remove_edges_from(list(cut.in_edges(name)))
-    return list(nx.topological_sort(cut))
 
 
 def order_names(netlist):
@@ -137,21 +123,20 @@ class TestNetworkxOracle:
 
 
 class TestCompiledSettleLevels:
-    """The event engine's own Kahn pass against this order.
+    """The event engine's settle levels against the networkx order.
 
-    ``CompiledEventEngine`` rebuilds the order with array passes over
-    its pin table to levelize its initial settle.  Each settle level
-    must list its gates in this order, a gate's level must be one past
-    its deepest combinational driver, and a loop must raise the same
-    error.
+    ``CompiledEventEngine`` levelizes its initial settle with the
+    lowering's Kahn pass.  Each settle level must list its gates in
+    the oracle's order, a gate's level must be one past its deepest
+    combinational driver, and a loop must raise the loop error.
     """
 
     @settings(max_examples=200, deadline=None)
     @given(netlist=netlists(forward_comb_refs=True))
     def test_levels_follow_order(self, netlist):
         try:
-            order = order_names(netlist)
-        except ModelDomainError:
+            order = networkx_order(netlist)
+        except nx.NetworkXUnfeasible:
             with pytest.raises(ModelDomainError, match=LOOP):
                 CompiledEventEngine(netlist)
             return

@@ -11,11 +11,11 @@ O(G^2) queries byte-compatible.
 import numpy as np
 import pytest
 
-from repro.digital import (CompiledTimingGraph, Netlist,
+from repro.digital import (Cell, CompiledTimingGraph, Netlist,
                            StaticTimingAnalyzer,
                            StatisticalTimingAnalyzer, clocked_datapath,
                            delay_under_mismatch,
-                           kogge_stone_adder, random_logic)
+                           kogge_stone_adder, random_logic, soc_netlist)
 from repro.robust.errors import ModelDomainError
 from repro.technology import get_node
 
@@ -257,3 +257,77 @@ class TestNetlistIndexAndCaches:
         assert graph.evaluate().critical_delays[0] \
             == pytest.approx(before)
         assert CompiledTimingGraph(netlist).n_gates == 4
+
+
+class TestLowering:
+    """The graph is gathered from the netlist's shared lowering, and
+    each piece matches the per-gate netlist views it replaced."""
+
+    @pytest.fixture(scope="class")
+    def sized(self, node):
+        """Random logic with flip-flops at four drives, so the cell
+        kinds differ by drive too."""
+        base = random_logic(node, 300, seed=6, sequential_fraction=0.15)
+        sized = Netlist(node, "sized")
+        sized.add_inputs(base.primary_inputs)
+        for k, inst in enumerate(base.instances.values()):
+            sized.add_gate(inst.cell.cell_type.name, inst.inputs,
+                           inst.output, drive=(0.5, 1, 2, 4)[k % 4],
+                           instance_name=inst.name)
+        return sized
+
+    @pytest.fixture(scope="class")
+    def soc(self, node):
+        return soc_netlist(node, target_gates=1500, n_blocks=3, seed=4)
+
+    def test_compile_reads_no_gate_view(self, node, monkeypatch):
+        soc = soc_netlist(node, target_gates=1500, n_blocks=3, seed=4)
+        calls = []
+        delay_model = Cell.delay_model
+
+        def counted(cell, *args, **kwargs):
+            calls.append((cell.cell_type.name, cell.drive))
+            return delay_model(cell, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the compile read a per-gate view")
+
+        monkeypatch.setattr(Cell, "delay_model", counted)
+        for name in ("topological_order", "fanout_capacitance",
+                     "driver_of"):
+            monkeypatch.setattr(Netlist, name, forbidden)
+        graph = CompiledTimingGraph(soc)
+        assert graph.evaluate().criticality()
+        assert soc.instances._n_built == 0
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(
+            {(inst.cell.cell_type.name, inst.cell.drive)
+             for inst in soc.instances.values()})
+
+    @pytest.mark.parametrize("key", ["sized", "soc"])
+    @pytest.mark.parametrize("wire_cap", [0.5e-15, 1.3e-15])
+    def test_delay_model_is_each_cells_own(self, request, key, wire_cap):
+        netlist = request.getfixturevalue(key)
+        graph = CompiledTimingGraph(netlist, wire_cap_per_fanout=wire_cap)
+        models = [inst.cell.delay_model(netlist.fanout_capacitance(
+            inst.output, wire_cap)) for inst in
+            map(netlist.instances.__getitem__, graph.names_topo)]
+        stacked = graph._delay_model
+        for field in ("drive_width", "load_capacitance"):
+            assert getattr(stacked, field).tobytes() == np.array(
+                [getattr(model, field) for model in models]).tobytes()
+        assert stacked.prefactor == models[0].prefactor
+
+    @pytest.mark.parametrize("key", ["sized", "soc"])
+    def test_fanin_codes_follow_net_names_descending(self, request, key):
+        netlist = request.getfixturevalue(key)
+        graph = CompiledTimingGraph(netlist)
+        topo_of = {name: k for k, name in enumerate(graph.names_topo)}
+        width = graph._fanin.shape[1]
+        for row, name in zip(graph._fanin.tolist(), graph.names_topo):
+            inst = netlist.instances[name]
+            codes = [-1] if inst.is_sequential else [
+                -1 if driver is None else topo_of[driver.name]
+                for driver in map(netlist.driver_of,
+                                  sorted(inst.inputs, reverse=True))]
+            assert row == codes + [-2] * (width - len(codes))
