@@ -171,7 +171,7 @@ class EventTrace:
         n_cycles = check_count("n_cycles", n_cycles)
         if self.n_events == 0:
             return 0.0
-        n_nets = np.count_nonzero(np.bincount(self.net_indices))
+        n_nets = int(np.count_nonzero(np.bincount(self.net_indices)))
         return self.n_events / (n_nets * n_cycles)
 
     def to_events(self) -> List[SwitchingEvent]:

@@ -272,6 +272,7 @@ class TestEventTrace:
         result = trace.to_result()
         assert trace.n_events == len(result.events)
         assert trace.activity_factor(10) == result.activity_factor(10)
+        assert type(trace.activity_factor(10)) is float
 
     def test_activity_factor_of_a_slice(self, trace):
         # A slice counts only the nets its own events toggle.
