@@ -44,7 +44,9 @@ class KeyedCache:
 
     ``maxsize`` bounds the number of entries; on overflow the oldest
     entry is evicted (insertion order -- characterization caches are
-    write-once, so FIFO == LRU for the intended uses).
+    write-once, so FIFO == LRU for the intended uses).  A miss in a full
+    cache evicts before it computes, so a ``maxsize=1`` memo of a large
+    value never holds the old value and the new one at once.
     """
 
     def __init__(self, name: str, maxsize: Optional[int] = None):
@@ -63,20 +65,30 @@ class KeyedCache:
 
     def get_or_compute(self, key: Hashable,
                        compute: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, computing it on miss."""
+        """Return the cached value for ``key``, computing it on miss.
+
+        On a miss in a full cache the oldest entry is evicted before
+        ``compute`` runs, so a ``compute`` that raises has still evicted
+        it.  Room is made again before the value is stored, for a
+        thread that filled the cache while this one computed.
+        """
         with self._lock:
             if key in self._data:
                 self._hits += 1
                 return self._data[key]
+            self._make_room()
         value = compute()
         with self._lock:
             self._misses += 1
             if key not in self._data:
-                if (self.maxsize is not None
-                        and len(self._data) >= self.maxsize):
-                    self._data.pop(next(iter(self._data)))
+                self._make_room()
                 self._data[key] = value
         return value
+
+    def _make_room(self) -> None:
+        """Evict the oldest entry if the cache is full (lock held)."""
+        if self.maxsize is not None and len(self._data) >= self.maxsize:
+            self._data.pop(next(iter(self._data)))
 
     def clear(self) -> None:
         """Drop all entries (counters survive)."""

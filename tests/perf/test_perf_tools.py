@@ -1,6 +1,9 @@
 """Unit tests of the ``repro.perf`` cache and profiling utilities."""
 
+import sys
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -39,6 +42,64 @@ class TestKeyedCache:
             assert len(cache) == 2
         finally:
             _REGISTRY.pop("test.bounded", None)
+
+    def test_full_cache_evicts_before_computing(self):
+        """A maxsize-1 memo never holds two values: the old one is gone
+        while the new one is computed, even if that compute raises."""
+
+        class Value:
+            pass
+
+        cache = KeyedCache("test.make_room", maxsize=1)
+        try:
+            old = weakref.ref(cache.get_or_compute("a", Value))
+            seen = []
+            cache.get_or_compute(
+                "b", lambda: seen.append(old() is None) or Value())
+            assert seen == [True]
+            assert "b" in cache and len(cache) == 1
+
+            def fail():
+                raise RuntimeError("compute fails")
+
+            with pytest.raises(RuntimeError):
+                cache.get_or_compute("c", fail)
+            assert len(cache) == 0
+        finally:
+            _REGISTRY.pop("test.make_room", None)
+
+    def test_concurrent_misses_stay_bounded(self):
+        """Threads that miss at once never grow a full cache past its
+        maxsize: room is made again before each value is stored."""
+        cache = KeyedCache("test.concurrent", maxsize=2)
+        sizes, wrong = [], []
+
+        def work(offset):
+            for i in range(1000):
+                key = (offset + i) % 13
+                # sleep(0) hands the interpreter to another thread
+                # mid-compute, where a miss's two lock holds part.
+                value = cache.get_or_compute(
+                    key, lambda: time.sleep(0) or 2 * key)
+                if value != 2 * key:
+                    wrong.append(key)
+                sizes.append(len(cache))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            _REGISTRY.pop("test.concurrent", None)
+        assert not wrong
+        assert len(sizes) == 8 * 1000 and max(sizes) <= 2
 
     def test_duplicate_name_rejected(self, scratch_cache):
         with pytest.raises(ValueError):
