@@ -17,16 +17,33 @@ effect at 65 nm (0.78 V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..perf.cache import KeyedCache
 from ..robust.errors import ModelDomainError
 from ..robust.rng import resolve_rng
 from ..robust.validate import check_non_negative, check_positive, validated
 from ..technology.node import TechnologyNode
 from ..devices.capacitance import (inverter_input_capacitance,
                                    inverter_self_load)
+
+#: The inverter self-load of each ``(node, drive width)`` a scalar
+#: :meth:`DelayModel.delay` has used, so a timing analysis runs the
+#: validated device-capacitance model once per cell kind, not per call.
+_SELF_LOADS = KeyedCache("digital.self_loads", maxsize=1024)
+
+
+def _self_load(node: TechnologyNode, drive_width: Union[float, np.ndarray]
+               ) -> Union[float, np.ndarray]:
+    """:func:`inverter_self_load` at ``drive_width``, kept per node and
+    width when the width is a Python float (as every cell's model
+    gives); an array of widths is computed as it comes."""
+    if type(drive_width) is not float:
+        return inverter_self_load(node, drive_width)
+    return _SELF_LOADS.get_or_compute(
+        (node, drive_width), lambda: inverter_self_load(node, drive_width))
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,7 @@ class DelayModel:
         alpha = self.node.alpha_power
         drive = 0.5 * mu_cox_wl * vdd ** (2.0 - alpha) \
             * (vdd - vth) ** alpha
-        total_load = self.load_capacitance + inverter_self_load(
+        total_load = self.load_capacitance + _self_load(
             self.node, self.drive_width)
         return self.prefactor * total_load * vdd / drive
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.digital import (DelayModel, delay_variability_trend,
-                           energy_delay_product, fo4_delay_model,
-                           fo4_load)
+from repro.devices import capacitance
+from repro.digital import (DelayModel, StaticTimingAnalyzer,
+                           delay_variability_trend, energy_delay_product,
+                           fo4_delay_model, fo4_load, random_logic)
 from repro.technology import all_nodes, get_node
 
 
@@ -66,6 +67,23 @@ class TestDelayModel:
         assert delays.std() > 0
         # Mean near nominal delay.
         assert delays.mean() == pytest.approx(model.delay(), rel=0.1)
+
+    def test_second_analysis_computes_no_capacitance(self, node,
+                                                      monkeypatch):
+        """Each cell's self-load is kept per node and drive width, so a
+        second scalar STA of one netlist runs no device model."""
+        netlist = random_logic(node, n_gates=60, seed=4)
+        calls = []
+        device_capacitances = capacitance.device_capacitances
+        monkeypatch.setattr(
+            capacitance, "device_capacitances",
+            lambda *args: calls.append(args) or device_capacitances(*args))
+        first = StaticTimingAnalyzer(netlist).analyze()
+        before = len(calls)
+        second = StaticTimingAnalyzer(netlist).analyze()
+        assert len(calls) == before
+        assert second.critical_delay == first.critical_delay
+        assert second.critical_path == first.critical_path
 
     def test_fo4_load_is_four_inputs(self, node):
         width = 2 * node.feature_size
