@@ -29,7 +29,13 @@ Two evaluation paths share the chain model and the metric cores:
   :class:`~repro.variability.statistical.SampledDie` at a time;
 * the **batched path** -- :func:`chain_signoff_batch` carries a whole
   :class:`~repro.variability.statistical.DieBatch` through the same
-  elementwise cores with a leading die axis.
+  elementwise cores with a leading die axis, 64 dies at a time
+  (``_SIGNOFF_DIES``): the chain is drawn and built once, each block
+  of dies is signed off, and the blocks' per-die rows fill one result
+  in die order.  Every step is row-wise, so the result is
+  byte-identical for any block size, and the sign-off's memory is the
+  result's own per-die arrays (about 8 KB a die, mostly DNL/INL rows)
+  plus one block's working set (about 2 MB), whatever the batch size.
 
 They differ in how the ADC's ramp histogram is counted: the oracle
 converts every ramp sample, while the batched path counts the ramp
@@ -50,8 +56,8 @@ runs the batched path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -428,11 +434,17 @@ def _code_sums(weights: np.ndarray) -> np.ndarray:
     return sums.reshape(dies + (2 ** n_bits,))
 
 
-#: Dies per block of :func:`_walk`.  A 64-die block of a 256-code
-#: sweep keeps each step array (held inputs, node indices, gathered
+#: Dies per block of a batched :meth:`SignalChain.signoff`, and rows
+#: per block of :func:`_walk`.  A 64-die block of a 256-code sweep
+#: keeps each walk step array (held inputs, node indices, gathered
 #: thresholds) at 128 KiB, so all of them stay in L2 across the n steps
-#: instead of streaming the whole batch through memory once per bit.
-_WALK_ROWS = 64
+#: instead of streaming the whole batch through memory once per bit
+#: (the walk took about 30 % longer at 128 rows).  A block's sine
+#: records, spectra and histogram tables stay near 2 MB, which the
+#: allocator reuses from one block to the next: a 512-die request took
+#: about 1,250 minor page faults at 64-die blocks, 3,700-3,900 at 128
+#: and 4,400 at 256.
+_SIGNOFF_DIES = 64
 
 
 def _walk(heap: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -451,9 +463,9 @@ def _walk(heap: np.ndarray, held: np.ndarray) -> np.ndarray:
     rows = (held.reshape(-1, held.shape[-1]) if heap.ndim > 1
             else held.reshape(1, -1))
     codes = np.empty(rows.shape, dtype=np.int64)
-    for start in range(0, tables.shape[0], _WALK_ROWS):
-        table = tables[start:start + _WALK_ROWS].ravel()
-        block = rows[start:start + _WALK_ROWS]
+    for start in range(0, tables.shape[0], _SIGNOFF_DIES):
+        table = tables[start:start + _SIGNOFF_DIES].ravel()
+        block = rows[start:start + _SIGNOFF_DIES]
         # Nodes index the block's flat table: row r's root is at
         # r * n_nodes, so a child is 2 * node + 1 - root + decision.
         root = np.arange(0, table.size, n_nodes)[:, None]
@@ -464,7 +476,7 @@ def _walk(heap: np.ndarray, held: np.ndarray) -> np.ndarray:
             node += node
             node += step
             node += keep
-        codes[start:start + _WALK_ROWS] = node - root - n_nodes
+        codes[start:start + _SIGNOFF_DIES] = node - root - n_nodes
     return codes.reshape(held.shape)
 
 
@@ -635,6 +647,29 @@ class SignalChain:
             gain = gain[..., None]
         return fractions + (gain - 1.0) * (fractions - 0.5)
 
+    def _dies(self, start: int, stop: int) -> "SignalChain":
+        """Dies ``start:stop`` of a batched chain.
+
+        Each per-die field (DAC and ADC weights and terminations, the
+        comparator offset, the SC gain) is broadcast to the die axis of
+        the DAC weights and sliced, so a field every die shares comes
+        out with one row per die of the slice, as a drawn field does.
+        """
+        n_dies = np.shape(self.dac.weights)[0]
+
+        def rows(value: ArrayOrFloat, *trailing: int) -> np.ndarray:
+            return np.broadcast_to(value, (n_dies,) + trailing)[start:stop]
+
+        dac, adc = self.dac, self.adc
+        return replace(
+            self,
+            dac=replace(dac, weights=rows(dac.weights, dac.n_bits),
+                        termination=rows(dac.termination)),
+            adc=replace(adc, weights=rows(adc.weights, adc.n_bits),
+                        termination=rows(adc.termination),
+                        offset=rows(adc.offset)),
+            sc_gain_eff=rows(self.sc_gain_eff))
+
     def signoff(self, spec: Optional[ChainSpec] = None,
                 n_ramp_per_code: int = 16, n_fft: int = 1024,
                 cycles: int = 67,
@@ -654,6 +689,15 @@ class SignalChain:
           chain (:func:`~repro.analog.metrics.spectral_metrics`).
           The sine samples are DAC levels, so their codes are gathered
           from the sweep's rather than converted again.
+
+        A batched chain is signed off ``_SIGNOFF_DIES`` dies at a time
+        (:meth:`_dies`), and each block's per-die report rows are
+        written into one result in die order.  Every step works row by
+        row -- reductions along the code axis, one FFT per row, the
+        histogram fix-up per element -- so the result is byte-identical
+        for any block size, and the sign-off's transient memory is one
+        block's (its sine records, spectra and histogram tables) on top
+        of the result's own per-die arrays, whatever the batch size.
         """
         spec = spec if spec is not None else ChainSpec()
         n_ramp_per_code = check_count("n_ramp_per_code",
@@ -661,6 +705,25 @@ class SignalChain:
         n_fft = check_count("n_fft", n_fft, minimum=64)
         cycles = check_count("cycles", cycles)
         check_fraction("amplitude_fraction", amplitude_fraction)
+        settings = (spec, n_ramp_per_code, n_fft, cycles,
+                    amplitude_fraction)
+        if np.ndim(self.dac.weights) == 1:
+            return self._signoff(*settings)
+        n_dies = np.shape(self.dac.weights)[0]
+        result = None
+        # A zero-die batch is one empty block, so it keeps its row shapes.
+        for start in range(0, max(n_dies, 1), _SIGNOFF_DIES):
+            stop = min(start + _SIGNOFF_DIES, n_dies)
+            block = self._dies(start, stop)._signoff(*settings)
+            if result is None:
+                result = _empty_rows(block, n_dies)
+            _set_rows(result, slice(start, stop), block)
+            del block   # so no two blocks' reports are alive at once
+        return result
+
+    def _signoff(self, spec: ChainSpec, n_ramp_per_code: int, n_fft: int,
+                 cycles: int, amplitude_fraction: float) -> ChainSignoff:
+        """:meth:`signoff` of one die or one block, on checked settings."""
         n_bits = self.design.n_bits
         batched = np.asarray(self.dac.weights).ndim > 1
 
@@ -715,6 +778,33 @@ def _meets_spec(spec: ChainSpec, n_bits: int, dac: LinearityReport,
     return ok
 
 
+_Report = TypeVar("_Report", ChainSignoff, LinearityReport, SpectralReport)
+
+
+def _empty_rows(block: _Report, n_dies: int) -> _Report:
+    """``block`` with each per-die array, nested reports' too, replaced
+    by an empty one of ``n_dies`` rows, its dtype and its row shape."""
+    changes = {}
+    for field in fields(block):
+        value = getattr(block, field.name)
+        if isinstance(value, np.ndarray):
+            changes[field.name] = np.empty((n_dies,) + value.shape[1:],
+                                           value.dtype)
+        elif is_dataclass(value):
+            changes[field.name] = _empty_rows(value, n_dies)
+    return replace(block, **changes)
+
+
+def _set_rows(result: _Report, rows: slice, block: _Report) -> None:
+    """Write ``block``'s per-die arrays into ``rows`` of ``result``'s."""
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, np.ndarray):
+            value[rows] = getattr(block, field.name)
+        elif is_dataclass(value):
+            _set_rows(value, rows, getattr(block, field.name))
+
+
 @validated(_result_finite=True, n_ramp_per_code="count", n_fft="count",
            cycles="count", amplitude_fraction="fraction")
 def chain_signoff(node: TechnologyNode,
@@ -760,20 +850,30 @@ def chain_signoff_batch(sampler: MonteCarloSampler,
     scalar loop would own).  All result fields gain a leading
     ``n_dies`` axis.
 
+    The draws and the chain are built once; :meth:`SignalChain.signoff`
+    then signs the dies off in blocks of ``_SIGNOFF_DIES`` and writes
+    each block's rows into the result, which is byte-identical for any
+    block size.  So the sign-off holds the result's own per-die arrays
+    plus one block's sine records, spectra and histogram tables, not
+    those of every die at once: at 512 dies its tracemalloc peak is
+    about 7 MiB, against 21 MiB for one 512-die pass.
+
     With ``shard=(start, stop)`` only that slice of the same
     ``n_dies`` population is signed off: the inter-die batch is
     sliced by :meth:`MonteCarloSampler.sample_dies_batch` and only
     the sharded dies' spawned children are consumed, so row ``k`` of
     a sharded result is bit-for-bit row ``start + k`` of the full
-    result -- the merge contract of :mod:`repro.exec`.
+    result -- the merge contract of :mod:`repro.exec`.  A shard is
+    blocked from its own first die.
     """
     design = design if design is not None else ChainDesign()
     shard = check_shard(shard, n_dies)
     start, stop = shard if shard is not None else (0, n_dies)
     batch = sampler.sample_dies_batch(n_dies, shard=shard)
-    children = sampler.rng.spawn(n_dies)[start:stop]
-    draws = np.stack([child.standard_normal(
-        _draws_per_die(design.n_bits)) for child in children])
+    # The spawned children (about 1 KB a die) are dropped here, not held
+    # through the sign-off.
+    draws = np.stack([child.standard_normal(_draws_per_die(design.n_bits))
+                      for child in sampler.rng.spawn(n_dies)[start:stop]])
     chain = SignalChain._from_draws(sampler.node, design,
                                     batch.vth_global, draws)
     return chain.signoff(spec, n_ramp_per_code=n_ramp_per_code,

@@ -7,12 +7,16 @@ seed-0 population so any RNG-contract or mismatch-model drift fails
 loudly.
 """
 
+import tracemalloc
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
-from repro.analog import (ChainDesign, SignalChain, chain_signoff,
-                          chain_signoff_batch, chain_yield_vs_node,
-                          spectral_metrics_batch)
+from repro.analog import (ChainDesign, ChainSpec, SignalChain,
+                          chain_signoff, chain_signoff_batch,
+                          chain_yield_vs_node, spectral_metrics_batch)
+from repro.analog import chain as chain_module
 from repro.analog.chain import _draws_per_die, _sine_codes
 from repro.technology import get_node
 from repro.variability import MonteCarloSampler
@@ -92,6 +96,82 @@ class TestScalarBatchEquivalence:
         b = chain_signoff_batch(MonteCarloSampler(node, seed=7),
                                 n_dies=4)
         np.testing.assert_array_equal(a.spectral.enob, b.spectral.enob)
+
+
+def report_fields(report, prefix=""):
+    """Every field of a (nested) report by dotted name, each array as
+    ``(dtype, shape, bytes)``."""
+    out = {}
+    for field in fields(report):
+        value = getattr(report, field.name)
+        name = prefix + field.name
+        if is_dataclass(value):
+            out.update(report_fields(value, name + "."))
+        elif isinstance(value, np.ndarray):
+            out[name] = (value.dtype, value.shape, value.tobytes())
+        else:
+            out[name] = value
+    return out
+
+
+class TestSignoffBlocks:
+    """A batch is signed off ``_SIGNOFF_DIES`` dies at a time; every
+    step is row-wise, so the block size moves no byte of the result."""
+
+    CASES = [(1, None), (127, None), (128, None), (129, None),
+             (300, None), (300, (100, 260)), (300, (127, 129))]
+
+    @pytest.mark.parametrize("node_name", ["350nm", "65nm", "32nm"])
+    def test_block_size_moves_no_byte(self, node_name, monkeypatch):
+        node = get_node(node_name)
+
+        def signoff(n_dies, shard, block):
+            monkeypatch.setattr(chain_module, "_SIGNOFF_DIES", block)
+            return report_fields(chain_signoff_batch(
+                MonteCarloSampler(node, seed=5), n_dies=n_dies,
+                shard=shard))
+
+        for n_dies, shard in self.CASES:
+            whole = signoff(n_dies, shard, n_dies)
+            for block in (1, 7, 64, 128):
+                assert signoff(n_dies, shard, block) == whole, \
+                    (n_dies, shard, block)
+
+    def test_blocks_join_to_one_pass(self, node):
+        """The joined blocks are the batch signed off in one pass."""
+        rng = np.random.default_rng(3)
+        n_dies = 150
+        chain = SignalChain._from_draws(
+            node, ChainDesign(), 0.01 * rng.standard_normal(n_dies),
+            rng.standard_normal((n_dies, _draws_per_die(8))))
+        one_pass = chain._signoff(ChainSpec(), n_ramp_per_code=16,
+                                  n_fft=1024, cycles=67,
+                                  amplitude_fraction=0.9)
+        assert report_fields(chain.signoff()) == report_fields(one_pass)
+
+    def test_memory_is_the_result_and_one_block(self, node):
+        """The tracemalloc peak of a 1,024-die sign-off stays below
+        ``R + B * 64 * n_fft`` bytes: ``R`` is the result's own arrays
+        (its per-die DNL/INL rows, about 8 KB a die) and ``B`` the dies
+        of one block, each allowed 64 bytes per sample of the 1,024-
+        sample sine record, twice what the block's FFT stage holds (the
+        record, its mean-removed copy, the spectrum, its power and the
+        spur copy: 32 bytes a sample) to cover its sweep and histogram
+        tables beside it.  With 64-die blocks the bound is about 12.6 MB
+        and the peak about 11.5 MB; a sign-off of all 1,024 dies at once
+        peaks at about 43 MB."""
+        n_dies, n_fft = 1024, 1024
+        chain_signoff_batch(MonteCarloSampler(node, seed=0), n_dies=8)
+        tracemalloc.start()
+        try:
+            result = chain_signoff_batch(MonteCarloSampler(node, seed=0),
+                                         n_dies=n_dies, n_fft=n_fft)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(len(value[2]) for value in report_fields(result).values()
+                  if isinstance(value, tuple))
+        assert peak < own + chain_module._SIGNOFF_DIES * 64 * n_fft
 
 
 class TestChainGoldens:
